@@ -1,11 +1,11 @@
 //! The centralized monitoring baseline.
 
 use crate::partitioned::PartitionedTier;
-use mknn_geom::{ObjectId, QueryId, Rect, Tick};
+use mknn_geom::{ObjectId, QueryId, Rect};
 use mknn_mobility::MovingObject;
 use mknn_net::{
-    DownlinkMsg, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase, UplinkMsg,
-    Uplinks,
+    run_client_phase, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase,
+    UplinkMsg, Uplinks,
 };
 
 /// Centralized continuous kNN monitoring (the classic server-side
@@ -56,53 +56,26 @@ impl Protocol for Centralized {
         self.tier.init(bounds, objects, queries, ops);
     }
 
-    fn client_tick(
-        &mut self,
-        _tick: Tick,
-        me: &MovingObject,
-        _inbox: &[DownlinkMsg],
-        up: &mut Uplinks,
-        ops: &mut OpCounters,
-    ) {
-        // A device reports whenever it moved this tick.
-        ops.client_ops += 1;
-        if me.vel != mknn_geom::Vector::ZERO {
-            up.send(
-                me.id,
-                UplinkMsg::Position {
-                    pos: me.pos,
-                    vel: me.vel,
-                },
-            );
-        }
-    }
-
     fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {
-        // The per-device body is stateless (report-if-moved), so the
-        // shared chunked harness applies directly.
-        mknn_net::parallel_client_phase(ctx, up, ops, |_tick, me, _inbox, up, ops| {
-            ops.client_ops += 1;
-            if me.vel != mknn_geom::Vector::ZERO {
-                up.send(
-                    me.id,
-                    UplinkMsg::Position {
-                        pos: me.pos,
-                        vel: me.vel,
-                    },
-                );
-            }
-        });
-    }
-
-    fn server_tick(
-        &mut self,
-        _tick: Tick,
-        uplinks: &Uplinks,
-        _probe: &mut dyn ProbeService,
-        _outbox: &mut Outbox,
-        ops: &mut OpCounters,
-    ) {
-        self.tier.tick_monolithic(uplinks, ops);
+        // A device reports whenever it moved this tick (a stateless body).
+        run_client_phase(
+            ctx,
+            &mut vec![(); ctx.len()],
+            up,
+            ops,
+            |(), me, _, up, ops| {
+                ops.client_ops += 1;
+                if me.vel != mknn_geom::Vector::ZERO {
+                    up.send(
+                        me.id,
+                        UplinkMsg::Position {
+                            pos: me.pos,
+                            vel: me.vel,
+                        },
+                    );
+                }
+            },
+        );
     }
 
     fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
@@ -132,7 +105,8 @@ impl Protocol for Centralized {
 mod tests {
     use super::*;
     use mknn_geom::{Circle, Point, Vector};
-    use mknn_net::ObjReport;
+    use mknn_net::{single_server_phase, ClientCtx, ObjReport};
+    use mknn_util::Pool;
 
     struct NoProbe;
     impl ProbeService for NoProbe {
@@ -179,7 +153,7 @@ mod tests {
                 vel: Vector::ZERO,
             },
         );
-        c.server_tick(1, &up, &mut NoProbe, &mut outbox, &mut ops);
+        single_server_phase(&mut c, 1, up, &mut NoProbe, &mut outbox, &mut ops);
         assert_eq!(c.answer(QueryId(0)), &[ObjectId(5), ObjectId(1)]);
     }
 
@@ -209,7 +183,7 @@ mod tests {
                 vel: Vector::ZERO,
             },
         );
-        c.server_tick(1, &up, &mut NoProbe, &mut outbox, &mut ops);
+        single_server_phase(&mut c, 1, up, &mut NoProbe, &mut outbox, &mut ops);
         assert_eq!(c.answer(QueryId(0)), &[ObjectId(5), ObjectId(4)]);
     }
 
@@ -218,12 +192,20 @@ mod tests {
         let mut c = Centralized::new(8);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
-        let me = MovingObject::at(ObjectId(3), Point::new(1.0, 1.0), 5.0);
-        c.client_tick(1, &me, &[], &mut up, &mut ops);
+        let mut ctx = ClientCtx {
+            tick: 1,
+            pos: &[Point::new(1.0, 1.0)],
+            vel: &[Vector::ZERO],
+            max_speed: &[5.0],
+            inboxes: &[Vec::new()],
+            offline: None,
+            pool: Pool::new(1),
+        };
+        c.client_phase(&ctx, &mut up, &mut ops);
         assert!(up.is_empty());
-        let mut moved = me;
-        moved.vel = Vector::new(1.0, 0.0);
-        c.client_tick(2, &moved, &[], &mut up, &mut ops);
+        let moving = [Vector::new(1.0, 0.0)];
+        ctx.vel = &moving;
+        c.client_phase(&ctx, &mut up, &mut ops);
         assert_eq!(up.len(), 1);
     }
 }

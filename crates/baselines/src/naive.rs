@@ -1,10 +1,10 @@
 //! The naive per-tick probing strawman.
 
-use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
+use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Vector};
 use mknn_mobility::MovingObject;
 use mknn_net::{
-    run_shard_tasks, DownlinkMsg, OpCounters, Outbox, ProbeService, Protocol, QuerySpec,
-    ServerPhase, UplinkMsg, Uplinks,
+    run_client_phase, OpCounters, Outbox, Partitioned, ProbeService, Protocol, QuerySpec,
+    ServerPhase, ShardState, UplinkMsg, Uplinks,
 };
 use std::collections::BTreeMap;
 
@@ -25,6 +25,22 @@ struct NaiveShard {
     queries: BTreeMap<u32, NState>,
 }
 
+impl ShardState for NaiveShard {
+    type Query = NState;
+
+    fn fork_empty(&self) -> NaiveShard {
+        NaiveShard::default()
+    }
+
+    fn queries(&self) -> &BTreeMap<u32, NState> {
+        &self.queries
+    }
+
+    fn queries_mut(&mut self) -> &mut BTreeMap<u32, NState> {
+        &mut self.queries
+    }
+}
+
 /// Naive distributed processing: every tick, for every query, the server
 /// geocasts a probe over an adaptive zone around the query position and
 /// rebuilds the answer from the replies.
@@ -42,11 +58,8 @@ pub struct NaiveBroadcast {
     headroom: f64,
     /// Client-side registry (focal → query), shared by every device.
     specs: Vec<QuerySpec>,
-    /// Per-shard query records (a single entry until the first partitioned
-    /// server phase forks the tier).
-    shards: Vec<NaiveShard>,
-    /// Hosting shard per query id.
-    home_of: Vec<u32>,
+    /// Per-shard query records.
+    shards: Partitioned<NaiveShard>,
     space_diag: f64,
     empty: Vec<ObjectId>,
 }
@@ -59,67 +72,47 @@ impl NaiveBroadcast {
         NaiveBroadcast {
             headroom,
             specs: Vec::new(),
-            shards: vec![NaiveShard::default()],
-            home_of: Vec::new(),
+            shards: Partitioned::new(NaiveShard::default()),
             space_diag: 1.0,
             empty: Vec::new(),
         }
     }
 
-    /// One query's probe-until-k loop (identical on every shard).
-    fn evaluate_state(
-        state: &mut NState,
+    /// One shard's probe-until-k loop over its homed queries, ascending
+    /// query id.
+    fn evaluate_shard(
+        shard: &mut NaiveShard,
         probe: &mut dyn ProbeService,
         ops: &mut OpCounters,
         space_diag: f64,
         headroom: f64,
     ) {
-        let center = state.q_pos;
-        let mut r = state.radius.clamp(1.0, space_diag);
-        let replies = loop {
-            let replies = probe.probe(state.spec.id, Circle::new(center, r), state.spec.focal);
-            ops.server_ops += replies.len() as u64 + 1;
-            if replies.len() >= state.spec.k || r >= space_diag {
-                break replies;
+        for state in shard.queries.values_mut() {
+            let center = state.q_pos;
+            let mut r = state.radius.clamp(1.0, space_diag);
+            let replies = loop {
+                let replies = probe.probe(state.spec.id, Circle::new(center, r), state.spec.focal);
+                ops.server_ops += replies.len() as u64 + 1;
+                if replies.len() >= state.spec.k || r >= space_diag {
+                    break replies;
+                }
+                r = (r * 2.0).min(space_diag);
+            };
+            let mut scored: Vec<(f64, ObjectId)> = replies
+                .iter()
+                .map(|o| (o.pos.dist_sq(center), o.id))
+                .collect();
+            scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            state.answer = scored
+                .iter()
+                .take(state.spec.k)
+                .map(|&(_, id)| id)
+                .collect();
+            // Next tick's zone: the current k-th distance plus headroom.
+            if let Some(&(d2, _)) = scored.get(state.spec.k.saturating_sub(1)) {
+                state.radius = d2.sqrt() * headroom;
             }
-            r = (r * 2.0).min(space_diag);
-        };
-        let mut scored: Vec<(f64, ObjectId)> = replies
-            .iter()
-            .map(|o| (o.pos.dist_sq(center), o.id))
-            .collect();
-        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        state.answer = scored
-            .iter()
-            .take(state.spec.k)
-            .map(|&(_, id)| id)
-            .collect();
-        // Next tick's zone: the current k-th distance plus headroom.
-        if let Some(&(d2, _)) = scored.get(state.spec.k.saturating_sub(1)) {
-            state.radius = d2.sqrt() * headroom;
         }
-    }
-
-    /// Evaluates every query ascending query id across the whole tier —
-    /// the monolithic evaluation order.
-    fn evaluate_all(&mut self, probe: &mut dyn ProbeService, ops: &mut OpCounters) {
-        let (space_diag, headroom) = (self.space_diag, self.headroom);
-        let mut ids: Vec<u32> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.queries.keys().copied())
-            .collect();
-        ids.sort_unstable();
-        for qi in ids {
-            let h = self.home_of[qi as usize] as usize;
-            let state = self.shards[h].queries.get_mut(&qi).expect("home directory");
-            Self::evaluate_state(state, probe, ops, space_diag, headroom);
-        }
-    }
-
-    fn holder(&self, query: QueryId) -> Option<&NaiveShard> {
-        let h = self.home_of.get(query.index()).copied().unwrap_or(0) as usize;
-        self.shards.get(h.min(self.shards.len() - 1))
     }
 }
 
@@ -145,10 +138,9 @@ impl Protocol for NaiveBroadcast {
     ) {
         self.space_diag = bounds.min.dist(bounds.max);
         self.specs = queries.to_vec();
-        self.shards = vec![NaiveShard::default()];
-        self.home_of = vec![0; queries.len()];
+        let shard = self.shards.reset(queries.len());
         for spec in queries {
-            self.shards[0].queries.insert(
+            shard.queries.insert(
                 spec.id.0,
                 NState {
                     spec: *spec,
@@ -158,93 +150,41 @@ impl Protocol for NaiveBroadcast {
                 },
             );
         }
-        self.evaluate_all(probe, ops);
+        Self::evaluate_shard(shard, probe, ops, self.space_diag, self.headroom);
     }
 
-    fn client_tick(
-        &mut self,
-        _tick: Tick,
-        me: &MovingObject,
-        _inbox: &[DownlinkMsg],
-        up: &mut Uplinks,
-        _ops: &mut OpCounters,
-    ) {
+    fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {
         // Only focal devices speak unprompted (probe replies are handled by
-        // the harness's synchronous channel).
-        for si in 0..self.specs.len() {
-            let spec = self.specs[si];
-            if spec.focal == me.id && me.vel != Vector::ZERO {
-                up.send(
-                    me.id,
-                    UplinkMsg::QueryMove {
-                        query: spec.id,
-                        pos: me.pos,
-                        vel: me.vel,
-                    },
-                );
-                // Client-side mirror; the server reads the uplink.
-                let h = self.home_of.get(spec.id.index()).copied().unwrap_or(0) as usize;
-                if let Some(q) = self.shards[h].queries.get_mut(&spec.id.0) {
-                    q.q_pos = me.pos;
-                }
-            }
-        }
-    }
-
-    fn server_tick(
-        &mut self,
-        _tick: Tick,
-        uplinks: &Uplinks,
-        probe: &mut dyn ProbeService,
-        _outbox: &mut Outbox,
-        ops: &mut OpCounters,
-    ) {
-        for (from, msg) in uplinks.iter() {
-            if let UplinkMsg::QueryMove { query, pos, .. } = msg {
-                let h = self.home_of.get(query.index()).copied().unwrap_or(0) as usize;
-                if let Some(q) = self.shards[h].queries.get_mut(&query.0) {
-                    if q.spec.focal == from {
-                        q.q_pos = *pos;
+        // the harness's synchronous channel); the uplink is the server's
+        // only source for the query position.
+        let specs = &self.specs;
+        run_client_phase(
+            ctx,
+            &mut vec![(); ctx.len()],
+            up,
+            ops,
+            |(), me, _, up, _| {
+                for spec in specs {
+                    if spec.focal == me.id && me.vel != Vector::ZERO {
+                        up.send(
+                            me.id,
+                            UplinkMsg::QueryMove {
+                                query: spec.id,
+                                pos: me.pos,
+                                vel: me.vel,
+                            },
+                        );
                     }
                 }
-            }
-        }
-        self.evaluate_all(probe, ops);
+            },
+        );
     }
 
     fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
-        debug_assert!(
-            phase
-                .tasks
-                .iter()
-                .enumerate()
-                .all(|(i, t)| t.shard as usize == i),
-            "tasks must be dense ascending shard ids"
-        );
-        while self.shards.len() < phase.tasks.len() {
-            self.shards.push(NaiveShard::default());
-        }
-        // Re-home query records to this tick's coordinator homes.
-        if self.home_of.len() < phase.homes.len() {
-            self.home_of.resize(phase.homes.len(), 0);
-        }
-        for (q, (&new_home, old_home)) in
-            phase.homes.iter().zip(self.home_of.iter_mut()).enumerate()
-        {
-            if *old_home != new_home {
-                if let Some(state) = self.shards[*old_home as usize].queries.remove(&(q as u32)) {
-                    self.shards[new_home as usize]
-                        .queries
-                        .insert(q as u32, state);
-                }
-                *old_home = new_home;
-            }
-        }
         // Each shard ingests its homed QueryMoves and probes for its homed
-        // queries through its own probe channel — per-query state never
-        // crosses shards mid-phase.
+        // queries through its own probe channel.
         let (space_diag, headroom) = (self.space_diag, self.headroom);
-        run_shard_tasks(phase.pool, &mut self.shards, phase.tasks, |shard, task| {
+        self.shards.run(phase, |shard, task| {
             let up = std::mem::take(&mut task.uplinks);
             for (from, msg) in up.iter() {
                 if let UplinkMsg::QueryMove { query, pos, .. } = msg {
@@ -255,37 +195,31 @@ impl Protocol for NaiveBroadcast {
                     }
                 }
             }
-            for state in shard.queries.values_mut() {
-                Self::evaluate_state(
-                    state,
-                    task.probe.as_mut(),
-                    &mut task.ops,
-                    space_diag,
-                    headroom,
-                );
-            }
+            Self::evaluate_shard(
+                shard,
+                task.probe.as_mut(),
+                &mut task.ops,
+                space_diag,
+                headroom,
+            );
         });
     }
 
     fn server_crash(&mut self, _shard: u32, _block: Rect, queries: &[QueryId]) {
         // The strawman keeps only the cached answer and the adaptive zone
         // radius per query; both are rebuilt by next tick's probe, so a
-        // crash costs one tick of answer loss plus the re-grown zone. Each
-        // query lives in exactly one shard, so the sweep touches exactly
-        // its holder.
-        for shard in &mut self.shards {
-            for &q in queries {
-                if let Some(state) = shard.queries.get_mut(&q.0) {
-                    state.answer.clear();
-                    state.radius = self.space_diag * 0.02;
-                }
+        // crash costs one tick of answer loss plus the re-grown zone.
+        for &q in queries {
+            if let Some(state) = self.shards.query_mut(q) {
+                state.answer.clear();
+                state.radius = self.space_diag * 0.02;
             }
         }
     }
 
     fn answer(&self, query: QueryId) -> &[ObjectId] {
-        self.holder(query)
-            .and_then(|s| s.queries.get(&query.0))
+        self.shards
+            .query(query)
             .map_or(&self.empty, |q| q.answer.as_slice())
     }
 }
@@ -293,7 +227,7 @@ impl Protocol for NaiveBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mknn_net::ObjReport;
+    use mknn_net::{single_server_phase, ObjReport};
 
     struct TableProbe {
         positions: Vec<Point>,
@@ -325,28 +259,37 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn probes_until_k_found_then_tracks() {
+    /// The baseline registered with one k-NN query focused on device 0.
+    fn setup(k: usize) -> (NaiveBroadcast, TableProbe) {
         let mut n = NaiveBroadcast::default();
         let queries = [QuerySpec {
             id: QueryId(0),
             focal: ObjectId(0),
-            k: 3,
+            k,
         }];
         let mut probe = TableProbe {
             positions: objs().iter().map(|o| o.pos).collect(),
             probes: 0,
         };
-        let mut outbox = Outbox::new();
-        let mut ops = OpCounters::default();
         n.init(
             Rect::square(10_000.0),
             &objs(),
             &queries,
             &mut probe,
-            &mut outbox,
-            &mut ops,
+            &mut Outbox::new(),
+            &mut OpCounters::default(),
         );
+        (n, probe)
+    }
+
+    fn server_phase(n: &mut NaiveBroadcast, probe: &mut TableProbe, up: Uplinks) {
+        let (mut outbox, mut ops) = (Outbox::new(), OpCounters::default());
+        single_server_phase(n, 1, up, probe, &mut outbox, &mut ops);
+    }
+
+    #[test]
+    fn probes_until_k_found_then_tracks() {
+        let (mut n, mut probe) = setup(3);
         assert_eq!(
             n.answer(QueryId(0)),
             &[ObjectId(1), ObjectId(2), ObjectId(3)]
@@ -355,8 +298,7 @@ mod tests {
 
         // Every subsequent tick probes again even with zero movement.
         let before = probe.probes;
-        let up = Uplinks::new();
-        n.server_tick(1, &up, &mut probe, &mut outbox, &mut ops);
+        server_phase(&mut n, &mut probe, Uplinks::new());
         assert!(probe.probes > before);
         assert_eq!(
             n.answer(QueryId(0)),
@@ -366,26 +308,7 @@ mod tests {
 
     #[test]
     fn query_move_recenters() {
-        let mut n = NaiveBroadcast::default();
-        let queries = [QuerySpec {
-            id: QueryId(0),
-            focal: ObjectId(0),
-            k: 2,
-        }];
-        let mut probe = TableProbe {
-            positions: objs().iter().map(|o| o.pos).collect(),
-            probes: 0,
-        };
-        let mut outbox = Outbox::new();
-        let mut ops = OpCounters::default();
-        n.init(
-            Rect::square(10_000.0),
-            &objs(),
-            &queries,
-            &mut probe,
-            &mut outbox,
-            &mut ops,
-        );
+        let (mut n, mut probe) = setup(2);
         let mut up = Uplinks::new();
         up.send(
             ObjectId(0),
@@ -395,7 +318,37 @@ mod tests {
                 vel: Vector::ZERO,
             },
         );
-        n.server_tick(1, &up, &mut probe, &mut outbox, &mut ops);
+        server_phase(&mut n, &mut probe, up);
+        assert_eq!(n.answer(QueryId(0)), &[ObjectId(7), ObjectId(6)]);
+    }
+
+    #[test]
+    fn a_lost_query_move_leaves_the_server_where_it_was() {
+        let (mut n, mut probe) = setup(2);
+        // The focal jumps to x = 690 and says so on the uplink ...
+        let mut pos: Vec<Point> = objs().iter().map(|o| o.pos).collect();
+        let mut vel = vec![Vector::ZERO; pos.len()];
+        pos[0] = Point::new(690.0, 0.0);
+        vel[0] = Vector::new(690.0, 0.0);
+        let mut up = Uplinks::new();
+        let ctx = mknn_net::ClientCtx {
+            tick: 1,
+            pos: &pos,
+            vel: &vel,
+            max_speed: &vec![5.0; pos.len()],
+            inboxes: &vec![Vec::new(); pos.len()],
+            offline: None,
+            pool: mknn_util::Pool::new(1),
+        };
+        n.client_phase(&ctx, &mut up, &mut OpCounters::default());
+        assert_eq!(up.len(), 1, "the focal reports its move");
+        // ... but the link drops it: the server must still evaluate around
+        // the last position it actually heard.
+        server_phase(&mut n, &mut probe, Uplinks::new());
+        assert_eq!(n.shards.query(QueryId(0)).unwrap().q_pos, Point::ORIGIN);
+        assert_eq!(n.answer(QueryId(0)), &[ObjectId(1), ObjectId(2)]);
+        // Delivered, the same message recenters it.
+        server_phase(&mut n, &mut probe, up);
         assert_eq!(n.answer(QueryId(0)), &[ObjectId(7), ObjectId(6)]);
     }
 }

@@ -1,11 +1,11 @@
 //! The periodic (lazy) reporting baseline.
 
 use crate::partitioned::PartitionedTier;
-use mknn_geom::{ObjectId, Point, QueryId, Rect, Tick};
+use mknn_geom::{ObjectId, Point, QueryId, Rect};
 use mknn_mobility::MovingObject;
 use mknn_net::{
-    DownlinkMsg, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase, UplinkMsg,
-    Uplinks,
+    run_client_phase, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase,
+    UplinkMsg, Uplinks,
 };
 
 /// Periodic centralized monitoring (YPK-CNN-style): each device reports its
@@ -65,85 +65,29 @@ impl Protocol for Periodic {
         self.tier.init(bounds, objects, queries, ops);
     }
 
-    fn client_tick(
-        &mut self,
-        tick: Tick,
-        me: &MovingObject,
-        _inbox: &[DownlinkMsg],
-        up: &mut Uplinks,
-        ops: &mut OpCounters,
-    ) {
-        ops.client_ops += 1;
-        let scheduled = (tick + me.id.0 as u64).is_multiple_of(self.period);
-        if scheduled && self.last_reported[me.id.index()] != me.pos {
-            up.send(
-                me.id,
-                UplinkMsg::Position {
-                    pos: me.pos,
-                    vel: me.vel,
-                },
-            );
-            self.last_reported[me.id.index()] = me.pos;
-        }
-    }
-
     fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {
-        // The only client state is the per-device last-reported position,
-        // so chunks of that array are independent; merge in chunk order.
-        let n = ctx.len();
-        if ctx.pool.threads() <= 1 || n < mknn_net::PAR_MIN_DEVICES {
-            for i in 0..n {
-                if ctx.is_offline(i) {
-                    continue;
+        // The only client state is the per-device last-reported position.
+        let (period, tick) = (self.period, ctx.tick);
+        run_client_phase(
+            ctx,
+            &mut self.last_reported,
+            up,
+            ops,
+            |last_pos, me, _, up, ops| {
+                ops.client_ops += 1;
+                let scheduled = (tick + me.id.0 as u64).is_multiple_of(period);
+                if scheduled && *last_pos != me.pos {
+                    up.send(
+                        me.id,
+                        UplinkMsg::Position {
+                            pos: me.pos,
+                            vel: me.vel,
+                        },
+                    );
+                    *last_pos = me.pos;
                 }
-                let me = ctx.object(i);
-                self.client_tick(ctx.tick, &me, &ctx.inboxes[i], up, ops);
-            }
-            return;
-        }
-        let period = self.period;
-        let chunk = ctx.pool.chunk_size(n);
-        let parts = ctx
-            .pool
-            .map_chunks_mut(&mut self.last_reported, chunk, |base, last| {
-                let mut up_c = Uplinks::new();
-                let mut ops_c = OpCounters::default();
-                for (j, last_pos) in last.iter_mut().enumerate() {
-                    let i = base + j;
-                    if ctx.is_offline(i) {
-                        continue;
-                    }
-                    let me = ctx.object(i);
-                    ops_c.client_ops += 1;
-                    let scheduled = (ctx.tick + me.id.0 as u64).is_multiple_of(period);
-                    if scheduled && *last_pos != me.pos {
-                        up_c.send(
-                            me.id,
-                            UplinkMsg::Position {
-                                pos: me.pos,
-                                vel: me.vel,
-                            },
-                        );
-                        *last_pos = me.pos;
-                    }
-                }
-                (up_c, ops_c)
-            });
-        for (mut up_c, ops_c) in parts {
-            up.append(&mut up_c);
-            *ops += ops_c;
-        }
-    }
-
-    fn server_tick(
-        &mut self,
-        _tick: Tick,
-        uplinks: &Uplinks,
-        _probe: &mut dyn ProbeService,
-        _outbox: &mut Outbox,
-        ops: &mut OpCounters,
-    ) {
-        self.tier.tick_monolithic(uplinks, ops);
+            },
+        );
     }
 
     fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
@@ -180,7 +124,25 @@ impl Protocol for Periodic {
 mod tests {
     use super::*;
     use mknn_geom::{Circle, Vector};
-    use mknn_net::ObjReport;
+    use mknn_net::{single_server_phase, ClientCtx, ObjReport};
+    use mknn_util::Pool;
+
+    /// A perfect-link, one-thread client context over `pos` (nobody has
+    /// mail; velocities are irrelevant to the reporting schedule).
+    fn client_phase_at(p: &mut Periodic, tick: u64, pos: &[Point]) -> Uplinks {
+        let mut up = Uplinks::new();
+        let ctx = ClientCtx {
+            tick,
+            pos,
+            vel: &vec![Vector::ZERO; pos.len()],
+            max_speed: &vec![5.0; pos.len()],
+            inboxes: &vec![Vec::new(); pos.len()],
+            offline: None,
+            pool: Pool::new(1),
+        };
+        p.client_phase(&ctx, &mut up, &mut OpCounters::default());
+        up
+    }
 
     struct NoProbe;
     impl ProbeService for NoProbe {
@@ -217,12 +179,12 @@ mod tests {
         // Device 2 moves every tick but only reports when (tick + 2) % 5 == 0.
         let mut reported_at = Vec::new();
         for tick in 1..=10 {
-            let mut up = Uplinks::new();
-            let mut me = objects[2];
-            me.pos = Point::new(2.0 + tick as f64, 0.0);
-            me.vel = Vector::new(1.0, 0.0);
-            p.client_tick(tick, &me, &[], &mut up, &mut ops);
-            if !up.is_empty() {
+            let pos = [
+                objects[0].pos,
+                objects[1].pos,
+                Point::new(2.0 + tick as f64, 0.0),
+            ];
+            if !client_phase_at(&mut p, tick, &pos).is_empty() {
                 reported_at.push(tick);
             }
         }
@@ -244,9 +206,7 @@ mod tests {
             &mut outbox,
             &mut ops,
         );
-        let mut up = Uplinks::new();
-        p.client_tick(2, &objects[0], &[], &mut up, &mut ops);
-        assert!(up.is_empty());
+        assert!(client_phase_at(&mut p, 2, &[objects[0].pos]).is_empty());
     }
 
     #[test]
@@ -274,7 +234,7 @@ mod tests {
         // Object 3 silently became closest; without a report the answer
         // must still be the stale one.
         let up = Uplinks::new();
-        p.server_tick(1, &up, &mut NoProbe, &mut outbox, &mut ops);
+        single_server_phase(&mut p, 1, up, &mut NoProbe, &mut outbox, &mut ops);
         assert_eq!(p.answer(QueryId(0)), &[ObjectId(1)]);
         assert!(!p.guarantees_exact());
     }

@@ -2,7 +2,7 @@
 //! centralized baseline (per-tick updates + kNN) and of snapshot queries.
 
 use mknn_geom::{Circle, ObjectId, Point, Rect};
-use mknn_index::{bruteforce, GridIndex, RTree};
+use mknn_index::{bruteforce, GridIndex};
 use mknn_util::bench::{black_box, Suite};
 use mknn_util::Rng;
 
@@ -57,34 +57,6 @@ fn main() {
     suite.bench("grid/range_r400_n10k", || {
         black_box(g.range(black_box(&zone)))
     });
-
-    suite.bench_with_setup(
-        "rtree/bulk_load_10k",
-        8,
-        || points.clone(),
-        RTree::bulk_load,
-    );
-
-    let t = RTree::bulk_load(points.clone());
-    for k in [1usize, 10, 100] {
-        suite.bench(&format!("rtree/knn_k{k}_n10k"), || {
-            black_box(t.knn(black_box(q), k))
-        });
-    }
-
-    let small = cloud(2_000, 1);
-    suite.bench_with_setup(
-        "rtree/insert_2k",
-        8,
-        || small.clone(),
-        |pts| {
-            let mut t = RTree::new();
-            for (id, p) in pts {
-                t.insert(id, p);
-            }
-            t
-        },
-    );
 
     suite.bench("oracle/bruteforce_knn_k10_n10k", || {
         black_box(bruteforce::knn(points.iter().copied(), black_box(q), 10))

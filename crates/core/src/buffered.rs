@@ -26,8 +26,8 @@ use crate::{ClientHalf, DknnParams, RegionVersion};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
 use mknn_mobility::MovingObject;
 use mknn_net::{
-    run_shard_tasks, DownlinkMsg, MsgKind, ObjReport, OpCounters, Outbox, ProbeService, Protocol,
-    QuerySpec, Recipient, ServerPhase, UplinkMsg, Uplinks,
+    DownlinkMsg, MsgKind, ObjReport, OpCounters, Outbox, Partitioned, ProbeService, Protocol,
+    QuerySpec, Recipient, ServerPhase, ShardState, UplinkMsg, Uplinks,
 };
 use std::collections::BTreeMap;
 
@@ -85,11 +85,8 @@ struct BufServer {
 pub struct DknnBuffered {
     params: DknnParams,
     client: ClientHalf,
-    /// One partition per shard of the deployed server tier; a single entry
-    /// until the first partitioned server phase forks the tier lazily.
-    servers: Vec<BufServer>,
-    /// Hosting shard per query id (mirror of the coordinator's directory).
-    home_of: Vec<u32>,
+    /// One partition per shard of the deployed server tier.
+    servers: Partitioned<BufServer>,
     empty: Vec<ObjectId>,
     lossy: bool,
 }
@@ -113,15 +110,14 @@ impl DknnBuffered {
         Ok(DknnBuffered {
             params,
             client: ClientHalf::new(params, 0),
-            servers: vec![BufServer {
+            servers: Partitioned::new(BufServer {
                 params,
                 buffer: buffer.max(2),
                 queries: BTreeMap::new(),
                 space_diag: 1.0,
                 current_tick: 0,
                 lossy: false,
-            }],
-            home_of: Vec::new(),
+            }),
             empty: Vec::new(),
             lossy: false,
         })
@@ -129,12 +125,13 @@ impl DknnBuffered {
 
     /// The configured buffer size.
     pub fn buffer(&self) -> usize {
-        self.servers[0].buffer
+        self.servers.parts()[0].buffer
     }
 
     /// Full refreshes performed so far (diagnostics).
     pub fn refreshes(&self) -> u64 {
         self.servers
+            .parts()
             .iter()
             .flat_map(|s| s.queries.values())
             .map(|q| q.refreshes)
@@ -144,32 +141,34 @@ impl DknnBuffered {
     /// Locally patched events (insert/remove/re-split) so far.
     pub fn local_fixes(&self) -> u64 {
         self.servers
+            .parts()
             .iter()
             .flat_map(|s| s.queries.values())
             .map(|q| q.local_fixes)
             .sum()
     }
+}
 
-    /// The partition hosting `query` (partition 0 until first homed).
-    fn server_of(&self, query: QueryId) -> &BufServer {
-        let h = self.home_of.get(query.index()).copied().unwrap_or(0) as usize;
-        &self.servers[h.min(self.servers.len() - 1)]
+impl ShardState for BufServer {
+    type Query = BufQuery;
+
+    fn fork_empty(&self) -> BufServer {
+        BufServer {
+            queries: BTreeMap::new(),
+            ..*self
+        }
+    }
+
+    fn queries(&self) -> &BTreeMap<u32, BufQuery> {
+        &self.queries
+    }
+
+    fn queries_mut(&mut self) -> &mut BTreeMap<u32, BufQuery> {
+        &mut self.queries
     }
 }
 
 impl BufServer {
-    /// A fresh partition with this one's configuration and no queries.
-    fn fork_empty(&self) -> BufServer {
-        BufServer {
-            params: self.params,
-            buffer: self.buffer,
-            queries: BTreeMap::new(),
-            space_diag: self.space_diag,
-            current_tick: self.current_tick,
-            lossy: self.lossy,
-        }
-    }
-
     fn establish(
         &mut self,
         qi: u32,
@@ -669,7 +668,7 @@ impl Protocol for DknnBuffered {
     fn set_lossy(&mut self, lossy: bool) {
         self.lossy = lossy;
         self.client.set_lossy(lossy);
-        for server in &mut self.servers {
+        for server in self.servers.parts_mut() {
             server.lossy = lossy;
         }
     }
@@ -685,13 +684,8 @@ impl Protocol for DknnBuffered {
     ) {
         self.client = ClientHalf::new(self.params, objects.len());
         self.client.set_lossy(self.lossy);
-        // Registration is a single-server act: the tier forks into its
-        // partitions lazily at the first partitioned server phase.
-        self.servers.truncate(1);
-        let server = &mut self.servers[0];
+        let server = self.servers.reset(queries.len());
         server.space_diag = bounds.min.dist(bounds.max);
-        server.queries.clear();
-        self.home_of = vec![0; queries.len()];
         for (i, spec) in queries.iter().enumerate() {
             assert_eq!(spec.id.index(), i, "query ids must be dense and in order");
             self.client.set_focal(spec.focal.index(), spec.id);
@@ -738,111 +732,47 @@ impl Protocol for DknnBuffered {
         }
     }
 
-    fn client_tick(
-        &mut self,
-        tick: Tick,
-        me: &MovingObject,
-        inbox: &[DownlinkMsg],
-        up: &mut Uplinks,
-        ops: &mut OpCounters,
-    ) {
-        self.client.tick(tick, me, inbox, up, ops);
-    }
-
     fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {
         // Shares the dKNN client half, so it shares its chunked batch path.
         self.client.tick_batch(ctx, up, ops);
     }
 
-    fn server_tick(
-        &mut self,
-        now: Tick,
-        uplinks: &Uplinks,
-        probe: &mut dyn ProbeService,
-        outbox: &mut Outbox,
-        ops: &mut OpCounters,
-    ) {
-        self.servers[0].tick(now, uplinks, probe, outbox, ops);
-    }
-
     fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
-        debug_assert!(
-            phase
-                .tasks
-                .iter()
-                .enumerate()
-                .all(|(i, t)| t.shard as usize == i),
-            "tasks must be dense ascending shard ids"
-        );
-        // Fork the tier lazily to the deployment width.
-        while self.servers.len() < phase.tasks.len() {
-            let next = self.servers[0].fork_empty();
-            self.servers.push(next);
-        }
-        // Migrate per-query candidate state to this tick's coordinator
-        // homes (the state a Migrate leg ships between shards).
-        if self.home_of.len() < phase.homes.len() {
-            self.home_of.resize(phase.homes.len(), 0);
-        }
-        for (q, (&new_home, old_home)) in
-            phase.homes.iter().zip(self.home_of.iter_mut()).enumerate()
-        {
-            if *old_home != new_home {
-                if let Some(state) = self.servers[*old_home as usize].queries.remove(&(q as u32)) {
-                    self.servers[new_home as usize]
-                        .queries
-                        .insert(q as u32, state);
-                }
-                *old_home = new_home;
-            }
-        }
-        // Partitions tick independently on the uplinks homed at their
-        // shard; per-query state never crosses partitions mid-phase, so
-        // the parallel dispatch is deterministic at any thread count.
         let tick = phase.tick;
-        run_shard_tasks(
-            phase.pool,
-            &mut self.servers,
-            phase.tasks,
-            |server, task| {
-                let up = std::mem::take(&mut task.uplinks);
-                server.tick(
-                    tick,
-                    &up,
-                    task.probe.as_mut(),
-                    &mut task.outbox,
-                    &mut task.ops,
-                );
-            },
-        );
+        self.servers.run(phase, |server, task| {
+            let up = std::mem::take(&mut task.uplinks);
+            server.tick(
+                tick,
+                &up,
+                task.probe.as_mut(),
+                &mut task.outbox,
+                &mut task.ops,
+            );
+        });
     }
 
     fn server_crash(&mut self, _shard: u32, _block: Rect, queries: &[QueryId]) {
         // The candidate/band structure homed on the dead shard is gone; the
         // focal registry (spec, last reported position, version counter)
         // survives. The next server tick rebuilds each wiped query with an
-        // expanding probe + full band re-establishment. Each query lives in
-        // exactly one partition, so the sweep touches exactly its holder.
-        for server in &mut self.servers {
-            for &id in queries {
-                if let Some(q) = server.queries.get_mut(&id.0) {
-                    q.cands.clear();
-                    q.answer.clear();
-                    q.needs_refresh = true;
-                }
+        // expanding probe + full band re-establishment.
+        for &id in queries {
+            if let Some(q) = self.servers.query_mut(id) {
+                q.cands.clear();
+                q.answer.clear();
+                q.needs_refresh = true;
             }
         }
     }
 
     fn answer(&self, query: QueryId) -> &[ObjectId] {
-        self.server_of(query)
-            .queries
-            .get(&query.0)
+        self.servers
+            .query(query)
             .map_or(&self.empty, |q| q.answer.as_slice())
     }
 
     fn effective_center(&self, query: QueryId) -> Option<Point> {
-        let server = self.server_of(query);
+        let server = self.servers.holder(query);
         server
             .queries
             .get(&query.0)
@@ -857,6 +787,7 @@ impl Protocol for DknnBuffered {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mknn_net::single_server_phase;
 
     struct TableProbe {
         positions: Vec<Point>,
@@ -933,7 +864,7 @@ mod tests {
             &[ObjectId(1), ObjectId(2), ObjectId(3)]
         );
         // Region boundary lies between the 5th and 6th object (50 and 60).
-        let q = &p.servers[0].queries[&0];
+        let q = &p.servers.parts()[0].queries[&0];
         assert_eq!(q.cands.len(), 5);
         assert!(q.ver.t > 50.0 && q.ver.t < 60.0, "r_out = {}", q.ver.t);
         // Bands were unicast to every candidate.
@@ -960,7 +891,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        p.server_tick(1, &up, &mut probe, &mut outbox, &mut ops);
+        single_server_phase(&mut p, 1, up, &mut probe, &mut outbox, &mut ops);
         // Candidate 4 slides into the answer; no refresh, no probe traffic.
         assert_eq!(
             p.answer(QueryId(0)),
@@ -992,7 +923,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        p.server_tick(1, &up, &mut probe, &mut outbox, &mut ops);
+        single_server_phase(&mut p, 1, up, &mut probe, &mut outbox, &mut ops);
         assert_eq!(
             p.answer(QueryId(0)),
             &[ObjectId(1), ObjectId(12), ObjectId(2)]
@@ -1014,12 +945,12 @@ mod tests {
                 ObjectId(id),
                 UplinkMsg::Leave {
                     query: QueryId(0),
-                    ver: p.servers[0].queries[&0].ver.ver,
+                    ver: p.servers.parts()[0].queries[&0].ver.ver,
                     pos: Point::new(999.0, 0.0),
                 },
             );
             let mut outbox = Outbox::new();
-            p.server_tick(*tick, &up, &mut probe, &mut outbox, &mut ops);
+            single_server_phase(&mut p, *tick, up, &mut probe, &mut outbox, &mut ops);
             assert_eq!(p.answer(QueryId(0)).len(), 3, "answer must stay full");
         }
         // Losing three of five candidates dips below k once → one refresh.
@@ -1048,7 +979,7 @@ mod tests {
             );
         }
         let mut outbox = Outbox::new();
-        p.server_tick(1, &up, &mut probe, &mut outbox, &mut ops);
+        single_server_phase(&mut p, 1, up, &mut probe, &mut outbox, &mut ops);
         // 5 + 3 = 8 > 7 → shrink refresh (or escalation refresh; either way
         // the structure must be re-established and the answer exact).
         assert!(p.refreshes() >= 1);

@@ -145,75 +145,20 @@ impl ClientHalf {
         );
     }
 
-    /// Runs the whole population's client ticks for one engine tick,
-    /// chunked over `ctx.pool` when the world is big enough to pay for it.
-    ///
-    /// Per-device work touches only that device's [`ClientState`], so
-    /// chunks of the state array are independent; each chunk accumulates
-    /// its own [`Uplinks`] and [`OpCounters`] and the chunks merge in
-    /// chunk (= device id) order. The merged uplink stream is therefore
-    /// byte-identical to the sequential loop at any `MKNN_THREADS` or
-    /// chunk size, and the counters are sums of the same integers.
-    /// Populations below [`mknn_net::PAR_MIN_DEVICES`] (or a one-thread
-    /// pool) take the sequential path outright.
+    /// Runs the whole population's client ticks for one engine tick on the
+    /// shared [`mknn_net::run_client_phase`] harness: per-device work
+    /// touches only that device's [`ClientState`], so the state array
+    /// chunks over `ctx.pool` with a byte-identical uplink stream.
     pub fn tick_batch(
         &mut self,
         ctx: &mknn_net::ClientCtx,
         up: &mut Uplinks,
         ops: &mut OpCounters,
     ) {
-        let n = ctx.len();
-        debug_assert_eq!(self.states.len(), n, "one ClientState per device");
-        if ctx.pool.threads() <= 1 || n < mknn_net::PAR_MIN_DEVICES {
-            for (i, st) in self.states.iter_mut().enumerate() {
-                if ctx.is_offline(i) {
-                    continue;
-                }
-                let me = ctx.object(i);
-                tick_device(
-                    &self.params,
-                    self.lossy,
-                    st,
-                    ctx.tick,
-                    &me,
-                    &ctx.inboxes[i],
-                    up,
-                    ops,
-                );
-            }
-            return;
-        }
-        let params = self.params;
-        let lossy = self.lossy;
-        let chunk = ctx.pool.chunk_size(n);
-        let parts = ctx
-            .pool
-            .map_chunks_mut(&mut self.states, chunk, |base, states| {
-                let mut up_c = Uplinks::new();
-                let mut ops_c = OpCounters::default();
-                for (j, st) in states.iter_mut().enumerate() {
-                    let i = base + j;
-                    if ctx.is_offline(i) {
-                        continue;
-                    }
-                    let me = ctx.object(i);
-                    tick_device(
-                        &params,
-                        lossy,
-                        st,
-                        ctx.tick,
-                        &me,
-                        &ctx.inboxes[i],
-                        &mut up_c,
-                        &mut ops_c,
-                    );
-                }
-                (up_c, ops_c)
-            });
-        for (mut up_c, ops_c) in parts {
-            up.append(&mut up_c);
-            *ops += ops_c;
-        }
+        let (params, lossy, now) = (self.params, self.lossy, ctx.tick);
+        mknn_net::run_client_phase(ctx, &mut self.states, up, ops, |st, me, inbox, up, ops| {
+            tick_device(&params, lossy, st, now, me, inbox, up, ops)
+        });
     }
 }
 

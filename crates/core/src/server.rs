@@ -11,7 +11,7 @@ use crate::{DknnParams, Mode, RegionVersion};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick, Vector};
 use mknn_net::{
     DownlinkMsg, MsgKind, ObjReport, OpCounters, Outbox, ProbeService, QuerySpec, Recipient,
-    UplinkMsg, Uplinks,
+    ShardState, UplinkMsg, Uplinks,
 };
 use std::collections::BTreeMap;
 
@@ -31,25 +31,26 @@ pub(crate) struct Member {
     pub heard: Tick,
 }
 
-/// Server state for one registered query.
+/// Server state for one registered query (opaque outside the crate: it
+/// surfaces only as [`ServerHalf`]'s [`ShardState::Query`]).
 #[derive(Debug)]
-pub(crate) struct ServerQuery {
-    pub spec: QuerySpec,
-    pub ver: RegionVersion,
+pub struct ServerQuery {
+    pub(crate) spec: QuerySpec,
+    pub(crate) ver: RegionVersion,
     /// Latest reported focal position/velocity.
-    pub q_pos: Point,
-    pub q_vel: Vector,
+    pub(crate) q_pos: Point,
+    pub(crate) q_vel: Vector,
     /// Members ordered by band interval (ordered mode: this *is* the
     /// maintained neighbor order).
-    pub members: Vec<Member>,
+    pub(crate) members: Vec<Member>,
     /// Cached answer ids in member order.
-    pub answer: Vec<ObjectId>,
-    pub last_broadcast: Tick,
-    pub needs_refresh: bool,
+    pub(crate) answer: Vec<ObjectId>,
+    pub(crate) last_broadcast: Tick,
+    pub(crate) needs_refresh: bool,
     band_events_tick: u32,
     /// Cumulative protocol health counters (used by tests and experiments).
-    pub refreshes: u64,
-    pub local_band_fixes: u64,
+    pub(crate) refreshes: u64,
+    pub(crate) local_band_fixes: u64,
 }
 
 /// The server half of the protocol — one *partition* of the server tier.
@@ -57,9 +58,8 @@ pub(crate) struct ServerQuery {
 /// Under a sharded deployment each shard runs its own `ServerHalf` holding
 /// exactly the queries homed there (keyed by query id; the `BTreeMap`
 /// iterates ascending, which at G=1 is the historical dense-`Vec` order, so
-/// the single-shard byte trace is unchanged). Queries move between
-/// partitions via [`Self::take_query`] / [`Self::insert_query`] when the
-/// coordinator migrates them.
+/// the single-shard byte trace is unchanged). [`mknn_net::Partitioned`]
+/// moves queries between partitions when the coordinator migrates them.
 #[derive(Debug)]
 pub struct ServerHalf {
     params: DknnParams,
@@ -86,37 +86,6 @@ impl ServerHalf {
             current_tick: 0,
             lossy: false,
         }
-    }
-
-    /// A fresh partition with this half's configuration (parameters, mode,
-    /// world diagonal, lossy switch, clock) and no queries — the starting
-    /// point for a sibling shard when the tier is split.
-    pub fn fork_empty(&self) -> ServerHalf {
-        ServerHalf {
-            params: self.params,
-            mode: self.mode,
-            queries: BTreeMap::new(),
-            space_diag: self.space_diag,
-            empty: Vec::new(),
-            current_tick: self.current_tick,
-            lossy: self.lossy,
-        }
-    }
-
-    /// Removes query `id`'s server state from this partition (a migrate leg
-    /// shipping it to another shard).
-    pub(crate) fn take_query(&mut self, id: u32) -> Option<ServerQuery> {
-        self.queries.remove(&id)
-    }
-
-    /// Installs migrated server state for query `id` into this partition.
-    pub(crate) fn insert_query(&mut self, id: u32, q: ServerQuery) {
-        self.queries.insert(id, q);
-    }
-
-    /// Number of queries homed in this partition.
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
     }
 
     /// Enables (or disables) the lossy-transport recovery machinery. Call
@@ -449,6 +418,26 @@ impl ServerHalf {
                 },
             );
         }
+    }
+}
+
+impl ShardState for ServerHalf {
+    type Query = ServerQuery;
+
+    fn fork_empty(&self) -> ServerHalf {
+        ServerHalf {
+            queries: BTreeMap::new(),
+            empty: Vec::new(),
+            ..*self
+        }
+    }
+
+    fn queries(&self) -> &BTreeMap<u32, ServerQuery> {
+        &self.queries
+    }
+
+    fn queries_mut(&mut self) -> &mut BTreeMap<u32, ServerQuery> {
+        &mut self.queries
     }
 }
 

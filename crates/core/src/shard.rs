@@ -215,12 +215,6 @@ impl ShardCoordinator {
         self.effective(self.query_home(q))
     }
 
-    /// The shard covering position `p` resolved through crash failover —
-    /// the partition a device report surfacing at `p` terminates in.
-    pub fn effective_shard_of(&self, p: Point) -> u32 {
-        self.effective(self.grid.shard_of(p))
-    }
-
     /// Per-shard load counters, indexed by shard id.
     pub fn loads(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.load).collect()

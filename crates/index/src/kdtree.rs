@@ -3,9 +3,9 @@
 //! Built once over a snapshot in `O(N log N)` (median-of-medians via
 //! `select_nth_unstable`), answering kNN and range queries in `O(log N + k)`
 //! expected time. The protocols don't use it online (they need cheap
-//! updates, which the grid provides); it serves snapshot analytics, the
-//! experiment tooling, and as a third independently-implemented kNN to
-//! cross-check the grid and the R-tree against.
+//! updates, which the grid provides); it serves snapshot queries (the
+//! per-tick oracle, registration-time selection) and as an
+//! independently-implemented kNN to cross-check the grid against.
 
 use crate::{bruteforce, KnnCollector, Neighbor, OrdF64};
 use mknn_geom::{Circle, ObjectId, Point};

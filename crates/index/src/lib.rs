@@ -1,17 +1,14 @@
 //! Spatial indexes for moving-object k-nearest-neighbor processing.
 //!
-//! Three index structures with identical query semantics:
+//! Two index structures with identical query semantics:
 //!
 //! * [`GridIndex`] — a uniform in-memory grid, the workhorse of the
 //!   server-side protocols (cheap `O(1)` updates under frequent movement,
 //!   ring-expansion kNN, cell-population statistics used to size region
 //!   expansion probes),
-//! * [`RTree`] — an STR-bulk-loadable R-tree with best-first kNN and an
-//!   incremental nearest-neighbor iterator (distance browsing), used for
-//!   snapshot queries and as an independent implementation to cross-check the
-//!   grid,
-//! * [`KdTree`] — a static, implicitly-stored kd-tree for snapshot
-//!   analytics and as a third cross-check,
+//! * [`KdTree`] — a static, implicitly-stored kd-tree for snapshot queries
+//!   (the per-tick oracle, registration-time selection) and as an
+//!   independent implementation to cross-check the grid,
 //! * [`bruteforce`] — the `O(N)` oracle every other implementation is tested
 //!   against.
 //!
@@ -25,10 +22,8 @@ mod grid;
 mod kdtree;
 mod knn;
 mod ordf64;
-mod rtree;
 
 pub use grid::GridIndex;
 pub use kdtree::KdTree;
 pub use knn::{KnnCollector, Neighbor};
 pub use ordf64::OrdF64;
-pub use rtree::{NearestIter, RTree};

@@ -7,29 +7,34 @@
 //! is enforced by **information discipline**, which implementations must
 //! follow and which the message-conservation tests check:
 //!
-//! * `client_tick` may read only the device's own ground-truth state
-//!   ([`mknn_mobility::MovingObject`]), that device's protocol state, and
-//!   the downlinks addressed to it; it communicates exclusively through
-//!   [`Uplinks`].
-//! * `server_tick` may read only server state and the tick's uplinks; it
-//!   communicates exclusively through the [`Outbox`] and the synchronous
+//! * the per-device body of [`Protocol::client_phase`] may read only the
+//!   device's own ground-truth state ([`mknn_mobility::MovingObject`]),
+//!   that device's protocol state, and the downlinks addressed to it; it
+//!   communicates exclusively through [`Uplinks`].
+//! * the per-shard body of [`Protocol::server_phase`] may read only that
+//!   shard's server state and the uplinks routed to it; it communicates
+//!   exclusively through the task's [`Outbox`] and synchronous
 //!   [`ProbeService`] (which itself charges messages for every probe and
 //!   reply).
+//!
+//! The engine drives a method through exactly these two entry points every
+//! tick. A single server is a one-task phase; [`run_client_phase`],
+//! [`run_shard_tasks`] and [`Partitioned`] are the shared harnesses the
+//! methods build their phases from.
 
 use crate::{DownlinkMsg, QuerySpec, Recipient, UplinkMsg};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
 use mknn_mobility::MovingObject;
 use mknn_util::Pool;
+use std::collections::BTreeMap;
 
 /// One tick's worth of client-side inputs, in struct-of-arrays layout.
 ///
 /// The engine hands the whole device population to
 /// [`Protocol::client_phase`] as parallel slices (position, velocity,
 /// speed cap, per-device inbox) plus an optional offline mask from the
-/// fault layer, so a protocol that wants to parallelize its per-device
-/// work can chunk the index space `0..len()` directly over
-/// [`Pool::map_chunks_mut`]. Device ids are dense: index `i` *is*
-/// `ObjectId(i)`.
+/// fault layer; [`run_client_phase`] chunks the index space `0..len()`
+/// over the pool. Device ids are dense: index `i` *is* `ObjectId(i)`.
 pub struct ClientCtx<'a> {
     /// The tick being processed (the world has already moved).
     pub tick: Tick,
@@ -200,6 +205,16 @@ pub trait ProbeService {
     fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport>;
 }
 
+impl<P: ProbeService + ?Sized> ProbeService for &mut P {
+    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport> {
+        (**self).probe(query, zone, exclude)
+    }
+
+    fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport> {
+        (**self).poll(query, id)
+    }
+}
+
 /// One shard's slice of a partitioned server tick.
 ///
 /// The engine builds one task per server shard: the uplinks routed to that
@@ -227,20 +242,29 @@ pub struct ShardTask<'p> {
     pub seconds: f64,
 }
 
-/// Everything a [`Protocol`] needs to run one partitioned server tick.
+impl<'p> ShardTask<'p> {
+    /// A task for `shard` with empty accumulators.
+    pub fn new(shard: u32, uplinks: Uplinks, probe: Box<dyn ProbeService + Send + 'p>) -> Self {
+        ShardTask {
+            shard,
+            uplinks,
+            probe,
+            outbox: Outbox::new(),
+            ops: crate::OpCounters::default(),
+            seconds: 0.0,
+        }
+    }
+}
+
+/// Everything a [`Protocol`] needs to run one server tick.
 pub struct ServerPhase<'e, 'p> {
     /// The tick being processed.
     pub tick: Tick,
     /// Home shard per query id (dense, indexed by `QueryId::index`). The
     /// coordinator keeps this current across focal migrations and crash
-    /// failover *before* the phase runs, so a protocol can re-home its
-    /// per-query state by diffing against its own directory.
+    /// failover *before* the phase runs; [`Partitioned`] re-homes the
+    /// protocol's per-query state by diffing against its own directory.
     pub homes: &'e [u32],
-    /// Maps a position to the (effective) shard covering it — the same
-    /// routing the engine used to split `Position` uplinks over the tasks.
-    /// Protocols that partition an object index by position use it to
-    /// place entries; it accounts for crash failover.
-    pub route: &'e (dyn Fn(Point) -> u32 + Sync),
     /// The worker pool to dispatch per-shard work through.
     pub pool: Pool,
     /// One task per shard, ascending shard id.
@@ -250,14 +274,11 @@ pub struct ServerPhase<'e, 'p> {
 /// Dispatches one closure per `(state, task)` pair over `pool`, stamping
 /// each task's wall time.
 ///
-/// This is the shared harness for partitioned server phases: a protocol
-/// keeps a per-shard state vector, zips it with the phase's tasks, and
-/// provides the per-shard tick body. Each invocation sees only its own
-/// shard's state and task, so the dispatch is safe at any thread count;
-/// determinism comes from the engine merging task outputs in ascending
-/// shard-id order afterwards. `f` must not touch state it does not own —
-/// cross-shard effects go through the probe service or are precomputed
-/// sequentially before the dispatch.
+/// Each invocation sees only its own shard's state and task, so the
+/// dispatch is safe at any thread count; determinism comes from the engine
+/// merging task outputs in ascending shard-id order afterwards. `f` must
+/// not touch state it does not own — cross-shard effects go through the
+/// probe service or are precomputed sequentially before the dispatch.
 pub fn run_shard_tasks<'p, S, F>(pool: Pool, states: &mut [S], tasks: &mut [ShardTask<'p>], f: F)
 where
     S: Send,
@@ -270,6 +291,157 @@ where
         f(state, task);
         task.seconds += t0.elapsed().as_secs_f64();
     });
+}
+
+/// One shard's partition of a method's per-query server state, as
+/// [`Partitioned`] sees it.
+pub trait ShardState: Send {
+    /// The per-query record a migrate leg ships between shards.
+    type Query;
+
+    /// A sibling partition with this one's configuration and no queries.
+    fn fork_empty(&self) -> Self;
+
+    /// The query records homed at this shard, keyed by query id.
+    fn queries(&self) -> &BTreeMap<u32, Self::Query>;
+
+    /// Mutable access to the homed query records.
+    fn queries_mut(&mut self) -> &mut BTreeMap<u32, Self::Query>;
+}
+
+/// A method's server tier: one `S` per shard plus the directory naming the
+/// shard that hosts each query.
+///
+/// Registration loads everything into partition 0 ([`Partitioned::reset`]);
+/// the tier forks lazily to the deployment width at the first server phase
+/// and follows the coordinator's query homes from then on. Each query's
+/// record lives in exactly the partition the directory names — a move is a
+/// map remove + insert, the state a `Migrate` leg ships.
+#[derive(Debug)]
+pub struct Partitioned<S> {
+    parts: Vec<S>,
+    home_of: Vec<u32>,
+}
+
+impl<S: ShardState> Partitioned<S> {
+    /// A single-partition tier hosting no queries yet.
+    pub fn new(first: S) -> Self {
+        Partitioned {
+            parts: vec![first],
+            home_of: Vec::new(),
+        }
+    }
+
+    /// Registration: collapses the tier to an emptied partition 0, which
+    /// hosts all `n_queries` query ids, and returns it for the caller to
+    /// load.
+    pub fn reset(&mut self, n_queries: usize) -> &mut S {
+        self.parts.truncate(1);
+        self.parts[0].queries_mut().clear();
+        self.home_of.clear();
+        self.home_of.resize(n_queries, 0);
+        &mut self.parts[0]
+    }
+
+    /// Every partition, ascending shard id.
+    pub fn parts(&self) -> &[S] {
+        &self.parts
+    }
+
+    /// Mutable access to every partition (tier-wide switches and sweeps).
+    pub fn parts_mut(&mut self) -> &mut [S] {
+        &mut self.parts
+    }
+
+    /// The record of `query`, wherever it is homed.
+    pub fn query(&self, query: QueryId) -> Option<&S::Query> {
+        self.holder(query).queries().get(&query.0)
+    }
+
+    /// Mutable access to the record of `query`, wherever it is homed.
+    pub fn query_mut(&mut self, query: QueryId) -> Option<&mut S::Query> {
+        let h = self.home(query);
+        self.parts[h].queries_mut().get_mut(&query.0)
+    }
+
+    /// The partition hosting `query` (partition 0 for unregistered ids).
+    pub fn holder(&self, query: QueryId) -> &S {
+        &self.parts[self.home(query)]
+    }
+
+    fn home(&self, query: QueryId) -> usize {
+        self.home_of.get(query.index()).copied().unwrap_or(0) as usize
+    }
+
+    /// Forks the tier to the phase width and moves every query whose
+    /// coordinator home changed into its new partition.
+    pub fn rehome(&mut self, phase: &ServerPhase<'_, '_>) {
+        debug_assert!(
+            phase
+                .tasks
+                .iter()
+                .enumerate()
+                .all(|(i, t)| t.shard as usize == i),
+            "tasks must be dense ascending shard ids"
+        );
+        while self.parts.len() < phase.tasks.len() {
+            let next = self.parts[0].fork_empty();
+            self.parts.push(next);
+        }
+        if self.home_of.len() < phase.homes.len() {
+            self.home_of.resize(phase.homes.len(), 0);
+        }
+        for (q, (&new, old)) in phase.homes.iter().zip(self.home_of.iter_mut()).enumerate() {
+            if *old != new {
+                let q = q as u32;
+                if let Some(state) = self.parts[*old as usize].queries_mut().remove(&q) {
+                    self.parts[new as usize].queries_mut().insert(q, state);
+                }
+                *old = new;
+            }
+        }
+        debug_assert!(
+            self.parts.iter().enumerate().all(|(h, part)| part
+                .queries()
+                .keys()
+                .all(|&q| self.home_of.get(q as usize) == Some(&(h as u32)))),
+            "every query must sit in exactly the partition its home names"
+        );
+    }
+
+    /// One server phase: [`Partitioned::rehome`], then `f` once per shard
+    /// over the pool. Per-query state never crosses partitions mid-phase,
+    /// so the dispatch is deterministic at any thread count.
+    pub fn run<'p, F>(&mut self, phase: &mut ServerPhase<'_, 'p>, f: F)
+    where
+        F: Fn(&mut S, &mut ShardTask<'p>) + Sync,
+    {
+        self.rehome(phase);
+        run_shard_tasks(phase.pool, &mut self.parts, phase.tasks, f);
+    }
+}
+
+/// Drives `proto` through one server phase of a single-server deployment:
+/// one task carrying `uplinks`, with `probe` as its channel. The task's
+/// downlinks and op charges are appended to `outbox` and `ops`.
+pub fn single_server_phase<P: ProbeService + Send>(
+    proto: &mut (impl Protocol + ?Sized),
+    tick: Tick,
+    uplinks: Uplinks,
+    probe: &mut P,
+    outbox: &mut Outbox,
+    ops: &mut crate::OpCounters,
+) {
+    let mut tasks = [ShardTask::new(0, uplinks, Box::new(probe))];
+    proto.server_phase(&mut ServerPhase {
+        tick,
+        homes: &[],
+        pool: Pool::new(1),
+        tasks: &mut tasks,
+    });
+    let [mut task] = tasks;
+    outbox.append(&mut task.outbox);
+    *ops += task.ops;
 }
 
 /// A continuous moving-kNN monitoring method (client + server halves).
@@ -292,91 +464,23 @@ pub trait Protocol {
         ops: &mut crate::OpCounters,
     );
 
-    /// Client logic for one device at tick `tick`, after the world moved.
-    /// `inbox` holds the downlinks addressed to this device from the
-    /// previous server tick (and installs from `init` on the first tick).
-    fn client_tick(
-        &mut self,
-        tick: Tick,
-        me: &MovingObject,
-        inbox: &[DownlinkMsg],
-        up: &mut Uplinks,
-        ops: &mut crate::OpCounters,
-    );
+    /// Client logic for the whole device population at one tick, after
+    /// the world moved: ascending device id, skipping offline devices.
+    /// `ctx.inboxes[i]` holds the downlinks addressed to device `i` from
+    /// the previous server tick (and installs from `init` on the first
+    /// tick). Methods build this on [`run_client_phase`], which keeps the
+    /// uplink stream — and therefore every downstream metric —
+    /// byte-identical at any `MKNN_THREADS`.
+    fn client_phase(&mut self, ctx: &ClientCtx, up: &mut Uplinks, ops: &mut crate::OpCounters);
 
-    /// Client logic for the whole device population at one tick.
+    /// Server logic for one tick: one task per shard of the server tier,
+    /// each holding the uplinks routed to it (a single server is one task).
     ///
-    /// The default implementation is the sequential loop every method is
-    /// correct under: ascending device id, skipping offline devices. A
-    /// method whose per-device work is independent (dKNN band checks, the
-    /// centralized position report) overrides this to chunk the id space
-    /// over `ctx.pool`, merging per-chunk [`Uplinks`] in chunk order so
-    /// the uplink stream — and therefore every downstream metric — stays
-    /// byte-identical at any `MKNN_THREADS`. Implementations must
-    /// preserve the sequential contract exactly: same uplinks in the same
-    /// order, same op counts.
-    fn client_phase(&mut self, ctx: &ClientCtx, up: &mut Uplinks, ops: &mut crate::OpCounters) {
-        for i in 0..ctx.len() {
-            if ctx.is_offline(i) {
-                continue;
-            }
-            let me = ctx.object(i);
-            self.client_tick(ctx.tick, &me, &ctx.inboxes[i], up, ops);
-        }
-    }
-
-    /// Server logic for tick `tick`, consuming the tick's uplinks.
-    fn server_tick(
-        &mut self,
-        tick: Tick,
-        uplinks: &Uplinks,
-        probe: &mut dyn ProbeService,
-        outbox: &mut Outbox,
-        ops: &mut crate::OpCounters,
-    );
-
-    /// Server logic for one tick of a *partitioned* server tier: one task
-    /// per shard, each holding the uplinks routed to it.
-    ///
-    /// Every protocol in this workspace overrides this with real per-shard
-    /// state (per-shard query maps, partial indexes) dispatched over
-    /// `phase.pool` via [`run_shard_tasks`]; the contract is that answers,
-    /// ops, and all device-facing traffic are byte-identical to the
-    /// monolithic [`Protocol::server_tick`] at one shard, and invariant
-    /// across shard and thread counts.
-    ///
-    /// The default implementation keeps unpartitioned (e.g. mock)
-    /// protocols working: with one task it is exactly the monolithic tick;
-    /// with several it merges the task uplinks in ascending shard order
-    /// and runs the monolithic tick against shard 0's accumulators — the
-    /// old "accounting overlay" semantics.
-    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
-        let t0 = std::time::Instant::now();
-        if let [task] = phase.tasks {
-            self.server_tick(
-                phase.tick,
-                &std::mem::take(&mut task.uplinks),
-                task.probe.as_mut(),
-                &mut task.outbox,
-                &mut task.ops,
-            );
-            task.seconds += t0.elapsed().as_secs_f64();
-            return;
-        }
-        let mut all = Uplinks::new();
-        for task in phase.tasks.iter_mut() {
-            all.append(&mut task.uplinks);
-        }
-        let first = &mut phase.tasks[0];
-        self.server_tick(
-            phase.tick,
-            &all,
-            first.probe.as_mut(),
-            &mut first.outbox,
-            &mut first.ops,
-        );
-        first.seconds += t0.elapsed().as_secs_f64();
-    }
+    /// Methods keep real per-shard state in a [`Partitioned`] tier and
+    /// dispatch it over `phase.pool`; the contract is that answers, ops,
+    /// and all device-facing traffic are invariant across shard and thread
+    /// counts.
+    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>);
 
     /// The currently maintained answer of `query`: neighbor ids in
     /// canonical order (ascending distance, ties by id). The slice length
@@ -449,56 +553,51 @@ pub trait Protocol {
     }
 }
 
-/// Below this population, a parallel client phase falls back to the
-/// sequential loop: per-tick chunk dispatch overhead beats the win for
-/// small worlds, and the small-world golden gates stay trivially on the
-/// sequential path.
+/// Below this population the client phase runs as one sequential pass:
+/// per-tick chunk dispatch overhead beats the win for small worlds.
 pub const PAR_MIN_DEVICES: usize = 4096;
 
-/// Runs a *stateless* per-device client body over the whole population,
-/// chunked across `ctx.pool`.
+/// Runs a per-device client body over the whole population, one `S` of
+/// protocol state per device (`&mut [()]` for a stateless body).
 ///
-/// This is the shared harness for protocols whose `client_tick` needs no
-/// mutable per-device protocol state (e.g. the centralized baseline's
-/// "report position if moved"). Each chunk accumulates its own
-/// [`Uplinks`] and [`crate::OpCounters`]; chunks merge in chunk order, so
-/// the combined uplink stream and counters are byte-identical to the
-/// sequential loop at any thread count or chunk size. Populations below
-/// [`PAR_MIN_DEVICES`] (or a one-thread pool) run sequentially.
-pub fn parallel_client_phase<F>(
+/// `f` touches only its own device's state, so chunks of `states` are
+/// independent: above [`PAR_MIN_DEVICES`] on a multi-thread pool each
+/// chunk accumulates its own [`Uplinks`] and [`crate::OpCounters`] and the
+/// chunks merge in chunk (= device id) order, which is byte-identical to
+/// the sequential pass at any thread count or chunk size. Otherwise the
+/// pass writes straight into `up` and `ops`.
+pub fn run_client_phase<S, F>(
     ctx: &ClientCtx,
+    states: &mut [S],
     up: &mut Uplinks,
     ops: &mut crate::OpCounters,
     f: F,
 ) where
-    F: Fn(Tick, &MovingObject, &[DownlinkMsg], &mut Uplinks, &mut crate::OpCounters) + Sync,
+    S: Send,
+    F: Fn(&mut S, &MovingObject, &[DownlinkMsg], &mut Uplinks, &mut crate::OpCounters) + Sync,
 {
     let n = ctx.len();
-    let run_chunk =
-        |range: std::ops::Range<usize>, up: &mut Uplinks, ops: &mut crate::OpCounters| {
-            for i in range {
-                if ctx.is_offline(i) {
-                    continue;
-                }
-                let me = ctx.object(i);
-                f(ctx.tick, &me, &ctx.inboxes[i], up, ops);
+    debug_assert_eq!(states.len(), n, "one state per device");
+    let run = |base: usize, states: &mut [S], up: &mut Uplinks, ops: &mut crate::OpCounters| {
+        for (j, st) in states.iter_mut().enumerate() {
+            let i = base + j;
+            if !ctx.is_offline(i) {
+                f(st, &ctx.object(i), &ctx.inboxes[i], up, ops);
             }
-        };
+        }
+    };
     if ctx.pool.threads() <= 1 || n < PAR_MIN_DEVICES {
-        run_chunk(0..n, up, ops);
+        run(0, states, up, ops);
         return;
     }
-    let chunk = ctx.pool.chunk_size(n);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|s| s..(s + chunk).min(n))
-        .collect();
-    let parts = ctx.pool.map_indexed(ranges, |_, range| {
-        let mut up_c = Uplinks::new();
-        let mut ops_c = crate::OpCounters::default();
-        run_chunk(range, &mut up_c, &mut ops_c);
-        (up_c, ops_c)
-    });
+    let parts = ctx
+        .pool
+        .map_chunks_mut(states, ctx.pool.chunk_size(n), |base, chunk| {
+            let mut up_c = Uplinks::new();
+            let mut ops_c = crate::OpCounters::default();
+            run(base, chunk, &mut up_c, &mut ops_c);
+            (up_c, ops_c)
+        });
     for (mut up_c, ops_c) in parts {
         up.append(&mut up_c);
         *ops += ops_c;
@@ -557,5 +656,131 @@ mod tests {
         );
         assert_eq!(out.len(), 3);
         assert!(matches!(out.iter().next().unwrap().0, Recipient::One(_)));
+    }
+
+    /// A shard state that counts mutable accesses to its query records.
+    #[derive(Debug, Default)]
+    struct Counting {
+        queries: BTreeMap<u32, &'static str>,
+        touches: usize,
+        forked: bool,
+    }
+
+    impl ShardState for Counting {
+        type Query = &'static str;
+        fn fork_empty(&self) -> Self {
+            Counting {
+                forked: true,
+                ..Counting::default()
+            }
+        }
+        fn queries(&self) -> &BTreeMap<u32, &'static str> {
+            &self.queries
+        }
+        fn queries_mut(&mut self) -> &mut BTreeMap<u32, &'static str> {
+            self.touches += 1;
+            &mut self.queries
+        }
+    }
+
+    struct NoProbe;
+    impl ProbeService for NoProbe {
+        fn probe(&mut self, _q: QueryId, _z: Circle, _e: ObjectId) -> Vec<ObjReport> {
+            Vec::new()
+        }
+        fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {
+            None
+        }
+    }
+
+    /// Runs one `width`-shard phase with the given coordinator homes and
+    /// returns the shard ids the dispatch visited.
+    fn phase(tier: &mut Partitioned<Counting>, width: u32, homes: &[u32]) -> Vec<u32> {
+        let mut tasks: Vec<ShardTask> = (0..width)
+            .map(|s| ShardTask::new(s, Uplinks::new(), Box::new(NoProbe)))
+            .collect();
+        tier.run(
+            &mut ServerPhase {
+                tick: 1,
+                homes,
+                pool: Pool::new(2),
+                tasks: &mut tasks,
+            },
+            |_, task| task.ops.server_ops = 1,
+        );
+        tasks
+            .iter()
+            .filter(|t| t.ops.server_ops == 1)
+            .map(|t| t.shard)
+            .collect()
+    }
+
+    fn registered() -> Partitioned<Counting> {
+        let mut tier = Partitioned::new(Counting::default());
+        let first = tier.reset(2);
+        first.queries.insert(0, "q0");
+        first.queries.insert(1, "q1");
+        tier
+    }
+
+    #[test]
+    fn partitioned_forks_lazily_to_the_phase_width() {
+        let mut tier = registered();
+        assert_eq!(tier.parts().len(), 1, "registration is a one-shard act");
+        assert_eq!(phase(&mut tier, 1, &[0, 0]), vec![0]);
+        assert_eq!(tier.parts().len(), 1, "a one-task phase forks nothing");
+        assert_eq!(phase(&mut tier, 4, &[0, 0]), vec![0, 1, 2, 3]);
+        assert_eq!(tier.parts().len(), 4);
+        assert!(!tier.parts()[0].forked);
+        assert!(tier.parts()[1..]
+            .iter()
+            .all(|p| p.forked && p.queries.is_empty()));
+    }
+
+    #[test]
+    fn partitioned_moves_state_exactly_once_on_a_home_change() {
+        let mut tier = registered();
+        let before = tier.parts()[0].touches;
+        phase(&mut tier, 4, &[0, 3]);
+        assert_eq!(tier.query(QueryId(1)), Some(&"q1"));
+        assert_eq!(tier.parts()[3].queries.keys().collect::<Vec<_>>(), [&1]);
+        assert_eq!(tier.parts()[0].queries.keys().collect::<Vec<_>>(), [&0]);
+        // One remove at the old home, one insert at the new, nothing else.
+        let touched: Vec<usize> = tier.parts().iter().map(|p| p.touches).collect();
+        assert_eq!(touched, [before + 1, 0, 0, 1]);
+        assert_eq!(tier.query_mut(QueryId(1)).copied(), Some("q1"));
+    }
+
+    #[test]
+    fn partitioned_is_a_no_op_when_homes_are_unchanged() {
+        let mut tier = registered();
+        phase(&mut tier, 4, &[2, 3]);
+        let before: Vec<usize> = tier.parts().iter().map(|p| p.touches).collect();
+        phase(&mut tier, 4, &[2, 3]);
+        // A single-server phase carries no homes at all: nothing moves.
+        phase(&mut tier, 4, &[]);
+        let after: Vec<usize> = tier.parts().iter().map(|p| p.touches).collect();
+        assert_eq!(before, after);
+        assert_eq!(tier.query(QueryId(0)), Some(&"q0"));
+        assert_eq!(
+            tier.query(QueryId(7)),
+            None,
+            "unregistered ids resolve to nothing"
+        );
+    }
+
+    #[test]
+    fn partitioned_truncates_to_one_partition_on_re_init() {
+        let mut tier = registered();
+        phase(&mut tier, 4, &[2, 3]);
+        let first = tier.reset(1);
+        assert!(first.queries.is_empty(), "re-registration starts empty");
+        first.queries.insert(0, "again");
+        assert_eq!(tier.parts().len(), 1);
+        assert_eq!(tier.query(QueryId(0)), Some(&"again"));
+        // The stale home of the dropped query id is gone with the directory.
+        assert_eq!(tier.query(QueryId(1)), None);
+        assert_eq!(phase(&mut tier, 2, &[1]), vec![0, 1]);
+        assert_eq!(tier.parts()[1].queries.get(&0), Some(&"again"));
     }
 }

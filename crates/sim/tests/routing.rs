@@ -5,8 +5,8 @@
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
 use mknn_mobility::{Motion, SpeedDist, WorkloadSpec};
 use mknn_net::{
-    DownlinkMsg, MsgKind, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Recipient,
-    UplinkMsg, Uplinks,
+    ClientCtx, DownlinkMsg, MsgKind, OpCounters, Outbox, ProbeService, Protocol, QuerySpec,
+    Recipient, ServerPhase, UplinkMsg, Uplinks,
 };
 use mknn_sim::{DownlinkMode, SimConfig, Simulation, VerifyMode};
 use std::cell::RefCell;
@@ -41,31 +41,22 @@ impl Protocol for Inspector {
     ) {
     }
 
-    fn client_tick(
-        &mut self,
-        tick: Tick,
-        me: &mknn_mobility::MovingObject,
-        inbox: &[DownlinkMsg],
-        _up: &mut Uplinks,
-        _ops: &mut OpCounters,
-    ) {
-        for msg in inbox {
-            self.received.borrow_mut().push((tick, me.id.0, msg.kind()));
+    fn client_phase(&mut self, ctx: &ClientCtx, _up: &mut Uplinks, _ops: &mut OpCounters) {
+        for (i, inbox) in ctx.inboxes.iter().enumerate() {
+            for msg in inbox {
+                self.received
+                    .borrow_mut()
+                    .push((ctx.tick, i as u32, msg.kind()));
+            }
         }
     }
 
-    fn server_tick(
-        &mut self,
-        tick: Tick,
-        _uplinks: &Uplinks,
-        probe: &mut dyn ProbeService,
-        outbox: &mut Outbox,
-        _ops: &mut OpCounters,
-    ) {
-        (self.script)(tick, outbox);
-        if tick == 3 {
+    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
+        let task = &mut phase.tasks[0];
+        (self.script)(phase.tick, &mut task.outbox);
+        if phase.tick == 3 {
             if let Some(zone) = self.probe_at_3 {
-                let replies = probe.probe(QueryId(0), zone, ObjectId(u32::MAX));
+                let replies = task.probe.probe(QueryId(0), zone, ObjectId(u32::MAX));
                 *self.probe_replies.borrow_mut() = replies.len();
             }
         }
@@ -276,30 +267,17 @@ fn uplinks_are_charged_per_message_with_the_byte_model() {
             _ops: &mut OpCounters,
         ) {
         }
-        fn client_tick(
-            &mut self,
-            _t: Tick,
-            me: &mknn_mobility::MovingObject,
-            _i: &[DownlinkMsg],
-            up: &mut Uplinks,
-            _ops: &mut OpCounters,
-        ) {
-            let msg = UplinkMsg::Position {
-                pos: me.pos,
-                vel: Vector::ZERO,
-            };
-            *self.expected_bytes.borrow_mut() += msg.size_bytes() as u64;
-            up.send(me.id, msg);
+        fn client_phase(&mut self, ctx: &ClientCtx, up: &mut Uplinks, _ops: &mut OpCounters) {
+            for (i, &pos) in ctx.pos.iter().enumerate() {
+                let msg = UplinkMsg::Position {
+                    pos,
+                    vel: Vector::ZERO,
+                };
+                *self.expected_bytes.borrow_mut() += msg.size_bytes() as u64;
+                up.send(ObjectId(i as u32), msg);
+            }
         }
-        fn server_tick(
-            &mut self,
-            _t: Tick,
-            _u: &Uplinks,
-            _p: &mut dyn ProbeService,
-            _o: &mut Outbox,
-            _ops: &mut OpCounters,
-        ) {
-        }
+        fn server_phase(&mut self, _phase: &mut ServerPhase<'_, '_>) {}
         fn answer(&self, _q: QueryId) -> &[ObjectId] {
             &self.empty
         }

@@ -39,6 +39,9 @@
 #                models agree on everything but the byte ledger (with the
 #                measured reduction reported), and the scoped smoke run is
 #                byte-identical to the golden across MKNN_THREADS=1 vs 8
+#   benchmark    the benchmark/ crate (a workspace of its own, compiled
+#                against this workspace's public API) builds, passes its
+#                tests, and completes a --quick run of every workload
 #   speedup      (informational) fast-mode suite on one worker vs all cores
 #
 # Every byte gate routes through `diff` on temp files; a failing
@@ -324,6 +327,13 @@ stage_wire() {
     fi
 }
 
+stage_benchmark() {
+    echo "==> benchmark crate (build + test + benchmark/run.sh --quick)"
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    (cd benchmark && cargo test -q --offline)
+    bash benchmark/run.sh --quick > "$TMPDIR_VERIFY/benchmark_quick"
+}
+
 stage_speedup() {
     # Informational: wall-clock of the fast-mode suite on one worker vs.
     # all cores. On a multi-core runner the parallel run should be
@@ -342,7 +352,7 @@ stage_speedup() {
                         seq, cores, par, seq / par }'
 }
 
-ALL_STAGES=(build clippy test fmt determinism golden shards chaos recovery oracle bench tickbench wire speedup)
+ALL_STAGES=(build clippy test fmt determinism golden shards chaos recovery oracle bench tickbench wire benchmark speedup)
 
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then

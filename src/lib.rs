@@ -12,7 +12,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`geom`] | `mknn-geom` | points, rects, circles, annuli, time-parameterized distance |
-//! | [`index`] | `mknn-index` | uniform grid, R-tree, brute-force oracle |
+//! | [`index`] | `mknn-index` | uniform grid, kd-tree, brute-force oracle |
 //! | [`mobility`] | `mknn-mobility` | motion models, road networks, workload generation |
 //! | [`net`] | `mknn-net` | message vocabulary, byte model, metric counters, the `Protocol` contract |
 //! | [`protocol`] | `mknn-core` | the paper's contribution: the DKNN set / ordered protocols |
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use mknn_baselines::{Centralized, NaiveBroadcast, Periodic};
     pub use mknn_core::{Dknn, DknnParams, ParamError};
     pub use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
-    pub use mknn_index::{GridIndex, RTree};
+    pub use mknn_index::GridIndex;
     pub use mknn_mobility::{Motion, MovingObject, Placement, SpeedDist, WorkloadSpec, World};
     pub use mknn_net::{CrashWindow, FaultPlan, Protocol, QuerySpec};
     pub use mknn_sim::{
