@@ -20,10 +20,10 @@
 use mknn_bench::experiments::{self, Scale};
 use mknn_bench::report::{BenchExperiment, BenchSummary};
 use mknn_net::FaultPlan;
-use mknn_sim::{render_table, write_csv, DownlinkMode, Method, SimConfig, Sweep, VerifyMode};
+use mknn_sim::{render_table, write_csv, Method, SimConfig, Sweep, VerifyMode};
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: expt --exp <id|all> [--full] [--bench-out FILE] | --check-bench FILE | --list | --seed <n> [--method <name>] [--fault <none|chaos|crash|JSON>] [--shards <G>] [--n <objects>] [--queries <q>] [--ticks <t>] [--space <side>] [--threads <w>] [--downlink <scoped|legacy>] [--timing]";
+const USAGE: &str = "usage: expt --exp <id|all> [--full] [--bench-out FILE] | --check-bench FILE | --list | --seed <n> [--method <name>] [--fault <none|chaos|crash|JSON>] [--shards <G>] [--n <objects>] [--queries <q>] [--ticks <t>] [--space <side>] [--threads <w>] [--timing]";
 
 /// Smoke-mode workload overrides (each `None` keeps the
 /// [`SimConfig::small`] default, so the CI golden shape is untouched).
@@ -40,10 +40,6 @@ struct SmokeOverrides {
     /// `MKNN_THREADS` for the client phase only). `None` keeps the
     /// environment-resolved default; metrics are byte-identical either way.
     client_threads: Option<usize>,
-    /// Downlink byte model. `None` keeps the scoped default; `legacy`
-    /// reprices every server → device send at the pre-frame per-message
-    /// (and per-cell, for geocasts) rate for comparison runs.
-    downlink: Option<DownlinkMode>,
     /// Print per-episode wall-clock lines to stderr (stdout JSON stays
     /// clock-zeroed and byte-deterministic).
     timing: bool,
@@ -91,9 +87,6 @@ fn run_smoke(seed: u64, method: Option<&str>, fault: FaultPlan, over: &SmokeOver
     }
     if let Some(t) = over.client_threads {
         cfg.client_threads = Some(t);
-    }
-    if let Some(d) = over.downlink {
-        cfg.downlink = d;
     }
     // Malformed shapes (`--n 0`, `--space 0`, NaN sides…) used to panic
     // deep inside episode setup; the typed validator turns them into
@@ -257,17 +250,6 @@ fn main() {
                     std::process::exit(2);
                 });
                 check_bench(&path);
-            }
-            "--downlink" => {
-                i += 1;
-                over.downlink = Some(match args.get(i).map(String::as_str) {
-                    Some("scoped") => DownlinkMode::Scoped,
-                    Some("legacy") => DownlinkMode::Legacy,
-                    _ => {
-                        eprintln!("--downlink wants `scoped` or `legacy`");
-                        std::process::exit(2);
-                    }
-                });
             }
             "--timing" => over.timing = true,
             "--help" | "-h" => {

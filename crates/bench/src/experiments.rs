@@ -9,7 +9,7 @@
 use crate::report::{bench_methods, BenchMethod};
 use mknn_mobility::{Motion, Placement, SpeedDist, WorkloadSpec};
 use mknn_net::FaultPlan;
-use mknn_sim::{DownlinkMode, Method, MetricsSummary, SimConfig, Simulation, Sweep, VerifyMode};
+use mknn_sim::{Method, MetricsSummary, SimConfig, Simulation, Sweep, VerifyMode};
 
 /// Experiment scale: `full` reproduces the paper-scale populations;
 /// fast mode (default) shrinks them ~6× for quick regeneration.
@@ -85,7 +85,6 @@ pub fn base_config(scale: Scale) -> SimConfig {
         fault: FaultPlan::none(),
         shards: 1,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     }
 }
 
@@ -842,10 +841,7 @@ pub fn e18(scale: Scale) -> ExpResult {
         .collect();
     let params = cfg.dknn_params();
     let methods = [Method::DknnSet(params), Method::Centralized { res: 64 }];
-    let runs = Sweep::over(configs)
-        .methods(methods.clone())
-        .threads(1)
-        .run();
+    let runs = Sweep::over(configs).methods(methods).threads(1).run();
     // Pool width must never leak into results. Plan order is points-major
     // then methods, so chunks of `methods.len()` are one width's runs.
     let per_t: Vec<&[mknn_sim::EpisodeRun]> = runs.chunks(methods.len()).collect();
@@ -896,104 +892,6 @@ pub fn e18(scale: Scale) -> ExpResult {
     ExpResult {
         id: "e18",
         title: "Fig E18: intra-episode client-pool scaling (T ∈ {1,2,4,8})",
-        rows,
-        episode_seconds: busy,
-        bench: bench_methods(&runs),
-    }
-}
-
-/// E19 — downlink accounting models: the whole method suite under a
-/// chaos-churn fault plan, charged once with the legacy full-update model
-/// (every unicast/geocast carries a complete message, geocasts once per
-/// overlapped cell) and once with the interest-scoped, delta-encoded frame
-/// model (DESIGN.md §10). Answers and logical message tallies are asserted
-/// identical in-process; what the figure reports is the byte bill — B/tick
-/// per model, the reduction factor, frames per tick, the frame-header
-/// share, and how often churn forced a full-snapshot fallback.
-pub fn e19(scale: Scale) -> ExpResult {
-    let mut cfg = base_config(scale);
-    cfg.workload.n_objects = cfg.workload.n_objects.min(4_000);
-    cfg.n_queries = cfg.n_queries.min(20);
-    cfg.verify = VerifyMode::Off;
-    cfg.fault = mknn_net::FaultPlan::builder()
-        .loss(0.10)
-        .duplication(0.02)
-        .delay(0.2, 2)
-        .churn(0.005, 2, 6)
-        .build()
-        .expect("e19 fault knobs are in range");
-    let configs: Vec<(String, SimConfig)> = [
-        ("legacy", DownlinkMode::Legacy),
-        ("scoped", DownlinkMode::Scoped),
-    ]
-    .into_iter()
-    .map(|(label, mode)| {
-        let mut c = cfg.clone();
-        c.downlink = mode;
-        (label.to_string(), c)
-    })
-    .collect();
-    let runs = Sweep::over(configs).run();
-    let busy: f64 = runs.iter().map(|r| r.wall_seconds).sum();
-    // Plan order is points-major then methods: the first half is every
-    // method under the legacy model, the second half the same methods
-    // scoped.
-    let n_methods = runs.len() / 2;
-    let (legacy, scoped) = runs.split_at(n_methods);
-    let mut rows = vec![vec![
-        "method".into(),
-        "legacy B/tick".into(),
-        "scoped B/tick".into(),
-        "reduction".into(),
-        "frames/tick".into(),
-        "hdr %".into(),
-        "fallbacks".into(),
-    ]];
-    let mut best_distributed = 0.0f64;
-    for (l, s) in legacy.iter().zip(scoped) {
-        // The scope/delta/frame pass is accounting-only: everything except
-        // the byte ledger must agree between the models.
-        let strip = |m: &mknn_sim::EpisodeMetrics| {
-            let mut m = m.clone().with_clock_zeroed();
-            m.net.downlink_bytes = 0;
-            m.net.frames = 0;
-            m.net.frame_header_bytes = 0;
-            m.net.delta_full_fallbacks = 0;
-            m.net.ack_bytes = 0;
-            m
-        };
-        assert_eq!(
-            strip(&l.metrics),
-            strip(&s.metrics),
-            "{}: downlink models diverge beyond the byte ledger",
-            l.metrics.method
-        );
-        let ticks = l.metrics.ticks.max(1) as f64;
-        let lb = l.metrics.net.downlink_bytes as f64;
-        let sb = s.metrics.net.downlink_bytes as f64;
-        let reduction = lb / sb.max(1.0);
-        if l.metrics.method.starts_with("dknn") {
-            best_distributed = best_distributed.max(reduction);
-        }
-        let hdr = 100.0 * s.metrics.net.frame_header_bytes as f64 / sb.max(1.0);
-        rows.push(vec![
-            l.metrics.method.clone(),
-            fmt(lb / ticks),
-            fmt(sb / ticks),
-            format!("{reduction:.2}x"),
-            fmt(s.metrics.net.frames as f64 / ticks),
-            fmt(hdr),
-            s.metrics.net.delta_full_fallbacks.to_string(),
-        ]);
-    }
-    assert!(
-        best_distributed >= 2.0,
-        "scoped downlink must cut at least one distributed method's bytes \
-         by >= 2x under chaos churn (best: {best_distributed:.2}x)"
-    );
-    ExpResult {
-        id: "e19",
-        title: "Table E19: downlink byte models under chaos churn (legacy vs scoped)",
         rows,
         episode_seconds: busy,
         bench: bench_methods(&runs),
@@ -1142,9 +1040,9 @@ pub fn e20(scale: Scale) -> ExpResult {
 }
 
 /// All experiment ids in order.
-pub const ALL: [&str; 20] = [
+pub const ALL: [&str; 19] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20",
+    "e16", "e17", "e18", "e20",
 ];
 
 /// Runs one experiment by id.
@@ -1168,7 +1066,6 @@ pub fn run(id: &str, scale: Scale) -> Option<ExpResult> {
         "e16" => e16(scale),
         "e17" => e17(scale),
         "e18" => e18(scale),
-        "e19" => e19(scale),
         "e20" => e20(scale),
         _ => return None,
     })

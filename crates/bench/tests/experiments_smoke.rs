@@ -12,11 +12,16 @@ use mknn_bench::experiments::{self, Scale};
 /// the registry.
 #[test]
 fn registry_is_complete_and_ordered() {
-    assert_eq!(experiments::ALL.len(), 20);
-    for (i, id) in experiments::ALL.iter().enumerate() {
-        assert_eq!(*id, format!("e{}", i + 1), "ids must be dense and ordered");
+    // Ids are ordered and dense, except that e19 (the legacy-vs-scoped
+    // byte-model comparison) is retired: EXPERIMENTS.md keeps its table.
+    let expected: Vec<String> = (1..=20)
+        .filter(|&i| i != 19)
+        .map(|i| format!("e{i}"))
+        .collect();
+    assert_eq!(experiments::ALL.to_vec(), expected);
+    for id in ["nope", "e19"] {
+        assert!(experiments::run(id, Scale { full: false }).is_none());
     }
-    assert!(experiments::run("nope", Scale { full: false }).is_none());
 }
 
 #[test]

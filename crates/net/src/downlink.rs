@@ -1,16 +1,17 @@
 //! Interest-scoped, delta-encoded, frame-batched downlink replication
 //! (DESIGN.md §10).
 //!
-//! The legacy downlink model charged every server→device message as its own
-//! transmission: unicasts per message, geocasts once per overlapped grid
-//! cell, each carrying a full encoding. This module replaces that with the
-//! replication pattern of modern networked-state engines (naia's
-//! `scope_checks()` → `send_all_updates()` two-phase tick):
+//! Charging every server→device message as its own transmission (unicasts
+//! per message, geocasts once per overlapped grid cell, each carrying a full
+//! encoding) overstates what a device actually has to receive. This module
+//! prices the downlink with the replication pattern of modern
+//! networked-state engines (naia's `scope_checks()` → `send_all_updates()`
+//! two-phase tick):
 //!
-//! 1. **Scope** — [`DownlinkBuilder::scope`] resolves each send into the set
-//!    of devices actually interested in it: the focal device for its query's
-//!    answer, the region members and imminent entrants for a region install
-//!    (the grid page of the geocast zone), one device for a unicast.
+//! 1. **Scope** — the router resolves each send into the set of devices
+//!    actually interested in it: the focal device for its query's answer,
+//!    the region members and imminent entrants for a region install (the
+//!    grid page of the geocast zone), one device for a unicast.
 //! 2. **Stage** — [`DownlinkBuilder::stage`] /
 //!    [`DownlinkBuilder::stage_answer`] collect every `(device, message)`
 //!    pair of the tick. Nothing is charged yet.
@@ -31,17 +32,15 @@
 //! it used to hold in full (counted in `NetStats::delta_full_fallbacks`)
 //! and the first fully delivered frame re-arms delta encoding.
 //! Acknowledgements ride the link-layer/transport feedback the model
-//! treats as free and instantaneous — the same idealization the legacy
-//! geocast model made for its paging channel.
+//! treats as free and instantaneous.
 //!
 //! Everything here is *accounting*: protocol inboxes receive the original
-//! [`DownlinkMsg`] structs through the exact same fault-layer draws as the
-//! legacy path, so answers are byte-identical between the two modes at any
-//! thread count and shard count. Only the measured bytes differ.
+//! [`DownlinkMsg`] structs through the fault layer, and the router reports
+//! each copy's fate here; this module never decides what a device hears.
 
 use crate::wire::{self, id_bits, Wire, DOWN_TAG_BITS, KIND_BITS, LINK_HEADER_BITS};
-use crate::{DownlinkMsg, NetStats, Recipient};
-use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick, Vector};
+use crate::{DownlinkMsg, NetStats};
+use mknn_geom::{ObjectId, Point, QueryId, Tick, Vector};
 use mknn_util::bits::{signed_bits, varint_bits, BitReader, BitWriter};
 use std::collections::BTreeMap;
 
@@ -594,17 +593,17 @@ struct Staged {
     delivery: Delivery,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct DeviceStage {
     items: Vec<Staged>,
     all_delivered: bool,
     any_offline: bool,
-    any: bool,
 }
 
-/// The two-phase tick API of the scoped downlink: `scope()` resolves
-/// interest, `stage()` collects the tick's sends, `flush_frames()` encodes
-/// one frame per device and charges it. Created by [`ReplStore::begin_tick`].
+/// The two-phase tick API of the scoped downlink: `stage()` collects the
+/// tick's sends to the devices the router scoped them to, `flush_frames()`
+/// encodes one frame per device and charges it. Created by
+/// [`ReplStore::begin_tick`].
 #[derive(Debug)]
 pub struct DownlinkBuilder<'a> {
     store: &'a mut ReplStore,
@@ -613,35 +612,12 @@ pub struct DownlinkBuilder<'a> {
 }
 
 impl DownlinkBuilder<'_> {
-    /// Resolves a send into the devices interested in it: the addressee of
-    /// a unicast, or — for a geocast — the devices inside the zone (region
-    /// members and imminent entrants), resolved by the caller-supplied
-    /// spatial lookup. `None` for broadcasts: system-wide floods have no
-    /// interest set and stay on the legacy path.
-    pub fn scope(
-        recipient: &Recipient,
-        range: impl FnOnce(&Circle) -> Vec<ObjectId>,
-    ) -> Option<Vec<ObjectId>> {
-        match recipient {
-            Recipient::One(id) => Some(vec![*id]),
-            Recipient::Geocast(zone) => Some(range(zone)),
-            Recipient::Broadcast => None,
-        }
-    }
-
     /// Stages one protocol message to one device. `delivery` reports what
     /// the fault layer did with the copy this tick; it gates the ack state
     /// machine, never the encoding choice — the server picks the encoding
     /// before learning the fate.
     pub fn stage(&mut self, device: ObjectId, msg: DownlinkMsg, delivery: Delivery) {
-        let e = self.entry(device);
-        e.items.push(Staged {
-            msg: StagedMsg::Proto(msg),
-            delivery,
-        });
-        e.all_delivered &= delivery == Delivery::Delivered;
-        e.any_offline |= delivery == Delivery::Offline;
-        e.any = true;
+        self.push(device, StagedMsg::Proto(msg), delivery);
     }
 
     /// Stages an answer push: the query's current member list, bound for
@@ -656,27 +632,23 @@ impl DownlinkBuilder<'_> {
         ordered: bool,
         delivery: Delivery,
     ) {
-        let e = self.entry(device);
-        e.items.push(Staged {
-            msg: StagedMsg::Answer {
-                query,
-                members,
-                ordered,
-            },
-            delivery,
-        });
-        e.all_delivered &= delivery == Delivery::Delivered;
-        e.any_offline |= delivery == Delivery::Offline;
-        e.any = true;
+        let msg = StagedMsg::Answer {
+            query,
+            members,
+            ordered,
+        };
+        self.push(device, msg, delivery);
     }
 
-    fn entry(&mut self, device: ObjectId) -> &mut DeviceStage {
-        self.staged.entry(device.0).or_insert_with(|| DeviceStage {
+    fn push(&mut self, device: ObjectId, msg: StagedMsg, delivery: Delivery) {
+        let e = self.staged.entry(device.0).or_insert_with(|| DeviceStage {
             items: Vec::new(),
             all_delivered: true,
             any_offline: false,
-            any: false,
-        })
+        });
+        e.items.push(Staged { msg, delivery });
+        e.all_delivered &= delivery == Delivery::Delivered;
+        e.any_offline |= delivery == Delivery::Offline;
     }
 
     /// Encodes one frame per staged device (ascending device id), charges
@@ -692,9 +664,6 @@ impl DownlinkBuilder<'_> {
     /// first fully delivered frame re-arms delta encoding.
     pub fn flush_frames(self, stats: &mut NetStats) {
         for (dev, stage) in self.staged {
-            if !stage.any {
-                continue;
-            }
             let entry = self.store.devices.entry(dev).or_default();
             let mut fallbacks = 0u64;
             let mut items = Vec::with_capacity(stage.items.len());
@@ -1244,22 +1213,6 @@ mod tests {
         b.flush_frames(&mut stats);
         let delta = stats.downlink_bytes - full_bytes;
         assert!(delta < full_bytes, "reorder {delta} vs full {full_bytes}");
-    }
-
-    #[test]
-    fn scope_resolves_unicast_and_geocast_but_not_broadcast() {
-        let one = DownlinkBuilder::scope(&Recipient::One(ObjectId(5)), |_| unreachable!());
-        assert_eq!(one, Some(vec![ObjectId(5)]));
-        let zone = Circle::new(Point::new(10.0, 10.0), 5.0);
-        let geo = DownlinkBuilder::scope(&Recipient::Geocast(zone), |z| {
-            assert_eq!(z.radius, 5.0);
-            vec![ObjectId(1), ObjectId(2)]
-        });
-        assert_eq!(geo, Some(vec![ObjectId(1), ObjectId(2)]));
-        assert_eq!(
-            DownlinkBuilder::scope(&Recipient::Broadcast, |_| unreachable!()),
-            None
-        );
     }
 
     #[test]

@@ -632,11 +632,6 @@ impl FaultyLink {
         self.plan.active_at(self.now)
     }
 
-    /// The tick the link was last advanced to by [`FaultyLink::begin_tick`].
-    pub fn now(&self) -> Tick {
-        self.now
-    }
-
     /// Advances the link to `now` and draws this tick's churn: each online
     /// device independently drops offline with probability `churn` for a
     /// uniform `offline_min..=offline_max` ticks. Windows started before
@@ -716,15 +711,12 @@ impl FaultyLink {
     /// in the order it was delayed.
     pub fn drain_due_up(&mut self, out: &mut Vec<(ObjectId, UplinkMsg)>) {
         let now = self.now;
-        let mut i = 0;
-        while i < self.held_up.len() {
-            if self.held_up[i].0 <= now {
-                let (_, from, msg) = self.held_up.remove(i);
+        self.held_up.retain(|&(due, from, msg)| {
+            if due <= now {
                 out.push((from, msg));
-            } else {
-                i += 1;
             }
-        }
+            due > now
+        });
     }
 
     /// Passes one downlink delivery (to the device at inbox index `to`)
@@ -775,19 +767,18 @@ impl FaultyLink {
     /// case the copy is finally dropped).
     pub fn drain_due_down(&mut self, inboxes: &mut [Vec<DownlinkMsg>], stats: &mut NetStats) {
         let now = self.now;
-        let mut i = 0;
-        while i < self.held_down.len() {
-            if self.held_down[i].0 <= now {
-                let (_, to, msg) = self.held_down.remove(i);
+        let mut held = std::mem::take(&mut self.held_down);
+        held.retain(|&(due, to, msg)| {
+            if due <= now {
                 if self.is_offline(to.index()) {
                     stats.count_dropped();
                 } else if let Some(inbox) = inboxes.get_mut(to.index()) {
                     inbox.push(msg);
                 }
-            } else {
-                i += 1;
             }
-        }
+            due > now
+        });
+        self.held_down = held;
     }
 
     /// Passes one inter-shard backbone leg of `bytes` through the link.
@@ -808,25 +799,6 @@ impl FaultyLink {
         if retries > 0 {
             stats.shard.count_retransmits(retries, bytes as u64);
         }
-    }
-
-    /// Loss draw for the synchronous probe channel: `true` when one leg of
-    /// the round trip for `query` fails. The downlink leg and the uplink
-    /// leg are drawn separately so the per-direction knobs keep their
-    /// meaning; an offline device always fails. Each failed leg is charged
-    /// as one dropped message. Probe legs are query-scoped, so they draw
-    /// from the query's stream.
-    pub fn probe_leg_lost(
-        &mut self,
-        query: mknn_geom::QueryId,
-        loss: f64,
-        stats: &mut NetStats,
-    ) -> bool {
-        if !self.active() || loss == 0.0 {
-            return false;
-        }
-        let plan = self.plan;
-        plan.draw_leg_lost(self.queries.rng(query), loss, stats)
     }
 }
 
@@ -1091,8 +1063,9 @@ mod tests {
 
     #[test]
     fn probe_legs_draw_from_the_query_stream() {
-        // Probe legs for one query must not perturb another query's
-        // delivery fates, and must themselves be deterministic.
+        // Probe legs for one query — drawn the way the engine's probe does,
+        // on that query's split-out stream — must not perturb another
+        // query's delivery fates.
         let plan = FaultPlan::chaos();
         let fates = |with_probe_legs: bool| {
             let mut link = FaultyLink::new(plan, 42);
@@ -1102,7 +1075,13 @@ mod tests {
                 link.begin_tick(t, 4);
                 for i in 0..4 {
                     if with_probe_legs {
-                        let _ = link.probe_leg_lost(QueryId(9), plan.down_loss, &mut stats);
+                        let mut parts = link.split_query_streams(&[vec![9]]);
+                        let _ = plan.draw_leg_lost(
+                            parts[0].rng(QueryId(9)),
+                            plan.down_loss,
+                            &mut stats,
+                        );
+                        link.restore_query_streams(parts);
                     }
                     link.transmit_up(ObjectId(i), an_uplink(), &mut out, &mut stats);
                 }

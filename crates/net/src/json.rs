@@ -164,9 +164,9 @@ impl ToJson for NetStats {
         if !self.shard.is_empty() {
             fields.push(("shard", self.shard.to_json()));
         }
-        // Scoped-downlink counters appear only when the replication layer
-        // ran, keeping legacy-mode documents byte-identical to the
-        // pre-framing format.
+        // Scoped-downlink counters appear only when a frame was charged,
+        // keeping frame-free documents byte-identical to the pre-framing
+        // format.
         if self.frames != 0 {
             fields.push(("frames", self.frames.to_json()));
         }

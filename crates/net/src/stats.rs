@@ -170,17 +170,17 @@ pub struct NetStats {
     pub shard: ShardStats,
     /// Per-device downlink frames sent by the interest-scoped replication
     /// layer: all messages to one device in one tick coalesce into one
-    /// framed packet. Zero in legacy (unframed) mode.
+    /// framed packet.
     pub frames: u64,
     /// The share of `downlink_bytes` spent on frame headers (link-layer
     /// overhead plus tick/count bookkeeping) rather than item payloads:
     /// `downlink_bytes` contributed by frames equals payload bytes plus
-    /// this. Zero in legacy mode.
+    /// this.
     pub frame_header_bytes: u64,
     /// Full-state re-sends forced by a replication gap: a frame the fault
     /// layer failed to deliver in full voids the device's acked state, and
     /// every subsequent region/band/answer that had to go out whole instead
-    /// of as a delta counts here. Zero in legacy mode and on perfect links.
+    /// of as a delta counts here. Zero on perfect links.
     pub delta_full_fallbacks: u64,
     /// The share of `downlink_bytes` spent on the ack channel
     /// ([`crate::DownlinkMsg::Ack`] transmissions): an informational split,
@@ -250,10 +250,9 @@ impl NetStats {
 
     /// Records one per-device downlink frame of `frame_bytes` total, of
     /// which `header_bytes` is framing overhead (the rest is item payload).
-    /// Frames feed `downlink_bytes` — they *are* the scoped mode's downlink
+    /// Frames feed `downlink_bytes` — they *are* the unicast and geocast
     /// transmissions — but not the logical per-kind tallies, which the
-    /// harness keeps charging per staged message so both modes report
-    /// identical message counts.
+    /// harness charges per staged message.
     pub fn count_frame(&mut self, frame_bytes: u64, header_bytes: u64) {
         debug_assert!(header_bytes <= frame_bytes);
         self.frames += 1;
@@ -405,8 +404,10 @@ mod tests {
         assert_eq!(s.total_msgs(), 8);
         assert!(s.total_bytes() > 0);
         // Shard legs never feed the device-facing headline counters.
-        let mut net = NetStats::default();
-        net.shard = s.clone();
+        let net = NetStats {
+            shard: s.clone(),
+            ..NetStats::default()
+        };
         assert_eq!(net.total_msgs(), 0);
         assert_eq!(net.total_bytes(), 0);
         let mut merged = ShardStats::default();

@@ -18,27 +18,6 @@ pub enum VerifyMode {
     Assert,
 }
 
-/// How the harness models server → device transmissions (DESIGN.md §10).
-///
-/// Either way the protocol's messages reach the same inboxes through the
-/// same fault draws — answers are byte-identical between the modes. Only
-/// the byte accounting differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DownlinkMode {
-    /// Interest-scoped replication (the default): all messages to one
-    /// device in a tick coalesce into one bit-packed frame, each encoded as
-    /// a delta against the state that device last acked, with full
-    /// snapshots on first contact and after ack gaps. Broadcasts (the naive
-    /// baseline's channel) have no interest set and stay on the legacy
-    /// model.
-    #[default]
-    Scoped,
-    /// The historical model: every unicast/geocast carries a full message
-    /// encoding, charged per transmission (geocasts once per overlapped
-    /// cell).
-    Legacy,
-}
-
 /// Everything that defines one simulation episode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -75,10 +54,6 @@ pub struct SimConfig {
     /// in one process. Metrics are byte-identical at every value, so this
     /// knob is absent from the serialized form when unset.
     pub client_threads: Option<usize>,
-    /// Downlink byte-accounting model. [`DownlinkMode::Scoped`] (the
-    /// default) is absent from the serialized form; answers are identical
-    /// in both modes, so this only moves the byte counters.
-    pub downlink: DownlinkMode,
 }
 
 /// A structurally invalid [`SimConfig`], detected before an episode runs.
@@ -132,7 +107,6 @@ impl Default for SimConfig {
             fault: FaultPlan::none(),
             shards: 1,
             client_threads: None,
-            downlink: DownlinkMode::Scoped,
         }
     }
 }
@@ -155,7 +129,6 @@ impl SimConfig {
             fault: FaultPlan::none(),
             shards: 1,
             client_threads: None,
-            downlink: DownlinkMode::Scoped,
         }
     }
 

@@ -1,15 +1,14 @@
 //! The simulation engine: world + infrastructure + protocol driver.
 
-use crate::{check_answer, DownlinkMode, EpisodeMetrics, SimConfig, SnapshotOracle, VerifyMode};
+use crate::{check_answer, EpisodeMetrics, SimConfig, SnapshotOracle, VerifyMode};
 use mknn_core::ShardCoordinator;
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick};
 use mknn_index::GridIndex;
 use mknn_mobility::World;
 use mknn_net::{
-    AnswerUpdate, CrashWindow, Delivery, DownlinkBuilder, DownlinkMsg, FaultPlan, FaultyLink,
-    MsgKind, NetStats, ObjReport, OpCounters, Outbox, ProbeService, Protocol, QuerySpec,
-    QueryStreams, Recipient, ReplStore, ServerPhase, ShardTask, UplinkMsg, Uplinks, Wire,
-    LINK_HEADER_BITS,
+    CrashWindow, Delivery, DownlinkBuilder, DownlinkMsg, FaultPlan, FaultyLink, MsgKind, NetStats,
+    ObjReport, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, QueryStreams, Recipient,
+    ReplStore, ServerPhase, ShardTask, UplinkMsg, Uplinks,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -57,8 +56,7 @@ struct ShardBuf {
     streams: Option<QueryStreams>,
     /// Deferred coordinator charges, in issue order.
     charges: Vec<CoordCharge>,
-    /// Probe deliveries to stage on the scoped downlink builder (empty in
-    /// legacy mode).
+    /// Probe deliveries to stage on the downlink builder.
     staged: Vec<(ObjectId, DownlinkMsg, Delivery)>,
 }
 
@@ -89,9 +87,6 @@ struct ShardProbe<'a> {
     /// The fault plan, copied out of the link (`None` on a perfect link).
     plan: Option<FaultPlan>,
     tick: Tick,
-    /// Scoped downlink mode: probe request legs are staged into frames
-    /// (priced per interested device) instead of charged per message.
-    scoped: bool,
     coord: &'a mknn_core::ShardCoordinator,
     buf: &'a mut ShardBuf,
 }
@@ -102,9 +97,8 @@ impl ShardProbe<'_> {
             .is_some_and(|m| m.get(idx).copied().unwrap_or(false))
     }
 
-    /// One probe-leg loss draw from `query`'s fate stream — the same gate
-    /// and draw as [`FaultyLink::probe_leg_lost`], against the split-out
-    /// copy of the stream.
+    /// One probe-leg loss draw from `query`'s fate stream (the split-out
+    /// copy), gated on the plan still being active this tick.
     fn leg_lost(&mut self, query: QueryId, loss: f64) -> bool {
         match (&self.plan, self.buf.streams.as_mut()) {
             (Some(plan), Some(streams)) if plan.active_at(self.tick) => {
@@ -119,8 +113,9 @@ impl ProbeService for ShardProbe<'_> {
     fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport> {
         let msg = DownlinkMsg::Probe { query, zone };
         let cells = self.infra.cells_overlapping(&zone);
-        let bytes = if self.scoped { 0 } else { msg.size_bytes() };
-        self.buf.stats.count_geocast(MsgKind::Probe, bytes, cells);
+        // Request legs are priced per interested device when the staged
+        // copies are framed, not per message.
+        self.buf.stats.count_geocast(MsgKind::Probe, 0, cells);
         // The probe zone scatters to every covering shard; each foreign one
         // merges its partial answer back at the home shard afterwards.
         self.buf
@@ -142,9 +137,7 @@ impl ProbeService for ShardProbe<'_> {
             } else if self.leg_lost(query, down_loss) {
                 delivery = Delivery::Lost;
             }
-            if self.scoped {
-                self.buf.staged.push((n.id, msg, delivery));
-            }
+            self.buf.staged.push((n.id, msg, delivery));
             if delivery != Delivery::Delivered {
                 continue;
             }
@@ -190,8 +183,7 @@ impl ProbeService for ShardProbe<'_> {
             query,
             zone: Circle::new(pos, 0.0),
         };
-        let bytes = if self.scoped { 0 } else { ask.size_bytes() };
-        self.buf.stats.count_unicast(MsgKind::Probe, bytes);
+        self.buf.stats.count_unicast(MsgKind::Probe, 0);
         // A poll into a foreign block is forwarded there and the reply
         // forwarded back.
         self.buf.charges.push(CoordCharge::RouteUnicast {
@@ -206,9 +198,7 @@ impl ProbeService for ShardProbe<'_> {
         } else if self.leg_lost(query, self.plan.map_or(0.0, |p| p.down_loss)) {
             delivery = Delivery::Lost;
         }
-        if self.scoped {
-            self.buf.staged.push((id, ask, delivery));
-        }
+        self.buf.staged.push((id, ask, delivery));
         if delivery != Delivery::Delivered {
             return None;
         }
@@ -263,16 +253,11 @@ pub struct Simulation {
     /// alter chunking.
     pool: mknn_util::Pool,
     /// Interest-scoped downlink replication (DESIGN.md §10): per-device
-    /// delta/ack state, driving the frame batching in `route`. Only
-    /// consulted when `scoped` is set.
+    /// delta/ack state, driving the frame batching in `route`.
     repl: ReplStore,
-    /// Whether `SimConfig::downlink` selected the scoped byte model.
-    scoped: bool,
     /// Per query: the answer list most recently pushed to its focal device
     /// (rank order for ordered protocols, canonical ascending-id order
-    /// otherwise). The push trigger — replicate when the maintained answer
-    /// differs from this — is mode-independent, so legacy and scoped
-    /// episodes push at exactly the same ticks.
+    /// otherwise); an answer is replicated when it differs from this.
     last_sent: Vec<Vec<ObjectId>>,
     /// The episode's planned shard-crash windows (DESIGN.md §11), resolved
     /// once at construction from the fault plan — a pure function of
@@ -365,10 +350,9 @@ impl Simulation {
         let mut outbox = Outbox::new();
         let mut ops = OpCounters::default();
         let t0 = Instant::now();
-        let scoped = config.downlink == DownlinkMode::Scoped;
         let mut repl = ReplStore::new();
         let mut last_sent = vec![Vec::new(); specs.len()];
-        let mut builder = scoped.then(|| repl.begin_tick(0));
+        let mut builder = repl.begin_tick(0);
         let mut buf = ShardBuf::default();
         proto.init(
             bounds,
@@ -381,20 +365,13 @@ impl Simulation {
                 offline: None,
                 plan: None,
                 tick: 0,
-                scoped,
                 coord: &coord,
                 buf: &mut buf,
             },
             &mut outbox,
             &mut ops,
         );
-        replay_shard_buf(
-            &mut buf,
-            &mut metrics.net,
-            &mut coord,
-            None,
-            builder.as_mut(),
-        );
+        replay_shard_buf(&mut buf, &mut metrics.net, &mut coord, None, &mut builder);
         // The init handshake is server-side setup work; the routing that
         // delivers its outbox is charged to the route split below. Both
         // feed `proto_seconds`, composed the same way as a stepped tick.
@@ -402,28 +379,18 @@ impl Simulation {
         metrics.server_seconds += init_secs;
         metrics.ops += ops;
         let t_route = Instant::now();
-        {
-            route(
-                &outbox,
-                &infra,
-                &mut inboxes,
-                &mut metrics.net,
-                None,
-                &mut coord,
-                builder.as_mut(),
-            );
-            replicate_answers(
-                proto.as_ref(),
-                &specs,
-                &mut last_sent,
-                None,
-                &mut metrics.net,
-                builder.as_mut(),
-            );
-            if let Some(b) = builder {
-                b.flush_frames(&mut metrics.net);
-            }
-        }
+        downlink_tail(
+            &outbox,
+            &infra,
+            &mut inboxes,
+            &mut metrics.net,
+            None,
+            &mut coord,
+            proto.as_ref(),
+            &specs,
+            &mut last_sent,
+            builder,
+        );
         let route_secs = t_route.elapsed().as_secs_f64();
         metrics.route_seconds += route_secs;
         metrics.proto_seconds += init_secs + route_secs;
@@ -450,7 +417,6 @@ impl Simulation {
                 None => mknn_util::Pool::from_env(),
             },
             repl,
-            scoped,
             last_sent,
             crashes,
             offline_buf: Vec::new(),
@@ -702,12 +668,12 @@ impl Simulation {
         // Server phase: one task per shard, dispatched over the pool. Each
         // task drives the shard's partition of the protocol's server state
         // through a read-only [`ShardProbe`]; the coordinator's charges and
-        // the scoped builder's stagings are deferred into per-shard buffers
+        // the downlink builder's stagings are deferred into per-shard buffers
         // and replayed in ascending shard order below, so the episode's
         // metrics are byte-identical at any thread count.
         let t_server = Instant::now();
         let mut outbox = Outbox::new();
-        let mut builder = self.scoped.then(|| self.repl.begin_tick(self.tick));
+        let mut builder = self.repl.begin_tick(self.tick);
         let homes: Vec<u32> = self
             .specs
             .iter()
@@ -740,7 +706,6 @@ impl Simulation {
                     offline: offline_mask,
                     plan,
                     tick: self.tick,
-                    scoped: self.scoped,
                     coord: &self.coord,
                     buf,
                 }),
@@ -768,7 +733,7 @@ impl Simulation {
                 &mut self.metrics.net,
                 &mut self.coord,
                 self.link.as_mut(),
-                builder.as_mut(),
+                &mut builder,
             );
         }
         if let Some(link) = self.link.as_mut() {
@@ -779,32 +744,18 @@ impl Simulation {
 
         // Route phase, downlink side.
         let t_route = Instant::now();
-        {
-            route(
-                &outbox,
-                &self.infra,
-                &mut self.inboxes,
-                &mut self.metrics.net,
-                self.link.as_mut(),
-                &mut self.coord,
-                builder.as_mut(),
-            );
-            // Answer replication rides the same tick's frames: the focal
-            // device of every query whose answer changed since its last
-            // push receives the new list (whole in legacy mode, as a diff
-            // against its acked copy in scoped mode).
-            replicate_answers(
-                self.proto.as_ref(),
-                &self.specs,
-                &mut self.last_sent,
-                self.link.as_ref(),
-                &mut self.metrics.net,
-                builder.as_mut(),
-            );
-            if let Some(b) = builder {
-                b.flush_frames(&mut self.metrics.net);
-            }
-        }
+        downlink_tail(
+            &outbox,
+            &self.infra,
+            &mut self.inboxes,
+            &mut self.metrics.net,
+            self.link.as_mut(),
+            &mut self.coord,
+            self.proto.as_ref(),
+            &self.specs,
+            &mut self.last_sent,
+            builder,
+        );
         route_secs += t_route.elapsed().as_secs_f64();
         self.metrics.client_seconds += client_secs;
         self.metrics.server_seconds += server_secs;
@@ -921,7 +872,7 @@ fn replay_shard_buf(
     stats: &mut NetStats,
     coord: &mut ShardCoordinator,
     mut link: Option<&mut FaultyLink>,
-    builder: Option<&mut DownlinkBuilder>,
+    builder: &mut DownlinkBuilder,
 ) {
     *stats += &buf.stats;
     for charge in buf.charges.drain(..) {
@@ -945,31 +896,62 @@ fn replay_shard_buf(
             }
         }
     }
-    if let Some(b) = builder {
-        for (to, msg, delivery) in buf.staged.drain(..) {
-            b.stage(to, msg, delivery);
-        }
+    for (to, msg, delivery) in buf.staged.drain(..) {
+        builder.stage(to, msg, delivery);
     }
+}
+
+/// The downlink side of the route phase, shared by the init handshake and
+/// every tick: routes the outbox, lets answer replication ride the same
+/// tick's frames, then flushes one frame per staged device.
+#[allow(clippy::too_many_arguments)]
+fn downlink_tail(
+    outbox: &Outbox,
+    infra: &GridIndex,
+    inboxes: &mut [Vec<DownlinkMsg>],
+    stats: &mut NetStats,
+    mut link: Option<&mut FaultyLink>,
+    coord: &mut ShardCoordinator,
+    proto: &dyn Protocol,
+    specs: &[QuerySpec],
+    last_sent: &mut [Vec<ObjectId>],
+    mut builder: DownlinkBuilder,
+) {
+    route(
+        outbox,
+        infra,
+        inboxes,
+        stats,
+        link.as_deref_mut(),
+        coord,
+        &mut builder,
+    );
+    replicate_answers(
+        proto,
+        specs,
+        last_sent,
+        link.as_deref(),
+        stats,
+        &mut builder,
+    );
+    builder.flush_frames(stats);
 }
 
 /// Answer replication (DESIGN.md §10): pushes each query's current answer
 /// to its focal device whenever it differs from what was last pushed.
 ///
 /// Like probes, answer pushes are harness-level accounting traffic — they
-/// never enter an inbox and never consume fault-layer RNG, so legacy and
-/// scoped episodes stay draw-for-draw identical. In legacy mode each push
-/// is a unicast carrying the full member list; in scoped mode the logical
-/// unicast is still counted (so message tallies match across modes) but the
-/// bytes ride the tick's frame as a delta against the focal's acked copy.
-/// The delivery outcome feeding the ack machine is churn-only (an offline
-/// focal gaps), deterministic in both modes.
+/// never enter an inbox and never consume fault-layer RNG. Each push is
+/// counted as a logical unicast; its bytes ride the tick's frame as a delta
+/// against the focal's acked copy. The delivery outcome feeding the ack
+/// machine is churn-only (an offline focal gaps).
 fn replicate_answers(
     proto: &dyn Protocol,
     specs: &[QuerySpec],
     last_sent: &mut [Vec<ObjectId>],
     link: Option<&FaultyLink>,
     stats: &mut NetStats,
-    mut builder: Option<&mut DownlinkBuilder>,
+    builder: &mut DownlinkBuilder,
 ) {
     let ordered = proto.ordered_answers();
     for (qi, spec) in specs.iter().enumerate() {
@@ -980,53 +962,39 @@ fn replicate_answers(
         if members == last_sent[qi] {
             continue;
         }
-        match builder.as_deref_mut() {
-            Some(b) => {
-                stats.count_unicast(MsgKind::AnswerPush, 0);
-                let delivery = if link.is_none_or(|l| !l.is_offline(spec.focal.index())) {
-                    Delivery::Delivered
-                } else {
-                    Delivery::Offline
-                };
-                b.stage_answer(spec.focal, spec.id, members.clone(), ordered, delivery);
-            }
-            None => {
-                let push = AnswerUpdate::Full {
-                    query: spec.id,
-                    members: members.clone(),
-                };
-                let bytes = (LINK_HEADER_BITS + push.wire_bits()).div_ceil(8);
-                stats.count_unicast(MsgKind::AnswerPush, bytes);
-            }
-        }
+        stats.count_unicast(MsgKind::AnswerPush, 0);
+        let delivery = if link.is_none_or(|l| !l.is_offline(spec.focal.index())) {
+            Delivery::Delivered
+        } else {
+            Delivery::Offline
+        };
+        builder.stage_answer(spec.focal, spec.id, members.clone(), ordered, delivery);
         last_sent[qi] = members;
     }
 }
 
-/// One downlink delivery through the (possibly faulty) link, reporting
-/// whether a copy reached the inbox this tick.
-fn deliver_one(
+/// One downlink delivery through the (possibly faulty) link, classified for
+/// the ack state machine: a copy in the inbox this tick is delivered, an
+/// undelivered copy to an offline device is a churn gap (full snapshots on
+/// rejoin), an undelivered copy to an online device is plain loss/delay
+/// (the acked baseline just stalls). A recipient the engine has no inbox
+/// for (e.g. an index entry for a device outside the episode population)
+/// is skipped, not a panic.
+fn deliver(
     to: ObjectId,
     msg: &DownlinkMsg,
     inboxes: &mut [Vec<DownlinkMsg>],
     stats: &mut NetStats,
-    link: Option<&mut FaultyLink>,
-) -> bool {
-    if let Some(link) = link {
+    mut link: Option<&mut FaultyLink>,
+) -> Delivery {
+    let delivered = if let Some(link) = link.as_deref_mut() {
         link.deliver_down(to.index(), *msg, inboxes, stats)
     } else if let Some(inbox) = inboxes.get_mut(to.index()) {
         inbox.push(*msg);
         true
     } else {
         false
-    }
-}
-
-/// Classifies a delivery outcome for the ack state machine: an undelivered
-/// copy to an offline device is a churn gap (full snapshots on rejoin),
-/// an undelivered copy to an online device is plain loss/delay (the acked
-/// baseline just stalls).
-fn delivery_of(delivered: bool, to: ObjectId, link: Option<&FaultyLink>) -> Delivery {
+    };
     if delivered {
         Delivery::Delivered
     } else if link.is_some_and(|l| l.is_offline(to.index())) {
@@ -1041,12 +1009,11 @@ fn delivery_of(delivered: bool, to: ObjectId, link: Option<&FaultyLink>) -> Deli
 /// every individual delivery (one per geocast/broadcast receiver) makes its
 /// own fault draws, in deterministic recipient order.
 ///
-/// With a [`DownlinkBuilder`] (scoped mode), deliveries are *identical* —
-/// same inboxes, same fault draws, same order — but bytes are not charged
-/// per message: each delivery is staged on the builder, which the caller
-/// flushes into per-device frames. Logical message counts (unicast,
-/// geocast-cell, per-kind) are charged the same in both modes. Broadcasts
-/// have no interest set and always use the legacy model.
+/// Unicasts and geocasts are charged as logical messages here (unicast,
+/// geocast-cell, per-kind) and their bytes per frame: each delivery is
+/// staged on the builder, which the caller flushes into per-device frames.
+/// Broadcasts have no interest set: they are charged per message and never
+/// framed.
 fn route(
     outbox: &Outbox,
     infra: &GridIndex,
@@ -1054,7 +1021,7 @@ fn route(
     stats: &mut NetStats,
     mut link: Option<&mut FaultyLink>,
     coord: &mut ShardCoordinator,
-    mut builder: Option<&mut DownlinkBuilder>,
+    builder: &mut DownlinkBuilder,
 ) {
     if let Some(link) = link.as_deref_mut() {
         link.drain_due_down(inboxes, stats);
@@ -1062,12 +1029,7 @@ fn route(
     for (recipient, msg) in outbox.iter() {
         match *recipient {
             Recipient::One(id) => {
-                let bytes = if builder.is_some() {
-                    0
-                } else {
-                    msg.size_bytes()
-                };
-                stats.count_unicast(msg.kind(), bytes);
+                stats.count_unicast(msg.kind(), 0);
                 // A unicast into a foreign shard's block is forwarded there
                 // over the backbone. Recipients the infrastructure does not
                 // track have no block, hence no shard leg.
@@ -1080,66 +1042,31 @@ fn route(
                         link.as_deref_mut(),
                     );
                 }
-                let delivered = deliver_one(id, msg, inboxes, stats, link.as_deref_mut());
-                if let Some(b) = builder.as_deref_mut() {
-                    // Recipients without an inbox have no device to frame
-                    // to (the logical charge above still stands).
-                    if id.index() < inboxes.len() {
-                        b.stage(id, *msg, delivery_of(delivered, id, link.as_deref()));
-                    }
+                let delivery = deliver(id, msg, inboxes, stats, link.as_deref_mut());
+                // Recipients without an inbox have no device to frame to
+                // (the logical charge above still stands).
+                if id.index() < inboxes.len() {
+                    builder.stage(id, *msg, delivery);
                 }
             }
             Recipient::Geocast(zone) => {
                 let cells = infra.cells_overlapping(&zone);
-                let bytes = if builder.is_some() {
-                    0
-                } else {
-                    msg.size_bytes()
-                };
-                stats.count_geocast(msg.kind(), bytes, cells);
+                stats.count_geocast(msg.kind(), 0, cells);
                 coord.route_geocast(msg.query(), &zone, stats, link.as_deref_mut());
-                if let Some(b) = builder.as_deref_mut() {
-                    // Scope pass: the devices interested in this send are
-                    // exactly the zone's members (region members and
-                    // imminent entrants), in the same deterministic order
-                    // the legacy loop delivers in.
-                    let interest = DownlinkBuilder::scope(recipient, |z| {
-                        infra.range(z).into_iter().map(|n| n.id).collect()
-                    })
-                    .expect("geocasts always have an interest set");
-                    for id in interest {
-                        let delivered = deliver_one(id, msg, inboxes, stats, link.as_deref_mut());
-                        if id.index() < inboxes.len() {
-                            b.stage(id, *msg, delivery_of(delivered, id, link.as_deref()));
-                        }
-                    }
-                } else if let Some(link) = link.as_deref_mut() {
-                    for n in infra.range(&zone) {
-                        link.deliver_down(n.id.index(), *msg, inboxes, stats);
-                    }
-                } else {
-                    for n in infra.range(&zone) {
-                        // Tolerant like the unicast arm: a recipient id the
-                        // engine has no inbox for (e.g. an index entry for a
-                        // device outside the episode population) is skipped,
-                        // not a panic.
-                        if let Some(inbox) = inboxes.get_mut(n.id.index()) {
-                            inbox.push(*msg);
-                        }
+                // The devices interested in this send are exactly the
+                // zone's members (region members and imminent entrants).
+                for n in infra.range(&zone) {
+                    let delivery = deliver(n.id, msg, inboxes, stats, link.as_deref_mut());
+                    if n.id.index() < inboxes.len() {
+                        builder.stage(n.id, *msg, delivery);
                     }
                 }
             }
             Recipient::Broadcast => {
                 stats.count_broadcast(msg.kind(), msg.size_bytes());
                 coord.route_broadcast(msg.query(), stats, link.as_deref_mut());
-                if let Some(link) = link.as_deref_mut() {
-                    for i in 0..inboxes.len() {
-                        link.deliver_down(i, *msg, inboxes, stats);
-                    }
-                } else {
-                    for inbox in inboxes.iter_mut() {
-                        inbox.push(*msg);
-                    }
+                for i in 0..inboxes.len() {
+                    deliver(ObjectId(i as u32), msg, inboxes, stats, link.as_deref_mut());
                 }
             }
         }
@@ -1247,7 +1174,6 @@ mod tests {
             offline: None,
             plan: None,
             tick: 0,
-            scoped: false,
             coord: &coord,
             buf: &mut buf,
         };
@@ -1256,11 +1182,13 @@ mod tests {
         assert_eq!(probe.poll(QueryId(0), ObjectId(n + 5)), None);
         assert_eq!(probe.buf.stats.total_msgs(), 0);
         assert!(probe.buf.charges.is_empty());
+        assert!(probe.buf.staged.is_empty());
         // A tracked id answers, is charged, and reports its own identity.
         let rep = probe.poll(QueryId(0), ObjectId(3)).expect("tracked id");
         assert_eq!(rep.id, ObjectId(3));
         assert_eq!(buf.stats.downlink_unicast_msgs, 1);
         assert_eq!(buf.stats.uplink_msgs, 1);
+        assert_eq!(buf.staged.len(), 1);
     }
 
     #[test]
@@ -1282,6 +1210,8 @@ mod tests {
         outbox.send(Recipient::Broadcast, msg);
         let mut stats = NetStats::default();
         let mut coord = ShardCoordinator::new(Rect::square(100.0), 1);
+        let mut repl = ReplStore::new();
+        let mut builder = repl.begin_tick(1);
         route(
             &outbox,
             &infra,
@@ -1289,12 +1219,16 @@ mod tests {
             &mut stats,
             None,
             &mut coord,
-            None,
+            &mut builder,
         );
+        builder.flush_frames(&mut stats);
         // Device 0: hears the geocast and the broadcast. Device 1: only the
         // broadcast (it is not in the grid). Id 9: dropped in every arm.
         assert_eq!(inboxes[0].len(), 2);
         assert_eq!(inboxes[1].len(), 1);
+        // Only device 0's geocast copy is framed: id 9 is staged in no arm
+        // and the broadcast is never framed.
+        assert_eq!(stats.frames, 1);
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! strings, data-carrying variants become single-key objects
 //! (`{"DknnSet": {...}}`).
 
-use crate::{
-    DownlinkMode, EpisodeMetrics, Method, SimConfig, Summary, TickSample, TickSeries, VerifyMode,
-};
+use crate::{EpisodeMetrics, Method, SimConfig, Summary, TickSample, TickSeries, VerifyMode};
 use mknn_core::DknnParams;
 use mknn_util::impl_json_struct;
 use mknn_util::json::{FromJson, Json, JsonError, ToJson};
@@ -41,17 +39,23 @@ impl ToJson for SimConfig {
         if let Some(t) = self.client_threads {
             fields.push(("client_threads", t.to_json()));
         }
-        // The scoped default is absent so documents only carry the key when
-        // they deliberately opt back into the legacy byte model.
-        if self.downlink != DownlinkMode::Scoped {
-            fields.push(("downlink", self.downlink.to_json()));
-        }
         Json::object(fields)
     }
 }
 
 impl FromJson for SimConfig {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
+        // The codec skips unknown keys, so a document asking for the removed
+        // legacy byte model would otherwise silently run scoped. Documents
+        // written by older builds may spell out the surviving model.
+        if let Some(d) = v.get("downlink") {
+            let model = d.as_str()?;
+            if model != "scoped" {
+                return Err(JsonError::new(format!(
+                    "downlink model `{model}` was removed; only `scoped` exists"
+                )));
+            }
+        }
         Ok(SimConfig {
             workload: v.parse_field("workload")?,
             n_queries: v.parse_field("n_queries")?,
@@ -70,7 +74,6 @@ impl FromJson for SimConfig {
                 Some(t) => Some(usize::from_json(t)?),
                 None => None,
             },
-            downlink: v.parse_field_or_default("downlink")?,
         })
     }
 }
@@ -179,26 +182,6 @@ impl_json_struct!(Summary {
     min,
     max
 });
-
-impl ToJson for DownlinkMode {
-    fn to_json(&self) -> Json {
-        let name = match self {
-            DownlinkMode::Scoped => "scoped",
-            DownlinkMode::Legacy => "legacy",
-        };
-        Json::Str(name.to_string())
-    }
-}
-
-impl FromJson for DownlinkMode {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str()? {
-            "scoped" => Ok(DownlinkMode::Scoped),
-            "legacy" => Ok(DownlinkMode::Legacy),
-            other => Err(JsonError::new(format!("unknown DownlinkMode `{other}`"))),
-        }
-    }
-}
 
 impl ToJson for VerifyMode {
     fn to_json(&self) -> Json {
@@ -326,6 +309,19 @@ mod tests {
             verify: VerifyMode::Off,
             ..SimConfig::default()
         });
+    }
+
+    #[test]
+    fn removed_downlink_model_is_rejected_not_ignored() {
+        let doc = to_string(&SimConfig::default());
+        let with = |model: &str| doc.replacen('{', &format!("{{\"downlink\":\"{model}\","), 1);
+        let err = from_str::<SimConfig>(&with("legacy")).unwrap_err();
+        assert!(err.to_string().contains("legacy"), "{err}");
+        assert_eq!(
+            from_str::<SimConfig>(&with("scoped")).unwrap(),
+            SimConfig::default()
+        );
+        assert_eq!(from_str::<SimConfig>(&doc).unwrap(), SimConfig::default());
     }
 
     #[test]

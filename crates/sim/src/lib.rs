@@ -20,7 +20,7 @@ mod stats;
 mod sweep;
 mod table;
 
-pub use config::{ConfigError, DownlinkMode, SimConfig, VerifyMode};
+pub use config::{ConfigError, SimConfig, VerifyMode};
 pub use engine::Simulation;
 pub use method::Method;
 pub use metrics::EpisodeMetrics;

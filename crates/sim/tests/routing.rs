@@ -8,7 +8,7 @@ use mknn_net::{
     ClientCtx, DownlinkMsg, MsgKind, OpCounters, Outbox, ProbeService, Protocol, QuerySpec,
     Recipient, ServerPhase, UplinkMsg, Uplinks,
 };
-use mknn_sim::{DownlinkMode, SimConfig, Simulation, VerifyMode};
+use mknn_sim::{SimConfig, Simulation, VerifyMode};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -88,7 +88,6 @@ fn frozen_world(n: usize) -> SimConfig {
         fault: mknn_net::FaultPlan::none(),
         shards: 1,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     }
 }
 

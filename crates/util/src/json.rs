@@ -888,11 +888,8 @@ mod tests {
 
     #[test]
     fn typed_primitives_round_trip() {
-        assert_eq!(
-            from_str::<u64>(&to_string(&u64::MAX.min(900))).unwrap(),
-            900
-        );
-        assert_eq!(from_str::<bool>("true").unwrap(), true);
+        assert_eq!(from_str::<u64>(&to_string(&900u64)).unwrap(), 900);
+        assert!(from_str::<bool>("true").unwrap());
         assert_eq!(from_str::<String>("\"hi\"").unwrap(), "hi");
         assert_eq!(from_str::<Vec<u32>>("[1,2,3]").unwrap(), vec![1, 2, 3]);
         assert_eq!(from_str::<Option<f64>>("null").unwrap(), None);

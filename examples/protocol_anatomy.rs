@@ -50,7 +50,6 @@ fn main() {
         fault: FaultPlan::none(),
         shards: 1,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     };
     // Stationary world: drive the simulation normally; all cost after init
     // should be zero — the protocol is fully quiescent.

@@ -7,7 +7,7 @@
 #
 # Stages, in default order:
 #   build        release build of the whole workspace
-#   clippy       cargo clippy --all-targets with warnings denied
+#   clippy       cargo clippy --workspace --all-targets with warnings denied
 #   test         the full test suite (unit + property + integration + doc)
 #   fmt          rustfmt conformance
 #   determinism  two runs of `expt --seed 42` byte-identical, and identical
@@ -35,9 +35,7 @@
 #                re-asserts cross-width identity and, on multi-core
 #                runners, that T=8 is not slower than T=1
 #   wire         bit-level wire format: every message and frame item
-#                round-trips (property suite), the legacy vs scoped byte
-#                models agree on everything but the byte ledger (with the
-#                measured reduction reported), and the scoped smoke run is
+#                round-trips (property suite), and the smoke run is
 #                byte-identical to the golden across MKNN_THREADS=1 vs 8
 #   benchmark    the benchmark/ crate (a workspace of its own, compiled
 #                against this workspace's public API) builds, passes its
@@ -85,8 +83,8 @@ stage_build() {
 }
 
 stage_clippy() {
-    echo "==> cargo clippy --all-targets --offline -- -D warnings"
-    cargo clippy --all-targets --offline -- -D warnings
+    echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
+    cargo clippy --workspace --all-targets --offline -- -D warnings
 }
 
 stage_test() {
@@ -291,38 +289,12 @@ stage_wire() {
     echo "==> wire round-trip gate (mknn-net encode/decode property suite)"
     cargo test -q --release --offline -p mknn-net
 
-    # Old vs new byte model on the smoke world: logical tallies must agree
-    # exactly (the scope/delta/frame pass is accounting-only); the byte
-    # ledger is where the scoped model earns its keep, so report it.
-    echo "==> byte-model gate (expt --seed 42, --downlink legacy vs scoped)"
-    run_expt wire_legacy -- --seed 42 --downlink legacy
-    run_expt wire_scoped -- --seed 42 --downlink scoped
-    # Strip the byte-ledger counters and the config echo's mode key; the
-    # trailing-comma normalization keeps the diff insensitive to a stripped
-    # line having been the last key of its object.
-    for f in wire_legacy wire_scoped; do
-        grep -Ev '"(downlink_bytes|frames|frame_header_bytes|delta_full_fallbacks|downlink)"' \
-            "$TMPDIR_VERIFY/$f" | sed 's/,$//' > "$TMPDIR_VERIFY/${f}_stripped"
-    done
-    expect_same wire_legacy_stripped wire_scoped_stripped \
-        "downlink byte models diverge beyond the byte ledger"
-    awk '/"downlink_bytes"/ { gsub(/[^0-9]/, ""); sum += $0 }
-         END { print sum }' "$TMPDIR_VERIFY/wire_legacy" > "$TMPDIR_VERIFY/wire_lb"
-    awk '/"downlink_bytes"/ { gsub(/[^0-9]/, ""); sum += $0 }
-         END { print sum }' "$TMPDIR_VERIFY/wire_scoped" > "$TMPDIR_VERIFY/wire_sb"
-    awk -v l="$(cat "$TMPDIR_VERIFY/wire_lb")" -v s="$(cat "$TMPDIR_VERIFY/wire_sb")" 'BEGIN {
-        printf "downlink bytes (all methods): legacy %d, scoped %d (%.2fx)\n", l, s, l / s;
-        exit !(s > 0 && s < l) }' || {
-        echo "FAIL: the scoped byte model did not reduce smoke-run downlink bytes" >&2
-        exit 1
-    }
-
-    echo "==> wire determinism gate (scoped golden, MKNN_THREADS=1 vs 8)"
+    echo "==> wire determinism gate (golden, MKNN_THREADS=1 vs 8)"
     run_expt wire_t1 MKNN_THREADS=1 -- --seed 42
     run_expt wire_t8 MKNN_THREADS=8 -- --seed 42
-    expect_same wire_t1 wire_t8 "scoped smoke differs across MKNN_THREADS 1 vs 8"
+    expect_same wire_t1 wire_t8 "smoke run differs across MKNN_THREADS 1 vs 8"
     if ! diff -u scripts/golden/smoke_seed42.json "$TMPDIR_VERIFY/wire_t8" >&2; then
-        echo "FAIL: threaded scoped smoke differs from the committed golden file" >&2
+        echo "FAIL: threaded smoke run differs from the committed golden file" >&2
         exit 1
     fi
 }

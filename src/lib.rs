@@ -61,6 +61,6 @@ pub mod prelude {
     pub use mknn_mobility::{Motion, MovingObject, Placement, SpeedDist, WorkloadSpec, World};
     pub use mknn_net::{CrashWindow, FaultPlan, Protocol, QuerySpec};
     pub use mknn_sim::{
-        DownlinkMode, EpisodeMetrics, EpisodeRun, Method, SimConfig, Simulation, Sweep, VerifyMode,
+        EpisodeMetrics, EpisodeRun, Method, SimConfig, Simulation, Sweep, VerifyMode,
     };
 }

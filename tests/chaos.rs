@@ -59,7 +59,6 @@ fn chaos_config(rng: &mut Rng) -> SimConfig {
         fault: FaultPlan::none(), // replaced per case
         shards: 1,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     }
 }
 

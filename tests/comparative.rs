@@ -19,7 +19,6 @@ fn cfg(n: usize) -> SimConfig {
         fault: FaultPlan::none(),
         shards: 1,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     }
 }
 

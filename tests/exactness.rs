@@ -20,7 +20,6 @@ fn base() -> SimConfig {
         fault: FaultPlan::none(),
         shards: 1,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     }
 }
 

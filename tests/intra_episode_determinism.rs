@@ -32,7 +32,6 @@ fn big_config(fault: FaultPlan, shards: u32) -> SimConfig {
         fault,
         shards,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     }
 }
 

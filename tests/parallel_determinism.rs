@@ -24,7 +24,6 @@ fn random_point(rng: &mut Rng, label: &str) -> (String, SimConfig) {
         fault: FaultPlan::none(),
         shards: 1,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     };
     (label.to_string(), cfg)
 }

@@ -68,7 +68,6 @@ fn config_of(s: &Scenario) -> (SimConfig, DknnParams) {
         fault: FaultPlan::none(),
         shards: 1,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     };
     let params = DknnParams {
         alpha: s.alpha,

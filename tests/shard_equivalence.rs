@@ -39,7 +39,6 @@ fn random_config(rng: &mut Rng, fault: FaultPlan) -> SimConfig {
         fault,
         shards: 1,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     }
 }
 

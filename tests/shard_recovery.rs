@@ -62,7 +62,6 @@ fn recovery_config(rng: &mut Rng, shards: u32) -> SimConfig {
         fault: FaultPlan::none(), // replaced per case
         shards,
         client_threads: None,
-        downlink: DownlinkMode::Scoped,
     }
 }
 
