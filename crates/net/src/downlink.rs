@@ -38,10 +38,10 @@
 //! [`DownlinkMsg`] structs through the fault layer, and the router reports
 //! each copy's fate here; this module never decides what a device hears.
 
-use crate::wire::{self, id_bits, Wire, DOWN_TAG_BITS, KIND_BITS, LINK_HEADER_BITS};
+use crate::wire::{self, Wire, DOWN_TAG_BITS, KIND_BITS, LINK_HEADER_BITS};
 use crate::{DownlinkMsg, NetStats};
 use mknn_geom::{ObjectId, Point, QueryId, Tick, Vector};
-use mknn_util::bits::{signed_bits, varint_bits, BitReader, BitWriter};
+use mknn_util::bits::{varint_bits, BitReader, BitSink};
 use std::collections::BTreeMap;
 
 /// Frame-layer tag codes, extending the [`DownlinkMsg`] tag space (0..=5).
@@ -93,7 +93,7 @@ impl AnswerUpdate {
 }
 
 impl Wire for AnswerUpdate {
-    fn encode(&self, w: &mut BitWriter) {
+    fn put<S: BitSink>(&self, w: &mut S) {
         match self {
             AnswerUpdate::Full { query, members } => {
                 w.write_bits(DOWN_ANSWER_FULL, DOWN_TAG_BITS);
@@ -180,37 +180,6 @@ impl Wire for AnswerUpdate {
             _ => None,
         }
     }
-
-    fn wire_bits(&self) -> usize {
-        let tag = DOWN_TAG_BITS as usize;
-        match self {
-            AnswerUpdate::Full { query, members } => {
-                tag + id_bits(query.0)
-                    + varint_bits(members.len() as u64)
-                    + members.iter().map(|m| id_bits(m.0)).sum::<usize>()
-            }
-            AnswerUpdate::Delta {
-                query,
-                removed,
-                added,
-                order,
-            } => {
-                tag + id_bits(query.0)
-                    + varint_bits(removed.len() as u64)
-                    + removed
-                        .iter()
-                        .map(|i| varint_bits(*i as u64))
-                        .sum::<usize>()
-                    + varint_bits(added.len() as u64)
-                    + added.iter().map(|m| id_bits(m.0)).sum::<usize>()
-                    + 1
-                    + order
-                        .as_ref()
-                        .map(|ranks| ranks.iter().map(|x| varint_bits(*x as u64)).sum::<usize>())
-                        .unwrap_or(0)
-            }
-        }
-    }
 }
 
 /// One payload item inside a per-device frame: a full protocol message or a
@@ -285,18 +254,35 @@ pub enum FrameItem {
     Answer(AnswerUpdate),
 }
 
-impl FrameItem {
-    /// True for acknowledgement items — their bytes are tallied into the
-    /// informational [`NetStats::ack_bytes`] share at flush time.
-    fn is_ack(&self) -> bool {
-        matches!(self, FrameItem::AckPing { .. })
+/// Delta residuals behind a presence mask: they are usually zero (dead
+/// reckoning predicts the center exactly on straight-line motion), so each
+/// costs one flag bit unless it actually moved.
+fn write_residuals<S: BitSink, const N: usize>(w: &mut S, ds: [i64; N]) {
+    for d in ds {
+        w.write_bool(d != 0);
+    }
+    for d in ds.into_iter().filter(|d| *d != 0) {
+        w.write_signed(d);
     }
 }
 
+/// Inverse of [`write_residuals`].
+fn read_residuals<const N: usize>(r: &mut BitReader) -> Option<[i64; N]> {
+    let mut present = [false; N];
+    for p in &mut present {
+        *p = r.read_bool()?;
+    }
+    let mut ds = [0i64; N];
+    for (d, _) in ds.iter_mut().zip(present).filter(|(_, p)| *p) {
+        *d = r.read_signed()?;
+    }
+    Some(ds)
+}
+
 impl Wire for FrameItem {
-    fn encode(&self, w: &mut BitWriter) {
+    fn put<S: BitSink>(&self, w: &mut S) {
         match self {
-            FrameItem::Full(m) => m.encode(w),
+            FrameItem::Full(m) => m.put(w),
             FrameItem::RegionRefresh { query } => {
                 w.write_bits(DOWN_REGION_REFRESH, DOWN_TAG_BITS);
                 w.write_varint(query.0 as u64);
@@ -313,17 +299,7 @@ impl Wire for FrameItem {
                 w.write_bits(DOWN_REGION_DELTA, DOWN_TAG_BITS);
                 w.write_varint(query.0 as u64);
                 w.write_varint(*dver);
-                // Presence mask: residuals are usually zero (dead reckoning
-                // predicts the center exactly on straight-line motion), so
-                // each costs one flag bit unless it actually moved.
-                for d in [dcx, dcy, dvx, dvy, dr] {
-                    w.write_bool(*d != 0);
-                }
-                for d in [dcx, dcy, dvx, dvy, dr] {
-                    if *d != 0 {
-                        w.write_signed(*d);
-                    }
-                }
+                write_residuals(w, [*dcx, *dcy, *dvx, *dvy, *dr]);
             }
             FrameItem::BandDelta {
                 query,
@@ -334,14 +310,7 @@ impl Wire for FrameItem {
                 w.write_bits(DOWN_BAND_DELTA, DOWN_TAG_BITS);
                 w.write_varint(query.0 as u64);
                 w.write_varint(*dver);
-                for d in [dinner, douter] {
-                    w.write_bool(*d != 0);
-                }
-                for d in [dinner, douter] {
-                    if *d != 0 {
-                        w.write_signed(*d);
-                    }
-                }
+                write_residuals(w, [*dinner, *douter]);
             }
             FrameItem::ProbePing { query } => {
                 w.write_bits(DOWN_PROBE_PING, DOWN_TAG_BITS);
@@ -352,7 +321,7 @@ impl Wire for FrameItem {
                 w.write_varint(query.0 as u64);
                 w.write_bits(kind.code(), KIND_BITS);
             }
-            FrameItem::Answer(a) => a.encode(w),
+            FrameItem::Answer(a) => a.put(w),
         }
     }
 
@@ -371,45 +340,27 @@ impl Wire for FrameItem {
                 r.read_bits(DOWN_TAG_BITS)?;
                 let query = QueryId(u32::try_from(r.read_varint()?).ok()?);
                 let dver = r.read_varint()?;
-                let mut present = [false; 5];
-                for p in &mut present {
-                    *p = r.read_bool()?;
-                }
-                let mut vals = [0i64; 5];
-                for (v, p) in vals.iter_mut().zip(present) {
-                    if p {
-                        *v = r.read_signed()?;
-                    }
-                }
+                let [dcx, dcy, dvx, dvy, dr] = read_residuals(r)?;
                 Some(FrameItem::RegionDelta {
                     query,
                     dver,
-                    dcx: vals[0],
-                    dcy: vals[1],
-                    dvx: vals[2],
-                    dvy: vals[3],
-                    dr: vals[4],
+                    dcx,
+                    dcy,
+                    dvx,
+                    dvy,
+                    dr,
                 })
             }
             DOWN_BAND_DELTA => {
                 r.read_bits(DOWN_TAG_BITS)?;
                 let query = QueryId(u32::try_from(r.read_varint()?).ok()?);
                 let dver = r.read_varint()?;
-                let mut present = [false; 2];
-                for p in &mut present {
-                    *p = r.read_bool()?;
-                }
-                let mut vals = [0i64; 2];
-                for (v, p) in vals.iter_mut().zip(present) {
-                    if p {
-                        *v = r.read_signed()?;
-                    }
-                }
+                let [dinner, douter] = read_residuals(r)?;
                 Some(FrameItem::BandDelta {
                     query,
                     dver,
-                    dinner: vals[0],
-                    douter: vals[1],
+                    dinner,
+                    douter,
                 })
             }
             DOWN_ANSWER_FULL | DOWN_ANSWER_DELTA => AnswerUpdate::decode(r).map(FrameItem::Answer),
@@ -427,50 +378,6 @@ impl Wire for FrameItem {
                 })
             }
             _ => None,
-        }
-    }
-
-    fn wire_bits(&self) -> usize {
-        let tag = DOWN_TAG_BITS as usize;
-        match self {
-            FrameItem::Full(m) => m.wire_bits(),
-            FrameItem::RegionRefresh { query } => tag + id_bits(query.0),
-            FrameItem::RegionDelta {
-                query,
-                dver,
-                dcx,
-                dcy,
-                dvx,
-                dvy,
-                dr,
-            } => {
-                tag + id_bits(query.0)
-                    + varint_bits(*dver)
-                    + 5
-                    + [dcx, dcy, dvx, dvy, dr]
-                        .iter()
-                        .filter(|d| ***d != 0)
-                        .map(|d| signed_bits(**d))
-                        .sum::<usize>()
-            }
-            FrameItem::BandDelta {
-                query,
-                dver,
-                dinner,
-                douter,
-            } => {
-                tag + id_bits(query.0)
-                    + varint_bits(*dver)
-                    + 2
-                    + [dinner, douter]
-                        .iter()
-                        .filter(|d| ***d != 0)
-                        .map(|d| signed_bits(**d))
-                        .sum::<usize>()
-            }
-            FrameItem::ProbePing { query } => tag + id_bits(query.0),
-            FrameItem::AckPing { query, .. } => tag + id_bits(query.0) + KIND_BITS as usize,
-            FrameItem::Answer(a) => a.wire_bits(),
         }
     }
 }
@@ -666,19 +573,25 @@ impl DownlinkBuilder<'_> {
         for (dev, stage) in self.staged {
             let entry = self.store.devices.entry(dev).or_default();
             let mut fallbacks = 0u64;
-            let mut items = Vec::with_capacity(stage.items.len());
+            let (mut payload, mut ack_bits) = (0usize, 0usize);
             for staged in &stage.items {
                 let commit = staged.delivery == Delivery::Delivered;
-                let item = encode_one(entry, &staged.msg, commit, &mut fallbacks);
-                items.push(item);
+                let bits = match &staged.msg {
+                    StagedMsg::Proto(msg) => encode_proto(entry, msg, commit, &mut fallbacks),
+                    StagedMsg::Answer {
+                        query,
+                        members,
+                        ordered,
+                    } => encode_answer(entry, *query, members, *ordered, commit, &mut fallbacks),
+                };
+                payload += bits;
+                // Ack items are tallied into the informational
+                // `NetStats::ack_bytes` share as well.
+                if matches!(staged.msg, StagedMsg::Proto(DownlinkMsg::Ack { .. })) {
+                    ack_bits += bits;
+                }
             }
-            let header = frame_header_bits(self.tick, items.len());
-            let payload: usize = items.iter().map(|i| i.wire_bits()).sum();
-            let ack_bits: usize = items
-                .iter()
-                .filter(|i| i.is_ack())
-                .map(|i| i.wire_bits())
-                .sum();
+            let header = frame_header_bits(self.tick, stage.items.len());
             let frame_bytes = (header + payload).div_ceil(8);
             let payload_bytes = payload.div_ceil(8);
             stats.count_frame(frame_bytes as u64, (frame_bytes - payload_bytes) as u64);
@@ -697,32 +610,36 @@ impl DownlinkBuilder<'_> {
     }
 }
 
-/// Picks the cheapest encoding of a staged message the device can decode
-/// given its acked state, commits that state when the copy was delivered
-/// (`commit`), and counts a fallback when a churn gap forced a full
-/// re-send of state the device used to hold.
-fn encode_one(
-    dev: &mut DeviceRepl,
-    msg: &StagedMsg,
-    commit: bool,
+/// Size in bits of the cheapest encoding of replicated state the device can
+/// decode: `delta` — offered only against a trusted acked base — when it is
+/// strictly smaller than `full`, else `full`. A churn gap that forces a
+/// full re-send of state the device used to hold (`gapped_base`) counts a
+/// fallback.
+fn delta_or_full(
+    delta: Option<FrameItem>,
+    full: &DownlinkMsg,
+    gapped_base: bool,
     fallbacks: &mut u64,
-) -> FrameItem {
-    match msg {
-        StagedMsg::Proto(msg) => encode_proto(dev, msg, commit, fallbacks),
-        StagedMsg::Answer {
-            query,
-            members,
-            ordered,
-        } => encode_answer(dev, *query, members, *ordered, commit, fallbacks),
+) -> usize {
+    let full_bits = full.wire_bits();
+    match delta {
+        Some(delta) => delta.wire_bits().min(full_bits),
+        None => {
+            *fallbacks += gapped_base as u64;
+            full_bits
+        }
     }
 }
 
+/// Picks the cheapest encoding of a staged protocol message the device can
+/// decode given its acked state, commits that state when the copy was
+/// delivered (`commit`), and returns the encoding's size in bits.
 fn encode_proto(
     dev: &mut DeviceRepl,
     msg: &DownlinkMsg,
     commit: bool,
     fallbacks: &mut u64,
-) -> FrameItem {
+) -> usize {
     let gapped = dev.gapped;
     match *msg {
         DownlinkMsg::InstallRegion {
@@ -733,18 +650,18 @@ fn encode_proto(
             r_out,
         } => {
             let q = dev.queries.entry(query.0).or_default();
-            let item = match (&q.region, gapped) {
-                (Some(acked), false) if acked.ver == ver => {
-                    // Heartbeat: same version, geometry already on device.
-                    FrameItem::RegionRefresh { query }
+            let delta = match &q.region {
+                // Heartbeat: same version, geometry already on device.
+                Some(acked) if !gapped && acked.ver == ver => {
+                    Some(FrameItem::RegionRefresh { query })
                 }
-                (Some(acked), false) if ver > acked.ver => {
+                Some(acked) if !gapped && ver > acked.ver => {
                     let dt = (ver - acked.ver) as f64;
                     let pred = Point::new(
                         acked.center.x + acked.vel.x * dt,
                         acked.center.y + acked.vel.y * dt,
                     );
-                    let delta = FrameItem::RegionDelta {
+                    Some(FrameItem::RegionDelta {
                         query,
                         dver: ver - acked.ver,
                         dcx: wire::quantize(center.x) - wire::quantize(pred.x),
@@ -752,21 +669,11 @@ fn encode_proto(
                         dvx: wire::quantize(vel.x) - wire::quantize(acked.vel.x),
                         dvy: wire::quantize(vel.y) - wire::quantize(acked.vel.y),
                         dr: wire::quantize(r_out) - wire::quantize(acked.r_out),
-                    };
-                    let full = FrameItem::Full(*msg);
-                    if delta.wire_bits() < full.wire_bits() {
-                        delta
-                    } else {
-                        full
-                    }
+                    })
                 }
-                (prior, _) => {
-                    if gapped && prior.is_some() {
-                        *fallbacks += 1;
-                    }
-                    FrameItem::Full(*msg)
-                }
+                _ => None,
             };
+            let bits = delta_or_full(delta, msg, gapped && q.region.is_some(), fallbacks);
             if commit {
                 q.region = Some(RegionState {
                     ver,
@@ -775,7 +682,7 @@ fn encode_proto(
                     r_out,
                 });
             }
-            item
+            bits
         }
         DownlinkMsg::SetBand {
             query,
@@ -784,40 +691,33 @@ fn encode_proto(
             outer,
         } => {
             let q = dev.queries.entry(query.0).or_default();
-            let item = match (&q.band, gapped) {
-                (Some(acked), false)
-                    if ver >= acked.ver && acked.outer.is_finite() && outer.is_finite() =>
+            let delta = match &q.band {
+                Some(acked)
+                    if !gapped
+                        && ver >= acked.ver
+                        && acked.outer.is_finite()
+                        && outer.is_finite() =>
                 {
-                    let delta = FrameItem::BandDelta {
+                    Some(FrameItem::BandDelta {
                         query,
                         dver: ver - acked.ver,
                         dinner: wire::quantize(inner) - wire::quantize(acked.inner),
                         douter: wire::quantize(outer) - wire::quantize(acked.outer),
-                    };
-                    let full = FrameItem::Full(*msg);
-                    if delta.wire_bits() < full.wire_bits() {
-                        delta
-                    } else {
-                        full
-                    }
+                    })
                 }
-                (prior, _) => {
-                    if gapped && prior.is_some() {
-                        *fallbacks += 1;
-                    }
-                    FrameItem::Full(*msg)
-                }
+                _ => None,
             };
+            let bits = delta_or_full(delta, msg, gapped && q.band.is_some(), fallbacks);
             if commit {
                 q.band = Some(BandState { ver, inner, outer });
             }
-            item
+            bits
         }
         DownlinkMsg::RemoveRegion { query } => {
             if commit {
                 dev.queries.remove(&query.0);
             }
-            FrameItem::Full(*msg)
+            msg.wire_bits()
         }
         DownlinkMsg::ClearBand { query } => {
             if commit {
@@ -825,18 +725,20 @@ fn encode_proto(
                     q.band = None;
                 }
             }
-            FrameItem::Full(*msg)
+            msg.wire_bits()
         }
         // A probe's zone is addressing, already resolved by the scope pass:
         // the per-device copy is just the query tag the reply echoes.
-        DownlinkMsg::Probe { query, .. } => FrameItem::ProbePing { query },
+        DownlinkMsg::Probe { query, .. } => FrameItem::ProbePing { query }.wire_bits(),
         // Acks are one-shot RPC legs: no replicated state, and the version
         // is transport bookkeeping the device's retransmit slot already
         // knows — only the (query, kind) correlation rides the wire.
-        DownlinkMsg::Ack { query, kind, .. } => FrameItem::AckPing { query, kind },
+        DownlinkMsg::Ack { query, kind, .. } => FrameItem::AckPing { query, kind }.wire_bits(),
     }
 }
 
+/// [`encode_proto`] for an answer push: a diff against the acked member
+/// list when that is strictly smaller than the whole list.
 fn encode_answer(
     dev: &mut DeviceRepl,
     query: QueryId,
@@ -844,38 +746,37 @@ fn encode_answer(
     ordered: bool,
     commit: bool,
     fallbacks: &mut u64,
-) -> FrameItem {
+) -> usize {
     let gapped = dev.gapped;
     let q = dev.queries.entry(query.0).or_default();
-    let full = FrameItem::Answer(AnswerUpdate::Full {
+    let full_bits = AnswerUpdate::Full {
         query,
         members: members.to_vec(),
-    });
-    let item = match (&q.answer, gapped) {
-        (Some(acked), false) => {
+    }
+    .wire_bits();
+    let mut held = None;
+    let bits = match &q.answer {
+        Some(acked) if !gapped => {
             let (delta, reconstructed) = answer_delta(query, acked, members, ordered);
-            let delta = FrameItem::Answer(delta);
-            if delta.wire_bits() < full.wire_bits() {
+            let delta_bits = delta.wire_bits();
+            if delta_bits < full_bits {
                 // The device applies the diff: its list becomes the
                 // reconstruction, which is what future diffs index into.
-                if commit {
-                    q.answer = Some(reconstructed);
-                }
-                return delta;
+                held = Some(reconstructed);
+                delta_bits
+            } else {
+                full_bits
             }
-            full
         }
-        (prior, _) => {
-            if gapped && prior.is_some() {
-                *fallbacks += 1;
-            }
-            full
+        prior => {
+            *fallbacks += (gapped && prior.is_some()) as u64;
+            full_bits
         }
     };
     if commit {
-        q.answer = Some(members.to_vec());
+        q.answer = Some(held.unwrap_or_else(|| members.to_vec()));
     }
-    item
+    bits
 }
 
 /// Builds the diff from `old` (the acked list) to `new`, returning the
@@ -1232,61 +1133,5 @@ mod tests {
         );
         b.flush_frames(&mut stats);
         assert_eq!(store.tracked_devices(), 0);
-    }
-
-    #[test]
-    fn frame_items_round_trip_and_match_wire_bits() {
-        let items = vec![
-            FrameItem::Full(install(3, 25.5)),
-            FrameItem::RegionRefresh { query: QueryId(12) },
-            FrameItem::RegionDelta {
-                query: QueryId(12),
-                dver: 5,
-                dcx: -3,
-                dcy: 2,
-                dvx: 0,
-                dvy: -256,
-                dr: 128,
-            },
-            FrameItem::BandDelta {
-                query: QueryId(12),
-                dver: 0,
-                dinner: -512,
-                douter: 512,
-            },
-            FrameItem::Answer(AnswerUpdate::Full {
-                query: QueryId(2),
-                members: vec![ObjectId(4), ObjectId(1000), ObjectId(0)],
-            }),
-            FrameItem::Answer(AnswerUpdate::Delta {
-                query: QueryId(2),
-                removed: vec![0, 7],
-                added: vec![ObjectId(88)],
-                order: None,
-            }),
-            FrameItem::AckPing {
-                query: QueryId(9),
-                kind: MsgKind::BandCross,
-            },
-        ];
-        for item in &items {
-            let mut w = BitWriter::new();
-            item.encode(&mut w);
-            assert_eq!(w.bit_len(), item.wire_bits(), "{item:?}");
-            let (bytes, _) = w.finish();
-            let mut r = BitReader::new(&bytes);
-            assert_eq!(FrameItem::decode(&mut r).as_ref(), Some(item));
-            assert_eq!(r.bits_read(), item.wire_bits(), "{item:?}");
-        }
-        // A whole frame's payload decodes item by item.
-        let mut w = BitWriter::new();
-        for item in &items {
-            item.encode(&mut w);
-        }
-        let (bytes, _) = w.finish();
-        let mut r = BitReader::new(&bytes);
-        for item in &items {
-            assert_eq!(FrameItem::decode(&mut r).as_ref(), Some(item));
-        }
     }
 }

@@ -253,7 +253,8 @@ mod tests {
         let mut s = NetStats::default();
         s.count_uplink(MsgKind::Enter, 44);
         s.count_uplink(MsgKind::Position, 44);
-        s.count_geocast(MsgKind::InstallRegion, 52, 9);
+        s.count_geocast(MsgKind::InstallRegion, 9);
+        s.count_frame(52 * 9, 3);
         s.count_broadcast(MsgKind::Probe, 36);
         let json = to_string(&s);
         let back: NetStats = from_str(&json).unwrap();
@@ -323,7 +324,8 @@ mod tests {
         s.count_uplink(MsgKind::Enter, 44);
         let clean = to_string(&s);
         assert!(!clean.contains("ack_bytes"), "got: {clean}");
-        s.count_unicast(MsgKind::Ack, 5);
+        s.count_unicast(MsgKind::Ack);
+        s.count_frame(5, 3);
         s.ack_bytes += 5;
         let lossy = to_string(&s);
         assert!(lossy.contains("\"ack_bytes\":5"), "got: {lossy}");

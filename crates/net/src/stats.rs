@@ -212,17 +212,17 @@ impl NetStats {
         *self.by_kind.entry(kind).or_insert(0) += 1;
     }
 
-    /// Records one unicast downlink.
-    pub fn count_unicast(&mut self, kind: MsgKind, bytes: usize) {
+    /// Records one unicast downlink. Its bytes ride the recipient's frame
+    /// ([`Self::count_frame`]).
+    pub fn count_unicast(&mut self, kind: MsgKind) {
         self.downlink_unicast_msgs += 1;
-        self.downlink_bytes += bytes as u64;
         *self.by_kind.entry(kind).or_insert(0) += 1;
     }
 
-    /// Records one geocast of `cells` cell-transmissions.
-    pub fn count_geocast(&mut self, kind: MsgKind, bytes: usize, cells: usize) {
+    /// Records one geocast of `cells` cell-transmissions. Its bytes ride
+    /// the recipients' frames ([`Self::count_frame`]).
+    pub fn count_geocast(&mut self, kind: MsgKind, cells: usize) {
         self.downlink_geocast_msgs += cells as u64;
-        self.downlink_bytes += (bytes * cells) as u64;
         *self.by_kind.entry(kind).or_insert(0) += 1;
     }
 
@@ -315,8 +315,10 @@ mod tests {
         let mut s = NetStats::default();
         s.count_uplink(MsgKind::Enter, 44);
         s.count_uplink(MsgKind::Enter, 44);
-        s.count_unicast(MsgKind::SetBand, 28);
-        s.count_geocast(MsgKind::InstallRegion, 52, 9);
+        s.count_unicast(MsgKind::SetBand);
+        s.count_frame(28, 3);
+        s.count_geocast(MsgKind::InstallRegion, 9);
+        s.count_frame(52 * 9, 3);
         s.count_broadcast(MsgKind::Probe, 36);
         assert_eq!(s.uplink_msgs, 2);
         assert_eq!(s.uplink_bytes, 88);
@@ -334,7 +336,7 @@ mod tests {
         a.count_uplink(MsgKind::Leave, 28);
         let mut b = NetStats::default();
         b.count_uplink(MsgKind::Leave, 28);
-        b.count_unicast(MsgKind::ClearBand, 12);
+        b.count_unicast(MsgKind::ClearBand);
         a += &b;
         assert_eq!(a.uplink_msgs, 2);
         assert_eq!(a.by_kind[&MsgKind::Leave], 2);

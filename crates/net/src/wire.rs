@@ -2,12 +2,15 @@
 //! message the workspace sends.
 //!
 //! Every [`UplinkMsg`], [`DownlinkMsg`] and [`ShardMsg`] variant implements
-//! [`Wire`]: a real `encode`/`decode` pair over
-//! [`mknn_util::bits::BitWriter`]/[`BitReader`], plus an *analytic*
-//! [`Wire::wire_bits`] that computes the encoded length with pure integer
-//! arithmetic (no buffer) so the hot-path byte accounting stays O(1) per
-//! message. A property suite pins `wire_bits` to the measured length of
-//! `encode` for every variant (`crates/net/tests/wire_props.rs`).
+//! [`Wire`] by stating its layout twice and no more: [`Wire::put`] writes
+//! it into any [`BitSink`], [`Wire::decode`] reads it back from a
+//! [`BitReader`]. [`Wire::encode`] is `put` into a [`BitWriter`] and
+//! [`Wire::wire_bits`] is `put` into a [`BitCount`] — the same function
+//! run against a sink that only adds, so the hot-path byte accounting stays
+//! buffer-free and what is billed cannot differ from what would be sent.
+//! `crates/net/tests/wire_props.rs` pins `decode(encode(m)) == m` with
+//! exact consumption for every variant, and the layout itself in a table
+//! of literal bit lengths.
 //!
 //! Layout conventions:
 //!
@@ -17,8 +20,8 @@
 //! * the one legitimately infinite field (`SetBand::outer`, the outermost
 //!   non-answer band) spends a flag bit instead of a sentinel value,
 //! * modeled-but-not-carried payloads (shard candidate entries, tunneled
-//!   forwards) are written as zero bits of the modeled width so encoded
-//!   length and `wire_bits` agree exactly.
+//!   forwards) are written as zero bits of the modeled width, which the
+//!   decoder skips.
 //!
 //! [`DownlinkMsg`] tags are 4 bits wide even though only six full-message
 //! tags exist: codes 6..=10 belong to the delta/answer encodings of the
@@ -27,7 +30,7 @@
 
 use crate::{DownlinkMsg, MsgKind, ShardMsg, UplinkMsg};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Vector};
-use mknn_util::bits::{signed_bits, varint_bits, BitReader, BitWriter};
+use mknn_util::bits::{BitCount, BitReader, BitSink, BitWriter};
 
 /// Coordinate lattice density: positions are carried as multiples of
 /// `1 / QUANT_SCALE` meters (9.8 mm steps at 256).
@@ -83,22 +86,33 @@ pub fn dequantize(q: i64) -> f64 {
 
 /// A message that can be carried on the bit-packed wire.
 ///
-/// The contract, property-tested for every variant:
-/// `decode(encode(m)) == m` for lattice-aligned coordinates, and
-/// `wire_bits(m)` equals the exact number of bits `encode(m)` appends.
+/// An implementor states its layout in [`Wire::put`] and [`Wire::decode`];
+/// the contract, property-tested for every variant, is
+/// `decode(encode(m)) == m` for lattice-aligned coordinates, consuming
+/// exactly `wire_bits(m)` bits.
 pub trait Wire: Sized {
-    /// Appends this message's encoding to `w`.
-    fn encode(&self, w: &mut BitWriter);
+    /// The layout: writes this message's fields, in order, into `s`.
+    fn put<S: BitSink>(&self, s: &mut S);
     /// Parses one message from `r`. `None` on truncation or an unknown tag.
     fn decode(r: &mut BitReader) -> Option<Self>;
-    /// Exact encoded length in bits, computed without writing.
-    fn wire_bits(&self) -> usize;
+    /// Appends this message's encoding to `w`.
+    fn encode(&self, w: &mut BitWriter) {
+        self.put(w);
+    }
+    /// Exact encoded length in bits: the layout run against a counting
+    /// sink, so nothing is written.
+    #[inline]
+    fn wire_bits(&self) -> usize {
+        let mut count = BitCount(0);
+        self.put(&mut count);
+        count.0
+    }
 }
 
 // ---- field codecs ---------------------------------------------------------
 
 #[inline]
-pub(crate) fn write_point(w: &mut BitWriter, p: Point) {
+pub(crate) fn write_point<S: BitSink>(w: &mut S, p: Point) {
     w.write_signed(quantize(p.x));
     w.write_signed(quantize(p.y));
 }
@@ -111,12 +125,7 @@ pub(crate) fn read_point(r: &mut BitReader) -> Option<Point> {
 }
 
 #[inline]
-pub(crate) fn point_bits(p: Point) -> usize {
-    signed_bits(quantize(p.x)) + signed_bits(quantize(p.y))
-}
-
-#[inline]
-pub(crate) fn write_vector(w: &mut BitWriter, v: Vector) {
+pub(crate) fn write_vector<S: BitSink>(w: &mut S, v: Vector) {
     w.write_signed(quantize(v.x));
     w.write_signed(quantize(v.y));
 }
@@ -129,12 +138,7 @@ pub(crate) fn read_vector(r: &mut BitReader) -> Option<Vector> {
 }
 
 #[inline]
-pub(crate) fn vector_bits(v: Vector) -> usize {
-    signed_bits(quantize(v.x)) + signed_bits(quantize(v.y))
-}
-
-#[inline]
-pub(crate) fn write_scalar(w: &mut BitWriter, s: f64) {
+pub(crate) fn write_scalar<S: BitSink>(w: &mut S, s: f64) {
     w.write_signed(quantize(s));
 }
 
@@ -143,15 +147,10 @@ pub(crate) fn read_scalar(r: &mut BitReader) -> Option<f64> {
     r.read_signed().map(dequantize)
 }
 
-#[inline]
-pub(crate) fn scalar_bits(s: f64) -> usize {
-    signed_bits(quantize(s))
-}
-
 /// A radius that may be `f64::INFINITY`: one flag bit, then the quantized
 /// value only when finite.
 #[inline]
-pub(crate) fn write_radius_or_inf(w: &mut BitWriter, r: f64) {
+pub(crate) fn write_radius_or_inf<S: BitSink>(w: &mut S, r: f64) {
     if r.is_infinite() && r > 0.0 {
         w.write_bool(true);
     } else {
@@ -167,20 +166,6 @@ pub(crate) fn read_radius_or_inf(r: &mut BitReader) -> Option<f64> {
     } else {
         read_scalar(r)
     }
-}
-
-#[inline]
-pub(crate) fn radius_or_inf_bits(r: f64) -> usize {
-    if r.is_infinite() && r > 0.0 {
-        1
-    } else {
-        1 + scalar_bits(r)
-    }
-}
-
-#[inline]
-pub(crate) fn id_bits(id: u32) -> usize {
-    varint_bits(id as u64)
 }
 
 impl MsgKind {
@@ -208,7 +193,7 @@ const UP_PROBE_REPLY: u64 = 4;
 const UP_QUERY_MOVE: u64 = 5;
 
 impl Wire for UplinkMsg {
-    fn encode(&self, w: &mut BitWriter) {
+    fn put<S: BitSink>(&self, w: &mut S) {
         match *self {
             UplinkMsg::Position { pos, vel } => {
                 w.write_bits(UP_POSITION, UP_TAG_BITS);
@@ -296,34 +281,6 @@ impl Wire for UplinkMsg {
             _ => None,
         }
     }
-
-    fn wire_bits(&self) -> usize {
-        let tag = UP_TAG_BITS as usize;
-        match *self {
-            UplinkMsg::Position { pos, vel } => tag + point_bits(pos) + vector_bits(vel),
-            UplinkMsg::Enter {
-                query,
-                ver,
-                pos,
-                vel,
-            } => tag + id_bits(query.0) + varint_bits(ver) + point_bits(pos) + vector_bits(vel),
-            UplinkMsg::Leave { query, ver, pos } => {
-                tag + id_bits(query.0) + varint_bits(ver) + point_bits(pos)
-            }
-            UplinkMsg::BandCross {
-                query,
-                ver,
-                pos,
-                vel,
-            } => tag + id_bits(query.0) + varint_bits(ver) + point_bits(pos) + vector_bits(vel),
-            UplinkMsg::ProbeReply { query, pos, vel } => {
-                tag + id_bits(query.0) + point_bits(pos) + vector_bits(vel)
-            }
-            UplinkMsg::QueryMove { query, pos, vel } => {
-                tag + id_bits(query.0) + point_bits(pos) + vector_bits(vel)
-            }
-        }
-    }
 }
 
 // ---- downlinks ------------------------------------------------------------
@@ -338,7 +295,7 @@ pub(crate) const DOWN_ACK: u64 = 5;
 // RegionRefresh, RegionDelta, BandDelta, AnswerFull, AnswerDelta.
 
 impl Wire for DownlinkMsg {
-    fn encode(&self, w: &mut BitWriter) {
+    fn put<S: BitSink>(&self, w: &mut S) {
         match *self {
             DownlinkMsg::InstallRegion {
                 query,
@@ -422,44 +379,6 @@ impl Wire for DownlinkMsg {
             _ => None,
         }
     }
-
-    fn wire_bits(&self) -> usize {
-        let tag = DOWN_TAG_BITS as usize;
-        match *self {
-            DownlinkMsg::InstallRegion {
-                query,
-                ver,
-                center,
-                vel,
-                r_out,
-            } => {
-                tag + id_bits(query.0)
-                    + varint_bits(ver)
-                    + point_bits(center)
-                    + vector_bits(vel)
-                    + scalar_bits(r_out)
-            }
-            DownlinkMsg::RemoveRegion { query } => tag + id_bits(query.0),
-            DownlinkMsg::Probe { query, zone } => {
-                tag + id_bits(query.0) + point_bits(zone.center) + scalar_bits(zone.radius)
-            }
-            DownlinkMsg::SetBand {
-                query,
-                ver,
-                inner,
-                outer,
-            } => {
-                tag + id_bits(query.0)
-                    + varint_bits(ver)
-                    + scalar_bits(inner)
-                    + radius_or_inf_bits(outer)
-            }
-            DownlinkMsg::ClearBand { query } => tag + id_bits(query.0),
-            DownlinkMsg::Ack { query, ver, .. } => {
-                tag + id_bits(query.0) + varint_bits(ver) + KIND_BITS as usize
-            }
-        }
-    }
 }
 
 // ---- shard legs -----------------------------------------------------------
@@ -472,7 +391,7 @@ const SHARD_MIGRATE: u64 = 4;
 const SHARD_RECOVER: u64 = 5;
 
 impl Wire for ShardMsg {
-    fn encode(&self, w: &mut BitWriter) {
+    fn put<S: BitSink>(&self, w: &mut S) {
         match *self {
             ShardMsg::Fanout { query, zone } => {
                 w.write_bits(SHARD_FANOUT, SHARD_TAG_BITS);
@@ -555,33 +474,6 @@ impl Wire for ShardMsg {
                 Some(ShardMsg::Recover { shard, count })
             }
             _ => None,
-        }
-    }
-
-    fn wire_bits(&self) -> usize {
-        let tag = SHARD_TAG_BITS as usize;
-        match *self {
-            ShardMsg::Fanout { query, zone } => {
-                tag + id_bits(query.0) + point_bits(zone.center) + scalar_bits(zone.radius)
-            }
-            ShardMsg::PartialAnswer { query, count } => {
-                tag + id_bits(query.0) + varint_bits(count as u64) + count * PARTIAL_ENTRY_BITS
-            }
-            ShardMsg::Handoff { object, pos, vel } => {
-                tag + id_bits(object.0) + point_bits(pos) + vector_bits(vel)
-            }
-            ShardMsg::Forward {
-                query,
-                payload_bytes,
-            } => tag + id_bits(query.0) + varint_bits(payload_bytes as u64) + payload_bytes * 8,
-            ShardMsg::Migrate { query, members } => {
-                tag + id_bits(query.0) + varint_bits(members as u64) + members * MEMBER_ENTRY_BITS
-            }
-            ShardMsg::Recover { shard, count } => {
-                tag + varint_bits(shard as u64)
-                    + varint_bits(count as u64)
-                    + count * RECOVER_ENTRY_BITS
-            }
         }
     }
 }

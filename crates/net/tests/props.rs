@@ -120,13 +120,17 @@ fn stats_totals_equal_sum_of_parts() {
         }
         for (i, m) in downs.iter().enumerate() {
             match i % 3 {
+                // Unicast and geocast bytes are charged where the engine
+                // charges them: on the frames that carry the copies.
                 0 => {
-                    s.count_unicast(m.kind(), m.size_bytes());
+                    s.count_unicast(m.kind());
+                    s.count_frame(m.size_bytes() as u64, 0);
                     expect_msgs += 1;
                     expect_bytes += m.size_bytes() as u64;
                 }
                 1 => {
-                    s.count_geocast(m.kind(), m.size_bytes(), cells);
+                    s.count_geocast(m.kind(), cells);
+                    s.count_frame((m.size_bytes() * cells) as u64, 0);
                     expect_msgs += cells as u64;
                     expect_bytes += (m.size_bytes() * cells) as u64;
                 }

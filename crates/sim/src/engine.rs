@@ -115,7 +115,7 @@ impl ProbeService for ShardProbe<'_> {
         let cells = self.infra.cells_overlapping(&zone);
         // Request legs are priced per interested device when the staged
         // copies are framed, not per message.
-        self.buf.stats.count_geocast(MsgKind::Probe, 0, cells);
+        self.buf.stats.count_geocast(MsgKind::Probe, cells);
         // The probe zone scatters to every covering shard; each foreign one
         // merges its partial answer back at the home shard afterwards.
         self.buf
@@ -183,7 +183,7 @@ impl ProbeService for ShardProbe<'_> {
             query,
             zone: Circle::new(pos, 0.0),
         };
-        self.buf.stats.count_unicast(MsgKind::Probe, 0);
+        self.buf.stats.count_unicast(MsgKind::Probe);
         // A poll into a foreign block is forwarded there and the reply
         // forwarded back.
         self.buf.charges.push(CoordCharge::RouteUnicast {
@@ -242,11 +242,6 @@ pub struct Simulation {
     /// never charges and the episode is byte-identical to the pre-shard
     /// engine.
     coord: ShardCoordinator,
-    /// Verify with the `O(N)`-per-query brute-force scan instead of the
-    /// per-tick snapshot index (`MKNN_ORACLE=brute`). Results are
-    /// byte-identical either way — the switch exists so the equivalence and
-    /// speedup gates in `scripts/verify.sh` can run both paths.
-    oracle_brute: bool,
     /// Worker pool for the chunked client phase (DESIGN.md §5.2). Resolved
     /// once at construction — from `SimConfig::client_threads` when pinned,
     /// else from `MKNN_THREADS` — so a mid-episode environment change cannot
@@ -411,7 +406,6 @@ impl Simulation {
             link,
             coord,
             stale_streak: vec![0; n_queries],
-            oracle_brute: std::env::var("MKNN_ORACLE").as_deref() == Ok("brute"),
             pool: match config.client_threads {
                 Some(t) => mknn_util::Pool::new(t),
                 None => mknn_util::Pool::from_env(),
@@ -481,15 +475,6 @@ impl Simulation {
             .filter(|w| w.from <= self.tick && self.tick < w.until)
             .count() as u64;
         self.metrics.crash_down_ticks += down_now;
-    }
-
-    /// The tick's ground-truth oracle, honoring the `MKNN_ORACLE` override.
-    fn build_oracle(&self) -> SnapshotOracle {
-        if self.oracle_brute {
-            SnapshotOracle::build_bruteforce(&self.world)
-        } else {
-            SnapshotOracle::build(&self.world)
-        }
     }
 
     /// Turns on per-tick time-series recording (see [`crate::TickSeries`]).
@@ -776,7 +761,7 @@ impl Simulation {
         let t0 = Instant::now();
         // One snapshot index answers all Q×2 oracle kNN queries of this
         // tick — O(N log N + Q·k·log N) instead of the former O(N·Q).
-        let oracle = self.build_oracle();
+        let oracle = SnapshotOracle::build(&self.world);
         for (qi, spec) in self.specs.iter().enumerate() {
             let answer = self.proto.answer(spec.id);
             let true_center = self.world.position(spec.focal);
@@ -833,7 +818,7 @@ impl Simulation {
     /// with respect to the method's effective center. Non-mutating; used by
     /// the chaos suite to assert reconvergence after a fault burst.
     pub fn inexact_queries(&self) -> usize {
-        let oracle = self.build_oracle();
+        let oracle = SnapshotOracle::build(&self.world);
         self.specs
             .iter()
             .filter(|spec| {
@@ -962,7 +947,7 @@ fn replicate_answers(
         if members == last_sent[qi] {
             continue;
         }
-        stats.count_unicast(MsgKind::AnswerPush, 0);
+        stats.count_unicast(MsgKind::AnswerPush);
         let delivery = if link.is_none_or(|l| !l.is_offline(spec.focal.index())) {
             Delivery::Delivered
         } else {
@@ -1029,7 +1014,7 @@ fn route(
     for (recipient, msg) in outbox.iter() {
         match *recipient {
             Recipient::One(id) => {
-                stats.count_unicast(msg.kind(), 0);
+                stats.count_unicast(msg.kind());
                 // A unicast into a foreign shard's block is forwarded there
                 // over the backbone. Recipients the infrastructure does not
                 // track have no block, hence no shard leg.
@@ -1051,7 +1036,7 @@ fn route(
             }
             Recipient::Geocast(zone) => {
                 let cells = infra.cells_overlapping(&zone);
-                stats.count_geocast(msg.kind(), 0, cells);
+                stats.count_geocast(msg.kind(), cells);
                 coord.route_geocast(msg.query(), &zone, stats, link.as_deref_mut());
                 // The devices interested in this send are exactly the
                 // zone's members (region members and imminent entrants).

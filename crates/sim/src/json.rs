@@ -376,7 +376,8 @@ mod tests {
             ..Default::default()
         };
         m.net.count_uplink(MsgKind::Position, 28);
-        m.net.count_geocast(MsgKind::InstallRegion, 52, 12);
+        m.net.count_geocast(MsgKind::InstallRegion, 12);
+        m.net.count_frame(52 * 12, 3);
         m.ops.server_ops = 4_321;
         roundtrip(&m);
         assert!(

@@ -8,8 +8,8 @@
 //! of that tick from it: an `O(N)` bulk load of a population-scaled uniform
 //! grid, then near-constant expected time per query. The indexed results
 //! are byte-identical to brute force — same neighbors, same `total_cmp`/id
-//! tie behavior — which the `oracle_props` property suite and the
-//! `MKNN_ORACLE=brute` equivalence gate in `scripts/verify.sh` enforce.
+//! tie behavior — which the `oracle_props` property suite enforces against
+//! [`SnapshotOracle::build_bruteforce`].
 
 use mknn_geom::{ObjectId, Point};
 use mknn_index::{bruteforce, GridIndex, Neighbor};
@@ -43,9 +43,8 @@ enum Backend {
     /// (`O(N)` build — cheaper than an `O(N log N)` tree sort, which at
     /// suite scale would itself dominate the verification budget).
     Indexed(GridIndex),
-    /// The `O(N)`-per-query reference scan, kept selectable (via
-    /// `MKNN_ORACLE=brute`) so the equivalence and speedup gates can run
-    /// both implementations against each other.
+    /// The `O(N)`-per-query reference scan the property suites compare the
+    /// indexed path against ([`SnapshotOracle::build_bruteforce`]).
     Brute(Vec<(ObjectId, Point)>),
 }
 

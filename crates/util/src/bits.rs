@@ -3,9 +3,11 @@
 //! [`BitWriter`] packs values LSB-first into a byte buffer at arbitrary bit
 //! widths; [`BitReader`] mirrors it exactly. Variable-length integers use
 //! LEB128-style 7-bit groups (so a small id costs one byte, a huge tick ten),
-//! and signed values ride varints through the zigzag mapping. Everything here
-//! is deterministic and allocation-light: one `Vec<u8>` per writer, nothing
-//! per value.
+//! and signed values ride varints through the zigzag mapping. A layout is
+//! written once against [`BitSink`]: driven into a [`BitWriter`] it produces
+//! the bytes, driven into a [`BitCount`] it produces their exact length
+//! without a buffer. Everything here is deterministic and allocation-light:
+//! one `Vec<u8>` per writer, nothing per value.
 
 /// Maps a signed value onto an unsigned one so small magnitudes of either
 /// sign encode as short varints: `0, -1, 1, -2, 2, …` → `0, 1, 2, 3, 4, …`.
@@ -32,6 +34,65 @@ pub fn varint_bits(v: u64) -> usize {
 #[inline]
 pub fn signed_bits(v: i64) -> usize {
     varint_bits(zigzag(v))
+}
+
+/// Where a bit layout is written. The method names mirror [`BitWriter`]'s
+/// inherent API, so a layout generic over the sink reads like a plain
+/// encoder; [`BitCount`] implements the same calls as pure arithmetic.
+pub trait BitSink {
+    /// Appends the low `n` bits of `value` (`n` ≤ 64, `value` canonical).
+    fn write_bits(&mut self, value: u64, n: u32);
+    /// Appends `v` as a LEB128-style varint ([`varint_bits`]`(v)` bits).
+    fn write_varint(&mut self, v: u64);
+    /// Appends `n` zero bits of modeled payload.
+    fn write_zero_bits(&mut self, n: usize);
+    /// Appends one bit.
+    #[inline]
+    fn write_bool(&mut self, b: bool) {
+        self.write_bits(b as u64, 1);
+    }
+    /// Appends `v` as a zigzag-mapped varint ([`signed_bits`]`(v)` bits).
+    #[inline]
+    fn write_signed(&mut self, v: i64) {
+        self.write_varint(zigzag(v));
+    }
+}
+
+/// The sink that only measures: the bit length a [`BitWriter`] would reach
+/// given the same calls.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct BitCount(pub usize);
+
+impl BitSink for BitCount {
+    #[inline]
+    fn write_bits(&mut self, _value: u64, n: u32) {
+        self.0 += n as usize;
+    }
+    #[inline]
+    fn write_varint(&mut self, v: u64) {
+        self.0 += varint_bits(v);
+    }
+    #[inline]
+    fn write_zero_bits(&mut self, n: usize) {
+        self.0 += n;
+    }
+}
+
+// `BitWriter::f` names the inherent method (inherent items win path
+// resolution over trait items), so these forward rather than recurse.
+impl BitSink for BitWriter {
+    #[inline]
+    fn write_bits(&mut self, value: u64, n: u32) {
+        BitWriter::write_bits(self, value, n);
+    }
+    #[inline]
+    fn write_varint(&mut self, v: u64) {
+        BitWriter::write_varint(self, v);
+    }
+    #[inline]
+    fn write_zero_bits(&mut self, n: usize) {
+        BitWriter::write_zero_bits(self, n);
+    }
 }
 
 /// Packs values LSB-first into a growable byte buffer.
@@ -147,10 +208,18 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
+    /// Bits left to read. `pos` never passes the end, so this cannot
+    /// underflow — and comparing a requested length against it cannot
+    /// overflow, however large a hostile length prefix is.
+    #[inline]
+    fn remaining(&self) -> usize {
+        self.buf.len() * 8 - self.pos
+    }
+
     /// Reads `n` bits (LSB-first). `None` once the buffer is exhausted.
     pub fn read_bits(&mut self, n: u32) -> Option<u64> {
         debug_assert!(n <= 64, "bit width {n} > 64");
-        if self.pos + n as usize > self.buf.len() * 8 {
+        if n as usize > self.remaining() {
             return None;
         }
         let mut v = 0u64;
@@ -175,11 +244,15 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads a varint written by [`BitWriter::write_varint`]. `None` on a
-    /// truncated buffer or an over-long encoding (more than ten groups).
+    /// truncated buffer or an over-long encoding (more than ten groups, or
+    /// a tenth group carrying payload above bit 63).
     pub fn read_varint(&mut self) -> Option<u64> {
         let mut v = 0u64;
         for group in 0..10 {
             let byte = self.read_bits(8)?;
+            if group == 9 && byte & 0x7e != 0 {
+                return None;
+            }
             v |= (byte & 0x7f) << (7 * group);
             if byte & 0x80 == 0 {
                 return Some(v);
@@ -196,7 +269,7 @@ impl<'a> BitReader<'a> {
 
     /// Skips `n` bits of modeled payload. `None` if fewer remain.
     pub fn skip_bits(&mut self, n: usize) -> Option<()> {
-        if self.pos + n > self.buf.len() * 8 {
+        if n > self.remaining() {
             return None;
         }
         self.pos += n;
@@ -267,6 +340,28 @@ mod tests {
     }
 
     #[test]
+    fn hostile_lengths_and_overlong_varints_are_refused() {
+        // A length near usize::MAX must be compared against what remains,
+        // not added to the cursor (debug: overflow panic; release: wrap).
+        let bytes = [0u8; 19];
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(r.read_bits(3), Some(0));
+        for n in [usize::MAX, usize::MAX - 2, usize::MAX / 8 * 8, 19 * 8 - 2] {
+            assert!(r.skip_bits(n).is_none(), "skip {n}");
+            assert_eq!(r.bits_read(), 3, "a refused skip must not move");
+        }
+        assert!(r.skip_bits(19 * 8 - 3).is_some());
+        assert_eq!(r.read_bits(1), None);
+        // u64::MAX is nine full groups and 0x01; a tenth group carrying
+        // more would be shifted past bit 63, an eleventh is over-long.
+        let varint = |tail: &[u8]| BitReader::new(&[&[0xff; 9], tail].concat()).read_varint();
+        assert_eq!(varint(&[0x01]), Some(u64::MAX));
+        for tail in [&[0x02][..], &[0x03], &[0x7f], &[0x40], &[0xff, 0x00]] {
+            assert_eq!(varint(tail), None, "{tail:x?}");
+        }
+    }
+
+    #[test]
     fn varint_round_trip_boundaries() {
         let cases = [0, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX];
         let mut w = BitWriter::new();
@@ -324,6 +419,18 @@ mod tests {
             let total = w.bit_len();
             let (bytes, len) = w.finish();
             assert_eq!(len, total);
+            // The same script driven into the counting sink measures the
+            // length the writer reached.
+            let mut count = BitCount(0);
+            for &(op, v, width) in &script {
+                match op {
+                    0 => count.write_bits(v, width as u32),
+                    1 => count.write_varint(v),
+                    2 => count.write_signed(v as i64),
+                    _ => count.write_bool(v != 0),
+                }
+            }
+            assert_eq!(count.0, total);
             let mut r = BitReader::new(&bytes);
             for (op, v, width) in script {
                 match op {
