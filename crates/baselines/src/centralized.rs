@@ -78,7 +78,7 @@ impl Protocol for Centralized {
         );
     }
 
-    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
+    fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
         self.tier.server_phase(phase);
     }
 

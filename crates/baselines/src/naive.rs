@@ -180,11 +180,11 @@ impl Protocol for NaiveBroadcast {
         );
     }
 
-    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
+    fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
         // Each shard ingests its homed QueryMoves and probes for its homed
-        // queries through its own probe channel.
+        // queries.
         let (space_diag, headroom) = (self.space_diag, self.headroom);
-        self.shards.run(phase, |shard, task| {
+        self.shards.run(phase, |shard, task, probe| {
             let up = std::mem::take(&mut task.uplinks);
             for (from, msg) in up.iter() {
                 if let UplinkMsg::QueryMove { query, pos, .. } = msg {
@@ -195,13 +195,7 @@ impl Protocol for NaiveBroadcast {
                     }
                 }
             }
-            Self::evaluate_shard(
-                shard,
-                task.probe.as_mut(),
-                &mut task.ops,
-                space_diag,
-                headroom,
-            );
+            Self::evaluate_shard(shard, probe, &mut task.ops, space_diag, headroom);
         });
     }
 

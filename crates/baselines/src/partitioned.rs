@@ -20,20 +20,17 @@
 //!   same member multisets as the monolithic index — answers and op counts
 //!   are byte-identical for every G.
 //!
-//! The per-tick phase runs in two parallel sub-phases with a barrier
-//! between them: (A) each shard applies its own detach/upsert work list —
-//! partitions are mutated disjointly — then (B) each shard evaluates its
-//! homed queries over the now-quiescent partitions, which every shard reads
-//! but none writes.
+//! The per-tick phase runs two sub-phases, each a loop over shards in
+//! ascending id: (A) each shard applies its own detach/upsert work list,
+//! then (B) each shard evaluates its homed queries over the now-quiescent
+//! partitions, which every shard reads but none writes.
 
 use mknn_geom::{ObjectId, Point, QueryId, Rect};
 use mknn_index::GridIndex;
 use mknn_mobility::MovingObject;
-use mknn_net::{
-    run_shard_tasks, ObjReport, OpCounters, Partitioned, QuerySpec, ServerPhase, ShardState,
-    UplinkMsg,
-};
+use mknn_net::{ObjReport, OpCounters, Partitioned, QuerySpec, ServerPhase, ShardState, UplinkMsg};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Per-query server record (identical for both baselines).
 #[derive(Debug, Clone)]
@@ -67,7 +64,7 @@ impl ShardState for QueryShard {
 }
 
 /// Per-shard index mutation work collected by the sequential pre-pass and
-/// applied by the owning shard in parallel sub-phase A.
+/// applied by the owning shard in sub-phase A.
 #[derive(Debug, Default)]
 struct ShardWork {
     /// Objects whose reports moved to another shard (detach from here).
@@ -183,7 +180,7 @@ impl PartitionedTier {
 
     /// The per-tick phase. See the module docs for the sub-phase structure
     /// and the equivalence argument.
-    pub fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
+    pub fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
         self.ensure_parts(phase.tasks.len());
         self.shards.rehome(phase);
         // Sequential pre-pass: turn each shard's Position uplinks into its
@@ -213,9 +210,9 @@ impl PartitionedTier {
                 }
             }
         }
-        // Sub-phase A: each shard applies its own work list — disjoint
-        // partition mutation, safe to run concurrently.
-        run_shard_tasks(phase.pool, &mut self.parts, phase.tasks, |part, task| {
+        // Sub-phase A: each shard applies its own work list.
+        for (part, task) in self.parts.iter_mut().zip(phase.tasks.iter_mut()) {
+            let t0 = Instant::now();
             let w = &works[task.shard as usize];
             for &id in &w.removals {
                 part.remove(id);
@@ -224,16 +221,17 @@ impl PartitionedTier {
                 part.upsert(id, pos);
             }
             task.ops.server_ops += w.n_ops;
-        });
-        // Barrier, then sub-phase B: every shard evaluates its homed
-        // queries over the quiescent partitions (shared read-only).
+            task.seconds += t0.elapsed().as_secs_f64();
+        }
+        // Sub-phase B: every shard evaluates its homed queries over the
+        // now-quiescent partitions.
         let parts: Vec<&GridIndex> = self.parts.iter().collect();
-        run_shard_tasks(
-            phase.pool,
-            self.shards.parts_mut(),
-            phase.tasks,
-            |shard, task| Self::evaluate_shard(&parts, shard, &mut task.ops),
-        );
+        let shards = self.shards.parts_mut().iter_mut();
+        for (shard, task) in shards.zip(phase.tasks.iter_mut()) {
+            let t0 = Instant::now();
+            Self::evaluate_shard(&parts, shard, &mut task.ops);
+            task.seconds += t0.elapsed().as_secs_f64();
+        }
     }
 
     /// A crash wipes the dead shard's block from *every* partition (a

@@ -90,7 +90,7 @@ impl Protocol for Periodic {
         );
     }
 
-    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
+    fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
         self.tier.server_phase(phase);
     }
 

@@ -18,12 +18,11 @@
 //! script uses as a determinism gate — including across thread counts.
 
 use mknn_bench::experiments::{self, Scale};
-use mknn_bench::report::{BenchExperiment, BenchSummary};
 use mknn_net::FaultPlan;
 use mknn_sim::{render_table, write_csv, Method, SimConfig, Sweep, VerifyMode};
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: expt --exp <id|all> [--full] [--bench-out FILE] | --check-bench FILE | --list | --seed <n> [--method <name>] [--fault <none|chaos|crash|JSON>] [--shards <G>] [--n <objects>] [--queries <q>] [--ticks <t>] [--space <side>] [--threads <w>] [--timing]";
+const USAGE: &str = "usage: expt --exp <id|all> [--full] | --list | --seed <n> [--method <name>] [--fault <none|chaos|crash|JSON>] [--shards <G>] [--n <objects>] [--queries <q>] [--ticks <t>] [--space <side>] [--threads <w>] [--timing]";
 
 /// Smoke-mode workload overrides (each `None` keeps the
 /// [`SimConfig::small`] default, so the CI golden shape is untouched).
@@ -129,33 +128,6 @@ fn run_smoke(seed: u64, method: Option<&str>, fault: FaultPlan, over: &SmokeOver
     println!("{}", doc.render_pretty());
 }
 
-/// `--check-bench`: the committed `BENCH_*.json` must parse as a
-/// [`BenchSummary`] and survive a render → re-parse round trip unchanged.
-fn check_bench(path: &str) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("--check-bench: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc: BenchSummary = mknn_util::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("--check-bench: {path} does not parse as a BenchSummary: {e}");
-        std::process::exit(1);
-    });
-    let back: BenchSummary = mknn_util::from_str(&mknn_util::to_string(&doc)).unwrap_or_else(|e| {
-        eprintln!("--check-bench: re-parse of rendered {path} failed: {e}");
-        std::process::exit(1);
-    });
-    if back != doc {
-        eprintln!("--check-bench: {path} does not round-trip through mknn_util JSON");
-        std::process::exit(1);
-    }
-    let cells: usize = doc.experiments.iter().map(|e| e.methods.len()).sum();
-    println!(
-        "{path}: ok ({} experiment(s), {cells} cell(s))",
-        doc.experiments.len()
-    );
-    std::process::exit(0);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut exp: Option<String> = None;
@@ -165,7 +137,6 @@ fn main() {
     let mut method: Option<String> = None;
     let mut fault = FaultPlan::none();
     let mut fault_given = false;
-    let mut bench_out: Option<PathBuf> = None;
     let mut over = SmokeOverrides::default();
     fn numeric<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
         args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -236,21 +207,6 @@ fn main() {
                 i += 1;
                 over.client_threads = Some(numeric(&args, i, "--threads"));
             }
-            "--bench-out" => {
-                i += 1;
-                bench_out = Some(PathBuf::from(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--bench-out requires a file path");
-                    std::process::exit(2);
-                })));
-            }
-            "--check-bench" => {
-                i += 1;
-                let path = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--check-bench requires a file path");
-                    std::process::exit(2);
-                });
-                check_bench(&path);
-            }
             "--timing" => over.timing = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -276,10 +232,6 @@ fn main() {
         return;
     }
     if let Some(seed) = smoke_seed {
-        if bench_out.is_some() {
-            eprintln!("--bench-out only applies to the --exp mode");
-            std::process::exit(2);
-        }
         run_smoke(seed, method.as_deref(), fault, &over);
         return;
     }
@@ -321,7 +273,6 @@ fn main() {
         std::process::exit(2);
     };
     let out_dir = PathBuf::from("target/experiments");
-    let mut bench_exps: Vec<BenchExperiment> = Vec::new();
     for id in &ids {
         let started = std::time::Instant::now();
         let result = experiments::run(id, scale).expect("id validated above");
@@ -338,27 +289,5 @@ fn main() {
                 result.episode_seconds
             );
         }
-        if bench_out.is_some() {
-            bench_exps.push(BenchExperiment {
-                id: result.id.to_string(),
-                title: result.title.to_string(),
-                episode_seconds: result.episode_seconds,
-                methods: result.bench,
-            });
-        }
-    }
-    if let Some(path) = bench_out {
-        use mknn_util::json::ToJson;
-        let summary = BenchSummary {
-            name: ids.join("+"),
-            full,
-            experiments: bench_exps,
-        };
-        let doc = format!("{}\n", summary.to_json().render_pretty());
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("[bench summary written to {}]", path.display());
     }
 }

@@ -6,7 +6,6 @@
 //! experiment in DESIGN.md §4 and recorded against measurements in
 //! EXPERIMENTS.md.
 
-use crate::report::{bench_methods, BenchMethod};
 use mknn_mobility::{Motion, Placement, SpeedDist, WorkloadSpec};
 use mknn_net::FaultPlan;
 use mknn_sim::{Method, MetricsSummary, SimConfig, Simulation, Sweep, VerifyMode};
@@ -102,9 +101,6 @@ pub struct ExpResult {
     /// this exceeds the experiment's elapsed wall time by roughly the
     /// achieved speedup.
     pub episode_seconds: f64,
-    /// Machine-readable per-`(label, method)` aggregates for `--bench-out`
-    /// (empty for pure parameter tables like e1).
-    pub bench: Vec<crate::report::BenchMethod>,
 }
 
 fn fmt(v: f64) -> String {
@@ -152,7 +148,7 @@ fn series_row(x: &str, m: &mknn_sim::EpisodeMetrics) -> Vec<String> {
 /// Runs a sweep: for each `(label, config)` runs the whole method suite in
 /// parallel on the worker pool, collecting rows in plan order. Returns the
 /// rows plus the summed per-episode wall time.
-fn sweep(configs: Vec<(String, SimConfig)>) -> (Vec<Vec<String>>, f64, Vec<BenchMethod>) {
+fn sweep(configs: Vec<(String, SimConfig)>) -> (Vec<Vec<String>>, f64) {
     let mut rows = vec![SERIES_HEADER.iter().map(|s| s.to_string()).collect()];
     let mut busy = 0.0;
     let runs = Sweep::over(configs).run();
@@ -160,7 +156,7 @@ fn sweep(configs: Vec<(String, SimConfig)>) -> (Vec<Vec<String>>, f64, Vec<Bench
         rows.push(series_row(&run.label, &run.metrics));
         busy += run.wall_seconds;
     }
-    (rows, busy, bench_methods(&runs))
+    (rows, busy)
 }
 
 /// E1 — the simulation-parameter table.
@@ -198,7 +194,6 @@ pub fn e1(scale: Scale) -> ExpResult {
         title: "Table E1: simulation parameters",
         rows,
         episode_seconds: 0.0,
-        bench: Vec::new(),
     }
 }
 
@@ -213,13 +208,12 @@ pub fn e2(scale: Scale) -> ExpResult {
             (n.to_string(), cfg)
         })
         .collect();
-    let (rows, episode_seconds, bench) = sweep(configs);
+    let (rows, episode_seconds) = sweep(configs);
     ExpResult {
         id: "e2",
         title: "Fig E2: communication vs. N",
         rows,
         episode_seconds,
-        bench,
     }
 }
 
@@ -233,13 +227,12 @@ pub fn e3(scale: Scale) -> ExpResult {
             (k.to_string(), cfg)
         })
         .collect();
-    let (rows, episode_seconds, bench) = sweep(configs);
+    let (rows, episode_seconds) = sweep(configs);
     ExpResult {
         id: "e3",
         title: "Fig E3: communication vs. k",
         rows,
         episode_seconds,
-        bench,
     }
 }
 
@@ -256,13 +249,12 @@ pub fn e4(scale: Scale) -> ExpResult {
             (format!("{v}"), cfg)
         })
         .collect();
-    let (rows, episode_seconds, bench) = sweep(configs);
+    let (rows, episode_seconds) = sweep(configs);
     ExpResult {
         id: "e4",
         title: "Fig E4: communication vs. object speed",
         rows,
         episode_seconds,
-        bench,
     }
 }
 
@@ -277,13 +269,12 @@ pub fn e5(scale: Scale) -> ExpResult {
             (format!("{v}"), cfg)
         })
         .collect();
-    let (rows, episode_seconds, bench) = sweep(configs);
+    let (rows, episode_seconds) = sweep(configs);
     ExpResult {
         id: "e5",
         title: "Fig E5: communication vs. query speed",
         rows,
         episode_seconds,
-        bench,
     }
 }
 
@@ -319,7 +310,6 @@ pub fn e6(scale: Scale) -> ExpResult {
         title: "Fig E6: server load vs. N",
         rows,
         episode_seconds: busy,
-        bench: bench_methods(&runs),
     }
 }
 
@@ -377,7 +367,6 @@ pub fn e7(scale: Scale) -> ExpResult {
         title: "Fig E7: slack ablation (δ_q, H)",
         rows,
         episode_seconds: busy,
-        bench: bench_methods(&runs),
     }
 }
 
@@ -392,13 +381,12 @@ pub fn e8(scale: Scale) -> ExpResult {
             (q.to_string(), cfg)
         })
         .collect();
-    let (rows, episode_seconds, bench) = sweep(configs);
+    let (rows, episode_seconds) = sweep(configs);
     ExpResult {
         id: "e8",
         title: "Fig E8: scalability vs. #queries",
         rows,
         episode_seconds,
-        bench,
     }
 }
 
@@ -435,7 +423,6 @@ pub fn e9(scale: Scale) -> ExpResult {
         title: "Fig E9: client load",
         rows,
         episode_seconds: busy,
-        bench: bench_methods(&runs),
     }
 }
 
@@ -464,7 +451,6 @@ pub fn e10(scale: Scale) -> ExpResult {
         title: "Table E10: message breakdown (whole episode)",
         rows,
         episode_seconds: busy,
-        bench: bench_methods(&runs),
     }
 }
 
@@ -513,7 +499,6 @@ pub fn e11(scale: Scale) -> ExpResult {
         title: "Table E11: answer quality",
         rows,
         episode_seconds: busy,
-        bench: bench_methods(&runs),
     }
 }
 
@@ -528,13 +513,12 @@ pub fn e12(scale: Scale) -> ExpResult {
         };
         configs.push((format!("gauss-{sigma}"), cfg));
     }
-    let (rows, episode_seconds, bench) = sweep(configs);
+    let (rows, episode_seconds) = sweep(configs);
     ExpResult {
         id: "e12",
         title: "Fig E12: skew sensitivity",
         rows,
         episode_seconds,
-        bench,
     }
 }
 
@@ -554,13 +538,12 @@ pub fn e13(scale: Scale) -> ExpResult {
             (n.to_string(), cfg)
         })
         .collect();
-    let (rows, episode_seconds, bench) = sweep(configs);
+    let (rows, episode_seconds) = sweep(configs);
     ExpResult {
         id: "e13",
         title: "Fig E13: road-network workload",
         rows,
         episode_seconds,
-        bench,
     }
 }
 
@@ -608,7 +591,6 @@ pub fn e14(scale: Scale) -> ExpResult {
         title: "Fig E14: candidate-buffer ablation",
         rows,
         episode_seconds: busy,
-        bench: bench_methods(&runs),
     }
 }
 
@@ -651,7 +633,6 @@ pub fn e15(scale: Scale) -> ExpResult {
         title: "Table E15: headline with dispersion (5 seeds)",
         rows,
         episode_seconds: busy,
-        bench: bench_methods(&runs),
     }
 }
 
@@ -727,7 +708,6 @@ pub fn e16(scale: Scale) -> ExpResult {
         title: "Table E16: resilience under transport faults (2 seeds)",
         rows,
         episode_seconds: busy,
-        bench: bench_methods(&runs),
     }
 }
 
@@ -736,9 +716,10 @@ pub fn e16(scale: Scale) -> ExpResult {
 /// at every G (the overlay is pure coordination); what varies — and what
 /// this figure reports — is the backbone overhead (fan-out, merge, handoff,
 /// forward legs), how evenly the per-shard load spreads (p99 vs. max), and
-/// the measured server-phase parallelism: per-shard task seconds summed
-/// over the tier vs. the wall time of the dispatch window (`srv-speedup` =
-/// their ratio; > 1 means shard tasks genuinely overlapped).
+/// where the server phase's wall time goes: the phase itself (`server-s`),
+/// the shard tasks summed over the tier (`shard-s`), and the busiest single
+/// shard (`shard-s-max` — the critical path a tier of G real machines
+/// would wait for).
 pub fn e17(scale: Scale) -> ExpResult {
     let mut cfg = base_config(scale);
     if scale.full {
@@ -769,14 +750,13 @@ pub fn e17(scale: Scale) -> ExpResult {
         "max-load".into(),
         "server-s".into(),
         "shard-s".into(),
-        "srv-speedup".into(),
+        "shard-s-max".into(),
     ]];
     let mut busy = 0.0;
     // At paper scale the per-shard and server-phase clocks are the
     // headline, so episodes run one at a time (like E18): each measured
-    // episode owns the machine and the `MKNN_THREADS`-wide shard pool is
-    // the only parallelism in flight. Fast scale keeps the concurrent
-    // sweep — there the timing columns are recorded, not gated.
+    // episode owns the machine. Fast scale keeps the concurrent sweep —
+    // there the timing columns are recorded, not gated.
     let sweep = Sweep::over(configs);
     let runs = if scale.full {
         sweep.threads(1).run()
@@ -787,6 +767,7 @@ pub fn e17(scale: Scale) -> ExpResult {
         let m = &run.metrics;
         let ticks = m.ticks.max(1) as f64;
         let shard_sum: f64 = m.shard_seconds.iter().sum();
+        let shard_max = m.shard_seconds.iter().copied().fold(0.0, f64::max);
         rows.push(vec![
             run.label.clone(),
             m.method.clone(),
@@ -798,7 +779,7 @@ pub fn e17(scale: Scale) -> ExpResult {
             fmt(m.shard_load_max() as f64),
             fmt(m.server_seconds),
             fmt(shard_sum),
-            fmt(shard_sum / m.server_seconds.max(1e-9)),
+            fmt(shard_max),
         ]);
         busy += run.wall_seconds;
     }
@@ -807,12 +788,11 @@ pub fn e17(scale: Scale) -> ExpResult {
         title: "Fig E17: shard scaling (G ∈ {1,2,4,8,16})",
         rows,
         episode_seconds: busy,
-        bench: bench_methods(&runs),
     }
 }
 
-/// E18 — intra-episode parallelism: the tick-loop benchmark behind
-/// `BENCH_tick.json` (DESIGN.md §5.2). One big oracle-off episode per
+/// E18 — intra-episode parallelism: the tick-loop benchmark of
+/// DESIGN.md §5.2. One big oracle-off episode per
 /// client-pool width T, timing the loop itself; the paper protocol
 /// (client band checks are the hot loop being chunked) next to the
 /// client-light centralized baseline. Episodes run strictly one at a time
@@ -894,7 +874,6 @@ pub fn e18(scale: Scale) -> ExpResult {
         title: "Fig E18: intra-episode client-pool scaling (T ∈ {1,2,4,8})",
         rows,
         episode_seconds: busy,
-        bench: bench_methods(&runs),
     }
 }
 
@@ -1035,7 +1014,6 @@ pub fn e20(scale: Scale) -> ExpResult {
         title: "Table E20: shard crash/failover recovery (G = 4, crash count × outage)",
         rows,
         episode_seconds: busy,
-        bench: Vec::new(),
     }
 }
 

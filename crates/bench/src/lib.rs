@@ -5,4 +5,3 @@
 #![deny(missing_docs)]
 
 pub mod experiments;
-pub mod report;

@@ -146,17 +146,11 @@ impl Protocol for Dknn {
         self.client.tick_batch(ctx, up, ops);
     }
 
-    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
+    fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
         let tick = phase.tick;
-        self.servers.run(phase, |server, task| {
+        self.servers.run(phase, |server, task, probe| {
             let up = std::mem::take(&mut task.uplinks);
-            server.tick(
-                tick,
-                &up,
-                task.probe.as_mut(),
-                &mut task.outbox,
-                &mut task.ops,
-            );
+            server.tick(tick, &up, probe, &mut task.outbox, &mut task.ops);
         });
     }
 

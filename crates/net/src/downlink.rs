@@ -389,11 +389,6 @@ pub fn frame_header_bits(tick: Tick, items: usize) -> usize {
     LINK_HEADER_BITS + varint_bits(tick) + varint_bits(items as u64)
 }
 
-/// Total bits of one per-device frame.
-pub fn frame_bits(tick: Tick, items: &[FrameItem]) -> usize {
-    frame_header_bits(tick, items.len()) + items.iter().map(|i| i.wire_bits()).sum::<usize>()
-}
-
 // ---- delta/ack state ------------------------------------------------------
 
 #[derive(Debug, Clone, PartialEq)]
@@ -1014,7 +1009,8 @@ mod tests {
                     kind: MsgKind::Enter,
                 },
             ];
-            frame_bits(9, &items).div_ceil(8)
+            let payload: usize = items.iter().map(|i| i.wire_bits()).sum();
+            (frame_header_bits(9, items.len()) + payload).div_ceil(8)
         };
         assert!(
             frame_one < unframed,

@@ -233,9 +233,8 @@ impl FaultPlan {
     ///
     /// The caller picks the stream (`rng`) and gates on
     /// [`FaultPlan::active_at`]; [`FaultyLink`] routes query-scoped traffic
-    /// through per-query streams, and the engine's per-shard probe services
-    /// use this directly with the streams they were handed.
-    pub fn draw_fate(
+    /// through per-query streams.
+    fn draw_fate(
         &self,
         rng: &mut Rng,
         loss: f64,
@@ -258,17 +257,6 @@ impl FaultPlan {
             return (copies, Some(d));
         }
         (copies, None)
-    }
-
-    /// One probe-channel leg drawn from `rng`: `true` when the leg is lost
-    /// (charged as one dropped message). The caller gates on
-    /// [`FaultPlan::active_at`].
-    pub fn draw_leg_lost(&self, rng: &mut Rng, loss: f64, stats: &mut NetStats) -> bool {
-        if loss > 0.0 && rng.gen_bool(loss) {
-            stats.count_dropped();
-            return true;
-        }
-        false
     }
 
     /// Validates knob sanity; returns the first problem found.
@@ -449,16 +437,10 @@ pub struct CrashWindow {
 ///
 /// Query `q`'s stream is seeded `base ^ mix(q)` the first time it is used,
 /// so which queries ever draw — and in what global interleaving — cannot
-/// perturb any other query's sequence. The set can be [`split`] into
-/// disjoint per-shard groups for the parallel server phase and
-/// [`absorb`]ed back afterwards; a stream's state travels with it, so a
-/// query's draws stay globally sequenced across the sequential and parallel
-/// parts of the tick.
-///
-/// [`split`]: QueryStreams::split
-/// [`absorb`]: QueryStreams::absorb
-#[derive(Debug, Default)]
-pub struct QueryStreams {
+/// perturb any other query's sequence: a query's fates are the same
+/// whichever shard homes it and however many shards there are.
+#[derive(Debug)]
+struct QueryStreams {
     base: u64,
     rngs: std::collections::BTreeMap<u32, Rng>,
 }
@@ -480,38 +462,11 @@ impl QueryStreams {
     }
 
     /// The fate generator of query `q`, created on first use.
-    pub fn rng(&mut self, q: mknn_geom::QueryId) -> &mut Rng {
+    fn rng(&mut self, q: mknn_geom::QueryId) -> &mut Rng {
         let base = self.base;
         self.rngs
             .entry(q.0)
             .or_insert_with(|| Rng::seed_from_u64(base ^ mix(q.0)))
-    }
-
-    /// Moves the streams of each `groups[i]` into a new `QueryStreams`,
-    /// preserving stream state; queries listed in no group stay behind.
-    /// Children lazily create streams for their own queries exactly as the
-    /// parent would have.
-    pub fn split(&mut self, groups: &[Vec<u32>]) -> Vec<QueryStreams> {
-        groups
-            .iter()
-            .map(|g| {
-                let mut child = QueryStreams::new(self.base);
-                for &q in g {
-                    if let Some(r) = self.rngs.remove(&q) {
-                        child.rngs.insert(q, r);
-                    }
-                }
-                child
-            })
-            .collect()
-    }
-
-    /// Moves every stream of `parts` back (inverse of
-    /// [`QueryStreams::split`]).
-    pub fn absorb(&mut self, parts: Vec<QueryStreams>) {
-        for part in parts {
-            self.rngs.extend(part.rngs);
-        }
     }
 }
 
@@ -666,18 +621,20 @@ impl FaultyLink {
         }
     }
 
-    /// Moves the fate streams of each `groups[i]` out of the link so the
-    /// parallel server phase can hand each shard its own queries' streams
-    /// (see [`QueryStreams::split`]). Must be matched by
-    /// [`FaultyLink::restore_query_streams`] before the next query-scoped
-    /// draw on the link.
-    pub fn split_query_streams(&mut self, groups: &[Vec<u32>]) -> Vec<QueryStreams> {
-        self.queries.split(groups)
-    }
-
-    /// Returns the streams taken by [`FaultyLink::split_query_streams`].
-    pub fn restore_query_streams(&mut self, parts: Vec<QueryStreams>) {
-        self.queries.absorb(parts);
+    /// One leg of `query`'s synchronous probe round trip: `true` when the
+    /// leg is lost (charged as one dropped message). Draws from the query's
+    /// own stream, and only while the plan is active.
+    pub fn probe_leg_lost(
+        &mut self,
+        query: mknn_geom::QueryId,
+        loss: f64,
+        stats: &mut NetStats,
+    ) -> bool {
+        if self.active() && loss > 0.0 && self.queries.rng(query).gen_bool(loss) {
+            stats.count_dropped();
+            return true;
+        }
+        false
     }
 
     /// Passes one uplink through the link. Delivered copies are appended to
@@ -1015,57 +972,9 @@ mod tests {
     }
 
     #[test]
-    fn query_streams_split_and_absorb_preserve_state() {
-        // Drawing from a split-out stream must continue exactly where the
-        // link's own stream would have, and absorbing it back must let the
-        // link continue where the split-out draws stopped.
-        let plan = FaultPlan::chaos();
-        let downlink_for = |q: u32| DownlinkMsg::RemoveRegion { query: QueryId(q) };
-        let run = |split_in_middle: bool| {
-            let mut link = FaultyLink::new(plan, 42);
-            let mut stats = NetStats::default();
-            let mut inboxes = vec![Vec::new(); 2];
-            let mut delivered = Vec::new();
-            for t in 1..=20 {
-                link.begin_tick(t, 2);
-                delivered.push(link.deliver_down(0, downlink_for(0), &mut inboxes, &mut stats));
-                if split_in_middle {
-                    let mut parts = link.split_query_streams(&[vec![0], vec![1]]);
-                    for (qi, part) in parts.iter_mut().enumerate() {
-                        // Same draw the link itself would have made.
-                        let q = QueryId(qi as u32);
-                        let _ =
-                            plan.draw_fate(part.rng(q), plan.down_loss, plan.down_dup, &mut stats);
-                    }
-                    link.restore_query_streams(parts);
-                } else {
-                    for q in 0..2 {
-                        delivered.push(link.deliver_down(
-                            1,
-                            downlink_for(q),
-                            &mut inboxes,
-                            &mut stats,
-                        ));
-                    }
-                }
-                delivered.push(link.deliver_down(0, downlink_for(0), &mut inboxes, &mut stats));
-            }
-            delivered
-        };
-        // Filter to query 0's direct deliveries (indices 0 and 2 of each
-        // tick in the split run line up with 0 and 3 in the inline run).
-        let with_split = run(true);
-        let inline = run(false);
-        let q0_split: Vec<bool> = with_split.chunks(2).flat_map(|c| c.to_vec()).collect();
-        let q0_inline: Vec<bool> = inline.chunks(4).flat_map(|c| vec![c[0], c[3]]).collect();
-        assert_eq!(q0_split, q0_inline);
-    }
-
-    #[test]
     fn probe_legs_draw_from_the_query_stream() {
-        // Probe legs for one query — drawn the way the engine's probe does,
-        // on that query's split-out stream — must not perturb another
-        // query's delivery fates.
+        // Probe legs for one query must not perturb another query's
+        // delivery fates.
         let plan = FaultPlan::chaos();
         let fates = |with_probe_legs: bool| {
             let mut link = FaultyLink::new(plan, 42);
@@ -1075,13 +984,7 @@ mod tests {
                 link.begin_tick(t, 4);
                 for i in 0..4 {
                     if with_probe_legs {
-                        let mut parts = link.split_query_streams(&[vec![9]]);
-                        let _ = plan.draw_leg_lost(
-                            parts[0].rng(QueryId(9)),
-                            plan.down_loss,
-                            &mut stats,
-                        );
-                        link.restore_query_streams(parts);
+                        link.probe_leg_lost(QueryId(9), plan.down_loss, &mut stats);
                     }
                     link.transmit_up(ObjectId(i), an_uplink(), &mut out, &mut stats);
                 }

@@ -35,14 +35,13 @@ mod stats;
 mod wire;
 
 pub use downlink::{
-    frame_bits, frame_header_bits, AnswerUpdate, Delivery, DownlinkBuilder, FrameItem, ReplStore,
+    frame_header_bits, AnswerUpdate, Delivery, DownlinkBuilder, FrameItem, ReplStore,
 };
-pub use fault::{CrashWindow, FaultError, FaultPlan, FaultPlanBuilder, FaultyLink, QueryStreams};
+pub use fault::{CrashWindow, FaultError, FaultPlan, FaultPlanBuilder, FaultyLink};
 pub use msg::{DownlinkMsg, MsgKind, QuerySpec, Recipient, ShardMsg, ShardMsgKind, UplinkMsg};
 pub use proto::{
-    run_client_phase, run_shard_tasks, single_server_phase, ClientCtx, ObjReport, Outbox,
-    Partitioned, ProbeService, Protocol, ServerPhase, ShardState, ShardTask, Uplinks,
-    PAR_MIN_DEVICES,
+    run_client_phase, single_server_phase, ClientCtx, ObjReport, Outbox, Partitioned, ProbeService,
+    Protocol, ServerPhase, ShardState, ShardTask, Uplinks, PAR_MIN_DEVICES,
 };
 pub use stats::{NetStats, OpCounters, ShardStats};
 pub use wire::{

@@ -18,9 +18,9 @@
 //!   reply).
 //!
 //! The engine drives a method through exactly these two entry points every
-//! tick. A single server is a one-task phase; [`run_client_phase`],
-//! [`run_shard_tasks`] and [`Partitioned`] are the shared harnesses the
-//! methods build their phases from.
+//! tick. A single server is a one-task phase; [`run_client_phase`] and
+//! [`Partitioned`] are the shared harnesses the methods build their phases
+//! from.
 
 use crate::{DownlinkMsg, QuerySpec, Recipient, UplinkMsg};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
@@ -178,10 +178,8 @@ impl Outbox {
     }
 
     /// Moves every downlink of `other` onto the end of this outbox,
-    /// preserving send order. The engine uses it to merge per-shard
-    /// outboxes in ascending shard-id order after a parallel server phase,
-    /// which keeps the combined downlink stream deterministic at any
-    /// thread count.
+    /// preserving send order. The engine uses it to concatenate per-shard
+    /// outboxes in ascending shard-id order after the server phase.
     pub fn append(&mut self, other: &mut Outbox) {
         self.items.append(&mut other.items);
     }
@@ -205,50 +203,36 @@ pub trait ProbeService {
     fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport>;
 }
 
-impl<P: ProbeService + ?Sized> ProbeService for &mut P {
-    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport> {
-        (**self).probe(query, zone, exclude)
-    }
-
-    fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport> {
-        (**self).poll(query, id)
-    }
-}
-
 /// One shard's slice of a partitioned server tick.
 ///
 /// The engine builds one task per server shard: the uplinks routed to that
 /// shard (query-scoped traffic goes to the query's home shard, `Position`
-/// reports to the shard covering the reported position), a shard-local
-/// [`ProbeService`] whose coordination charges are deferred and replayed in
-/// shard order after the phase, and fresh per-shard accumulators. The
-/// protocol consumes the task inside [`Protocol::server_phase`]; the engine
-/// merges outboxes, ops, and stats back in ascending shard-id order.
-pub struct ShardTask<'p> {
+/// reports to the shard covering the reported position) and fresh per-shard
+/// accumulators. The protocol consumes the task inside
+/// [`Protocol::server_phase`]; the engine concatenates outboxes and ops in
+/// ascending shard-id order.
+pub struct ShardTask {
     /// The shard this task belongs to (its index in `ServerPhase::tasks`).
     pub shard: u32,
     /// The uplinks routed to this shard this tick, in global arrival order
     /// filtered to the shard.
     pub uplinks: Uplinks,
-    /// Shard-local probe channel (safe to use from a worker thread).
-    pub probe: Box<dyn ProbeService + Send + 'p>,
     /// Downlinks this shard emits this tick.
     pub outbox: Outbox,
     /// Computation charged by this shard this tick.
     pub ops: crate::OpCounters,
     /// Wall-clock seconds this shard's server work took (stamped by
-    /// [`run_shard_tasks`], accumulated into the episode's per-shard
+    /// [`Partitioned::run`], accumulated into the episode's per-shard
     /// timing breakdown).
     pub seconds: f64,
 }
 
-impl<'p> ShardTask<'p> {
+impl ShardTask {
     /// A task for `shard` with empty accumulators.
-    pub fn new(shard: u32, uplinks: Uplinks, probe: Box<dyn ProbeService + Send + 'p>) -> Self {
+    pub fn new(shard: u32, uplinks: Uplinks) -> Self {
         ShardTask {
             shard,
             uplinks,
-            probe,
             outbox: Outbox::new(),
             ops: crate::OpCounters::default(),
             seconds: 0.0,
@@ -257,7 +241,7 @@ impl<'p> ShardTask<'p> {
 }
 
 /// Everything a [`Protocol`] needs to run one server tick.
-pub struct ServerPhase<'e, 'p> {
+pub struct ServerPhase<'e> {
     /// The tick being processed.
     pub tick: Tick,
     /// Home shard per query id (dense, indexed by `QueryId::index`). The
@@ -265,37 +249,16 @@ pub struct ServerPhase<'e, 'p> {
     /// failover *before* the phase runs; [`Partitioned`] re-homes the
     /// protocol's per-query state by diffing against its own directory.
     pub homes: &'e [u32],
-    /// The worker pool to dispatch per-shard work through.
-    pub pool: Pool,
     /// One task per shard, ascending shard id.
-    pub tasks: &'e mut [ShardTask<'p>],
-}
-
-/// Dispatches one closure per `(state, task)` pair over `pool`, stamping
-/// each task's wall time.
-///
-/// Each invocation sees only its own shard's state and task, so the
-/// dispatch is safe at any thread count; determinism comes from the engine
-/// merging task outputs in ascending shard-id order afterwards. `f` must
-/// not touch state it does not own — cross-shard effects go through the
-/// probe service or are precomputed sequentially before the dispatch.
-pub fn run_shard_tasks<'p, S, F>(pool: Pool, states: &mut [S], tasks: &mut [ShardTask<'p>], f: F)
-where
-    S: Send,
-    F: Fn(&mut S, &mut ShardTask<'p>) + Sync,
-{
-    debug_assert_eq!(states.len(), tasks.len());
-    let jobs: Vec<(&mut S, &mut ShardTask<'p>)> = states.iter_mut().zip(tasks.iter_mut()).collect();
-    pool.map_indexed(jobs, |_, (state, task)| {
-        let t0 = std::time::Instant::now();
-        f(state, task);
-        task.seconds += t0.elapsed().as_secs_f64();
-    });
+    pub tasks: &'e mut [ShardTask],
+    /// The probe channel, shared by every shard in turn: it charges each
+    /// probe and reply at the point of issue.
+    pub probe: &'e mut dyn ProbeService,
 }
 
 /// One shard's partition of a method's per-query server state, as
 /// [`Partitioned`] sees it.
-pub trait ShardState: Send {
+pub trait ShardState {
     /// The per-query record a migrate leg ships between shards.
     type Query;
 
@@ -375,7 +338,7 @@ impl<S: ShardState> Partitioned<S> {
 
     /// Forks the tier to the phase width and moves every query whose
     /// coordinator home changed into its new partition.
-    pub fn rehome(&mut self, phase: &ServerPhase<'_, '_>) {
+    pub fn rehome(&mut self, phase: &ServerPhase<'_>) {
         debug_assert!(
             phase
                 .tasks
@@ -410,34 +373,40 @@ impl<S: ShardState> Partitioned<S> {
     }
 
     /// One server phase: [`Partitioned::rehome`], then `f` once per shard
-    /// over the pool. Per-query state never crosses partitions mid-phase,
-    /// so the dispatch is deterministic at any thread count.
-    pub fn run<'p, F>(&mut self, phase: &mut ServerPhase<'_, 'p>, f: F)
-    where
-        F: Fn(&mut S, &mut ShardTask<'p>) + Sync,
-    {
+    /// in ascending shard id, stamping each task's wall time. `f` sees only
+    /// its own shard's state and task; cross-shard effects go through the
+    /// probe.
+    pub fn run(
+        &mut self,
+        phase: &mut ServerPhase<'_>,
+        mut f: impl FnMut(&mut S, &mut ShardTask, &mut dyn ProbeService),
+    ) {
         self.rehome(phase);
-        run_shard_tasks(phase.pool, &mut self.parts, phase.tasks, f);
+        for (part, task) in self.parts.iter_mut().zip(phase.tasks.iter_mut()) {
+            let t0 = std::time::Instant::now();
+            f(part, task, &mut *phase.probe);
+            task.seconds += t0.elapsed().as_secs_f64();
+        }
     }
 }
 
 /// Drives `proto` through one server phase of a single-server deployment:
 /// one task carrying `uplinks`, with `probe` as its channel. The task's
 /// downlinks and op charges are appended to `outbox` and `ops`.
-pub fn single_server_phase<P: ProbeService + Send>(
+pub fn single_server_phase(
     proto: &mut (impl Protocol + ?Sized),
     tick: Tick,
     uplinks: Uplinks,
-    probe: &mut P,
+    probe: &mut dyn ProbeService,
     outbox: &mut Outbox,
     ops: &mut crate::OpCounters,
 ) {
-    let mut tasks = [ShardTask::new(0, uplinks, Box::new(probe))];
+    let mut tasks = [ShardTask::new(0, uplinks)];
     proto.server_phase(&mut ServerPhase {
         tick,
         homes: &[],
-        pool: Pool::new(1),
         tasks: &mut tasks,
+        probe,
     });
     let [mut task] = tasks;
     outbox.append(&mut task.outbox);
@@ -476,11 +445,11 @@ pub trait Protocol {
     /// Server logic for one tick: one task per shard of the server tier,
     /// each holding the uplinks routed to it (a single server is one task).
     ///
-    /// Methods keep real per-shard state in a [`Partitioned`] tier and
-    /// dispatch it over `phase.pool`; the contract is that answers, ops,
-    /// and all device-facing traffic are invariant across shard and thread
+    /// Methods keep real per-shard state in a [`Partitioned`] tier and run
+    /// it shard by shard in ascending id; the contract is that answers,
+    /// ops, and all device-facing traffic are invariant across shard
     /// counts.
-    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>);
+    fn server_phase(&mut self, phase: &mut ServerPhase<'_>);
 
     /// The currently maintained answer of `query`: neighbor ids in
     /// canonical order (ascending distance, ties by id). The slice length
@@ -697,16 +666,16 @@ mod tests {
     /// returns the shard ids the dispatch visited.
     fn phase(tier: &mut Partitioned<Counting>, width: u32, homes: &[u32]) -> Vec<u32> {
         let mut tasks: Vec<ShardTask> = (0..width)
-            .map(|s| ShardTask::new(s, Uplinks::new(), Box::new(NoProbe)))
+            .map(|s| ShardTask::new(s, Uplinks::new()))
             .collect();
         tier.run(
             &mut ServerPhase {
                 tick: 1,
                 homes,
-                pool: Pool::new(2),
                 tasks: &mut tasks,
+                probe: &mut NoProbe,
             },
-            |_, task| task.ops.server_ops = 1,
+            |_, task, _| task.ops.server_ops = 1,
         );
         tasks
             .iter()

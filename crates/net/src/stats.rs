@@ -115,25 +115,6 @@ impl ShardStats {
     }
 }
 
-impl AddAssign<&ShardStats> for ShardStats {
-    fn add_assign(&mut self, rhs: &ShardStats) {
-        self.fanout_msgs += rhs.fanout_msgs;
-        self.fanout_bytes += rhs.fanout_bytes;
-        self.merge_msgs += rhs.merge_msgs;
-        self.merge_bytes += rhs.merge_bytes;
-        self.handoff_msgs += rhs.handoff_msgs;
-        self.handoff_bytes += rhs.handoff_bytes;
-        self.forward_msgs += rhs.forward_msgs;
-        self.forward_bytes += rhs.forward_bytes;
-        self.migrate_msgs += rhs.migrate_msgs;
-        self.migrate_bytes += rhs.migrate_bytes;
-        self.retransmits += rhs.retransmits;
-        self.retransmit_bytes += rhs.retransmit_bytes;
-        self.recover_msgs += rhs.recover_msgs;
-        self.recover_bytes += rhs.recover_bytes;
-    }
-}
-
 /// Communication counters, maintained by the simulation harness as it routes
 /// messages (protocols cannot under-report their own traffic).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -261,28 +242,6 @@ impl NetStats {
     }
 }
 
-impl AddAssign<&NetStats> for NetStats {
-    fn add_assign(&mut self, rhs: &NetStats) {
-        self.uplink_msgs += rhs.uplink_msgs;
-        self.uplink_bytes += rhs.uplink_bytes;
-        self.downlink_unicast_msgs += rhs.downlink_unicast_msgs;
-        self.downlink_geocast_msgs += rhs.downlink_geocast_msgs;
-        self.downlink_broadcast_msgs += rhs.downlink_broadcast_msgs;
-        self.downlink_bytes += rhs.downlink_bytes;
-        for (k, v) in &rhs.by_kind {
-            *self.by_kind.entry(*k).or_insert(0) += v;
-        }
-        self.dropped_msgs += rhs.dropped_msgs;
-        self.dup_msgs += rhs.dup_msgs;
-        self.delayed_msgs += rhs.delayed_msgs;
-        self.shard += &rhs.shard;
-        self.frames += rhs.frames;
-        self.frame_header_bytes += rhs.frame_header_bytes;
-        self.delta_full_fallbacks += rhs.delta_full_fallbacks;
-        self.ack_bytes += rhs.ack_bytes;
-    }
-}
-
 /// Computation counters: a hardware-independent proxy for server and client
 /// load (distance computations, heap and index operations). Incremented by
 /// protocol code; wall-clock equivalents are measured by the
@@ -331,19 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn add_assign_merges() {
-        let mut a = NetStats::default();
-        a.count_uplink(MsgKind::Leave, 28);
-        let mut b = NetStats::default();
-        b.count_uplink(MsgKind::Leave, 28);
-        b.count_unicast(MsgKind::ClearBand);
-        a += &b;
-        assert_eq!(a.uplink_msgs, 2);
-        assert_eq!(a.by_kind[&MsgKind::Leave], 2);
-        assert_eq!(a.downlink_unicast_msgs, 1);
-    }
-
-    #[test]
     fn op_counters_add() {
         let mut a = OpCounters {
             server_ops: 1,
@@ -366,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_counters_accumulate_by_category_and_merge() {
+    fn shard_counters_accumulate_by_category() {
         use mknn_geom::{Circle, ObjectId, Point, QueryId, Vector};
         let mut s = ShardStats::default();
         assert!(s.is_empty());
@@ -412,15 +358,10 @@ mod tests {
         };
         assert_eq!(net.total_msgs(), 0);
         assert_eq!(net.total_bytes(), 0);
-        let mut merged = ShardStats::default();
-        merged += &s;
-        merged += &s;
-        assert_eq!(merged.total_msgs(), 2 * s.total_msgs());
-        assert_eq!(merged.total_bytes(), 2 * s.total_bytes());
     }
 
     #[test]
-    fn frame_counters_conserve_bytes_and_merge() {
+    fn frame_counters_conserve_bytes() {
         let mut s = NetStats::default();
         // Two frames: total bytes split into payload and header shares.
         s.count_frame(40, 3);
@@ -435,16 +376,10 @@ mod tests {
         // Frames are transmissions (bytes), not logical messages.
         assert_eq!(s.total_msgs(), 0);
         assert_eq!(s.total_bytes(), 49);
-        let mut merged = NetStats::default();
-        merged += &s;
-        merged += &s;
-        assert_eq!(merged.frames, 4);
-        assert_eq!(merged.frame_header_bytes, 12);
-        assert_eq!(merged.delta_full_fallbacks, 2);
     }
 
     #[test]
-    fn fault_counters_accumulate_and_merge() {
+    fn fault_counters_accumulate() {
         let mut a = NetStats::default();
         a.count_dropped();
         a.count_dropped();
@@ -454,9 +389,5 @@ mod tests {
         // Fault counters never feed the headline communication-cost metric.
         assert_eq!(a.total_msgs(), 0);
         assert_eq!(a.total_bytes(), 0);
-        let mut b = NetStats::default();
-        b.count_delayed();
-        a += &b;
-        assert_eq!(a.delayed_msgs, 2);
     }
 }

@@ -150,30 +150,6 @@ fn stats_totals_equal_sum_of_parts() {
 }
 
 #[test]
-fn stats_merge_is_additive() {
-    forall(CASES, |rng| {
-        let n_a = rng.gen_range(0usize..30);
-        let ups_a: Vec<UplinkMsg> = (0..n_a).map(|_| uplink(rng)).collect();
-        let n_b = rng.gen_range(0usize..30);
-        let ups_b: Vec<UplinkMsg> = (0..n_b).map(|_| uplink(rng)).collect();
-
-        let count = |msgs: &[UplinkMsg]| {
-            let mut s = NetStats::default();
-            for m in msgs {
-                s.count_uplink(m.kind(), m.size_bytes());
-            }
-            s
-        };
-        let mut merged = count(&ups_a);
-        merged += &count(&ups_b);
-        let mut both = ups_a.clone();
-        both.extend(ups_b.iter().cloned());
-        let expected = count(&both);
-        assert_eq!(merged, expected);
-    });
-}
-
-#[test]
 fn kind_is_stable_under_payload_changes() {
     forall(CASES, |rng| {
         let q = rng.gen_range(0u32..8);
@@ -203,7 +179,7 @@ fn kind_is_stable_under_payload_changes() {
 fn fault_counters_never_enter_the_conserved_totals() {
     // `total_msgs`/`total_bytes` count *transmissions*; drops, duplicates
     // and delays are observations about deliveries and must never feed the
-    // conserved totals — only their own counters, which merge additively.
+    // conserved totals — only their own counters.
     forall(CASES, |rng| {
         let mut s = NetStats::default();
         let n_ups = rng.gen_range(0usize..40);
@@ -231,16 +207,6 @@ fn fault_counters_never_enter_the_conserved_totals() {
             (s.dropped_msgs, s.dup_msgs, s.delayed_msgs),
             (drops, dups, delays)
         );
-
-        let mut other = NetStats::default();
-        other.count_dropped();
-        other.count_delayed();
-        let mut merged = s.clone();
-        merged += &other;
-        assert_eq!(merged.dropped_msgs, drops + 1);
-        assert_eq!(merged.dup_msgs, dups);
-        assert_eq!(merged.delayed_msgs, delays + 1);
-        assert_eq!(merged.total_msgs(), msgs);
     });
 }
 

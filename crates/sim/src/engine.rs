@@ -2,153 +2,90 @@
 
 use crate::{check_answer, EpisodeMetrics, SimConfig, SnapshotOracle, VerifyMode};
 use mknn_core::ShardCoordinator;
-use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick};
+use mknn_geom::{Circle, ObjectId, QueryId, Tick};
 use mknn_index::GridIndex;
-use mknn_mobility::World;
+use mknn_mobility::{MovingObject, World};
 use mknn_net::{
-    CrashWindow, Delivery, DownlinkBuilder, DownlinkMsg, FaultPlan, FaultyLink, MsgKind, NetStats,
-    ObjReport, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, QueryStreams, Recipient,
-    ReplStore, ServerPhase, ShardTask, UplinkMsg, Uplinks,
+    CrashWindow, Delivery, DownlinkBuilder, DownlinkMsg, FaultyLink, MsgKind, NetStats, ObjReport,
+    OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Recipient, ReplStore, ServerPhase,
+    ShardTask, UplinkMsg, Uplinks,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// A coordinator side effect recorded by a [`ShardProbe`] during the
-/// parallel server phase. The coordinator is shared *read-only* across the
-/// phase's worker threads, so its mutating charges (backbone legs, shard
-/// load bumps, backbone fault draws) are logged per shard and replayed in
-/// ascending shard order after the phase — the replay order is a pure
-/// function of the shard partition, so metrics are identical at any thread
-/// count, and at `G = 1` the single log is the issue order itself.
-enum CoordCharge {
-    /// `probe` scattered a zone to its covering shards.
-    ProbeScatter { query: QueryId, zone: Circle },
-    /// Delivered probe replies surfaced at `shard` and merge at the home.
-    ProbeGather {
-        query: QueryId,
-        shard: u32,
-        count: usize,
-    },
-    /// `poll` paged a device at `pos` (request leg).
-    RouteUnicast {
-        query: QueryId,
-        pos: Point,
-        bytes: usize,
-    },
-    /// `poll`'s reply surfaced at the shard owning `pos` (reply leg).
-    RouteUplink {
-        query: QueryId,
-        pos: Point,
-        bytes: usize,
-    },
-}
-
-/// Per-shard accumulation buffer for one server phase: everything a shard's
-/// worker produces that must merge into engine-global state afterwards.
-#[derive(Default)]
-struct ShardBuf {
-    /// Device-facing traffic this shard's probes charged (commutative
-    /// counters; merged in ascending shard order).
-    stats: NetStats,
-    /// The fault-fate streams of this shard's homed queries, moved out of
-    /// the [`FaultyLink`] for the phase and restored afterwards. `None` on
-    /// a perfect link.
-    streams: Option<QueryStreams>,
-    /// Deferred coordinator charges, in issue order.
-    charges: Vec<CoordCharge>,
-    /// Probe deliveries to stage on the downlink builder.
-    staged: Vec<(ObjectId, DownlinkMsg, Delivery)>,
-}
-
-/// The harness's synchronous probe channel, one per [`ShardTask`] (and one
-/// for the init handshake): answers from true positions, charging every
-/// probe geocast/unicast and every reply before returning.
+/// The harness's synchronous probe channel, one per server phase (and one
+/// for the init handshake), shared by every shard in turn: answers from
+/// true positions, charging every probe geocast/unicast, every reply and
+/// every backbone leg at the point of issue.
 ///
 /// A probe round trip is one synchronous RPC, so the fault layer only
 /// applies **loss and churn** to it (a duplicated or delayed reply is
 /// indistinguishable from a lost one to a caller that waits exactly one
 /// round): the request leg can fail with the downlink loss rate, the reply
-/// leg with the uplink loss rate, and offline devices never answer.
-///
-/// Safe to drive from a worker thread: shared engine state (`infra`, the
-/// position slices, `coord`, the offline mask) is read-only; everything it
-/// must mutate — traffic counters, fault draws from this shard's query
-/// streams, coordinator charges, builder stagings — lands in the shard's
-/// own [`ShardBuf`], which [`replay_shard_buf`] merges in ascending shard
-/// order after the phase.
-struct ShardProbe<'a> {
+/// leg with the uplink loss rate, and offline devices never answer. Leg
+/// fates come from the probing query's own stream, so they do not depend
+/// on which shard issued the probe or in what order.
+struct ShardProbe<'a, 'r> {
     infra: &'a GridIndex,
-    /// True positions and velocities, indexed by `ObjectId::index` (the
-    /// slices, not the [`World`], which is not `Sync` across workers).
-    pos: &'a [Point],
-    vel: &'a [mknn_geom::Vector],
-    /// This tick's offline mask (present iff a fault link is active).
-    offline: Option<&'a [bool]>,
-    /// The fault plan, copied out of the link (`None` on a perfect link).
-    plan: Option<FaultPlan>,
-    tick: Tick,
-    coord: &'a mknn_core::ShardCoordinator,
-    buf: &'a mut ShardBuf,
+    world: &'a World,
+    coord: &'a mut ShardCoordinator,
+    link: Option<&'a mut FaultyLink>,
+    stats: &'a mut NetStats,
+    builder: &'a mut DownlinkBuilder<'r>,
 }
 
-impl ShardProbe<'_> {
-    fn is_offline(&self, idx: usize) -> bool {
-        self.offline
-            .is_some_and(|m| m.get(idx).copied().unwrap_or(false))
-    }
-
-    /// One probe-leg loss draw from `query`'s fate stream (the split-out
-    /// copy), gated on the plan still being active this tick.
-    fn leg_lost(&mut self, query: QueryId, loss: f64) -> bool {
-        match (&self.plan, self.buf.streams.as_mut()) {
-            (Some(plan), Some(streams)) if plan.active_at(self.tick) => {
-                plan.draw_leg_lost(streams.rng(query), loss, &mut self.buf.stats)
-            }
-            _ => false,
+impl ShardProbe<'_, '_> {
+    /// The request leg to device `id`: an offline device never hears it; an
+    /// online one misses it with the downlink loss rate.
+    fn request_leg(&mut self, query: QueryId, id: ObjectId) -> Delivery {
+        let Some(link) = self.link.as_deref_mut() else {
+            return Delivery::Delivered;
+        };
+        if link.is_offline(id.index()) {
+            self.stats.count_dropped();
+            Delivery::Offline
+        } else if link.probe_leg_lost(query, link.plan().down_loss, self.stats) {
+            Delivery::Lost
+        } else {
+            Delivery::Delivered
         }
     }
+
+    /// The reply leg: the device transmitted (charged by the caller) but the
+    /// uplink may still be lost in flight.
+    fn reply_lost(&mut self, query: QueryId) -> bool {
+        self.link
+            .as_deref_mut()
+            .is_some_and(|l| l.probe_leg_lost(query, l.plan().up_loss, self.stats))
+    }
 }
 
-impl ProbeService for ShardProbe<'_> {
+impl ProbeService for ShardProbe<'_, '_> {
     fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport> {
         let msg = DownlinkMsg::Probe { query, zone };
         let cells = self.infra.cells_overlapping(&zone);
         // Request legs are priced per interested device when the staged
         // copies are framed, not per message.
-        self.buf.stats.count_geocast(MsgKind::Probe, cells);
+        self.stats.count_geocast(MsgKind::Probe, cells);
         // The probe zone scatters to every covering shard; each foreign one
         // merges its partial answer back at the home shard afterwards.
-        self.buf
-            .charges
-            .push(CoordCharge::ProbeScatter { query, zone });
-        let down_loss = self.plan.map_or(0.0, |p| p.down_loss);
-        let up_loss = self.plan.map_or(0.0, |p| p.up_loss);
+        self.coord
+            .probe_scatter(query, &zone, self.stats, self.link.as_deref_mut());
         let mut out = Vec::new();
         for n in self.infra.range(&zone) {
             if n.id == exclude {
                 continue;
             }
-            // Request leg: an offline device never hears the geocast; an
-            // online one misses it with the downlink loss rate.
-            let mut delivery = Delivery::Delivered;
-            if self.is_offline(n.id.index()) {
-                self.buf.stats.count_dropped();
-                delivery = Delivery::Offline;
-            } else if self.leg_lost(query, down_loss) {
-                delivery = Delivery::Lost;
-            }
-            self.buf.staged.push((n.id, msg, delivery));
+            let delivery = self.request_leg(query, n.id);
+            self.builder.stage(n.id, msg, delivery);
             if delivery != Delivery::Delivered {
                 continue;
             }
-            let (pos, vel) = (self.pos[n.id.index()], self.vel[n.id.index()]);
+            let MovingObject { pos, vel, .. } = self.world.object(n.id);
             let reply = UplinkMsg::ProbeReply { query, pos, vel };
-            self.buf
-                .stats
+            self.stats
                 .count_uplink(MsgKind::ProbeReply, reply.size_bytes());
-            // Reply leg: the device transmitted (charged above) but the
-            // uplink may still be lost in flight.
-            if self.leg_lost(query, up_loss) {
+            if self.reply_lost(query) {
                 continue;
             }
             out.push(ObjReport { id: n.id, pos, vel });
@@ -161,11 +98,8 @@ impl ProbeService for ShardProbe<'_> {
             *per_shard.entry(self.coord.shard_of(r.pos)).or_insert(0) += 1;
         }
         for (shard, count) in per_shard {
-            self.buf.charges.push(CoordCharge::ProbeGather {
-                query,
-                shard,
-                count,
-            });
+            self.coord
+                .probe_gather(query, shard, count, self.stats, self.link.as_deref_mut());
         }
         out
     }
@@ -175,43 +109,40 @@ impl ProbeService for ShardProbe<'_> {
         // get `None` without charging any traffic: there is no device to
         // page. World ids are dense (index i is ObjectId(i)), so the bounds
         // check alone identifies the device.
-        if id.index() >= self.pos.len() {
+        if id.index() >= self.world.len() {
             return None;
         }
-        let (pos, vel) = (self.pos[id.index()], self.vel[id.index()]);
+        let MovingObject { pos, vel, .. } = self.world.object(id);
         let ask = DownlinkMsg::Probe {
             query,
             zone: Circle::new(pos, 0.0),
         };
-        self.buf.stats.count_unicast(MsgKind::Probe);
+        self.stats.count_unicast(MsgKind::Probe);
         // A poll into a foreign block is forwarded there and the reply
         // forwarded back.
-        self.buf.charges.push(CoordCharge::RouteUnicast {
+        self.coord.route_unicast(
             query,
             pos,
-            bytes: ask.size_bytes(),
-        });
-        let mut delivery = Delivery::Delivered;
-        if self.is_offline(id.index()) {
-            self.buf.stats.count_dropped();
-            delivery = Delivery::Offline;
-        } else if self.leg_lost(query, self.plan.map_or(0.0, |p| p.down_loss)) {
-            delivery = Delivery::Lost;
-        }
-        self.buf.staged.push((id, ask, delivery));
+            ask.size_bytes(),
+            self.stats,
+            self.link.as_deref_mut(),
+        );
+        let delivery = self.request_leg(query, id);
+        self.builder.stage(id, ask, delivery);
         if delivery != Delivery::Delivered {
             return None;
         }
         let reply = UplinkMsg::ProbeReply { query, pos, vel };
-        self.buf
-            .stats
+        self.stats
             .count_uplink(MsgKind::ProbeReply, reply.size_bytes());
-        self.buf.charges.push(CoordCharge::RouteUplink {
-            query,
+        self.coord.route_uplink(
+            Some(query),
             pos,
-            bytes: reply.size_bytes(),
-        });
-        if self.leg_lost(query, self.plan.map_or(0.0, |p| p.up_loss)) {
+            reply.size_bytes(),
+            self.stats,
+            self.link.as_deref_mut(),
+        );
+        if self.reply_lost(query) {
             return None;
         }
         Some(ObjReport { id, pos, vel })
@@ -348,25 +279,21 @@ impl Simulation {
         let mut repl = ReplStore::new();
         let mut last_sent = vec![Vec::new(); specs.len()];
         let mut builder = repl.begin_tick(0);
-        let mut buf = ShardBuf::default();
         proto.init(
             bounds,
             &world.objects(),
             &specs,
             &mut ShardProbe {
                 infra: &infra,
-                pos: world.positions(),
-                vel: world.velocities(),
-                offline: None,
-                plan: None,
-                tick: 0,
-                coord: &coord,
-                buf: &mut buf,
+                world: &world,
+                coord: &mut coord,
+                link: None,
+                stats: &mut metrics.net,
+                builder: &mut builder,
             },
             &mut outbox,
             &mut ops,
         );
-        replay_shard_buf(&mut buf, &mut metrics.net, &mut coord, None, &mut builder);
         // The init handshake is server-side setup work; the routing that
         // delivers its outbox is charged to the route split below. Both
         // feed `proto_seconds`, composed the same way as a stepped tick.
@@ -650,60 +577,38 @@ impl Simulation {
         }
         let mut route_secs = t_route.elapsed().as_secs_f64();
 
-        // Server phase: one task per shard, dispatched over the pool. Each
-        // task drives the shard's partition of the protocol's server state
-        // through a read-only [`ShardProbe`]; the coordinator's charges and
-        // the downlink builder's stagings are deferred into per-shard buffers
-        // and replayed in ascending shard order below, so the episode's
-        // metrics are byte-identical at any thread count.
+        // Server phase: one task per shard, run in ascending shard id. Each
+        // task drives the shard's partition of the protocol's server state;
+        // the one [`ShardProbe`] they share charges the coordinator, the
+        // counters and the downlink builder as the probes are issued.
         let t_server = Instant::now();
-        let mut outbox = Outbox::new();
         let mut builder = self.repl.begin_tick(self.tick);
         let homes: Vec<u32> = self
             .specs
             .iter()
             .map(|s| self.coord.effective_home(s.id))
             .collect();
-        let mut bufs: Vec<ShardBuf> = (0..g).map(|_| ShardBuf::default()).collect();
-        if let Some(link) = self.link.as_mut() {
-            // Each shard's task draws probe fates from its homed queries'
-            // streams; moving the streams out (and back afterwards) keeps
-            // every draw on the same per-query sequence as the monolith.
-            let mut groups: Vec<Vec<u32>> = vec![Vec::new(); g];
-            for (qi, &home) in homes.iter().enumerate() {
-                groups[home as usize].push(qi as u32);
-            }
-            for (buf, streams) in bufs.iter_mut().zip(link.split_query_streams(&groups)) {
-                buf.streams = Some(streams);
-            }
-        }
-        let plan = self.link.as_ref().map(|l| *l.plan());
-        let offline_mask: Option<&[bool]> = self.link.is_some().then_some(&self.offline_buf);
-        let mut tasks: Vec<ShardTask> = Vec::with_capacity(g);
-        for (shard, (buf, up)) in bufs.iter_mut().zip(split).enumerate() {
-            tasks.push(ShardTask::new(
-                shard as u32,
-                up,
-                Box::new(ShardProbe {
-                    infra: &self.infra,
-                    pos: self.world.positions(),
-                    vel: self.world.velocities(),
-                    offline: offline_mask,
-                    plan,
-                    tick: self.tick,
-                    coord: &self.coord,
-                    buf,
-                }),
-            ));
-        }
+        let mut tasks: Vec<ShardTask> = split
+            .into_iter()
+            .enumerate()
+            .map(|(shard, up)| ShardTask::new(shard as u32, up))
+            .collect();
         self.proto.server_phase(&mut ServerPhase {
             tick: self.tick,
             homes: &homes,
-            pool: self.pool,
             tasks: &mut tasks,
+            probe: &mut ShardProbe {
+                infra: &self.infra,
+                world: &self.world,
+                coord: &mut self.coord,
+                link: self.link.as_mut(),
+                stats: &mut self.metrics.net,
+                builder: &mut builder,
+            },
         });
-        // Merge in ascending shard order: outbox concatenation, op totals,
-        // and the per-shard wall-time breakdown.
+        // Concatenate in ascending shard order: outbox, op totals, and the
+        // per-shard wall-time breakdown.
+        let mut outbox = Outbox::new();
         if self.metrics.shard_seconds.len() < g {
             self.metrics.shard_seconds.resize(g, 0.0);
         }
@@ -711,18 +616,6 @@ impl Simulation {
             outbox.append(&mut task.outbox);
             ops += task.ops;
             self.metrics.shard_seconds[task.shard as usize] += task.seconds;
-        }
-        for buf in bufs.iter_mut() {
-            replay_shard_buf(
-                buf,
-                &mut self.metrics.net,
-                &mut self.coord,
-                self.link.as_mut(),
-                &mut builder,
-            );
-        }
-        if let Some(link) = self.link.as_mut() {
-            link.restore_query_streams(bufs.into_iter().filter_map(|b| b.streams).collect());
         }
         let server_secs = t_server.elapsed().as_secs_f64();
         self.metrics.ops += ops;
@@ -845,44 +738,6 @@ impl Simulation {
             self.step();
         }
         self.metrics
-    }
-}
-
-/// Replays one shard's deferred probe side effects against the real
-/// coordinator, link and builder. Called in ascending shard order after a
-/// phase, so the result is deterministic regardless of which worker ran
-/// which task when.
-fn replay_shard_buf(
-    buf: &mut ShardBuf,
-    stats: &mut NetStats,
-    coord: &mut ShardCoordinator,
-    mut link: Option<&mut FaultyLink>,
-    builder: &mut DownlinkBuilder,
-) {
-    *stats += &buf.stats;
-    for charge in buf.charges.drain(..) {
-        let link = link.as_deref_mut();
-        match charge {
-            CoordCharge::ProbeScatter { query, zone } => {
-                coord.probe_scatter(query, &zone, stats, link);
-            }
-            CoordCharge::ProbeGather {
-                query,
-                shard,
-                count,
-            } => {
-                coord.probe_gather(query, shard, count, stats, link);
-            }
-            CoordCharge::RouteUnicast { query, pos, bytes } => {
-                coord.route_unicast(query, pos, bytes, stats, link);
-            }
-            CoordCharge::RouteUplink { query, pos, bytes } => {
-                coord.route_uplink(Some(query), pos, bytes, stats, link);
-            }
-        }
-    }
-    for (to, msg, delivery) in buf.staged.drain(..) {
-        builder.stage(to, msg, delivery);
     }
 }
 
@@ -1150,30 +1005,30 @@ mod tests {
             world.snapshot(),
         );
         let n = world.len() as u32;
-        let coord = ShardCoordinator::new(world.bounds(), 1);
-        let mut buf = ShardBuf::default();
+        let mut coord = ShardCoordinator::new(world.bounds(), 1);
+        let mut stats = NetStats::default();
+        let mut repl = ReplStore::new();
+        let mut builder = repl.begin_tick(0);
         let mut probe = ShardProbe {
             infra: &infra,
-            pos: world.positions(),
-            vel: world.velocities(),
-            offline: None,
-            plan: None,
-            tick: 0,
-            coord: &coord,
-            buf: &mut buf,
+            world: &world,
+            coord: &mut coord,
+            link: None,
+            stats: &mut stats,
+            builder: &mut builder,
         };
         // Beyond the population: no such device, no traffic charged.
         assert_eq!(probe.poll(QueryId(0), ObjectId(n)), None);
         assert_eq!(probe.poll(QueryId(0), ObjectId(n + 5)), None);
-        assert_eq!(probe.buf.stats.total_msgs(), 0);
-        assert!(probe.buf.charges.is_empty());
-        assert!(probe.buf.staged.is_empty());
+        assert_eq!(probe.stats.total_msgs(), 0);
         // A tracked id answers, is charged, and reports its own identity.
         let rep = probe.poll(QueryId(0), ObjectId(3)).expect("tracked id");
         assert_eq!(rep.id, ObjectId(3));
-        assert_eq!(buf.stats.downlink_unicast_msgs, 1);
-        assert_eq!(buf.stats.uplink_msgs, 1);
-        assert_eq!(buf.staged.len(), 1);
+        assert_eq!(stats.downlink_unicast_msgs, 1);
+        assert_eq!(stats.uplink_msgs, 1);
+        // Only the tracked poll was staged: one device, one frame.
+        builder.flush_frames(&mut stats);
+        assert_eq!(stats.frames, 1);
     }
 
     #[test]

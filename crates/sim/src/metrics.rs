@@ -40,19 +40,22 @@ pub struct EpisodeMetrics {
     /// Wall-clock seconds of the client phase: per-device protocol logic
     /// plus the offline-mask/inbox bookkeeping that feeds it.
     pub client_seconds: f64,
-    /// Wall-clock seconds of the server phase: per-shard task dispatch,
-    /// the protocols' partitioned server ticks, and the post-phase merge.
+    /// Wall-clock seconds of the server phase: building the per-shard
+    /// tasks, the protocols' partitioned server ticks run shard by shard
+    /// (probe charges included), and the outbox concatenation — plus the
+    /// init handshake, which no shard clock covers.
     pub server_seconds: f64,
     /// Wall-clock seconds of routing: uplink charging and per-shard
     /// splitting before the server phase, downlink delivery and answer
     /// replication after it.
     pub route_seconds: f64,
     /// Wall-clock seconds each server shard's task spent inside protocol
-    /// code, indexed by shard id and summed over the episode. The parallel
-    /// speedup of the server phase is `sum(shard_seconds) /
-    /// server_seconds` (up to dispatch overhead). Empty until the first
-    /// step; single-server episodes omit the field from the serialized
-    /// form.
+    /// code, indexed by shard id and summed over the episode. The shards
+    /// run one after another inside the server phase, so
+    /// `sum(shard_seconds) <= server_seconds`; the largest entry is the
+    /// critical path a tier of G real machines would wait for. Empty until
+    /// the first step; single-server episodes omit the field from the
+    /// serialized form.
     pub shard_seconds: Vec<f64>,
     /// Wall-clock seconds spent verifying answers against the ground-truth
     /// oracle (snapshot-index build + all per-query checks). Zero when

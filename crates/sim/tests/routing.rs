@@ -51,12 +51,12 @@ impl Protocol for Inspector {
         }
     }
 
-    fn server_phase(&mut self, phase: &mut ServerPhase<'_, '_>) {
+    fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
         let task = &mut phase.tasks[0];
         (self.script)(phase.tick, &mut task.outbox);
         if phase.tick == 3 {
             if let Some(zone) = self.probe_at_3 {
-                let replies = task.probe.probe(QueryId(0), zone, ObjectId(u32::MAX));
+                let replies = phase.probe.probe(QueryId(0), zone, ObjectId(u32::MAX));
                 *self.probe_replies.borrow_mut() = replies.len();
             }
         }
@@ -276,7 +276,7 @@ fn uplinks_are_charged_per_message_with_the_byte_model() {
                 up.send(ObjectId(i as u32), msg);
             }
         }
-        fn server_phase(&mut self, _phase: &mut ServerPhase<'_, '_>) {}
+        fn server_phase(&mut self, _phase: &mut ServerPhase<'_>) {}
         fn answer(&self, _q: QueryId) -> &[ObjectId] {
             &self.empty
         }

@@ -174,3 +174,28 @@ fn reconvergence_survives_the_chaos_preset_bounded_to_a_burst() {
         }
     });
 }
+
+#[test]
+fn churn_rejoins_fall_back_to_full_snapshots() {
+    // Under sustained churn the distributed methods must hit the scoped
+    // downlink's ack-gap → full-snapshot path (DESIGN.md §10) at least once
+    // across a handful of worlds; a zero here would mean the fallback
+    // machinery is dead code.
+    let fallbacks = std::cell::Cell::new(0u64);
+    forall(4, |rng| {
+        let mut cfg = chaos_config(rng);
+        cfg.ticks = 40;
+        cfg.fault = FaultPlan {
+            churn: 0.02,
+            offline_min: 1,
+            offline_max: 3,
+            ..FaultPlan::chaos()
+        };
+        let m = Sweep::episode(&cfg, Method::DknnSet(cfg.dknn_params()));
+        fallbacks.set(fallbacks.get() + m.net.delta_full_fallbacks);
+    });
+    assert!(
+        fallbacks.get() > 0,
+        "churn never triggered a full-snapshot fallback"
+    );
+}
