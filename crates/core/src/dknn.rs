@@ -10,7 +10,8 @@ use mknn_net::{
 /// Distributed processing of moving k-nearest-neighbor queries — the
 /// reproduction of the target paper's contribution.
 ///
-/// Two semantics levels share one machinery:
+/// Three semantics levels share one machinery — a versioned monitoring
+/// region plus response bands over a banded list (DESIGN.md §3.1):
 ///
 /// * **Set mode** ([`Dknn::set`]) maintains the exact kNN *set* using only
 ///   region boundary crossings: a midpoint threshold `t` between the k-th
@@ -20,6 +21,12 @@ use mknn_net::{
 ///   neighbor *order* by assigning each member a response band (annulus);
 ///   internal order changes surface as band crossings, which the server
 ///   patches locally with at most one poll and two band installs.
+/// * **Buffered mode** ([`Dknn::buffered`]) sizes the region to hold k
+///   members *plus* `b` banded spare candidates, decoupling it from the
+///   answer boundary: an Enter inserts the newcomer into the band order, a
+///   member Leave lets the first spare slide into the answer with no
+///   communication at all, and the region is only re-broadcast when the
+///   query drifts or the buffer over- or under-flows.
 ///
 /// Answers are exact with respect to the [effective query
 /// center](Protocol::effective_center), which the protocol keeps within
@@ -56,6 +63,16 @@ impl Dknn {
         Self::try_ordered(params).expect("invalid DknnParams")
     }
 
+    /// Order-preserving protocol over `buffer` spare candidates beyond k.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `params` fail [`DknnParams::validate`] or `buffer < 2`;
+    /// use [`Dknn::try_buffered`] to handle invalid parameters gracefully.
+    pub fn buffered(params: DknnParams, buffer: usize) -> Self {
+        Self::try_buffered(params, buffer).expect("invalid DknnParams")
+    }
+
     /// Fallible [`Dknn::set`]: rejects invalid parameters with the typed
     /// error instead of panicking.
     pub fn try_set(params: DknnParams) -> Result<Self, ParamError> {
@@ -65,6 +82,15 @@ impl Dknn {
     /// Fallible [`Dknn::ordered`].
     pub fn try_ordered(params: DknnParams) -> Result<Self, ParamError> {
         Self::with_mode(params, Mode::Ordered)
+    }
+
+    /// Fallible [`Dknn::buffered`]: a buffer below 2 is
+    /// [`ParamError::BufferTooSmall`].
+    pub fn try_buffered(params: DknnParams, buffer: usize) -> Result<Self, ParamError> {
+        if buffer < 2 {
+            return Err(ParamError::BufferTooSmall(buffer));
+        }
+        Self::with_mode(params, Mode::Buffered { buffer })
     }
 
     fn with_mode(params: DknnParams, mode: Mode) -> Result<Self, ParamError> {
@@ -92,12 +118,13 @@ impl Dknn {
             .sum()
     }
 
-    /// Number of locally patched band events (ordered mode diagnostics).
-    pub fn band_fixes(&self) -> u64 {
+    /// Number of locally patched events — band re-splits, and in buffered
+    /// mode inserts and removals (diagnostics).
+    pub fn local_fixes(&self) -> u64 {
         self.servers
             .parts()
             .iter()
-            .map(|s| s.total_band_fixes())
+            .map(|s| s.total_local_fixes())
             .sum()
     }
 
@@ -112,6 +139,7 @@ impl Protocol for Dknn {
         match self.mode {
             Mode::Set => "dknn-set",
             Mode::Ordered => "dknn-order",
+            Mode::Buffered { .. } => "dknn-buffer",
         }
     }
 
@@ -178,6 +206,6 @@ impl Protocol for Dknn {
     }
 
     fn ordered_answers(&self) -> bool {
-        self.mode == Mode::Ordered
+        self.mode != Mode::Set
     }
 }

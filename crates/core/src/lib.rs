@@ -11,8 +11,8 @@
 //! query position whose radius is a hysteresis threshold placed between the
 //! k-th and (k+1)-th neighbor distances), and each device decides locally,
 //! from its own position alone, whether its movement can possibly change
-//! the answer. Only boundary crossings — and, in ordered mode, response-band
-//! violations — are reported.
+//! the answer. Only boundary crossings — and, in ordered and buffered mode,
+//! response-band violations — are reported.
 //!
 //! # Soundness machinery (see DESIGN.md §3 for the full argument)
 //!
@@ -28,7 +28,8 @@
 //!   unicast re-install instead of corrupting the answer.
 //! * **Expanding probes**: when the answer is invalidated (member left,
 //!   newcomer entered, query drifted), the server re-establishes it with a
-//!   geocast probe that grows until it has found at least k+1 devices.
+//!   geocast probe that grows until it has found more devices than the
+//!   maintained list holds (k, or k + b in buffered mode).
 //!
 //! The headline invariant — *the maintained answer equals the brute-force
 //! kNN at the effective query center, every tick* — is enforced by the
@@ -36,7 +37,6 @@
 
 #![deny(missing_docs)]
 
-mod buffered;
 mod client;
 mod dknn;
 mod params;
@@ -44,7 +44,6 @@ mod region;
 mod server;
 mod shard;
 
-pub use buffered::DknnBuffered;
 pub use client::ClientHalf;
 pub use dknn::Dknn;
 pub use params::{DknnParams, DknnParamsBuilder, ParamError};
@@ -52,11 +51,18 @@ pub use region::RegionVersion;
 pub use server::ServerHalf;
 pub use shard::{ServerShard, ShardCoordinator, ShardGrid};
 
-/// Answer semantics maintained by the protocol.
+/// Answer semantics maintained by the protocol, and the list it bands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Maintain the exact kNN *set*; internal order may be stale.
     Set,
     /// Maintain the exact kNN *order* via per-member response bands.
     Ordered,
+    /// Maintain the exact kNN order over a banded list of k + `buffer`
+    /// candidates, so membership changes are patched locally instead of
+    /// re-established ("dknn-buffer").
+    Buffered {
+        /// Spare candidates banded beyond k (at least 2).
+        buffer: usize,
+    },
 }

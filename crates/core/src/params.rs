@@ -24,6 +24,8 @@ pub enum ParamError {
     ExpandFactorTooSmall(f64),
     /// A negative global speed bound (`v_max_obj` or `v_max_q`).
     NegativeSpeedBound(f64),
+    /// A dknn-buffer candidate buffer below 2 spare candidates.
+    BufferTooSmall(usize),
 }
 
 impl fmt::Display for ParamError {
@@ -40,13 +42,14 @@ impl fmt::Display for ParamError {
             ParamError::NegativeSpeedBound(v) => {
                 write!(f, "speed bounds must be non-negative, got {v}")
             }
+            ParamError::BufferTooSmall(b) => write!(f, "buffer must be at least 2, got {b}"),
         }
     }
 }
 
 impl std::error::Error for ParamError {}
 
-/// Parameters of the DKNN protocols (both set and ordered mode).
+/// Parameters of the DKNN protocols (set, ordered and buffered mode).
 ///
 /// The defaults are sized for the default workload (10 km × 10 km space,
 /// object speeds ≤ 20 m/tick) and are swept by the ablation experiments.
@@ -80,9 +83,9 @@ pub struct DknnParams {
     /// Growth factor for region-expansion probes when a probe zone yields
     /// fewer than k+1 devices.
     pub expand_factor: f64,
-    /// In ordered mode, the number of band events for one query in one tick
-    /// above which the server stops patching locally and performs a full
-    /// refresh instead.
+    /// The number of band events for one query in one tick above which the
+    /// server stops patching locally and performs a full refresh instead
+    /// (buffered mode adds k + 2b, and counts Enter events too).
     pub band_escalation: u32,
 }
 

@@ -959,11 +959,7 @@ mod tests {
     #[test]
     fn dknn_buffered_is_exact() {
         let cfg = SimConfig::small();
-        let m = Simulation::new(
-            &cfg,
-            Box::new(mknn_core::DknnBuffered::new(DknnParams::default(), 4)),
-        )
-        .run();
+        let m = Simulation::new(&cfg, Box::new(Dknn::buffered(DknnParams::default(), 4))).run();
         assert_eq!(m.exactness(), 1.0, "{m:?}");
     }
 

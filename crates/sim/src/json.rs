@@ -6,7 +6,7 @@
 //! (`{"DknnSet": {...}}`).
 
 use crate::{EpisodeMetrics, Method, SimConfig, Summary, TickSample, TickSeries, VerifyMode};
-use mknn_core::DknnParams;
+use mknn_core::{Dknn, DknnParams};
 use mknn_util::impl_json_struct;
 use mknn_util::json::{FromJson, Json, JsonError, ToJson};
 
@@ -264,10 +264,10 @@ impl FromJson for Method {
             return Ok(Method::DknnOrder(DknnParams::from_json(p)?));
         }
         if let Some(body) = v.get("DknnBuffer") {
-            return Ok(Method::DknnBuffer {
-                params: body.parse_field("params")?,
-                buffer: body.parse_field("buffer")?,
-            });
+            let (params, buffer) = (body.parse_field("params")?, body.parse_field("buffer")?);
+            Dknn::try_buffered(params, buffer)
+                .map_err(|e| JsonError::new(format!("invalid DknnBuffer: {e}")))?;
+            return Ok(Method::DknnBuffer { params, buffer });
         }
         if let Some(body) = v.get("Centralized") {
             return Ok(Method::Centralized {
@@ -478,6 +478,24 @@ mod tests {
         let doc = r#"{"DknnSet":{"alpha":2.0,"query_drift":40.0,"heartbeat":5,"v_max_obj":20.0,"v_max_q":20.0,"expand_factor":2.0,"band_escalation":3}}"#;
         let err = from_str::<Method>(doc).unwrap_err();
         assert!(err.to_string().contains("alpha"), "{err}");
+    }
+
+    #[test]
+    fn buffer_below_two_fails_the_parse() {
+        let doc = |buffer: usize| {
+            let params = to_string(&DknnParams::default());
+            format!(r#"{{"DknnBuffer":{{"params":{params},"buffer":{buffer}}}}}"#)
+        };
+        let err = from_str::<Method>(&doc(1)).unwrap_err();
+        assert!(err.to_string().contains("buffer"), "{err}");
+        assert!(from_str::<Method>(&doc(0)).is_err());
+        assert_eq!(
+            from_str::<Method>(&doc(2)).unwrap(),
+            Method::DknnBuffer {
+                params: DknnParams::default(),
+                buffer: 2
+            }
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! as a cheap copyable description that can be instantiated per episode.
 
 use mknn_baselines::{Centralized, NaiveBroadcast, Periodic};
-use mknn_core::{Dknn, DknnBuffered, DknnParams};
+use mknn_core::{Dknn, DknnParams};
 use mknn_net::Protocol;
 
 /// A monitoring method with its configuration, ready to be instantiated for
@@ -18,7 +18,7 @@ pub enum Method {
     DknnBuffer {
         /// Protocol parameters.
         params: DknnParams,
-        /// Spare candidates beyond k.
+        /// Spare candidates beyond k (at least 2).
         buffer: usize,
     },
     /// Centralized per-tick reporting with a `res × res` server grid.
@@ -61,7 +61,7 @@ impl Method {
         match *self {
             Method::DknnSet(p) => Box::new(Dknn::set(p)),
             Method::DknnOrder(p) => Box::new(Dknn::ordered(p)),
-            Method::DknnBuffer { params, buffer } => Box::new(DknnBuffered::new(params, buffer)),
+            Method::DknnBuffer { params, buffer } => Box::new(Dknn::buffered(params, buffer)),
             Method::Centralized { res } => Box::new(Centralized::new(res)),
             Method::Periodic { period, res } => Box::new(Periodic::new(period, res)),
             Method::Naive { headroom } => Box::new(NaiveBroadcast::new(headroom)),

@@ -12,8 +12,6 @@
 //!   `serde_json` for config/metrics/workload structs).
 //! * [`check`] — a tiny randomized property-testing harness with seeded case
 //!   generation and reproducible failure reporting (replaces `proptest`).
-//! * [`bench`] — a micro-benchmark harness with warmup, median-of-N samples,
-//!   and JSON output (replaces `criterion`).
 //! * [`pool`] — a scoped worker pool with deterministic in-order result
 //!   collection (replaces `rayon` for the experiment suite's episode
 //!   fan-out).
@@ -24,7 +22,6 @@
 
 #![deny(missing_docs)]
 
-pub mod bench;
 pub mod bits;
 pub mod check;
 pub mod json;
