@@ -41,8 +41,8 @@
 use crate::wire::{self, Wire, DOWN_TAG_BITS, KIND_BITS, LINK_HEADER_BITS};
 use crate::{DownlinkMsg, NetStats};
 use mknn_geom::{ObjectId, Point, QueryId, Tick, Vector};
-use mknn_util::bits::{varint_bits, BitReader, BitSink};
-use std::collections::BTreeMap;
+use mknn_util::bits::{varint_bits, BitCount, BitReader, BitSink};
+use std::ops::Range;
 
 /// Frame-layer tag codes, extending the [`DownlinkMsg`] tag space (0..=5).
 const DOWN_REGION_REFRESH: u64 = 6;
@@ -92,17 +92,21 @@ impl AnswerUpdate {
     }
 }
 
+/// The layout of [`AnswerUpdate::Full`] over a borrowed member list, so the
+/// flush can size a full answer without materialising one.
+fn put_answer_full<S: BitSink>(w: &mut S, query: QueryId, members: &[ObjectId]) {
+    w.write_bits(DOWN_ANSWER_FULL, DOWN_TAG_BITS);
+    w.write_varint(query.0 as u64);
+    w.write_varint(members.len() as u64);
+    for m in members {
+        w.write_varint(m.0 as u64);
+    }
+}
+
 impl Wire for AnswerUpdate {
     fn put<S: BitSink>(&self, w: &mut S) {
         match self {
-            AnswerUpdate::Full { query, members } => {
-                w.write_bits(DOWN_ANSWER_FULL, DOWN_TAG_BITS);
-                w.write_varint(query.0 as u64);
-                w.write_varint(members.len() as u64);
-                for m in members {
-                    w.write_varint(m.0 as u64);
-                }
-            }
+            AnswerUpdate::Full { query, members } => put_answer_full(w, *query, members),
             AnswerUpdate::Delta {
                 query,
                 removed,
@@ -156,17 +160,12 @@ impl Wire for AnswerUpdate {
                 for _ in 0..nadd {
                     added.push(ObjectId(u32::try_from(r.read_varint()?).ok()?));
                 }
-                // The decoder knows the new length from its own acked state;
-                // round-tripping standalone requires it too, so the rank
-                // list length cannot be reconstructed here without it. The
-                // encoder therefore never relies on it: ranks are read until
-                // the frame layer's item boundary in a real deployment. For
-                // the model we carry the length implicitly via the caller's
-                // state; standalone decode reconstructs only when absent.
+                // A reordering delta does not carry its rank-list length:
+                // it is survivors + added, and only the device knows how
+                // many acked members survive. Without that state it cannot
+                // decode, so it is refused here; decoding it is the job of
+                // the device-side mirror (ROADMAP item 11).
                 if r.read_bool()? {
-                    // Without device state the rank-list length is unknown;
-                    // standalone decode is exercised through
-                    // `decode_with_len` in the frame layer tests.
                     None
                 } else {
                     Some(AnswerUpdate::Delta {
@@ -185,7 +184,7 @@ impl Wire for AnswerUpdate {
 /// One payload item inside a per-device frame: a full protocol message or a
 /// delta encoding chosen against the device's acked state. Shares the
 /// [`DownlinkMsg`] tag space (full messages keep their own tags, deltas use
-/// codes 6..=11), so a framed payload needs no second discriminator.
+/// codes 6..=12), so a framed payload needs no second discriminator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrameItem {
     /// A full message, encoded exactly as its unframed self (minus the
@@ -423,13 +422,27 @@ impl QueryRepl {
 /// Per-device replication state.
 #[derive(Debug, Clone, Default)]
 struct DeviceRepl {
-    queries: BTreeMap<u32, QueryRepl>,
+    /// Acked state per query id. A device holds one to three queries, so a
+    /// linear scan beats any map.
+    queries: Vec<(u32, QueryRepl)>,
     /// The device was in an offline churn window when a frame was due: its
     /// mirror cannot be trusted across the rejoin, so the next send of
     /// state it used to hold goes out in full. Cleared by the next fully
     /// delivered frame. (Mere loss/delay does *not* set this — it only
     /// stalls the acked baseline, which stays a valid delta base.)
     gapped: bool,
+}
+
+impl DeviceRepl {
+    /// The device's state for `query`, created empty if it holds none.
+    fn query(&mut self, query: QueryId) -> &mut QueryRepl {
+        let found = self.queries.iter().position(|(q, _)| *q == query.0);
+        let i = found.unwrap_or_else(|| {
+            self.queries.push((query.0, QueryRepl::default()));
+            self.queries.len() - 1
+        });
+        &mut self.queries[i].1
+    }
 }
 
 /// What the fault layer did with a staged send this tick, as reported to
@@ -449,11 +462,26 @@ pub enum Delivery {
     Offline,
 }
 
-/// The server side of the delta/ack state machine: what every device last
-/// acked, per query. Persists across ticks; one per episode.
+/// Slot-table value of a device that holds no replication state.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The server side of the delta/ack state machine, one per episode: what
+/// every device last acked, per query, in a slab reached through a dense
+/// per-device slot table; and the tick's stagings, in flat arenas that
+/// `begin_tick` clears.
 #[derive(Debug, Default)]
 pub struct ReplStore {
-    devices: BTreeMap<u32, DeviceRepl>,
+    /// Slab slot of each device id, [`NO_SLOT`] when it holds nothing.
+    slot_of: Vec<u32>,
+    slots: Vec<DeviceRepl>,
+    /// Released slab slots, each holding an empty, ungapped [`DeviceRepl`].
+    free: Vec<u32>,
+    /// This tick's stagings, in staging order.
+    staged: Vec<(StagedMsg, Delivery)>,
+    /// The member lists of this tick's staged answers, back to back.
+    members: Vec<ObjectId>,
+    /// `device << 32 | seq` of every staging, sorted by the flush.
+    order: Vec<u64>,
 }
 
 impl ReplStore {
@@ -465,16 +493,15 @@ impl ReplStore {
     /// Opens the staging builder for one tick. Stage every downlink of the
     /// tick, then call [`DownlinkBuilder::flush_frames`] exactly once.
     pub fn begin_tick(&mut self, tick: Tick) -> DownlinkBuilder<'_> {
-        DownlinkBuilder {
-            store: self,
-            tick,
-            staged: BTreeMap::new(),
-        }
+        self.staged.clear();
+        self.members.clear();
+        self.order.clear();
+        DownlinkBuilder { store: self, tick }
     }
 
     /// Number of devices holding any replication state (test hook).
     pub fn tracked_devices(&self) -> usize {
-        self.devices.len()
+        self.slots.len() - self.free.len()
     }
 }
 
@@ -484,22 +511,10 @@ enum StagedMsg {
     Proto(DownlinkMsg),
     Answer {
         query: QueryId,
-        members: Vec<ObjectId>,
+        /// The member list's span of [`ReplStore::members`].
+        members: Range<usize>,
         ordered: bool,
     },
-}
-
-#[derive(Debug)]
-struct Staged {
-    msg: StagedMsg,
-    delivery: Delivery,
-}
-
-#[derive(Debug)]
-struct DeviceStage {
-    items: Vec<Staged>,
-    all_delivered: bool,
-    any_offline: bool,
 }
 
 /// The two-phase tick API of the scoped downlink: `stage()` collects the
@@ -507,10 +522,10 @@ struct DeviceStage {
 /// encodes one frame per device and charges it. Created by
 /// [`ReplStore::begin_tick`].
 #[derive(Debug)]
+#[must_use = "a builder dropped without `flush_frames` discards the tick's downlink"]
 pub struct DownlinkBuilder<'a> {
     store: &'a mut ReplStore,
     tick: Tick,
-    staged: BTreeMap<u32, DeviceStage>,
 }
 
 impl DownlinkBuilder<'_> {
@@ -518,6 +533,9 @@ impl DownlinkBuilder<'_> {
     /// the fault layer did with the copy this tick; it gates the ack state
     /// machine, never the encoding choice — the server picks the encoding
     /// before learning the fate.
+    ///
+    /// Device ids are dense indices: the store's slot table grows to the
+    /// largest id ever staged (one `u32` per id).
     pub fn stage(&mut self, device: ObjectId, msg: DownlinkMsg, delivery: Delivery) {
         self.push(device, StagedMsg::Proto(msg), delivery);
     }
@@ -530,31 +548,31 @@ impl DownlinkBuilder<'_> {
         &mut self,
         device: ObjectId,
         query: QueryId,
-        members: Vec<ObjectId>,
+        members: &[ObjectId],
         ordered: bool,
         delivery: Delivery,
     ) {
+        let arena = &mut self.store.members;
+        let span = arena.len()..arena.len() + members.len();
+        arena.extend_from_slice(members);
         let msg = StagedMsg::Answer {
             query,
-            members,
+            members: span,
             ordered,
         };
         self.push(device, msg, delivery);
     }
 
     fn push(&mut self, device: ObjectId, msg: StagedMsg, delivery: Delivery) {
-        let e = self.staged.entry(device.0).or_insert_with(|| DeviceStage {
-            items: Vec::new(),
-            all_delivered: true,
-            any_offline: false,
-        });
-        e.items.push(Staged { msg, delivery });
-        e.all_delivered &= delivery == Delivery::Delivered;
-        e.any_offline |= delivery == Delivery::Offline;
+        let store = &mut *self.store;
+        let seq = store.staged.len() as u64;
+        store.order.push(u64::from(device.0) << 32 | seq);
+        store.staged.push((msg, delivery));
     }
 
-    /// Encodes one frame per staged device (ascending device id), charges
-    /// each into `stats` (`frames`, `downlink_bytes`, `frame_header_bytes`,
+    /// Encodes one frame per staged device (ascending device id, each
+    /// device's items in staging order), charges each into `stats`
+    /// (`frames`, `downlink_bytes`, `frame_header_bytes`,
     /// `delta_full_fallbacks`), and advances the delta/ack state machine.
     ///
     /// Commits are per *item*: every staged copy made its own fault draw,
@@ -565,41 +583,62 @@ impl DownlinkBuilder<'_> {
     /// device gapped: the rejoin send re-sends held state in full, and the
     /// first fully delivered frame re-arms delta encoding.
     pub fn flush_frames(self, stats: &mut NetStats) {
-        for (dev, stage) in self.staged {
-            let entry = self.store.devices.entry(dev).or_default();
-            let mut fallbacks = 0u64;
-            let (mut payload, mut ack_bits) = (0usize, 0usize);
-            for staged in &stage.items {
-                let commit = staged.delivery == Delivery::Delivered;
-                let bits = match &staged.msg {
+        let store = self.store;
+        // Group by device: seq is unique, so the unstable sort is
+        // deterministic and keeps each device's staging order.
+        store.order.sort_unstable();
+        for run in store.order.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let dev = (run[0] >> 32) as usize;
+            if dev >= store.slot_of.len() {
+                store.slot_of.resize(dev + 1, NO_SLOT);
+            }
+            if store.slot_of[dev] == NO_SLOT {
+                store.slot_of[dev] = store.free.pop().unwrap_or_else(|| {
+                    store.slots.push(DeviceRepl::default());
+                    (store.slots.len() - 1) as u32
+                });
+            }
+            let entry = &mut store.slots[store.slot_of[dev] as usize];
+            let (mut fallbacks, mut payload, mut ack_bits) = (0u64, 0usize, 0usize);
+            let (mut all_delivered, mut any_offline) = (true, false);
+            for &key in run {
+                let (msg, delivery) = &store.staged[key as u32 as usize];
+                let commit = *delivery == Delivery::Delivered;
+                all_delivered &= commit;
+                any_offline |= *delivery == Delivery::Offline;
+                let bits = match msg {
                     StagedMsg::Proto(msg) => encode_proto(entry, msg, commit, &mut fallbacks),
                     StagedMsg::Answer {
                         query,
                         members,
                         ordered,
-                    } => encode_answer(entry, *query, members, *ordered, commit, &mut fallbacks),
+                    } => {
+                        let list = &store.members[members.clone()];
+                        encode_answer(entry, *query, list, *ordered, commit, &mut fallbacks)
+                    }
                 };
                 payload += bits;
                 // Ack items are tallied into the informational
                 // `NetStats::ack_bytes` share as well.
-                if matches!(staged.msg, StagedMsg::Proto(DownlinkMsg::Ack { .. })) {
+                if matches!(msg, StagedMsg::Proto(DownlinkMsg::Ack { .. })) {
                     ack_bits += bits;
                 }
             }
-            let header = frame_header_bits(self.tick, stage.items.len());
+            let header = frame_header_bits(self.tick, run.len());
             let frame_bytes = (header + payload).div_ceil(8);
             let payload_bytes = payload.div_ceil(8);
             stats.count_frame(frame_bytes as u64, (frame_bytes - payload_bytes) as u64);
             stats.ack_bytes += ack_bits.div_ceil(8) as u64;
             stats.delta_full_fallbacks += fallbacks;
-            if stage.all_delivered {
+            if all_delivered {
                 entry.gapped = false;
-            } else if stage.any_offline {
+            } else if any_offline {
                 entry.gapped = true;
             }
-            entry.queries.retain(|_, q| !q.is_empty());
+            entry.queries.retain(|(_, q)| !q.is_empty());
             if entry.queries.is_empty() && !entry.gapped {
-                self.store.devices.remove(&dev);
+                let slot = std::mem::replace(&mut store.slot_of[dev], NO_SLOT);
+                store.free.push(slot);
             }
         }
     }
@@ -644,7 +683,7 @@ fn encode_proto(
             vel,
             r_out,
         } => {
-            let q = dev.queries.entry(query.0).or_default();
+            let q = dev.query(query);
             let delta = match &q.region {
                 // Heartbeat: same version, geometry already on device.
                 Some(acked) if !gapped && acked.ver == ver => {
@@ -685,7 +724,7 @@ fn encode_proto(
             inner,
             outer,
         } => {
-            let q = dev.queries.entry(query.0).or_default();
+            let q = dev.query(query);
             let delta = match &q.band {
                 Some(acked)
                     if !gapped
@@ -710,13 +749,13 @@ fn encode_proto(
         }
         DownlinkMsg::RemoveRegion { query } => {
             if commit {
-                dev.queries.remove(&query.0);
+                dev.queries.retain(|(q, _)| *q != query.0);
             }
             msg.wire_bits()
         }
         DownlinkMsg::ClearBand { query } => {
             if commit {
-                if let Some(q) = dev.queries.get_mut(&query.0) {
+                if let Some((_, q)) = dev.queries.iter_mut().find(|(q, _)| *q == query.0) {
                     q.band = None;
                 }
             }
@@ -743,12 +782,10 @@ fn encode_answer(
     fallbacks: &mut u64,
 ) -> usize {
     let gapped = dev.gapped;
-    let q = dev.queries.entry(query.0).or_default();
-    let full_bits = AnswerUpdate::Full {
-        query,
-        members: members.to_vec(),
-    }
-    .wire_bits();
+    let q = dev.query(query);
+    let mut full = BitCount(0);
+    put_answer_full(&mut full, query, members);
+    let full_bits = full.0;
     let mut held = None;
     let bits = match &q.answer {
         Some(acked) if !gapped => {
@@ -1065,7 +1102,7 @@ mod tests {
         let q = QueryId(0);
         let first: Vec<ObjectId> = (1000..1010).map(ObjectId).collect();
         let mut b = store.begin_tick(1);
-        b.stage_answer(dev, q, first.clone(), false, Delivery::Delivered);
+        b.stage_answer(dev, q, &first, false, Delivery::Delivered);
         b.flush_frames(&mut stats);
         let full_bytes = stats.downlink_bytes;
         // One member swaps: tiny delta.
@@ -1073,7 +1110,7 @@ mod tests {
         second[4] = ObjectId(1099);
         second.sort_unstable_by_key(|m| m.0);
         let mut b = store.begin_tick(2);
-        b.stage_answer(dev, q, second.clone(), false, Delivery::Delivered);
+        b.stage_answer(dev, q, &second, false, Delivery::Delivered);
         b.flush_frames(&mut stats);
         let delta_bytes = stats.downlink_bytes - full_bytes;
         assert!(
@@ -1084,7 +1121,7 @@ mod tests {
         let third: Vec<ObjectId> = (2200..2210).map(ObjectId).collect();
         let before = stats.downlink_bytes;
         let mut b = store.begin_tick(3);
-        b.stage_answer(dev, q, third, false, Delivery::Delivered);
+        b.stage_answer(dev, q, &third, false, Delivery::Delivered);
         b.flush_frames(&mut stats);
         assert!(stats.downlink_bytes - before >= full_bytes - 2);
     }
@@ -1099,14 +1136,14 @@ mod tests {
         // cheaper than resending the list.
         let first: Vec<ObjectId> = (1000..1008).map(ObjectId).collect();
         let mut b = store.begin_tick(1);
-        b.stage_answer(dev, q, first.clone(), true, Delivery::Delivered);
+        b.stage_answer(dev, q, &first, true, Delivery::Delivered);
         b.flush_frames(&mut stats);
         let full_bytes = stats.downlink_bytes;
         // Same set, ranks 0 and 1 swapped: a permutation, no ids.
         let mut swapped = first.clone();
         swapped.swap(0, 1);
         let mut b = store.begin_tick(2);
-        b.stage_answer(dev, q, swapped, true, Delivery::Delivered);
+        b.stage_answer(dev, q, &swapped, true, Delivery::Delivered);
         b.flush_frames(&mut stats);
         let delta = stats.downlink_bytes - full_bytes;
         assert!(delta < full_bytes, "reorder {delta} vs full {full_bytes}");

@@ -794,8 +794,10 @@ fn replicate_answers(
     builder: &mut DownlinkBuilder,
 ) {
     let ordered = proto.ordered_answers();
+    let mut members = Vec::new();
     for (qi, spec) in specs.iter().enumerate() {
-        let mut members = proto.answer(spec.id).to_vec();
+        members.clear();
+        members.extend_from_slice(proto.answer(spec.id));
         if !ordered {
             members.sort_unstable_by_key(|m| m.0);
         }
@@ -808,8 +810,8 @@ fn replicate_answers(
         } else {
             Delivery::Offline
         };
-        builder.stage_answer(spec.focal, spec.id, members.clone(), ordered, delivery);
-        last_sent[qi] = members;
+        builder.stage_answer(spec.focal, spec.id, &members, ordered, delivery);
+        last_sent[qi].clone_from(&members);
     }
 }
 

@@ -39,8 +39,9 @@ GOLDEN=scripts/golden/smoke_seed42.json
 #   A, B       `-` a plain run, `.` no run, `NAME=VAL` an environment
 #              override, `--flag …` extra expt flags for that side
 #   reference  `-` none, `golden` side A must equal the committed golden
-#              file, `!=<flags>` side A must differ from `expt --seed 42
-#              <flags>` (the variation under test had an effect)
+#              file, `golden=<path>` side A must equal that committed file,
+#              `!=<flags>` side A must differ from `expt --seed 42 <flags>`
+#              (the variation under test had an effect)
 # The sized rows run above PAR_MIN_DEVICES (4096), where the chunked client
 # phase actually engages; the standard smoke (N=400) never reaches it.
 GATES='determinism|two runs||-|-|-
@@ -52,7 +53,9 @@ shards|G=4, MKNN_THREADS 1 vs 4|--shards 4|MKNN_THREADS=1|MKNN_THREADS=4|-
 shards|G=4 under chaos, two runs|--shards 4 --fault chaos|-|-|-
 chaos|two runs, chaos has an effect|--fault chaos|-|-|!=
 chaos|MKNN_THREADS 1 vs 4|--fault chaos|MKNN_THREADS=1|MKNN_THREADS=4|-
+chaos|the committed chaos reference|--fault chaos|-|.|golden=scripts/golden/chaos_seed42.json
 recovery|two runs|--shards 4 --fault crash|-|-|-
+recovery|the committed crash reference|--shards 4 --fault crash|-|.|golden=scripts/golden/crash_g4_seed42.json
 recovery|MKNN_THREADS 1 vs 4|--shards 4 --fault crash|MKNN_THREADS=1|MKNN_THREADS=4|-
 tickbench|N=6000, MKNN_THREADS 1 vs 8|--n 6000 --queries 10 --ticks 20|MKNN_THREADS=1|MKNN_THREADS=8|-
 tickbench|N=6000, --threads 1 vs 8|--n 6000 --queries 10 --ticks 20|--threads 1|--threads 8|-
@@ -98,10 +101,12 @@ run_gates() {
         fi
         case "$ref" in
             -) ;;
-            golden)
-                diff -u "$GOLDEN" "$TMPDIR_VERIFY/a" >&2 || fail "$stage gate '$row':" \
-                    "output differs from $GOLDEN (if the metrics schema changed on" \
-                    "purpose, regenerate it: ${EXPT[*]} --seed 42 > $GOLDEN)"
+            golden | golden=*)
+                local file="$GOLDEN"
+                [ "$ref" = golden ] || file="${ref#golden=}"
+                diff -u "$file" "$TMPDIR_VERIFY/a" >&2 || fail "$stage gate '$row':" \
+                    "output differs from $file (if the metrics schema changed on" \
+                    "purpose, regenerate it: ${EXPT[*]} --seed 42 $flags > $file)"
                 ;;
             '!='*)
                 # shellcheck disable=SC2086
