@@ -1,6 +1,6 @@
 //! The centralized monitoring baseline.
 
-use crate::partitioned::PartitionedTier;
+use crate::grid_tier::GridTier;
 use mknn_geom::{ObjectId, QueryId, Rect};
 use mknn_mobility::MovingObject;
 use mknn_net::{
@@ -16,19 +16,19 @@ use mknn_net::{
 /// Answers are exact with respect to true positions. The price is the Θ(N)
 /// uplink firehose — the quantity the distributed protocols eliminate.
 ///
-/// Under a sharded deployment the server state partitions by ownership (see
-/// [`PartitionedTier`]): each shard indexes the objects reporting to it and
-/// answers its homed queries by federated evaluation over all partitions.
+/// The server state is one [`GridTier`]: under a sharded deployment each
+/// shard ingests the reports terminating there, then answers its homed
+/// queries over the one index.
 #[derive(Debug)]
 pub struct Centralized {
-    tier: PartitionedTier,
+    tier: GridTier,
 }
 
 impl Centralized {
     /// Creates the baseline with a `grid_res × grid_res` server index.
     pub fn new(grid_res: u32) -> Self {
         Centralized {
-            tier: PartitionedTier::new(grid_res),
+            tier: GridTier::new(grid_res),
         }
     }
 }
@@ -90,10 +90,10 @@ impl Protocol for Centralized {
         self.tier.crash(block, queries);
     }
 
-    fn server_recover(&mut self, shard: u32, _block: Rect, replay: &[mknn_net::ObjReport]) {
+    fn server_recover(&mut self, _shard: u32, _block: Rect, replay: &[mknn_net::ObjReport]) {
         // The counted `Recover` sweep re-announces every object inside the
         // reborn block; the index is whole again from this tick on.
-        self.tier.recover(shard, replay);
+        self.tier.recover(replay);
     }
 
     fn answer(&self, query: QueryId) -> &[ObjectId] {

@@ -16,8 +16,8 @@
 #![deny(missing_docs)]
 
 mod centralized;
+mod grid_tier;
 mod naive;
-mod partitioned;
 mod periodic;
 
 pub use centralized::Centralized;

@@ -3,10 +3,9 @@
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Vector};
 use mknn_mobility::MovingObject;
 use mknn_net::{
-    run_client_phase, OpCounters, Outbox, Partitioned, ProbeService, Protocol, QuerySpec,
-    ServerPhase, ShardState, UplinkMsg, Uplinks,
+    run_client_phase, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase,
+    UplinkMsg, Uplinks,
 };
-use std::collections::BTreeMap;
 
 /// Per-query server record: the cached answer and the adaptive zone radius.
 #[derive(Debug, Clone)]
@@ -17,30 +16,6 @@ struct NState {
     answer: Vec<ObjectId>,
 }
 
-/// The query records one shard hosts, keyed by query id (ascending
-/// iteration keeps the G=1 byte trace identical to the historical
-/// dense-`Vec` order).
-#[derive(Debug, Default)]
-struct NaiveShard {
-    queries: BTreeMap<u32, NState>,
-}
-
-impl ShardState for NaiveShard {
-    type Query = NState;
-
-    fn fork_empty(&self) -> NaiveShard {
-        NaiveShard::default()
-    }
-
-    fn queries(&self) -> &BTreeMap<u32, NState> {
-        &self.queries
-    }
-
-    fn queries_mut(&mut self) -> &mut BTreeMap<u32, NState> {
-        &mut self.queries
-    }
-}
-
 /// Naive distributed processing: every tick, for every query, the server
 /// geocasts a probe over an adaptive zone around the query position and
 /// rebuilds the answer from the replies.
@@ -49,17 +24,16 @@ impl ShardState for NaiveShard {
 /// *every tick for every query*, even when nothing moved — the monitoring
 /// protocols exist precisely to amortize this.
 ///
-/// The strawman's server state is purely per-query, so the sharded
-/// deployment partitions it by query home: each shard probes for its homed
-/// queries through its own probe channel.
+/// The strawman's server state is purely per-query: under a sharded
+/// deployment each shard probes for the queries homed there.
 #[derive(Debug)]
 pub struct NaiveBroadcast {
     /// Zone radius multiplier applied to the last k-th distance.
     headroom: f64,
     /// Client-side registry (focal → query), shared by every device.
     specs: Vec<QuerySpec>,
-    /// Per-shard query records.
-    shards: Partitioned<NaiveShard>,
+    /// Query records, indexed by query id.
+    queries: Vec<NState>,
     space_diag: f64,
     empty: Vec<ObjectId>,
 }
@@ -72,22 +46,22 @@ impl NaiveBroadcast {
         NaiveBroadcast {
             headroom,
             specs: Vec::new(),
-            shards: Partitioned::new(NaiveShard::default()),
+            queries: Vec::new(),
             space_diag: 1.0,
             empty: Vec::new(),
         }
     }
 
-    /// One shard's probe-until-k loop over its homed queries, ascending
-    /// query id.
-    fn evaluate_shard(
-        shard: &mut NaiveShard,
+    /// The probe-until-k loop over the `homed` queries, ascending id.
+    fn evaluate(
+        &mut self,
+        homed: impl Iterator<Item = usize>,
         probe: &mut dyn ProbeService,
         ops: &mut OpCounters,
-        space_diag: f64,
-        headroom: f64,
     ) {
-        for state in shard.queries.values_mut() {
+        let (space_diag, headroom) = (self.space_diag, self.headroom);
+        for q in homed {
+            let state = &mut self.queries[q];
             let center = state.q_pos;
             let mut r = state.radius.clamp(1.0, space_diag);
             let replies = loop {
@@ -138,19 +112,16 @@ impl Protocol for NaiveBroadcast {
     ) {
         self.space_diag = bounds.min.dist(bounds.max);
         self.specs = queries.to_vec();
-        let shard = self.shards.reset(queries.len());
-        for spec in queries {
-            shard.queries.insert(
-                spec.id.0,
-                NState {
-                    spec: *spec,
-                    q_pos: objects[spec.focal.index()].pos,
-                    radius: self.space_diag * 0.02,
-                    answer: Vec::new(),
-                },
-            );
-        }
-        Self::evaluate_shard(shard, probe, ops, self.space_diag, self.headroom);
+        self.queries = queries
+            .iter()
+            .map(|spec| NState {
+                spec: *spec,
+                q_pos: objects[spec.focal.index()].pos,
+                radius: self.space_diag * 0.02,
+                answer: Vec::new(),
+            })
+            .collect();
+        self.evaluate(0..queries.len(), probe, ops);
     }
 
     fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {
@@ -183,19 +154,17 @@ impl Protocol for NaiveBroadcast {
     fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
         // Each shard ingests its homed QueryMoves and probes for its homed
         // queries.
-        let (space_diag, headroom) = (self.space_diag, self.headroom);
-        self.shards.run(phase, |shard, task, probe| {
-            let up = std::mem::take(&mut task.uplinks);
-            for (from, msg) in up.iter() {
+        phase.run_shards(self.queries.len(), |task, homed, probe| {
+            for (from, msg) in task.uplinks.iter() {
                 if let UplinkMsg::QueryMove { query, pos, .. } = msg {
-                    if let Some(q) = shard.queries.get_mut(&query.0) {
+                    if let Some(q) = self.queries.get_mut(query.index()) {
                         if q.spec.focal == from {
                             q.q_pos = *pos;
                         }
                     }
                 }
             }
-            Self::evaluate_shard(shard, probe, &mut task.ops, space_diag, headroom);
+            self.evaluate(homed.iter().map(|q| q.index()), probe, &mut task.ops);
         });
     }
 
@@ -204,7 +173,7 @@ impl Protocol for NaiveBroadcast {
         // radius per query; both are rebuilt by next tick's probe, so a
         // crash costs one tick of answer loss plus the re-grown zone.
         for &q in queries {
-            if let Some(state) = self.shards.query_mut(q) {
+            if let Some(state) = self.queries.get_mut(q.index()) {
                 state.answer.clear();
                 state.radius = self.space_diag * 0.02;
             }
@@ -212,8 +181,8 @@ impl Protocol for NaiveBroadcast {
     }
 
     fn answer(&self, query: QueryId) -> &[ObjectId] {
-        self.shards
-            .query(query)
+        self.queries
+            .get(query.index())
             .map_or(&self.empty, |q| q.answer.as_slice())
     }
 }
@@ -339,7 +308,7 @@ mod tests {
         // ... but the link drops it: the server must still evaluate around
         // the last position it actually heard.
         server_phase(&mut n, &mut probe, Uplinks::new());
-        assert_eq!(n.shards.query(QueryId(0)).unwrap().q_pos, Point::ORIGIN);
+        assert_eq!(n.queries[0].q_pos, Point::ORIGIN);
         assert_eq!(n.answer(QueryId(0)), &[ObjectId(1), ObjectId(2)]);
         // Delivered, the same message recenters it.
         server_phase(&mut n, &mut probe, up);

@@ -1,6 +1,6 @@
 //! The periodic (lazy) reporting baseline.
 
-use crate::partitioned::PartitionedTier;
+use crate::grid_tier::GridTier;
 use mknn_geom::{ObjectId, Point, QueryId, Rect};
 use mknn_mobility::MovingObject;
 use mknn_net::{
@@ -18,12 +18,12 @@ use mknn_net::{
 /// measures the resulting error instead of asserting exactness
 /// ([`Protocol::guarantees_exact`] is `false`).
 ///
-/// The server side shares the [`PartitionedTier`] with [`crate::Centralized`]
+/// The server side shares the [`GridTier`] with [`crate::Centralized`]
 /// — the two baselines differ only in the client reporting policy.
 #[derive(Debug)]
 pub struct Periodic {
     period: u64,
-    tier: PartitionedTier,
+    tier: GridTier,
     /// Per-device position at its last report (devices skip a scheduled
     /// report when they have not moved since).
     last_reported: Vec<Point>,
@@ -36,7 +36,7 @@ impl Periodic {
         assert!(period >= 1);
         Periodic {
             period,
-            tier: PartitionedTier::new(grid_res),
+            tier: GridTier::new(grid_res),
             last_reported: Vec::new(),
         }
     }
@@ -103,8 +103,8 @@ impl Protocol for Periodic {
         self.tier.crash(block, queries);
     }
 
-    fn server_recover(&mut self, shard: u32, _block: Rect, replay: &[mknn_net::ObjReport]) {
-        self.tier.recover(shard, replay);
+    fn server_recover(&mut self, _shard: u32, _block: Rect, replay: &[mknn_net::ObjReport]) {
+        self.tier.recover(replay);
     }
 
     fn answer(&self, query: QueryId) -> &[ObjectId] {

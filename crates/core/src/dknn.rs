@@ -3,9 +3,7 @@
 use crate::{ClientHalf, DknnParams, Mode, ParamError, ServerHalf};
 use mknn_geom::{ObjectId, Point, QueryId, Rect};
 use mknn_mobility::MovingObject;
-use mknn_net::{
-    OpCounters, Outbox, Partitioned, ProbeService, Protocol, QuerySpec, ServerPhase, Uplinks,
-};
+use mknn_net::{OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase, Uplinks};
 
 /// Distributed processing of moving k-nearest-neighbor queries — the
 /// reproduction of the target paper's contribution.
@@ -36,9 +34,7 @@ pub struct Dknn {
     params: DknnParams,
     mode: Mode,
     client: ClientHalf,
-    /// One [`ServerHalf`] per shard of the deployed server tier, each
-    /// owning exactly the per-query server state homed at its shard.
-    servers: Partitioned<ServerHalf>,
+    server: ServerHalf,
     lossy: bool,
 }
 
@@ -99,7 +95,7 @@ impl Dknn {
             params,
             mode,
             client: ClientHalf::new(params, 0),
-            servers: Partitioned::new(ServerHalf::new(params, mode)),
+            server: ServerHalf::new(params, mode),
             lossy: false,
         })
     }
@@ -111,21 +107,13 @@ impl Dknn {
 
     /// Number of full refreshes performed so far (diagnostics).
     pub fn refreshes(&self) -> u64 {
-        self.servers
-            .parts()
-            .iter()
-            .map(|s| s.total_refreshes())
-            .sum()
+        self.server.total_refreshes()
     }
 
     /// Number of locally patched events — band re-splits, and in buffered
     /// mode inserts and removals (diagnostics).
     pub fn local_fixes(&self) -> u64 {
-        self.servers
-            .parts()
-            .iter()
-            .map(|s| s.total_local_fixes())
-            .sum()
+        self.server.total_local_fixes()
     }
 
     /// Diagnostic: regions installed on device `idx` right now.
@@ -146,9 +134,7 @@ impl Protocol for Dknn {
     fn set_lossy(&mut self, lossy: bool) {
         self.lossy = lossy;
         self.client.set_lossy(lossy);
-        for server in self.servers.parts_mut() {
-            server.set_lossy(lossy);
-        }
+        self.server.set_lossy(lossy);
     }
 
     fn init(
@@ -165,9 +151,7 @@ impl Protocol for Dknn {
         for spec in queries {
             self.client.set_focal(spec.focal.index(), spec.id);
         }
-        self.servers
-            .reset(queries.len())
-            .init(bounds, objects, queries, outbox, ops);
+        self.server.init(bounds, objects, queries, outbox, ops);
     }
 
     fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {
@@ -175,10 +159,9 @@ impl Protocol for Dknn {
     }
 
     fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
-        let tick = phase.tick;
-        self.servers.run(phase, |server, task, probe| {
-            let up = std::mem::take(&mut task.uplinks);
-            server.tick(tick, &up, probe, &mut task.outbox, &mut task.ops);
+        let (tick, server) = (phase.tick, &mut self.server);
+        phase.run_shards(server.query_count(), |t, homed, probe| {
+            server.tick(tick, homed, &t.uplinks, probe, &mut t.outbox, &mut t.ops);
         });
     }
 
@@ -186,11 +169,8 @@ impl Protocol for Dknn {
         // The crashed shard's member/band/answer state is gone; the focal
         // registry survives (durable coordinator metadata). Recovery rides
         // the ordinary refresh machinery: the next server tick probes and
-        // re-establishes each wiped query. Each query lives in exactly one
-        // partition, so wiping across the tier touches exactly its holder.
-        for server in self.servers.parts_mut() {
-            server.crash_queries(queries);
-        }
+        // re-establishes each wiped query.
+        self.server.crash_queries(queries);
     }
 
     // `server_recover` stays the default no-op: DKNN's server holds no
@@ -198,11 +178,11 @@ impl Protocol for Dknn {
     // boundary objects only matter to methods that track positions.
 
     fn answer(&self, query: QueryId) -> &[ObjectId] {
-        self.servers.holder(query).answer(query)
+        self.server.answer(query)
     }
 
     fn effective_center(&self, query: QueryId) -> Option<Point> {
-        self.servers.holder(query).effective_center(query)
+        self.server.effective_center(query)
     }
 
     fn ordered_answers(&self) -> bool {

@@ -22,10 +22,9 @@ use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick, Vector};
 use mknn_index::KdTree;
 use mknn_mobility::MovingObject;
 use mknn_net::{
-    DownlinkMsg, ObjReport, OpCounters, Outbox, ProbeService, QuerySpec, Recipient, ShardState,
-    UplinkMsg, Uplinks,
+    DownlinkMsg, ObjReport, OpCounters, Outbox, ProbeService, QuerySpec, Recipient, UplinkMsg,
+    Uplinks,
 };
-use std::collections::BTreeMap;
 
 /// Two distances closer than this count as tied: the list edge extends
 /// over them, and no band boundary can separate them.
@@ -55,10 +54,9 @@ impl Member {
     }
 }
 
-/// Server state for one registered query (opaque outside the crate: it
-/// surfaces only as [`ServerHalf`]'s [`ShardState::Query`]).
+/// Server state for one registered query.
 #[derive(Debug)]
-pub struct ServerQuery {
+struct ServerQuery {
     spec: QuerySpec,
     ver: RegionVersion,
     /// Latest reported focal position/velocity.
@@ -78,7 +76,7 @@ pub struct ServerQuery {
     local_fixes: u64,
 }
 
-/// The per-partition constants every selection and repair reads.
+/// The constants every selection and repair reads.
 #[derive(Debug, Clone, Copy)]
 struct ServerCfg {
     params: DknnParams,
@@ -90,17 +88,15 @@ struct ServerCfg {
     lossy: bool,
 }
 
-/// The server half of the protocol — one *partition* of the server tier.
+/// The server half of the protocol: one state for the whole server tier.
 ///
-/// Under a sharded deployment each shard runs its own `ServerHalf` holding
-/// exactly the queries homed there (keyed by query id; the `BTreeMap`
-/// iterates ascending, which at G=1 is the historical dense-`Vec` order, so
-/// the single-shard byte trace is unchanged). [`mknn_net::Partitioned`]
-/// moves queries between partitions when the coordinator migrates them.
+/// Queries live in a `Vec` indexed by `QueryId::index`. A sharded
+/// deployment runs [`ServerHalf::tick`] once per shard, each time over the
+/// queries homed there.
 #[derive(Debug)]
 pub struct ServerHalf {
     cfg: ServerCfg,
-    queries: BTreeMap<u32, ServerQuery>,
+    queries: Vec<ServerQuery>,
     empty: Vec<ObjectId>,
     current_tick: Tick,
 }
@@ -115,7 +111,7 @@ impl ServerHalf {
                 space_diag: 1.0,
                 lossy: false,
             },
-            queries: BTreeMap::new(),
+            queries: Vec::new(),
             empty: Vec::new(),
             current_tick: 0,
         }
@@ -157,33 +153,38 @@ impl ServerHalf {
             ops.server_ops += 2 * n_reg - reports.len() as u64;
             let mut q = ServerQuery::new(*spec, &objects[spec.focal.index()]);
             self.cfg.establish(&mut q, &mut reports, 0, outbox, ops);
-            self.queries.insert(spec.id.0, q);
+            self.queries.push(q);
         }
     }
 
     /// The maintained answer of `query` (member order).
     pub fn answer(&self, query: QueryId) -> &[ObjectId] {
         self.queries
-            .get(&query.0)
+            .get(query.index())
             .map_or(&self.empty, |q| q.answer.as_slice())
     }
 
     /// The effective query center the current answer refers to.
     pub fn effective_center(&self, query: QueryId) -> Option<Point> {
         self.queries
-            .get(&query.0)
+            .get(query.index())
             .map(|q| q.ver.pred_center(self.current_tick))
+    }
+
+    /// Number of registered queries.
+    pub fn query_count(&self) -> usize {
+        self.queries.len()
     }
 
     /// Total refreshes across queries (experiments/diagnostics).
     pub fn total_refreshes(&self) -> u64 {
-        self.queries.values().map(|q| q.refreshes).sum()
+        self.queries.iter().map(|q| q.refreshes).sum()
     }
 
     /// Total locally patched events — band re-splits, and in buffered mode
     /// inserts and removals (diagnostics).
     pub fn total_local_fixes(&self) -> u64 {
-        self.queries.values().map(|q| q.local_fixes).sum()
+        self.queries.iter().map(|q| q.local_fixes).sum()
     }
 
     /// Wipes the per-query state a crashed shard held (DESIGN.md §11): the
@@ -196,7 +197,7 @@ impl ServerHalf {
     /// the member-state rebuild the experiments measure.
     pub fn crash_queries(&mut self, queries: &[QueryId]) {
         for &id in queries {
-            if let Some(q) = self.queries.get_mut(&id.0) {
+            if let Some(q) = self.queries.get_mut(id.index()) {
                 q.members.clear();
                 q.answer.clear();
                 q.needs_refresh = true;
@@ -204,18 +205,21 @@ impl ServerHalf {
         }
     }
 
-    /// One server tick: ingest events, patch or refresh answers, heartbeat.
+    /// One shard's server tick over the queries in `homed` (ascending ids;
+    /// `uplinks` carries only their events): ingest events, patch or
+    /// refresh answers, heartbeat.
     pub fn tick(
         &mut self,
         now: Tick,
+        homed: &[QueryId],
         uplinks: &Uplinks,
         probe: &mut dyn ProbeService,
         outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
         self.current_tick = now;
-        for q in self.queries.values_mut() {
-            q.events_tick = 0;
+        for q in homed {
+            self.queries[q.index()].events_tick = 0;
         }
         let cfg = self.cfg;
         let buffer = cfg.buffer();
@@ -224,7 +228,7 @@ impl ServerHalf {
         for (from, msg) in uplinks.iter() {
             let (query, ver) = match *msg {
                 UplinkMsg::QueryMove { query, pos, vel } => {
-                    if let Some(q) = self.queries.get_mut(&query.0) {
+                    if let Some(q) = self.queries.get_mut(query.index()) {
                         if q.spec.focal == from {
                             q.q_pos = pos;
                             q.q_vel = vel;
@@ -239,7 +243,7 @@ impl ServerHalf {
                 // not part of this protocol's mailbox traffic.
                 UplinkMsg::ProbeReply { .. } | UplinkMsg::Position { .. } => continue,
             };
-            let Some(q) = self.queries.get_mut(&query.0) else {
+            let Some(q) = self.queries.get_mut(query.index()) else {
                 continue;
             };
 
@@ -355,7 +359,8 @@ impl ServerHalf {
         // actually respond.
         if cfg.lossy {
             let ttl = cfg.params.lease_ttl();
-            for q in self.queries.values_mut() {
+            for id in homed {
+                let q = &mut self.queries[id.index()];
                 if q.needs_refresh {
                     continue; // the refresh below re-leases every member
                 }
@@ -380,7 +385,8 @@ impl ServerHalf {
         }
 
         // Refresh / heartbeat pass.
-        for q in self.queries.values_mut() {
+        for id in homed {
+            let q = &mut self.queries[id.index()];
             ops.server_ops += 1;
             if q.q_pos.dist(q.ver.pred_center(now)) > cfg.params.query_drift {
                 q.needs_refresh = true;
@@ -398,28 +404,8 @@ impl ServerHalf {
 
         // Heal devices that evaluated a stale version.
         for (id, query) in heals {
-            self.queries[&query.0].heal(id, outbox);
+            self.queries[query.index()].heal(id, outbox);
         }
-    }
-}
-
-impl ShardState for ServerHalf {
-    type Query = ServerQuery;
-
-    fn fork_empty(&self) -> ServerHalf {
-        ServerHalf {
-            queries: BTreeMap::new(),
-            empty: Vec::new(),
-            ..*self
-        }
-    }
-
-    fn queries(&self) -> &BTreeMap<u32, ServerQuery> {
-        &self.queries
-    }
-
-    fn queries_mut(&mut self) -> &mut BTreeMap<u32, ServerQuery> {
-        &mut self.queries
     }
 }
 
@@ -938,6 +924,9 @@ mod tests {
         setup_on(&lattice(12), k, Mode::Buffered { buffer })
     }
 
+    /// The tests' one query, homed at the one shard.
+    const HOMED: &[QueryId] = &[QueryId(0)];
+
     const MODES: [Mode; 3] = [Mode::Set, Mode::Ordered, Mode::Buffered { buffer: 2 }];
 
     #[test]
@@ -947,7 +936,7 @@ mod tests {
             s.answer(QueryId(0)),
             &[ObjectId(1), ObjectId(2), ObjectId(3)]
         );
-        let q = &s.queries[&0];
+        let q = &s.queries[0];
         // d_3 = 30, d_4 = 40 → midpoint threshold 35.
         assert!((q.ver.t - 35.0).abs() < 1e-9);
         // One geocast install, no bands in set mode.
@@ -1029,7 +1018,7 @@ mod tests {
                     let (s, outbox, ops) = setup_on(&world, k, mode);
                     let (want, want_outbox, want_ops) =
                         whole_population_registration(&world, k, mode);
-                    let got = &s.queries[&0];
+                    let got = &s.queries[0];
                     let case = format!("n = {}, k = {k}, {mode:?}", world.len());
                     assert_eq!(got.members, want.members, "{case}");
                     assert_eq!(got.answer, want.answer, "{case}");
@@ -1069,7 +1058,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(5, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(5, HOMED, &up, &mut probe, &mut outbox, &mut ops);
         assert_eq!(
             s.answer(QueryId(0)),
             &[ObjectId(2), ObjectId(3), ObjectId(4)]
@@ -1098,7 +1087,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(3, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(3, HOMED, &up, &mut probe, &mut outbox, &mut ops);
         assert_eq!(
             s.answer(QueryId(0)),
             &[ObjectId(10), ObjectId(1), ObjectId(2)]
@@ -1119,7 +1108,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(4, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(4, HOMED, &up, &mut probe, &mut outbox, &mut ops);
         assert_eq!(s.total_refreshes(), 0);
         let heals: Vec<_> = outbox
             .iter()
@@ -1146,7 +1135,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(2, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(2, HOMED, &up, &mut probe, &mut outbox, &mut ops);
         assert_eq!(s.total_refreshes(), 1);
         // New nearest from x = 85: objects at 80, 90, 70.
         assert_eq!(
@@ -1165,7 +1154,7 @@ mod tests {
         let mut saw_heartbeat = false;
         for now in 1..=(p.heartbeat + 1) {
             let mut outbox = Outbox::new();
-            s.tick(now, &up, &mut probe, &mut outbox, &mut ops);
+            s.tick(now, HOMED, &up, &mut probe, &mut outbox, &mut ops);
             for (r, m) in outbox.iter() {
                 if let DownlinkMsg::InstallRegion { ver, .. } = m {
                     assert_eq!(*ver, 0, "heartbeat must not mint a new version");
@@ -1195,7 +1184,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(2, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(2, HOMED, &up, &mut probe, &mut outbox, &mut ops);
         assert_eq!(s.total_refreshes(), 0, "local patch expected");
         assert_eq!(s.total_local_fixes(), 1);
         // New order: 1 (d=10), 3 (d=12), 2 (d=20).
@@ -1229,7 +1218,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(2, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(2, HOMED, &up, &mut probe, &mut outbox, &mut ops);
         assert_eq!(s.total_refreshes(), 1);
     }
 
@@ -1259,7 +1248,7 @@ mod tests {
                 },
             );
             let mut outbox = Outbox::new();
-            s.tick(1, &up, &mut probe, &mut outbox, &mut ops);
+            s.tick(1, HOMED, &up, &mut probe, &mut outbox, &mut ops);
             assert_eq!(s.total_refreshes(), 0, "duplicate must be idempotent");
             let acks: Vec<_> = outbox
                 .iter()
@@ -1276,7 +1265,7 @@ mod tests {
                 })
                 .collect();
             assert_eq!(acks.len(), 1, "the retransmission loop needs its ack");
-            assert_eq!(s.queries[&0].members[0].heard, 1, "lease renewed");
+            assert_eq!(s.queries[0].members[0].heard, 1, "lease renewed");
         }
     }
 
@@ -1302,7 +1291,7 @@ mod tests {
             let up = Uplinks::new();
             for now in 1..=(p.lease_ttl() + 1) {
                 let mut outbox = Outbox::new();
-                s.tick(now, &up, &mut probe, &mut outbox, &mut ops);
+                s.tick(now, HOMED, &up, &mut probe, &mut outbox, &mut ops);
             }
             assert_eq!(s.total_refreshes(), 1, "one lease-triggered refresh");
             assert_eq!(
@@ -1320,7 +1309,7 @@ mod tests {
             &[ObjectId(1), ObjectId(2), ObjectId(3)]
         );
         // Region boundary lies between the 5th and 6th object (50 and 60).
-        let q = &s.queries[&0];
+        let q = &s.queries[0];
         assert_eq!(q.members.len(), 5);
         assert!(q.ver.t > 50.0 && q.ver.t < 60.0, "r_out = {}", q.ver.t);
         // Bands were unicast to every candidate.
@@ -1345,7 +1334,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(1, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(1, HOMED, &up, &mut probe, &mut outbox, &mut ops);
         // Candidate 4 slides into the answer; no refresh, no probe traffic.
         assert_eq!(
             s.answer(QueryId(0)),
@@ -1377,7 +1366,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(1, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(1, HOMED, &up, &mut probe, &mut outbox, &mut ops);
         assert_eq!(
             s.answer(QueryId(0)),
             &[ObjectId(1), ObjectId(12), ObjectId(2)]
@@ -1397,12 +1386,12 @@ mod tests {
                 ObjectId(id),
                 UplinkMsg::Leave {
                     query: QueryId(0),
-                    ver: s.queries[&0].ver.ver,
+                    ver: s.queries[0].ver.ver,
                     pos: Point::new(999.0, 0.0),
                 },
             );
             let mut outbox = Outbox::new();
-            s.tick(*tick, &up, &mut probe, &mut outbox, &mut ops);
+            s.tick(*tick, HOMED, &up, &mut probe, &mut outbox, &mut ops);
             assert_eq!(s.answer(QueryId(0)).len(), 3, "answer must stay full");
         }
         // Losing three of five candidates dips below k once → one refresh.
@@ -1431,7 +1420,7 @@ mod tests {
             );
         }
         let mut outbox = Outbox::new();
-        s.tick(1, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(1, HOMED, &up, &mut probe, &mut outbox, &mut ops);
         // 5 + 3 = 8 > 7 → shrink refresh (or escalation refresh; either way
         // the structure must be re-established and the answer exact).
         assert!(s.total_refreshes() >= 1);

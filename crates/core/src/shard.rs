@@ -15,10 +15,10 @@
 //! * an object crossing a block boundary is **handed off** to the new
 //!   owner, and a focal crossing **migrates** the query's server state.
 //!
-//! The backbone is an accounting overlay: the protocol logic itself is
-//! unchanged (every shard evaluates the same deterministic `ServerHalf`
-//! code on the same inputs), so the maintained answers are byte-identical
-//! for every `G` — only the separately-tallied coordination overhead
+//! The backbone is an accounting overlay: the protocol keeps one server
+//! state and runs each shard's pass over the queries homed there, so the
+//! maintained answers are byte-identical for every `G` — only the
+//! separately-tallied coordination overhead
 //! ([`mknn_net::ShardStats`]) and the per-shard load distribution vary.
 //! Under a [`FaultPlan`](mknn_net::FaultPlan) the backbone is *reliable but
 //! lossy*: a lost leg is retransmitted until delivered (drawn from a
@@ -44,6 +44,7 @@
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Vector};
 use mknn_net::{FaultyLink, NetStats, ObjReport, ShardMsg};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The spatial partition: the world rectangle cut into a near-square grid
 /// of `rows × cols = G` equal blocks.
@@ -146,7 +147,10 @@ pub struct ShardCoordinator {
     /// first sighting). A dense vector, not a map: this is touched once per
     /// object per tick, and the north-star population is 10⁶ objects.
     object_home: Vec<u32>,
-    query_home: BTreeMap<QueryId, u32>,
+    /// Home per query, indexed by `q.index()` (`UNTRACKED` until tracked,
+    /// and again after its home crashes). Shared, because the server phase
+    /// reads it ([`Self::query_homes`]) while its probes route through here.
+    query_home: Arc<Vec<u32>>,
     /// Smallest circle covering the world rectangle — the zone a broadcast
     /// fans out over (every shard covers part of it).
     world_zone: Circle,
@@ -161,8 +165,8 @@ pub struct ShardCoordinator {
     queued: Vec<(u32, ShardMsg)>,
 }
 
-/// Sentinel owner for objects not yet sighted ([`ShardCoordinator`] ids are
-/// grid indices, far below this).
+/// Sentinel home for objects and queries not (or no longer) tracked
+/// ([`ShardCoordinator`] ids are grid indices, far below this).
 const UNTRACKED: u32 = u32::MAX;
 
 impl ShardCoordinator {
@@ -185,7 +189,7 @@ impl ShardCoordinator {
             grid,
             shards,
             object_home: Vec::new(),
-            query_home: BTreeMap::new(),
+            query_home: Arc::default(),
             world_zone: Circle::new(bounds.center(), half_diag),
             down: vec![false; count as usize],
             fallback: (0..count).collect(),
@@ -205,14 +209,18 @@ impl ShardCoordinator {
 
     /// The home shard of query `q` (0 until first tracked).
     pub fn query_home(&self, q: QueryId) -> u32 {
-        self.query_home.get(&q).copied().unwrap_or(0)
+        match self.query_home.get(q.index()) {
+            Some(&h) if h != UNTRACKED => h,
+            _ => 0,
+        }
     }
 
-    /// The shard of query `q` resolved through crash failover: its home
-    /// while up, the home's fallback while down. This is the shard whose
-    /// partition actually hosts the query's server state this tick.
-    pub fn effective_home(&self, q: QueryId) -> u32 {
-        self.effective(self.query_home(q))
+    /// The home table itself, lent to the server phase as
+    /// [`mknn_net::ServerPhase::homes`]. `track_query` stores only fixed
+    /// points of failover and `crash` clears the dead shard's entries, so
+    /// after a pass over every query each entry is the shard serving it.
+    pub fn query_homes(&self) -> Arc<Vec<u32>> {
+        Arc::clone(&self.query_home)
     }
 
     /// Per-shard load counters, indexed by shard id.
@@ -292,14 +300,12 @@ impl ShardCoordinator {
             }
         }
         self.shards[shard as usize].objects = 0;
-        let wiped: Vec<QueryId> = self
-            .query_home
-            .iter()
-            .filter(|&(_, &h)| h == shard)
-            .map(|(&q, _)| q)
-            .collect();
-        for q in &wiped {
-            self.query_home.remove(q);
+        let mut wiped = Vec::new();
+        for (q, h) in Arc::make_mut(&mut self.query_home).iter_mut().enumerate() {
+            if *h == shard {
+                *h = UNTRACKED;
+                wiped.push(QueryId(q as u32));
+            }
         }
         self.shards[shard as usize].queries = 0;
         wiped
@@ -441,9 +447,13 @@ impl ShardCoordinator {
     ) {
         let geo = self.grid.shard_of(focal_pos);
         let now = self.effective(geo);
-        match self.query_home.insert(q, now) {
-            None => self.shards[now as usize].queries += 1,
-            Some(prev) if prev != now => {
+        let homes = Arc::make_mut(&mut self.query_home);
+        if q.index() >= homes.len() {
+            homes.resize(q.index() + 1, UNTRACKED);
+        }
+        match std::mem::replace(&mut homes[q.index()], now) {
+            UNTRACKED => self.shards[now as usize].queries += 1,
+            prev if prev != now => {
                 self.shards[prev as usize].queries -= 1;
                 self.shards[now as usize].queries += 1;
                 let msg = ShardMsg::Migrate { query: q, members };
@@ -454,7 +464,7 @@ impl ShardCoordinator {
                 self.shards[prev as usize].load += 1;
                 self.shards[now as usize].load += 1;
             }
-            Some(_) => {}
+            _ => {}
         }
     }
 
@@ -462,8 +472,8 @@ impl ShardCoordinator {
     /// If it belongs to a query homed elsewhere it is forwarded over the
     /// backbone ([`ShardMsg::Forward`]). Returns the shard the uplink
     /// terminates at — the query's home for query-scoped traffic, the
-    /// local shard for position reports — which is the partition whose
-    /// server instance consumes the message.
+    /// local shard for position reports — whose server task consumes the
+    /// message.
     pub fn route_uplink(
         &mut self,
         q: Option<QueryId>,
@@ -791,5 +801,55 @@ mod tests {
             3 * 8,
             "every leg hits the retry cap"
         );
+    }
+
+    /// The premise of lending `query_homes` to the server phase as is:
+    /// after a tracking pass over every query, each entry is tracked and a
+    /// fixed point of failover, whatever crash/recover edges came before —
+    /// including every shard down at once, and rebirths that move other
+    /// down shards' fallbacks.
+    #[test]
+    fn tracked_homes_are_fixed_points_of_failover() {
+        use mknn_util::check::forall;
+        forall(48, |rng| {
+            let g = [1u32, 4, 9][rng.gen_range(0usize..3)];
+            let mut coord = ShardCoordinator::new(world(), g);
+            let mut stats = NetStats::default();
+            let mut focals: Vec<Point> = (0..rng.gen_range(1usize..8))
+                .map(|_| Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0)))
+                .collect();
+            let blackout = rng.gen_range(5u32..30);
+            let (mut all_down, mut fallback_moved) = (false, false);
+            for tick in 0..60 {
+                // Crash/recover edges come first, as in the engine's tick.
+                for s in 0..g {
+                    if coord.is_down(s) && tick != blackout && rng.gen_bool(0.15) {
+                        let before: Vec<u32> = (0..g).map(|t| coord.effective(t)).collect();
+                        coord.recover(s, &[], &mut stats, None);
+                        fallback_moved |=
+                            (0..g).any(|t| t != s && coord.effective(t) != before[t as usize]);
+                    } else if !coord.is_down(s) && (tick == blackout || rng.gen_bool(0.05)) {
+                        coord.crash(s);
+                    }
+                }
+                all_down |= (0..g).all(|s| coord.is_down(s));
+                for (qi, p) in focals.iter_mut().enumerate() {
+                    p.x = (p.x + rng.gen_range(-150.0..150.0)).clamp(0.0, 1000.0);
+                    p.y = (p.y + rng.gen_range(-150.0..150.0)).clamp(0.0, 1000.0);
+                    coord.track_query(QueryId(qi as u32), *p, 4, &mut stats, None);
+                }
+                let homes = coord.query_homes();
+                assert_eq!(homes.len(), focals.len(), "G={g} tick {tick}");
+                for (qi, &h) in homes.iter().enumerate() {
+                    assert_ne!(h, UNTRACKED, "G={g} tick {tick}: q{qi} untracked");
+                    assert_eq!(coord.effective(h), h, "G={g} tick {tick}: q{qi} at {h}");
+                }
+            }
+            assert!(all_down, "G={g}: the blackout downs every shard");
+            assert!(
+                g == 1 || fallback_moved,
+                "G={g}: no rebirth moved a fallback"
+            );
+        });
     }
 }

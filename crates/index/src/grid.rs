@@ -274,37 +274,15 @@ impl GridIndex {
     /// (cells visited plus distance computations) — the hardware-independent
     /// server-load proxy used by the experiments.
     pub fn knn_counted(&self, q: Point, k: usize) -> (Vec<Neighbor>, u64) {
-        GridIndex::knn_counted_multi(&[self], q, k)
-    }
-
-    /// [`GridIndex::knn_counted`] over the disjoint union of several
-    /// partitions of one logical index.
-    ///
-    /// All `parts` must share the same geometry (bounds and resolution) and
-    /// hold disjoint object sets; each grid cell's logical member multiset is
-    /// the union of that cell's members across the parts. The traversal is
-    /// the standard ring expansion — a visited cell is counted **once**, not
-    /// once per part — so the returned work count depends only on the
-    /// per-cell member multisets, never on how objects are distributed over
-    /// the parts. A partitioned server tier therefore reports answers *and*
-    /// op counts byte-identical to the monolithic index
-    /// (`knn_counted_multi(&[whole], ..) == whole.knn_counted(..)`, which is
-    /// how the single-index path is implemented).
-    pub fn knn_counted_multi(parts: &[&GridIndex], q: Point, k: usize) -> (Vec<Neighbor>, u64) {
         let mut ops = 0u64;
         let mut coll = KnnCollector::new(k);
-        let geo = parts.first().expect("at least one partition");
-        debug_assert!(parts
-            .iter()
-            .all(|p| p.bounds == geo.bounds && p.cols == geo.cols && p.rows == geo.rows));
-        let total: usize = parts.iter().map(|p| p.len).sum();
-        if total == 0 || k == 0 {
+        if self.len == 0 || k == 0 {
             return (coll.into_sorted(), ops);
         }
-        let (qc, qr) = geo.cell_coords(q);
-        let min_dim = geo.cell_w.min(geo.cell_h);
+        let (qc, qr) = self.cell_coords(q);
+        let min_dim = self.cell_w.min(self.cell_h);
         // Rings beyond this cover no cells.
-        let max_ring = (geo.cols.max(geo.rows)) as i64;
+        let max_ring = (self.cols.max(self.rows)) as i64;
         let mut seen = 0usize;
         for ring in 0..=max_ring {
             // Any cell in this ring is at least (ring − 1) whole cells away
@@ -314,18 +292,16 @@ impl GridIndex {
             if coll.is_full() && lb * lb > coll.prune_bound_sq() {
                 break;
             }
-            geo.for_ring_cells(qc, qr, ring, |cell| {
+            self.for_ring_cells(qc, qr, ring, |cell| {
                 ops += 1;
-                for part in parts {
-                    for &id in &part.cells[cell as usize] {
-                        let pos = part.slots[id.index()].expect("member has slot").pos;
-                        coll.offer(pos.dist_sq(q), id);
-                        ops += 1;
-                        seen += 1;
-                    }
+                for &id in &self.cells[cell as usize] {
+                    let pos = self.slots[id.index()].expect("member has slot").pos;
+                    coll.offer(pos.dist_sq(q), id);
+                    ops += 1;
+                    seen += 1;
                 }
             });
-            if seen == total && coll.is_full() {
+            if seen == self.len && coll.is_full() {
                 break;
             }
         }
@@ -595,45 +571,6 @@ mod tests {
         let mut ids: Vec<u32> = g.iter().map(|(id, _)| id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![2, 7]);
-    }
-
-    #[test]
-    fn partitioned_knn_matches_monolith_answers_and_ops() {
-        let mut rng = mknn_util::Rng::seed_from_u64(11);
-        let pts: Vec<(ObjectId, Point)> = (0..300)
-            .map(|i| {
-                (
-                    ObjectId(i as u32),
-                    Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)),
-                )
-            })
-            .collect();
-        let mut whole = grid();
-        for &(id, pos) in &pts {
-            whole.upsert(id, pos);
-        }
-        // Split the population across partitions by spatial block (the
-        // shard layout the server tier uses) and by a hash-like rule; the
-        // work count must not depend on the distribution.
-        for parts_n in [1usize, 2, 4, 7] {
-            let mut parts: Vec<GridIndex> = (0..parts_n).map(|_| grid()).collect();
-            for &(id, pos) in &pts {
-                let p = if parts_n == 1 {
-                    0
-                } else {
-                    (id.0 as usize * 7 + (pos.x as usize)) % parts_n
-                };
-                parts[p].upsert(id, pos);
-            }
-            let refs: Vec<&GridIndex> = parts.iter().collect();
-            for k in [0usize, 1, 5, 32] {
-                let q = Point::new(41.0, 59.0);
-                let (mono, mono_ops) = whole.knn_counted(q, k);
-                let (multi, multi_ops) = GridIndex::knn_counted_multi(&refs, q, k);
-                assert_eq!(mono, multi, "parts={parts_n} k={k}");
-                assert_eq!(mono_ops, multi_ops, "parts={parts_n} k={k}");
-            }
-        }
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub use downlink::{
 pub use fault::{CrashWindow, FaultError, FaultPlan, FaultPlanBuilder, FaultyLink};
 pub use msg::{DownlinkMsg, MsgKind, QuerySpec, Recipient, ShardMsg, ShardMsgKind, UplinkMsg};
 pub use proto::{
-    run_client_phase, single_server_phase, ClientCtx, ObjReport, Outbox, Partitioned, ProbeService,
-    Protocol, ServerPhase, ShardState, ShardTask, Uplinks, PAR_MIN_DEVICES,
+    run_client_phase, single_server_phase, ClientCtx, ObjReport, Outbox, ProbeService, Protocol,
+    ServerPhase, ShardTask, Uplinks, PAR_MIN_DEVICES,
 };
 pub use stats::{NetStats, OpCounters, ShardStats};
 pub use wire::{

@@ -19,14 +19,14 @@
 //!
 //! The engine drives a method through exactly these two entry points every
 //! tick. A single server is a one-task phase; [`run_client_phase`] and
-//! [`Partitioned`] are the shared harnesses the methods build their phases
-//! from.
+//! [`ServerPhase::run_shards`] are the shared harnesses the methods build
+//! their phases from.
 
 use crate::{DownlinkMsg, QuerySpec, Recipient, UplinkMsg};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
 use mknn_mobility::MovingObject;
 use mknn_util::Pool;
-use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// One tick's worth of client-side inputs, in struct-of-arrays layout.
 ///
@@ -203,7 +203,7 @@ pub trait ProbeService {
     fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport>;
 }
 
-/// One shard's slice of a partitioned server tick.
+/// One shard's slice of a server tick.
 ///
 /// The engine builds one task per server shard: the uplinks routed to that
 /// shard (query-scoped traffic goes to the query's home shard, `Position`
@@ -222,8 +222,8 @@ pub struct ShardTask {
     /// Computation charged by this shard this tick.
     pub ops: crate::OpCounters,
     /// Wall-clock seconds this shard's server work took (stamped by
-    /// [`Partitioned::run`], accumulated into the episode's per-shard
-    /// timing breakdown).
+    /// [`ServerPhase::run_shards`], accumulated into the episode's
+    /// per-shard timing breakdown).
     pub seconds: f64,
 }
 
@@ -244,10 +244,10 @@ impl ShardTask {
 pub struct ServerPhase<'e> {
     /// The tick being processed.
     pub tick: Tick,
-    /// Home shard per query id (dense, indexed by `QueryId::index`). The
-    /// coordinator keeps this current across focal migrations and crash
-    /// failover *before* the phase runs; [`Partitioned`] re-homes the
-    /// protocol's per-query state by diffing against its own directory.
+    /// Home shard per query id (dense, indexed by `QueryId::index`): the
+    /// coordinator's own table, lent for the phase. Focal migrations and
+    /// crash failover are applied before the phase runs, so every entry is
+    /// the shard actually serving its query. Empty for a single server.
     pub homes: &'e [u32],
     /// One task per shard, ascending shard id.
     pub tasks: &'e mut [ShardTask],
@@ -256,135 +256,34 @@ pub struct ServerPhase<'e> {
     pub probe: &'e mut dyn ProbeService,
 }
 
-/// One shard's partition of a method's per-query server state, as
-/// [`Partitioned`] sees it.
-pub trait ShardState {
-    /// The per-query record a migrate leg ships between shards.
-    type Query;
-
-    /// A sibling partition with this one's configuration and no queries.
-    fn fork_empty(&self) -> Self;
-
-    /// The query records homed at this shard, keyed by query id.
-    fn queries(&self) -> &BTreeMap<u32, Self::Query>;
-
-    /// Mutable access to the homed query records.
-    fn queries_mut(&mut self) -> &mut BTreeMap<u32, Self::Query>;
-}
-
-/// A method's server tier: one `S` per shard plus the directory naming the
-/// shard that hosts each query.
-///
-/// Registration loads everything into partition 0 ([`Partitioned::reset`]);
-/// the tier forks lazily to the deployment width at the first server phase
-/// and follows the coordinator's query homes from then on. Each query's
-/// record lives in exactly the partition the directory names — a move is a
-/// map remove + insert, the state a `Migrate` leg ships.
-#[derive(Debug)]
-pub struct Partitioned<S> {
-    parts: Vec<S>,
-    home_of: Vec<u32>,
-}
-
-impl<S: ShardState> Partitioned<S> {
-    /// A single-partition tier hosting no queries yet.
-    pub fn new(first: S) -> Self {
-        Partitioned {
-            parts: vec![first],
-            home_of: Vec::new(),
-        }
+impl ServerPhase<'_> {
+    /// The shard hosting query `q`: its entry in [`ServerPhase::homes`],
+    /// shard 0 past the end (a single-server phase lends no table).
+    pub fn home(&self, q: QueryId) -> u32 {
+        self.homes.get(q.index()).copied().unwrap_or(0)
     }
 
-    /// Registration: collapses the tier to an emptied partition 0, which
-    /// hosts all `n_queries` query ids, and returns it for the caller to
-    /// load.
-    pub fn reset(&mut self, n_queries: usize) -> &mut S {
-        self.parts.truncate(1);
-        self.parts[0].queries_mut().clear();
-        self.home_of.clear();
-        self.home_of.resize(n_queries, 0);
-        &mut self.parts[0]
-    }
-
-    /// Every partition, ascending shard id.
-    pub fn parts(&self) -> &[S] {
-        &self.parts
-    }
-
-    /// Mutable access to every partition (tier-wide switches and sweeps).
-    pub fn parts_mut(&mut self) -> &mut [S] {
-        &mut self.parts
-    }
-
-    /// The record of `query`, wherever it is homed.
-    pub fn query(&self, query: QueryId) -> Option<&S::Query> {
-        self.holder(query).queries().get(&query.0)
-    }
-
-    /// Mutable access to the record of `query`, wherever it is homed.
-    pub fn query_mut(&mut self, query: QueryId) -> Option<&mut S::Query> {
-        let h = self.home(query);
-        self.parts[h].queries_mut().get_mut(&query.0)
-    }
-
-    /// The partition hosting `query` (partition 0 for unregistered ids).
-    pub fn holder(&self, query: QueryId) -> &S {
-        &self.parts[self.home(query)]
-    }
-
-    fn home(&self, query: QueryId) -> usize {
-        self.home_of.get(query.index()).copied().unwrap_or(0) as usize
-    }
-
-    /// Forks the tier to the phase width and moves every query whose
-    /// coordinator home changed into its new partition.
-    pub fn rehome(&mut self, phase: &ServerPhase<'_>) {
-        debug_assert!(
-            phase
-                .tasks
-                .iter()
-                .enumerate()
-                .all(|(i, t)| t.shard as usize == i),
-            "tasks must be dense ascending shard ids"
-        );
-        while self.parts.len() < phase.tasks.len() {
-            let next = self.parts[0].fork_empty();
-            self.parts.push(next);
-        }
-        if self.home_of.len() < phase.homes.len() {
-            self.home_of.resize(phase.homes.len(), 0);
-        }
-        for (q, (&new, old)) in phase.homes.iter().zip(self.home_of.iter_mut()).enumerate() {
-            if *old != new {
-                let q = q as u32;
-                if let Some(state) = self.parts[*old as usize].queries_mut().remove(&q) {
-                    self.parts[new as usize].queries_mut().insert(q, state);
-                }
-                *old = new;
-            }
-        }
-        debug_assert!(
-            self.parts.iter().enumerate().all(|(h, part)| part
-                .queries()
-                .keys()
-                .all(|&q| self.home_of.get(q as usize) == Some(&(h as u32)))),
-            "every query must sit in exactly the partition its home names"
-        );
-    }
-
-    /// One server phase: [`Partitioned::rehome`], then `f` once per shard
-    /// in ascending shard id, stamping each task's wall time. `f` sees only
-    /// its own shard's state and task; cross-shard effects go through the
-    /// probe.
-    pub fn run(
+    /// The server phase as a loop: `f` runs once per shard in ascending
+    /// shard id, with that shard's task, the ids in `0..n_queries` homed
+    /// there (ascending), and the shared probe channel. Each call's wall
+    /// time is stamped on its task.
+    pub fn run_shards(
         &mut self,
-        phase: &mut ServerPhase<'_>,
-        mut f: impl FnMut(&mut S, &mut ShardTask, &mut dyn ProbeService),
+        n_queries: usize,
+        mut f: impl FnMut(&mut ShardTask, &[QueryId], &mut dyn ProbeService),
     ) {
-        self.rehome(phase);
-        for (part, task) in self.parts.iter_mut().zip(phase.tasks.iter_mut()) {
-            let t0 = std::time::Instant::now();
-            f(part, task, &mut *phase.probe);
+        let mut homed = Vec::new();
+        for ti in 0..self.tasks.len() {
+            let shard = self.tasks[ti].shard;
+            homed.clear();
+            homed.extend(
+                (0..n_queries as u32)
+                    .map(QueryId)
+                    .filter(|&q| self.home(q) == shard),
+            );
+            let task = &mut self.tasks[ti];
+            let t0 = Instant::now();
+            f(task, &homed, &mut *self.probe);
             task.seconds += t0.elapsed().as_secs_f64();
         }
     }
@@ -445,8 +344,8 @@ pub trait Protocol {
     /// Server logic for one tick: one task per shard of the server tier,
     /// each holding the uplinks routed to it (a single server is one task).
     ///
-    /// Methods keep real per-shard state in a [`Partitioned`] tier and run
-    /// it shard by shard in ascending id; the contract is that answers,
+    /// Methods hold one server state and run their per-shard passes
+    /// through [`ServerPhase::run_shards`]; the contract is that answers,
     /// ops, and all device-facing traffic are invariant across shard
     /// counts.
     fn server_phase(&mut self, phase: &mut ServerPhase<'_>);
@@ -514,7 +413,7 @@ pub trait Protocol {
     /// state-reconstruction sweep replays the boundary objects the surviving
     /// shards covered for the dead block (`replay`, one entry per object
     /// currently inside `block`). Index-based methods re-learn the replayed
-    /// positions into the reborn shard's partition; the default is a no-op
+    /// positions into their index; the default is a no-op
     /// for methods whose recovery rides the device-side machinery instead
     /// (announce-on-adopt, lease polls, ack-gated retransmits).
     fn server_recover(&mut self, shard: u32, block: Rect, replay: &[ObjReport]) {
@@ -627,31 +526,6 @@ mod tests {
         assert!(matches!(out.iter().next().unwrap().0, Recipient::One(_)));
     }
 
-    /// A shard state that counts mutable accesses to its query records.
-    #[derive(Debug, Default)]
-    struct Counting {
-        queries: BTreeMap<u32, &'static str>,
-        touches: usize,
-        forked: bool,
-    }
-
-    impl ShardState for Counting {
-        type Query = &'static str;
-        fn fork_empty(&self) -> Self {
-            Counting {
-                forked: true,
-                ..Counting::default()
-            }
-        }
-        fn queries(&self) -> &BTreeMap<u32, &'static str> {
-            &self.queries
-        }
-        fn queries_mut(&mut self) -> &mut BTreeMap<u32, &'static str> {
-            self.touches += 1;
-            &mut self.queries
-        }
-    }
-
     struct NoProbe;
     impl ProbeService for NoProbe {
         fn probe(&mut self, _q: QueryId, _z: Circle, _e: ObjectId) -> Vec<ObjReport> {
@@ -662,94 +536,33 @@ mod tests {
         }
     }
 
-    /// Runs one `width`-shard phase with the given coordinator homes and
-    /// returns the shard ids the dispatch visited.
-    fn phase(tier: &mut Partitioned<Counting>, width: u32, homes: &[u32]) -> Vec<u32> {
+    /// The (shard, homed query ids) pairs one `width`-shard phase visits.
+    fn visits(width: u32, homes: &[u32], n_queries: usize) -> Vec<(u32, Vec<u32>)> {
         let mut tasks: Vec<ShardTask> = (0..width)
             .map(|s| ShardTask::new(s, Uplinks::new()))
             .collect();
-        tier.run(
-            &mut ServerPhase {
-                tick: 1,
-                homes,
-                tasks: &mut tasks,
-                probe: &mut NoProbe,
-            },
-            |_, task, _| task.ops.server_ops = 1,
-        );
-        tasks
-            .iter()
-            .filter(|t| t.ops.server_ops == 1)
-            .map(|t| t.shard)
-            .collect()
-    }
-
-    fn registered() -> Partitioned<Counting> {
-        let mut tier = Partitioned::new(Counting::default());
-        let first = tier.reset(2);
-        first.queries.insert(0, "q0");
-        first.queries.insert(1, "q1");
-        tier
+        let mut seen = Vec::new();
+        ServerPhase {
+            tick: 1,
+            homes,
+            tasks: &mut tasks,
+            probe: &mut NoProbe,
+        }
+        .run_shards(n_queries, |task, homed, _| {
+            seen.push((task.shard, homed.iter().map(|q| q.0).collect()));
+        });
+        seen
     }
 
     #[test]
-    fn partitioned_forks_lazily_to_the_phase_width() {
-        let mut tier = registered();
-        assert_eq!(tier.parts().len(), 1, "registration is a one-shard act");
-        assert_eq!(phase(&mut tier, 1, &[0, 0]), vec![0]);
-        assert_eq!(tier.parts().len(), 1, "a one-task phase forks nothing");
-        assert_eq!(phase(&mut tier, 4, &[0, 0]), vec![0, 1, 2, 3]);
-        assert_eq!(tier.parts().len(), 4);
-        assert!(!tier.parts()[0].forked);
-        assert!(tier.parts()[1..]
-            .iter()
-            .all(|p| p.forked && p.queries.is_empty()));
-    }
-
-    #[test]
-    fn partitioned_moves_state_exactly_once_on_a_home_change() {
-        let mut tier = registered();
-        let before = tier.parts()[0].touches;
-        phase(&mut tier, 4, &[0, 3]);
-        assert_eq!(tier.query(QueryId(1)), Some(&"q1"));
-        assert_eq!(tier.parts()[3].queries.keys().collect::<Vec<_>>(), [&1]);
-        assert_eq!(tier.parts()[0].queries.keys().collect::<Vec<_>>(), [&0]);
-        // One remove at the old home, one insert at the new, nothing else.
-        let touched: Vec<usize> = tier.parts().iter().map(|p| p.touches).collect();
-        assert_eq!(touched, [before + 1, 0, 0, 1]);
-        assert_eq!(tier.query_mut(QueryId(1)).copied(), Some("q1"));
-    }
-
-    #[test]
-    fn partitioned_is_a_no_op_when_homes_are_unchanged() {
-        let mut tier = registered();
-        phase(&mut tier, 4, &[2, 3]);
-        let before: Vec<usize> = tier.parts().iter().map(|p| p.touches).collect();
-        phase(&mut tier, 4, &[2, 3]);
-        // A single-server phase carries no homes at all: nothing moves.
-        phase(&mut tier, 4, &[]);
-        let after: Vec<usize> = tier.parts().iter().map(|p| p.touches).collect();
-        assert_eq!(before, after);
-        assert_eq!(tier.query(QueryId(0)), Some(&"q0"));
+    fn run_shards_visits_every_shard_with_its_homed_queries_ascending() {
         assert_eq!(
-            tier.query(QueryId(7)),
-            None,
-            "unregistered ids resolve to nothing"
+            visits(3, &[2, 0, 2, 1], 4),
+            [(0, vec![1]), (1, vec![3]), (2, vec![0, 2])]
         );
-    }
-
-    #[test]
-    fn partitioned_truncates_to_one_partition_on_re_init() {
-        let mut tier = registered();
-        phase(&mut tier, 4, &[2, 3]);
-        let first = tier.reset(1);
-        assert!(first.queries.is_empty(), "re-registration starts empty");
-        first.queries.insert(0, "again");
-        assert_eq!(tier.parts().len(), 1);
-        assert_eq!(tier.query(QueryId(0)), Some(&"again"));
-        // The stale home of the dropped query id is gone with the directory.
-        assert_eq!(tier.query(QueryId(1)), None);
-        assert_eq!(phase(&mut tier, 2, &[1]), vec![0, 1]);
-        assert_eq!(tier.parts()[1].queries.get(&0), Some(&"again"));
+        // A shard homing nothing still runs (its uplinks, its clock).
+        assert_eq!(visits(2, &[1, 1], 2), [(0, vec![]), (1, vec![0, 1])]);
+        // A single server lends no table: everything is homed at shard 0.
+        assert_eq!(visits(1, &[], 3), [(0, vec![0, 1, 2])]);
     }
 }

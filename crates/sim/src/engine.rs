@@ -194,6 +194,10 @@ pub struct Simulation {
     /// loop refills it in place instead of allocating O(N) every tick.
     /// Only meaningful during a tick of a faulty episode.
     offline_buf: Vec<bool>,
+    /// The client batch and the per-shard split of the last tick, emptied
+    /// and reused: a fresh Θ(N) uplink buffer each tick is page-fault time.
+    uplink_buf: Uplinks,
+    split_bufs: Vec<Uplinks>,
 }
 
 /// Salt for the fault layer's RNG stream: the link must not replay the
@@ -341,6 +345,8 @@ impl Simulation {
             last_sent,
             crashes,
             offline_buf: Vec::new(),
+            uplink_buf: Uplinks::new(),
+            split_bufs: Vec::new(),
         }
     }
 
@@ -489,7 +495,7 @@ impl Simulation {
         }
 
         let mut ops = OpCounters::default();
-        let mut uplinks = Uplinks::new();
+        let mut uplinks = std::mem::take(&mut self.uplink_buf);
 
         // Client phase: each device acts on its own state + inbox. An
         // offline device neither processes nor sends; the downlinks sitting
@@ -544,7 +550,7 @@ impl Simulation {
         // Uplink leg of the fault layer: delayed messages from earlier
         // ticks arrive first (already charged when sent), then this tick's
         // batch runs the loss/duplication/delay gauntlet.
-        let uplinks = if let Some(link) = self.link.as_mut() {
+        let mut uplinks = if let Some(link) = self.link.as_mut() {
             let mut delivered = Vec::new();
             link.drain_due_up(&mut delivered);
             for (from, msg) in uplinks.iter() {
@@ -560,11 +566,12 @@ impl Simulation {
         };
         // Every *delivered* uplink terminates at the shard owning the
         // sender's block and is forwarded when its query is homed elsewhere.
-        // The terminal shard picks the server partition that consumes the
-        // message, splitting the global stream into per-shard task inputs
-        // (each shard sees its slice in global arrival order).
+        // The terminal shard's task consumes the message, splitting the
+        // global stream into per-shard task inputs (each shard sees its
+        // slice in global arrival order).
         let g = self.coord.count() as usize;
-        let mut split: Vec<Uplinks> = (0..g).map(|_| Uplinks::new()).collect();
+        let mut split = std::mem::take(&mut self.split_bufs);
+        split.resize_with(g, Uplinks::new);
         for (from, msg) in uplinks.iter() {
             let dest = self.coord.route_uplink(
                 msg.query(),
@@ -577,17 +584,14 @@ impl Simulation {
         }
         let mut route_secs = t_route.elapsed().as_secs_f64();
 
-        // Server phase: one task per shard, run in ascending shard id. Each
-        // task drives the shard's partition of the protocol's server state;
-        // the one [`ShardProbe`] they share charges the coordinator, the
-        // counters and the downlink builder as the probes are issued.
+        // Server phase: one task per shard, run in ascending shard id, each
+        // over the queries homed at its shard. The homes are the
+        // coordinator's own table, current after the tracking pass above;
+        // the one [`ShardProbe`] the tasks share charges the coordinator,
+        // the counters and the downlink builder as the probes are issued.
         let t_server = Instant::now();
         let mut builder = self.repl.begin_tick(self.tick);
-        let homes: Vec<u32> = self
-            .specs
-            .iter()
-            .map(|s| self.coord.effective_home(s.id))
-            .collect();
+        let homes = self.coord.query_homes();
         let mut tasks: Vec<ShardTask> = split
             .into_iter()
             .enumerate()
@@ -612,7 +616,11 @@ impl Simulation {
         if self.metrics.shard_seconds.len() < g {
             self.metrics.shard_seconds.resize(g, 0.0);
         }
+        uplinks.clear();
+        self.uplink_buf = uplinks;
         for mut task in tasks {
+            task.uplinks.clear();
+            self.split_bufs.push(task.uplinks);
             outbox.append(&mut task.outbox);
             ops += task.ops;
             self.metrics.shard_seconds[task.shard as usize] += task.seconds;

@@ -41,7 +41,7 @@ pub struct EpisodeMetrics {
     /// plus the offline-mask/inbox bookkeeping that feeds it.
     pub client_seconds: f64,
     /// Wall-clock seconds of the server phase: building the per-shard
-    /// tasks, the protocols' partitioned server ticks run shard by shard
+    /// tasks, the protocols' per-shard server passes run shard by shard
     /// (probe charges included), and the outbox concatenation — plus the
     /// init handshake, which no shard clock covers.
     pub server_seconds: f64,
