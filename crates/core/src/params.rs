@@ -1,6 +1,7 @@
 //! Tunable parameters of the distributed protocols.
 
-use mknn_util::json::{FromJson, Json, JsonError, ToJson};
+use mknn_util::impl_json_struct;
+use mknn_util::json::JsonError;
 use std::fmt;
 
 /// A rejected [`DknnParams`] construction: which knob was out of range and
@@ -227,41 +228,17 @@ impl DknnParamsBuilder {
     }
 }
 
-// Hand-written (rather than `impl_json_struct!`) so that deserialization
-// routes through validation: a config file with `alpha: 1.5` fails the
-// parse with the `ParamError` message instead of constructing parameters
-// that would mis-run or panic deep inside a protocol constructor.
-impl ToJson for DknnParams {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("alpha", self.alpha.to_json()),
-            ("query_drift", self.query_drift.to_json()),
-            ("heartbeat", self.heartbeat.to_json()),
-            ("v_max_obj", self.v_max_obj.to_json()),
-            ("v_max_q", self.v_max_q.to_json()),
-            ("expand_factor", self.expand_factor.to_json()),
-            ("band_escalation", self.band_escalation.to_json()),
-        ])
-    }
-}
-
-impl FromJson for DknnParams {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let params = DknnParams {
-            alpha: v.parse_field("alpha")?,
-            query_drift: v.parse_field("query_drift")?,
-            heartbeat: v.parse_field("heartbeat")?,
-            v_max_obj: v.parse_field("v_max_obj")?,
-            v_max_q: v.parse_field("v_max_q")?,
-            expand_factor: v.parse_field("expand_factor")?,
-            band_escalation: v.parse_field("band_escalation")?,
-        };
-        params
-            .validate()
-            .map_err(|e| JsonError::new(format!("invalid DknnParams: {e}")))?;
-        Ok(params)
-    }
-}
+impl_json_struct!(DknnParams {
+    alpha,
+    query_drift,
+    heartbeat,
+    v_max_obj,
+    v_max_q,
+    expand_factor,
+    band_escalation,
+} validate |p, _| p
+    .validate()
+    .map_err(|e| JsonError::new(format!("invalid DknnParams: {e}"))));
 
 #[cfg(test)]
 mod tests {

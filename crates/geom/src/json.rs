@@ -14,39 +14,19 @@ impl_json_struct!(Rect { min, max });
 impl_json_struct!(Circle { center, radius });
 impl_json_struct!(LinearMotion { origin, velocity });
 
-impl ToJson for Annulus {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("center", self.center.to_json()),
-            ("inner", self.inner.to_json()),
-            ("outer", self.outer.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Annulus {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let center: Point = v.parse_field("center")?;
-        let inner: f64 = v.parse_field("inner")?;
-        let outer: f64 = v.parse_field("outer")?;
-        // Route through the constructor-style validation instead of panicking
-        // inside `Annulus::new` on untrusted input.
-        if center.x.is_nan() || center.y.is_nan() {
-            return Err(JsonError::new("annulus center must not be NaN"));
-        }
-        if inner.is_nan() || inner < 0.0 {
-            return Err(JsonError::new("annulus inner radius must be non-negative"));
-        }
-        if outer.is_nan() || outer < inner {
-            return Err(JsonError::new("annulus outer radius must be >= inner"));
-        }
-        Ok(Annulus {
-            center,
-            inner,
-            outer,
-        })
-    }
-}
+impl_json_struct!(Annulus { center, inner, outer } validate |a, _| {
+    // The checks of `Annulus::new`, as errors: the input is untrusted.
+    let msg = if a.center.x.is_nan() || a.center.y.is_nan() {
+        "annulus center must not be NaN"
+    } else if a.inner.is_nan() || a.inner < 0.0 {
+        "annulus inner radius must be non-negative"
+    } else if a.outer.is_nan() || a.outer < a.inner {
+        "annulus outer radius must be >= inner"
+    } else {
+        return Ok(());
+    };
+    Err(JsonError::new(msg))
+});
 
 impl ToJson for ObjectId {
     fn to_json(&self) -> Json {

@@ -22,8 +22,7 @@ impl_json_struct!(WorkloadSpec {
     motion,
     move_prob,
     seed,
-} default {
-    speed_overrides,
+    speed_overrides [default],
 });
 
 impl ToJson for Placement {

@@ -19,7 +19,8 @@
 
 use crate::{DownlinkMsg, NetStats, UplinkMsg};
 use mknn_geom::{ObjectId, Tick};
-use mknn_util::json::{FromJson, Json, JsonError, ToJson};
+use mknn_util::impl_json_struct;
+use mknn_util::json::JsonError;
 use mknn_util::Rng;
 use std::fmt;
 
@@ -365,57 +366,23 @@ impl FaultPlanBuilder {
     }
 }
 
-// Hand-written (rather than `impl_json_struct!`) so deserialization routes
-// through validation, exactly like `DknnParams` in `mknn-core`: a config
-// with `up_loss: 1.5` fails the parse with the `FaultError` message instead
-// of silently mis-running an episode.
-impl ToJson for FaultPlan {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("up_loss", self.up_loss.to_json()),
-            ("down_loss", self.down_loss.to_json()),
-            ("up_dup", self.up_dup.to_json()),
-            ("down_dup", self.down_dup.to_json()),
-            ("delay_prob", self.delay_prob.to_json()),
-            ("max_delay", self.max_delay.to_json()),
-            ("churn", self.churn.to_json()),
-            ("offline_min", self.offline_min.to_json()),
-            ("offline_max", self.offline_max.to_json()),
-        ];
-        // Crash knobs appear only when crashes are planned, so plans written
-        // before the server failure domain existed serialize byte-identically.
-        if self.crash_count != 0 {
-            fields.push(("crash_count", self.crash_count.to_json()));
-            fields.push(("crash_min", self.crash_min.to_json()));
-            fields.push(("crash_max", self.crash_max.to_json()));
-        }
-        fields.push(("horizon", self.horizon.to_json()));
-        Json::object(fields)
-    }
-}
-
-impl FromJson for FaultPlan {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let plan = FaultPlan {
-            up_loss: v.parse_field("up_loss")?,
-            down_loss: v.parse_field("down_loss")?,
-            up_dup: v.parse_field("up_dup")?,
-            down_dup: v.parse_field("down_dup")?,
-            delay_prob: v.parse_field("delay_prob")?,
-            max_delay: v.parse_field("max_delay")?,
-            churn: v.parse_field("churn")?,
-            offline_min: v.parse_field("offline_min")?,
-            offline_max: v.parse_field("offline_max")?,
-            crash_count: v.parse_field_or_default("crash_count")?,
-            crash_min: v.parse_field_or_default("crash_min")?,
-            crash_max: v.parse_field_or_default("crash_max")?,
-            horizon: v.parse_field("horizon")?,
-        };
-        plan.validate()
-            .map_err(|e| JsonError::new(format!("invalid FaultPlan: {e}")))?;
-        Ok(plan)
-    }
-}
+impl_json_struct!(FaultPlan {
+    up_loss,
+    down_loss,
+    up_dup,
+    down_dup,
+    delay_prob,
+    max_delay,
+    churn,
+    offline_min,
+    offline_max,
+    crash_count [omit_if |p| p.crash_count == 0],
+    crash_min [omit_if |p| p.crash_count == 0],
+    crash_max [omit_if |p| p.crash_count == 0],
+    horizon,
+} validate |p, _| p
+    .validate()
+    .map_err(|e| JsonError::new(format!("invalid FaultPlan: {e}"))));
 
 /// One planned server-shard outage: shard `shard` is down for every tick
 /// `from <= t < until`, loses all state at `from`, and is reborn empty at

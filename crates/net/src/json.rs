@@ -1,91 +1,35 @@
 //! JSON conversions for wire vocabulary and counters.
 //!
-//! [`MsgKind`] serializes as its variant name (matching the former serde
-//! unit-variant encoding), so the per-kind tally map becomes a plain JSON
-//! object keyed by kind name.
+//! [`MsgKind`] serializes as its variant name, so the per-kind tally map
+//! becomes a plain JSON object keyed by kind name.
 
 use crate::{MsgKind, NetStats, OpCounters, QuerySpec, ShardStats};
 use mknn_util::impl_json_struct;
 use mknn_util::json::{FromJson, Json, JsonError, ToJson};
-use std::collections::BTreeMap;
 
 impl_json_struct!(QuerySpec { id, focal, k });
 
-// The shard substructure is emitted by `NetStats` only when some leg was
-// actually charged. Hand-written (it used to be a plain full-field struct)
-// so the recovery counters appear only when a crash actually ran: sharded
-// documents from crash-free episodes stay byte-identical to the format that
-// predates the server failure domain, and those old documents still parse.
-impl ToJson for ShardStats {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("fanout_msgs", self.fanout_msgs.to_json()),
-            ("fanout_bytes", self.fanout_bytes.to_json()),
-            ("merge_msgs", self.merge_msgs.to_json()),
-            ("merge_bytes", self.merge_bytes.to_json()),
-            ("handoff_msgs", self.handoff_msgs.to_json()),
-            ("handoff_bytes", self.handoff_bytes.to_json()),
-            ("forward_msgs", self.forward_msgs.to_json()),
-            ("forward_bytes", self.forward_bytes.to_json()),
-            ("migrate_msgs", self.migrate_msgs.to_json()),
-            ("migrate_bytes", self.migrate_bytes.to_json()),
-            ("retransmits", self.retransmits.to_json()),
-            ("retransmit_bytes", self.retransmit_bytes.to_json()),
-        ];
-        if self.recover_msgs != 0 {
-            fields.push(("recover_msgs", self.recover_msgs.to_json()));
-            fields.push(("recover_bytes", self.recover_bytes.to_json()));
-        }
-        Json::object(fields)
-    }
-}
-
-impl FromJson for ShardStats {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ShardStats {
-            fanout_msgs: v.parse_field("fanout_msgs")?,
-            fanout_bytes: v.parse_field("fanout_bytes")?,
-            merge_msgs: v.parse_field("merge_msgs")?,
-            merge_bytes: v.parse_field("merge_bytes")?,
-            handoff_msgs: v.parse_field("handoff_msgs")?,
-            handoff_bytes: v.parse_field("handoff_bytes")?,
-            forward_msgs: v.parse_field("forward_msgs")?,
-            forward_bytes: v.parse_field("forward_bytes")?,
-            migrate_msgs: v.parse_field("migrate_msgs")?,
-            migrate_bytes: v.parse_field("migrate_bytes")?,
-            retransmits: v.parse_field("retransmits")?,
-            retransmit_bytes: v.parse_field("retransmit_bytes")?,
-            recover_msgs: v.parse_field_or_default("recover_msgs")?,
-            recover_bytes: v.parse_field_or_default("recover_bytes")?,
-        })
-    }
-}
-
-// Hand-written so `retransmits` is emitted only when nonzero: episodes on a
-// perfect link serialize byte-identically to documents written before the
-// field existed (and those old documents still parse, defaulting to 0).
-impl ToJson for OpCounters {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("server_ops", self.server_ops.to_json()),
-            ("client_ops", self.client_ops.to_json()),
-        ];
-        if self.retransmits != 0 {
-            fields.push(("retransmits", self.retransmits.to_json()));
-        }
-        Json::object(fields)
-    }
-}
-
-impl FromJson for OpCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(OpCounters {
-            server_ops: v.parse_field("server_ops")?,
-            client_ops: v.parse_field("client_ops")?,
-            retransmits: v.parse_field_or_default("retransmits")?,
-        })
-    }
-}
+impl_json_struct!(ShardStats {
+    fanout_msgs,
+    fanout_bytes,
+    merge_msgs,
+    merge_bytes,
+    handoff_msgs,
+    handoff_bytes,
+    forward_msgs,
+    forward_bytes,
+    migrate_msgs,
+    migrate_bytes,
+    retransmits,
+    retransmit_bytes,
+    recover_msgs [omit_if |s| s.recover_msgs == 0],
+    recover_bytes [omit_if |s| s.recover_msgs == 0],
+});
+impl_json_struct!(OpCounters {
+    server_ops,
+    client_ops,
+    retransmits [omit_if |o| o.retransmits == 0],
+});
 
 impl MsgKind {
     /// The variant name, as used in JSON documents.
@@ -127,99 +71,23 @@ impl FromJson for MsgKind {
     }
 }
 
-impl ToJson for NetStats {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("uplink_msgs", self.uplink_msgs.to_json()),
-            ("uplink_bytes", self.uplink_bytes.to_json()),
-            (
-                "downlink_unicast_msgs",
-                self.downlink_unicast_msgs.to_json(),
-            ),
-            (
-                "downlink_geocast_msgs",
-                self.downlink_geocast_msgs.to_json(),
-            ),
-            (
-                "downlink_broadcast_msgs",
-                self.downlink_broadcast_msgs.to_json(),
-            ),
-            ("downlink_bytes", self.downlink_bytes.to_json()),
-        ];
-        // Fault-layer counters appear only when a fault actually occurred,
-        // keeping perfect-link documents byte-identical to the pre-fault
-        // format.
-        if self.dropped_msgs != 0 {
-            fields.push(("dropped_msgs", self.dropped_msgs.to_json()));
-        }
-        if self.dup_msgs != 0 {
-            fields.push(("dup_msgs", self.dup_msgs.to_json()));
-        }
-        if self.delayed_msgs != 0 {
-            fields.push(("delayed_msgs", self.delayed_msgs.to_json()));
-        }
-        // Like the fault counters: the shard overlay appears only when an
-        // inter-shard leg was charged, so single-shard documents stay
-        // byte-identical to the pre-shard format.
-        if !self.shard.is_empty() {
-            fields.push(("shard", self.shard.to_json()));
-        }
-        // Scoped-downlink counters appear only when a frame was charged,
-        // keeping frame-free documents byte-identical to the pre-framing
-        // format.
-        if self.frames != 0 {
-            fields.push(("frames", self.frames.to_json()));
-        }
-        if self.frame_header_bytes != 0 {
-            fields.push(("frame_header_bytes", self.frame_header_bytes.to_json()));
-        }
-        if self.delta_full_fallbacks != 0 {
-            fields.push(("delta_full_fallbacks", self.delta_full_fallbacks.to_json()));
-        }
-        // The ack-channel byte share exists only in lossy mode; perfect-link
-        // documents stay byte-identical to the pre-ack-accounting format.
-        if self.ack_bytes != 0 {
-            fields.push(("ack_bytes", self.ack_bytes.to_json()));
-        }
-        fields.push((
-            "by_kind",
-            Json::object(
-                self.by_kind
-                    .iter()
-                    .map(|(k, v)| (k.variant_name(), v.to_json())),
-            ),
-        ));
-        Json::object(fields)
-    }
-}
-
-impl FromJson for NetStats {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut by_kind = BTreeMap::new();
-        for (key, val) in v.field("by_kind")?.as_obj()? {
-            let kind = MsgKind::from_variant_name(key)
-                .ok_or_else(|| JsonError::new(format!("unknown MsgKind `{key}` in by_kind")))?;
-            by_kind.insert(kind, val.as_u64().map_err(|e| e.context("by_kind tally"))?);
-        }
-        Ok(NetStats {
-            uplink_msgs: v.parse_field("uplink_msgs")?,
-            uplink_bytes: v.parse_field("uplink_bytes")?,
-            downlink_unicast_msgs: v.parse_field("downlink_unicast_msgs")?,
-            downlink_geocast_msgs: v.parse_field("downlink_geocast_msgs")?,
-            downlink_broadcast_msgs: v.parse_field("downlink_broadcast_msgs")?,
-            downlink_bytes: v.parse_field("downlink_bytes")?,
-            by_kind,
-            dropped_msgs: v.parse_field_or_default("dropped_msgs")?,
-            dup_msgs: v.parse_field_or_default("dup_msgs")?,
-            delayed_msgs: v.parse_field_or_default("delayed_msgs")?,
-            shard: v.parse_field_or_default("shard")?,
-            frames: v.parse_field_or_default("frames")?,
-            frame_header_bytes: v.parse_field_or_default("frame_header_bytes")?,
-            delta_full_fallbacks: v.parse_field_or_default("delta_full_fallbacks")?,
-            ack_bytes: v.parse_field_or_default("ack_bytes")?,
-        })
-    }
-}
+impl_json_struct!(NetStats {
+    uplink_msgs,
+    uplink_bytes,
+    downlink_unicast_msgs,
+    downlink_geocast_msgs,
+    downlink_broadcast_msgs,
+    downlink_bytes,
+    dropped_msgs [omit_if |s| s.dropped_msgs == 0],
+    dup_msgs [omit_if |s| s.dup_msgs == 0],
+    delayed_msgs [omit_if |s| s.delayed_msgs == 0],
+    shard [omit_if |s| s.shard.is_empty()],
+    frames [omit_if |s| s.frames == 0],
+    frame_header_bytes [omit_if |s| s.frame_header_bytes == 0],
+    delta_full_fallbacks [omit_if |s| s.delta_full_fallbacks == 0],
+    ack_bytes [omit_if |s| s.ack_bytes == 0],
+    by_kind,
+});
 
 #[cfg(test)]
 mod tests {
@@ -246,6 +114,9 @@ mod tests {
             assert_eq!(back, k);
         }
         assert!(MsgKind::from_variant_name("Bogus").is_none());
+        let doc = to_string(&NetStats::default()).replace("{}", r#"{"Bogus":1}"#);
+        let err = from_str::<NetStats>(&doc).unwrap_err();
+        assert!(err.to_string().contains("unknown MsgKind `Bogus`"), "{err}");
     }
 
     #[test]

@@ -244,8 +244,7 @@ impl NetStats {
 
 /// Computation counters: a hardware-independent proxy for server and client
 /// load (distance computations, heap and index operations). Incremented by
-/// protocol code; wall-clock equivalents are measured by the
-/// micro-benches in `crates/bench`.
+/// protocol code; `benchmark/` measures the wall-clock side.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
     /// Operations performed by server-side logic.

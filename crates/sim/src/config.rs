@@ -36,23 +36,19 @@ pub struct SimConfig {
     /// Oracle verification mode.
     pub verify: VerifyMode,
     /// Transport fault injection for the episode. [`FaultPlan::none`] (the
-    /// default) keeps the perfect link and is byte-identical — in traffic,
-    /// metrics and serialized form — to configurations written before the
-    /// fault layer existed.
+    /// default) keeps the perfect link.
     pub fault: FaultPlan,
     /// Number of grid-partitioned server shards (DESIGN.md §9). Sharding is
     /// an accounting overlay: answers and device-side traffic are
     /// byte-identical for every value; only the separately-tallied
     /// inter-shard overhead and per-shard load vary. `1` (the default) is
-    /// the single-server deployment and serializes identically to
-    /// configurations written before the shard tier existed.
+    /// the single-server deployment; `0` is invalid.
     pub shards: u32,
     /// Worker threads for the *intra-episode* client phase (DESIGN.md §5.2).
     /// `None` (the default) resolves from `MKNN_THREADS` like everything
     /// else; an explicit value pins the episode's pool regardless of the
     /// environment, which the tick benchmark uses to sweep thread counts
-    /// in one process. Metrics are byte-identical at every value, so this
-    /// knob is absent from the serialized form when unset.
+    /// in one process. Metrics are byte-identical at every value.
     pub client_threads: Option<usize>,
 }
 
@@ -72,6 +68,9 @@ pub enum ConfigError {
     /// `client_threads == Some(0)`: a pool cannot have zero workers (unset
     /// means "from the environment", which is the way to not choose).
     ZeroClientThreads,
+    /// `shards == 0`: the single server is `shards: 1`; zero would be a
+    /// second spelling of it that skips planned crashes.
+    ZeroShards,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -89,6 +88,7 @@ impl std::fmt::Display for ConfigError {
                     "client_threads must be >= 1 when set (unset = from MKNN_THREADS)"
                 )
             }
+            ConfigError::ZeroShards => write!(f, "shards must be >= 1 (1 = single server)"),
         }
     }
 }
@@ -145,6 +145,9 @@ impl SimConfig {
         }
         if self.client_threads == Some(0) {
             return Err(ConfigError::ZeroClientThreads);
+        }
+        if self.shards == 0 {
+            return Err(ConfigError::ZeroShards);
         }
         Ok(())
     }

@@ -10,162 +10,53 @@ use mknn_core::{Dknn, DknnParams};
 use mknn_util::impl_json_struct;
 use mknn_util::json::{FromJson, Json, JsonError, ToJson};
 
-// SimConfig and EpisodeMetrics are hand-written instead of derived so the
-// fault-layer fields disappear from the encoding whenever they are inert:
-// a no-fault config and a clean episode serialize byte-identically to
-// documents produced before the fault layer existed (the byte-identity
-// gates in scripts/verify.sh diff exactly this output), and old documents
-// parse with the absent fields defaulting to the inert values.
-impl ToJson for SimConfig {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("workload", self.workload.to_json()),
-            ("n_queries", self.n_queries.to_json()),
-            ("k", self.k.to_json()),
-            ("ticks", self.ticks.to_json()),
-            ("geo_cells", self.geo_cells.to_json()),
-            ("verify", self.verify.to_json()),
-        ];
-        if !self.fault.is_none() {
-            fields.push(("fault", self.fault.to_json()));
+impl_json_struct!(SimConfig {
+    workload,
+    n_queries,
+    k,
+    ticks,
+    geo_cells,
+    verify,
+    fault [omit_if |c| c.fault.is_none()],
+    shards [omit_if |c| c.shards == 1, default = 1],
+    client_threads [omit_if |c| c.client_threads.is_none()],
+} validate |c, v| {
+    // Unknown keys are skipped, so a document asking for the removed legacy
+    // byte model would otherwise silently run scoped.
+    if let Some(model) = v.get("downlink").map(Json::as_str).transpose()? {
+        if model != "scoped" {
+            return Err(JsonError::new(format!(
+                "downlink model `{model}` was removed; only `scoped` exists"
+            )));
         }
-        // Like `fault`: single-server configs (the only kind that existed
-        // before the shard tier) keep their original shape.
-        if self.shards != 1 {
-            fields.push(("shards", self.shards.to_json()));
-        }
-        // Absent unless pinned: the pool size never changes metrics, and
-        // golden documents predate the knob.
-        if let Some(t) = self.client_threads {
-            fields.push(("client_threads", t.to_json()));
-        }
-        Json::object(fields)
     }
-}
-
-impl FromJson for SimConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        // The codec skips unknown keys, so a document asking for the removed
-        // legacy byte model would otherwise silently run scoped. Documents
-        // written by older builds may spell out the surviving model.
-        if let Some(d) = v.get("downlink") {
-            let model = d.as_str()?;
-            if model != "scoped" {
-                return Err(JsonError::new(format!(
-                    "downlink model `{model}` was removed; only `scoped` exists"
-                )));
-            }
-        }
-        Ok(SimConfig {
-            workload: v.parse_field("workload")?,
-            n_queries: v.parse_field("n_queries")?,
-            k: v.parse_field("k")?,
-            ticks: v.parse_field("ticks")?,
-            geo_cells: v.parse_field("geo_cells")?,
-            verify: v.parse_field("verify")?,
-            fault: v.parse_field_or_default("fault")?,
-            // The absent-field default is 1 (single server), not
-            // `u32::default()`.
-            shards: match v.get("shards") {
-                Some(s) => u32::from_json(s)?,
-                None => 1,
-            },
-            client_threads: match v.get("client_threads") {
-                Some(t) => Some(usize::from_json(t)?),
-                None => None,
-            },
-        })
-    }
-}
-
-impl ToJson for EpisodeMetrics {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("method", self.method.to_json()),
-            ("ticks", self.ticks.to_json()),
-            ("n_objects", self.n_objects.to_json()),
-            ("n_queries", self.n_queries.to_json()),
-            ("k", self.k.to_json()),
-            ("net", self.net.to_json()),
-            ("ops", self.ops.to_json()),
-            ("exact_checks", self.exact_checks.to_json()),
-            ("exact_ok", self.exact_ok.to_json()),
-            ("recall_sum", self.recall_sum.to_json()),
-            ("dist_error_sum", self.dist_error_sum.to_json()),
-        ];
-        if self.staleness_sum != 0 {
-            fields.push(("staleness_sum", self.staleness_sum.to_json()));
-        }
-        if self.max_staleness != 0 {
-            fields.push(("max_staleness", self.max_staleness.to_json()));
-        }
-        fields.push(("proto_seconds", self.proto_seconds.to_json()));
-        // The per-phase timing splits are omit-when-zero like the staleness
-        // fields: clock-zeroed documents (golden files, determinism gates)
-        // predate them and must not change shape.
-        if self.client_seconds != 0.0 {
-            fields.push(("client_seconds", self.client_seconds.to_json()));
-        }
-        if self.server_seconds != 0.0 {
-            fields.push(("server_seconds", self.server_seconds.to_json()));
-        }
-        if self.route_seconds != 0.0 {
-            fields.push(("route_seconds", self.route_seconds.to_json()));
-        }
-        // Like `shard_load` below: only a genuinely sharded tier carries a
-        // per-shard timing breakdown.
-        if self.shard_seconds.len() > 1 {
-            fields.push(("shard_seconds", self.shard_seconds.to_json()));
-        }
-        if self.oracle_seconds != 0.0 {
-            fields.push(("oracle_seconds", self.oracle_seconds.to_json()));
-        }
-        // A single-server episode records one trivial shard load; only
-        // genuinely sharded runs (G > 1) carry the distribution, so golden
-        // documents keep their pre-shard shape.
-        if self.shard_load.len() > 1 {
-            fields.push(("shard_load", self.shard_load.to_json()));
-        }
-        // Crash accounting exists only under crash-scheduling fault plans;
-        // omit-when-zero keeps every pre-crash document byte-identical.
-        if self.shard_crashes != 0 {
-            fields.push(("shard_crashes", self.shard_crashes.to_json()));
-        }
-        if self.crash_down_ticks != 0 {
-            fields.push(("crash_down_ticks", self.crash_down_ticks.to_json()));
-        }
-        Json::object(fields)
-    }
-}
-
-impl FromJson for EpisodeMetrics {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(EpisodeMetrics {
-            method: v.parse_field("method")?,
-            ticks: v.parse_field("ticks")?,
-            n_objects: v.parse_field("n_objects")?,
-            n_queries: v.parse_field("n_queries")?,
-            k: v.parse_field("k")?,
-            net: v.parse_field("net")?,
-            ops: v.parse_field("ops")?,
-            exact_checks: v.parse_field("exact_checks")?,
-            exact_ok: v.parse_field("exact_ok")?,
-            recall_sum: v.parse_field("recall_sum")?,
-            dist_error_sum: v.parse_field("dist_error_sum")?,
-            staleness_sum: v.parse_field_or_default("staleness_sum")?,
-            max_staleness: v.parse_field_or_default("max_staleness")?,
-            proto_seconds: v.parse_field("proto_seconds")?,
-            client_seconds: v.parse_field_or_default("client_seconds")?,
-            server_seconds: v.parse_field_or_default("server_seconds")?,
-            route_seconds: v.parse_field_or_default("route_seconds")?,
-            shard_seconds: v.parse_field_or_default("shard_seconds")?,
-            oracle_seconds: v.parse_field_or_default("oracle_seconds")?,
-            shard_load: v.parse_field_or_default("shard_load")?,
-            shard_crashes: v.parse_field_or_default("shard_crashes")?,
-            crash_down_ticks: v.parse_field_or_default("crash_down_ticks")?,
-        })
-    }
-}
+    c.validate()
+        .map_err(|e| JsonError::new(format!("invalid SimConfig: {e}")))
+});
+impl_json_struct!(EpisodeMetrics {
+    method,
+    ticks,
+    n_objects,
+    n_queries,
+    k,
+    net,
+    ops,
+    exact_checks,
+    exact_ok,
+    recall_sum,
+    dist_error_sum,
+    staleness_sum [omit_if |m| m.staleness_sum == 0],
+    max_staleness [omit_if |m| m.max_staleness == 0],
+    proto_seconds,
+    client_seconds [omit_if |m| m.client_seconds == 0.0],
+    server_seconds [omit_if |m| m.server_seconds == 0.0],
+    route_seconds [omit_if |m| m.route_seconds == 0.0],
+    shard_seconds [omit_if |m| m.shard_seconds.len() <= 1],
+    oracle_seconds [omit_if |m| m.oracle_seconds == 0.0],
+    shard_load [omit_if |m| m.shard_load.len() <= 1],
+    shard_crashes [omit_if |m| m.shard_crashes == 0],
+    crash_down_ticks [omit_if |m| m.crash_down_ticks == 0],
+});
 impl_json_struct!(TickSample {
     tick,
     uplink,
@@ -338,6 +229,17 @@ mod tests {
         // Pre-shard documents default to the single server, not to zero.
         let old: SimConfig = from_str(&single).unwrap();
         assert_eq!(old.shards, 1);
+    }
+
+    #[test]
+    fn zero_shards_fails_validation_and_the_parse() {
+        let zero = SimConfig {
+            shards: 0,
+            ..SimConfig::default()
+        };
+        assert_eq!(zero.validate(), Err(crate::ConfigError::ZeroShards));
+        let err = from_str::<SimConfig>(&to_string(&zero)).unwrap_err();
+        assert!(err.to_string().contains("shards must be >= 1"), "{err}");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! legitimately hold `f64::INFINITY` (e.g. an unbounded annulus) and summary
 //! rows hold NaN, and round-tripping must not lose them.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A dynamically-typed JSON value.
@@ -117,11 +118,15 @@ impl Json {
         T::from_json(self.field(key)?).map_err(|e| e.context(&format!("field `{key}`")))
     }
 
-    /// Parses an optional object field, substituting `T::default()` when the
-    /// key is absent or `null` (the `#[serde(default)]` convention).
-    pub fn parse_field_or_default<T: FromJson + Default>(&self, key: &str) -> Result<T, JsonError> {
+    /// Parses an optional object field, substituting `default()` when the
+    /// key is absent or `null`.
+    pub fn parse_field_or<T: FromJson>(
+        &self,
+        key: &str,
+        default: impl FnOnce() -> T,
+    ) -> Result<T, JsonError> {
         match self.get(key) {
-            None | Some(Json::Null) => Ok(T::default()),
+            None | Some(Json::Null) => Ok(default()),
             Some(v) => T::from_json(v).map_err(|e| e.context(&format!("field `{key}`"))),
         }
     }
@@ -703,6 +708,30 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
+/// Maps become objects; each key must encode as a JSON string (as enum
+/// variant names do) and is parsed back from that string.
+impl<K: ToJson, V: ToJson> ToJson for BTreeMap<K, V> {
+    fn to_json(&self) -> Json {
+        Json::object(self.iter().map(|(k, v)| match k.to_json() {
+            Json::Str(key) => (key, v.to_json()),
+            other => (other.render(), v.to_json()),
+        }))
+    }
+}
+
+impl<K: FromJson + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        v.as_obj()?
+            .iter()
+            .map(|(key, val)| {
+                let context = |e: JsonError| e.context(&format!("key `{key}`"));
+                let k = K::from_json(&Json::Str(key.clone())).map_err(context)?;
+                Ok((k, V::from_json(val).map_err(context)?))
+            })
+            .collect()
+    }
+}
+
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json()])
@@ -725,42 +754,79 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
     }
 }
 
-/// Implements [`ToJson`]/[`FromJson`] for a plain struct, mapping each listed
-/// field to an object key of the same name. An optional `default { ... }`
-/// block lists fields that fall back to `Default::default()` when the key is
-/// missing (the `#[serde(default)]` convention).
+/// Implements [`ToJson`]/[`FromJson`] for a struct from one ordered field
+/// list; keys are written in the listed order. A field may carry options in
+/// brackets:
+///
+/// * `[default]` / `[default = EXPR]`: an absent (or `null`) key parses as
+///   `Default::default()` / `EXPR`;
+/// * `[omit_if PRED]`: the key is left out when `PRED(&self)` holds, and an
+///   absent key parses as the default (`[omit_if PRED, default = EXPR]`).
+///
+/// This is how the workspace keeps its published documents stable: a field
+/// added later is omitted while inert, so older documents render unchanged
+/// and still parse. A trailing `validate HOOK` runs `HOOK(&value, &json)`
+/// after the parse and fails it with the hook's error.
 ///
 /// ```
 /// use mknn_util::impl_json_struct;
+/// use mknn_util::json::JsonError;
 ///
 /// #[derive(Debug, PartialEq, Default)]
-/// struct P { x: f64, y: f64, tag: String }
-/// impl_json_struct!(P { x, y } default { tag });
+/// struct P { x: f64, lo: u32, hi: u32, tags: Vec<String> }
+/// impl_json_struct!(P {
+///     x,
+///     lo [omit_if |p| p.hi == 1, default = 1],
+///     hi [omit_if |p| p.hi == 1, default = 1],
+///     tags [default],
+/// } validate |p, _| match p.lo <= p.hi {
+///     true => Ok(()),
+///     false => Err(JsonError::new("lo must not exceed hi")),
+/// });
 ///
-/// let p = P { x: 1.0, y: 2.0, tag: String::new() };
-/// let back: P = mknn_util::from_str(&mknn_util::to_string(&p)).unwrap();
-/// assert_eq!(p, back);
+/// let p = P { x: 1.0, lo: 1, hi: 1, tags: vec![] };
+/// assert_eq!(mknn_util::to_string(&p), r#"{"x":1,"tags":[]}"#);
+/// assert_eq!(mknn_util::from_str::<P>(r#"{"x":1}"#).unwrap(), p);
+/// assert!(mknn_util::from_str::<P>(r#"{"x":1,"lo":3,"hi":2}"#).is_err());
 /// ```
 #[macro_export]
 macro_rules! impl_json_struct {
-    ($ty:ty { $($field:ident),* $(,)? }) => {
-        $crate::impl_json_struct!($ty { $($field),* } default {});
+    (@put $s:expr, $field:ident $(default $(= $d:expr)?)?) => {
+        Some((stringify!($field), $crate::json::ToJson::to_json(&$s.$field)))
     };
-    ($ty:ty { $($field:ident),* $(,)? } default { $($dfield:ident),* $(,)? }) => {
+    (@put $s:expr, $field:ident omit_if $p:expr $(, default = $d:expr)?) => {{
+        let omit: fn(&Self) -> bool = $p;
+        match omit($s) {
+            true => None,
+            false => $crate::impl_json_struct!(@put $s, $field),
+        }
+    }};
+    (@get $v:expr, $field:ident) => {
+        $v.parse_field(stringify!($field))?
+    };
+    (@get $v:expr, $field:ident $(omit_if $p:expr,)? default = $d:expr) => {
+        $v.parse_field_or(stringify!($field), || $d)?
+    };
+    (@get $v:expr, $field:ident $(default)? $(omit_if $p:expr)?) => {
+        $v.parse_field_or(stringify!($field), Default::default)?
+    };
+    ($ty:ty { $($field:ident $([$($opt:tt)*])?),* $(,)? } $(validate $hook:expr)?) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::object([
-                    $((stringify!($field), $crate::json::ToJson::to_json(&self.$field)),)*
-                    $((stringify!($dfield), $crate::json::ToJson::to_json(&self.$dfield)),)*
-                ])
+                let fields = [$($crate::impl_json_struct!(@put self, $field $($($opt)*)?)),*];
+                $crate::json::Json::object(fields.into_iter().flatten())
             }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                Ok(Self {
-                    $($field: v.parse_field(stringify!($field))?,)*
-                    $($dfield: v.parse_field_or_default(stringify!($dfield))?,)*
-                })
+                let value = Self {
+                    $($field: $crate::impl_json_struct!(@get v, $field $($($opt)*)?),)*
+                };
+                $(
+                    let hook: fn(&Self, &$crate::json::Json) -> Result<(), $crate::json::JsonError> = $hook;
+                    hook(&value, v)?;
+                )?
+                Ok(value)
             }
         }
     };
@@ -904,7 +970,7 @@ mod tests {
         b: f64,
         tags: Vec<String>,
     }
-    impl_json_struct!(Demo { a, b } default { tags });
+    impl_json_struct!(Demo { a, b, tags [default] });
 
     #[test]
     fn struct_macro_round_trips_and_defaults() {

@@ -18,7 +18,7 @@
 //! | [`protocol`] | `mknn-core` | the paper's contribution: the DKNN set / ordered protocols |
 //! | [`baselines`] | `mknn-baselines` | centralized, periodic, naive-probe comparison methods |
 //! | [`sim`] | `mknn-sim` | simulation engine, oracle verification, experiment runner |
-//! | [`util`] | `mknn-util` | seeded PRNG, JSON codec, randomized-test + bench harness |
+//! | [`util`] | `mknn-util` | seeded PRNG, JSON codec, randomized-test harness, worker pool |
 //!
 //! # Quickstart
 //!
