@@ -105,7 +105,7 @@ impl Protocol for Centralized {
 mod tests {
     use super::*;
     use mknn_geom::{Circle, Point, Vector};
-    use mknn_net::{single_server_phase, ClientCtx, ObjReport};
+    use mknn_net::{single_server_phase, ClientCtx, FaultPlan, FaultyLink, ObjReport};
     use mknn_util::Pool;
 
     struct NoProbe;
@@ -198,7 +198,7 @@ mod tests {
             vel: &[Vector::ZERO],
             max_speed: &[5.0],
             inboxes: &[Vec::new()],
-            offline: None,
+            link: &FaultyLink::new(FaultPlan::none(), 0),
             pool: Pool::new(1),
         };
         c.client_phase(&ctx, &mut up, &mut ops);

@@ -300,7 +300,7 @@ mod tests {
             vel: &vel,
             max_speed: &vec![5.0; pos.len()],
             inboxes: &vec![Vec::new(); pos.len()],
-            offline: None,
+            link: &mknn_net::FaultyLink::new(mknn_net::FaultPlan::none(), 0),
             pool: mknn_util::Pool::new(1),
         };
         n.client_phase(&ctx, &mut up, &mut OpCounters::default());

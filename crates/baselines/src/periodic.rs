@@ -124,7 +124,7 @@ impl Protocol for Periodic {
 mod tests {
     use super::*;
     use mknn_geom::{Circle, Vector};
-    use mknn_net::{single_server_phase, ClientCtx, ObjReport};
+    use mknn_net::{single_server_phase, ClientCtx, FaultPlan, FaultyLink, ObjReport};
     use mknn_util::Pool;
 
     /// A perfect-link, one-thread client context over `pos` (nobody has
@@ -137,7 +137,7 @@ mod tests {
             vel: &vec![Vector::ZERO; pos.len()],
             max_speed: &vec![5.0; pos.len()],
             inboxes: &vec![Vec::new(); pos.len()],
-            offline: None,
+            link: &FaultyLink::new(FaultPlan::none(), 0),
             pool: Pool::new(1),
         };
         p.client_phase(&ctx, &mut up, &mut OpCounters::default());

@@ -8,8 +8,9 @@
 //!
 //! * every fault decision is a pure function of `(plan, episode seed)` — the
 //!   same episode produces byte-identical traffic at any thread count, and
-//! * [`FaultPlan::none`] draws nothing at all, leaving the transport
-//!   byte-identical to the perfect link it replaces.
+//! * a plan without device-side faults ([`FaultPlan::none`],
+//!   [`FaultPlan::crash`]) leaves the link *inert*: it draws nothing at all
+//!   and delivers exactly what a perfect link would.
 //!
 //! Faults are drawn **per delivery**: a geocast that overlaps eight devices
 //! makes eight independent loss draws, which models per-receiver radio
@@ -17,8 +18,8 @@
 //! suffers loss and churn — a probe round trip is one RPC, so a delayed or
 //! duplicated reply is indistinguishable from a lost one to the caller.
 
-use crate::{DownlinkMsg, NetStats, UplinkMsg};
-use mknn_geom::{ObjectId, Tick};
+use crate::{Delivery, DownlinkMsg, NetStats, UplinkMsg, Uplinks};
+use mknn_geom::{ObjectId, QueryId, Tick};
 use mknn_util::impl_json_struct;
 use mknn_util::json::JsonError;
 use mknn_util::Rng;
@@ -208,18 +209,23 @@ impl FaultPlan {
     }
 
     /// `true` when the plan can never inject a fault (the harness then
-    /// skips the link layer entirely). A plan that only crashes shards is
-    /// *not* none: the device link stays perfect, but the lossy-mode
-    /// recovery machinery (acks, leases, retransmits) must be armed for the
-    /// reconstruction protocol to work.
+    /// leaves the protocols' lossy mode off). A plan that only crashes
+    /// shards is *not* none: the device link stays perfect, but the
+    /// lossy-mode recovery machinery (acks, leases, retransmits) must be
+    /// armed for the reconstruction protocol to work.
     pub fn is_none(&self) -> bool {
+        self.device_inert() && self.crash_count == 0
+    }
+
+    /// `true` when the plan never touches a device-link delivery: no loss,
+    /// duplication, delay or churn. Its [`FaultyLink`] is inert.
+    fn device_inert(&self) -> bool {
         self.up_loss == 0.0
             && self.down_loss == 0.0
             && self.up_dup == 0.0
             && self.down_dup == 0.0
             && self.delay_prob == 0.0
             && self.churn == 0.0
-            && self.crash_count == 0
     }
 
     /// `true` while faults are still injected at tick `now` (the horizon is
@@ -429,7 +435,7 @@ impl QueryStreams {
     }
 
     /// The fate generator of query `q`, created on first use.
-    fn rng(&mut self, q: mknn_geom::QueryId) -> &mut Rng {
+    fn rng(&mut self, q: QueryId) -> &mut Rng {
         let base = self.base;
         self.rngs
             .entry(q.0)
@@ -437,15 +443,16 @@ impl QueryStreams {
     }
 }
 
-/// The runtime of a [`FaultPlan`]: per-device offline windows and the
-/// in-flight queues of delayed messages.
+/// The device link of one episode: the runtime of a [`FaultPlan`], with
+/// per-device offline windows and the in-flight queues of delayed messages.
 ///
-/// The harness calls [`FaultyLink::begin_tick`] once per tick (which draws
-/// the tick's churn), routes every uplink through
-/// [`FaultyLink::transmit_up`] and every downlink delivery through
-/// [`FaultyLink::deliver_down`], and drains the due delayed messages at the
-/// matching points of the tick loop. All fault counters are charged to the
-/// [`NetStats`] passed in, so episodes report exactly what the link did.
+/// Every episode has one. The harness calls [`FaultyLink::begin_tick`] once
+/// per tick (which draws the tick's churn), passes the tick's uplink batch
+/// through [`FaultyLink::pass_up`], and drains the due delayed downlinks
+/// before routing each delivery through [`FaultyLink::deliver_down`]. All
+/// fault counters are charged to the [`NetStats`] passed in, so episodes
+/// report exactly what the link did. Under a plan without device-side
+/// faults the link is *inert*: every call passes straight through.
 #[derive(Debug)]
 pub struct FaultyLink {
     plan: FaultPlan,
@@ -465,12 +472,18 @@ pub struct FaultyLink {
     /// [`QueryStreams`]).
     queries: QueryStreams,
     now: Tick,
-    /// Per device: offline while `now < offline_until[i]`.
+    /// Set for a plan without device-side faults: the link is then never
+    /// active, so it draws nothing and creates no query stream.
+    inert: bool,
+    /// Per device: offline while `now < offline_until[i]`; sized only when churn is drawn.
     offline_until: Vec<Tick>,
     /// Delayed uplinks, keyed by due tick (insertion order preserved).
     held_up: Vec<(Tick, ObjectId, UplinkMsg)>,
     /// Delayed downlink deliveries, keyed by due tick.
     held_down: Vec<(Tick, ObjectId, DownlinkMsg)>,
+    /// [`FaultyLink::pass_up`]'s second batch, swapped with the caller's
+    /// each tick so neither is reallocated.
+    spare_up: Vec<(ObjectId, UplinkMsg)>,
 }
 
 impl FaultyLink {
@@ -490,9 +503,11 @@ impl FaultyLink {
             shard_rng: Rng::seed_from_u64(seed ^ SHARD_STREAM_SALT),
             queries: QueryStreams::new(seed ^ QUERY_STREAM_SALT),
             now: 0,
+            inert: plan.device_inert(),
             offline_until: Vec::new(),
             held_up: Vec::new(),
             held_down: Vec::new(),
+            spare_up: Vec::new(),
         }
     }
 
@@ -551,7 +566,7 @@ impl FaultyLink {
 
     /// `true` while faults are still being injected at the current tick.
     fn active(&self) -> bool {
-        self.plan.active_at(self.now)
+        !self.inert && self.plan.active_at(self.now)
     }
 
     /// Advances the link to `now` and draws this tick's churn: each online
@@ -560,8 +575,8 @@ impl FaultyLink {
     /// the horizon keep running after it; no new window starts past it.
     pub fn begin_tick(&mut self, now: Tick, n_devices: usize) {
         self.now = now;
-        self.offline_until.resize(n_devices, 0);
         if self.plan.churn > 0.0 && self.active() {
+            self.offline_until.resize(n_devices, 0);
             for i in 0..n_devices {
                 if self.offline_until[i] <= now && self.rng.gen_bool(self.plan.churn) {
                     let len = self
@@ -581,22 +596,36 @@ impl FaultyLink {
     /// The stream a message's fate is drawn from: the message's query
     /// stream when it has a query scope, the device-order main stream
     /// otherwise.
-    fn stream_for(&mut self, query: Option<mknn_geom::QueryId>) -> &mut Rng {
+    fn stream_for(&mut self, query: Option<QueryId>) -> &mut Rng {
         match query {
             Some(q) => self.queries.rng(q),
             None => &mut self.rng,
         }
     }
 
-    /// One leg of `query`'s synchronous probe round trip: `true` when the
-    /// leg is lost (charged as one dropped message). Draws from the query's
-    /// own stream, and only while the plan is active.
-    pub fn probe_leg_lost(
-        &mut self,
-        query: mknn_geom::QueryId,
-        loss: f64,
-        stats: &mut NetStats,
-    ) -> bool {
+    /// The request leg of `query`'s probe round trip to the device at index
+    /// `to`: `Offline` (a counted drop) if that device is offline, else
+    /// `Lost` at the plan's downlink loss rate, else `Delivered`.
+    pub fn probe_request(&mut self, query: QueryId, to: usize, stats: &mut NetStats) -> Delivery {
+        if self.is_offline(to) {
+            stats.count_dropped();
+            Delivery::Offline
+        } else if self.leg_lost(query, self.plan.down_loss, stats) {
+            Delivery::Lost
+        } else {
+            Delivery::Delivered
+        }
+    }
+
+    /// The reply leg: the device transmitted (charged by the caller), but
+    /// the reply may still be lost at the plan's uplink loss rate.
+    pub fn probe_reply_lost(&mut self, query: QueryId, stats: &mut NetStats) -> bool {
+        self.leg_lost(query, self.plan.up_loss, stats)
+    }
+
+    /// One probe leg lost at rate `loss` (charged as one dropped message).
+    /// Draws from the query's own stream, and only while the link is active.
+    fn leg_lost(&mut self, query: QueryId, loss: f64, stats: &mut NetStats) -> bool {
         if self.active() && loss > 0.0 && self.queries.rng(query).gen_bool(loss) {
             stats.count_dropped();
             return true;
@@ -643,47 +672,62 @@ impl FaultyLink {
         });
     }
 
+    /// Passes this tick's uplink batch through the link in place: `batch` is
+    /// left holding what arrives now — due delayed copies, then each
+    /// message's on-time copies, in send order ([`FaultyLink::drain_due_up`]
+    /// then [`FaultyLink::transmit_up`] per message). An inactive link
+    /// holding nothing returns at once.
+    pub fn pass_up(&mut self, batch: &mut Uplinks, stats: &mut NetStats) {
+        if !self.active() && self.held_up.is_empty() {
+            return;
+        }
+        let mut out = std::mem::take(&mut self.spare_up);
+        out.clear();
+        self.drain_due_up(&mut out);
+        for &(from, msg) in &batch.items {
+            self.transmit_up(from, msg, &mut out, stats);
+        }
+        std::mem::swap(&mut batch.items, &mut out);
+        self.spare_up = out;
+    }
+
     /// Passes one downlink delivery (to the device at inbox index `to`)
-    /// through the link. An offline receiver misses the delivery outright;
-    /// otherwise loss/duplication/delay are drawn exactly like uplinks.
-    ///
-    /// Returns `true` only when at least one copy reached the inbox *this
-    /// tick* — the signal the scoped replication layer uses to decide
-    /// whether the device's acked state advanced (a delayed copy still
-    /// arrives later, but conservatively counts as a gap).
+    /// through the link: `Offline` (a counted drop) for an offline receiver;
+    /// otherwise loss/duplication/delay are drawn exactly like uplinks, and
+    /// the result is `Delivered` when a copy reached the inbox *this tick*,
+    /// else `Lost` — every copy lost, or the only one delayed (a stall for
+    /// the ack machine, though it still arrives later), or no inbox.
     pub fn deliver_down(
         &mut self,
         to: usize,
         msg: DownlinkMsg,
         inboxes: &mut [Vec<DownlinkMsg>],
         stats: &mut NetStats,
-    ) -> bool {
+    ) -> Delivery {
         if self.is_offline(to) {
             stats.count_dropped();
-            return false;
+            return Delivery::Offline;
         }
-        if !self.active() {
-            if let Some(inbox) = inboxes.get_mut(to) {
-                inbox.push(msg);
-                return true;
-            }
-            return false;
-        }
-        let plan = self.plan;
-        let rng = self.stream_for(Some(msg.query()));
-        let (copies, delay) = plan.draw_fate(rng, plan.down_loss, plan.down_dup, stats);
-        let mut delivered = false;
-        if let Some(inbox) = inboxes.get_mut(to) {
-            for _ in 0..copies {
-                inbox.push(msg);
-            }
-            delivered = copies > 0;
-        }
+        let (copies, delay) = if self.active() {
+            let plan = self.plan;
+            let rng = self.stream_for(Some(msg.query()));
+            plan.draw_fate(rng, plan.down_loss, plan.down_dup, stats)
+        } else {
+            (1, None)
+        };
         if let Some(d) = delay {
             self.held_down
                 .push((self.now + d, ObjectId(to as u32), msg));
         }
-        delivered
+        match inboxes.get_mut(to) {
+            Some(inbox) if copies > 0 => {
+                for _ in 0..copies {
+                    inbox.push(msg);
+                }
+                Delivery::Delivered
+            }
+            _ => Delivery::Lost,
+        }
     }
 
     /// Delivers every held downlink that is due at the current tick into
@@ -729,11 +773,11 @@ impl FaultyLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mknn_geom::{Point, QueryId, Vector};
+    use mknn_geom::{Point, Vector};
 
-    fn an_uplink() -> UplinkMsg {
+    fn an_uplink(q: u32) -> UplinkMsg {
         UplinkMsg::Leave {
-            query: QueryId(0),
+            query: QueryId(q),
             ver: 0,
             pos: Point::ORIGIN,
         }
@@ -751,22 +795,88 @@ mod tests {
 
     #[test]
     fn none_plan_is_transparent_and_draws_nothing() {
-        let mut link = FaultyLink::new(FaultPlan::none(), 7);
-        let mut stats = NetStats::default();
-        let mut out = Vec::new();
-        link.begin_tick(1, 4);
-        for i in 0..4 {
-            assert!(!link.is_offline(i));
-            link.transmit_up(ObjectId(i as u32), an_uplink(), &mut out, &mut stats);
+        // Every plan without a live device-side fault: the perfect link, the
+        // crash preset (server faults only), chaos past its horizon.
+        let past_horizon = FaultPlan {
+            horizon: 0,
+            ..FaultPlan::chaos()
+        };
+        for plan in [FaultPlan::none(), FaultPlan::crash(), past_horizon] {
+            let mut link = FaultyLink::new(plan, 7);
+            let mut stats = NetStats::default();
+            let mut out = Vec::new();
+            link.begin_tick(1, 4);
+            for i in 0..4 {
+                assert!(!link.is_offline(i));
+                link.transmit_up(ObjectId(i as u32), an_uplink(0), &mut out, &mut stats);
+            }
+            assert_eq!(out.len(), 4);
+            let mut batch = Uplinks::new();
+            batch.send(ObjectId(1), an_uplink(2));
+            link.pass_up(&mut batch, &mut stats);
+            assert_eq!(batch.items, [(ObjectId(1), an_uplink(2))]);
+            let mut inboxes = vec![Vec::new(); 4];
+            let fate = link.deliver_down(2, a_downlink(), &mut inboxes, &mut stats);
+            assert_eq!(fate, Delivery::Delivered);
+            assert_eq!(inboxes[2].len(), 1);
+            assert_eq!(
+                link.probe_request(QueryId(0), 3, &mut stats),
+                Delivery::Delivered
+            );
+            assert!(!link.probe_reply_lost(QueryId(0), &mut stats));
+            assert_eq!(
+                (stats.dropped_msgs, stats.dup_msgs, stats.delayed_msgs),
+                (0, 0, 0)
+            );
+            // Nothing drawn, and no per-device or per-query state kept.
+            assert_eq!(link.rng, Rng::seed_from_u64(7));
+            assert!(link.queries.rngs.is_empty() && link.offline_until.is_empty());
         }
-        assert_eq!(out.len(), 4);
-        let mut inboxes = vec![Vec::new(); 4];
-        link.deliver_down(2, a_downlink(), &mut inboxes, &mut stats);
-        assert_eq!(inboxes[2].len(), 1);
-        assert_eq!(
-            (stats.dropped_msgs, stats.dup_msgs, stats.delayed_msgs),
-            (0, 0, 0)
-        );
+    }
+
+    #[test]
+    fn pass_up_equals_drain_then_transmit_into_a_fresh_batch() {
+        // Against the drain-then-transmit sequence on a twin link with the
+        // same seed: same arrivals in the same order, same counters.
+        mknn_util::check::forall(48, |rng| {
+            let cut = FaultPlan {
+                horizon: rng.gen_range(0..=30u64),
+                ..FaultPlan::chaos()
+            };
+            let plans = [
+                FaultPlan::none(),
+                FaultPlan::crash(),
+                FaultPlan::chaos(),
+                cut,
+            ];
+            let plan = plans[rng.gen_range(0..plans.len())];
+            let seed = rng.next_u64();
+            let (mut link, mut twin) = (FaultyLink::new(plan, seed), FaultyLink::new(plan, seed));
+            let (mut stats, mut twin_stats) = (NetStats::default(), NetStats::default());
+            let mut batch = Uplinks::new();
+            for t in 1..=30 {
+                link.begin_tick(t, 8);
+                twin.begin_tick(t, 8);
+                batch.clear();
+                for _ in 0..rng.gen_range(0..=12u32) {
+                    let from = ObjectId(rng.gen_range(0..8u32));
+                    batch.send(from, an_uplink(rng.gen_range(0..4u32)));
+                }
+                let sent = batch.items.clone();
+                let mut want = Vec::new();
+                twin.drain_due_up(&mut want);
+                for &(from, msg) in &sent {
+                    twin.transmit_up(from, msg, &mut want, &mut twin_stats);
+                }
+                link.pass_up(&mut batch, &mut stats);
+                assert_eq!(batch.items, want, "tick {t} under {plan:?}");
+                assert_eq!(stats, twin_stats, "tick {t} under {plan:?}");
+                if plan.device_inert() {
+                    assert_eq!(batch.items, sent);
+                    assert_eq!(stats.dropped_msgs + stats.dup_msgs + stats.delayed_msgs, 0);
+                }
+            }
+        });
     }
 
     #[test]
@@ -776,7 +886,7 @@ mod tests {
         let mut stats = NetStats::default();
         let mut out = Vec::new();
         link.begin_tick(1, 2);
-        link.transmit_up(ObjectId(0), an_uplink(), &mut out, &mut stats);
+        link.transmit_up(ObjectId(0), an_uplink(0), &mut out, &mut stats);
         assert!(out.is_empty());
         let mut inboxes = vec![Vec::new(); 2];
         link.deliver_down(1, a_downlink(), &mut inboxes, &mut stats);
@@ -791,7 +901,7 @@ mod tests {
         let mut stats = NetStats::default();
         let mut out = Vec::new();
         link.begin_tick(1, 1);
-        link.transmit_up(ObjectId(0), an_uplink(), &mut out, &mut stats);
+        link.transmit_up(ObjectId(0), an_uplink(0), &mut out, &mut stats);
         assert_eq!(out.len(), 2);
         assert_eq!(stats.dup_msgs, 1);
     }
@@ -803,7 +913,7 @@ mod tests {
         let mut stats = NetStats::default();
         let mut out = Vec::new();
         link.begin_tick(1, 1);
-        link.transmit_up(ObjectId(0), an_uplink(), &mut out, &mut stats);
+        link.transmit_up(ObjectId(0), an_uplink(0), &mut out, &mut stats);
         assert!(out.is_empty(), "delayed, not delivered");
         assert_eq!(stats.delayed_msgs, 1);
         // Drain every following tick until it shows up; never later than
@@ -846,10 +956,10 @@ mod tests {
         let mut stats = NetStats::default();
         let mut out = Vec::new();
         link.begin_tick(5, 1);
-        link.transmit_up(ObjectId(0), an_uplink(), &mut out, &mut stats);
+        link.transmit_up(ObjectId(0), an_uplink(0), &mut out, &mut stats);
         assert!(out.is_empty(), "tick 5 is still inside the horizon");
         link.begin_tick(6, 1);
-        link.transmit_up(ObjectId(0), an_uplink(), &mut out, &mut stats);
+        link.transmit_up(ObjectId(0), an_uplink(0), &mut out, &mut stats);
         assert_eq!(out.len(), 1, "tick 6 is past the horizon: perfect link");
         assert_eq!(stats.dropped_msgs, 1);
     }
@@ -867,7 +977,7 @@ mod tests {
                     let mut out = Vec::new();
                     link.drain_due_up(&mut out);
                     for i in 0..8 {
-                        link.transmit_up(ObjectId(i), an_uplink(), &mut out, &mut stats);
+                        link.transmit_up(ObjectId(i), an_uplink(0), &mut out, &mut stats);
                     }
                     sizes.push(out.len());
                 }
@@ -893,7 +1003,7 @@ mod tests {
                     if with_shard_legs {
                         link.shard_leg(36, &mut stats);
                     }
-                    link.transmit_up(ObjectId(i), an_uplink(), &mut out, &mut stats);
+                    link.transmit_up(ObjectId(i), an_uplink(0), &mut out, &mut stats);
                 }
                 sizes.push(out.len());
             }
@@ -909,11 +1019,6 @@ mod tests {
         // when per-shard outboxes merge in shard order) must not change any
         // single query's fate sequence.
         let plan = FaultPlan::chaos();
-        let uplink_for = |q: u32| UplinkMsg::Leave {
-            query: QueryId(q),
-            ver: 0,
-            pos: Point::ORIGIN,
-        };
         let fates_of_q0 = |interleaved: bool| {
             let mut link = FaultyLink::new(plan, 42);
             let mut stats = NetStats::default();
@@ -925,11 +1030,11 @@ mod tests {
                     if interleaved {
                         // Other queries' traffic woven between q0's sends.
                         for q in 1..=3 {
-                            link.transmit_up(ObjectId(q), uplink_for(q), &mut out, &mut stats);
+                            link.transmit_up(ObjectId(q), an_uplink(q), &mut out, &mut stats);
                         }
                     }
                     let before = out.len();
-                    link.transmit_up(ObjectId(0), uplink_for(0), &mut out, &mut stats);
+                    link.transmit_up(ObjectId(0), an_uplink(0), &mut out, &mut stats);
                     sizes.push(out.len() - before + round - round);
                 }
             }
@@ -951,9 +1056,10 @@ mod tests {
                 link.begin_tick(t, 4);
                 for i in 0..4 {
                     if with_probe_legs {
-                        link.probe_leg_lost(QueryId(9), plan.down_loss, &mut stats);
+                        link.probe_request(QueryId(9), i as usize, &mut stats);
+                        link.probe_reply_lost(QueryId(9), &mut stats);
                     }
-                    link.transmit_up(ObjectId(i), an_uplink(), &mut out, &mut stats);
+                    link.transmit_up(ObjectId(i), an_uplink(0), &mut out, &mut stats);
                 }
             }
             out.len()
@@ -1100,7 +1206,7 @@ mod tests {
             link.begin_tick(1, 8);
             for i in 0..8 {
                 link.shard_leg(36, &mut stats);
-                link.transmit_up(ObjectId(i), an_uplink(), &mut out, &mut stats);
+                link.transmit_up(ObjectId(i), an_uplink(0), &mut out, &mut stats);
             }
             (out.len(), stats.shard.retransmits)
         };

@@ -22,7 +22,7 @@
 //! [`ServerPhase::run_shards`] are the shared harnesses the methods build
 //! their phases from.
 
-use crate::{DownlinkMsg, QuerySpec, Recipient, UplinkMsg};
+use crate::{DownlinkMsg, FaultyLink, QuerySpec, Recipient, UplinkMsg};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
 use mknn_mobility::MovingObject;
 use mknn_util::Pool;
@@ -32,9 +32,9 @@ use std::time::Instant;
 ///
 /// The engine hands the whole device population to
 /// [`Protocol::client_phase`] as parallel slices (position, velocity,
-/// speed cap, per-device inbox) plus an optional offline mask from the
-/// fault layer; [`run_client_phase`] chunks the index space `0..len()`
-/// over the pool. Device ids are dense: index `i` *is* `ObjectId(i)`.
+/// speed cap, per-device inbox) plus the device link, which says who is
+/// offline; [`run_client_phase`] chunks the index space `0..len()` over
+/// the pool. Device ids are dense: index `i` *is* `ObjectId(i)`.
 pub struct ClientCtx<'a> {
     /// The tick being processed (the world has already moved).
     pub tick: Tick,
@@ -44,13 +44,13 @@ pub struct ClientCtx<'a> {
     pub vel: &'a [Vector],
     /// Per-device speed caps.
     pub max_speed: &'a [f64],
-    /// Per-device downlinks from the previous server tick. Offline
-    /// devices' inboxes arrive empty (the engine drops and counts their
-    /// messages before the phase).
+    /// Per-device downlinks from the previous server tick. An offline
+    /// device's inbox is not for reading: it is lost, and the engine drops
+    /// and counts it after the phase.
     pub inboxes: &'a [Vec<DownlinkMsg>],
-    /// Fault-layer offline mask for this tick (`None` on a perfect link).
-    /// Offline devices run no client logic at all.
-    pub offline: Option<&'a [bool]>,
+    /// The device link. Offline devices ([`ClientCtx::is_offline`]) run no
+    /// client logic at all.
+    pub link: &'a FaultyLink,
     /// The worker pool a parallel implementation should dispatch through.
     /// `Pool` is a configuration value; passing it costs nothing.
     pub pool: Pool,
@@ -69,7 +69,7 @@ impl ClientCtx<'_> {
 
     /// Whether device `i` is offline this tick.
     pub fn is_offline(&self, i: usize) -> bool {
-        self.offline.is_some_and(|mask| mask[i])
+        self.link.is_offline(i)
     }
 
     /// Materializes device `i`'s ground-truth state.
@@ -97,7 +97,7 @@ pub struct ObjReport {
 /// The per-tick batch of device → server messages.
 #[derive(Debug, Default)]
 pub struct Uplinks {
-    items: Vec<(ObjectId, UplinkMsg)>,
+    pub(crate) items: Vec<(ObjectId, UplinkMsg)>,
 }
 
 impl Uplinks {

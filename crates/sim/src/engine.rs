@@ -6,9 +6,9 @@ use mknn_geom::{Circle, ObjectId, QueryId, Tick};
 use mknn_index::GridIndex;
 use mknn_mobility::{MovingObject, World};
 use mknn_net::{
-    CrashWindow, Delivery, DownlinkBuilder, DownlinkMsg, FaultyLink, MsgKind, NetStats, ObjReport,
-    OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Recipient, ReplStore, ServerPhase,
-    ShardTask, UplinkMsg, Uplinks,
+    CrashWindow, Delivery, DownlinkBuilder, DownlinkMsg, FaultPlan, FaultyLink, MsgKind, NetStats,
+    ObjReport, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Recipient, ReplStore,
+    ServerPhase, ShardTask, UplinkMsg, Uplinks,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -29,35 +29,9 @@ struct ShardProbe<'a, 'r> {
     infra: &'a GridIndex,
     world: &'a World,
     coord: &'a mut ShardCoordinator,
-    link: Option<&'a mut FaultyLink>,
+    link: &'a mut FaultyLink,
     stats: &'a mut NetStats,
     builder: &'a mut DownlinkBuilder<'r>,
-}
-
-impl ShardProbe<'_, '_> {
-    /// The request leg to device `id`: an offline device never hears it; an
-    /// online one misses it with the downlink loss rate.
-    fn request_leg(&mut self, query: QueryId, id: ObjectId) -> Delivery {
-        let Some(link) = self.link.as_deref_mut() else {
-            return Delivery::Delivered;
-        };
-        if link.is_offline(id.index()) {
-            self.stats.count_dropped();
-            Delivery::Offline
-        } else if link.probe_leg_lost(query, link.plan().down_loss, self.stats) {
-            Delivery::Lost
-        } else {
-            Delivery::Delivered
-        }
-    }
-
-    /// The reply leg: the device transmitted (charged by the caller) but the
-    /// uplink may still be lost in flight.
-    fn reply_lost(&mut self, query: QueryId) -> bool {
-        self.link
-            .as_deref_mut()
-            .is_some_and(|l| l.probe_leg_lost(query, l.plan().up_loss, self.stats))
-    }
 }
 
 impl ProbeService for ShardProbe<'_, '_> {
@@ -70,13 +44,13 @@ impl ProbeService for ShardProbe<'_, '_> {
         // The probe zone scatters to every covering shard; each foreign one
         // merges its partial answer back at the home shard afterwards.
         self.coord
-            .probe_scatter(query, &zone, self.stats, self.link.as_deref_mut());
+            .probe_scatter(query, &zone, self.stats, Some(&mut *self.link));
         let mut out = Vec::new();
         for n in self.infra.range(&zone) {
             if n.id == exclude {
                 continue;
             }
-            let delivery = self.request_leg(query, n.id);
+            let delivery = self.link.probe_request(query, n.id.index(), self.stats);
             self.builder.stage(n.id, msg, delivery);
             if delivery != Delivery::Delivered {
                 continue;
@@ -85,7 +59,7 @@ impl ProbeService for ShardProbe<'_, '_> {
             let reply = UplinkMsg::ProbeReply { query, pos, vel };
             self.stats
                 .count_uplink(MsgKind::ProbeReply, reply.size_bytes());
-            if self.reply_lost(query) {
+            if self.link.probe_reply_lost(query, self.stats) {
                 continue;
             }
             out.push(ObjReport { id: n.id, pos, vel });
@@ -99,7 +73,7 @@ impl ProbeService for ShardProbe<'_, '_> {
         }
         for (shard, count) in per_shard {
             self.coord
-                .probe_gather(query, shard, count, self.stats, self.link.as_deref_mut());
+                .probe_gather(query, shard, count, self.stats, Some(&mut *self.link));
         }
         out
     }
@@ -125,9 +99,9 @@ impl ProbeService for ShardProbe<'_, '_> {
             pos,
             ask.size_bytes(),
             self.stats,
-            self.link.as_deref_mut(),
+            Some(&mut *self.link),
         );
-        let delivery = self.request_leg(query, id);
+        let delivery = self.link.probe_request(query, id.index(), self.stats);
         self.builder.stage(id, ask, delivery);
         if delivery != Delivery::Delivered {
             return None;
@@ -140,9 +114,9 @@ impl ProbeService for ShardProbe<'_, '_> {
             pos,
             reply.size_bytes(),
             self.stats,
-            self.link.as_deref_mut(),
+            Some(&mut *self.link),
         );
-        if self.reply_lost(query) {
+        if self.link.probe_reply_lost(query, self.stats) {
             return None;
         }
         Some(ObjReport { id, pos, vel })
@@ -162,9 +136,9 @@ pub struct Simulation {
     tick: Tick,
     planned_ticks: u64,
     series: Option<crate::TickSeries>,
-    /// Fault-injection layer; `None` under [`mknn_net::FaultPlan::none`], so
-    /// the perfect-link fast path is the exact pre-fault code path.
-    link: Option<FaultyLink>,
+    /// The device link every delivery passes through; inert (no draw, no
+    /// offline table) under a plan without device-side faults.
+    link: FaultyLink,
     /// Per query: how many consecutive oracle checks have been inexact
     /// (feeds the staleness metrics).
     stale_streak: Vec<u64>,
@@ -188,12 +162,8 @@ pub struct Simulation {
     /// The episode's planned shard-crash windows (DESIGN.md §11), resolved
     /// once at construction from the fault plan — a pure function of
     /// `(plan, seed, shards, ticks)`, so reruns and thread counts agree.
-    /// Empty without a link or under a crash-free plan.
+    /// Empty under a crash-free plan.
     crashes: Vec<CrashWindow>,
-    /// This tick's per-device offline mask, kept across ticks so the hot
-    /// loop refills it in place instead of allocating O(N) every tick.
-    /// Only meaningful during a tick of a faulty episode.
-    offline_buf: Vec<bool>,
     /// The client batch and the per-shard split of the last tick, emptied
     /// and reused: a fresh Θ(N) uplink buffer each tick is page-fault time.
     uplink_buf: Uplinks,
@@ -215,19 +185,16 @@ impl Simulation {
     /// downgraded to [`VerifyMode::Record`] — under faults even a hardened
     /// exact method is transiently wrong, which is precisely what the
     /// recorded recall/staleness metrics measure. The init handshake itself
-    /// always runs fault-free: query registration models a wired setup
+    /// runs over an inert link: query registration models a wired setup
     /// step, not mobile radio traffic.
     pub fn new(config: &SimConfig, mut proto: Box<dyn Protocol>) -> Self {
-        let link = (!config.fault.is_none())
-            .then(|| FaultyLink::new(config.fault, config.workload.seed ^ FAULT_SEED_SALT));
-        let crashes = link
-            .as_ref()
-            .map(|l| l.crash_schedule(config.shards, config.ticks))
-            .unwrap_or_default();
-        if link.is_some() {
+        let link = FaultyLink::new(config.fault, config.workload.seed ^ FAULT_SEED_SALT);
+        let crashes = link.crash_schedule(config.shards, config.ticks);
+        let lossy = !config.fault.is_none();
+        if lossy {
             proto.set_lossy(true);
         }
-        let verify = if link.is_some() && config.verify == VerifyMode::Assert {
+        let verify = if lossy && config.verify == VerifyMode::Assert {
             VerifyMode::Record
         } else {
             config.verify
@@ -276,7 +243,8 @@ impl Simulation {
             coord.track_query(spec.id, focal, config.k, &mut metrics.net, None);
         }
 
-        // Init handshake at tick 0.
+        // Init handshake at tick 0, over an inert link of its own.
+        let mut handshake = FaultyLink::new(FaultPlan::none(), 0);
         let mut outbox = Outbox::new();
         let mut ops = OpCounters::default();
         let t0 = Instant::now();
@@ -291,7 +259,7 @@ impl Simulation {
                 infra: &infra,
                 world: &world,
                 coord: &mut coord,
-                link: None,
+                link: &mut handshake,
                 stats: &mut metrics.net,
                 builder: &mut builder,
             },
@@ -310,7 +278,7 @@ impl Simulation {
             &infra,
             &mut inboxes,
             &mut metrics.net,
-            None,
+            &mut handshake,
             &mut coord,
             proto.as_ref(),
             &specs,
@@ -344,7 +312,6 @@ impl Simulation {
             repl,
             last_sent,
             crashes,
-            offline_buf: Vec::new(),
             uplink_buf: Uplinks::new(),
             split_bufs: Vec::new(),
         }
@@ -388,8 +355,9 @@ impl Simulation {
                     vel: self.world.velocities()[i],
                 })
                 .collect();
+            let link = Some(&mut self.link);
             self.coord
-                .recover(w.shard, &replay, &mut self.metrics.net, self.link.as_mut());
+                .recover(w.shard, &replay, &mut self.metrics.net, link);
             self.proto.server_recover(w.shard, block, &replay);
         }
         for wi in 0..self.crashes.len() {
@@ -460,9 +428,7 @@ impl Simulation {
                 .upsert(ObjectId(i), self.world.positions()[i as usize]);
         }
 
-        if let Some(link) = self.link.as_mut() {
-            link.begin_tick(self.tick, self.world.len());
-        }
+        self.link.begin_tick(self.tick, self.world.len());
 
         // Crash-window edges before any tracking: a shard reborn this tick
         // must finish its reconstruction sweep (and a newly dead one must
@@ -477,13 +443,14 @@ impl Simulation {
         // skipped: same position ⇒ same block ⇒ `track_object` is a pure
         // no-op (velocity only matters in a Handoff, which needs a
         // crossing).
+        let link = &mut self.link;
         for &i in self.world.moved() {
             self.coord.track_object(
                 ObjectId(i),
                 self.world.positions()[i as usize],
                 self.world.velocities()[i as usize],
                 &mut self.metrics.net,
-                self.link.as_mut(),
+                Some(&mut *link),
             );
         }
         let k = self.metrics.k;
@@ -491,52 +458,32 @@ impl Simulation {
             let spec = self.specs[qi];
             let focal = self.world.position(spec.focal);
             self.coord
-                .track_query(spec.id, focal, k, &mut self.metrics.net, self.link.as_mut());
+                .track_query(spec.id, focal, k, &mut self.metrics.net, Some(&mut *link));
         }
 
         let mut ops = OpCounters::default();
         let mut uplinks = std::mem::take(&mut self.uplink_buf);
 
-        // Client phase: each device acts on its own state + inbox. An
-        // offline device neither processes nor sends; the downlinks sitting
-        // in its inbox (delivered while it was still reachable) are lost.
-        // Drops are counted up front (a commuting tally, so the count is
-        // identical to the old interleaved accounting), then the whole
-        // phase dispatches through the protocol's chunked batch path.
-        // The mask lives in a persistent buffer refilled in place — the
-        // former per-tick Vec allocation was O(N) in the hot loop.
+        // Client phase: each device acts on its own state + inbox; an offline
+        // device neither processes nor sends (the harness asks the link).
         let t_client = Instant::now();
-        self.offline_buf.clear();
-        let offline: Option<&[bool]> = match self.link.as_ref() {
-            Some(link) => {
-                self.offline_buf
-                    .extend((0..self.world.len()).map(|i| link.is_offline(i)));
-                Some(&self.offline_buf)
-            }
-            None => None,
-        };
-        if let Some(mask) = offline {
-            for (i, inbox) in self.inboxes.iter_mut().enumerate() {
-                if mask[i] {
-                    for _ in inbox.drain(..) {
-                        self.metrics.net.count_dropped();
-                    }
-                }
-            }
-        }
         let ctx = mknn_net::ClientCtx {
             tick: self.tick,
             pos: self.world.positions(),
             vel: self.world.velocities(),
             max_speed: self.world.max_speeds(),
             inboxes: &self.inboxes,
-            offline,
+            link: &self.link,
             pool: self.pool,
         };
         self.proto.client_phase(&ctx, &mut uplinks, &mut ops);
-        // Every inbox was consumed (or dropped) this tick; `route` refills
+        // Every inbox was consumed this tick, or is lost with its offline
+        // device (delivered while it was still reachable); `route` refills
         // them below for the next one.
-        for inbox in self.inboxes.iter_mut() {
+        for (i, inbox) in self.inboxes.iter_mut().enumerate() {
+            if self.link.is_offline(i) {
+                self.metrics.net.dropped_msgs += inbox.len() as u64;
+            }
             inbox.clear();
         }
         let client_secs = t_client.elapsed().as_secs_f64();
@@ -547,23 +494,10 @@ impl Simulation {
         for (_, msg) in uplinks.iter() {
             self.metrics.net.count_uplink(msg.kind(), msg.size_bytes());
         }
-        // Uplink leg of the fault layer: delayed messages from earlier
-        // ticks arrive first (already charged when sent), then this tick's
-        // batch runs the loss/duplication/delay gauntlet.
-        let mut uplinks = if let Some(link) = self.link.as_mut() {
-            let mut delivered = Vec::new();
-            link.drain_due_up(&mut delivered);
-            for (from, msg) in uplinks.iter() {
-                link.transmit_up(from, *msg, &mut delivered, &mut self.metrics.net);
-            }
-            let mut faulted = Uplinks::new();
-            for (from, msg) in delivered {
-                faulted.send(from, msg);
-            }
-            faulted
-        } else {
-            uplinks
-        };
+        // Uplink leg of the link: delayed messages from earlier ticks arrive
+        // first (already charged when sent), then this tick's batch runs the
+        // loss/duplication/delay gauntlet.
+        self.link.pass_up(&mut uplinks, &mut self.metrics.net);
         // Every *delivered* uplink terminates at the shard owning the
         // sender's block and is forwarded when its query is homed elsewhere.
         // The terminal shard's task consumes the message, splitting the
@@ -578,7 +512,7 @@ impl Simulation {
                 self.world.position(from),
                 msg.size_bytes(),
                 &mut self.metrics.net,
-                self.link.as_mut(),
+                Some(&mut self.link),
             );
             split[dest as usize].send(from, *msg);
         }
@@ -605,7 +539,7 @@ impl Simulation {
                 infra: &self.infra,
                 world: &self.world,
                 coord: &mut self.coord,
-                link: self.link.as_mut(),
+                link: &mut self.link,
                 stats: &mut self.metrics.net,
                 builder: &mut builder,
             },
@@ -635,7 +569,7 @@ impl Simulation {
             &self.infra,
             &mut self.inboxes,
             &mut self.metrics.net,
-            self.link.as_mut(),
+            &mut self.link,
             &mut self.coord,
             self.proto.as_ref(),
             &self.specs,
@@ -685,7 +619,7 @@ impl Simulation {
             // an answer wrong. On a perfect link an inexact method (e.g.
             // `periodic`) is approximate by design, not stale, and charging
             // it here would perturb the fault-free golden output.
-            if self.link.is_some() {
+            if !self.link.plan().is_none() {
                 if ck.exact {
                     self.stale_streak[qi] = 0;
                 } else {
@@ -758,30 +692,15 @@ fn downlink_tail(
     infra: &GridIndex,
     inboxes: &mut [Vec<DownlinkMsg>],
     stats: &mut NetStats,
-    mut link: Option<&mut FaultyLink>,
+    link: &mut FaultyLink,
     coord: &mut ShardCoordinator,
     proto: &dyn Protocol,
     specs: &[QuerySpec],
     last_sent: &mut [Vec<ObjectId>],
     mut builder: DownlinkBuilder,
 ) {
-    route(
-        outbox,
-        infra,
-        inboxes,
-        stats,
-        link.as_deref_mut(),
-        coord,
-        &mut builder,
-    );
-    replicate_answers(
-        proto,
-        specs,
-        last_sent,
-        link.as_deref(),
-        stats,
-        &mut builder,
-    );
+    route(outbox, infra, inboxes, stats, link, coord, &mut builder);
+    replicate_answers(proto, specs, last_sent, link, stats, &mut builder);
     builder.flush_frames(stats);
 }
 
@@ -797,7 +716,7 @@ fn replicate_answers(
     proto: &dyn Protocol,
     specs: &[QuerySpec],
     last_sent: &mut [Vec<ObjectId>],
-    link: Option<&FaultyLink>,
+    link: &FaultyLink,
     stats: &mut NetStats,
     builder: &mut DownlinkBuilder,
 ) {
@@ -813,51 +732,21 @@ fn replicate_answers(
             continue;
         }
         stats.count_unicast(MsgKind::AnswerPush);
-        let delivery = if link.is_none_or(|l| !l.is_offline(spec.focal.index())) {
-            Delivery::Delivered
-        } else {
+        let delivery = if link.is_offline(spec.focal.index()) {
             Delivery::Offline
+        } else {
+            Delivery::Delivered
         };
         builder.stage_answer(spec.focal, spec.id, &members, ordered, delivery);
         last_sent[qi].clone_from(&members);
     }
 }
 
-/// One downlink delivery through the (possibly faulty) link, classified for
-/// the ack state machine: a copy in the inbox this tick is delivered, an
-/// undelivered copy to an offline device is a churn gap (full snapshots on
-/// rejoin), an undelivered copy to an online device is plain loss/delay
-/// (the acked baseline just stalls). A recipient the engine has no inbox
-/// for (e.g. an index entry for a device outside the episode population)
-/// is skipped, not a panic.
-fn deliver(
-    to: ObjectId,
-    msg: &DownlinkMsg,
-    inboxes: &mut [Vec<DownlinkMsg>],
-    stats: &mut NetStats,
-    mut link: Option<&mut FaultyLink>,
-) -> Delivery {
-    let delivered = if let Some(link) = link.as_deref_mut() {
-        link.deliver_down(to.index(), *msg, inboxes, stats)
-    } else if let Some(inbox) = inboxes.get_mut(to.index()) {
-        inbox.push(*msg);
-        true
-    } else {
-        false
-    };
-    if delivered {
-        Delivery::Delivered
-    } else if link.is_some_and(|l| l.is_offline(to.index())) {
-        Delivery::Offline
-    } else {
-        Delivery::Lost
-    }
-}
-
-/// Routes an outbox: charges every transmission and fills device inboxes.
-/// With a fault layer, due delayed downlinks are delivered first, then
-/// every individual delivery (one per geocast/broadcast receiver) makes its
-/// own fault draws, in deterministic recipient order.
+/// Routes an outbox: charges every transmission and fills device inboxes
+/// through the link. Due delayed downlinks are delivered first, then every
+/// individual delivery (one per geocast/broadcast receiver) makes its own
+/// fault draws, in deterministic recipient order; a recipient the engine
+/// has no inbox for is skipped, not a panic.
 ///
 /// Unicasts and geocasts are charged as logical messages here (unicast,
 /// geocast-cell, per-kind) and their bytes per frame: each delivery is
@@ -869,13 +758,11 @@ fn route(
     infra: &GridIndex,
     inboxes: &mut [Vec<DownlinkMsg>],
     stats: &mut NetStats,
-    mut link: Option<&mut FaultyLink>,
+    link: &mut FaultyLink,
     coord: &mut ShardCoordinator,
     builder: &mut DownlinkBuilder,
 ) {
-    if let Some(link) = link.as_deref_mut() {
-        link.drain_due_down(inboxes, stats);
-    }
+    link.drain_due_down(inboxes, stats);
     for (recipient, msg) in outbox.iter() {
         match *recipient {
             Recipient::One(id) => {
@@ -889,10 +776,10 @@ fn route(
                         pos,
                         msg.size_bytes(),
                         stats,
-                        link.as_deref_mut(),
+                        Some(&mut *link),
                     );
                 }
-                let delivery = deliver(id, msg, inboxes, stats, link.as_deref_mut());
+                let delivery = link.deliver_down(id.index(), *msg, inboxes, stats);
                 // Recipients without an inbox have no device to frame to
                 // (the logical charge above still stands).
                 if id.index() < inboxes.len() {
@@ -902,11 +789,11 @@ fn route(
             Recipient::Geocast(zone) => {
                 let cells = infra.cells_overlapping(&zone);
                 stats.count_geocast(msg.kind(), cells);
-                coord.route_geocast(msg.query(), &zone, stats, link.as_deref_mut());
+                coord.route_geocast(msg.query(), &zone, stats, Some(&mut *link));
                 // The devices interested in this send are exactly the
                 // zone's members (region members and imminent entrants).
                 for n in infra.range(&zone) {
-                    let delivery = deliver(n.id, msg, inboxes, stats, link.as_deref_mut());
+                    let delivery = link.deliver_down(n.id.index(), *msg, inboxes, stats);
                     if n.id.index() < inboxes.len() {
                         builder.stage(n.id, *msg, delivery);
                     }
@@ -914,9 +801,9 @@ fn route(
             }
             Recipient::Broadcast => {
                 stats.count_broadcast(msg.kind(), msg.size_bytes());
-                coord.route_broadcast(msg.query(), stats, link.as_deref_mut());
+                coord.route_broadcast(msg.query(), stats, Some(&mut *link));
                 for i in 0..inboxes.len() {
-                    deliver(ObjectId(i as u32), msg, inboxes, stats, link.as_deref_mut());
+                    link.deliver_down(i, *msg, inboxes, stats);
                 }
             }
         }
@@ -1019,7 +906,7 @@ mod tests {
             infra: &infra,
             world: &world,
             coord: &mut coord,
-            link: None,
+            link: &mut FaultyLink::new(FaultPlan::none(), 0),
             stats: &mut stats,
             builder: &mut builder,
         };
@@ -1063,7 +950,7 @@ mod tests {
             &infra,
             &mut inboxes,
             &mut stats,
-            None,
+            &mut FaultyLink::new(FaultPlan::none(), 0),
             &mut coord,
             &mut builder,
         );

@@ -55,6 +55,7 @@ shards|G=16 under chaos, the committed reference|--shards 16 --fault chaos|-|.|g
 chaos|two runs, chaos has an effect|--fault chaos|-|-|!=
 chaos|MKNN_THREADS 1 vs 4|--fault chaos|MKNN_THREADS=1|MKNN_THREADS=4|-
 chaos|the committed chaos reference|--fault chaos|-|.|golden=scripts/golden/chaos_seed42.json
+chaos|chaos cut at tick 30, the committed reference|--fault {"up_loss":0.1,"down_loss":0.1,"up_dup":0.02,"down_dup":0.02,"delay_prob":0.2,"max_delay":2,"churn":0.002,"offline_min":2,"offline_max":6,"horizon":30}|-|.|golden=scripts/golden/chaos_h30_seed42.json
 recovery|two runs|--shards 4 --fault crash|-|-|-
 recovery|the committed crash reference|--shards 4 --fault crash|-|.|golden=scripts/golden/crash_g4_seed42.json
 recovery|MKNN_THREADS 1 vs 4|--shards 4 --fault crash|MKNN_THREADS=1|MKNN_THREADS=4|-

@@ -186,7 +186,7 @@ fn committed_references_round_trip_through_the_typed_codec() {
         .map(|e| e.unwrap().path())
         .collect();
     files.sort();
-    assert_eq!(files.len(), 4, "expected four references in {dir}");
+    assert_eq!(files.len(), 5, "expected five references in {dir}");
     for path in files {
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = Json::parse(&text).unwrap();
