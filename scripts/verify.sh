@@ -47,6 +47,7 @@ GOLDEN=scripts/golden/smoke_seed42.json
 GATES='determinism|two runs||-|-|-
 determinism|MKNN_THREADS 1 vs 4||MKNN_THREADS=1|MKNN_THREADS=4|-
 golden|the committed golden file||-|.|golden
+golden|N=6000, the committed sized reference|--n 6000|-|.|golden=scripts/golden/sized_n6000_seed42.json
 shards|G=1 is the single server|--shards 1|-|.|golden
 shards|G=4, two runs, charges shard traffic|--shards 4|-|-|!=--shards 1
 shards|G=4, MKNN_THREADS 1 vs 4|--shards 4|MKNN_THREADS=1|MKNN_THREADS=4|-
