@@ -486,16 +486,6 @@ fn tick_device(
 }
 
 impl ClientHalf {
-    /// Test/diagnostic access: the safe period a device currently holds for
-    /// `query` (ticks until the next mandatory geometric check).
-    pub fn safe_period_of(&self, device: usize, query: QueryId) -> Option<Tick> {
-        self.states[device]
-            .regions
-            .iter()
-            .find(|r| r.query == query)
-            .map(|r| r.safe_until)
-    }
-
     /// Test/diagnostic access: the region a device holds for `query`.
     pub fn region_of(&self, device: usize, query: QueryId) -> Option<(Tick, Point, f64)> {
         self.states[device]

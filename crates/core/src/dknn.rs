@@ -115,11 +115,6 @@ impl Dknn {
     pub fn local_fixes(&self) -> u64 {
         self.server.total_local_fixes()
     }
-
-    /// Diagnostic: regions installed on device `idx` right now.
-    pub fn client_regions(&self, idx: usize) -> usize {
-        self.client.installed_regions(idx)
-    }
 }
 
 impl Protocol for Dknn {

@@ -51,12 +51,6 @@ impl LinearMotion {
         self.origin + self.velocity * t
     }
 
-    /// Squared distance to `other` at time `t`.
-    #[inline]
-    pub fn dist_sq_at(&self, other: &LinearMotion, t: f64) -> f64 {
-        self.position_at(t).dist_sq(other.position_at(t))
-    }
-
     /// Coefficients `(a, b, c)` of the squared-distance quadratic
     /// `d²(t) = a·t² + b·t + c` between `self` and `other`.
     #[inline]

@@ -105,12 +105,6 @@ impl Rect {
         }
     }
 
-    /// The smallest rectangle covering `self` and the point `p`.
-    #[inline]
-    pub fn union_point(&self, p: Point) -> Rect {
-        self.union(&Rect::from_point(p))
-    }
-
     /// Grows the rectangle by `r` on every side.
     #[inline]
     pub fn inflate(&self, r: f64) -> Rect {

@@ -192,6 +192,16 @@ impl GridIndex {
         grid
     }
 
+    /// The first id at which this grid differs, bit for bit, from holding
+    /// exactly `positions` (id `i` at `positions[i]`); `None` when it holds
+    /// exactly that population. O(N), allocation-free.
+    pub fn first_difference(&self, positions: &[Point]) -> Option<ObjectId> {
+        let bits = |p: Point| (p.x.to_bits(), p.y.to_bits());
+        (0..self.slots.len().max(positions.len()) as u32)
+            .map(ObjectId)
+            .find(|&id| self.position(id).map(bits) != positions.get(id.index()).copied().map(bits))
+    }
+
     /// Removes `id`, returning its last indexed position.
     pub fn remove(&mut self, id: ObjectId) -> Option<Point> {
         let slot = self.slots.get_mut(id.index())?.take()?;
@@ -349,12 +359,6 @@ impl GridIndex {
         let mut n = 0;
         self.for_cells_overlapping(circle, |_| n += 1);
         n
-    }
-
-    /// Number of indexed objects in the cell with id `cell`.
-    #[inline]
-    pub fn cell_population(&self, cell: u32) -> usize {
-        self.cells[cell as usize].len()
     }
 
     /// A conservative radius around `center` expected to contain at least

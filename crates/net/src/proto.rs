@@ -178,8 +178,7 @@ impl Outbox {
     }
 
     /// Moves every downlink of `other` onto the end of this outbox,
-    /// preserving send order. The engine uses it to concatenate per-shard
-    /// outboxes in ascending shard-id order after the server phase.
+    /// preserving send order.
     pub fn append(&mut self, other: &mut Outbox) {
         self.items.append(&mut other.items);
     }
@@ -205,12 +204,12 @@ pub trait ProbeService {
 
 /// One shard's slice of a server tick.
 ///
-/// The engine builds one task per server shard: the uplinks routed to that
-/// shard (query-scoped traffic goes to the query's home shard, `Position`
-/// reports to the shard covering the reported position) and fresh per-shard
-/// accumulators. The protocol consumes the task inside
-/// [`Protocol::server_phase`]; the engine concatenates outboxes and ops in
-/// ascending shard-id order.
+/// The engine keeps one task per server shard for the episode and resets it
+/// every tick: the uplinks routed to that shard (query-scoped traffic goes
+/// to the query's home shard, `Position` reports to the shard covering the
+/// reported position) and empty per-shard accumulators. The protocol
+/// consumes the task inside [`Protocol::server_phase`]; the engine then
+/// reads outboxes and ops in ascending shard-id order.
 pub struct ShardTask {
     /// The shard this task belongs to (its index in `ServerPhase::tasks`).
     pub shard: u32,
@@ -237,6 +236,15 @@ impl ShardTask {
             ops: crate::OpCounters::default(),
             seconds: 0.0,
         }
+    }
+
+    /// Empties the uplinks and accumulators for the next tick, keeping
+    /// their buffers.
+    pub fn reset(&mut self) {
+        self.uplinks.clear();
+        self.outbox.clear();
+        self.ops = crate::OpCounters::default();
+        self.seconds = 0.0;
     }
 }
 

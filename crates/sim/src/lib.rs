@@ -1,6 +1,6 @@
 //! Simulation harness: drives any [`mknn_net::Protocol`] over a
 //! [`mknn_mobility::World`], routes and charges every message, verifies
-//! answers against a brute-force oracle, and aggregates the metrics the
+//! answers against an exact kNN oracle, and aggregates the metrics the
 //! experiments report.
 //!
 //! The harness is the "physical world + network infrastructure" of the
@@ -24,7 +24,7 @@ pub use config::{ConfigError, SimConfig, VerifyMode};
 pub use engine::Simulation;
 pub use method::Method;
 pub use metrics::EpisodeMetrics;
-pub use oracle::{check_answer, AnswerCheck, SnapshotOracle, DIST_ERROR_MAX};
+pub use oracle::{check_answer, knn_excluding, AnswerCheck, SnapshotOracle, DIST_ERROR_MAX};
 pub use series::{delta_sample, TickSample, TickSeries};
 pub use stats::{percentile, MetricsSummary, Summary};
 pub use sweep::{EpisodeRun, PlannedEpisode, Sweep};

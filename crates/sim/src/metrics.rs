@@ -153,11 +153,6 @@ impl EpisodeMetrics {
         self.proto_seconds * 1e6 / self.ticks.max(1) as f64
     }
 
-    /// Oracle-verification wall-clock microseconds per tick.
-    pub fn oracle_us_per_tick(&self) -> f64 {
-        self.oracle_seconds * 1e6 / self.ticks.max(1) as f64
-    }
-
     /// p99 of the per-shard load distribution (the balance headline for
     /// E17: a well-partitioned tier keeps p99 close to mean). 0 when no
     /// shard loads were recorded — the accessor feeds JSON reports, which

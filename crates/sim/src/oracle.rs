@@ -1,18 +1,13 @@
 //! Oracle verification of maintained answers.
 //!
-//! Ground truth is defined by `mknn_index::bruteforce`, but computing it
-//! that way costs `O(N)` per query per center — two full passes per check,
-//! which at suite scale (N = 50k–100k, Q = 100, T = 200) made *verification*
-//! dominate experiment wall time. Instead, the engine bulk-builds one
-//! [`SnapshotOracle`] per verified tick and answers every oracle kNN query
-//! of that tick from it: an `O(N)` bulk load of a population-scaled uniform
-//! grid, then near-constant expected time per query. The indexed results
-//! are byte-identical to brute force — same neighbors, same `total_cmp`/id
-//! tie behavior — which the `oracle_props` property suite enforces against
-//! [`SnapshotOracle::build_bruteforce`].
+//! Ground truth is the exact kNN over every device's true position, read
+//! from a [`GridIndex`] holding them: grid kNN is exact and canonical
+//! (ascending `(distance², id)`) at any resolution, so the engine checks
+//! against its own infrastructure grid once it has confirmed that grid
+//! holds exactly the world's positions (DESIGN.md §8).
 
 use mknn_geom::{ObjectId, Point};
-use mknn_index::{bruteforce, GridIndex, Neighbor};
+use mknn_index::{GridIndex, Neighbor};
 use mknn_mobility::World;
 
 /// Distance tolerance for tie handling: answers that differ from the oracle
@@ -27,70 +22,40 @@ const TIE_EPS: f64 = 1e-9;
 /// must look maximally bad, not distance-perfect.
 pub const DIST_ERROR_MAX: f64 = 1.0;
 
-/// One tick's ground truth: a kNN oracle over a frozen world snapshot.
+/// The k nearest objects of `grid` to `center`, excluding `exclude` (the
+/// focal object, which is never its own neighbor), in canonical order.
 ///
-/// Built once per verified tick and shared across all queries of that tick.
-/// Focal exclusion is handled by over-fetching `k + 1` neighbors and
-/// filtering, which is exactly equivalent to brute force over the filtered
-/// population (the `k + 1` nearest overall contain the `k` nearest
-/// non-focal ones whether or not the focal is among them).
-pub struct SnapshotOracle {
-    backend: Backend,
+/// Over-fetching `k + 1` and filtering is exactly brute force over the
+/// filtered population: the `k + 1` nearest overall contain the `k`
+/// nearest non-focal ones whether or not the focal is among them.
+pub fn knn_excluding(
+    grid: &GridIndex,
+    center: Point,
+    k: usize,
+    exclude: ObjectId,
+) -> Vec<Neighbor> {
+    let mut nn = grid.knn(center, k.saturating_add(1));
+    nn.retain(|n| n.id != exclude);
+    nn.truncate(k);
+    nn
 }
 
-enum Backend {
-    /// The fast path: a uniform grid bulk-loaded over the snapshot
-    /// (`O(N)` build — cheaper than an `O(N log N)` tree sort, which at
-    /// suite scale would itself dominate the verification budget).
-    Indexed(GridIndex),
-    /// The `O(N)`-per-query reference scan the property suites compare the
-    /// indexed path against ([`SnapshotOracle::build_bruteforce`]).
-    Brute(Vec<(ObjectId, Point)>),
-}
+/// A kNN oracle over a frozen world snapshot, kept only for the benchmark's
+/// oracle replay: the engine checks against its own grid.
+pub struct SnapshotOracle(GridIndex);
 
 impl SnapshotOracle {
-    /// Builds the indexed oracle over the world's current positions.
-    ///
-    /// Resolution targets a small constant number of objects per cell, so
-    /// a kNN query inspects O(k) candidates in expectation regardless of
-    /// population.
+    /// Builds the oracle over the world's current positions, at a
+    /// resolution of about four objects per cell.
     pub fn build(world: &World) -> Self {
-        let n = world.len();
-        let side = (((n as f64) / 4.0).sqrt().ceil() as u32).clamp(1, 512);
-        SnapshotOracle {
-            backend: Backend::Indexed(GridIndex::bulk_load(
-                world.bounds(),
-                side,
-                side,
-                world.snapshot(),
-            )),
-        }
+        let side = ((world.len() as f64 / 4.0).sqrt().ceil() as u32).clamp(1, 512);
+        let grid = GridIndex::bulk_load(world.bounds(), side, side, world.snapshot());
+        SnapshotOracle(grid)
     }
 
-    /// Builds the brute-force reference oracle over the same snapshot.
-    pub fn build_bruteforce(world: &World) -> Self {
-        SnapshotOracle {
-            backend: Backend::Brute(world.snapshot().collect()),
-        }
-    }
-
-    /// The k nearest objects to `center`, excluding `exclude` (the focal
-    /// object, which is never its own neighbor), in canonical order
-    /// (ascending `(distance², id)`).
+    /// [`knn_excluding`] over the snapshot.
     pub fn knn_excluding(&self, center: Point, k: usize, exclude: ObjectId) -> Vec<Neighbor> {
-        match &self.backend {
-            Backend::Indexed(grid) => {
-                let mut nn = grid.knn(center, k.saturating_add(1));
-                nn.retain(|n| n.id != exclude);
-                nn.truncate(k);
-                nn
-            }
-            Backend::Brute(points) => bruteforce::knn(
-                points.iter().copied().filter(|&(id, _)| id != exclude),
-                center,
-                k,
-            ),
-        }
+        knn_excluding(&self.0, center, k, exclude)
     }
 }
 
@@ -110,17 +75,17 @@ pub struct AnswerCheck {
     pub dist_error: f64,
 }
 
-/// Verifies `answer` for a query with focal `focal` and parameter `k`,
-/// consulting `oracle` (built over `world`'s current snapshot) for ground
-/// truth.
+/// Verifies `answer` for a query with focal `focal` and parameter `k`
+/// against `grid`, a grid holding every object at its true position.
 ///
 /// `effective` is the query point the method claims exactness for;
 /// `true_center` is the focal object's true position. `ordered` selects
 /// sequence (vs. set) comparison.
-#[allow(clippy::too_many_arguments)]
+///
+/// # Panics
+/// When `answer` names an object `grid` does not hold.
 pub fn check_answer(
-    world: &World,
-    oracle: &SnapshotOracle,
+    grid: &GridIndex,
     focal: ObjectId,
     k: usize,
     answer: &[ObjectId],
@@ -128,12 +93,14 @@ pub fn check_answer(
     true_center: Point,
     ordered: bool,
 ) -> AnswerCheck {
+    let pos = |id: ObjectId| grid.position(id).expect("answer member is indexed");
+
     // --- exactness at the effective center -------------------------------
-    let truth_eff = oracle.knn_excluding(effective, k, focal);
+    let truth_eff = knn_excluding(grid, effective, k, focal);
     let exact = if answer.len() != truth_eff.len() {
         false
     } else {
-        let d_of = |id: ObjectId| world.position(id).dist(effective);
+        let d_of = |id: ObjectId| pos(id).dist(effective);
         let d_k = truth_eff.last().map_or(0.0, |n| n.dist());
         // Every answered member must be at least as close as the k-th oracle
         // distance (ties allowed)…
@@ -154,7 +121,7 @@ pub fn check_answer(
     };
 
     // --- accuracy at the true center --------------------------------------
-    let truth = oracle.knn_excluding(true_center, k, focal);
+    let truth = knn_excluding(grid, true_center, k, focal);
     let truth_ids: std::collections::BTreeSet<ObjectId> = truth.iter().map(|n| n.id).collect();
     let hit = answer.iter().filter(|id| truth_ids.contains(id)).count();
     let recall_vs_true = if truth.is_empty() {
@@ -163,10 +130,7 @@ pub fn check_answer(
         hit as f64 / truth.len() as f64
     };
     let sum_true: f64 = truth.iter().map(|n| n.dist()).sum();
-    let sum_answer: f64 = answer
-        .iter()
-        .map(|&id| world.position(id).dist(true_center))
-        .sum();
+    let sum_answer: f64 = answer.iter().map(|&id| pos(id).dist(true_center)).sum();
     let dist_error = if truth.is_empty() {
         0.0
     } else if answer.len() < truth.len() {
@@ -193,8 +157,8 @@ mod tests {
     use mknn_mobility::{MovingObject, Stationary, World};
     use mknn_util::Rng;
 
-    /// Builds the per-tick snapshot oracle and checks, like the engine does.
-    #[allow(clippy::too_many_arguments)]
+    /// Checks against the world's population at two grid resolutions,
+    /// which must agree.
     fn check(
         world: &World,
         focal: ObjectId,
@@ -204,28 +168,12 @@ mod tests {
         true_center: Point,
         ordered: bool,
     ) -> AnswerCheck {
-        let indexed = check_answer(
-            world,
-            &SnapshotOracle::build(world),
-            focal,
-            k,
-            answer,
-            effective,
-            true_center,
-            ordered,
-        );
-        let brute = check_answer(
-            world,
-            &SnapshotOracle::build_bruteforce(world),
-            focal,
-            k,
-            answer,
-            effective,
-            true_center,
-            ordered,
-        );
-        assert_eq!(indexed, brute, "indexed and brute oracles must agree");
-        indexed
+        let [coarse, fine] = [1, 4].map(|side| {
+            let grid = GridIndex::bulk_load(world.bounds(), side, side, world.snapshot());
+            check_answer(&grid, focal, k, answer, effective, true_center, ordered)
+        });
+        assert_eq!(coarse, fine, "grid resolutions must agree");
+        coarse
     }
 
     fn line_world() -> World {
@@ -349,7 +297,7 @@ mod tests {
         for k in [0, 1, 3, 5, 10] {
             for focal in 0..6u32 {
                 let got = oracle.knn_excluding(Point::new(23.0, 1.0), k, ObjectId(focal));
-                let want = bruteforce::knn(
+                let want = mknn_index::bruteforce::knn(
                     w.snapshot().filter(|&(id, _)| id != ObjectId(focal)),
                     Point::new(23.0, 1.0),
                     k,

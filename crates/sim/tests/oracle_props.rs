@@ -1,112 +1,149 @@
-//! Property tests for the snapshot oracle: the indexed (kd-tree) backend
-//! must agree with the brute-force reference on every query — same
-//! neighbors, same distances, same `AnswerCheck` — under random worlds,
-//! duplicate positions, focal exclusion, and `k ≥ population`.
+//! Property tests for the oracle: a grid's kNN must agree with the
+//! brute-force reference on every query, `check_answer` must not depend on
+//! the grid's resolution, and a grid kept current by upserts must check
+//! exactly like one bulk-loaded afresh — under random populations, random
+//! moves, duplicate positions, out-of-bounds points, focal exclusion and
+//! `k ≥ population`.
 
 use mknn_geom::{ObjectId, Point, Rect};
-use mknn_mobility::{MovingObject, Stationary, World};
-use mknn_sim::{check_answer, SnapshotOracle};
+use mknn_index::{bruteforce, GridIndex};
+use mknn_sim::{check_answer, knn_excluding};
 use mknn_util::check::forall;
 use mknn_util::Rng;
 
 const CASES: u64 = 64;
 const SIDE: f64 = 1000.0;
 
-/// A stationary world with `n` objects; when `lattice` is set, positions
-/// come from a coarse grid so duplicate positions (exact ties) are common.
-fn make_world(rng: &mut Rng, n: usize, lattice: bool) -> World {
-    let objects = (0..n)
-        .map(|i| {
-            let (x, y) = if lattice {
-                (
-                    rng.gen_range(0u32..6) as f64 * 100.0,
-                    rng.gen_range(0u32..6) as f64 * 100.0,
-                )
-            } else {
-                (rng.gen_range(0.0..SIDE), rng.gen_range(0.0..SIDE))
-            };
-            MovingObject::at(ObjectId(i as u32), Point::new(x, y), 10.0)
-        })
-        .collect();
-    World::new(
-        Rect::square(SIDE),
-        objects,
-        Box::new(Stationary),
-        1.0,
-        Rng::seed_from_u64(7),
-    )
+/// A random position: on a coarse lattice when `lattice` is set (so exact
+/// ties and duplicate positions are common), else uniform over a square
+/// that overhangs the bounds on every side.
+fn random_point(rng: &mut Rng, lattice: bool) -> Point {
+    if lattice {
+        Point::new(
+            rng.gen_range(0u32..6) as f64 * 100.0,
+            rng.gen_range(0u32..6) as f64 * 100.0,
+        )
+    } else {
+        Point::new(
+            rng.gen_range(-100.0..SIDE + 100.0),
+            rng.gen_range(-100.0..SIDE + 100.0),
+        )
+    }
 }
 
-/// Indexed and brute-force backends return identical neighbor lists
-/// (ids *and* squared distances) for `knn_excluding`.
+/// A population of `n` objects with dense ids.
+fn population(rng: &mut Rng, n: usize, lattice: bool) -> Vec<(ObjectId, Point)> {
+    (0..n)
+        .map(|i| (ObjectId(i as u32), random_point(rng, lattice)))
+        .collect()
+}
+
+/// `pop` bulk-loaded into a `side × side` grid over the bounds.
+fn grid(pop: &[(ObjectId, Point)], side: u32) -> GridIndex {
+    GridIndex::bulk_load(Rect::square(SIDE), side, side, pop.iter().copied())
+}
+
+/// The resolution that targets about four objects per cell.
+fn population_scaled(n: usize) -> u32 {
+    (((n as f64) / 4.0).sqrt().ceil() as u32).clamp(1, 512)
+}
+
+/// A random answer for a `k`-query: random ids of random length (may omit
+/// members, include the focal, repeat, or be empty).
+fn random_answer(rng: &mut Rng, n: usize, k: usize) -> Vec<ObjectId> {
+    let len = rng.gen_range(0usize..(k + 2));
+    (0..len)
+        .map(|_| ObjectId(rng.gen_range(0u32..n as u32)))
+        .collect()
+}
+
+/// Grid truth returns exactly the filtered brute-force neighbor list (ids
+/// *and* squared distances) at every resolution, and that list, answered
+/// back in order, scores exact with full recall and no distance error.
 #[test]
-fn indexed_oracle_equals_bruteforce_oracle() {
+fn grid_truth_equals_filtered_bruteforce() {
     forall(CASES, |rng| {
         let n = rng.gen_range(1usize..150);
         let lattice = rng.gen_bool(0.5);
-        let world = make_world(rng, n, lattice);
-        let indexed = SnapshotOracle::build(&world);
-        let brute = SnapshotOracle::build_bruteforce(&world);
-        let center = Point::new(rng.gen_range(0.0..SIDE), rng.gen_range(0.0..SIDE));
-        let k = rng.gen_range(0usize..(n + 4)); // sometimes k ≥ population
+        let pop = population(rng, n, lattice);
         let focal = ObjectId(rng.gen_range(0u32..n as u32));
-        let a = indexed.knn_excluding(center, k, focal);
-        let b = brute.knn_excluding(center, k, focal);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.id, y.id);
-            assert_eq!(x.dist_sq, y.dist_sq);
+        let center = pop[focal.index()].1;
+        let k = rng.gen_range(0usize..(n + 4)); // sometimes k ≥ population
+        let want = bruteforce::knn(
+            pop.iter().copied().filter(|&(id, _)| id != focal),
+            center,
+            k,
+        );
+        let truth: Vec<ObjectId> = want.iter().map(|nb| nb.id).collect();
+        for side in [1, 8, 64, population_scaled(n)] {
+            let g = grid(&pop, side);
+            assert_eq!(knn_excluding(&g, center, k, focal), want, "{side}×{side}");
+            let c = check_answer(&g, focal, k, &truth, center, center, true);
+            assert_eq!((c.exact, c.recall_vs_true, c.dist_error), (true, 1.0, 0.0));
         }
     });
 }
 
-/// `check_answer` produces an identical `AnswerCheck` from either backend,
-/// for arbitrary (including wrong, short, and shuffled) answers.
+/// `check_answer` gives an identical `AnswerCheck` at every grid
+/// resolution, for arbitrary (including wrong, short, and shuffled)
+/// answers and effective centers away from the focal.
 #[test]
-fn check_answer_is_backend_independent() {
+fn check_answer_is_resolution_independent() {
     forall(CASES, |rng| {
         let n = rng.gen_range(1usize..100);
         let lattice = rng.gen_bool(0.5);
-        let world = make_world(rng, n, lattice);
-        let indexed = SnapshotOracle::build(&world);
-        let brute = SnapshotOracle::build_bruteforce(&world);
+        let pop = population(rng, n, lattice);
         let focal = ObjectId(rng.gen_range(0u32..n as u32));
         let k = rng.gen_range(0usize..12);
-        let center = world.position(focal);
-        // Random answer: a subset of random ids of random length (may omit
-        // members, include the focal, repeat, or be empty).
-        let len = rng.gen_range(0usize..(k + 2));
-        let answer: Vec<ObjectId> = (0..len)
-            .map(|_| ObjectId(rng.gen_range(0u32..n as u32)))
-            .collect();
+        let true_center = pop[focal.index()].1;
+        let effective = if rng.gen_bool(0.5) {
+            true_center
+        } else {
+            random_point(rng, false)
+        };
+        let answer = random_answer(rng, n, k);
         let ordered = rng.gen_bool(0.5);
-        let a = check_answer(&world, &indexed, focal, k, &answer, center, center, ordered);
-        let b = check_answer(&world, &brute, focal, k, &answer, center, center, ordered);
-        assert_eq!(a, b, "backends disagree on an AnswerCheck");
+        let checks = [1, 8, 64, population_scaled(n)].map(|side| {
+            let g = grid(&pop, side);
+            check_answer(&g, focal, k, &answer, effective, true_center, ordered)
+        });
+        assert!(
+            checks.windows(2).all(|w| w[0] == w[1]),
+            "resolutions disagree: {checks:?}"
+        );
     });
 }
 
-/// The correct answer (as computed by the brute-force backend) always
-/// scores exact against the indexed backend — the tentpole's core claim.
+/// A grid stepped through random moves by upserts — the way the engine
+/// keeps its infrastructure index — checks every answer exactly like a grid
+/// bulk-loaded afresh from the final positions.
 #[test]
-fn true_answer_scores_exact_under_the_indexed_oracle() {
+fn upserted_grid_checks_like_a_fresh_bulk_load() {
     forall(CASES, |rng| {
-        let n = rng.gen_range(1usize..100);
+        let n = rng.gen_range(1usize..120);
         let lattice = rng.gen_bool(0.5);
-        let world = make_world(rng, n, lattice);
-        let indexed = SnapshotOracle::build(&world);
-        let brute = SnapshotOracle::build_bruteforce(&world);
-        let focal = ObjectId(rng.gen_range(0u32..n as u32));
-        let k = rng.gen_range(0usize..12);
-        let center = world.position(focal);
-        let truth: Vec<ObjectId> = brute
-            .knn_excluding(center, k, focal)
-            .into_iter()
-            .map(|nb| nb.id)
-            .collect();
-        let c = check_answer(&world, &indexed, focal, k, &truth, center, center, true);
-        assert!(c.exact, "true answer must verify exact");
-        assert_eq!(c.recall_vs_true, 1.0);
-        assert_eq!(c.dist_error, 0.0);
+        let mut pop = population(rng, n, lattice);
+        for side in [8, 64] {
+            let mut maintained = grid(&pop, side);
+            for _ in 0..rng.gen_range(1usize..6) {
+                for _ in 0..rng.gen_range(0usize..2 * n) {
+                    let i = rng.gen_range(0usize..n);
+                    pop[i].1 = random_point(rng, lattice);
+                    maintained.upsert(pop[i].0, pop[i].1);
+                }
+            }
+            let fresh = grid(&pop, side);
+            for _ in 0..4 {
+                let focal = ObjectId(rng.gen_range(0u32..n as u32));
+                let k = rng.gen_range(0usize..(n + 4)); // sometimes k ≥ population
+                let true_center = pop[focal.index()].1;
+                let effective = random_point(rng, false);
+                let answer = random_answer(rng, n, k);
+                let ordered = rng.gen_bool(0.5);
+                let [a, b] = [&maintained, &fresh]
+                    .map(|g| check_answer(g, focal, k, &answer, effective, true_center, ordered));
+                assert_eq!(a, b, "{side}×{side}: maintained and fresh grids disagree");
+            }
+        }
     });
 }
