@@ -16,7 +16,7 @@ use mknn_net::{
 /// Answers are exact with respect to true positions. The price is the Θ(N)
 /// uplink firehose — the quantity the distributed protocols eliminate.
 ///
-/// The server state is one [`GridTier`]: under a sharded deployment each
+/// The server state is one `GridTier`: under a sharded deployment each
 /// shard ingests the reports terminating there, then answers its homed
 /// queries over the one index.
 #[derive(Debug)]

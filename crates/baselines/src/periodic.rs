@@ -18,7 +18,7 @@ use mknn_net::{
 /// measures the resulting error instead of asserting exactness
 /// ([`Protocol::guarantees_exact`] is `false`).
 ///
-/// The server side shares the [`GridTier`] with [`crate::Centralized`]
+/// The server side shares the `GridTier` with [`crate::Centralized`]
 /// — the two baselines differ only in the client reporting policy.
 #[derive(Debug)]
 pub struct Periodic {

@@ -147,7 +147,7 @@ impl ClientHalf {
 
     /// Runs the whole population's client ticks for one engine tick on the
     /// shared [`mknn_net::run_client_phase`] harness: per-device work
-    /// touches only that device's [`ClientState`], so the state array
+    /// touches only that device's `ClientState`, so the state array
     /// chunks over `ctx.pool` with a byte-identical uplink stream.
     pub fn tick_batch(
         &mut self,

@@ -184,3 +184,26 @@ impl Protocol for Dknn {
         self.mode != Mode::Set
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fallible_constructors_reject_bad_parameters_with_the_typed_error() {
+        let ok = DknnParams::default();
+        for buffer in [0, 1] {
+            assert_eq!(
+                Dknn::try_buffered(ok, buffer).err(),
+                Some(ParamError::BufferTooSmall(buffer))
+            );
+        }
+        assert!(Dknn::try_buffered(ok, 2).is_ok());
+
+        let bad = DknnParams { alpha: 1.0, ..ok };
+        let want = Some(ParamError::AlphaOutOfRange(1.0));
+        assert_eq!(Dknn::try_set(bad).err(), want);
+        assert_eq!(Dknn::try_ordered(bad).err(), want);
+        assert_eq!(Dknn::try_buffered(bad, 2).err(), want);
+    }
+}

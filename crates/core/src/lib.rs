@@ -49,7 +49,7 @@ pub use dknn::Dknn;
 pub use params::{DknnParams, DknnParamsBuilder, ParamError};
 pub use region::RegionVersion;
 pub use server::ServerHalf;
-pub use shard::{ServerShard, ShardCoordinator, ShardGrid};
+pub use shard::{ShardCoordinator, ShardGrid};
 
 /// Answer semantics maintained by the protocol, and the list it bands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

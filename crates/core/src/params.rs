@@ -1,15 +1,13 @@
 //! Tunable parameters of the distributed protocols.
 
-use mknn_util::impl_json_struct;
-use mknn_util::json::JsonError;
 use std::fmt;
 
 /// A rejected [`DknnParams`] construction: which knob was out of range and
 /// the offending value.
 ///
-/// Produced by [`DknnParams::validate`] and [`DknnParamsBuilder::build`];
-/// the JSON path surfaces it as a parse error, so an invalid config file
-/// fails with a message instead of silently mis-running an episode.
+/// Produced by [`DknnParams::validate`], [`DknnParamsBuilder::build`] and
+/// the fallible `Dknn::try_*` constructors, so an invalid knob fails with a
+/// message instead of silently mis-running an episode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParamError {
     /// `alpha` outside the open interval `(0, 1)`.
@@ -228,18 +226,6 @@ impl DknnParamsBuilder {
     }
 }
 
-impl_json_struct!(DknnParams {
-    alpha,
-    query_drift,
-    heartbeat,
-    v_max_obj,
-    v_max_q,
-    expand_factor,
-    band_escalation,
-} validate |p, _| p
-    .validate()
-    .map_err(|e| JsonError::new(format!("invalid DknnParams: {e}"))));
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,17 +241,6 @@ mod tests {
         assert!(p.margin() >= (p.heartbeat + 1) as f64 * (p.v_max_obj + p.v_max_q));
         assert!(p.evict_after() > p.heartbeat);
         assert!(p.lease_ttl() > p.evict_after());
-    }
-
-    #[test]
-    fn params_round_trip_through_json() {
-        let p = DknnParams {
-            alpha: 0.25,
-            heartbeat: 9,
-            ..Default::default()
-        };
-        let back: DknnParams = mknn_util::from_str(&mknn_util::to_string(&p)).unwrap();
-        assert_eq!(back, p);
     }
 
     #[test]
@@ -330,18 +305,5 @@ mod tests {
         assert!(msg.contains("alpha") && msg.contains("1.5"), "{msg}");
         let msg = ParamError::ZeroHeartbeat.to_string();
         assert!(msg.contains("heartbeat"), "{msg}");
-    }
-
-    #[test]
-    fn invalid_json_params_fail_the_parse_with_a_message() {
-        let mut doc = mknn_util::to_string(&DknnParams::default());
-        doc = doc.replace("\"alpha\":0.5", "\"alpha\":1.5");
-        let err = mknn_util::from_str::<DknnParams>(&doc).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("alpha") && msg.contains("1.5"), "{msg}");
-
-        let doc = mknn_util::to_string(&DknnParams::default())
-            .replace("\"heartbeat\":5", "\"heartbeat\":0");
-        assert!(mknn_util::from_str::<DknnParams>(&doc).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Grid-partitioned server shards and the thin coordinator that routes
 //! between them (DESIGN.md §9).
 //!
-//! The server tier is split into `G` [`ServerShard`]s, each owning a
+//! The server tier is split into `G` shards, each owning a
 //! rectangular block of the world. An object belongs to the shard whose
 //! block contains its position; a query is *homed* at the shard that owns
 //! its focal object. Work that spans blocks travels over an inter-shard
@@ -121,28 +121,15 @@ impl ShardGrid {
     }
 }
 
-/// One partition of the server tier: ownership tallies and the load counter
-/// used for the per-shard balance metric.
-#[derive(Debug, Clone)]
-pub struct ServerShard {
-    /// Position of this shard's block in the grid.
-    pub id: u32,
-    /// Objects currently owned (position inside the block).
-    pub objects: usize,
-    /// Queries currently homed here (focal object owned here).
-    pub queries: usize,
-    /// Messages this shard has processed: device traffic it terminated plus
-    /// backbone legs it sent or received.
-    pub load: u64,
-}
-
 /// The thin routing tier in front of the shards: tracks ownership, detects
 /// boundary crossings, and charges every inter-shard leg into
 /// [`NetStats::shard`] (and through the [`FaultyLink`] when one is active).
 #[derive(Debug)]
 pub struct ShardCoordinator {
     grid: ShardGrid,
-    shards: Vec<ServerShard>,
+    /// Messages each shard has processed, indexed by shard id: device
+    /// traffic it terminated plus backbone legs it sent or received.
+    load: Vec<u64>,
     /// Owner per object, indexed by `id.index()` (`UNTRACKED` until the
     /// first sighting). A dense vector, not a map: this is touched once per
     /// object per tick, and the north-star population is 10⁶ objects.
@@ -175,19 +162,11 @@ impl ShardCoordinator {
     /// becomes a no-op charge-wise, so the overlay stays empty.
     pub fn new(bounds: Rect, shards: u32) -> Self {
         let grid = ShardGrid::new(bounds, shards);
-        let shards = (0..grid.count())
-            .map(|id| ServerShard {
-                id,
-                objects: 0,
-                queries: 0,
-                load: 0,
-            })
-            .collect();
         let half_diag = bounds.center().dist(bounds.max);
         let count = grid.count();
         ShardCoordinator {
             grid,
-            shards,
+            load: vec![0; count as usize],
             object_home: Vec::new(),
             query_home: Arc::default(),
             world_zone: Circle::new(bounds.center(), half_diag),
@@ -226,12 +205,7 @@ impl ShardCoordinator {
 
     /// Per-shard load counters, indexed by shard id.
     pub fn loads(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.load).collect()
-    }
-
-    /// Read access to a shard's tallies (tests, reporting).
-    pub fn shard(&self, id: u32) -> &ServerShard {
-        &self.shards[id as usize]
+        self.load.clone()
     }
 
     /// The rectangular block owned by shard `id` (the failure domain a
@@ -295,7 +269,6 @@ impl ShardCoordinator {
                 *home = UNTRACKED;
             }
         }
-        self.shards[shard as usize].objects = 0;
         let mut wiped = Vec::new();
         for (q, h) in Arc::make_mut(&mut self.query_home).iter_mut().enumerate() {
             if *h == shard {
@@ -303,7 +276,6 @@ impl ShardCoordinator {
                 wiped.push(QueryId(q as u32));
             }
         }
-        self.shards[shard as usize].queries = 0;
         wiped
     }
 
@@ -341,9 +313,9 @@ impl ShardCoordinator {
                 if in_block.contains(&object.0) {
                     let from = self.object_home[object.index()];
                     if from != UNTRACKED {
-                        self.shards[from as usize].load += 1;
+                        self.load[from as usize] += 1;
                     }
-                    self.shards[shard as usize].load += 1;
+                    self.load[shard as usize] += 1;
                     self.charge(msg, stats, &mut fault);
                 }
             }
@@ -362,8 +334,8 @@ impl ShardCoordinator {
         for (&src, &count) in &by_source {
             if src != shard {
                 self.charge(ShardMsg::Recover { shard, count }, stats, &mut fault);
-                self.shards[src as usize].load += 1;
-                self.shards[shard as usize].load += 1;
+                self.load[src as usize] += 1;
+                self.load[shard as usize] += 1;
                 legs += 1;
             }
         }
@@ -372,13 +344,7 @@ impl ShardCoordinator {
             if idx >= self.object_home.len() {
                 self.object_home.resize(idx + 1, UNTRACKED);
             }
-            let prev = std::mem::replace(&mut self.object_home[idx], shard);
-            if prev == UNTRACKED {
-                self.shards[shard as usize].objects += 1;
-            } else if prev != shard {
-                self.shards[prev as usize].objects -= 1;
-                self.shards[shard as usize].objects += 1;
-            }
+            self.object_home[idx] = shard;
         }
         legs
     }
@@ -409,11 +375,7 @@ impl ShardCoordinator {
             self.object_home.resize(idx + 1, UNTRACKED);
         }
         let prev = std::mem::replace(&mut self.object_home[idx], now);
-        if prev == UNTRACKED {
-            self.shards[now as usize].objects += 1;
-        } else if prev != now {
-            self.shards[prev as usize].objects -= 1;
-            self.shards[now as usize].objects += 1;
+        if prev != UNTRACKED && prev != now {
             let msg = ShardMsg::Handoff {
                 object: id,
                 pos,
@@ -423,8 +385,8 @@ impl ShardCoordinator {
                 self.queued.push((geo, msg));
             }
             self.charge(msg, stats, &mut fault);
-            self.shards[prev as usize].load += 1;
-            self.shards[now as usize].load += 1;
+            self.load[prev as usize] += 1;
+            self.load[now as usize] += 1;
         }
     }
 
@@ -447,20 +409,15 @@ impl ShardCoordinator {
         if q.index() >= homes.len() {
             homes.resize(q.index() + 1, UNTRACKED);
         }
-        match std::mem::replace(&mut homes[q.index()], now) {
-            UNTRACKED => self.shards[now as usize].queries += 1,
-            prev if prev != now => {
-                self.shards[prev as usize].queries -= 1;
-                self.shards[now as usize].queries += 1;
-                let msg = ShardMsg::Migrate { query: q, members };
-                if geo != now {
-                    self.queued.push((geo, msg));
-                }
-                self.charge(msg, stats, &mut fault);
-                self.shards[prev as usize].load += 1;
-                self.shards[now as usize].load += 1;
+        let prev = std::mem::replace(&mut homes[q.index()], now);
+        if prev != UNTRACKED && prev != now {
+            let msg = ShardMsg::Migrate { query: q, members };
+            if geo != now {
+                self.queued.push((geo, msg));
             }
-            _ => {}
+            self.charge(msg, stats, &mut fault);
+            self.load[prev as usize] += 1;
+            self.load[now as usize] += 1;
         }
     }
 
@@ -479,7 +436,7 @@ impl ShardCoordinator {
         mut fault: Option<&mut FaultyLink>,
     ) -> u32 {
         let local = self.effective(self.grid.shard_of(sender_pos));
-        self.shards[local as usize].load += 1;
+        self.load[local as usize] += 1;
         if let Some(q) = q {
             let home = self.effective(self.query_home(q));
             if home != local {
@@ -491,7 +448,7 @@ impl ShardCoordinator {
                     stats,
                     &mut fault,
                 );
-                self.shards[home as usize].load += 1;
+                self.load[home as usize] += 1;
             }
             home
         } else {
@@ -510,7 +467,7 @@ impl ShardCoordinator {
         mut fault: Option<&mut FaultyLink>,
     ) {
         let home = self.effective(self.query_home(q));
-        self.shards[home as usize].load += 1;
+        self.load[home as usize] += 1;
         let local = self.effective(self.grid.shard_of(recipient_pos));
         if local != home {
             self.charge(
@@ -521,7 +478,7 @@ impl ShardCoordinator {
                 stats,
                 &mut fault,
             );
-            self.shards[local as usize].load += 1;
+            self.load[local as usize] += 1;
         }
     }
 
@@ -538,7 +495,7 @@ impl ShardCoordinator {
         mut fault: Option<&mut FaultyLink>,
     ) -> Vec<u32> {
         let home = self.effective(self.query_home(q));
-        self.shards[home as usize].load += 1;
+        self.load[home as usize] += 1;
         let mut foreign: Vec<u32> = self
             .grid
             .overlapping(zone)
@@ -557,7 +514,7 @@ impl ShardCoordinator {
                 stats,
                 &mut fault,
             );
-            self.shards[s as usize].load += 1;
+            self.load[s as usize] += 1;
         }
         foreign
     }
@@ -592,8 +549,8 @@ impl ShardCoordinator {
                 stats,
                 &mut fault,
             );
-            self.shards[from_shard as usize].load += 1;
-            self.shards[home as usize].load += 1;
+            self.load[from_shard as usize] += 1;
+            self.load[home as usize] += 1;
         }
     }
 }
@@ -698,8 +655,6 @@ mod tests {
         );
         coord.track_object(ObjectId(7), right, Vector::ZERO, &mut stats, None);
         assert_eq!(stats.shard.handoff_msgs, 1);
-        assert_eq!(coord.shard(0).objects, 0);
-        assert_eq!(coord.shard(1).objects, 1);
 
         coord.track_query(QueryId(3), left, 4, &mut stats, None);
         assert_eq!(coord.query_home(QueryId(3)), 0);

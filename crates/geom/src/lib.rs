@@ -7,27 +7,22 @@
 //! * [`Point`] / [`Vector`] — positions and displacements in the plane,
 //! * [`Rect`] — axis-aligned rectangles (index cells, space bounds),
 //! * [`Circle`] — monitoring regions and search ranges,
-//! * [`Annulus`] — response bands installed on moving objects,
 //! * [`LinearMotion`] — a position moving with constant velocity, together
-//!   with the time-parameterized distance machinery (first crossing time of a
-//!   distance threshold, minimum distance over an interval) that the
-//!   distributed protocols use to reason about *when* an object can next
-//!   affect a query answer.
+//!   with the first time the distance between two motions crosses a
+//!   threshold, which the distributed protocols use to reason about *when*
+//!   an object can next affect a query answer.
 //!
 //! All coordinates are `f64` meters; time is measured in ticks (`f64` when a
 //! fractional crossing time is needed).
 
 #![deny(missing_docs)]
 
-mod annulus;
 mod circle;
 mod id;
-mod json;
 mod motion;
 mod point;
 mod rect;
 
-pub use annulus::Annulus;
 pub use circle::Circle;
 pub use id::{ObjectId, QueryId, Tick};
 pub use motion::{LinearMotion, ThresholdCrossing};

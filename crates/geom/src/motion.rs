@@ -60,19 +60,6 @@ impl LinearMotion {
         (w.norm_sq(), 2.0 * r0.dot(w), r0.norm_sq())
     }
 
-    /// Time `t ≥ 0` at which the distance between the two motions is
-    /// minimal, together with that minimal distance.
-    pub fn closest_approach(&self, other: &LinearMotion) -> (f64, f64) {
-        let (a, b, c) = self.dist_sq_quadratic(other);
-        if a <= 0.0 {
-            // No relative motion: distance is constant.
-            return (0.0, c.sqrt());
-        }
-        let t_star = (-b / (2.0 * a)).max(0.0);
-        let d2 = (a * t_star * t_star + b * t_star + c).max(0.0);
-        (t_star, d2.sqrt())
-    }
-
     /// First time `t ≥ 0` at which the distance between the two motions
     /// *reaches or exceeds* `threshold` (an "exit" crossing when currently
     /// closer than the threshold).
@@ -124,32 +111,13 @@ impl LinearMotion {
         if disc < 0.0 {
             return ThresholdCrossing::Never; // never gets that close
         }
-        let sqrt_disc = disc.sqrt();
-        let t1 = (-b - sqrt_disc) / (2.0 * a); // first (entering) root
+        let t1 = (-b - disc.sqrt()) / (2.0 * a); // first (entering) root
         if t1 >= 0.0 {
             ThresholdCrossing::At(t1)
         } else {
-            // Both roots behind us (moving apart) or we are past the close
-            // interval entirely.
-            let t2 = (-b + sqrt_disc) / (2.0 * a);
-            if t2 >= 0.0 {
-                // We are *inside* the interval only if c ≤ 0, handled above;
-                // so here the interval is entirely in the past.
-                ThresholdCrossing::Never
-            } else {
-                ThresholdCrossing::Never
-            }
-        }
-    }
-
-    /// Number of whole ticks the two motions provably remain within
-    /// `threshold` of each other, starting from `t = 0`.
-    ///
-    /// Returns `u64::MAX` when they never separate.
-    pub fn safe_ticks_within(&self, other: &LinearMotion, threshold: f64) -> u64 {
-        match self.first_time_beyond(other, threshold) {
-            ThresholdCrossing::Never => u64::MAX,
-            ThresholdCrossing::At(t) => t.floor().max(0.0) as u64,
+            // The close interval [t1, t2] would contain now only if c ≤ 0,
+            // handled above; so here it lies entirely in the past.
+            ThresholdCrossing::Never
         }
     }
 }
@@ -201,7 +169,6 @@ mod tests {
             ThresholdCrossing::At(t) => assert!(approx_eq(t, 4.0)),
             ThresholdCrossing::Never => panic!("should exit"),
         }
-        assert_eq!(q.safe_ticks_within(&o, 5.0), 4);
     }
 
     #[test]
@@ -209,7 +176,6 @@ mod tests {
         let q = LinearMotion::new(Point::new(0.0, 0.0), Vector::new(3.0, 1.0));
         let o = LinearMotion::new(Point::new(1.0, 0.0), Vector::new(3.0, 1.0));
         assert_eq!(q.first_time_beyond(&o, 5.0), ThresholdCrossing::Never);
-        assert_eq!(q.safe_ticks_within(&o, 5.0), u64::MAX);
     }
 
     #[test]
@@ -223,24 +189,6 @@ mod tests {
             ThresholdCrossing::At(t) => assert!(approx_eq(t, 10.0)),
             ThresholdCrossing::Never => panic!("tangent crossing expected"),
         }
-    }
-
-    #[test]
-    fn closest_approach_of_crossing_paths() {
-        let q = still(0.0, 0.0);
-        let o = LinearMotion::new(Point::new(-10.0, 4.0), Vector::new(2.0, 0.0));
-        let (t, d) = q.closest_approach(&o);
-        assert!(approx_eq(t, 5.0));
-        assert!(approx_eq(d, 4.0));
-    }
-
-    #[test]
-    fn closest_approach_in_past_clamps_to_now() {
-        let q = still(0.0, 0.0);
-        let o = LinearMotion::new(Point::new(5.0, 0.0), Vector::new(1.0, 0.0));
-        let (t, d) = q.closest_approach(&o);
-        assert!(approx_eq(t, 0.0));
-        assert!(approx_eq(d, 5.0));
     }
 
     #[test]

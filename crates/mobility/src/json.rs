@@ -4,16 +4,10 @@
 //! derives used: unit variants are bare strings, data-carrying variants are
 //! single-key objects (`{"Gaussian": {...}}`, `{"Fixed": 12.5}`).
 
-use crate::{Motion, MovingObject, Placement, SpeedDist, WorkloadSpec};
+use crate::{Motion, Placement, SpeedDist, WorkloadSpec};
 use mknn_util::impl_json_struct;
 use mknn_util::json::{FromJson, Json, JsonError, ToJson};
 
-impl_json_struct!(MovingObject {
-    id,
-    pos,
-    vel,
-    max_speed
-});
 impl_json_struct!(WorkloadSpec {
     n_objects,
     space_side,
@@ -142,7 +136,6 @@ impl FromJson for Motion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mknn_geom::{ObjectId, Point, Vector};
     use mknn_util::{from_str, to_string};
 
     fn roundtrip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(v: &T) {
@@ -181,17 +174,6 @@ mod tests {
             ny: 7,
             drop_prob: 0.15,
         });
-    }
-
-    #[test]
-    fn moving_object_round_trips() {
-        let o = MovingObject {
-            id: ObjectId(9),
-            pos: Point::new(1.0, 2.0),
-            vel: Vector::new(-0.5, 0.25),
-            max_speed: 17.5,
-        };
-        roundtrip(&o);
     }
 
     #[test]

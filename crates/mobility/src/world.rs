@@ -182,11 +182,6 @@ impl World {
             }
         }
     }
-
-    /// The motion model's name, for logs.
-    pub fn model_name(&self) -> &'static str {
-        self.model.name()
-    }
 }
 
 #[cfg(test)]
@@ -304,6 +299,5 @@ mod tests {
         w.step();
         assert_eq!(w.position(ObjectId(0)), Point::new(1.0, 1.0));
         assert_eq!(w.snapshot().count(), 2);
-        assert_eq!(w.model_name(), "stationary");
     }
 }

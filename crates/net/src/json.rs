@@ -3,11 +3,9 @@
 //! [`MsgKind`] serializes as its variant name, so the per-kind tally map
 //! becomes a plain JSON object keyed by kind name.
 
-use crate::{MsgKind, NetStats, OpCounters, QuerySpec, ShardStats};
+use crate::{MsgKind, NetStats, OpCounters, ShardStats};
 use mknn_util::impl_json_struct;
 use mknn_util::json::{FromJson, Json, JsonError, ToJson};
-
-impl_json_struct!(QuerySpec { id, focal, k });
 
 impl_json_struct!(ShardStats {
     fanout_msgs,
@@ -92,19 +90,7 @@ impl_json_struct!(NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mknn_geom::{ObjectId, QueryId};
     use mknn_util::{from_str, to_string};
-
-    #[test]
-    fn query_spec_round_trips() {
-        let q = QuerySpec {
-            id: QueryId(3),
-            focal: ObjectId(77),
-            k: 12,
-        };
-        let back: QuerySpec = from_str(&to_string(&q)).unwrap();
-        assert_eq!(back, q);
-    }
 
     #[test]
     fn msg_kind_names_are_stable_and_invertible() {
@@ -157,7 +143,7 @@ mod tests {
     #[test]
     fn shard_counters_round_trip_and_hide_when_empty() {
         use crate::ShardMsg;
-        use mknn_geom::{Circle, Point};
+        use mknn_geom::{Circle, Point, QueryId};
         let mut s = NetStats::default();
         s.count_uplink(MsgKind::Enter, 44);
         let single = to_string(&s);

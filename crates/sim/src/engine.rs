@@ -138,7 +138,6 @@ pub struct Simulation {
     metrics: EpisodeMetrics,
     tick: Tick,
     planned_ticks: u64,
-    series: Option<crate::TickSeries>,
     /// The device link every delivery passes through; inert (no draw, no
     /// offline table) under a plan without device-side faults.
     link: FaultyLink,
@@ -310,7 +309,6 @@ impl Simulation {
             metrics,
             tick: 0,
             planned_ticks: config.ticks,
-            series: None,
             link,
             coord,
             stale_streak: vec![0; n_queries],
@@ -387,21 +385,6 @@ impl Simulation {
         self.metrics.crash_down_ticks += down_now;
     }
 
-    /// Turns on per-tick time-series recording (see [`crate::TickSeries`]).
-    /// Call before stepping; recording an already-running episode starts
-    /// from the current tick.
-    pub fn record_series(&mut self) {
-        if self.series.is_none() {
-            self.series = Some(crate::TickSeries::new());
-        }
-    }
-
-    /// The recorded time series, when [`Simulation::record_series`] was
-    /// called.
-    pub fn series(&self) -> Option<&crate::TickSeries> {
-        self.series.as_ref()
-    }
-
     /// The registered query specs.
     pub fn specs(&self) -> &[QuerySpec] {
         &self.specs
@@ -424,7 +407,6 @@ impl Simulation {
 
     /// Advances the episode by one tick.
     pub fn step(&mut self) {
-        let before = self.series.is_some().then(|| self.metrics.clone());
         self.tick += 1;
         self.metrics.ticks = self.tick;
         self.world.step();
@@ -580,10 +562,6 @@ impl Simulation {
 
         if self.verify != VerifyMode::Off {
             self.verify_answers();
-        }
-
-        if let (Some(series), Some(before)) = (self.series.as_mut(), before) {
-            series.push(crate::delta_sample(self.tick, &before, &self.metrics));
         }
     }
 
@@ -851,24 +829,6 @@ mod tests {
         let cfg = SimConfig::small();
         let m = Simulation::new(&cfg, Box::new(Dknn::buffered(DknnParams::default(), 4))).run();
         assert_eq!(m.exactness(), 1.0, "{m:?}");
-    }
-
-    #[test]
-    fn series_recording_matches_totals() {
-        let cfg = SimConfig::small();
-        let mut sim = Simulation::new(&cfg, Box::new(Dknn::set(DknnParams::default())));
-        sim.record_series();
-        for _ in 0..cfg.ticks {
-            sim.step();
-        }
-        let series = sim.series().unwrap();
-        assert_eq!(series.len(), cfg.ticks as usize);
-        // Per-tick deltas must sum back to the episode totals minus the
-        // init traffic (recording starts after init).
-        let up_sum: u64 = series.samples().iter().map(|s| s.uplink).sum();
-        assert_eq!(up_sum, sim.metrics().net.uplink_msgs);
-        let checked: u64 = series.samples().iter().map(|s| s.checked_queries).sum();
-        assert_eq!(checked, sim.metrics().exact_checks);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! JSON conversions for simulation configuration and reported metrics.
 //!
 //! Encodings mirror the conventions the former `serde` derives produced:
-//! structs become field-keyed objects, unit enum variants become bare
-//! strings, data-carrying variants become single-key objects
-//! (`{"DknnSet": {...}}`).
+//! structs become field-keyed objects and unit enum variants become bare
+//! strings.
 
-use crate::{EpisodeMetrics, Method, SimConfig, Summary, TickSample, TickSeries, VerifyMode};
-use mknn_core::{Dknn, DknnParams};
+use crate::{EpisodeMetrics, SimConfig, VerifyMode};
 use mknn_util::impl_json_struct;
 use mknn_util::json::{FromJson, Json, JsonError, ToJson};
 
@@ -57,23 +55,6 @@ impl_json_struct!(EpisodeMetrics {
     shard_crashes [omit_if |m| m.shard_crashes == 0],
     crash_down_ticks [omit_if |m| m.crash_down_ticks == 0],
 });
-impl_json_struct!(TickSample {
-    tick,
-    uplink,
-    downlink,
-    bytes,
-    server_ops,
-    exact_queries,
-    checked_queries,
-});
-impl_json_struct!(Summary {
-    n,
-    mean,
-    std_dev,
-    min,
-    max
-});
-
 impl ToJson for VerifyMode {
     fn to_json(&self) -> Json {
         let name = match self {
@@ -93,90 +74,6 @@ impl FromJson for VerifyMode {
             "Assert" => Ok(VerifyMode::Assert),
             other => Err(JsonError::new(format!("unknown VerifyMode `{other}`"))),
         }
-    }
-}
-
-impl ToJson for TickSeries {
-    fn to_json(&self) -> Json {
-        Json::object([("samples", self.samples().to_vec().to_json())])
-    }
-}
-
-impl FromJson for TickSeries {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let samples: Vec<TickSample> = v.parse_field("samples")?;
-        if let Some(w) = samples.windows(2).find(|w| w[0].tick >= w[1].tick) {
-            return Err(JsonError::new(format!(
-                "samples out of tick order: {} then {}",
-                w[0].tick, w[1].tick
-            )));
-        }
-        Ok(TickSeries::from_samples(samples))
-    }
-}
-
-impl ToJson for Method {
-    fn to_json(&self) -> Json {
-        match *self {
-            Method::DknnSet(p) => Json::object([("DknnSet", p.to_json())]),
-            Method::DknnOrder(p) => Json::object([("DknnOrder", p.to_json())]),
-            Method::DknnBuffer { params, buffer } => Json::object([(
-                "DknnBuffer",
-                Json::object([("params", params.to_json()), ("buffer", buffer.to_json())]),
-            )]),
-            Method::Centralized { res } => {
-                Json::object([("Centralized", Json::object([("res", res.to_json())]))])
-            }
-            Method::Periodic { period, res } => Json::object([(
-                "Periodic",
-                Json::object([("period", period.to_json()), ("res", res.to_json())]),
-            )]),
-            Method::Naive { headroom } => {
-                Json::object([("Naive", Json::object([("headroom", headroom.to_json())]))])
-            }
-        }
-    }
-}
-
-impl FromJson for Method {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        // A bare canonical name ("dknn-set", "centralized", …) selects the
-        // standard-suite method of that name with default parameters — the
-        // same vocabulary the `expt --method` CLI flag accepts, via the one
-        // shared table behind `Method::parse`.
-        if let Ok(name) = v.as_str() {
-            return Method::parse(name, DknnParams::default())
-                .ok_or_else(|| JsonError::new(format!("unknown method name `{name}`")));
-        }
-        if let Some(p) = v.get("DknnSet") {
-            return Ok(Method::DknnSet(DknnParams::from_json(p)?));
-        }
-        if let Some(p) = v.get("DknnOrder") {
-            return Ok(Method::DknnOrder(DknnParams::from_json(p)?));
-        }
-        if let Some(body) = v.get("DknnBuffer") {
-            let (params, buffer) = (body.parse_field("params")?, body.parse_field("buffer")?);
-            Dknn::try_buffered(params, buffer)
-                .map_err(|e| JsonError::new(format!("invalid DknnBuffer: {e}")))?;
-            return Ok(Method::DknnBuffer { params, buffer });
-        }
-        if let Some(body) = v.get("Centralized") {
-            return Ok(Method::Centralized {
-                res: body.parse_field("res")?,
-            });
-        }
-        if let Some(body) = v.get("Periodic") {
-            return Ok(Method::Periodic {
-                period: body.parse_field("period")?,
-                res: body.parse_field("res")?,
-            });
-        }
-        if let Some(body) = v.get("Naive") {
-            return Ok(Method::Naive {
-                headroom: body.parse_field("headroom")?,
-            });
-        }
-        Err(JsonError::new("expected a Method variant object"))
     }
 }
 
@@ -334,80 +231,5 @@ mod tests {
         assert!(empty.shard_load_p99().is_finite());
         let doc = to_string(&empty).to_ascii_lowercase();
         assert!(!doc.contains("nan") && !doc.contains("inf"), "got: {doc}");
-    }
-
-    #[test]
-    fn tick_series_round_trips() {
-        let mut s = TickSeries::new();
-        for t in 1..=5u64 {
-            s.push(TickSample {
-                tick: t,
-                uplink: t * 3,
-                downlink: t,
-                bytes: t * 100,
-                ..Default::default()
-            });
-        }
-        roundtrip(&s);
-        roundtrip(&TickSeries::new());
-    }
-
-    #[test]
-    fn out_of_order_series_is_rejected() {
-        let doc = r#"{"samples":[{"tick":5,"uplink":0,"downlink":0,"bytes":0,"server_ops":0,"exact_queries":0,"checked_queries":0},{"tick":2,"uplink":0,"downlink":0,"bytes":0,"server_ops":0,"exact_queries":0,"checked_queries":0}]}"#;
-        assert!(from_str::<TickSeries>(doc).is_err());
-    }
-
-    #[test]
-    fn method_variants_round_trip() {
-        for m in Method::standard_suite(DknnParams::default()) {
-            roundtrip(&m);
-        }
-        assert!(from_str::<Method>("{\"Oracle\":{}}").is_err());
-    }
-
-    #[test]
-    fn method_parses_from_a_bare_canonical_name() {
-        for m in Method::standard_suite(DknnParams::default()) {
-            let parsed: Method = from_str(&format!("\"{}\"", m.name())).unwrap();
-            assert_eq!(parsed, m);
-        }
-        assert!(from_str::<Method>("\"oracle\"").is_err());
-    }
-
-    #[test]
-    fn invalid_params_inside_a_method_fail_the_parse() {
-        let doc = r#"{"DknnSet":{"alpha":2.0,"query_drift":40.0,"heartbeat":5,"v_max_obj":20.0,"v_max_q":20.0,"expand_factor":2.0,"band_escalation":3}}"#;
-        let err = from_str::<Method>(doc).unwrap_err();
-        assert!(err.to_string().contains("alpha"), "{err}");
-    }
-
-    #[test]
-    fn buffer_below_two_fails_the_parse() {
-        let doc = |buffer: usize| {
-            let params = to_string(&DknnParams::default());
-            format!(r#"{{"DknnBuffer":{{"params":{params},"buffer":{buffer}}}}}"#)
-        };
-        let err = from_str::<Method>(&doc(1)).unwrap_err();
-        assert!(err.to_string().contains("buffer"), "{err}");
-        assert!(from_str::<Method>(&doc(0)).is_err());
-        assert_eq!(
-            from_str::<Method>(&doc(2)).unwrap(),
-            Method::DknnBuffer {
-                params: DknnParams::default(),
-                buffer: 2
-            }
-        );
-    }
-
-    #[test]
-    fn summary_round_trips_including_nan() {
-        roundtrip(&Summary::of(&[2.0, 4.0, 9.0]));
-        // Empty summaries are all-NaN; NaN != NaN, so compare rendered text.
-        let empty = Summary::of(&[]);
-        let back: Summary = from_str(&to_string(&empty)).unwrap();
-        assert_eq!(back.n, 0);
-        assert!(back.mean.is_nan() && back.std_dev.is_nan());
-        assert!(back.min.is_nan() && back.max.is_nan());
     }
 }

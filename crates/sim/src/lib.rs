@@ -15,7 +15,6 @@ mod json;
 mod method;
 mod metrics;
 mod oracle;
-mod series;
 mod stats;
 mod sweep;
 mod table;
@@ -25,7 +24,6 @@ pub use engine::Simulation;
 pub use method::Method;
 pub use metrics::EpisodeMetrics;
 pub use oracle::{check_answer, knn_excluding, AnswerCheck, SnapshotOracle, DIST_ERROR_MAX};
-pub use series::{delta_sample, TickSample, TickSeries};
 pub use stats::{percentile, MetricsSummary, Summary};
 pub use sweep::{EpisodeRun, PlannedEpisode, Sweep};
 pub use table::{render_table, write_csv};

@@ -217,19 +217,6 @@ impl Sweep {
     pub fn episode(config: &SimConfig, method: Method) -> EpisodeMetrics {
         Simulation::new(config, method.build()).run()
     }
-
-    /// Runs `seeds` independent repetitions (seed, seed+1, …) of `method`
-    /// in parallel and returns the per-seed metrics in seed order, for
-    /// aggregation with [`crate::MetricsSummary`].
-    pub fn episodes_seeded(config: &SimConfig, method: Method, seeds: u64) -> Vec<EpisodeMetrics> {
-        Sweep::over([("", config.clone())])
-            .methods([method])
-            .seeds(seeds)
-            .run()
-            .into_iter()
-            .map(|r| r.metrics)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -325,23 +312,6 @@ mod tests {
                 "{} at {} diverged across thread counts",
                 s.metrics.method,
                 s.label
-            );
-        }
-    }
-
-    #[test]
-    fn episodes_seeded_matches_manual_seed_bumps() {
-        let cfg = tiny();
-        let runs = Sweep::episodes_seeded(&cfg, Method::Centralized { res: 8 }, 3);
-        assert_eq!(runs.len(), 3);
-        for (i, run) in runs.iter().enumerate() {
-            let mut c = cfg.clone();
-            c.workload.seed = cfg.workload.seed.wrapping_add(i as u64);
-            let direct = Sweep::episode(&c, Method::Centralized { res: 8 });
-            assert_eq!(
-                run.clone().with_clock_zeroed(),
-                direct.with_clock_zeroed(),
-                "repetition {i}"
             );
         }
     }

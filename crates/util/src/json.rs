@@ -9,13 +9,11 @@
 //!
 //! * structs → objects with the field names as keys;
 //! * unit enum variants → the variant name as a string;
-//! * data-carrying enum variants → `{"Variant": payload}` (external tagging);
-//! * newtype ids → the bare inner value.
+//! * data-carrying enum variants → `{"Variant": payload}` (external tagging).
 //!
 //! One deliberate extension: the writer emits — and the parser accepts — the
-//! bare tokens `Infinity`, `-Infinity`, and `NaN`, because geometry types
-//! legitimately hold `f64::INFINITY` (e.g. an unbounded annulus) and summary
-//! rows hold NaN, and round-tripping must not lose them.
+//! bare tokens `Infinity`, `-Infinity`, and `NaN`, so an `f64` holding a
+//! non-finite value round-trips instead of being lost.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -341,21 +339,23 @@ impl Json {
     /// Parses a JSON document (one value plus surrounding whitespace).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
         };
         p.skip_ws();
         let value = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.error("trailing characters after JSON value"));
         }
         Ok(value)
     }
 }
 
+/// A recursive-descent parser over `text`. `pos` only ever advances past
+/// ASCII bytes or whole characters, so it always sits on a char boundary.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -365,7 +365,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -384,7 +384,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_word(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             true
         } else {
@@ -406,7 +406,7 @@ impl<'a> Parser<'a> {
             Some(b'n') if self.eat_word("null") => Ok(Json::Null),
             Some(b'N') if self.eat_word("NaN") => Ok(Json::Float(f64::NAN)),
             Some(b'I') if self.eat_word("Infinity") => Ok(Json::Float(f64::INFINITY)),
-            Some(b'-') if self.bytes[self.pos..].starts_with(b"-Infinity") => {
+            Some(b'-') if self.text[self.pos..].starts_with("-Infinity") => {
                 self.pos += "-Infinity".len();
                 Ok(Json::Float(f64::NEG_INFINITY))
             }
@@ -515,11 +515,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
+                    let c = self.text[self.pos..].chars().next().unwrap();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -528,11 +524,13 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        if self.pos + 4 > self.text.len() {
             return Err(self.error("truncated unicode escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.error("invalid unicode escape"))?;
+        let s = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.error("invalid unicode escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.error("invalid unicode escape"))?;
         self.pos += 4;
         Ok(v)
@@ -554,7 +552,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -858,6 +856,20 @@ mod tests {
         ] {
             assert_eq!(roundtrip(&v), v, "value {v:?}");
         }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 2^18 characters of ASCII and two-, three- and four-byte UTF-8. A
+        // parser that re-validates the rest of the document per character
+        // takes seconds here.
+        let s: String = "aé€🚀".chars().cycle().take(1 << 18).collect();
+        let doc = Json::Str(s).render();
+        let start = std::time::Instant::now();
+        let back = Json::parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back.render(), doc);
+        assert!(took.as_secs_f64() < 1.0, "parsing took {took:?}");
     }
 
     #[test]

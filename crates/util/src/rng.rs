@@ -96,12 +96,6 @@ impl Rng {
             xs.swap(i, j);
         }
     }
-
-    /// Derives an independent child generator (e.g. one per parallel task)
-    /// while advancing this one by a single step.
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from_u64(self.next_u64())
-    }
 }
 
 /// Ranges [`Rng::gen_range`] can sample from.
@@ -267,16 +261,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
         assert_ne!(xs, (0..50).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn fork_is_independent_and_deterministic() {
-        let mut a = Rng::seed_from_u64(5);
-        let mut b = Rng::seed_from_u64(5);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
-        assert_eq!(fa.next_u64(), fb.next_u64());
-        assert_eq!(a.next_u64(), b.next_u64());
-        assert_ne!(fa.next_u64(), a.next_u64());
     }
 }

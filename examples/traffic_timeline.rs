@@ -24,21 +24,14 @@ fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// Buckets a tick series into `width` columns of mean total messages.
-fn bucketize(sim_series: &moving_knn::sim::TickSeries, width: usize) -> Vec<f64> {
-    let samples = sim_series.samples();
-    if samples.is_empty() {
+/// Buckets per-tick message counts into `width` columns of their mean.
+fn bucketize(msgs: &[u64], width: usize) -> Vec<f64> {
+    if msgs.is_empty() {
         return Vec::new();
     }
-    let per = samples.len().div_ceil(width);
-    samples
-        .chunks(per)
-        .map(|c| {
-            c.iter()
-                .map(|s| (s.uplink + s.downlink) as f64)
-                .sum::<f64>()
-                / c.len() as f64
-        })
+    let per = msgs.len().div_ceil(width);
+    msgs.chunks(per)
+        .map(|c| c.iter().sum::<u64>() as f64 / c.len() as f64)
         .collect()
 }
 
@@ -70,22 +63,32 @@ fn main() {
         Method::Centralized { res: 64 },
     ] {
         let mut sim = Simulation::new(&config, method.build());
-        sim.record_series();
+        // Per-tick deltas of the cumulative total; the init traffic before
+        // tick 1 is not part of the timeline.
+        let mut msgs = Vec::with_capacity(config.ticks as usize);
         for _ in 0..config.ticks {
+            let before = sim.metrics().net.total_msgs();
             sim.step();
+            msgs.push(sim.metrics().net.total_msgs() - before);
         }
-        let series = sim.series().expect("recording was enabled").clone();
-        let buckets = bucketize(&series, 60);
+        let buckets = bucketize(&msgs, 60);
+        let mean = msgs.iter().sum::<u64>() as f64 / msgs.len() as f64;
+        let peak = msgs.iter().copied().max().unwrap_or(0);
+        // Peak-to-mean: 1.0 is perfectly smooth (an all-silent run too).
+        let burstiness = if peak == 0 { 1.0 } else { peak as f64 / mean };
         println!("{:<12} {}", sim.metrics().method, sparkline(&buckets));
         println!(
-            "{:<12} mean {:>8.1} msg/tick   peak {:>8}   burstiness {:.2}×\n",
+            "{:<12} mean {mean:>8.1} msg/tick   peak {peak:>8}   burstiness {burstiness:.2}×\n",
             "",
-            series.mean_msgs(),
-            series.peak_msgs().map_or(0, |p| p.uplink + p.downlink),
-            series.burstiness(),
+        );
+        let mut rows = vec![vec!["tick".to_string(), "msgs".into()]];
+        rows.extend(
+            msgs.iter()
+                .enumerate()
+                .map(|(t, m)| vec![(t + 1).to_string(), m.to_string()]),
         );
         let path = format!("target/experiments/timeline-{}.csv", sim.metrics().method);
-        if write_csv(Path::new(&path), &series.to_rows()).is_ok() {
+        if write_csv(Path::new(&path), &rows).is_ok() {
             println!("{:<12} [series written to {path}]\n", "");
         }
     }

@@ -10,6 +10,8 @@
 #   clippy       cargo clippy --workspace --all-targets with warnings denied
 #   test         the full test suite (unit + property + integration + doc)
 #   fmt          rustfmt conformance
+#   doc          rustdoc with warnings denied (a dangling or private
+#                intra-doc link fails it)
 #   determinism, golden, shards, chaos, recovery, tickbench, wire
 #                the byte gates: rows of the GATES table below, each "run
 #                `expt --seed 42 <flags>` under A and under B, diff, and
@@ -142,6 +144,11 @@ stage_fmt() {
     cargo fmt --all --check
 }
 
+stage_doc() {
+    echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+}
+
 stage_recovery() {
     # The crash plan must actually schedule windows on the smoke world
     # (crash counters are omit-when-zero, so their presence proves it),
@@ -201,7 +208,7 @@ stage_speedup() {
                         seq, cores, par, seq / par }'
 }
 
-ALL_STAGES=(build clippy test fmt determinism golden shards chaos recovery tickbench wire benchmark speedup)
+ALL_STAGES=(build clippy test fmt doc determinism golden shards chaos recovery tickbench wire benchmark speedup)
 
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then

@@ -11,7 +11,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`geom`] | `mknn-geom` | points, rects, circles, annuli, time-parameterized distance |
+//! | [`geom`] | `mknn-geom` | points, rects, circles, threshold-crossing times of linear motion |
 //! | [`index`] | `mknn-index` | uniform grid, kd-tree, brute-force oracle |
 //! | [`mobility`] | `mknn-mobility` | motion models, road networks, workload generation |
 //! | [`net`] | `mknn-net` | message vocabulary, byte model, metric counters, the `Protocol` contract |

@@ -7,7 +7,6 @@
 //! is live, including the clock fields that `with_clock_zeroed` strips from
 //! every golden document.
 
-use mknn_geom::Annulus;
 use mknn_net::{MsgKind, NetStats, OpCounters, ShardStats};
 use mknn_util::json::{FromJson, Json, ToJson};
 use moving_knn::prelude::*;
@@ -86,8 +85,6 @@ fn struct_keys_come_out_in_the_listed_order() {
     let episode = "method ticks n_objects n_queries k net ops exact_checks exact_ok recall_sum \
                    dist_error_sum";
     let config = "workload n_queries k ticks geo_cells verify";
-    let params = "alpha query_drift heartbeat v_max_obj v_max_q expand_factor band_escalation";
-    let annulus = "center inner outer";
     let cases: Vec<(&str, Json, String)> = vec![
         (
             "SimConfig live",
@@ -155,12 +152,6 @@ fn struct_keys_come_out_in_the_listed_order() {
             "FaultPlan inert",
             FaultPlan::none().to_json(),
             format!("{fault} horizon"),
-        ),
-        ("DknnParams", DknnParams::default().to_json(), params.into()),
-        (
-            "Annulus",
-            Annulus::new(Point::ORIGIN, 1.0, f64::INFINITY).to_json(),
-            annulus.into(),
         ),
     ];
     for (name, json, want) in &cases {
