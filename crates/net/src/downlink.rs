@@ -21,7 +21,7 @@
 //!    state that device *acked*, or a full snapshot when no trusted acked
 //!    base exists (first contact, churn rejoin).
 //!
-//! The delta/ack state machine lives in [`ReplStore`], keyed by device.
+//! The delta/ack state machine lives in [`ReplStore`], per (device, query).
 //! Deltas are always encoded against the last state the device *acked*,
 //! advanced per item by exactly the copies the fault layer delivered — an
 //! ack gap (a copy the loss/delay draws ate) merely stalls that slot's
@@ -103,6 +103,37 @@ fn put_answer_full<S: BitSink>(w: &mut S, query: QueryId, members: &[ObjectId]) 
     }
 }
 
+/// The layout of [`AnswerUpdate::Delta`] over borrowed slices, so the flush
+/// can size a diff from reusable buffers.
+fn put_answer_delta<S: BitSink>(
+    w: &mut S,
+    query: QueryId,
+    removed: &[u32],
+    added: &[ObjectId],
+    order: Option<&[u32]>,
+) {
+    w.write_bits(DOWN_ANSWER_DELTA, DOWN_TAG_BITS);
+    w.write_varint(query.0 as u64);
+    w.write_varint(removed.len() as u64);
+    for i in removed {
+        w.write_varint(*i as u64);
+    }
+    w.write_varint(added.len() as u64);
+    for m in added {
+        w.write_varint(m.0 as u64);
+    }
+    match order {
+        None => w.write_bool(false),
+        Some(ranks) => {
+            w.write_bool(true);
+            // Length is implied: survivors + added.
+            for r in ranks {
+                w.write_varint(*r as u64);
+            }
+        }
+    }
+}
+
 impl Wire for AnswerUpdate {
     fn put<S: BitSink>(&self, w: &mut S) {
         match self {
@@ -112,28 +143,7 @@ impl Wire for AnswerUpdate {
                 removed,
                 added,
                 order,
-            } => {
-                w.write_bits(DOWN_ANSWER_DELTA, DOWN_TAG_BITS);
-                w.write_varint(query.0 as u64);
-                w.write_varint(removed.len() as u64);
-                for i in removed {
-                    w.write_varint(*i as u64);
-                }
-                w.write_varint(added.len() as u64);
-                for m in added {
-                    w.write_varint(m.0 as u64);
-                }
-                match order {
-                    None => w.write_bool(false),
-                    Some(ranks) => {
-                        w.write_bool(true);
-                        // Length is implied: survivors + added.
-                        for r in ranks {
-                            w.write_varint(*r as u64);
-                        }
-                    }
-                }
-            }
+            } => put_answer_delta(w, *query, removed, added, order.as_deref()),
         }
     }
 
@@ -419,32 +429,6 @@ impl QueryRepl {
     }
 }
 
-/// Per-device replication state.
-#[derive(Debug, Clone, Default)]
-struct DeviceRepl {
-    /// Acked state per query id. A device holds one to three queries, so a
-    /// linear scan beats any map.
-    queries: Vec<(u32, QueryRepl)>,
-    /// The device was in an offline churn window when a frame was due: its
-    /// mirror cannot be trusted across the rejoin, so the next send of
-    /// state it used to hold goes out in full. Cleared by the next fully
-    /// delivered frame. (Mere loss/delay does *not* set this — it only
-    /// stalls the acked baseline, which stays a valid delta base.)
-    gapped: bool,
-}
-
-impl DeviceRepl {
-    /// The device's state for `query`, created empty if it holds none.
-    fn query(&mut self, query: QueryId) -> &mut QueryRepl {
-        let found = self.queries.iter().position(|(q, _)| *q == query.0);
-        let i = found.unwrap_or_else(|| {
-            self.queries.push((query.0, QueryRepl::default()));
-            self.queries.len() - 1
-        });
-        &mut self.queries[i].1
-    }
-}
-
 /// What the fault layer did with a staged send this tick, as reported to
 /// the ack state machine by the router (which alone sees the link).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -462,26 +446,37 @@ pub enum Delivery {
     Offline,
 }
 
-/// Slot-table value of a device that holds no replication state.
-const NO_SLOT: u32 = u32::MAX;
-
 /// The server side of the delta/ack state machine, one per episode: what
-/// every device last acked, per query, in a slab reached through a dense
-/// per-device slot table; and the tick's stagings, in flat arenas that
-/// `begin_tick` clears.
+/// every device last acked, in one device-sorted table per query, plus a
+/// dense per-device gap flag; and the tick's stagings, in flat buffers that
+/// `begin_tick` clears and every flush reuses.
 #[derive(Debug, Default)]
 pub struct ReplStore {
-    /// Slab slot of each device id, [`NO_SLOT`] when it holds nothing.
-    slot_of: Vec<u32>,
-    slots: Vec<DeviceRepl>,
-    /// Released slab slots, each holding an empty, ungapped [`DeviceRepl`].
-    free: Vec<u32>,
-    /// This tick's stagings, in staging order.
-    staged: Vec<(StagedMsg, Delivery)>,
+    /// Per query id: `(device, acked state)`, ascending by device, none
+    /// empty.
+    tables: Vec<Vec<(u32, QueryRepl)>>,
+    /// Per device id: the device was in an offline churn window when a
+    /// frame was due. Its mirror cannot be trusted across the rejoin, so
+    /// the next send of state it used to hold goes out in full. Cleared by
+    /// the next fully delivered frame. (Mere loss/delay does *not* set this
+    /// — it only stalls the acked baseline, which stays a valid delta base.)
+    gapped: Vec<bool>,
+    /// This tick's distinct messages; consecutive equal stagings share one.
+    msgs: Vec<Staged>,
     /// The member lists of this tick's staged answers, back to back.
     members: Vec<ObjectId>,
+    /// `(device, index into msgs, fate)` of every staging, in staging order.
+    staged: Vec<(u32, u32, Delivery)>,
     /// `device << 32 | seq` of every staging, sorted by the flush.
     order: Vec<u64>,
+    // Flush scratch, kept for its capacity: staging numbers by
+    // query (each group ascending by device), each group's end, each
+    // staging's item bits, and one query's newcomers.
+    by_query: Vec<u32>,
+    ends: Vec<u32>,
+    bits: Vec<u32>,
+    fresh: Vec<(u32, QueryRepl)>,
+    diff: AnswerDiff,
 }
 
 impl ReplStore {
@@ -493,19 +488,56 @@ impl ReplStore {
     /// Opens the staging builder for one tick. Stage every downlink of the
     /// tick, then call [`DownlinkBuilder::flush_frames`] exactly once.
     pub fn begin_tick(&mut self, tick: Tick) -> DownlinkBuilder<'_> {
-        self.staged.clear();
+        self.msgs.clear();
         self.members.clear();
+        self.staged.clear();
         self.order.clear();
         DownlinkBuilder { store: self, tick }
     }
 
     /// Number of devices holding any replication state (test hook).
     pub fn tracked_devices(&self) -> usize {
-        self.slots.len() - self.free.len()
+        let mut held = self.gapped.clone();
+        for &(dev, _) in self.tables.iter().flatten() {
+            let dev = dev as usize;
+            held.resize(held.len().max(dev + 1), false);
+            held[dev] = true;
+        }
+        held.iter().filter(|h| **h).count()
+    }
+
+    fn push_msg(&mut self, msg: StagedMsg, full_bits: usize) {
+        let q = msg.query().index();
+        if q >= self.tables.len() {
+            self.tables.resize_with(q + 1, Vec::new);
+        }
+        self.msgs.push(Staged {
+            msg,
+            full_bits: full_bits as u32,
+            last_delta: None,
+        });
+    }
+
+    fn push_staging(&mut self, device: ObjectId, delivery: Delivery) {
+        let seq = self.staged.len() as u64;
+        self.order.push(u64::from(device.0) << 32 | seq);
+        let msg = self.msgs.len() as u32 - 1;
+        self.staged.push((device.0, msg, delivery));
     }
 }
 
-/// One staged message to one device, with what the fault layer did to it.
+/// One distinct message of the tick.
+#[derive(Debug)]
+struct Staged {
+    msg: StagedMsg,
+    /// What a copy costs a device with no acked base: the full encoding,
+    /// or the frame-native ping of a probe or an ack.
+    full_bits: u32,
+    /// The acked region this install's delta was last sized against, and
+    /// that size: the copies of one geocast mostly meet the same base.
+    last_delta: Option<(RegionState, usize)>,
+}
+
 #[derive(Debug)]
 enum StagedMsg {
     Proto(DownlinkMsg),
@@ -515,6 +547,15 @@ enum StagedMsg {
         members: Range<usize>,
         ordered: bool,
     },
+}
+
+impl StagedMsg {
+    fn query(&self) -> QueryId {
+        match self {
+            StagedMsg::Proto(msg) => msg.query(),
+            StagedMsg::Answer { query, .. } => *query,
+        }
+    }
 }
 
 /// The two-phase tick API of the scoped downlink: `stage()` collects the
@@ -534,10 +575,29 @@ impl DownlinkBuilder<'_> {
     /// machine, never the encoding choice — the server picks the encoding
     /// before learning the fate.
     ///
-    /// Device ids are dense indices: the store's slot table grows to the
-    /// largest id ever staged (one `u32` per id).
+    /// Device and query ids are dense indices: the store keeps one gap flag
+    /// per device id and one table per query id up to the largest staged.
     pub fn stage(&mut self, device: ObjectId, msg: DownlinkMsg, delivery: Delivery) {
-        self.push(device, StagedMsg::Proto(msg), delivery);
+        let store = &mut *self.store;
+        let repeat = matches!(
+            store.msgs.last(),
+            Some(Staged { msg: StagedMsg::Proto(last), .. }) if *last == msg
+        );
+        if !repeat {
+            // A probe's zone is addressing, already resolved by the scope
+            // pass: the per-device copy is just the query tag the reply
+            // echoes. Acks are one-shot RPC legs whose version the device's
+            // retransmit slot already knows: only (query, kind) rides.
+            let full_bits = match msg {
+                DownlinkMsg::Probe { query, .. } => FrameItem::ProbePing { query }.wire_bits(),
+                DownlinkMsg::Ack { query, kind, .. } => {
+                    FrameItem::AckPing { query, kind }.wire_bits()
+                }
+                _ => msg.wire_bits(),
+            };
+            store.push_msg(StagedMsg::Proto(msg), full_bits);
+        }
+        store.push_staging(device, delivery);
     }
 
     /// Stages an answer push: the query's current member list, bound for
@@ -552,22 +612,18 @@ impl DownlinkBuilder<'_> {
         ordered: bool,
         delivery: Delivery,
     ) {
-        let arena = &mut self.store.members;
-        let span = arena.len()..arena.len() + members.len();
-        arena.extend_from_slice(members);
+        let store = &mut *self.store;
+        let span = store.members.len()..store.members.len() + members.len();
+        store.members.extend_from_slice(members);
+        let mut full = BitCount(0);
+        put_answer_full(&mut full, query, members);
         let msg = StagedMsg::Answer {
             query,
             members: span,
             ordered,
         };
-        self.push(device, msg, delivery);
-    }
-
-    fn push(&mut self, device: ObjectId, msg: StagedMsg, delivery: Delivery) {
-        let store = &mut *self.store;
-        let seq = store.staged.len() as u64;
-        store.order.push(u64::from(device.0) << 32 | seq);
-        store.staged.push((msg, delivery));
+        store.push_msg(msg, full.0);
+        store.push_staging(device, delivery);
     }
 
     /// Encodes one frame per staged device (ascending device id, each
@@ -582,99 +638,196 @@ impl DownlinkBuilder<'_> {
     /// a valid delta base for the next send). An offline window marks the
     /// device gapped: the rejoin send re-sends held state in full, and the
     /// first fully delivered frame re-arms delta encoding.
+    ///
+    /// Items are encoded query by query, then frames are charged device by
+    /// device. No byte depends on that split: an item reads only its own
+    /// (device, query) state and the gap flag as it stood before the tick,
+    /// and gap flags settle only once every item is encoded.
     pub fn flush_frames(self, stats: &mut NetStats) {
-        let store = self.store;
+        let s = self.store;
         // Group by device: seq is unique, so the unstable sort is
         // deterministic and keeps each device's staging order.
-        store.order.sort_unstable();
-        for run in store.order.chunk_by(|a, b| a >> 32 == b >> 32) {
-            let dev = (run[0] >> 32) as usize;
-            if dev >= store.slot_of.len() {
-                store.slot_of.resize(dev + 1, NO_SLOT);
-            }
-            if store.slot_of[dev] == NO_SLOT {
-                store.slot_of[dev] = store.free.pop().unwrap_or_else(|| {
-                    store.slots.push(DeviceRepl::default());
-                    (store.slots.len() - 1) as u32
-                });
-            }
-            let entry = &mut store.slots[store.slot_of[dev] as usize];
-            let (mut fallbacks, mut payload, mut ack_bits) = (0u64, 0usize, 0usize);
-            let (mut all_delivered, mut any_offline) = (true, false);
-            for &key in run {
-                let (msg, delivery) = &store.staged[key as u32 as usize];
-                let commit = *delivery == Delivery::Delivered;
-                all_delivered &= commit;
-                any_offline |= *delivery == Delivery::Offline;
-                let bits = match msg {
-                    StagedMsg::Proto(msg) => encode_proto(entry, msg, commit, &mut fallbacks),
-                    StagedMsg::Answer {
-                        query,
-                        members,
-                        ordered,
-                    } => {
-                        let list = &store.members[members.clone()];
-                        encode_answer(entry, *query, list, *ordered, commit, &mut fallbacks)
+        s.order.sort_unstable();
+        // Regroup by query with a stable counting scatter, so each group
+        // stays ascending by device and each (device, query) pair keeps its
+        // staging order.
+        let query_of = |key: u64| {
+            let (_, m, _) = s.staged[key as u32 as usize];
+            s.msgs[m as usize].msg.query().index()
+        };
+        s.ends.clear();
+        s.ends.resize(s.tables.len(), 0);
+        for &key in s.order.iter() {
+            s.ends[query_of(key)] += 1;
+        }
+        let mut start = 0;
+        for end in s.ends.iter_mut() {
+            start += std::mem::replace(end, start);
+        }
+        s.by_query.clear();
+        s.by_query.resize(start as usize, 0);
+        for &key in s.order.iter() {
+            let end = &mut s.ends[query_of(key)];
+            s.by_query[*end as usize] = key as u32;
+            *end += 1;
+        }
+        s.bits.clear();
+        s.bits.resize(s.staged.len(), 0);
+
+        // Pass 1, query by query: walk the group and the table together.
+        let mut fallbacks = 0u64;
+        let mut lo = 0;
+        for (table, &hi) in s.tables.iter_mut().zip(s.ends.iter()) {
+            let group = &s.by_query[lo..hi as usize];
+            lo = hi as usize;
+            let (mut at, mut emptied) = (0, false);
+            for &seq in group {
+                let (dev, m, delivery) = s.staged[seq as usize];
+                at = seek(table, at, dev);
+                let fate = Fate {
+                    gapped: s.gapped.get(dev as usize).copied().unwrap_or(false),
+                    commit: delivery == Delivery::Delivered,
+                };
+                let (state, held) = match table.get_mut(at) {
+                    Some((d, state)) if *d == dev => (state, true),
+                    _ => {
+                        if s.fresh.last().map(|e| e.0) != Some(dev) {
+                            s.fresh.push((dev, QueryRepl::default()));
+                        }
+                        (&mut s.fresh.last_mut().expect("just pushed").1, false)
                     }
                 };
-                payload += bits;
+                let item = &mut s.msgs[m as usize];
+                let full_bits = item.full_bits as usize;
+                let (b, fell_back) = match &item.msg {
+                    StagedMsg::Proto(msg) => {
+                        encode_proto(state, msg, full_bits, fate, &mut item.last_delta)
+                    }
+                    StagedMsg::Answer {
+                        query,
+                        members: span,
+                        ordered,
+                    } => {
+                        let list = &s.members[span.clone()];
+                        encode_answer(state, *query, list, *ordered, full_bits, fate, &mut s.diff)
+                    }
+                };
+                s.bits[seq as usize] = b as u32;
+                fallbacks += fell_back as u64;
+                emptied |= held && state.is_empty();
+            }
+            s.fresh.retain(|e| !e.1.is_empty());
+            if emptied || !s.fresh.is_empty() {
+                merge(table, &mut s.fresh, emptied);
+            }
+        }
+        stats.delta_full_fallbacks += fallbacks;
+
+        // Pass 2, device by device: charge one frame each, then settle the
+        // device's gap flag.
+        for run in s.order.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let dev = (run[0] >> 32) as usize;
+            let (mut payload, mut ack_bits) = (0usize, 0usize);
+            let (mut all_delivered, mut any_offline) = (true, false);
+            for &key in run {
+                let seq = key as u32 as usize;
+                let (_, m, delivery) = s.staged[seq];
+                let b = s.bits[seq] as usize;
+                payload += b;
                 // Ack items are tallied into the informational
                 // `NetStats::ack_bytes` share as well.
-                if matches!(msg, StagedMsg::Proto(DownlinkMsg::Ack { .. })) {
-                    ack_bits += bits;
+                if let StagedMsg::Proto(DownlinkMsg::Ack { .. }) = s.msgs[m as usize].msg {
+                    ack_bits += b;
                 }
+                all_delivered &= delivery == Delivery::Delivered;
+                any_offline |= delivery == Delivery::Offline;
             }
             let header = frame_header_bits(self.tick, run.len());
             let frame_bytes = (header + payload).div_ceil(8);
             let payload_bytes = payload.div_ceil(8);
             stats.count_frame(frame_bytes as u64, (frame_bytes - payload_bytes) as u64);
             stats.ack_bytes += ack_bits.div_ceil(8) as u64;
-            stats.delta_full_fallbacks += fallbacks;
             if all_delivered {
-                entry.gapped = false;
+                if let Some(g) = s.gapped.get_mut(dev) {
+                    *g = false;
+                }
             } else if any_offline {
-                entry.gapped = true;
-            }
-            entry.queries.retain(|(_, q)| !q.is_empty());
-            if entry.queries.is_empty() && !entry.gapped {
-                let slot = std::mem::replace(&mut store.slot_of[dev], NO_SLOT);
-                store.free.push(slot);
+                s.gapped.resize(s.gapped.len().max(dev + 1), false);
+                s.gapped[dev] = true;
             }
         }
     }
 }
 
-/// Size in bits of the cheapest encoding of replicated state the device can
-/// decode: `delta` — offered only against a trusted acked base — when it is
-/// strictly smaller than `full`, else `full`. A churn gap that forces a
-/// full re-send of state the device used to hold (`gapped_base`) counts a
-/// fallback.
-fn delta_or_full(
-    delta: Option<FrameItem>,
-    full: &DownlinkMsg,
-    gapped_base: bool,
-    fallbacks: &mut u64,
-) -> usize {
-    let full_bits = full.wire_bits();
-    match delta {
-        Some(delta) => delta.wire_bits().min(full_bits),
-        None => {
-            *fallbacks += gapped_base as u64;
-            full_bits
+/// The first index at or after `at` whose device is not below `dev`. A
+/// galloping search: a group's next device mostly sits at `at` or just
+/// past it, while devices the group skips cost only a logarithm.
+fn seek(table: &[(u32, QueryRepl)], mut at: usize, dev: u32) -> usize {
+    let below = |i: usize| table.get(i).is_some_and(|e| e.0 < dev);
+    if !below(at) {
+        return at;
+    }
+    let mut step = 1;
+    while below(at + step) {
+        at += step;
+        step *= 2;
+    }
+    let end = (at + step).min(table.len());
+    at + 1 + table[at + 1..end].partition_point(|e| e.0 < dev)
+}
+
+/// Merges `fresh` (non-empty states of devices new to `table`, ascending,
+/// left empty) into `table` in place, first dropping its emptied entries
+/// if there are any. Only entries behind the first change move.
+fn merge(table: &mut Vec<(u32, QueryRepl)>, fresh: &mut Vec<(u32, QueryRepl)>, emptied: bool) {
+    if emptied {
+        table.retain(|e| !e.1.is_empty());
+    }
+    let mut old = table.len();
+    table.resize_with(old + fresh.len(), Default::default);
+    let mut end = table.len();
+    while let Some(entry) = fresh.pop() {
+        while old > 0 && table[old - 1].0 > entry.0 {
+            old -= 1;
+            end -= 1;
+            table.swap(old, end);
         }
+        end -= 1;
+        table[end] = entry;
+    }
+}
+
+/// What one staged copy meets: whether the device's mirror is distrusted
+/// (`gapped`), and whether the copy was delivered (`commit`).
+#[derive(Debug, Clone, Copy)]
+struct Fate {
+    gapped: bool,
+    commit: bool,
+}
+
+/// Size in bits of the cheapest encoding of replicated state the device can
+/// decode: the delta (offered only against a trusted acked base) when it is
+/// strictly smaller than the full encoding, else the full one; and whether
+/// a churn gap forced a full re-send of held state (`gapped_base`).
+fn delta_or_full(delta_bits: Option<usize>, full_bits: usize, gapped_base: bool) -> (usize, bool) {
+    match delta_bits {
+        Some(bits) => (bits.min(full_bits), false),
+        None => (full_bits, gapped_base),
     }
 }
 
 /// Picks the cheapest encoding of a staged protocol message the device can
 /// decode given its acked state, commits that state when the copy was
-/// delivered (`commit`), and returns the encoding's size in bits.
+/// delivered, and returns the encoding's size in bits and whether it was a
+/// counted fallback. `last_delta` is the message's [`Staged::last_delta`].
 fn encode_proto(
-    dev: &mut DeviceRepl,
+    q: &mut QueryRepl,
     msg: &DownlinkMsg,
-    commit: bool,
-    fallbacks: &mut u64,
-) -> usize {
-    let gapped = dev.gapped;
+    full: usize,
+    fate: Fate,
+    last_delta: &mut Option<(RegionState, usize)>,
+) -> (usize, bool) {
+    let gapped = fate.gapped;
     match *msg {
         DownlinkMsg::InstallRegion {
             query,
@@ -683,32 +836,35 @@ fn encode_proto(
             vel,
             r_out,
         } => {
-            let q = dev.query(query);
-            let delta = match &q.region {
+            let delta_bits = match &q.region {
                 // Heartbeat: same version, geometry already on device.
                 Some(acked) if !gapped && acked.ver == ver => {
-                    Some(FrameItem::RegionRefresh { query })
+                    Some(FrameItem::RegionRefresh { query }.wire_bits())
                 }
                 Some(acked) if !gapped && ver > acked.ver => {
-                    let dt = (ver - acked.ver) as f64;
-                    let pred = Point::new(
-                        acked.center.x + acked.vel.x * dt,
-                        acked.center.y + acked.vel.y * dt,
-                    );
-                    Some(FrameItem::RegionDelta {
-                        query,
-                        dver: ver - acked.ver,
-                        dcx: wire::quantize(center.x) - wire::quantize(pred.x),
-                        dcy: wire::quantize(center.y) - wire::quantize(pred.y),
-                        dvx: wire::quantize(vel.x) - wire::quantize(acked.vel.x),
-                        dvy: wire::quantize(vel.y) - wire::quantize(acked.vel.y),
-                        dr: wire::quantize(r_out) - wire::quantize(acked.r_out),
-                    })
+                    if last_delta.as_ref().map(|(base, _)| base) != Some(acked) {
+                        let dt = (ver - acked.ver) as f64;
+                        let pred = Point::new(
+                            acked.center.x + acked.vel.x * dt,
+                            acked.center.y + acked.vel.y * dt,
+                        );
+                        let delta = FrameItem::RegionDelta {
+                            query,
+                            dver: ver - acked.ver,
+                            dcx: wire::quantize(center.x) - wire::quantize(pred.x),
+                            dcy: wire::quantize(center.y) - wire::quantize(pred.y),
+                            dvx: wire::quantize(vel.x) - wire::quantize(acked.vel.x),
+                            dvy: wire::quantize(vel.y) - wire::quantize(acked.vel.y),
+                            dr: wire::quantize(r_out) - wire::quantize(acked.r_out),
+                        };
+                        *last_delta = Some((acked.clone(), delta.wire_bits()));
+                    }
+                    last_delta.as_ref().map(|(_, bits)| *bits)
                 }
                 _ => None,
             };
-            let bits = delta_or_full(delta, msg, gapped && q.region.is_some(), fallbacks);
-            if commit {
+            let sized = delta_or_full(delta_bits, full, gapped && q.region.is_some());
+            if fate.commit {
                 q.region = Some(RegionState {
                     ver,
                     center,
@@ -716,7 +872,7 @@ fn encode_proto(
                     r_out,
                 });
             }
-            bits
+            sized
         }
         DownlinkMsg::SetBand {
             query,
@@ -724,139 +880,113 @@ fn encode_proto(
             inner,
             outer,
         } => {
-            let q = dev.query(query);
-            let delta = match &q.band {
+            let delta_bits = match &q.band {
                 Some(acked)
                     if !gapped
                         && ver >= acked.ver
                         && acked.outer.is_finite()
                         && outer.is_finite() =>
                 {
-                    Some(FrameItem::BandDelta {
-                        query,
-                        dver: ver - acked.ver,
-                        dinner: wire::quantize(inner) - wire::quantize(acked.inner),
-                        douter: wire::quantize(outer) - wire::quantize(acked.outer),
-                    })
+                    Some(
+                        FrameItem::BandDelta {
+                            query,
+                            dver: ver - acked.ver,
+                            dinner: wire::quantize(inner) - wire::quantize(acked.inner),
+                            douter: wire::quantize(outer) - wire::quantize(acked.outer),
+                        }
+                        .wire_bits(),
+                    )
                 }
                 _ => None,
             };
-            let bits = delta_or_full(delta, msg, gapped && q.band.is_some(), fallbacks);
-            if commit {
+            let sized = delta_or_full(delta_bits, full, gapped && q.band.is_some());
+            if fate.commit {
                 q.band = Some(BandState { ver, inner, outer });
             }
-            bits
+            sized
         }
-        DownlinkMsg::RemoveRegion { query } => {
-            if commit {
-                dev.queries.retain(|(q, _)| *q != query.0);
-            }
-            msg.wire_bits()
+        DownlinkMsg::RemoveRegion { .. } if fate.commit => {
+            *q = QueryRepl::default();
+            (full, false)
         }
-        DownlinkMsg::ClearBand { query } => {
-            if commit {
-                if let Some((_, q)) = dev.queries.iter_mut().find(|(q, _)| *q == query.0) {
-                    q.band = None;
-                }
-            }
-            msg.wire_bits()
+        DownlinkMsg::ClearBand { .. } if fate.commit => {
+            q.band = None;
+            (full, false)
         }
-        // A probe's zone is addressing, already resolved by the scope pass:
-        // the per-device copy is just the query tag the reply echoes.
-        DownlinkMsg::Probe { query, .. } => FrameItem::ProbePing { query }.wire_bits(),
-        // Acks are one-shot RPC legs: no replicated state, and the version
-        // is transport bookkeeping the device's retransmit slot already
-        // knows — only the (query, kind) correlation rides the wire.
-        DownlinkMsg::Ack { query, kind, .. } => FrameItem::AckPing { query, kind }.wire_bits(),
+        _ => (full, false),
     }
 }
 
 /// [`encode_proto`] for an answer push: a diff against the acked member
 /// list when that is strictly smaller than the whole list.
 fn encode_answer(
-    dev: &mut DeviceRepl,
+    q: &mut QueryRepl,
     query: QueryId,
     members: &[ObjectId],
     ordered: bool,
-    commit: bool,
-    fallbacks: &mut u64,
-) -> usize {
-    let gapped = dev.gapped;
-    let q = dev.query(query);
-    let mut full = BitCount(0);
-    put_answer_full(&mut full, query, members);
-    let full_bits = full.0;
-    let mut held = None;
-    let bits = match &q.answer {
-        Some(acked) if !gapped => {
-            let (delta, reconstructed) = answer_delta(query, acked, members, ordered);
-            let delta_bits = delta.wire_bits();
-            if delta_bits < full_bits {
-                // The device applies the diff: its list becomes the
-                // reconstruction, which is what future diffs index into.
-                held = Some(reconstructed);
-                delta_bits
-            } else {
-                full_bits
-            }
+    full_bits: usize,
+    fate: Fate,
+    diff: &mut AnswerDiff,
+) -> (usize, bool) {
+    // The list the device holds after this item: the diff's natural order
+    // when a rank-free diff went out, else `members` itself.
+    let mut natural = false;
+    let sized = match &q.answer {
+        Some(acked) if !fate.gapped => {
+            let delta_bits = diff.size(query, acked, members, ordered);
+            natural = delta_bits < full_bits && diff.ranks.is_empty();
+            (delta_bits.min(full_bits), false)
         }
-        prior => {
-            *fallbacks += (gapped && prior.is_some()) as u64;
-            full_bits
-        }
+        prior => (full_bits, fate.gapped && prior.is_some()),
     };
-    if commit {
-        q.answer = Some(held.unwrap_or_else(|| members.to_vec()));
+    if fate.commit {
+        let held = q.answer.get_or_insert_with(Vec::new);
+        held.clear();
+        held.extend_from_slice(if natural { &diff.natural } else { members });
     }
-    bits
+    sized
 }
 
-/// Builds the diff from `old` (the acked list) to `new`, returning the
-/// update and the list the device will hold after applying it.
-fn answer_delta(
-    query: QueryId,
-    old: &[ObjectId],
-    new: &[ObjectId],
-    ordered: bool,
-) -> (AnswerUpdate, Vec<ObjectId>) {
-    let removed: Vec<u32> = old
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| !new.contains(m))
-        .map(|(i, _)| i as u32)
-        .collect();
-    let added: Vec<ObjectId> = new.iter().filter(|m| !old.contains(m)).copied().collect();
-    // Natural order: acked survivors in acked order, then the additions.
-    let mut natural: Vec<ObjectId> = old.iter().filter(|m| new.contains(m)).copied().collect();
-    natural.extend(added.iter().copied());
-    let order = if ordered && natural != new {
-        Some(
-            new.iter()
-                .map(|m| {
-                    natural
-                        .iter()
-                        .position(|n| n == m)
-                        .expect("member in natural") as u32
-                })
-                .collect(),
-        )
-    } else {
-        None
-    };
-    let reconstructed = if order.is_some() {
-        new.to_vec()
-    } else {
-        natural
-    };
-    (
-        AnswerUpdate::Delta {
-            query,
-            removed,
-            added,
-            order,
-        },
-        reconstructed,
-    )
+/// Reusable buffers for one answer diff, so sizing it allocates nothing.
+#[derive(Debug, Default)]
+struct AnswerDiff {
+    removed: Vec<u32>,
+    added: Vec<ObjectId>,
+    /// Acked survivors in acked order, then the additions: what the device
+    /// holds after applying a diff that carries no rank list.
+    natural: Vec<ObjectId>,
+    ranks: Vec<u32>,
+}
+
+impl AnswerDiff {
+    /// Diffs the acked list `old` against `new` and returns the size of the
+    /// [`AnswerUpdate::Delta`] in bits. It carries a rank list (`ranks` is
+    /// not empty) only when order matters and the natural order is not `new`.
+    fn size(&mut self, query: QueryId, old: &[ObjectId], new: &[ObjectId], ordered: bool) -> usize {
+        self.removed.clear();
+        let gone = |i: &u32| !new.contains(&old[*i as usize]);
+        self.removed.extend((0..old.len() as u32).filter(gone));
+        self.added.clear();
+        self.added.extend(new.iter().filter(|m| !old.contains(m)));
+        self.natural.clear();
+        self.natural.extend(old.iter().filter(|m| new.contains(m)));
+        self.natural.extend_from_slice(&self.added);
+        let reordered = ordered && self.natural != new;
+        self.ranks.clear();
+        if reordered {
+            let natural = &self.natural;
+            self.ranks.extend(new.iter().map(|m| {
+                natural
+                    .iter()
+                    .position(|n| n == m)
+                    .expect("member in natural") as u32
+            }));
+        }
+        let mut count = BitCount(0);
+        let ranks = reordered.then_some(&self.ranks[..]);
+        put_answer_delta(&mut count, query, &self.removed, &self.added, ranks);
+        count.0
+    }
 }
 
 #[cfg(test)]
@@ -1166,5 +1296,44 @@ mod tests {
         );
         b.flush_frames(&mut stats);
         assert_eq!(store.tracked_devices(), 0);
+    }
+
+    #[test]
+    fn query_table_merges_newcomers_and_drops_emptied_entries() {
+        let mut store = ReplStore::new();
+        let mut stats = NetStats::default();
+        let dev = ObjectId;
+        let mut b = store.begin_tick(1);
+        for d in [2, 5, 9] {
+            b.stage(dev(d), install(1, 100.0), Delivery::Delivered);
+        }
+        b.flush_frames(&mut stats);
+        // One tick hits every merge case: an entry emptied mid-table (5), a
+        // newcomer between held ids (7), a newcomer whose copy is lost (3),
+        // and entries updated in place (2, 9).
+        let mut b = store.begin_tick(2);
+        b.stage(dev(2), install(1, 100.0), Delivery::Delivered);
+        b.stage(dev(3), install(1, 100.0), Delivery::Lost);
+        let remove = DownlinkMsg::RemoveRegion { query: QueryId(1) };
+        b.stage(dev(5), remove, Delivery::Delivered);
+        b.stage(dev(7), install(1, 100.0), Delivery::Delivered);
+        b.stage(dev(9), install(1, 100.0), Delivery::Delivered);
+        b.flush_frames(&mut stats);
+        assert_eq!(store.tracked_devices(), 3, "devices 2, 7 and 9");
+        // A heartbeat to all five: 2, 7 and 9 hold the region and get a
+        // refresh; 5 dropped it and 3 never acked it, so both get it whole.
+        let before = stats.downlink_bytes;
+        let mut b = store.begin_tick(3);
+        for d in [2, 3, 5, 7, 9] {
+            b.stage(dev(d), install(1, 100.0), Delivery::Delivered);
+        }
+        b.flush_frames(&mut stats);
+        let frame = |payload: usize| (frame_header_bits(3, 1) + payload).div_ceil(8) as u64;
+        let refresh = frame(FrameItem::RegionRefresh { query: QueryId(1) }.wire_bits());
+        let full = frame(install(1, 100.0).wire_bits());
+        assert!(refresh < full);
+        assert_eq!(stats.downlink_bytes - before, 3 * refresh + 2 * full);
+        assert_eq!(stats.delta_full_fallbacks, 0);
+        assert_eq!(store.tracked_devices(), 5);
     }
 }

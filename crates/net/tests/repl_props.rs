@@ -1,6 +1,6 @@
 //! Property tests for the scoped downlink's ack store (`ReplStore`): its
-//! state is per device and blind to how stagings of different devices
-//! interleave (mknn-util `check` harness).
+//! state is per (device, query) and blind to how stagings of different
+//! devices interleave (mknn-util `check` harness).
 
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Vector};
 use mknn_net::{Delivery, DownlinkMsg, MsgKind, NetStats, ReplStore};
@@ -8,8 +8,6 @@ use mknn_util::check::forall;
 use mknn_util::Rng;
 use std::collections::BTreeMap;
 
-const CASES: u64 = 64;
-const DEVICES: u32 = 20;
 const TICKS: u64 = 12;
 
 #[derive(Debug, Clone)]
@@ -85,12 +83,12 @@ fn item(rng: &mut Rng, query: QueryId, tick: u64) -> Item {
     Item::Proto(proto)
 }
 
-/// A multi-tick script: each tick stages fewer than `3 × DEVICES` items to
+/// A multi-tick script: each tick stages fewer than `3 × devices` items to
 /// random devices, each about one of that device's own one to three
 /// queries. Query ids are shared across devices, so state handed to
 /// the wrong device changes the encoding.
-fn script(rng: &mut Rng) -> Vec<Vec<Staging>> {
-    let queries: Vec<Vec<QueryId>> = (0..DEVICES)
+fn script(rng: &mut Rng, devices: u32) -> Vec<Vec<Staging>> {
+    let queries: Vec<Vec<QueryId>> = (0..devices)
         .map(|_| {
             let mut qs: Vec<QueryId> = (0..rng.gen_range(1usize..4))
                 .map(|_| QueryId(rng.gen_range(0u32..4)))
@@ -103,8 +101,8 @@ fn script(rng: &mut Rng) -> Vec<Vec<Staging>> {
     (1..=TICKS)
         .map(|tick| {
             let mut stagings = Vec::new();
-            for _ in 0..rng.gen_range(0usize..3 * DEVICES as usize) {
-                let d = rng.gen_range(0..DEVICES);
+            for _ in 0..rng.gen_range(0usize..3 * devices as usize) {
+                let d = rng.gen_range(0..devices);
                 let qs = &queries[d as usize];
                 let q = qs[rng.gen_range(0..qs.len())];
                 let delivery = match rng.gen_range(0u32..10) {
@@ -214,14 +212,17 @@ fn add_flush(sum: &mut NetStats, s: &NetStats) {
     sum.ack_bytes += s.ack_bytes;
 }
 
-#[test]
-fn ack_store_is_per_device_and_blind_to_cross_device_order() {
-    forall(CASES, |rng| {
-        let script = script(rng);
+/// Runs `cases` scripts over `devices` devices spread across four queries,
+/// checking every tick that (a) interleaving devices differently changes
+/// nothing, (b) the shared store is the sum of one store per device, and
+/// (c) exactly the devices holding state are tracked.
+fn check_store(cases: u64, devices: u32) {
+    forall(cases, |rng| {
+        let script = script(rng, devices);
         let mut shared = ReplStore::new();
         let mut shuffled = ReplStore::new();
-        let mut isolated: Vec<ReplStore> = (0..DEVICES).map(|_| ReplStore::new()).collect();
-        let mut held: Vec<Held> = (0..DEVICES).map(|_| Held::default()).collect();
+        let mut isolated: Vec<ReplStore> = (0..devices).map(|_| ReplStore::new()).collect();
+        let mut held: Vec<Held> = (0..devices).map(|_| Held::default()).collect();
         for (t, stagings) in script.iter().enumerate() {
             let tick = t as u64 + 1;
             let stats = run_tick(&mut shared, tick, stagings);
@@ -247,4 +248,16 @@ fn ack_store_is_per_device_and_blind_to_cross_device_order() {
             assert_eq!(shared.tracked_devices(), holding, "tick {tick}");
         }
     });
+}
+
+#[test]
+fn ack_store_is_per_device_and_blind_to_cross_device_order() {
+    check_store(64, 20);
+}
+
+/// At 200 devices over four queries every per-query table holds dozens of
+/// ids, so each tick inserts and drops entries mid-table.
+#[test]
+fn ack_store_holds_at_table_scale() {
+    check_store(16, 200);
 }

@@ -26,7 +26,8 @@
 #                property suite)
 #   benchmark    the benchmark/ crate (a workspace of its own, compiled
 #                against this workspace's public API) builds, passes its
-#                tests, and completes a --quick run of every workload
+#                tests, and completes a --quick run of every workload whose
+#                metrics_digests equal the BENCH_DIGESTS table
 #   speedup      (informational) fast-mode suite on one worker vs all cores
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -183,11 +184,32 @@ stage_wire() {
     cargo test -q --release --offline -p mknn-net
 }
 
+# workload | metrics_digest of its `benchmark/run.sh --quick` run (seed 42),
+# timed and traced alike. Two of these configurations no GATES row covers:
+# dknn-order at Q = 500 verified every tick (`Record`), and the two-thread
+# dknn-buffer run under chaos plus shard crashes.
+BENCH_DIGESTS='dist-scale 98d28fc847cb3314
+central-firehose a126b7e6c2d76ef8
+sharded-chaos 14e6b85cbc151cc2
+query-dense bf68d7fea14dc8b7'
+
 stage_benchmark() {
     echo "==> benchmark crate (build + test + benchmark/run.sh --quick)"
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
     (cd benchmark && cargo test -q --offline)
-    bash benchmark/run.sh --quick > "$TMPDIR_VERIFY/benchmark_quick"
+    local out="$TMPDIR_VERIFY/benchmark_quick" got name digest
+    bash benchmark/run.sh --quick > "$out"
+    # One "workload digest" line per timed and per traced run.
+    got=$(awk -F'"' '/"workload":/ {w = $4} /"metrics_digest":/ {print w, $4}' "$out")
+    echo "==> benchmark quick digests"
+    [ "$(wc -l <<< "$got")" -eq $((2 * $(wc -l <<< "$BENCH_DIGESTS"))) ] \
+        || fail "benchmark --quick: expected a timed and a traced digest per workload, got:" \
+            "$got"
+    while read -r name digest; do
+        [ "$(grep -cx "$name $digest" <<< "$got")" -eq 2 ] \
+            || fail "benchmark --quick: $name metrics_digest is not $digest (timed and" \
+                "traced); got: $(grep "^$name " <<< "$got" | tr '\n' ' ')"
+    done <<< "$BENCH_DIGESTS"
 }
 
 stage_speedup() {
