@@ -2,10 +2,9 @@
 
 use crate::grid_tier::GridTier;
 use mknn_geom::{ObjectId, QueryId, Rect};
-use mknn_mobility::MovingObject;
 use mknn_net::{
-    run_client_phase, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase,
-    UplinkMsg, Uplinks,
+    run_client_phase, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Registration,
+    ServerPhase, UplinkMsg, Uplinks,
 };
 
 /// Centralized continuous kNN monitoring (the classic server-side
@@ -46,14 +45,13 @@ impl Protocol for Centralized {
 
     fn init(
         &mut self,
-        bounds: Rect,
-        objects: &[MovingObject],
+        reg: &dyn Registration,
         queries: &[QuerySpec],
         _probe: &mut dyn ProbeService,
         _outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
-        self.tier.init(bounds, objects, queries, ops);
+        self.tier.init(reg.world(), queries, ops);
     }
 
     fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {
@@ -104,7 +102,9 @@ impl Protocol for Centralized {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Registered;
     use mknn_geom::{Circle, Point, Vector};
+    use mknn_mobility::MovingObject;
     use mknn_net::{single_server_phase, ClientCtx, FaultPlan, FaultyLink, ObjReport};
     use mknn_util::Pool;
 
@@ -135,8 +135,7 @@ mod tests {
         let mut outbox = Outbox::new();
         let mut ops = OpCounters::default();
         c.init(
-            Rect::square(100.0),
-            &objs(),
+            &Registered::new(Rect::square(100.0), objs()),
             &queries,
             &mut NoProbe,
             &mut outbox,
@@ -168,8 +167,7 @@ mod tests {
         let mut outbox = Outbox::new();
         let mut ops = OpCounters::default();
         c.init(
-            Rect::square(100.0),
-            &objs(),
+            &Registered::new(Rect::square(100.0), objs()),
             &queries,
             &mut NoProbe,
             &mut outbox,

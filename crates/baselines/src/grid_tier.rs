@@ -10,7 +10,7 @@
 
 use mknn_geom::{ObjectId, Point, QueryId, Rect};
 use mknn_index::GridIndex;
-use mknn_mobility::MovingObject;
+use mknn_mobility::World;
 use mknn_net::{ObjReport, OpCounters, QuerySpec, ServerPhase, UplinkMsg};
 use std::collections::BTreeMap;
 
@@ -48,18 +48,10 @@ impl GridTier {
     }
 
     /// Registration: indexes every object and evaluates every query.
-    pub fn init(
-        &mut self,
-        bounds: Rect,
-        objects: &[MovingObject],
-        queries: &[QuerySpec],
-        ops: &mut OpCounters,
-    ) {
-        self.index = GridIndex::new(bounds, self.grid_res, self.grid_res);
-        for o in objects {
-            self.index.upsert(o.id, o.pos);
-            ops.server_ops += 1;
-        }
+    pub fn init(&mut self, world: &World, queries: &[QuerySpec], ops: &mut OpCounters) {
+        let res = self.grid_res;
+        self.index = GridIndex::bulk_load(world.bounds(), res, res, world.snapshot());
+        ops.server_ops += world.len() as u64;
         self.focal_queries.clear();
         for spec in queries {
             self.focal_queries
@@ -71,7 +63,7 @@ impl GridTier {
             .iter()
             .map(|spec| QState {
                 spec: *spec,
-                q_pos: objects[spec.focal.index()].pos,
+                q_pos: world.position(spec.focal),
                 answer: Vec::new(),
             })
             .collect();

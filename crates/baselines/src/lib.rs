@@ -23,3 +23,39 @@ mod periodic;
 pub use centralized::Centralized;
 pub use naive::NaiveBroadcast;
 pub use periodic::Periodic;
+
+/// The registration view the unit tests hand to `init`.
+#[cfg(test)]
+mod testing {
+    use mknn_geom::{Point, Rect};
+    use mknn_mobility::{MovingObject, Stationary, World};
+    use mknn_net::{ObjReport, Registration};
+    use mknn_util::Rng;
+
+    /// `objects` registered over `bounds`. No baseline selects by kNN at
+    /// registration, so `nearest` is never asked.
+    pub(crate) struct Registered(World);
+
+    impl Registered {
+        pub(crate) fn new(bounds: Rect, objects: Vec<MovingObject>) -> Self {
+            let world = World::new(
+                bounds,
+                objects,
+                Box::new(Stationary),
+                0.0,
+                Rng::seed_from_u64(0),
+            );
+            Registered(world)
+        }
+    }
+
+    impl Registration for Registered {
+        fn world(&self) -> &World {
+            &self.0
+        }
+
+        fn nearest(&self, _center: Point, _k: usize) -> Vec<ObjReport> {
+            unreachable!("the baselines register without a kNN")
+        }
+    }
+}

@@ -1,10 +1,9 @@
 //! The naive per-tick probing strawman.
 
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Vector};
-use mknn_mobility::MovingObject;
 use mknn_net::{
-    run_client_phase, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase,
-    UplinkMsg, Uplinks,
+    run_client_phase, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Registration,
+    ServerPhase, UplinkMsg, Uplinks,
 };
 
 /// Per-query server record: the cached answer and the adaptive zone radius.
@@ -103,20 +102,21 @@ impl Protocol for NaiveBroadcast {
 
     fn init(
         &mut self,
-        bounds: Rect,
-        objects: &[MovingObject],
+        reg: &dyn Registration,
         queries: &[QuerySpec],
         probe: &mut dyn ProbeService,
         _outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
+        let world = reg.world();
+        let bounds = world.bounds();
         self.space_diag = bounds.min.dist(bounds.max);
         self.specs = queries.to_vec();
         self.queries = queries
             .iter()
             .map(|spec| NState {
                 spec: *spec,
-                q_pos: objects[spec.focal.index()].pos,
+                q_pos: world.position(spec.focal),
                 radius: self.space_diag * 0.02,
                 answer: Vec::new(),
             })
@@ -190,6 +190,8 @@ impl Protocol for NaiveBroadcast {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Registered;
+    use mknn_mobility::MovingObject;
     use mknn_net::{single_server_phase, ObjReport};
 
     struct TableProbe {
@@ -235,8 +237,7 @@ mod tests {
             probes: 0,
         };
         n.init(
-            Rect::square(10_000.0),
-            &objs(),
+            &Registered::new(Rect::square(10_000.0), objs()),
             &queries,
             &mut probe,
             &mut Outbox::new(),

@@ -2,10 +2,9 @@
 
 use crate::grid_tier::GridTier;
 use mknn_geom::{ObjectId, Point, QueryId, Rect};
-use mknn_mobility::MovingObject;
 use mknn_net::{
-    run_client_phase, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase,
-    UplinkMsg, Uplinks,
+    run_client_phase, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Registration,
+    ServerPhase, UplinkMsg, Uplinks,
 };
 
 /// Periodic centralized monitoring (YPK-CNN-style): each device reports its
@@ -54,15 +53,15 @@ impl Protocol for Periodic {
 
     fn init(
         &mut self,
-        bounds: Rect,
-        objects: &[MovingObject],
+        reg: &dyn Registration,
         queries: &[QuerySpec],
         _probe: &mut dyn ProbeService,
         _outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
-        self.last_reported = objects.iter().map(|o| o.pos).collect();
-        self.tier.init(bounds, objects, queries, ops);
+        let world = reg.world();
+        self.last_reported = world.positions().to_vec();
+        self.tier.init(world, queries, ops);
     }
 
     fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {
@@ -123,7 +122,9 @@ impl Protocol for Periodic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Registered;
     use mknn_geom::{Circle, Vector};
+    use mknn_mobility::MovingObject;
     use mknn_net::{single_server_phase, ClientCtx, FaultPlan, FaultyLink, ObjReport};
     use mknn_util::Pool;
 
@@ -168,8 +169,7 @@ mod tests {
         let mut outbox = Outbox::new();
         let mut ops = OpCounters::default();
         p.init(
-            Rect::square(100.0),
-            &objects,
+            &Registered::new(Rect::square(100.0), objects.clone()),
             &queries,
             &mut NoProbe,
             &mut outbox,
@@ -199,8 +199,7 @@ mod tests {
         let mut outbox = Outbox::new();
         let mut ops = OpCounters::default();
         p.init(
-            Rect::square(100.0),
-            &objects,
+            &Registered::new(Rect::square(100.0), objects.clone()),
             &queries,
             &mut NoProbe,
             &mut outbox,
@@ -223,8 +222,7 @@ mod tests {
         let mut outbox = Outbox::new();
         let mut ops = OpCounters::default();
         p.init(
-            Rect::square(100.0),
-            &objects,
+            &Registered::new(Rect::square(100.0), objects.clone()),
             &queries,
             &mut NoProbe,
             &mut outbox,

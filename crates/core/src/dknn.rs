@@ -2,8 +2,9 @@
 
 use crate::{ClientHalf, DknnParams, Mode, ParamError, ServerHalf};
 use mknn_geom::{ObjectId, Point, QueryId, Rect};
-use mknn_mobility::MovingObject;
-use mknn_net::{OpCounters, Outbox, ProbeService, Protocol, QuerySpec, ServerPhase, Uplinks};
+use mknn_net::{
+    OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Registration, ServerPhase, Uplinks,
+};
 
 /// Distributed processing of moving k-nearest-neighbor queries — the
 /// reproduction of the target paper's contribution.
@@ -134,19 +135,18 @@ impl Protocol for Dknn {
 
     fn init(
         &mut self,
-        bounds: Rect,
-        objects: &[MovingObject],
+        reg: &dyn Registration,
         queries: &[QuerySpec],
         _probe: &mut dyn ProbeService,
         outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
-        self.client = ClientHalf::new(self.params, objects.len());
+        self.client = ClientHalf::new(self.params, reg.world().len());
         self.client.set_lossy(self.lossy);
         for spec in queries {
             self.client.set_focal(spec.focal.index(), spec.id);
         }
-        self.server.init(bounds, objects, queries, outbox, ops);
+        self.server.init(reg, queries, outbox, ops);
     }
 
     fn client_phase(&mut self, ctx: &mknn_net::ClientCtx, up: &mut Uplinks, ops: &mut OpCounters) {

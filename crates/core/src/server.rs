@@ -19,11 +19,10 @@
 
 use crate::{DknnParams, Mode, RegionVersion};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick, Vector};
-use mknn_index::KdTree;
 use mknn_mobility::MovingObject;
 use mknn_net::{
-    DownlinkMsg, ObjReport, OpCounters, Outbox, ProbeService, QuerySpec, Recipient, UplinkMsg,
-    Uplinks,
+    DownlinkMsg, ObjReport, OpCounters, Outbox, ProbeService, QuerySpec, Recipient, Registration,
+    UplinkMsg, Uplinks,
 };
 
 /// Two distances closer than this count as tied: the list edge extends
@@ -130,28 +129,25 @@ impl ServerHalf {
     /// initial regions and bands are broadcast.
     pub fn init(
         &mut self,
-        bounds: mknn_geom::Rect,
-        objects: &[MovingObject],
+        reg: &dyn Registration,
         queries: &[QuerySpec],
         outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
+        let world = reg.world();
+        let bounds = world.bounds();
         self.cfg.space_diag = bounds.min.dist(bounds.max);
         self.queries.clear();
-        // One kd-tree over the registration snapshot answers every query's
-        // initial selection in O(k log N), replacing a per-query full
-        // scan-and-sort (O(N·Q) across the batch).
-        let tree = KdTree::build(objects.iter().map(|o| (o.id, o.pos)).collect());
         for (i, spec) in queries.iter().enumerate() {
             assert_eq!(spec.id.index(), i, "query ids must be dense and in order");
-            let mut reports = self.cfg.registration_reports(&tree, objects, spec);
+            let mut reports = self.cfg.registration_reports(reg, spec);
             // The *modeled* registration cost is the full population: the
             // server ingests every device's registration and runs the
             // selection pass over it (`establish` charges its own input
             // below) — only the harness-side materialization is a prefix.
-            let n_reg = (objects.len() as u64).saturating_sub(1);
+            let n_reg = (world.len() as u64).saturating_sub(1);
             ops.server_ops += 2 * n_reg - reports.len() as u64;
-            let mut q = ServerQuery::new(*spec, &objects[spec.focal.index()]);
+            let mut q = ServerQuery::new(*spec, &world.object(spec.focal));
             self.cfg.establish(&mut q, &mut reports, 0, outbox, ops);
             self.queries.push(q);
         }
@@ -435,36 +431,19 @@ impl ServerCfg {
     /// list plus the next report (threshold placement). A buffered list
     /// extends its edge over distance ties, so the over-fetch doubles while
     /// its last report still ties the edge.
-    fn registration_reports(
-        &self,
-        tree: &KdTree,
-        objects: &[MovingObject],
-        spec: &QuerySpec,
-    ) -> Vec<ObjReport> {
-        let c = objects[spec.focal.index()].pos;
+    fn registration_reports(&self, reg: &dyn Registration, spec: &QuerySpec) -> Vec<ObjReport> {
+        let c = reg.world().position(spec.focal);
         let target = self.target(spec.k);
         let mut fetch = target.saturating_add(2);
         loop {
-            let reports: Vec<ObjReport> = tree
-                .knn(c, fetch)
-                .into_iter()
-                .filter(|n| n.id != spec.focal)
-                .map(|n| {
-                    let o = &objects[n.id.index()];
-                    debug_assert_eq!(o.id, n.id, "registration ids must be dense");
-                    ObjReport {
-                        id: o.id,
-                        pos: o.pos,
-                        vel: o.vel,
-                    }
-                })
-                .collect();
+            let mut reports = reg.nearest(c, fetch);
+            reports.retain(|r| r.id != spec.focal);
             let edge = target.checked_sub(1).and_then(|i| reports.get(i));
             let edge_tied = self.buffer().is_some()
                 && edge
                     .zip(reports.last())
                     .is_some_and(|(e, last)| last.pos.dist(c) <= e.pos.dist(c) + TIE);
-            if !edge_tied || fetch >= objects.len() {
+            if !edge_tied || fetch >= reg.world().len() {
                 return reports;
             }
             fetch = fetch.saturating_mul(2);
@@ -842,7 +821,10 @@ impl ServerQuery {
 mod tests {
     use super::*;
     use mknn_geom::Rect;
+    use mknn_index::bruteforce;
+    use mknn_mobility::{Stationary, World};
     use mknn_net::MsgKind;
+    use mknn_util::Rng;
 
     /// A probe service over a fixed position table.
     struct TableProbe {
@@ -896,6 +878,42 @@ mod tests {
         }
     }
 
+    /// `objects` registered over a 10 km square, `nearest` by brute force.
+    struct Registered(World);
+
+    impl Registered {
+        fn new(objects: &[MovingObject]) -> Self {
+            let (model, rng) = (Box::new(Stationary), Rng::seed_from_u64(0));
+            Registered(World::new(
+                Rect::square(10_000.0),
+                objects.to_vec(),
+                model,
+                0.0,
+                rng,
+            ))
+        }
+    }
+
+    impl Registration for Registered {
+        fn world(&self) -> &World {
+            &self.0
+        }
+
+        fn nearest(&self, center: Point, k: usize) -> Vec<ObjReport> {
+            bruteforce::knn(self.0.snapshot(), center, k)
+                .into_iter()
+                .map(|n| {
+                    let o = self.0.object(n.id);
+                    ObjReport {
+                        id: o.id,
+                        pos: o.pos,
+                        vel: o.vel,
+                    }
+                })
+                .collect()
+        }
+    }
+
     fn setup_on(world: &[MovingObject], k: usize, mode: Mode) -> (ServerHalf, Outbox, OpCounters) {
         let mut s = ServerHalf::new(DknnParams::default(), mode);
         let mut outbox = Outbox::new();
@@ -905,13 +923,7 @@ mod tests {
             focal: ObjectId(0),
             k,
         }];
-        s.init(
-            Rect::square(10_000.0),
-            world,
-            &queries,
-            &mut outbox,
-            &mut ops,
-        );
+        s.init(&Registered::new(world), &queries, &mut outbox, &mut ops);
         (s, outbox, ops)
     }
 
@@ -1000,7 +1012,7 @@ mod tests {
     }
 
     #[test]
-    fn kd_tree_registration_equals_whole_population_registration() {
+    fn nearest_registration_equals_whole_population_registration() {
         // The lattice, and the lattice mirrored through the focal: every
         // distance then occurs twice, so list edges fall on exact ties.
         let mirrored: Vec<MovingObject> = lattice(12)
@@ -1031,6 +1043,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Focal at the origin of a 7 × 7 lattice with 10 m spacing: four
+    /// devices at 10 m, four at 10·√2 m, four at 20 m, eight at 10·√5 m.
+    fn square_lattice() -> Vec<MovingObject> {
+        let mut v = vec![MovingObject::at(ObjectId(0), Point::ORIGIN, 20.0)];
+        for y in -3..=3 {
+            for x in -3..=3 {
+                if (x, y) != (0, 0) {
+                    let p = Point::new(x as f64 * 10.0, y as f64 * 10.0);
+                    v.push(MovingObject::at(ObjectId(v.len() as u32), p, 20.0));
+                }
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn a_tied_buffered_edge_refetches_and_keeps_the_whole_tie() {
+        // k + b = 5: the edge is the first of the four 10·√2 devices, and so
+        // is the last of the first fetch (k + b + 2 less the focal).
+        let (k, buffer) = (3, 2);
+        let world = square_lattice();
+        let reg = Registered::new(&world);
+        let spec = QuerySpec {
+            id: QueryId(0),
+            focal: ObjectId(0),
+            k,
+        };
+        let (s, _, _) = setup_on(&world, k, Mode::Buffered { buffer });
+        let reports = s.cfg.registration_reports(&reg, &spec);
+        assert!(reports.len() > k + buffer + 1, "no refetch: {reports:?}");
+        // Brute force: the k + b nearest, extended over the tie at the edge.
+        let ranked: Vec<_> = bruteforce::knn(reg.0.snapshot(), Point::ORIGIN, world.len())
+            .into_iter()
+            .filter(|n| n.id != spec.focal)
+            .collect();
+        let edge = ranked[k + buffer - 1].dist();
+        let want: Vec<ObjectId> = ranked
+            .iter()
+            .take_while(|n| n.dist() <= edge + TIE)
+            .map(|n| n.id)
+            .collect();
+        assert_eq!(want.len(), 8, "four at 10 m, four at 10·√2 m");
+        let got: Vec<ObjectId> = s.queries[0].members.iter().map(|m| m.id).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

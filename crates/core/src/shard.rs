@@ -719,6 +719,32 @@ mod tests {
         assert_eq!(stats.shard.merge_msgs, 1);
     }
 
+    /// The premise of sizing only query-scoped uplinks on the route path: a
+    /// `Position` report's payload size is never read. It charges nothing,
+    /// even over a backbone that loses every leg, and terminates at the same
+    /// shard with the same load whatever its size.
+    #[test]
+    fn query_agnostic_uplinks_charge_nothing_whatever_their_size() {
+        use mknn_net::FaultPlan;
+        let plan = FaultPlan::builder().loss(1.0).build().unwrap();
+        let route = |payload_bytes| {
+            let mut coord = ShardCoordinator::new(world(), 4);
+            let mut stats = NetStats::default();
+            let mut link = FaultyLink::new(plan, 42);
+            link.begin_tick(1, 0);
+            coord.track_query(QueryId(0), Point::new(100.0, 100.0), 4, &mut stats, None);
+            let sender = Point::new(900.0, 900.0);
+            let dest = coord.route_uplink(None, sender, payload_bytes, &mut stats, Some(&mut link));
+            (dest, coord.loads(), stats)
+        };
+        let (dest, loads, stats) = route(0);
+        assert_eq!(dest, 3, "a report terminates at its sender's shard");
+        assert_eq!(stats, NetStats::default());
+        for payload_bytes in [1, 44, 1 << 20] {
+            assert_eq!(route(payload_bytes), (dest, loads.clone(), stats.clone()));
+        }
+    }
+
     #[test]
     fn faulty_backbone_charges_retransmits_per_leg() {
         use mknn_net::FaultPlan;

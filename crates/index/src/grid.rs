@@ -332,9 +332,11 @@ impl GridIndex {
                 }
             }
         });
-        out.sort_unstable_by(|a, b| {
-            (crate::OrdF64(a.dist_sq), a.id).cmp(&(crate::OrdF64(b.dist_sq), b.id))
-        });
+        // A squared distance is never negative, -0.0 or NaN (NaN fails the
+        // `<=` above), and for such floats the IEEE bit pattern orders
+        // exactly as the value does: this is the `(distance², id)` order on
+        // an integer key.
+        out.sort_unstable_by_key(|n| (n.dist_sq.to_bits(), n.id));
         out
     }
 

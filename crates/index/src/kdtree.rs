@@ -2,10 +2,9 @@
 //!
 //! Built once over a snapshot in `O(N log N)` (median-of-medians via
 //! `select_nth_unstable`), answering kNN and range queries in `O(log N + k)`
-//! expected time. The protocols don't use it online (they need cheap
-//! updates, which the grid provides); it serves snapshot queries (the
-//! per-tick oracle, registration-time selection) and as an
-//! independently-implemented kNN to cross-check the grid against.
+//! expected time. No episode uses it: the engine's grid answers every kNN,
+//! registration included. It stays as an independently-implemented kNN to
+//! cross-check the grid against, and as a benchmark replay.
 
 use crate::{bruteforce, KnnCollector, Neighbor, OrdF64};
 use mknn_geom::{Circle, ObjectId, Point};

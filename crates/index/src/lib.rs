@@ -1,14 +1,14 @@
 //! Spatial indexes for moving-object k-nearest-neighbor processing.
 //!
-//! Two index structures with identical query semantics:
+//! Index structures with identical query semantics:
 //!
-//! * [`GridIndex`] — a uniform in-memory grid, the workhorse of the
-//!   server-side protocols (cheap `O(1)` updates under frequent movement,
-//!   ring-expansion kNN, cell-population statistics used to size region
-//!   expansion probes),
-//! * [`KdTree`] — a static, implicitly-stored kd-tree for snapshot queries
-//!   (the per-tick oracle, registration-time selection) and as an
-//!   independent implementation to cross-check the grid,
+//! * [`GridIndex`] — a uniform in-memory grid, the one index a running
+//!   episode uses (cheap `O(1)` updates under frequent movement,
+//!   ring-expansion kNN for registration, baselines and answer checks,
+//!   cell-population statistics used to size region expansion probes),
+//! * [`KdTree`] — a static, implicitly-stored kd-tree, kept only as an
+//!   independent implementation to cross-check the grid and as a benchmark
+//!   replay,
 //! * [`bruteforce`] — the `O(N)` oracle every other implementation is tested
 //!   against.
 //!

@@ -145,6 +145,31 @@ fn knn_tie_semantics_survive_duplicate_positions() {
     });
 }
 
+/// Grid `range` sorts on the distance's bit pattern, brute force on its
+/// value: under heavy exact ties (lattice centers, radii at lattice
+/// distances) both give the same ids in the same order.
+#[test]
+fn range_tie_order_survives_duplicate_positions() {
+    forall(CASES, |rng| {
+        let w = lattice_world(rng, 120);
+        let q = Point::new(
+            rng.gen_range(0u32..6) as f64 * 100.0,
+            rng.gen_range(0u32..6) as f64 * 100.0,
+        );
+        let (dx, dy) = (rng.gen_range(0u32..4) as f64, rng.gen_range(0u32..4) as f64);
+        let c = Circle::new(q, 100.0 * (dx * dx + dy * dy).sqrt());
+        let mut g = GridIndex::new(Rect::square(SIDE), 16, 16);
+        for &(id, p) in &w {
+            g.upsert(id, p);
+        }
+        assert_same(
+            &g.range(&c),
+            &bruteforce::range(w.clone(), &c),
+            "grid range",
+        );
+    });
+}
+
 /// `k ≥ population` returns every point, still in canonical order.
 #[test]
 fn knn_with_k_at_least_population_returns_everyone() {

@@ -41,7 +41,7 @@ pub use fault::{CrashWindow, FaultError, FaultPlan, FaultPlanBuilder, FaultyLink
 pub use msg::{DownlinkMsg, MsgKind, QuerySpec, Recipient, ShardMsg, ShardMsgKind, UplinkMsg};
 pub use proto::{
     run_client_phase, single_server_phase, ClientCtx, ObjReport, Outbox, ProbeService, Protocol,
-    ServerPhase, ShardTask, Uplinks, PAR_MIN_DEVICES,
+    Registration, ServerPhase, ShardTask, Uplinks, PAR_MIN_DEVICES,
 };
 pub use stats::{NetStats, OpCounters, ShardStats};
 pub use wire::{

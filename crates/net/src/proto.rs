@@ -17,6 +17,10 @@
 //!   [`ProbeService`] (which itself charges messages for every probe and
 //!   reply).
 //!
+//! Registration at tick 0 is the one exception: [`Protocol::init`] also
+//! reads the [`Registration`] view, an uncharged wired setup step. No tick
+//! entry point carries that view.
+//!
 //! The engine drives a method through exactly these two entry points every
 //! tick. A single server is a one-task phase; [`run_client_phase`] and
 //! [`ServerPhase::run_shards`] are the shared harnesses the methods build
@@ -24,7 +28,7 @@
 
 use crate::{DownlinkMsg, FaultyLink, QuerySpec, Recipient, UplinkMsg};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
-use mknn_mobility::MovingObject;
+use mknn_mobility::{MovingObject, World};
 use mknn_util::Pool;
 use std::time::Instant;
 
@@ -184,6 +188,21 @@ impl Outbox {
     }
 }
 
+/// What [`Protocol::init`] reads at registration (tick 0): every device
+/// registers its position and velocity over a wired setup step, so these
+/// reads are uncharged. Only `init` is lent this view; [`ServerPhase`]
+/// carries none, so no tick-time server can run a free kNN.
+pub trait Registration {
+    /// The registered population: its bounds, size, and every device's
+    /// tick-0 state.
+    fn world(&self) -> &World;
+
+    /// The `k` registered devices nearest `center` (all of them when
+    /// `k` exceeds the population), in canonical order: ascending
+    /// `(distance², id)`.
+    fn nearest(&self, center: Point, k: usize) -> Vec<ObjReport>;
+}
+
 /// Synchronous probe channel provided by the harness.
 ///
 /// A probe models the geocast-request / unicast-reply round trip the server
@@ -326,14 +345,13 @@ pub trait Protocol {
     /// "centralized", …).
     fn name(&self) -> &'static str;
 
-    /// One-time setup at tick 0: the server learns the query specs and may
-    /// run initial probes; devices learn the static protocol parameters
-    /// (grid geometry, thresholds) that real deployments ship at
-    /// registration time.
+    /// One-time setup at tick 0: the server learns the query specs and the
+    /// registered population (`reg`) and may run initial probes; devices
+    /// learn the static protocol parameters (grid geometry, thresholds)
+    /// that real deployments ship at registration time.
     fn init(
         &mut self,
-        bounds: Rect,
-        objects: &[MovingObject],
+        reg: &dyn Registration,
         queries: &[QuerySpec],
         probe: &mut dyn ProbeService,
         outbox: &mut Outbox,

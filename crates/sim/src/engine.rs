@@ -7,8 +7,8 @@ use mknn_index::GridIndex;
 use mknn_mobility::{MovingObject, World};
 use mknn_net::{
     CrashWindow, Delivery, DownlinkBuilder, DownlinkMsg, FaultPlan, FaultyLink, MsgKind, NetStats,
-    ObjReport, OpCounters, ProbeService, Protocol, QuerySpec, Recipient, ReplStore, ServerPhase,
-    ShardTask, UplinkMsg, Uplinks,
+    ObjReport, OpCounters, ProbeService, Protocol, QuerySpec, Recipient, Registration, ReplStore,
+    ServerPhase, ShardTask, UplinkMsg, Uplinks,
 };
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -121,6 +121,32 @@ impl ProbeService for ShardProbe<'_, '_> {
             return None;
         }
         Some(ObjReport { id, pos, vel })
+    }
+}
+
+/// The registration view lent to [`Protocol::init`]: the tick-0 world, and
+/// kNN over the engine's own grid, which holds exactly the registered
+/// positions at that point.
+struct GridRegistration<'a> {
+    world: &'a World,
+    infra: &'a GridIndex,
+}
+
+impl Registration for GridRegistration<'_> {
+    fn world(&self) -> &World {
+        self.world
+    }
+
+    fn nearest(&self, center: Point, k: usize) -> Vec<ObjReport> {
+        let k = k.min(self.world.len());
+        self.infra
+            .knn(center, k)
+            .into_iter()
+            .map(|n| {
+                let MovingObject { id, pos, vel, .. } = self.world.object(n.id);
+                ObjReport { id, pos, vel }
+            })
+            .collect()
     }
 }
 
@@ -259,8 +285,10 @@ impl Simulation {
         let mut last_sent = vec![Vec::new(); specs.len()];
         let mut builder = repl.begin_tick(0);
         proto.init(
-            bounds,
-            &world.objects(),
+            &GridRegistration {
+                world: &world,
+                infra: &infra,
+            },
             &specs,
             &mut ShardProbe {
                 infra: &infra,
@@ -497,10 +525,13 @@ impl Simulation {
             task.reset();
         }
         for (from, msg) in uplinks.iter() {
+            // The size is read only to charge a `Forward` leg, which a
+            // query-agnostic report never takes: size only the others.
+            let query = msg.query();
             let dest = self.coord.route_uplink(
-                msg.query(),
+                query,
                 self.world.position(from),
-                msg.size_bytes(),
+                query.map_or(0, |_| msg.size_bytes()),
                 &mut self.metrics.net,
                 Some(&mut self.link),
             );
@@ -838,6 +869,52 @@ mod tests {
         let b = Simulation::new(&cfg, Box::new(Dknn::set(DknnParams::default()))).run();
         assert_eq!(a.net, b.net);
         assert_eq!(a.ops, b.ops);
+    }
+
+    #[test]
+    fn registration_nearest_equals_bruteforce_over_the_world() {
+        use mknn_geom::{Rect, Vector};
+        use mknn_index::bruteforce;
+        use mknn_mobility::Stationary;
+        use mknn_util::{check::forall, Rng};
+        forall(64, |rng| {
+            // A 6 × 6 lattice with 20 m spacing: exact distance ties and
+            // shared positions everywhere.
+            let lattice = |rng: &mut Rng| {
+                let mut c = || rng.gen_range(0u32..6) as f64 * 20.0;
+                Point::new(c(), c())
+            };
+            let n = rng.gen_range(1u32..80);
+            let objects = (0..n)
+                .map(|i| MovingObject {
+                    id: ObjectId(i),
+                    pos: lattice(rng),
+                    vel: Vector::new(i as f64, 1.0),
+                    max_speed: 200.0,
+                })
+                .collect();
+            let (model, seed) = (Box::new(Stationary), Rng::seed_from_u64(0));
+            let world = World::new(Rect::square(100.0), objects, model, 0.0, seed);
+            let infra = GridIndex::bulk_load(world.bounds(), 8, 8, world.snapshot());
+            let reg = GridRegistration {
+                world: &world,
+                infra: &infra,
+            };
+            let random = Point::new(rng.gen_range(-10.0..110.0), rng.gen_range(-10.0..110.0));
+            let len = world.len();
+            for c in [lattice(rng), random] {
+                for k in [0, 1, rng.gen_range(0..len), len, len + 3] {
+                    let got = reg.nearest(c, k);
+                    let want = bruteforce::knn(world.snapshot(), c, k);
+                    let ids: Vec<_> = want.iter().map(|n| n.id).collect();
+                    assert_eq!(got.iter().map(|r| r.id).collect::<Vec<_>>(), ids, "k = {k}");
+                    for r in &got {
+                        let o = world.object(r.id);
+                        assert_eq!((r.pos, r.vel), (o.pos, o.vel));
+                    }
+                }
+            }
+        });
     }
 
     #[test]

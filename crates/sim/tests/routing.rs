@@ -2,11 +2,11 @@
 //! inspection protocol: geocast delivery is zone-membership-based, every
 //! transmission is charged, probes are never free.
 
-use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
+use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick, Vector};
 use mknn_mobility::{Motion, SpeedDist, WorkloadSpec};
 use mknn_net::{
     ClientCtx, DownlinkMsg, MsgKind, OpCounters, Outbox, ProbeService, Protocol, QuerySpec,
-    Recipient, ServerPhase, UplinkMsg, Uplinks,
+    Recipient, Registration, ServerPhase, UplinkMsg, Uplinks,
 };
 use mknn_sim::{SimConfig, Simulation, VerifyMode};
 use std::cell::RefCell;
@@ -32,8 +32,7 @@ impl Protocol for Inspector {
 
     fn init(
         &mut self,
-        _bounds: Rect,
-        _objects: &[mknn_mobility::MovingObject],
+        _reg: &dyn Registration,
         _queries: &[QuerySpec],
         _probe: &mut dyn ProbeService,
         _outbox: &mut Outbox,
@@ -258,8 +257,7 @@ fn uplinks_are_charged_per_message_with_the_byte_model() {
         }
         fn init(
             &mut self,
-            _b: Rect,
-            _o: &[mknn_mobility::MovingObject],
+            _reg: &dyn Registration,
             _q: &[QuerySpec],
             _p: &mut dyn ProbeService,
             _out: &mut Outbox,

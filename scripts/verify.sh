@@ -195,8 +195,8 @@ query-dense bf68d7fea14dc8b7'
 
 stage_benchmark() {
     echo "==> benchmark crate (build + test + benchmark/run.sh --quick)"
-    cargo build --release --offline --manifest-path benchmark/Cargo.toml
-    (cd benchmark && cargo test -q --offline)
+    cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+    (cd benchmark && cargo test -q --offline --locked)
     local out="$TMPDIR_VERIFY/benchmark_quick" got name digest
     bash benchmark/run.sh --quick > "$out"
     # One "workload digest" line per timed and per traced run.
