@@ -8,7 +8,7 @@
 //!   `period` ticks (staggered); the server evaluates over its (stale) index
 //!   each tick. Approximate between reports — its accuracy is *measured*,
 //!   not asserted, by the harness.
-//! * [`NaiveBroadcast`] — a per-tick probe strawman: the server probes an
+//! * [`NaiveProbe`] — a per-tick probe strawman: the server probes an
 //!   adaptive zone around each query every tick and rebuilds the answer from
 //!   the replies. Exact, but pays the probe fan-out every tick even when
 //!   nothing changes.
@@ -21,7 +21,7 @@ mod naive;
 mod periodic;
 
 pub use centralized::Centralized;
-pub use naive::NaiveBroadcast;
+pub use naive::NaiveProbe;
 pub use periodic::Periodic;
 
 /// The registration view the unit tests hand to `init`.

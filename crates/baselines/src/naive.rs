@@ -26,25 +26,26 @@ struct NState {
 /// The strawman's server state is purely per-query: under a sharded
 /// deployment each shard probes for the queries homed there.
 #[derive(Debug)]
-pub struct NaiveBroadcast {
+pub struct NaiveProbe {
     /// Zone radius multiplier applied to the last k-th distance.
     headroom: f64,
-    /// Client-side registry (focal → query), shared by every device.
-    specs: Vec<QuerySpec>,
+    /// Client side: per device, the queries it is the focal object of, in
+    /// registration order (ascending query id).
+    focal_of: Vec<Vec<QueryId>>,
     /// Query records, indexed by query id.
     queries: Vec<NState>,
     space_diag: f64,
     empty: Vec<ObjectId>,
 }
 
-impl NaiveBroadcast {
+impl NaiveProbe {
     /// Creates the baseline; `headroom > 1` is the zone over-size factor
     /// that absorbs movement between ticks.
     pub fn new(headroom: f64) -> Self {
         assert!(headroom > 1.0);
-        NaiveBroadcast {
+        NaiveProbe {
             headroom,
-            specs: Vec::new(),
+            focal_of: Vec::new(),
             queries: Vec::new(),
             space_diag: 1.0,
             empty: Vec::new(),
@@ -89,13 +90,13 @@ impl NaiveBroadcast {
     }
 }
 
-impl Default for NaiveBroadcast {
+impl Default for NaiveProbe {
     fn default() -> Self {
-        NaiveBroadcast::new(1.5)
+        NaiveProbe::new(1.5)
     }
 }
 
-impl Protocol for NaiveBroadcast {
+impl Protocol for NaiveProbe {
     fn name(&self) -> &'static str {
         "naive-probe"
     }
@@ -111,7 +112,10 @@ impl Protocol for NaiveBroadcast {
         let world = reg.world();
         let bounds = world.bounds();
         self.space_diag = bounds.min.dist(bounds.max);
-        self.specs = queries.to_vec();
+        self.focal_of = vec![Vec::new(); world.len()];
+        for spec in queries {
+            self.focal_of[spec.focal.index()].push(spec.id);
+        }
         self.queries = queries
             .iter()
             .map(|spec| NState {
@@ -128,23 +132,16 @@ impl Protocol for NaiveBroadcast {
         // Only focal devices speak unprompted (probe replies are handled by
         // the harness's synchronous channel); the uplink is the server's
         // only source for the query position.
-        let specs = &self.specs;
         run_client_phase(
             ctx,
-            &mut vec![(); ctx.len()],
+            &mut self.focal_of,
             up,
             ops,
-            |(), me, _, up, _| {
-                for spec in specs {
-                    if spec.focal == me.id && me.vel != Vector::ZERO {
-                        up.send(
-                            me.id,
-                            UplinkMsg::QueryMove {
-                                query: spec.id,
-                                pos: me.pos,
-                                vel: me.vel,
-                            },
-                        );
+            |focal_of, me, _, up, _| {
+                let (pos, vel) = (me.pos, me.vel);
+                if vel != Vector::ZERO {
+                    for &query in focal_of.iter() {
+                        up.send(me.id, UplinkMsg::QueryMove { query, pos, vel });
                     }
                 }
             },
@@ -192,7 +189,7 @@ mod tests {
     use super::*;
     use crate::testing::Registered;
     use mknn_mobility::MovingObject;
-    use mknn_net::{single_server_phase, ObjReport};
+    use mknn_net::{single_server_phase, MsgKind, ObjReport};
 
     struct TableProbe {
         positions: Vec<Point>,
@@ -225,8 +222,8 @@ mod tests {
     }
 
     /// The baseline registered with one k-NN query focused on device 0.
-    fn setup(k: usize) -> (NaiveBroadcast, TableProbe) {
-        let mut n = NaiveBroadcast::default();
+    fn setup(k: usize) -> (NaiveProbe, TableProbe) {
+        let mut n = NaiveProbe::default();
         let queries = [QuerySpec {
             id: QueryId(0),
             focal: ObjectId(0),
@@ -246,9 +243,55 @@ mod tests {
         (n, probe)
     }
 
-    fn server_phase(n: &mut NaiveBroadcast, probe: &mut TableProbe, up: Uplinks) {
+    fn server_phase(n: &mut NaiveProbe, probe: &mut TableProbe, up: Uplinks) {
         let (mut outbox, mut ops) = (Outbox::new(), OpCounters::default());
         single_server_phase(n, 1, up, probe, &mut outbox, &mut ops);
+    }
+
+    /// One client tick at tick 1 over a perfect link.
+    fn client_phase(n: &mut NaiveProbe, pos: &[Point], vel: &[Vector]) -> Uplinks {
+        let mut up = Uplinks::new();
+        let ctx = mknn_net::ClientCtx {
+            tick: 1,
+            pos,
+            vel,
+            max_speed: &vec![5.0; pos.len()],
+            inboxes: &vec![Vec::new(); pos.len()],
+            link: &mknn_net::FaultyLink::new(mknn_net::FaultPlan::none(), 0),
+            pool: mknn_util::Pool::new(1),
+        };
+        n.client_phase(&ctx, &mut up, &mut OpCounters::default());
+        up
+    }
+
+    #[test]
+    fn a_shared_focal_reports_each_of_its_queries_in_id_order() {
+        let mut n = NaiveProbe::default();
+        let queries = [0, 1].map(|q| QuerySpec {
+            id: QueryId(q),
+            focal: ObjectId(2),
+            k: 2,
+        });
+        let mut probe = TableProbe {
+            positions: objs().iter().map(|o| o.pos).collect(),
+            probes: 0,
+        };
+        n.init(
+            &Registered::new(Rect::square(10_000.0), objs()),
+            &queries,
+            &mut probe,
+            &mut Outbox::new(),
+            &mut OpCounters::default(),
+        );
+        // Every device moves; only device 2 is a focal.
+        let vel = vec![Vector::new(1.0, 0.0); probe.positions.len()];
+        let up = client_phase(&mut n, &probe.positions, &vel);
+        let sent: Vec<_> = up
+            .iter()
+            .map(|(from, m)| (from, m.kind(), m.query()))
+            .collect();
+        let query_move = |q| (ObjectId(2), MsgKind::QueryMove, Some(QueryId(q)));
+        assert_eq!(sent, vec![query_move(0), query_move(1)]);
     }
 
     #[test]
@@ -294,17 +337,7 @@ mod tests {
         let mut vel = vec![Vector::ZERO; pos.len()];
         pos[0] = Point::new(690.0, 0.0);
         vel[0] = Vector::new(690.0, 0.0);
-        let mut up = Uplinks::new();
-        let ctx = mknn_net::ClientCtx {
-            tick: 1,
-            pos: &pos,
-            vel: &vel,
-            max_speed: &vec![5.0; pos.len()],
-            inboxes: &vec![Vec::new(); pos.len()],
-            link: &mknn_net::FaultyLink::new(mknn_net::FaultPlan::none(), 0),
-            pool: mknn_util::Pool::new(1),
-        };
-        n.client_phase(&ctx, &mut up, &mut OpCounters::default());
+        let up = client_phase(&mut n, &pos, &vel);
         assert_eq!(up.len(), 1, "the focal reports its move");
         // ... but the link drops it: the server must still evaluate around
         // the last position it actually heard.

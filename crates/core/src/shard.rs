@@ -7,8 +7,8 @@
 //! its focal object. Work that spans blocks travels over an inter-shard
 //! backbone as explicit [`ShardMsg`]s:
 //!
-//! * a zone-scoped task (geocast, probe, broadcast) whose zone overlaps a
-//!   foreign block **fans out** to each covering shard;
+//! * a zone-scoped task (geocast, probe) whose zone overlaps a foreign
+//!   block **fans out** to each covering shard;
 //! * covering shards return **partial answers** that the home shard merges;
 //! * uplinks surfacing at a foreign shard and unicasts delivered through a
 //!   foreign block are **forwarded**;
@@ -112,12 +112,9 @@ impl ShardGrid {
         )
     }
 
-    /// Shard ids whose blocks intersect `zone`, ascending. `G` is small, so
-    /// a linear scan over the blocks is simpler than walking the grid.
-    pub fn overlapping(&self, zone: &Circle) -> Vec<u32> {
-        (0..self.count())
-            .filter(|&s| self.rect_of(s).intersects_circle(zone))
-            .collect()
+    /// Whether shard `id`'s block intersects `zone`.
+    pub fn overlaps(&self, id: u32, zone: &Circle) -> bool {
+        self.rect_of(id).intersects_circle(zone)
     }
 }
 
@@ -138,9 +135,6 @@ pub struct ShardCoordinator {
     /// and again after its home crashes). Shared, because the server phase
     /// reads it ([`Self::query_homes`]) while its probes route through here.
     query_home: Arc<Vec<u32>>,
-    /// Smallest circle covering the world rectangle — the zone a broadcast
-    /// fans out over (every shard covers part of it).
-    world_zone: Circle,
     /// Crash state per shard: `true` while inside a planned crash window.
     down: Vec<bool>,
     /// Covering shard per shard: self while up; while down, the nearest up
@@ -162,14 +156,12 @@ impl ShardCoordinator {
     /// becomes a no-op charge-wise, so the overlay stays empty.
     pub fn new(bounds: Rect, shards: u32) -> Self {
         let grid = ShardGrid::new(bounds, shards);
-        let half_diag = bounds.center().dist(bounds.max);
         let count = grid.count();
         ShardCoordinator {
             grid,
             load: vec![0; count as usize],
             object_home: Vec::new(),
             query_home: Arc::default(),
-            world_zone: Circle::new(bounds.center(), half_diag),
             down: vec![false; count as usize],
             fallback: (0..count).collect(),
             queued: Vec::new(),
@@ -483,52 +475,33 @@ impl ShardCoordinator {
     }
 
     /// Query `q`'s home shard services a zone-scoped task; each foreign
-    /// covering shard receives a [`ShardMsg::Fanout`]. Returns the foreign
-    /// covering shards, ascending. Down shards in the covering set are
-    /// remapped to their fallback and deduplicated, so a fan-out never
-    /// addresses a dead shard (and shrinks while one is down).
+    /// covering shard receives one [`ShardMsg::Fanout`]. A down shard's
+    /// block is covered by its fallback, so a fan-out never addresses a
+    /// dead shard (and shrinks while one is down).
     pub fn route_geocast(
         &mut self,
         q: QueryId,
         zone: &Circle,
         stats: &mut NetStats,
         mut fault: Option<&mut FaultyLink>,
-    ) -> Vec<u32> {
+    ) {
         let home = self.effective(self.query_home(q));
         self.load[home as usize] += 1;
-        let mut foreign: Vec<u32> = self
-            .grid
-            .overlapping(zone)
-            .into_iter()
-            .map(|s| self.effective(s))
-            .filter(|&s| s != home)
-            .collect();
-        foreign.sort_unstable();
-        foreign.dedup();
-        for &s in &foreign {
-            self.charge(
-                ShardMsg::Fanout {
+        // Whether block `s` intersects the zone and is served by `to`.
+        let serves = |c: &Self, s: u32, to: u32| c.effective(s) == to && c.grid.overlaps(s, zone);
+        for s in 0..self.grid.count() {
+            // A covering shard hears the task once, at the first block of
+            // the zone it serves.
+            let to = self.effective(s);
+            if to != home && serves(self, s, to) && !(0..s).any(|t| serves(self, t, to)) {
+                let msg = ShardMsg::Fanout {
                     query: q,
                     zone: *zone,
-                },
-                stats,
-                &mut fault,
-            );
-            self.load[s as usize] += 1;
+                };
+                self.charge(msg, stats, &mut fault);
+                self.load[to as usize] += 1;
+            }
         }
-        foreign
-    }
-
-    /// A broadcast fans out to every shard: the zone is the circumscribed
-    /// world circle.
-    pub fn route_broadcast(
-        &mut self,
-        q: QueryId,
-        stats: &mut NetStats,
-        fault: Option<&mut FaultyLink>,
-    ) -> Vec<u32> {
-        let zone = self.world_zone;
-        self.route_geocast(q, &zone, stats, fault)
     }
 
     /// A covering shard returns its `count`-candidate partial answer for
@@ -598,14 +571,19 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_is_sorted_and_tight() {
+    fn overlaps_is_tight() {
         let grid = ShardGrid::new(world(), 4); // 2×2, blocks of 500
+        let covering = |zone| {
+            (0..4)
+                .filter(|&s| grid.overlaps(s, &zone))
+                .collect::<Vec<_>>()
+        };
         let inside = Circle::new(Point::new(250.0, 250.0), 100.0);
-        assert_eq!(grid.overlapping(&inside), vec![0]);
+        assert_eq!(covering(inside), vec![0]);
         let spanning = Circle::new(Point::new(500.0, 250.0), 60.0);
-        assert_eq!(grid.overlapping(&spanning), vec![0, 1]);
+        assert_eq!(covering(spanning), vec![0, 1]);
         let everywhere = Circle::new(Point::new(500.0, 500.0), 800.0);
-        assert_eq!(grid.overlapping(&everywhere), vec![0, 1, 2, 3]);
+        assert_eq!(covering(everywhere), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -630,16 +608,11 @@ mod tests {
         coord.track_query(QueryId(0), Point::new(990.0, 990.0), 4, &mut stats, None);
         coord.route_uplink(Some(QueryId(0)), Point::new(5.0, 5.0), 44, &mut stats, None);
         coord.route_unicast(QueryId(0), Point::new(900.0, 5.0), 52, &mut stats, None);
-        let zone = Circle::new(Point::new(500.0, 500.0), 400.0);
-        assert!(coord
-            .route_geocast(QueryId(0), &zone, &mut stats, None)
-            .is_empty());
-        assert!(coord
-            .route_broadcast(QueryId(0), &mut stats, None)
-            .is_empty());
+        let zone = Circle::new(Point::new(500.0, 500.0), 800.0);
+        coord.route_geocast(QueryId(0), &zone, &mut stats, None);
         coord.probe_gather(QueryId(0), 0, 5, &mut stats, None);
         assert!(stats.shard.is_empty());
-        assert_eq!(coord.loads(), vec![4]); // uplink + unicast + geocast + broadcast
+        assert_eq!(coord.loads(), vec![3]); // uplink + unicast + geocast
     }
 
     #[test]
@@ -697,26 +670,41 @@ mod tests {
         coord.route_unicast(QueryId(0), Point::new(900.0, 100.0), 52, &mut stats, None);
         assert_eq!(stats.shard.forward_msgs, 2);
 
-        // Geocast zone covering shards 0 and 1: one fan-out leg.
+        // A geocast loads the home and each foreign covering shard once.
+        let mut geocast = |zone| {
+            let (before, fanouts) = (coord.loads(), stats.shard.fanout_msgs);
+            coord.route_geocast(QueryId(0), &zone, &mut stats, None);
+            let after = coord.loads();
+            let delta: Vec<u64> = (0..4).map(|s| after[s] - before[s]).collect();
+            (delta, stats.shard.fanout_msgs - fanouts)
+        };
+        // Zone covering shards 0 and 1: one fan-out leg.
         let zone = Circle::new(Point::new(500.0, 100.0), 80.0);
-        assert_eq!(
-            coord.route_geocast(QueryId(0), &zone, &mut stats, None),
-            vec![1]
-        );
-        assert_eq!(stats.shard.fanout_msgs, 1);
-
-        // Broadcast reaches all three foreign shards.
-        assert_eq!(
-            coord.route_broadcast(QueryId(0), &mut stats, None),
-            vec![1, 2, 3]
-        );
-        assert_eq!(stats.shard.fanout_msgs, 4);
+        assert_eq!(geocast(zone), (vec![1, 1, 0, 0], 1));
+        // Zone covering every block: all three foreign shards.
+        let zone = Circle::new(Point::new(500.0, 500.0), 800.0);
+        assert_eq!(geocast(zone), (vec![1, 1, 1, 1], 3));
 
         // Partial answers: home replies are free, foreign ones are merged.
         coord.probe_gather(QueryId(0), 0, 9, &mut stats, None);
         assert_eq!(stats.shard.merge_msgs, 0);
         coord.probe_gather(QueryId(0), 3, 9, &mut stats, None);
         assert_eq!(stats.shard.merge_msgs, 1);
+    }
+
+    #[test]
+    fn geocast_fanout_reaches_a_fallback_once() {
+        let mut coord = ShardCoordinator::new(world(), 4); // 2×2
+        let mut stats = NetStats::default();
+        coord.track_query(QueryId(0), Point::new(100.0, 900.0), 4, &mut stats, None);
+        assert_eq!(coord.query_home(QueryId(0)), 2);
+        // Shard 1 is down; blocks 0 and 3 tie on distance, so 0 covers it.
+        coord.crash(1);
+        assert_eq!(coord.effective(1), 0);
+        let zone = Circle::new(Point::new(500.0, 500.0), 800.0);
+        coord.route_geocast(QueryId(0), &zone, &mut stats, None);
+        assert_eq!(stats.shard.fanout_msgs, 2, "shards 0 and 3, once each");
+        assert_eq!(coord.loads(), vec![1, 0, 1, 1]);
     }
 
     /// The premise of sizing only query-scoped uplinks on the route path: a
@@ -760,7 +748,8 @@ mod tests {
             &mut stats,
             Some(&mut link),
         );
-        coord.route_broadcast(QueryId(0), &mut stats, Some(&mut link));
+        let zone = Circle::new(Point::new(500.0, 500.0), 800.0);
+        coord.route_geocast(QueryId(0), &zone, &mut stats, Some(&mut link));
         assert_eq!(stats.shard.fanout_msgs, 3);
         assert_eq!(
             stats.shard.retransmits,

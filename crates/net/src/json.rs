@@ -112,7 +112,6 @@ mod tests {
         s.count_uplink(MsgKind::Position, 44);
         s.count_geocast(MsgKind::InstallRegion, 9);
         s.count_frame(52 * 9, 3);
-        s.count_broadcast(MsgKind::Probe, 36);
         let json = to_string(&s);
         let back: NetStats = from_str(&json).unwrap();
         assert_eq!(back, s);

@@ -332,9 +332,6 @@ pub enum Recipient {
     /// Every device currently inside the zone. Charged per overlapped grid
     /// cell by the harness (the infrastructure pages each cell once).
     Geocast(Circle),
-    /// Every device in the system (charged as one system-wide broadcast per
-    /// the byte model; used only by the naive baseline).
-    Broadcast,
 }
 
 /// Message kind labels for per-kind tallies (Experiment E10's breakdown).

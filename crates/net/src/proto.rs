@@ -544,11 +544,7 @@ mod tests {
             Recipient::Geocast(Circle::new(Point::ORIGIN, 5.0)),
             DownlinkMsg::RemoveRegion { query: QueryId(0) },
         );
-        out.send(
-            Recipient::Broadcast,
-            DownlinkMsg::RemoveRegion { query: QueryId(1) },
-        );
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.len(), 2);
         assert!(matches!(out.iter().next().unwrap().0, Recipient::One(_)));
     }
 

@@ -129,10 +129,10 @@ pub struct NetStats {
     /// (the infrastructure pages each cell once, regardless of how many
     /// devices listen).
     pub downlink_geocast_msgs: u64,
-    /// System-wide broadcasts.
+    /// System-wide broadcasts. No send is a broadcast any more, so this
+    /// stays zero; it is kept only because the benchmark still reads it.
     pub downlink_broadcast_msgs: u64,
-    /// Server → device bytes across unicast, geocast and broadcast
-    /// transmissions.
+    /// Server → device bytes across unicast and geocast transmissions.
     pub downlink_bytes: u64,
     /// Per message-kind tallies (logical messages, not transmissions).
     pub by_kind: BTreeMap<MsgKind, u64>,
@@ -175,10 +175,7 @@ impl NetStats {
     /// Total logical + transmission message count, the paper family's
     /// headline "communication cost" metric.
     pub fn total_msgs(&self) -> u64 {
-        self.uplink_msgs
-            + self.downlink_unicast_msgs
-            + self.downlink_geocast_msgs
-            + self.downlink_broadcast_msgs
+        self.uplink_msgs + self.downlink_unicast_msgs + self.downlink_geocast_msgs
     }
 
     /// Total bytes in both directions.
@@ -204,13 +201,6 @@ impl NetStats {
     /// the recipients' frames ([`Self::count_frame`]).
     pub fn count_geocast(&mut self, kind: MsgKind, cells: usize) {
         self.downlink_geocast_msgs += cells as u64;
-        *self.by_kind.entry(kind).or_insert(0) += 1;
-    }
-
-    /// Records one system-wide broadcast.
-    pub fn count_broadcast(&mut self, kind: MsgKind, bytes: usize) {
-        self.downlink_broadcast_msgs += 1;
-        self.downlink_bytes += bytes as u64;
         *self.by_kind.entry(kind).or_insert(0) += 1;
     }
 
@@ -277,14 +267,12 @@ mod tests {
         s.count_frame(28, 3);
         s.count_geocast(MsgKind::InstallRegion, 9);
         s.count_frame(52 * 9, 3);
-        s.count_broadcast(MsgKind::Probe, 36);
         assert_eq!(s.uplink_msgs, 2);
         assert_eq!(s.uplink_bytes, 88);
         assert_eq!(s.downlink_unicast_msgs, 1);
         assert_eq!(s.downlink_geocast_msgs, 9);
-        assert_eq!(s.downlink_broadcast_msgs, 1);
-        assert_eq!(s.downlink_bytes, 28 + 52 * 9 + 36);
-        assert_eq!(s.total_msgs(), 2 + 1 + 9 + 1);
+        assert_eq!(s.downlink_bytes, 28 + 52 * 9);
+        assert_eq!(s.total_msgs(), 2 + 1 + 9);
         assert_eq!(s.by_kind[&MsgKind::Enter], 2);
     }
 

@@ -119,7 +119,7 @@ fn stats_totals_equal_sum_of_parts() {
             expect_bytes += m.size_bytes() as u64;
         }
         for (i, m) in downs.iter().enumerate() {
-            match i % 3 {
+            match i % 2 {
                 // Unicast and geocast bytes are charged where the engine
                 // charges them: on the frames that carry the copies.
                 0 => {
@@ -128,16 +128,11 @@ fn stats_totals_equal_sum_of_parts() {
                     expect_msgs += 1;
                     expect_bytes += m.size_bytes() as u64;
                 }
-                1 => {
+                _ => {
                     s.count_geocast(m.kind(), cells);
                     s.count_frame((m.size_bytes() * cells) as u64, 0);
                     expect_msgs += cells as u64;
                     expect_bytes += (m.size_bytes() * cells) as u64;
-                }
-                _ => {
-                    s.count_broadcast(m.kind(), m.size_bytes());
-                    expect_msgs += 1;
-                    expect_bytes += m.size_bytes() as u64;
                 }
             }
         }

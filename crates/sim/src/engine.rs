@@ -3,7 +3,7 @@
 use crate::{check_answer, knn_excluding, AnswerCheck, EpisodeMetrics, SimConfig, VerifyMode};
 use mknn_core::ShardCoordinator;
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick};
-use mknn_index::GridIndex;
+use mknn_index::{GridIndex, Neighbor};
 use mknn_mobility::{MovingObject, World};
 use mknn_net::{
     CrashWindow, Delivery, DownlinkBuilder, DownlinkMsg, FaultPlan, FaultyLink, MsgKind, NetStats,
@@ -13,56 +13,181 @@ use mknn_net::{
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// The harness's synchronous probe channel, one per server phase (and one
-/// for the init handshake), shared by every shard in turn: answers from
-/// true positions, charging every probe geocast/unicast, every reply and
-/// every backbone leg at the point of issue.
+/// The engine's one downlink path (DESIGN.md §10), built once for the init
+/// handshake and once per tick. Every server → device send — outbox
+/// unicasts and geocasts, probes, polls and answer pushes — is scoped,
+/// charged and staged through four primitives: [`Self::page`] a zone,
+/// [`Self::address`] one device, [`Self::deliver`] a copy, [`Self::ask`] a
+/// device. [`Self::finish`] then flushes one frame per staged device.
 ///
-/// A probe round trip is one synchronous RPC, so the fault layer only
-/// applies **loss and churn** to it (a duplicated or delayed reply is
-/// indistinguishable from a lost one to a caller that waits exactly one
-/// round): the request leg can fail with the downlink loss rate, the reply
-/// leg with the uplink loss rate, and offline devices never answer. Leg
-/// fates come from the probing query's own stream, so they do not depend
-/// on which shard issued the probe or in what order.
-struct ShardProbe<'a, 'r> {
+/// As the [`ProbeService`] every shard task shares, it answers from true
+/// positions and charges each leg at the point of issue. A probe round
+/// trip is one synchronous RPC, so the fault layer only applies **loss and
+/// churn** to it (a duplicated or delayed reply is indistinguishable from a
+/// lost one to a caller that waits exactly one round): the request leg can
+/// fail with the downlink loss rate, the reply leg with the uplink loss
+/// rate, and offline devices never answer. Leg fates come from the probing
+/// query's own stream, so they do not depend on which shard issued the
+/// probe or in what order.
+struct Downlink<'a> {
     infra: &'a GridIndex,
     world: &'a World,
     coord: &'a mut ShardCoordinator,
     link: &'a mut FaultyLink,
     stats: &'a mut NetStats,
-    builder: &'a mut DownlinkBuilder<'r>,
+    builder: DownlinkBuilder<'a>,
+    inboxes: &'a mut [Vec<DownlinkMsg>],
 }
 
-impl ProbeService for ShardProbe<'_, '_> {
-    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport> {
-        let msg = DownlinkMsg::Probe { query, zone };
+impl Downlink<'_> {
+    /// Pages `msg` over `zone`: one geocast transmission per overlapped
+    /// paging cell and one `Fanout` per foreign covering shard. Returns the
+    /// devices interested in it, which are exactly the zone's members.
+    fn page(&mut self, zone: Circle, msg: &DownlinkMsg) -> Vec<Neighbor> {
         let cells = self.infra.cells_overlapping(&zone);
+        self.stats.count_geocast(msg.kind(), cells);
+        self.coord
+            .route_geocast(msg.query(), &zone, self.stats, Some(&mut *self.link));
+        self.infra.range(&zone)
+    }
+
+    /// Addresses `msg` to device `id`: one logical unicast, forwarded over
+    /// the backbone when the device stands in a foreign shard's block. Ids
+    /// the infrastructure does not track have no block, hence no shard leg.
+    fn address(&mut self, id: ObjectId, msg: &DownlinkMsg) {
+        self.stats.count_unicast(msg.kind());
+        if let Some(pos) = self.infra.position(id) {
+            let bytes = msg.size_bytes();
+            self.coord
+                .route_unicast(msg.query(), pos, bytes, self.stats, Some(&mut *self.link));
+        }
+    }
+
+    /// Delivers one copy of `msg` to device `id` through the link and
+    /// stages it for the device's frame with its fate. A recipient without
+    /// an inbox has no device to frame to (its logical charge still
+    /// stands).
+    fn deliver(&mut self, id: ObjectId, msg: DownlinkMsg) {
+        let delivery = self
+            .link
+            .deliver_down(id.index(), msg, self.inboxes, self.stats);
+        if id.index() < self.inboxes.len() {
+            self.builder.stage(id, msg, delivery);
+        }
+    }
+
+    /// Asks device `id` for its state with the probe copy `msg`: the
+    /// request leg is staged with its fate, and a device that heard it
+    /// replies (charged whether or not the reply survives). A poll's reply
+    /// is `forward`ed to the query's home at once; a probe's replies are
+    /// gathered per shard by the caller instead.
+    fn ask(&mut self, id: ObjectId, msg: DownlinkMsg, forward: bool) -> Option<ObjReport> {
+        let query = msg.query();
+        let delivery = self.link.probe_request(query, id.index(), self.stats);
+        self.builder.stage(id, msg, delivery);
+        if delivery != Delivery::Delivered {
+            return None;
+        }
+        let MovingObject { pos, vel, .. } = self.world.object(id);
+        let bytes = UplinkMsg::ProbeReply { query, pos, vel }.size_bytes();
+        self.stats.count_uplink(MsgKind::ProbeReply, bytes);
+        if forward {
+            let link = Some(&mut *self.link);
+            self.coord
+                .route_uplink(Some(query), pos, bytes, self.stats, link);
+        }
+        if self.link.probe_reply_lost(query, self.stats) {
+            return None;
+        }
+        Some(ObjReport { id, pos, vel })
+    }
+
+    /// Routes the tasks' outboxes in ascending shard order. Due delayed
+    /// downlinks are delivered first; then every copy (one per geocast
+    /// receiver) makes its own fault draws, in deterministic recipient
+    /// order.
+    fn route(&mut self, tasks: &[ShardTask]) {
+        self.link.drain_due_down(self.inboxes, self.stats);
+        for (recipient, &msg) in tasks.iter().flat_map(|t| t.outbox.iter()) {
+            match *recipient {
+                Recipient::One(id) => {
+                    self.address(id, &msg);
+                    self.deliver(id, msg);
+                }
+                Recipient::Geocast(zone) => {
+                    for n in self.page(zone, &msg) {
+                        self.deliver(n.id, msg);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Answer replication (DESIGN.md §10): pushes each query's current
+    /// answer to its focal device whenever it differs from what was last
+    /// pushed.
+    ///
+    /// Answer pushes are harness-level accounting traffic: they never enter
+    /// an inbox, never take a shard leg and never consume fault-layer RNG.
+    /// Each push is counted as a logical unicast; its bytes ride the tick's
+    /// frame as a delta against the focal's acked copy. The delivery
+    /// outcome feeding the ack machine is churn-only (an offline focal
+    /// gaps).
+    fn push_answers(
+        &mut self,
+        proto: &dyn Protocol,
+        specs: &[QuerySpec],
+        last_sent: &mut [Vec<ObjectId>],
+    ) {
+        let ordered = proto.ordered_answers();
+        let mut members = Vec::new();
+        for (qi, spec) in specs.iter().enumerate() {
+            members.clear();
+            members.extend_from_slice(proto.answer(spec.id));
+            if !ordered {
+                members.sort_unstable_by_key(|m| m.0);
+            }
+            if members == last_sent[qi] {
+                continue;
+            }
+            self.stats.count_unicast(MsgKind::AnswerPush);
+            let delivery = if self.link.is_offline(spec.focal.index()) {
+                Delivery::Offline
+            } else {
+                Delivery::Delivered
+            };
+            self.builder
+                .stage_answer(spec.focal, spec.id, &members, ordered, delivery);
+            last_sent[qi].clone_from(&members);
+        }
+    }
+
+    /// The downlink side of the route phase, shared by the init handshake
+    /// and every tick: routes the outboxes, lets answer replication ride
+    /// the same tick's frames, then flushes one frame per staged device.
+    fn finish(
+        mut self,
+        tasks: &[ShardTask],
+        proto: &dyn Protocol,
+        specs: &[QuerySpec],
+        last_sent: &mut [Vec<ObjectId>],
+    ) {
+        self.route(tasks);
+        self.push_answers(proto, specs, last_sent);
+        self.builder.flush_frames(self.stats);
+    }
+}
+
+impl ProbeService for Downlink<'_> {
+    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport> {
         // Request legs are priced per interested device when the staged
         // copies are framed, not per message.
-        self.stats.count_geocast(MsgKind::Probe, cells);
-        // The probe zone scatters to every covering shard; each foreign one
-        // merges its partial answer back at the home shard afterwards.
-        self.coord
-            .route_geocast(query, &zone, self.stats, Some(&mut *self.link));
+        let msg = DownlinkMsg::Probe { query, zone };
         let mut out = Vec::new();
-        for n in self.infra.range(&zone) {
-            if n.id == exclude {
-                continue;
+        for n in self.page(zone, &msg) {
+            if n.id != exclude {
+                out.extend(self.ask(n.id, msg, false));
             }
-            let delivery = self.link.probe_request(query, n.id.index(), self.stats);
-            self.builder.stage(n.id, msg, delivery);
-            if delivery != Delivery::Delivered {
-                continue;
-            }
-            let MovingObject { pos, vel, .. } = self.world.object(n.id);
-            let reply = UplinkMsg::ProbeReply { query, pos, vel };
-            self.stats
-                .count_uplink(MsgKind::ProbeReply, reply.size_bytes());
-            if self.link.probe_reply_lost(query, self.stats) {
-                continue;
-            }
-            out.push(ObjReport { id: n.id, pos, vel });
         }
         // Gather: delivered replies surface at the shard serving the
         // sender's block (its fallback while the owner is down); foreign
@@ -87,40 +212,10 @@ impl ProbeService for ShardProbe<'_, '_> {
         if id.index() >= self.world.len() {
             return None;
         }
-        let MovingObject { pos, vel, .. } = self.world.object(id);
-        let ask = DownlinkMsg::Probe {
-            query,
-            zone: Circle::new(pos, 0.0),
-        };
-        self.stats.count_unicast(MsgKind::Probe);
-        // A poll into a foreign block is forwarded there and the reply
-        // forwarded back.
-        self.coord.route_unicast(
-            query,
-            pos,
-            ask.size_bytes(),
-            self.stats,
-            Some(&mut *self.link),
-        );
-        let delivery = self.link.probe_request(query, id.index(), self.stats);
-        self.builder.stage(id, ask, delivery);
-        if delivery != Delivery::Delivered {
-            return None;
-        }
-        let reply = UplinkMsg::ProbeReply { query, pos, vel };
-        self.stats
-            .count_uplink(MsgKind::ProbeReply, reply.size_bytes());
-        self.coord.route_uplink(
-            Some(query),
-            pos,
-            reply.size_bytes(),
-            self.stats,
-            Some(&mut *self.link),
-        );
-        if self.link.probe_reply_lost(query, self.stats) {
-            return None;
-        }
-        Some(ObjReport { id, pos, vel })
+        let zone = Circle::new(self.world.position(id), 0.0);
+        let msg = DownlinkMsg::Probe { query, zone };
+        self.address(id, &msg);
+        self.ask(id, msg, true)
     }
 }
 
@@ -181,7 +276,7 @@ pub struct Simulation {
     /// alter chunking.
     pool: mknn_util::Pool,
     /// Interest-scoped downlink replication (DESIGN.md §10): per-device
-    /// delta/ack state, driving the frame batching in `route`.
+    /// delta/ack state, driving the frame batching in [`Downlink`].
     repl: ReplStore,
     /// Per query: the answer list most recently pushed to its focal device
     /// (rank order for ordered protocols, canonical ascending-id order
@@ -283,21 +378,22 @@ impl Simulation {
         let t0 = Instant::now();
         let mut repl = ReplStore::new();
         let mut last_sent = vec![Vec::new(); specs.len()];
-        let mut builder = repl.begin_tick(0);
+        let mut downlink = Downlink {
+            infra: &infra,
+            world: &world,
+            coord: &mut coord,
+            link: &mut handshake,
+            stats: &mut metrics.net,
+            builder: repl.begin_tick(0),
+            inboxes: &mut inboxes,
+        };
         proto.init(
             &GridRegistration {
                 world: &world,
                 infra: &infra,
             },
             &specs,
-            &mut ShardProbe {
-                infra: &infra,
-                world: &world,
-                coord: &mut coord,
-                link: &mut handshake,
-                stats: &mut metrics.net,
-                builder: &mut builder,
-            },
+            &mut downlink,
             &mut init_task.outbox,
             &mut init_task.ops,
         );
@@ -308,18 +404,7 @@ impl Simulation {
         metrics.server_seconds += init_secs;
         metrics.ops += init_task.ops;
         let t_route = Instant::now();
-        downlink_tail(
-            &tasks,
-            &infra,
-            &mut inboxes,
-            &mut metrics.net,
-            &mut handshake,
-            &mut coord,
-            proto.as_ref(),
-            &specs,
-            &mut last_sent,
-            builder,
-        );
+        downlink.finish(&tasks, proto.as_ref(), &specs, &mut last_sent);
         let route_secs = t_route.elapsed().as_secs_f64();
         metrics.route_seconds += route_secs;
         metrics.proto_seconds += init_secs + route_secs;
@@ -497,8 +582,8 @@ impl Simulation {
         };
         self.proto.client_phase(&ctx, &mut uplinks, &mut ops);
         // Every inbox was consumed this tick, or is lost with its offline
-        // device (delivered while it was still reachable); `route` refills
-        // them below for the next one.
+        // device (delivered while it was still reachable); the downlink
+        // refills them below for the next one.
         for (i, inbox) in self.inboxes.iter_mut().enumerate() {
             if self.link.is_offline(i) {
                 self.metrics.net.dropped_msgs += inbox.len() as u64;
@@ -544,23 +629,24 @@ impl Simulation {
         // Server phase: one task per shard, run in ascending shard id, each
         // over the queries homed at its shard. The homes are the
         // coordinator's own table, current after the tracking pass above;
-        // the one [`ShardProbe`] the tasks share charges the coordinator,
-        // the counters and the downlink builder as the probes are issued.
+        // the tick's one [`Downlink`] is the probe the tasks share, and it
+        // charges and stages every probe as it is issued.
         let t_server = Instant::now();
-        let mut builder = self.repl.begin_tick(self.tick);
         let homes = self.coord.query_homes();
+        let mut downlink = Downlink {
+            infra: &self.infra,
+            world: &self.world,
+            coord: &mut self.coord,
+            link: &mut self.link,
+            stats: &mut self.metrics.net,
+            builder: self.repl.begin_tick(self.tick),
+            inboxes: &mut self.inboxes,
+        };
         self.proto.server_phase(&mut ServerPhase {
             tick: self.tick,
             homes: &homes,
             tasks: &mut self.tasks,
-            probe: &mut ShardProbe {
-                infra: &self.infra,
-                world: &self.world,
-                coord: &mut self.coord,
-                link: &mut self.link,
-                stats: &mut self.metrics.net,
-                builder: &mut builder,
-            },
+            probe: &mut downlink,
         });
         // Op totals and the per-shard wall-time breakdown.
         for task in &self.tasks {
@@ -572,17 +658,11 @@ impl Simulation {
 
         // Route phase, downlink side.
         let t_route = Instant::now();
-        downlink_tail(
+        downlink.finish(
             &self.tasks,
-            &self.infra,
-            &mut self.inboxes,
-            &mut self.metrics.net,
-            &mut self.link,
-            &mut self.coord,
             self.proto.as_ref(),
             &self.specs,
             &mut self.last_sent,
-            builder,
         );
         route_secs += t_route.elapsed().as_secs_f64();
         self.metrics.client_seconds += client_secs;
@@ -681,134 +761,6 @@ impl Simulation {
             self.step();
         }
         self.metrics
-    }
-}
-
-/// The downlink side of the route phase, shared by the init handshake and
-/// every tick: routes the tasks' outboxes, lets answer replication ride the
-/// same tick's frames, then flushes one frame per staged device.
-#[allow(clippy::too_many_arguments)]
-fn downlink_tail(
-    tasks: &[ShardTask],
-    infra: &GridIndex,
-    inboxes: &mut [Vec<DownlinkMsg>],
-    stats: &mut NetStats,
-    link: &mut FaultyLink,
-    coord: &mut ShardCoordinator,
-    proto: &dyn Protocol,
-    specs: &[QuerySpec],
-    last_sent: &mut [Vec<ObjectId>],
-    mut builder: DownlinkBuilder,
-) {
-    route(tasks, infra, inboxes, stats, link, coord, &mut builder);
-    replicate_answers(proto, specs, last_sent, link, stats, &mut builder);
-    builder.flush_frames(stats);
-}
-
-/// Answer replication (DESIGN.md §10): pushes each query's current answer
-/// to its focal device whenever it differs from what was last pushed.
-///
-/// Like probes, answer pushes are harness-level accounting traffic — they
-/// never enter an inbox and never consume fault-layer RNG. Each push is
-/// counted as a logical unicast; its bytes ride the tick's frame as a delta
-/// against the focal's acked copy. The delivery outcome feeding the ack
-/// machine is churn-only (an offline focal gaps).
-fn replicate_answers(
-    proto: &dyn Protocol,
-    specs: &[QuerySpec],
-    last_sent: &mut [Vec<ObjectId>],
-    link: &FaultyLink,
-    stats: &mut NetStats,
-    builder: &mut DownlinkBuilder,
-) {
-    let ordered = proto.ordered_answers();
-    let mut members = Vec::new();
-    for (qi, spec) in specs.iter().enumerate() {
-        members.clear();
-        members.extend_from_slice(proto.answer(spec.id));
-        if !ordered {
-            members.sort_unstable_by_key(|m| m.0);
-        }
-        if members == last_sent[qi] {
-            continue;
-        }
-        stats.count_unicast(MsgKind::AnswerPush);
-        let delivery = if link.is_offline(spec.focal.index()) {
-            Delivery::Offline
-        } else {
-            Delivery::Delivered
-        };
-        builder.stage_answer(spec.focal, spec.id, &members, ordered, delivery);
-        last_sent[qi].clone_from(&members);
-    }
-}
-
-/// Routes the tasks' outboxes in ascending shard order: charges every
-/// transmission and fills device inboxes through the link. Due delayed
-/// downlinks are delivered first, then every
-/// individual delivery (one per geocast/broadcast receiver) makes its own
-/// fault draws, in deterministic recipient order; a recipient the engine
-/// has no inbox for is skipped, not a panic.
-///
-/// Unicasts and geocasts are charged as logical messages here (unicast,
-/// geocast-cell, per-kind) and their bytes per frame: each delivery is
-/// staged on the builder, which the caller flushes into per-device frames.
-/// Broadcasts have no interest set: they are charged per message and never
-/// framed.
-fn route(
-    tasks: &[ShardTask],
-    infra: &GridIndex,
-    inboxes: &mut [Vec<DownlinkMsg>],
-    stats: &mut NetStats,
-    link: &mut FaultyLink,
-    coord: &mut ShardCoordinator,
-    builder: &mut DownlinkBuilder,
-) {
-    link.drain_due_down(inboxes, stats);
-    for (recipient, msg) in tasks.iter().flat_map(|t| t.outbox.iter()) {
-        match *recipient {
-            Recipient::One(id) => {
-                stats.count_unicast(msg.kind());
-                // A unicast into a foreign shard's block is forwarded there
-                // over the backbone. Recipients the infrastructure does not
-                // track have no block, hence no shard leg.
-                if let Some(pos) = infra.position(id) {
-                    coord.route_unicast(
-                        msg.query(),
-                        pos,
-                        msg.size_bytes(),
-                        stats,
-                        Some(&mut *link),
-                    );
-                }
-                let delivery = link.deliver_down(id.index(), *msg, inboxes, stats);
-                // Recipients without an inbox have no device to frame to
-                // (the logical charge above still stands).
-                if id.index() < inboxes.len() {
-                    builder.stage(id, *msg, delivery);
-                }
-            }
-            Recipient::Geocast(zone) => {
-                let cells = infra.cells_overlapping(&zone);
-                stats.count_geocast(msg.kind(), cells);
-                coord.route_geocast(msg.query(), &zone, stats, Some(&mut *link));
-                // The devices interested in this send are exactly the
-                // zone's members (region members and imminent entrants).
-                for n in infra.range(&zone) {
-                    let delivery = link.deliver_down(n.id.index(), *msg, inboxes, stats);
-                    if n.id.index() < inboxes.len() {
-                        builder.stage(n.id, *msg, delivery);
-                    }
-                }
-            }
-            Recipient::Broadcast => {
-                stats.count_broadcast(msg.kind(), msg.size_bytes());
-                coord.route_broadcast(msg.query(), stats, Some(&mut *link));
-                for i in 0..inboxes.len() {
-                    link.deliver_down(i, *msg, inboxes, stats);
-                }
-            }
-        }
     }
 }
 
@@ -917,41 +869,72 @@ mod tests {
         });
     }
 
+    /// What a test [`Downlink`] borrows: the tick-0 world of
+    /// `SimConfig::small()`, its grid, a `shards`-way coordinator that has
+    /// seen every device, and a perfect link.
+    struct Rig {
+        world: World,
+        infra: GridIndex,
+        coord: ShardCoordinator,
+        link: FaultyLink,
+        stats: NetStats,
+        repl: ReplStore,
+        inboxes: Vec<Vec<DownlinkMsg>>,
+    }
+
+    impl Rig {
+        fn new(shards: u32) -> Self {
+            let cfg = SimConfig::small();
+            let world = cfg.workload.build();
+            let (bounds, cells) = (world.bounds(), cfg.geo_cells);
+            let infra = GridIndex::bulk_load(bounds, cells, cells, world.snapshot());
+            let mut stats = NetStats::default();
+            let mut coord = ShardCoordinator::new(bounds, shards);
+            for (i, &p) in world.positions().iter().enumerate() {
+                let v = world.velocities()[i];
+                coord.track_object(ObjectId(i as u32), p, v, &mut stats, None);
+            }
+            Rig {
+                inboxes: vec![Vec::new(); world.len()],
+                world,
+                infra,
+                coord,
+                link: FaultyLink::new(FaultPlan::none(), 0),
+                stats,
+                repl: ReplStore::new(),
+            }
+        }
+
+        fn downlink(&mut self) -> Downlink<'_> {
+            Downlink {
+                infra: &self.infra,
+                world: &self.world,
+                coord: &mut self.coord,
+                link: &mut self.link,
+                stats: &mut self.stats,
+                builder: self.repl.begin_tick(1),
+                inboxes: &mut self.inboxes,
+            }
+        }
+    }
+
     #[test]
     fn poll_answers_none_for_ids_the_world_does_not_track() {
-        let cfg = SimConfig::small();
-        let world = cfg.workload.build();
-        let infra = GridIndex::bulk_load(
-            world.bounds(),
-            cfg.geo_cells,
-            cfg.geo_cells,
-            world.snapshot(),
-        );
-        let n = world.len() as u32;
-        let mut coord = ShardCoordinator::new(world.bounds(), 1);
-        let mut stats = NetStats::default();
-        let mut repl = ReplStore::new();
-        let mut builder = repl.begin_tick(0);
-        let mut probe = ShardProbe {
-            infra: &infra,
-            world: &world,
-            coord: &mut coord,
-            link: &mut FaultyLink::new(FaultPlan::none(), 0),
-            stats: &mut stats,
-            builder: &mut builder,
-        };
+        let mut rig = Rig::new(1);
+        let n = rig.world.len() as u32;
+        let mut dl = rig.downlink();
         // Beyond the population: no such device, no traffic charged.
-        assert_eq!(probe.poll(QueryId(0), ObjectId(n)), None);
-        assert_eq!(probe.poll(QueryId(0), ObjectId(n + 5)), None);
-        assert_eq!(probe.stats.total_msgs(), 0);
+        assert_eq!(dl.poll(QueryId(0), ObjectId(n)), None);
+        assert_eq!(dl.poll(QueryId(0), ObjectId(n + 5)), None);
+        assert_eq!(dl.stats.total_msgs(), 0);
         // A tracked id answers, is charged, and reports its own identity.
-        let rep = probe.poll(QueryId(0), ObjectId(3)).expect("tracked id");
+        let rep = dl.poll(QueryId(0), ObjectId(3)).expect("tracked id");
         assert_eq!(rep.id, ObjectId(3));
-        assert_eq!(stats.downlink_unicast_msgs, 1);
-        assert_eq!(stats.uplink_msgs, 1);
+        assert_eq!(dl.stats.downlink_unicast_msgs, 1);
+        assert_eq!(dl.stats.uplink_msgs, 1);
         // Only the tracked poll was staged: one device, one frame.
-        builder.flush_frames(&mut stats);
-        assert_eq!(stats.frames, 1);
+        dl.builder.flush_frames(dl.stats);
+        assert_eq!(rig.stats.frames, 1);
     }
 
     #[test]
@@ -967,41 +950,29 @@ mod tests {
 
     #[test]
     fn probe_gathers_from_a_crashed_block_are_charged_to_its_fallback() {
-        let cfg = SimConfig::small();
-        let world = cfg.workload.build();
-        let bounds = world.bounds();
-        let infra = GridIndex::bulk_load(bounds, cfg.geo_cells, cfg.geo_cells, world.snapshot());
-        let mut stats = NetStats::default();
         // G = 2: shard 0 owns the west half, shard 1 the east half.
-        let mut coord = ShardCoordinator::new(bounds, 2);
-        for (i, &p) in world.positions().iter().enumerate() {
-            let v = world.velocities()[i];
-            coord.track_object(ObjectId(i as u32), p, v, &mut stats, None);
-        }
+        let mut rig = Rig::new(2);
+        let (world, coord) = (&rig.world, &mut rig.coord);
         let focal = (0..world.len() as u32)
             .map(ObjectId)
             .find(|&id| coord.shard_of(world.position(id)) == 0)
             .expect("a device in the west half");
-        coord.track_query(QueryId(0), world.position(focal), cfg.k, &mut stats, None);
+        let k = SimConfig::small().k;
+        coord.track_query(QueryId(0), world.position(focal), k, &mut rig.stats, None);
         // Shard 1 is down, and its fallback is the query's home.
         coord.crash(1);
         let east = coord.block_of(1).center();
         let loads = coord.loads();
-        let mut repl = ReplStore::new();
-        let mut builder = repl.begin_tick(1);
-        let replies = ShardProbe {
-            infra: &infra,
-            world: &world,
-            coord: &mut coord,
-            link: &mut FaultyLink::new(FaultPlan::none(), 0),
-            stats: &mut stats,
-            builder: &mut builder,
-        }
-        .probe(QueryId(0), Circle::new(east, 150.0), focal);
+        let replies = rig
+            .downlink()
+            .probe(QueryId(0), Circle::new(east, 150.0), focal);
         assert!(!replies.is_empty(), "the zone inside block 1 holds devices");
-        assert_eq!(stats.shard.merge_msgs, 0, "no partial answer is charged");
         assert_eq!(
-            coord.loads()[1],
+            rig.stats.shard.merge_msgs, 0,
+            "no partial answer is charged"
+        );
+        assert_eq!(
+            rig.coord.loads()[1],
             loads[1],
             "the crashed shard takes no load"
         );
@@ -1010,12 +981,13 @@ mod tests {
     #[test]
     fn route_skips_unknown_recipients_in_every_arm() {
         use mknn_geom::Rect;
-        let mut infra = GridIndex::new(Rect::square(100.0), 4, 4);
-        infra.upsert(ObjectId(0), Point::new(10.0, 10.0));
+        let mut rig = Rig::new(1);
+        rig.infra = GridIndex::new(Rect::square(100.0), 4, 4);
+        rig.infra.upsert(ObjectId(0), Point::new(10.0, 10.0));
         // Indexed, but beyond the engine's inbox range: before the fix the
         // unicast arm skipped it silently while the geocast arm panicked.
-        infra.upsert(ObjectId(9), Point::new(12.0, 12.0));
-        let mut inboxes = vec![Vec::new(); 2];
+        rig.infra.upsert(ObjectId(9), Point::new(12.0, 12.0));
+        rig.inboxes = vec![Vec::new(); 2];
         let msg = DownlinkMsg::RemoveRegion { query: QueryId(0) };
         let mut task = ShardTask::new(0, Uplinks::new());
         task.outbox.send(Recipient::One(ObjectId(9)), msg);
@@ -1023,28 +995,66 @@ mod tests {
             Recipient::Geocast(Circle::new(Point::new(11.0, 11.0), 50.0)),
             msg,
         );
-        task.outbox.send(Recipient::Broadcast, msg);
-        let mut stats = NetStats::default();
-        let mut coord = ShardCoordinator::new(Rect::square(100.0), 1);
-        let mut repl = ReplStore::new();
-        let mut builder = repl.begin_tick(1);
-        route(
-            std::slice::from_ref(&task),
-            &infra,
-            &mut inboxes,
-            &mut stats,
-            &mut FaultyLink::new(FaultPlan::none(), 0),
-            &mut coord,
-            &mut builder,
+        let mut dl = rig.downlink();
+        dl.route(std::slice::from_ref(&task));
+        dl.builder.flush_frames(dl.stats);
+        // The unicast to id 9 is charged but reaches no inbox. Device 0
+        // hears the geocast; device 1 is not in the grid and hears nothing.
+        assert_eq!(rig.stats.downlink_unicast_msgs, 1);
+        assert_eq!(rig.inboxes[0].len(), 1);
+        assert!(rig.inboxes[1].is_empty());
+        // Only device 0's geocast copy is framed: id 9 is staged in no arm.
+        assert_eq!(rig.stats.frames, 1);
+    }
+
+    /// Probes and outbox geocasts page a zone through one primitive: the
+    /// same cells, the same fan-out legs, and the same devices staged,
+    /// except the focal device a probe leaves out.
+    #[test]
+    fn a_probe_and_an_outbox_geocast_page_a_zone_alike() {
+        let setup = || {
+            // G = 4, and a zone around the corner the four blocks share.
+            let mut rig = Rig::new(4);
+            let zone = Circle::new(rig.coord.block_of(0).max, 120.0);
+            let focal = rig.infra.knn(zone.center, 1)[0].id;
+            let pos = rig.world.position(focal);
+            rig.coord
+                .track_query(QueryId(0), pos, 4, &mut rig.stats, None);
+            (rig, zone, focal)
+        };
+        let (mut geo, zone, focal) = setup();
+        let mut task = ShardTask::new(0, Uplinks::new());
+        let msg = DownlinkMsg::RemoveRegion { query: QueryId(0) };
+        task.outbox.send(Recipient::Geocast(zone), msg);
+        let mut dl = geo.downlink();
+        dl.route(std::slice::from_ref(&task));
+        dl.builder.flush_frames(dl.stats);
+
+        let (mut probed, _, _) = setup();
+        let mut dl = probed.downlink();
+        let replies = dl.probe(QueryId(0), zone, focal);
+        dl.builder.flush_frames(dl.stats);
+
+        let (g, p) = (&geo.stats, &probed.stats);
+        assert!(g.downlink_geocast_msgs > 1, "the zone spans several cells");
+        assert_eq!(g.downlink_geocast_msgs, p.downlink_geocast_msgs);
+        assert_eq!(g.shard.fanout_msgs, 3, "the zone covers all four blocks");
+        assert_eq!(
+            (g.shard.fanout_msgs, g.shard.fanout_bytes),
+            (p.shard.fanout_msgs, p.shard.fanout_bytes)
         );
-        builder.flush_frames(&mut stats);
-        // Device 0: hears the geocast and the broadcast. Device 1: only the
-        // broadcast (it is not in the grid). Id 9: dropped in every arm.
-        assert_eq!(inboxes[0].len(), 2);
-        assert_eq!(inboxes[1].len(), 1);
-        // Only device 0's geocast copy is framed: id 9 is staged in no arm
-        // and the broadcast is never framed.
-        assert_eq!(stats.frames, 1);
+        // On a perfect link every asked device replies, so the replies are
+        // the probe's staged devices.
+        let mut heard: Vec<ObjectId> = (0..geo.inboxes.len())
+            .filter(|&i| !geo.inboxes[i].is_empty())
+            .map(|i| ObjectId(i as u32))
+            .collect();
+        let mut asked: Vec<ObjectId> = replies.iter().map(|r| r.id).collect();
+        asked.sort_unstable();
+        assert!(heard.contains(&focal), "the focal is inside its own zone");
+        heard.retain(|&id| id != focal);
+        assert_eq!(heard, asked);
+        assert_eq!(g.frames, p.frames + 1);
     }
 
     #[test]

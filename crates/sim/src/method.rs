@@ -1,7 +1,7 @@
 //! The monitoring-method catalogue: every protocol the experiments compare,
 //! as a cheap copyable description that can be instantiated per episode.
 
-use mknn_baselines::{Centralized, NaiveBroadcast, Periodic};
+use mknn_baselines::{Centralized, NaiveProbe, Periodic};
 use mknn_core::{Dknn, DknnParams};
 use mknn_net::Protocol;
 
@@ -64,7 +64,7 @@ impl Method {
             Method::DknnBuffer { params, buffer } => Box::new(Dknn::buffered(params, buffer)),
             Method::Centralized { res } => Box::new(Centralized::new(res)),
             Method::Periodic { period, res } => Box::new(Periodic::new(period, res)),
-            Method::Naive { headroom } => Box::new(NaiveBroadcast::new(headroom)),
+            Method::Naive { headroom } => Box::new(NaiveProbe::new(headroom)),
         }
     }
 

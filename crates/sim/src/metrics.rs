@@ -86,12 +86,9 @@ impl EpisodeMetrics {
         self.net.uplink_msgs as f64 / self.ticks.max(1) as f64
     }
 
-    /// Downlink transmissions per tick (unicast + geocast cells +
-    /// broadcast).
+    /// Downlink transmissions per tick (unicast + geocast cells).
     pub fn downlink_per_tick(&self) -> f64 {
-        (self.net.downlink_unicast_msgs
-            + self.net.downlink_geocast_msgs
-            + self.net.downlink_broadcast_msgs) as f64
+        (self.net.downlink_unicast_msgs + self.net.downlink_geocast_msgs) as f64
             / self.ticks.max(1) as f64
     }
 

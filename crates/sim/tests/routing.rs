@@ -135,32 +135,6 @@ fn unicast_reaches_exactly_one_device_next_tick() {
 }
 
 #[test]
-fn broadcast_reaches_every_device_once() {
-    let cfg = frozen_world(15);
-    let (received, _, metrics) = run_inspector(
-        &cfg,
-        |tick, outbox| {
-            if tick == 1 {
-                outbox.send(
-                    Recipient::Broadcast,
-                    DownlinkMsg::RemoveRegion { query: QueryId(0) },
-                );
-            }
-        },
-        None,
-    );
-    assert_eq!(received.len(), 15);
-    assert!(received
-        .iter()
-        .all(|&(tick, _, kind)| tick == 2 && kind == MsgKind::RemoveRegion));
-    let mut ids: Vec<u32> = received.iter().map(|&(_, id, _)| id).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), 15, "each device exactly once");
-    assert_eq!(metrics.net.downlink_broadcast_msgs, 1);
-}
-
-#[test]
 fn geocast_delivers_by_zone_membership_and_charges_cells() {
     // Deterministic world: devices on a line thanks to the fixed seed; use
     // the known uniform placement and check membership against the zone.

@@ -9,7 +9,7 @@
 #   build        release build of the whole workspace
 #   clippy       cargo clippy --workspace --all-targets with warnings denied
 #   test         the full test suite (unit + property + integration + doc)
-#   fmt          rustfmt conformance
+#   fmt          rustfmt conformance, of the workspace and of benchmark/
 #   doc          rustdoc with warnings denied (a dangling or private
 #                intra-doc link fails it)
 #   determinism, golden, shards, chaos, recovery, tickbench, wire
@@ -143,6 +143,7 @@ stage_test() {
 stage_fmt() {
     echo "==> cargo fmt --check"
     cargo fmt --all --check
+    cargo fmt --check --manifest-path benchmark/Cargo.toml
 }
 
 stage_doc() {

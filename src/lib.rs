@@ -54,7 +54,7 @@ pub use mknn_util as util;
 
 /// The items most applications need, in one import.
 pub mod prelude {
-    pub use mknn_baselines::{Centralized, NaiveBroadcast, Periodic};
+    pub use mknn_baselines::{Centralized, NaiveProbe, Periodic};
     pub use mknn_core::{Dknn, DknnParams, ParamError};
     pub use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
     pub use mknn_index::GridIndex;
