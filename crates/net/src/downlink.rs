@@ -400,7 +400,7 @@ pub fn frame_header_bits(tick: Tick, items: usize) -> usize {
 
 // ---- delta/ack state ------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct RegionState {
     ver: Tick,
     center: Point,
@@ -415,17 +415,63 @@ struct BandState {
     outer: f64,
 }
 
-/// Everything one device acked about one query.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct QueryRepl {
-    region: Option<RegionState>,
-    band: Option<BandState>,
-    answer: Option<Vec<ObjectId>>,
+/// What every device acked about one query, one table per kind, each
+/// strictly ascending by device. A region ack is eight bytes: the device
+/// and the index of its geometry in `bases`, which every device that acked
+/// the same install shares.
+#[derive(Debug, Default)]
+struct QueryAcks {
+    /// `(device, index into bases)`.
+    regions: Vec<(u32, u32)>,
+    /// One geometry per committed install, consecutive equal ones shared.
+    bases: Vec<RegionState>,
+    bands: Vec<(u32, BandState)>,
+    answers: Vec<(u32, Vec<ObjectId>)>,
 }
 
-impl QueryRepl {
-    fn is_empty(&self) -> bool {
-        self.region.is_none() && self.band.is_none() && self.answer.is_none()
+/// The most geometries a query keeps for `regions` region acks: past it, the
+/// unreferenced ones are reclaimed.
+fn base_bound(regions: usize) -> usize {
+    2 * regions + 16
+}
+
+impl QueryAcks {
+    /// Drops the geometries no region ack references once `bases` outgrows
+    /// [`base_bound`], keeping the rest in order (the newest stays last, so
+    /// the next heartbeat still shares it) and renumbering the acks.
+    fn reclaim(&mut self, remap: &mut Vec<u32>) {
+        if self.bases.len() <= base_bound(self.regions.len()) {
+            return;
+        }
+        remap.clear();
+        remap.resize(self.bases.len(), u32::MAX);
+        for &(_, base) in &self.regions {
+            remap[base as usize] = 0;
+        }
+        let mut kept = 0;
+        for (i, r) in remap.iter_mut().enumerate().filter(|(_, r)| **r == 0) {
+            self.bases[kept] = self.bases[i];
+            *r = kept as u32;
+            kept += 1;
+        }
+        self.bases.truncate(kept);
+        for e in &mut self.regions {
+            e.1 = remap[e.1 as usize];
+        }
+    }
+
+    /// The invariants every flush leaves behind (checked in debug builds).
+    fn debug_check(&self) {
+        fn ascending<T>(table: &[(u32, T)]) -> bool {
+            table.windows(2).all(|w| w[0].0 < w[1].0)
+        }
+        debug_assert!(
+            ascending(&self.regions) && ascending(&self.bands) && ascending(&self.answers),
+            "an ack table out of device order"
+        );
+        let bases = self.bases.len() as u32;
+        debug_assert!(self.regions.iter().all(|e| e.1 < bases), "ack past bases");
+        debug_assert!(self.bases.len() <= base_bound(self.regions.len()));
     }
 }
 
@@ -447,14 +493,13 @@ pub enum Delivery {
 }
 
 /// The server side of the delta/ack state machine, one per episode: what
-/// every device last acked, in one device-sorted table per query, plus a
-/// dense per-device gap flag; and the tick's stagings, in flat buffers that
+/// every device last acked, in device-sorted tables per query, plus a dense
+/// per-device gap flag; and the tick's stagings, in flat buffers that
 /// `begin_tick` clears and every flush reuses.
 #[derive(Debug, Default)]
 pub struct ReplStore {
-    /// Per query id: `(device, acked state)`, ascending by device, none
-    /// empty.
-    tables: Vec<Vec<(u32, QueryRepl)>>,
+    /// Per query id: what every device acked about it.
+    acks: Vec<QueryAcks>,
     /// Per device id: the device was in an offline churn window when a
     /// frame was due. Its mirror cannot be trusted across the rejoin, so
     /// the next send of state it used to hold goes out in full. Cleared by
@@ -471,11 +516,13 @@ pub struct ReplStore {
     order: Vec<u64>,
     // Flush scratch, kept for its capacity: staging numbers by
     // query (each group ascending by device), each group's end, each
-    // staging's item bits, and one query's newcomers.
+    // staging's item bits, one group's region walk, and the base
+    // renumbering of a reclaim.
     by_query: Vec<u32>,
     ends: Vec<u32>,
     bits: Vec<u32>,
-    fresh: Vec<(u32, QueryRepl)>,
+    walk: RegionWalk,
+    remap: Vec<u32>,
     diff: AnswerDiff,
 }
 
@@ -497,24 +544,28 @@ impl ReplStore {
 
     /// Number of devices holding any replication state (test hook).
     pub fn tracked_devices(&self) -> usize {
-        let mut held = self.gapped.clone();
-        for &(dev, _) in self.tables.iter().flatten() {
-            let dev = dev as usize;
-            held.resize(held.len().max(dev + 1), false);
-            held[dev] = true;
+        let gapped = self.gapped.iter().enumerate().filter(|g| *g.1);
+        let mut held: Vec<u32> = gapped.map(|g| g.0 as u32).collect();
+        for a in &self.acks {
+            held.extend(a.regions.iter().map(|e| e.0));
+            held.extend(a.bands.iter().map(|e| e.0));
+            held.extend(a.answers.iter().map(|e| e.0));
         }
-        held.iter().filter(|h| **h).count()
+        held.sort_unstable();
+        held.dedup();
+        held.len()
     }
 
     fn push_msg(&mut self, msg: StagedMsg, full_bits: usize) {
         let q = msg.query().index();
-        if q >= self.tables.len() {
-            self.tables.resize_with(q + 1, Vec::new);
+        if q >= self.acks.len() {
+            self.acks.resize_with(q + 1, QueryAcks::default);
         }
         self.msgs.push(Staged {
             msg,
             full_bits: full_bits as u32,
             last_delta: None,
+            base: None,
         });
     }
 
@@ -533,9 +584,11 @@ struct Staged {
     /// What a copy costs a device with no acked base: the full encoding,
     /// or the frame-native ping of a probe or an ack.
     full_bits: u32,
-    /// The acked region this install's delta was last sized against, and
+    /// The acked base this install's delta was last sized against, and
     /// that size: the copies of one geocast mostly meet the same base.
-    last_delta: Option<(RegionState, usize)>,
+    last_delta: Option<(u32, u32)>,
+    /// This install's base, recorded by its first delivered copy.
+    base: Option<u32>,
 }
 
 #[derive(Debug)]
@@ -656,7 +709,7 @@ impl DownlinkBuilder<'_> {
             s.msgs[m as usize].msg.query().index()
         };
         s.ends.clear();
-        s.ends.resize(s.tables.len(), 0);
+        s.ends.resize(s.acks.len(), 0);
         for &key in s.order.iter() {
             s.ends[query_of(key)] += 1;
         }
@@ -674,52 +727,39 @@ impl DownlinkBuilder<'_> {
         s.bits.clear();
         s.bits.resize(s.staged.len(), 0);
 
-        // Pass 1, query by query: walk the group and the table together.
+        // Pass 1, query by query: walk the group and its region acks
+        // together; bands and answers, held by few devices, are searched.
         let mut fallbacks = 0u64;
         let mut lo = 0;
-        for (table, &hi) in s.tables.iter_mut().zip(s.ends.iter()) {
+        for (acks, &hi) in s.acks.iter_mut().zip(s.ends.iter()) {
             let group = &s.by_query[lo..hi as usize];
             lo = hi as usize;
-            let (mut at, mut emptied) = (0, false);
             for &seq in group {
                 let (dev, m, delivery) = s.staged[seq as usize];
-                at = seek(table, at, dev);
                 let fate = Fate {
+                    dev,
                     gapped: s.gapped.get(dev as usize).copied().unwrap_or(false),
                     commit: delivery == Delivery::Delivered,
                 };
-                let (state, held) = match table.get_mut(at) {
-                    Some((d, state)) if *d == dev => (state, true),
-                    _ => {
-                        if s.fresh.last().map(|e| e.0) != Some(dev) {
-                            s.fresh.push((dev, QueryRepl::default()));
-                        }
-                        (&mut s.fresh.last_mut().expect("just pushed").1, false)
-                    }
-                };
                 let item = &mut s.msgs[m as usize];
-                let full_bits = item.full_bits as usize;
-                let (b, fell_back) = match &item.msg {
-                    StagedMsg::Proto(msg) => {
-                        encode_proto(state, msg, full_bits, fate, &mut item.last_delta)
-                    }
+                let (b, fell_back) = match item.msg {
+                    StagedMsg::Proto(msg) => encode_proto(acks, &mut s.walk, msg, item, fate),
                     StagedMsg::Answer {
                         query,
-                        members: span,
+                        members: ref span,
                         ordered,
                     } => {
                         let list = &s.members[span.clone()];
-                        encode_answer(state, *query, list, *ordered, full_bits, fate, &mut s.diff)
+                        let answers = &mut acks.answers;
+                        let full = item.full_bits as usize;
+                        encode_answer(answers, query, list, ordered, full, fate, &mut s.diff)
                     }
                 };
                 s.bits[seq as usize] = b as u32;
                 fallbacks += fell_back as u64;
-                emptied |= held && state.is_empty();
             }
-            s.fresh.retain(|e| !e.1.is_empty());
-            if emptied || !s.fresh.is_empty() {
-                merge(table, &mut s.fresh, emptied);
-            }
+            s.walk.finish(&mut acks.regions);
+            acks.reclaim(&mut s.remap);
         }
         stats.delta_full_fallbacks += fallbacks;
 
@@ -756,51 +796,68 @@ impl DownlinkBuilder<'_> {
                 s.gapped[dev] = true;
             }
         }
+        s.acks.iter().for_each(QueryAcks::debug_check);
     }
 }
 
-/// The first index at or after `at` whose device is not below `dev`. A
-/// galloping search: a group's next device mostly sits at `at` or just
-/// past it, while devices the group skips cost only a logarithm.
-fn seek(table: &[(u32, QueryRepl)], mut at: usize, dev: u32) -> usize {
-    let below = |i: usize| table.get(i).is_some_and(|e| e.0 < dev);
-    if !below(at) {
-        return at;
-    }
-    let mut step = 1;
-    while below(at + step) {
-        at += step;
-        step *= 2;
-    }
-    let end = (at + step).min(table.len());
-    at + 1 + table[at + 1..end].partition_point(|e| e.0 < dev)
+/// One query group's walk over the query's region acks: the galloping
+/// cursor, and the acks of devices new to the table (ascending).
+#[derive(Debug, Default)]
+struct RegionWalk {
+    at: usize,
+    fresh: Vec<(u32, u32)>,
 }
 
-/// Merges `fresh` (non-empty states of devices new to `table`, ascending,
-/// left empty) into `table` in place, first dropping its emptied entries
-/// if there are any. Only entries behind the first change move.
-fn merge(table: &mut Vec<(u32, QueryRepl)>, fresh: &mut Vec<(u32, QueryRepl)>, emptied: bool) {
-    if emptied {
-        table.retain(|e| !e.1.is_empty());
-    }
-    let mut old = table.len();
-    table.resize_with(old + fresh.len(), Default::default);
-    let mut end = table.len();
-    while let Some(entry) = fresh.pop() {
-        while old > 0 && table[old - 1].0 > entry.0 {
-            old -= 1;
-            end -= 1;
-            table.swap(old, end);
+impl RegionWalk {
+    /// Moves the cursor to `dev` and returns its region ack: its held
+    /// entry, else its newcomer entry, if it has either. The cursor
+    /// gallops: the group's next device mostly sits at it or just past it,
+    /// while devices the group skips cost only a logarithm.
+    fn seek<'t>(&'t mut self, regions: &'t mut [(u32, u32)], dev: u32) -> Option<&'t mut u32> {
+        let below = |i: usize| regions.get(i).is_some_and(|e| e.0 < dev);
+        if below(self.at) {
+            let mut step = 1;
+            while below(self.at + step) {
+                self.at += step;
+                step *= 2;
+            }
+            let end = (self.at + step).min(regions.len());
+            self.at += 1 + regions[self.at + 1..end].partition_point(|e| e.0 < dev);
         }
-        end -= 1;
-        table[end] = entry;
+        match regions.get_mut(self.at) {
+            Some((d, base)) if *d == dev => Some(base),
+            _ => self
+                .fresh
+                .last_mut()
+                .filter(|e| e.0 == dev)
+                .map(|e| &mut e.1),
+        }
+    }
+
+    /// Ends the group: merges the newcomers into `table` in place. Only
+    /// entries behind the first newcomer move.
+    fn finish(&mut self, table: &mut Vec<(u32, u32)>) {
+        self.at = 0;
+        let mut old = table.len();
+        table.resize(old + self.fresh.len(), (0, 0));
+        let mut end = table.len();
+        while let Some(entry) = self.fresh.pop() {
+            while old > 0 && table[old - 1].0 > entry.0 {
+                old -= 1;
+                end -= 1;
+                table[end] = table[old];
+            }
+            end -= 1;
+            table[end] = entry;
+        }
     }
 }
 
-/// What one staged copy meets: whether the device's mirror is distrusted
+/// One staged copy: its device, whether the device's mirror is distrusted
 /// (`gapped`), and whether the copy was delivered (`commit`).
 #[derive(Debug, Clone, Copy)]
 struct Fate {
+    dev: u32,
     gapped: bool,
     commit: bool,
 }
@@ -817,18 +874,19 @@ fn delta_or_full(delta_bits: Option<usize>, full_bits: usize, gapped_base: bool)
 }
 
 /// Picks the cheapest encoding of a staged protocol message the device can
-/// decode given its acked state, commits that state when the copy was
-/// delivered, and returns the encoding's size in bits and whether it was a
-/// counted fallback. `last_delta` is the message's [`Staged::last_delta`].
+/// decode given what it acked about the query, commits the message's state
+/// when the copy was delivered, and returns the encoding's size in bits and
+/// whether it was a counted fallback. `msg` is `item`'s message. Probe and
+/// ack pings touch no table.
 fn encode_proto(
-    q: &mut QueryRepl,
-    msg: &DownlinkMsg,
-    full: usize,
+    acks: &mut QueryAcks,
+    walk: &mut RegionWalk,
+    msg: DownlinkMsg,
+    item: &mut Staged,
     fate: Fate,
-    last_delta: &mut Option<(RegionState, usize)>,
 ) -> (usize, bool) {
-    let gapped = fate.gapped;
-    match *msg {
+    let (full, gapped) = (item.full_bits as usize, fate.gapped);
+    match msg {
         DownlinkMsg::InstallRegion {
             query,
             ver,
@@ -836,13 +894,15 @@ fn encode_proto(
             vel,
             r_out,
         } => {
-            let delta_bits = match &q.region {
+            let slot = walk.seek(&mut acks.regions, fate.dev);
+            let held = slot.as_deref().map(|&b| (b, &acks.bases[b as usize]));
+            let delta_bits = match held {
                 // Heartbeat: same version, geometry already on device.
-                Some(acked) if !gapped && acked.ver == ver => {
+                Some((_, acked)) if !gapped && acked.ver == ver => {
                     Some(FrameItem::RegionRefresh { query }.wire_bits())
                 }
-                Some(acked) if !gapped && ver > acked.ver => {
-                    if last_delta.as_ref().map(|(base, _)| base) != Some(acked) {
+                Some((base, acked)) if !gapped && ver > acked.ver => {
+                    if item.last_delta.map(|(b, _)| b) != Some(base) {
                         let dt = (ver - acked.ver) as f64;
                         let pred = Point::new(
                             acked.center.x + acked.vel.x * dt,
@@ -857,20 +917,30 @@ fn encode_proto(
                             dvy: wire::quantize(vel.y) - wire::quantize(acked.vel.y),
                             dr: wire::quantize(r_out) - wire::quantize(acked.r_out),
                         };
-                        *last_delta = Some((acked.clone(), delta.wire_bits()));
+                        item.last_delta = Some((base, delta.wire_bits() as u32));
                     }
-                    last_delta.as_ref().map(|(_, bits)| *bits)
+                    item.last_delta.map(|(_, bits)| bits as usize)
                 }
                 _ => None,
             };
-            let sized = delta_or_full(delta_bits, full, gapped && q.region.is_some());
+            let sized = delta_or_full(delta_bits, full, gapped && held.is_some());
             if fate.commit {
-                q.region = Some(RegionState {
+                // The first delivered copy picks the install's base: the
+                // newest geometry when equal (a heartbeat), else a new one.
+                let new = RegionState {
                     ver,
                     center,
                     vel,
                     r_out,
-                });
+                };
+                if item.base.is_none() && acks.bases.last() != Some(&new) {
+                    acks.bases.push(new);
+                }
+                let base = *item.base.get_or_insert(acks.bases.len() as u32 - 1);
+                match slot {
+                    Some(held) => *held = base,
+                    None => walk.fresh.push((fate.dev, base)),
+                }
             }
             sized
         }
@@ -880,7 +950,9 @@ fn encode_proto(
             inner,
             outer,
         } => {
-            let delta_bits = match &q.band {
+            let at = acks.bands.binary_search_by_key(&fate.dev, |e| e.0);
+            let held = at.ok().map(|i| &acks.bands[i].1);
+            let delta_bits = match held {
                 Some(acked)
                     if !gapped
                         && ver >= acked.ver
@@ -899,18 +971,27 @@ fn encode_proto(
                 }
                 _ => None,
             };
-            let sized = delta_or_full(delta_bits, full, gapped && q.band.is_some());
+            let sized = delta_or_full(delta_bits, full, gapped && held.is_some());
             if fate.commit {
-                q.band = Some(BandState { ver, inner, outer });
+                let new = BandState { ver, inner, outer };
+                match at {
+                    Ok(i) => acks.bands[i].1 = new,
+                    Err(i) => acks.bands.insert(i, (fate.dev, new)),
+                }
             }
             sized
         }
+        // No protocol sends the removals, so linear passes are cheap enough.
+        // The walk's cursor stays valid: it is not past this device's ack.
         DownlinkMsg::RemoveRegion { .. } if fate.commit => {
-            *q = QueryRepl::default();
+            acks.regions.retain(|e| e.0 != fate.dev);
+            walk.fresh.retain(|e| e.0 != fate.dev);
+            acks.bands.retain(|e| e.0 != fate.dev);
+            acks.answers.retain(|e| e.0 != fate.dev);
             (full, false)
         }
         DownlinkMsg::ClearBand { .. } if fate.commit => {
-            q.band = None;
+            acks.bands.retain(|e| e.0 != fate.dev);
             (full, false)
         }
         _ => (full, false),
@@ -920,7 +1001,7 @@ fn encode_proto(
 /// [`encode_proto`] for an answer push: a diff against the acked member
 /// list when that is strictly smaller than the whole list.
 fn encode_answer(
-    q: &mut QueryRepl,
+    answers: &mut Vec<(u32, Vec<ObjectId>)>,
     query: QueryId,
     members: &[ObjectId],
     ordered: bool,
@@ -928,19 +1009,24 @@ fn encode_answer(
     fate: Fate,
     diff: &mut AnswerDiff,
 ) -> (usize, bool) {
+    let at = answers.binary_search_by_key(&fate.dev, |e| e.0);
     // The list the device holds after this item: the diff's natural order
     // when a rank-free diff went out, else `members` itself.
     let mut natural = false;
-    let sized = match &q.answer {
-        Some(acked) if !fate.gapped => {
-            let delta_bits = diff.size(query, acked, members, ordered);
+    let sized = match at {
+        Ok(i) if !fate.gapped => {
+            let delta_bits = diff.size(query, &answers[i].1, members, ordered);
             natural = delta_bits < full_bits && diff.ranks.is_empty();
             (delta_bits.min(full_bits), false)
         }
-        prior => (full_bits, fate.gapped && prior.is_some()),
+        _ => (full_bits, fate.gapped && at.is_ok()),
     };
     if fate.commit {
-        let held = q.answer.get_or_insert_with(Vec::new);
+        let i = at.unwrap_or_else(|i| {
+            answers.insert(i, (fate.dev, Vec::new()));
+            i
+        });
+        let held = &mut answers[i].1;
         held.clear();
         held.extend_from_slice(if natural { &diff.natural } else { members });
     }
@@ -1335,5 +1421,110 @@ mod tests {
         assert_eq!(stats.downlink_bytes - before, 3 * refresh + 2 * full);
         assert_eq!(stats.delta_full_fallbacks, 0);
         assert_eq!(store.tracked_devices(), 5);
+    }
+
+    /// Stages each `(device, message)` pair as delivered, in order, as one
+    /// tick, and returns the flush's downlink bytes.
+    fn tick(store: &mut ReplStore, tick: Tick, sends: &[(u32, DownlinkMsg)]) -> u64 {
+        let mut stats = NetStats::default();
+        let mut b = store.begin_tick(tick);
+        for &(dev, msg) in sends {
+            b.stage(ObjectId(dev), msg, Delivery::Delivered);
+        }
+        b.flush_frames(&mut stats);
+        stats.downlink_bytes
+    }
+
+    #[test]
+    fn devices_that_ack_one_install_share_its_geometry_and_bases_stay_bounded() {
+        let mut store = ReplStore::new();
+        let to_all = |msg| (0..64).map(|d| (d * 3, msg)).collect::<Vec<_>>();
+        tick(&mut store, 1, &to_all(install(1, 100.0)));
+        let acks = |store: &ReplStore| (store.acks[1].regions.len(), store.acks[1].bases.len());
+        assert_eq!(acks(&store), (64, 1));
+        for t in 2..12 {
+            tick(&mut store, t, &to_all(install(1, 100.0)));
+            assert_eq!(acks(&store), (64, 1), "heartbeat at tick {t}");
+        }
+        // A new version every tick: one new geometry each, reclaimed once
+        // they outgrow the bound, and every ack on the newest one.
+        for t in 12..212 {
+            tick(&mut store, t, &to_all(install(t, 100.0 + t as f64)));
+            let (regions, bases) = acks(&store);
+            assert_eq!(regions, 64);
+            assert!(bases <= base_bound(regions), "{bases} bases at tick {t}");
+            let newest = store.acks[1].bases.len() as u32 - 1;
+            assert!(store.acks[1].regions.iter().all(|e| e.1 == newest));
+            assert_eq!(store.acks[1].bases[newest as usize].ver, t);
+        }
+    }
+
+    #[test]
+    fn a_removal_and_an_install_to_one_device_in_one_tick_commit_in_order() {
+        let remove = DownlinkMsg::RemoveRegion { query: QueryId(1) };
+        let heartbeat = [(7, install(1, 100.0)), (9, install(1, 100.0))];
+        let frame = |payload: usize| (frame_header_bits(3, 1) + payload).div_ceil(8) as u64;
+        let refresh = frame(FrameItem::RegionRefresh { query: QueryId(1) }.wire_bits());
+        let full = frame(install(1, 100.0).wire_bits());
+        // Device 7 held the region before the tick, device 9 is new to it.
+        let mut store = ReplStore::new();
+        tick(&mut store, 1, &[(7, install(1, 100.0))]);
+        let both = [
+            (7, remove),
+            (7, install(1, 100.0)),
+            (9, remove),
+            (9, install(1, 100.0)),
+        ];
+        tick(&mut store, 2, &both);
+        let devices: Vec<u32> = store.acks[1].regions.iter().map(|e| e.0).collect();
+        assert_eq!(devices, [7, 9], "one region ack each");
+        assert_eq!(tick(&mut store, 3, &heartbeat), 2 * refresh);
+        // The same pairs in reverse order: the removal commits last.
+        let mut store = ReplStore::new();
+        tick(&mut store, 1, &[(7, install(1, 100.0))]);
+        let both = [
+            (7, install(1, 100.0)),
+            (7, remove),
+            (9, install(1, 100.0)),
+            (9, remove),
+        ];
+        tick(&mut store, 2, &both);
+        assert!(store.acks[1].regions.is_empty(), "no region ack left");
+        assert_eq!(tick(&mut store, 3, &heartbeat), 2 * full);
+    }
+
+    #[test]
+    fn clear_band_drops_the_band_and_remove_region_drops_everything() {
+        let mut store = ReplStore::new();
+        let q = QueryId(1);
+        let band = DownlinkMsg::SetBand {
+            query: q,
+            ver: 1,
+            inner: 10.0,
+            outer: 20.0,
+        };
+        let mut b = store.begin_tick(1);
+        for dev in [ObjectId(4), ObjectId(7)] {
+            b.stage(dev, install(1, 100.0), Delivery::Delivered);
+            b.stage(dev, band, Delivery::Delivered);
+            b.stage_answer(dev, q, &[ObjectId(3)], false, Delivery::Delivered);
+        }
+        b.flush_frames(&mut NetStats::default());
+        fn devices<T>(table: &[(u32, T)]) -> Vec<u32> {
+            table.iter().map(|e| e.0).collect()
+        }
+        let held = |store: &ReplStore| {
+            let a = &store.acks[1];
+            [devices(&a.regions), devices(&a.bands), devices(&a.answers)]
+        };
+        assert_eq!(held(&store), [vec![4, 7], vec![4, 7], vec![4, 7]]);
+        tick(&mut store, 2, &[(7, DownlinkMsg::ClearBand { query: q })]);
+        assert_eq!(held(&store), [vec![4, 7], vec![4], vec![4, 7]]);
+        tick(
+            &mut store,
+            3,
+            &[(4, DownlinkMsg::RemoveRegion { query: q })],
+        );
+        assert_eq!(held(&store), [vec![7], vec![], vec![7]]);
     }
 }

@@ -27,7 +27,8 @@
 #   benchmark    the benchmark/ crate (a workspace of its own, compiled
 #                against this workspace's public API) builds, passes its
 #                tests, and completes a --quick run of every workload whose
-#                metrics_digests equal the BENCH_DIGESTS table
+#                metrics_digests equal the BENCH_DIGESTS table, and prints
+#                each timed run's peak_rss_mb (informational)
 #   speedup      (informational) fast-mode suite on one worker vs all cores
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -211,6 +212,12 @@ stage_benchmark() {
             || fail "benchmark --quick: $name metrics_digest is not $digest (timed and" \
                 "traced); got: $(grep "^$name " <<< "$got" | tr '\n' ' ')"
     done <<< "$BENCH_DIGESTS"
+    # Informational, not gated: a --quick run is too short to hold memory to
+    # a bound, but a jump in it next to an unchanged digest is worth a look.
+    echo "==> benchmark quick peak_rss_mb (timed runs, informational)"
+    awk -F'"' '/"workload":/ {w = $4} /"metrics_digest":/ {d = $4}
+        /"peak_rss_mb":/ {getline; sub(/.*: */, ""); sub(/,$/, "");
+                          printf "%s %s peak_rss_mb %.1f\n", w, d, $0}' "$out"
 }
 
 stage_speedup() {
