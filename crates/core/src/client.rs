@@ -114,7 +114,7 @@ impl ClientHalf {
     /// Registers `device` as the focal object of `query` (done at query
     /// registration time, before the first tick).
     pub fn set_focal(&mut self, device: usize, query: QueryId) {
-        self.states[device].focal_of.push(query);
+        push_exact(&mut self.states[device].focal_of, query);
     }
 
     /// Number of regions device `idx` currently has installed (diagnostics
@@ -240,19 +240,22 @@ fn tick_device(
                         };
                         st.pending.retain(|p| p.query != query);
                     }
-                    None => st.regions.push(ClientRegion {
-                        query,
-                        ver: fresh,
-                        last_heard: now,
-                        inside: None,
-                        band: None,
-                        safe_until: 0,
-                        safe_vel: Vector::ZERO,
-                        // Fresh adoption (first install, or reinstall
-                        // after eviction/offline): if already inside,
-                        // the server may never have heard the Enter.
-                        announce: lossy,
-                    }),
+                    None => push_exact(
+                        &mut st.regions,
+                        ClientRegion {
+                            query,
+                            ver: fresh,
+                            last_heard: now,
+                            inside: None,
+                            band: None,
+                            safe_until: 0,
+                            safe_vel: Vector::ZERO,
+                            // Fresh adoption (first install, or reinstall
+                            // after eviction/offline): if already inside,
+                            // the server may never have heard the Enter.
+                            announce: lossy,
+                        },
+                    ),
                 }
             }
             DownlinkMsg::RemoveRegion { query } => {
@@ -312,11 +315,11 @@ fn tick_device(
         }
     }
 
-    // 3. Evaluate every installed region.
+    // 3. Evaluate every installed region. In lossy mode each critical
+    //    event is registered for retransmission as it is emitted, in
+    //    region order.
     let evict_after = params.evict_after();
-    // Critical events emitted this tick; registered for retransmission
-    // after the loop (the region borrow blocks touching `pending` here).
-    let mut critical: Vec<(QueryId, MsgKind)> = Vec::new();
+    let pending = &mut st.pending;
     st.regions.retain_mut(|r| {
         if now.saturating_sub(r.last_heard) > evict_after {
             return false; // long unheard-of: provably far away, drop it
@@ -356,7 +359,7 @@ fn tick_device(
                     },
                 );
                 if lossy {
-                    critical.push((r.query, MsgKind::Enter));
+                    register(pending, r.query, MsgKind::Enter, now);
                 }
             } else {
                 up.send(
@@ -369,7 +372,7 @@ fn tick_device(
                 );
                 r.band = None;
                 if lossy {
-                    critical.push((r.query, MsgKind::Leave));
+                    register(pending, r.query, MsgKind::Leave, now);
                 }
             }
         } else if inside_now && r.announce {
@@ -385,7 +388,7 @@ fn tick_device(
                     vel: me.vel,
                 },
             );
-            critical.push((r.query, MsgKind::Enter));
+            register(pending, r.query, MsgKind::Enter, now);
         } else if inside_now {
             if let Some((inner, outer)) = r.band {
                 let d = d_sq.sqrt();
@@ -428,21 +431,7 @@ fn tick_device(
     });
 
     if lossy {
-        // 4. Register this tick's critical events for retransmission. A
-        //    new event replaces whatever was pending for the query: the
-        //    newer crossing supersedes the older one (the server only
-        //    needs the device's latest side).
-        for (query, kind) in critical {
-            st.pending.retain(|p| p.query != query);
-            st.pending.push(PendingEvent {
-                query,
-                kind,
-                next_resend: now + RESEND_AFTER,
-                backoff: RESEND_AFTER,
-            });
-        }
-
-        // 5. Retransmit overdue unacked events, rebuilt from *current*
+        // 4. Retransmit overdue unacked events, rebuilt from *current*
         //    state (current position and region version — the server
         //    wants the present truth, not a replay). An entry whose
         //    region vanished, or whose recorded side no longer matches
@@ -482,6 +471,40 @@ fn tick_device(
             }
             true
         });
+    }
+    release_if_empty(&mut st.regions);
+    release_if_empty(&mut st.pending);
+}
+
+/// Registers a critical event for retransmission. It replaces whatever was
+/// pending for its query: the newer crossing supersedes the older one (the
+/// server only needs the device's latest side).
+fn register(pending: &mut Vec<PendingEvent>, query: QueryId, kind: MsgKind, now: Tick) {
+    pending.retain(|p| p.query != query);
+    push_exact(
+        pending,
+        PendingEvent {
+            query,
+            kind,
+            next_resend: now + RESEND_AFTER,
+            backoff: RESEND_AFTER,
+        },
+    );
+}
+
+/// Appends `x`, growing `v` by exactly one slot when it is full: a
+/// device's lists hold what it monitors now, not `Vec`'s spare capacity,
+/// which summed over a million devices outweighs the live entries.
+fn push_exact<T>(v: &mut Vec<T>, x: T) {
+    v.reserve_exact(1);
+    v.push(x);
+}
+
+/// Frees an emptied list's allocation: a device that has stopped
+/// monitoring every region holds no heap memory for it.
+fn release_if_empty<T>(v: &mut Vec<T>) {
+    if v.is_empty() {
+        *v = Vec::new();
     }
 }
 
@@ -739,6 +762,60 @@ mod tests {
             c.tick(tk, &me, &[], &mut up, &mut ops);
         }
         assert_eq!(c.installed_regions(0), 0);
+        assert_eq!(c.states[0].regions.capacity(), 0, "allocation released");
+    }
+
+    #[test]
+    fn region_list_grows_one_slot_per_adoption() {
+        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        let mut up = Uplinks::new();
+        let mut ops = OpCounters::default();
+        let me = device(0, 30.0, 0.0, 0.0, 0.0);
+        c.tick(1, &me, &[install(0, 0, 0.0, 0.0, 100.0)], &mut up, &mut ops);
+        assert_eq!(c.states[0].regions.capacity(), 1);
+        let second = [
+            install(0, 0, 0.0, 0.0, 100.0),
+            install(1, 0, 0.0, 0.0, 50.0),
+        ];
+        c.tick(2, &me, &second, &mut up, &mut ops);
+        assert_eq!(c.installed_regions(0), 2);
+        assert_eq!(c.states[0].regions.capacity(), 2);
+    }
+
+    #[test]
+    fn removing_the_last_region_releases_the_lists() {
+        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        c.set_lossy(true);
+        let mut up = Uplinks::new();
+        let mut ops = OpCounters::default();
+        // Inside on adoption: the lossy announcement goes pending.
+        let me = device(0, 10.0, 0.0, 0.0, 0.0);
+        c.tick(1, &me, &[install(0, 0, 0.0, 0.0, 100.0)], &mut up, &mut ops);
+        assert_eq!(c.states[0].pending.len(), 1);
+        let remove = DownlinkMsg::RemoveRegion { query: QueryId(0) };
+        c.tick(2, &me, &[remove], &mut up, &mut ops);
+        assert_eq!(c.installed_regions(0), 0);
+        assert_eq!(c.states[0].regions.capacity(), 0);
+        assert_eq!(c.states[0].pending.capacity(), 0);
+    }
+
+    #[test]
+    fn acking_the_last_pending_event_releases_its_list() {
+        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        c.set_lossy(true);
+        let mut up = Uplinks::new();
+        let mut ops = OpCounters::default();
+        let me = device(0, 10.0, 0.0, 0.0, 0.0);
+        c.tick(1, &me, &[install(0, 0, 0.0, 0.0, 100.0)], &mut up, &mut ops);
+        assert_eq!(c.states[0].pending.capacity(), 1);
+        let ack = DownlinkMsg::Ack {
+            query: QueryId(0),
+            ver: 0,
+            kind: MsgKind::Enter,
+        };
+        c.tick(2, &me, &[ack], &mut up, &mut ops);
+        assert_eq!(c.installed_regions(0), 1);
+        assert_eq!(c.states[0].pending.capacity(), 0);
     }
 
     #[test]

@@ -144,6 +144,9 @@ pub struct ShardCoordinator {
     /// `Handoff`/`Migrate` legs whose geometric target was down when they
     /// arose, held until that shard's rebirth.
     queued: Vec<(u32, ShardMsg)>,
+    /// Per-shard reply tally of the probe being gathered
+    /// ([`Self::gather_replies`]), kept across probes and left zeroed.
+    gather: Vec<usize>,
 }
 
 /// Sentinel home for objects and queries not (or no longer) tracked
@@ -165,6 +168,7 @@ impl ShardCoordinator {
             down: vec![false; count as usize],
             fallback: (0..count).collect(),
             queued: Vec::new(),
+            gather: vec![0; count as usize],
         }
     }
 
@@ -504,26 +508,30 @@ impl ShardCoordinator {
         }
     }
 
-    /// A covering shard returns its `count`-candidate partial answer for
-    /// `q` to the home shard for the merge ([`ShardMsg::PartialAnswer`]).
-    /// No-op when the replies already surfaced at the home shard.
-    pub fn probe_gather(
+    /// Gathers one probe's delivered replies for `q`: each surfaces at the
+    /// shard serving its sender's position, and every such shard other
+    /// than the home returns its candidates to the home for the merge as
+    /// one [`ShardMsg::PartialAnswer`], in ascending shard order.
+    pub fn gather_replies(
         &mut self,
         q: QueryId,
-        from_shard: u32,
-        count: usize,
+        replies: impl IntoIterator<Item = Point>,
         stats: &mut NetStats,
         mut fault: Option<&mut FaultyLink>,
     ) {
+        for pos in replies {
+            let shard = self.shard_of(pos);
+            self.gather[shard as usize] += 1;
+        }
         let home = self.effective(self.query_home(q));
-        if from_shard != home {
-            self.charge(
-                ShardMsg::PartialAnswer { query: q, count },
-                stats,
-                &mut fault,
-            );
-            self.load[from_shard as usize] += 1;
-            self.load[home as usize] += 1;
+        for shard in 0..self.count() {
+            let count = std::mem::take(&mut self.gather[shard as usize]);
+            if count > 0 && shard != home {
+                let msg = ShardMsg::PartialAnswer { query: q, count };
+                self.charge(msg, stats, &mut fault);
+                self.load[shard as usize] += 1;
+                self.load[home as usize] += 1;
+            }
         }
     }
 }
@@ -610,7 +618,8 @@ mod tests {
         coord.route_unicast(QueryId(0), Point::new(900.0, 5.0), 52, &mut stats, None);
         let zone = Circle::new(Point::new(500.0, 500.0), 800.0);
         coord.route_geocast(QueryId(0), &zone, &mut stats, None);
-        coord.probe_gather(QueryId(0), 0, 5, &mut stats, None);
+        let replies = [Point::new(5.0, 5.0), Point::new(900.0, 900.0)];
+        coord.gather_replies(QueryId(0), replies, &mut stats, None);
         assert!(stats.shard.is_empty());
         assert_eq!(coord.loads(), vec![3]); // uplink + unicast + geocast
     }
@@ -685,11 +694,25 @@ mod tests {
         let zone = Circle::new(Point::new(500.0, 500.0), 800.0);
         assert_eq!(geocast(zone), (vec![1, 1, 1, 1], 3));
 
-        // Partial answers: home replies are free, foreign ones are merged.
-        coord.probe_gather(QueryId(0), 0, 9, &mut stats, None);
+        // Partial answers: home replies are free, and each foreign shard's
+        // are merged as one message carrying their count.
+        let (home, far) = (Point::new(50.0, 50.0), Point::new(900.0, 900.0));
+        coord.gather_replies(QueryId(0), [home, home], &mut stats, None);
         assert_eq!(stats.shard.merge_msgs, 0);
-        coord.probe_gather(QueryId(0), 3, 9, &mut stats, None);
+        coord.gather_replies(QueryId(0), [far, home, far], &mut stats, None);
         assert_eq!(stats.shard.merge_msgs, 1);
+        let bytes = |count| {
+            ShardMsg::PartialAnswer {
+                query: QueryId(0),
+                count,
+            }
+            .size_bytes() as u64
+        };
+        assert_eq!(stats.shard.merge_bytes, bytes(2));
+        // The tally starts from zero for the next probe.
+        coord.gather_replies(QueryId(0), [far], &mut stats, None);
+        assert_eq!(stats.shard.merge_msgs, 2);
+        assert_eq!(stats.shard.merge_bytes, bytes(2) + bytes(1));
     }
 
     #[test]

@@ -322,6 +322,15 @@ impl GridIndex {
     /// order.
     pub fn range(&self, range: &Circle) -> Vec<Neighbor> {
         let mut out = Vec::new();
+        self.range_into(range, &mut out);
+        out
+    }
+
+    /// [`GridIndex::range`] into a caller-kept buffer: `out` is cleared,
+    /// then holds exactly what `range` would return, so a caller paging
+    /// many zones a tick reuses one allocation.
+    pub fn range_into(&self, range: &Circle, out: &mut Vec<Neighbor>) {
+        out.clear();
         let r2 = range.radius * range.radius;
         self.for_cells_overlapping(range, |cell| {
             for &id in &self.cells[cell as usize] {
@@ -337,7 +346,6 @@ impl GridIndex {
         // exactly as the value does: this is the `(distance², id)` order on
         // an integer key.
         out.sort_unstable_by_key(|n| (n.dist_sq.to_bits(), n.id));
-        out
     }
 
     /// Visits every cell whose rectangle intersects `circle`.

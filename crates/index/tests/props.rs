@@ -170,6 +170,29 @@ fn range_tie_order_survives_duplicate_positions() {
     });
 }
 
+/// `range_into` a buffer still holding an earlier zone's hits (and spare
+/// capacity) yields exactly `range`'s result, tie order included.
+#[test]
+fn range_into_a_dirty_buffer_equals_range() {
+    forall(CASES, |rng| {
+        let w = lattice_world(rng, 120);
+        let mut g = GridIndex::new(Rect::square(SIDE), 16, 16);
+        for &(id, p) in &w {
+            g.upsert(id, p);
+        }
+        let lattice = |rng: &mut Rng| {
+            let c = rng.gen_range(0u32..6) as f64 * 100.0;
+            Point::new(c, rng.gen_range(0u32..6) as f64 * 100.0)
+        };
+        let mut out = Vec::new();
+        g.range_into(&Circle::new(pt(rng), 2.0 * SIDE), &mut out);
+        let c = Circle::new(lattice(rng), 100.0 * rng.gen_range(0u32..4) as f64);
+        g.range_into(&c, &mut out);
+        assert_same(&out, &g.range(&c), "range_into vs range");
+        assert_same(&out, &bruteforce::range(w.clone(), &c), "range_into");
+    });
+}
+
 /// `k ≥ population` returns every point, still in canonical order.
 #[test]
 fn knn_with_k_at_least_population_returns_everyone() {

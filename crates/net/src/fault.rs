@@ -722,7 +722,7 @@ impl FaultyLink {
         match inboxes.get_mut(to) {
             Some(inbox) if copies > 0 => {
                 for _ in 0..copies {
-                    inbox.push(msg);
+                    push_inbox(inbox, msg);
                 }
                 Delivery::Delivered
             }
@@ -741,7 +741,7 @@ impl FaultyLink {
                 if self.is_offline(to.index()) {
                     stats.count_dropped();
                 } else if let Some(inbox) = inboxes.get_mut(to.index()) {
-                    inbox.push(msg);
+                    push_inbox(inbox, msg);
                 }
             }
             due > now
@@ -768,6 +768,17 @@ impl FaultyLink {
             stats.shard.count_retransmits(retries, bytes as u64);
         }
     }
+}
+
+/// Appends a delivery to a device's inbox. A first delivery into an
+/// unallocated inbox reserves exactly one slot: a receiving device hears
+/// little more than one message a tick, and `Vec`'s minimum of four slots
+/// over every device that ever heard one outweighs what is delivered.
+fn push_inbox(inbox: &mut Vec<DownlinkMsg>, msg: DownlinkMsg) {
+    if inbox.capacity() == 0 {
+        inbox.reserve_exact(1);
+    }
+    inbox.push(msg);
 }
 
 #[cfg(test)]
@@ -904,6 +915,25 @@ mod tests {
         link.transmit_up(ObjectId(0), an_uplink(0), &mut out, &mut stats);
         assert_eq!(out.len(), 2);
         assert_eq!(stats.dup_msgs, 1);
+    }
+
+    #[test]
+    fn a_first_delivery_reserves_one_inbox_slot() {
+        let mut stats = NetStats::default();
+        let mut inboxes = vec![Vec::new(); 2];
+        let mut link = FaultyLink::new(FaultPlan::none(), 7);
+        link.begin_tick(1, 2);
+        link.deliver_down(0, a_downlink(), &mut inboxes, &mut stats);
+        assert_eq!((inboxes[0].len(), inboxes[0].capacity()), (1, 1));
+        // The same through the delay queue.
+        let plan = FaultPlan::builder().delay(1.0, 1).build().unwrap();
+        let mut link = FaultyLink::new(plan, 7);
+        link.begin_tick(1, 2);
+        link.deliver_down(1, a_downlink(), &mut inboxes, &mut stats);
+        assert!(inboxes[1].is_empty(), "held, not delivered");
+        link.begin_tick(2, 2);
+        link.drain_due_down(&mut inboxes, &mut stats);
+        assert_eq!((inboxes[1].len(), inboxes[1].capacity()), (1, 1));
     }
 
     #[test]

@@ -10,7 +10,6 @@ use mknn_net::{
     ObjReport, OpCounters, ProbeService, Protocol, QuerySpec, Recipient, Registration, ReplStore,
     ServerPhase, ShardTask, UplinkMsg, Uplinks,
 };
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The engine's one downlink path (DESIGN.md §10), built once for the init
@@ -37,18 +36,27 @@ struct Downlink<'a> {
     stats: &'a mut NetStats,
     builder: DownlinkBuilder<'a>,
     inboxes: &'a mut [Vec<DownlinkMsg>],
+    /// The zone members [`Self::page`] found, one buffer for the episode.
+    hits: &'a mut Vec<Neighbor>,
 }
 
 impl Downlink<'_> {
     /// Pages `msg` over `zone`: one geocast transmission per overlapped
-    /// paging cell and one `Fanout` per foreign covering shard. Returns the
-    /// devices interested in it, which are exactly the zone's members.
-    fn page(&mut self, zone: Circle, msg: &DownlinkMsg) -> Vec<Neighbor> {
+    /// paging cell and one `Fanout` per foreign covering shard. Then visits
+    /// the devices interested in it, which are exactly the zone's members,
+    /// in `(dist², id)` order.
+    fn page(&mut self, zone: Circle, msg: &DownlinkMsg, mut each: impl FnMut(&mut Self, ObjectId)) {
         let cells = self.infra.cells_overlapping(&zone);
         self.stats.count_geocast(msg.kind(), cells);
         self.coord
             .route_geocast(msg.query(), &zone, self.stats, Some(&mut *self.link));
-        self.infra.range(&zone)
+        // Taken out for the visit, which borrows the whole `Downlink`.
+        let mut hits = std::mem::take(&mut *self.hits);
+        self.infra.range_into(&zone, &mut hits);
+        for n in &hits {
+            each(self, n.id);
+        }
+        *self.hits = hits;
     }
 
     /// Addresses `msg` to device `id`: one logical unicast, forwarded over
@@ -114,11 +122,7 @@ impl Downlink<'_> {
                     self.address(id, &msg);
                     self.deliver(id, msg);
                 }
-                Recipient::Geocast(zone) => {
-                    for n in self.page(zone, &msg) {
-                        self.deliver(n.id, msg);
-                    }
-                }
+                Recipient::Geocast(zone) => self.page(zone, &msg, |dl, id| dl.deliver(id, msg)),
             }
         }
     }
@@ -184,23 +188,18 @@ impl ProbeService for Downlink<'_> {
         // copies are framed, not per message.
         let msg = DownlinkMsg::Probe { query, zone };
         let mut out = Vec::new();
-        for n in self.page(zone, &msg) {
-            if n.id != exclude {
-                out.extend(self.ask(n.id, msg, false));
+        self.page(zone, &msg, |dl, id| {
+            if id != exclude {
+                out.extend(dl.ask(id, msg, false));
             }
-        }
+        });
         // Gather: delivered replies surface at the shard serving the
         // sender's block (its fallback while the owner is down); foreign
         // shards ship their candidates home as one partial answer each,
         // merged in ascending shard order.
-        let mut per_shard: BTreeMap<u32, usize> = BTreeMap::new();
-        for r in &out {
-            *per_shard.entry(self.coord.shard_of(r.pos)).or_insert(0) += 1;
-        }
-        for (shard, count) in per_shard {
-            self.coord
-                .probe_gather(query, shard, count, self.stats, Some(&mut *self.link));
-        }
+        let replies = out.iter().map(|r| r.pos);
+        self.coord
+            .gather_replies(query, replies, self.stats, Some(&mut *self.link));
         out
     }
 
@@ -255,6 +254,8 @@ pub struct Simulation {
     /// and is the ground truth answers are checked against.
     infra: GridIndex,
     inboxes: Vec<Vec<DownlinkMsg>>,
+    /// Geocast recipients, lent to every tick's [`Downlink`].
+    hits: Vec<Neighbor>,
     verify: VerifyMode,
     metrics: EpisodeMetrics,
     tick: Tick,
@@ -349,6 +350,7 @@ impl Simulation {
             ..EpisodeMetrics::default()
         };
         let mut inboxes: Vec<Vec<DownlinkMsg>> = vec![Vec::new(); world.len()];
+        let mut hits = Vec::new();
 
         // Shard tier: seed every ownership before any traffic flows (a
         // first sighting is registration, not a boundary crossing, so
@@ -386,6 +388,7 @@ impl Simulation {
             stats: &mut metrics.net,
             builder: repl.begin_tick(0),
             inboxes: &mut inboxes,
+            hits: &mut hits,
         };
         proto.init(
             &GridRegistration {
@@ -418,6 +421,7 @@ impl Simulation {
             specs,
             infra,
             inboxes,
+            hits,
             verify,
             metrics,
             tick: 0,
@@ -641,6 +645,7 @@ impl Simulation {
             stats: &mut self.metrics.net,
             builder: self.repl.begin_tick(self.tick),
             inboxes: &mut self.inboxes,
+            hits: &mut self.hits,
         };
         self.proto.server_phase(&mut ServerPhase {
             tick: self.tick,
@@ -880,6 +885,7 @@ mod tests {
         stats: NetStats,
         repl: ReplStore,
         inboxes: Vec<Vec<DownlinkMsg>>,
+        hits: Vec<Neighbor>,
     }
 
     impl Rig {
@@ -902,6 +908,7 @@ mod tests {
                 link: FaultyLink::new(FaultPlan::none(), 0),
                 stats,
                 repl: ReplStore::new(),
+                hits: Vec::new(),
             }
         }
 
@@ -914,6 +921,7 @@ mod tests {
                 stats: &mut self.stats,
                 builder: self.repl.begin_tick(1),
                 inboxes: &mut self.inboxes,
+                hits: &mut self.hits,
             }
         }
     }

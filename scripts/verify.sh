@@ -127,18 +127,18 @@ run_gates() {
 }
 
 stage_build() {
-    echo "==> cargo build --release --offline --workspace"
-    cargo build --release --offline --workspace
+    echo "==> cargo build --release --offline --locked --workspace"
+    cargo build --release --offline --locked --workspace
 }
 
 stage_clippy() {
-    echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
-    cargo clippy --workspace --all-targets --offline -- -D warnings
+    echo "==> cargo clippy --workspace --all-targets --offline --locked -- -D warnings"
+    cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 }
 
 stage_test() {
-    echo "==> cargo test -q --offline --workspace"
-    cargo test -q --offline --workspace
+    echo "==> cargo test -q --offline --locked --workspace"
+    cargo test -q --offline --locked --workspace
 }
 
 stage_fmt() {
@@ -148,8 +148,8 @@ stage_fmt() {
 }
 
 stage_doc() {
-    echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline"
-    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+    echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --offline --locked"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 }
 
 stage_recovery() {
