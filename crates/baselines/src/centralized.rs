@@ -110,7 +110,7 @@ mod tests {
 
     struct NoProbe;
     impl ProbeService for NoProbe {
-        fn probe(&mut self, _q: QueryId, _z: Circle, _e: ObjectId) -> Vec<ObjReport> {
+        fn probe(&mut self, _q: QueryId, _z: Circle, _e: ObjectId, _out: &mut Vec<ObjReport>) {
             panic!("centralized must not probe")
         }
         fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {
@@ -194,7 +194,6 @@ mod tests {
             tick: 1,
             pos: &[Point::new(1.0, 1.0)],
             vel: &[Vector::ZERO],
-            max_speed: &[5.0],
             inboxes: &[Vec::new()],
             link: &FaultyLink::new(FaultPlan::none(), 0),
             pool: Pool::new(1),

@@ -33,7 +33,6 @@ pub(crate) struct GridTier {
     /// Query ids keyed by focal object id (a focal `Position` report also
     /// recenters those queries).
     focal_queries: BTreeMap<u32, Vec<u32>>,
-    empty: Vec<ObjectId>,
 }
 
 impl GridTier {
@@ -43,7 +42,6 @@ impl GridTier {
             index: GridIndex::new(Rect::square(1.0), 1, 1),
             queries: Vec::new(),
             focal_queries: BTreeMap::new(),
-            empty: Vec::new(),
         }
     }
 
@@ -77,12 +75,9 @@ impl GridTier {
             // k+1 then drop the focal object if it shows up.
             let (nn, work) = self.index.knn_counted(qs.q_pos, qs.spec.k + 1);
             ops.server_ops += work;
-            qs.answer = nn
-                .into_iter()
-                .filter(|n| n.id != qs.spec.focal)
-                .take(qs.spec.k)
-                .map(|n| n.id)
-                .collect();
+            let others = nn.iter().filter(|n| n.id != qs.spec.focal);
+            qs.answer.clear();
+            qs.answer.extend(others.take(qs.spec.k).map(|n| n.id));
         }
     }
 
@@ -140,7 +135,7 @@ impl GridTier {
     pub fn answer(&self, query: QueryId) -> &[ObjectId] {
         self.queries
             .get(query.index())
-            .map_or(&self.empty, |qs| qs.answer.as_slice())
+            .map_or(&[], |qs| qs.answer.as_slice())
     }
 
     /// Latest known focal position of `query` (the effective center of the

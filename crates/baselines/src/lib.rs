@@ -54,6 +54,10 @@ mod testing {
             &self.0
         }
 
+        fn lossy(&self) -> bool {
+            false
+        }
+
         fn nearest(&self, _center: Point, _k: usize) -> Vec<ObjReport> {
             unreachable!("the baselines register without a kNN")
         }

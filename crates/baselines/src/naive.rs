@@ -2,8 +2,8 @@
 
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Vector};
 use mknn_net::{
-    run_client_phase, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Registration,
-    ServerPhase, UplinkMsg, Uplinks,
+    run_client_phase, ObjReport, OpCounters, Outbox, ProbeService, Protocol, QuerySpec,
+    Registration, ServerPhase, UplinkMsg, Uplinks,
 };
 
 /// Per-query server record: the cached answer and the adaptive zone radius.
@@ -35,7 +35,8 @@ pub struct NaiveProbe {
     /// Query records, indexed by query id.
     queries: Vec<NState>,
     space_diag: f64,
-    empty: Vec<ObjectId>,
+    /// The probes' replies, one buffer for the episode.
+    replies: Vec<ObjReport>,
 }
 
 impl NaiveProbe {
@@ -48,7 +49,7 @@ impl NaiveProbe {
             focal_of: Vec::new(),
             queries: Vec::new(),
             space_diag: 1.0,
-            empty: Vec::new(),
+            replies: Vec::new(),
         }
     }
 
@@ -60,31 +61,33 @@ impl NaiveProbe {
         ops: &mut OpCounters,
     ) {
         let (space_diag, headroom) = (self.space_diag, self.headroom);
+        let replies = &mut self.replies;
         for q in homed {
             let state = &mut self.queries[q];
             let center = state.q_pos;
             let mut r = state.radius.clamp(1.0, space_diag);
-            let replies = loop {
-                let replies = probe.probe(state.spec.id, Circle::new(center, r), state.spec.focal);
+            loop {
+                probe.probe(
+                    state.spec.id,
+                    Circle::new(center, r),
+                    state.spec.focal,
+                    replies,
+                );
                 ops.server_ops += replies.len() as u64 + 1;
                 if replies.len() >= state.spec.k || r >= space_diag {
-                    break replies;
+                    break;
                 }
                 r = (r * 2.0).min(space_diag);
-            };
-            let mut scored: Vec<(f64, ObjectId)> = replies
-                .iter()
-                .map(|o| (o.pos.dist_sq(center), o.id))
-                .collect();
-            scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            state.answer = scored
-                .iter()
-                .take(state.spec.k)
-                .map(|&(_, id)| id)
-                .collect();
+            }
+            // The replies come ranked around `center`: the answer is their
+            // prefix.
+            state.answer.clear();
+            state
+                .answer
+                .extend(replies.iter().take(state.spec.k).map(|o| o.id));
             // Next tick's zone: the current k-th distance plus headroom.
-            if let Some(&(d2, _)) = scored.get(state.spec.k.saturating_sub(1)) {
-                state.radius = d2.sqrt() * headroom;
+            if let Some(kth) = replies.get(state.spec.k.saturating_sub(1)) {
+                state.radius = kth.pos.dist_sq(center).sqrt() * headroom;
             }
         }
     }
@@ -180,7 +183,7 @@ impl Protocol for NaiveProbe {
     fn answer(&self, query: QueryId) -> &[ObjectId] {
         self.queries
             .get(query.index())
-            .map_or(&self.empty, |q| q.answer.as_slice())
+            .map_or(&[], |q| q.answer.as_slice())
     }
 }
 
@@ -189,7 +192,7 @@ mod tests {
     use super::*;
     use crate::testing::Registered;
     use mknn_mobility::MovingObject;
-    use mknn_net::{single_server_phase, MsgKind, ObjReport};
+    use mknn_net::{single_server_phase, MsgKind};
 
     struct TableProbe {
         positions: Vec<Point>,
@@ -197,18 +200,23 @@ mod tests {
     }
 
     impl ProbeService for TableProbe {
-        fn probe(&mut self, _q: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport> {
+        fn probe(
+            &mut self,
+            _q: QueryId,
+            zone: Circle,
+            exclude: ObjectId,
+            out: &mut Vec<ObjReport>,
+        ) {
             self.probes += 1;
-            self.positions
-                .iter()
-                .enumerate()
-                .filter(|&(i, p)| ObjectId(i as u32) != exclude && zone.contains(*p))
-                .map(|(i, p)| ObjReport {
-                    id: ObjectId(i as u32),
-                    pos: *p,
-                    vel: Vector::ZERO,
-                })
-                .collect()
+            out.clear();
+            for (i, &pos) in self.positions.iter().enumerate() {
+                let id = ObjectId(i as u32);
+                if id != exclude && zone.contains(pos) {
+                    let vel = Vector::ZERO;
+                    out.push(ObjReport { id, pos, vel });
+                }
+            }
+            out.sort_by_key(|r| (r.pos.dist_sq(zone.center).to_bits(), r.id));
         }
         fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {
             None
@@ -255,7 +263,6 @@ mod tests {
             tick: 1,
             pos,
             vel,
-            max_speed: &vec![5.0; pos.len()],
             inboxes: &vec![Vec::new(); pos.len()],
             link: &mknn_net::FaultyLink::new(mknn_net::FaultPlan::none(), 0),
             pool: mknn_util::Pool::new(1),

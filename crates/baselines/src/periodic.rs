@@ -136,7 +136,6 @@ mod tests {
             tick,
             pos,
             vel: &vec![Vector::ZERO; pos.len()],
-            max_speed: &vec![5.0; pos.len()],
             inboxes: &vec![Vec::new(); pos.len()],
             link: &FaultyLink::new(FaultPlan::none(), 0),
             pool: Pool::new(1),
@@ -147,7 +146,7 @@ mod tests {
 
     struct NoProbe;
     impl ProbeService for NoProbe {
-        fn probe(&mut self, _q: QueryId, _z: Circle, _e: ObjectId) -> Vec<ObjReport> {
+        fn probe(&mut self, _q: QueryId, _z: Circle, _e: ObjectId, _out: &mut Vec<ObjReport>) {
             panic!("periodic must not probe")
         }
         fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {

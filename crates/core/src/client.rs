@@ -8,7 +8,7 @@
 //! 2. it violates its assigned response band (ordered mode, → `BandCross`),
 //! 3. it is a query's focal object and it moved (→ `QueryMove`).
 //!
-//! In **lossy mode** (see [`mknn_net::Protocol::set_lossy`]) the client
+//! In **lossy mode** (see [`mknn_net::Registration::lossy`]) the client
 //! additionally runs recovery machinery for unreliable transports:
 //! critical events (`Enter`/`Leave`) are retransmitted with doubling
 //! backoff until the server acks them, freshly adopted regions announce
@@ -20,8 +20,7 @@
 
 use crate::{DknnParams, RegionVersion};
 use mknn_geom::{LinearMotion, Point, QueryId, ThresholdCrossing, Tick, Vector};
-use mknn_mobility::MovingObject;
-use mknn_net::{DownlinkMsg, MsgKind, OpCounters, UplinkMsg, Uplinks};
+use mknn_net::{DownlinkMsg, MsgKind, ObjReport, OpCounters, UplinkMsg, Uplinks};
 
 /// Resend timer start: one round trip is two ticks (uplink consumed this
 /// tick, ack routed at tick end, read next tick).
@@ -96,19 +95,15 @@ pub struct ClientHalf {
 }
 
 impl ClientHalf {
-    /// Creates client state for `n` devices.
-    pub fn new(params: DknnParams, n: usize) -> Self {
+    /// Creates client state for `n` devices; `lossy` switches on the
+    /// recovery machinery (retransmits, announcements, gap resync, per-tick
+    /// focal reports).
+    pub fn new(params: DknnParams, n: usize, lossy: bool) -> Self {
         ClientHalf {
             params,
             states: vec![ClientState::default(); n],
-            lossy: false,
+            lossy,
         }
-    }
-
-    /// Switches the recovery machinery (retransmits, announcements, gap
-    /// resync, per-tick focal reports) on or off.
-    pub fn set_lossy(&mut self, lossy: bool) {
-        self.lossy = lossy;
     }
 
     /// Registers `device` as the focal object of `query` (done at query
@@ -128,7 +123,7 @@ impl ClientHalf {
     pub fn tick(
         &mut self,
         now: Tick,
-        me: &MovingObject,
+        me: &ObjReport,
         inbox: &[DownlinkMsg],
         up: &mut Uplinks,
         ops: &mut OpCounters,
@@ -173,7 +168,7 @@ fn tick_device(
     lossy: bool,
     st: &mut ClientState,
     now: Tick,
-    me: &MovingObject,
+    me: &ObjReport,
     inbox: &[DownlinkMsg],
     up: &mut Uplinks,
     ops: &mut OpCounters,
@@ -535,10 +530,12 @@ mod tests {
     use super::*;
     use mknn_geom::ObjectId;
 
-    fn device(id: u32, x: f64, y: f64, vx: f64, vy: f64) -> MovingObject {
-        let mut o = MovingObject::at(ObjectId(id), Point::new(x, y), 50.0);
-        o.vel = Vector::new(vx, vy);
-        o
+    fn device(id: u32, x: f64, y: f64, vx: f64, vy: f64) -> ObjReport {
+        ObjReport {
+            id: ObjectId(id),
+            pos: Point::new(x, y),
+            vel: Vector::new(vx, vy),
+        }
     }
 
     fn install(q: u32, ver: Tick, cx: f64, cy: f64, t: f64) -> DownlinkMsg {
@@ -553,7 +550,7 @@ mod tests {
 
     #[test]
     fn silent_while_inside_without_band() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         // Install at tick 1, device well inside and stays inside.
@@ -567,7 +564,7 @@ mod tests {
 
     #[test]
     fn reports_leave_on_exit_and_enter_on_return() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 99.0, 0.0, 0.0, 0.0);
@@ -607,7 +604,7 @@ mod tests {
     fn adoption_lag_crossing_is_still_reported() {
         // Device was outside at install tick, crossed in during the
         // delivery-lag tick: the first evaluation must emit Enter.
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         // prev_pos = pos − vel = (103,0) − (−5,0) … = (108, 0): outside 100.
@@ -619,7 +616,7 @@ mod tests {
 
     #[test]
     fn moving_region_center_is_predicted() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let msg = DownlinkMsg::InstallRegion {
@@ -642,7 +639,7 @@ mod tests {
 
     #[test]
     fn band_violation_reports_and_clears() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let band = DownlinkMsg::SetBand {
@@ -677,7 +674,7 @@ mod tests {
 
     #[test]
     fn band_under_stale_version_is_ignored() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let stale_band = DownlinkMsg::SetBand {
@@ -702,7 +699,7 @@ mod tests {
 
     #[test]
     fn newer_version_replaces_older_and_resets_band() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 30.0, 0.0, 0.0, 0.0);
@@ -732,7 +729,7 @@ mod tests {
     #[test]
     fn heartbeat_refreshes_last_heard_without_reset() {
         let p = DknnParams::default();
-        let mut c = ClientHalf::new(p, 1);
+        let mut c = ClientHalf::new(p, 1, false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 30.0, 0.0, 0.0, 0.0);
@@ -753,7 +750,7 @@ mod tests {
     #[test]
     fn unheard_region_is_evicted() {
         let p = DknnParams::default();
-        let mut c = ClientHalf::new(p, 1);
+        let mut c = ClientHalf::new(p, 1, false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 30.0, 0.0, 0.0, 0.0);
@@ -767,7 +764,7 @@ mod tests {
 
     #[test]
     fn region_list_grows_one_slot_per_adoption() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 30.0, 0.0, 0.0, 0.0);
@@ -784,8 +781,7 @@ mod tests {
 
     #[test]
     fn removing_the_last_region_releases_the_lists() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
-        c.set_lossy(true);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         // Inside on adoption: the lossy announcement goes pending.
@@ -801,8 +797,7 @@ mod tests {
 
     #[test]
     fn acking_the_last_pending_event_releases_its_list() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
-        c.set_lossy(true);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 10.0, 0.0, 0.0, 0.0);
@@ -820,8 +815,7 @@ mod tests {
 
     #[test]
     fn lossy_enter_is_retransmitted_with_backoff_until_acked() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
-        c.set_lossy(true);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         // Adopt the region while outside, then cross in at tick 2.
@@ -868,8 +862,7 @@ mod tests {
     fn lossy_fresh_adoption_announces_membership() {
         // A device already inside a region it just learned about declares
         // itself: the original Enter (if any) may have died in flight.
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
-        c.set_lossy(true);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 10.0, 0.0, 0.0, 0.0);
@@ -883,8 +876,7 @@ mod tests {
 
     #[test]
     fn lossy_offline_gap_resyncs_and_reannounces() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
-        c.set_lossy(true);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 10.0, 0.0, 0.0, 0.0);
@@ -909,8 +901,7 @@ mod tests {
 
     #[test]
     fn lossy_newer_version_drops_pending_retransmissions() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
-        c.set_lossy(true);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 10.0, 0.0, 0.0, 0.0);
@@ -940,7 +931,7 @@ mod tests {
 
     #[test]
     fn focal_reports_movement_and_ignores_own_region() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1);
+        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
         c.set_focal(0, QueryId(0));
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();

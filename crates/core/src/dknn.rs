@@ -36,7 +36,6 @@ pub struct Dknn {
     mode: Mode,
     client: ClientHalf,
     server: ServerHalf,
-    lossy: bool,
 }
 
 impl Dknn {
@@ -44,66 +43,42 @@ impl Dknn {
     ///
     /// # Panics
     ///
-    /// Panics when `params` fail [`DknnParams::validate`]; use
-    /// [`Dknn::try_set`] to handle invalid parameters gracefully.
+    /// Panics when `params` fail [`DknnParams::validate`].
     pub fn set(params: DknnParams) -> Self {
-        Self::try_set(params).expect("invalid DknnParams")
+        Self::with_mode(params, Mode::Set)
     }
 
     /// Order-preserving protocol.
     ///
     /// # Panics
     ///
-    /// Panics when `params` fail [`DknnParams::validate`]; use
-    /// [`Dknn::try_ordered`] to handle invalid parameters gracefully.
+    /// Panics when `params` fail [`DknnParams::validate`].
     pub fn ordered(params: DknnParams) -> Self {
-        Self::try_ordered(params).expect("invalid DknnParams")
+        Self::with_mode(params, Mode::Ordered)
     }
 
     /// Order-preserving protocol over `buffer` spare candidates beyond k.
     ///
     /// # Panics
     ///
-    /// Panics when `params` fail [`DknnParams::validate`] or `buffer < 2`;
-    /// use [`Dknn::try_buffered`] to handle invalid parameters gracefully.
+    /// Panics when `params` fail [`DknnParams::validate`], or with
+    /// [`ParamError::BufferTooSmall`] when `buffer < 2`.
     pub fn buffered(params: DknnParams, buffer: usize) -> Self {
-        Self::try_buffered(params, buffer).expect("invalid DknnParams")
-    }
-
-    /// Fallible [`Dknn::set`]: rejects invalid parameters with the typed
-    /// error instead of panicking.
-    pub fn try_set(params: DknnParams) -> Result<Self, ParamError> {
-        Self::with_mode(params, Mode::Set)
-    }
-
-    /// Fallible [`Dknn::ordered`].
-    pub fn try_ordered(params: DknnParams) -> Result<Self, ParamError> {
-        Self::with_mode(params, Mode::Ordered)
-    }
-
-    /// Fallible [`Dknn::buffered`]: a buffer below 2 is
-    /// [`ParamError::BufferTooSmall`].
-    pub fn try_buffered(params: DknnParams, buffer: usize) -> Result<Self, ParamError> {
-        if buffer < 2 {
-            return Err(ParamError::BufferTooSmall(buffer));
-        }
         Self::with_mode(params, Mode::Buffered { buffer })
     }
 
-    fn with_mode(params: DknnParams, mode: Mode) -> Result<Self, ParamError> {
-        params.validate()?;
-        Ok(Dknn {
+    fn with_mode(params: DknnParams, mode: Mode) -> Self {
+        match mode {
+            Mode::Buffered { buffer } if buffer < 2 => Err(ParamError::BufferTooSmall(buffer)),
+            _ => params.validate(),
+        }
+        .expect("invalid DknnParams");
+        Dknn {
             params,
             mode,
-            client: ClientHalf::new(params, 0),
+            client: ClientHalf::new(params, 0, false),
             server: ServerHalf::new(params, mode),
-            lossy: false,
-        })
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &DknnParams {
-        &self.params
+        }
     }
 
     /// Number of full refreshes performed so far (diagnostics).
@@ -127,12 +102,6 @@ impl Protocol for Dknn {
         }
     }
 
-    fn set_lossy(&mut self, lossy: bool) {
-        self.lossy = lossy;
-        self.client.set_lossy(lossy);
-        self.server.set_lossy(lossy);
-    }
-
     fn init(
         &mut self,
         reg: &dyn Registration,
@@ -141,8 +110,7 @@ impl Protocol for Dknn {
         outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
-        self.client = ClientHalf::new(self.params, reg.world().len());
-        self.client.set_lossy(self.lossy);
+        self.client = ClientHalf::new(self.params, reg.world().len(), reg.lossy());
         for spec in queries {
             self.client.set_focal(spec.focal.index(), spec.id);
         }
@@ -190,20 +158,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fallible_constructors_reject_bad_parameters_with_the_typed_error() {
-        let ok = DknnParams::default();
-        for buffer in [0, 1] {
-            assert_eq!(
-                Dknn::try_buffered(ok, buffer).err(),
-                Some(ParamError::BufferTooSmall(buffer))
-            );
-        }
-        assert!(Dknn::try_buffered(ok, 2).is_ok());
+    #[should_panic(expected = "BufferTooSmall(1)")]
+    fn a_buffer_below_two_is_rejected() {
+        Dknn::buffered(DknnParams::default(), 1);
+    }
 
-        let bad = DknnParams { alpha: 1.0, ..ok };
-        let want = Some(ParamError::AlphaOutOfRange(1.0));
-        assert_eq!(Dknn::try_set(bad).err(), want);
-        assert_eq!(Dknn::try_ordered(bad).err(), want);
-        assert_eq!(Dknn::try_buffered(bad, 2).err(), want);
+    #[test]
+    #[should_panic(expected = "AlphaOutOfRange")]
+    fn invalid_parameters_are_rejected() {
+        Dknn::set(DknnParams {
+            alpha: 1.0,
+            ..DknnParams::default()
+        });
     }
 }

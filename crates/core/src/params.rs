@@ -5,9 +5,9 @@ use std::fmt;
 /// A rejected [`DknnParams`] construction: which knob was out of range and
 /// the offending value.
 ///
-/// Produced by [`DknnParams::validate`], [`DknnParamsBuilder::build`] and
-/// the fallible `Dknn::try_*` constructors, so an invalid knob fails with a
-/// message instead of silently mis-running an episode.
+/// Produced by [`DknnParams::validate`] and [`DknnParamsBuilder::build`],
+/// and the panic message of the `Dknn` constructors, so an invalid knob
+/// fails with a message instead of silently mis-running an episode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParamError {
     /// `alpha` outside the open interval `(0, 1)`.

@@ -81,9 +81,10 @@ struct ServerCfg {
     params: DknnParams,
     mode: Mode,
     space_diag: f64,
-    /// Lossy-transport hardening switch: acks for critical events,
-    /// idempotent duplicate handling, and member leases. Off by default so
-    /// the perfect-link message trace stays byte-identical.
+    /// Lossy-transport hardening switch, read from the registration: acks
+    /// for critical events, idempotent duplicate handling, and member
+    /// leases. Off on a perfect link, so its message trace stays
+    /// byte-identical.
     lossy: bool,
 }
 
@@ -96,7 +97,8 @@ struct ServerCfg {
 pub struct ServerHalf {
     cfg: ServerCfg,
     queries: Vec<ServerQuery>,
-    empty: Vec<ObjectId>,
+    /// The refresh probes' replies, one buffer for the episode.
+    replies: Vec<ObjReport>,
     current_tick: Tick,
 }
 
@@ -111,22 +113,16 @@ impl ServerHalf {
                 lossy: false,
             },
             queries: Vec::new(),
-            empty: Vec::new(),
+            replies: Vec::new(),
             current_tick: 0,
         }
-    }
-
-    /// Enables (or disables) the lossy-transport recovery machinery. Call
-    /// once, before [`Self::init`], when the episode runs over a faulty
-    /// link.
-    pub fn set_lossy(&mut self, lossy: bool) {
-        self.cfg.lossy = lossy;
     }
 
     /// Installs the queries from the registration snapshot (tick 0): the
     /// initial lists come from the registered positions — devices report
     /// their location when they register, so no probe is needed — and the
-    /// initial regions and bands are broadcast.
+    /// initial regions and bands are broadcast. The registration also says
+    /// whether the recovery machinery runs ([`Registration::lossy`]).
     pub fn init(
         &mut self,
         reg: &dyn Registration,
@@ -137,10 +133,11 @@ impl ServerHalf {
         let world = reg.world();
         let bounds = world.bounds();
         self.cfg.space_diag = bounds.min.dist(bounds.max);
+        self.cfg.lossy = reg.lossy();
         self.queries.clear();
         for (i, spec) in queries.iter().enumerate() {
             assert_eq!(spec.id.index(), i, "query ids must be dense and in order");
-            let mut reports = self.cfg.registration_reports(reg, spec);
+            let reports = self.cfg.registration_reports(reg, spec);
             // The *modeled* registration cost is the full population: the
             // server ingests every device's registration and runs the
             // selection pass over it (`establish` charges its own input
@@ -148,7 +145,7 @@ impl ServerHalf {
             let n_reg = (world.len() as u64).saturating_sub(1);
             ops.server_ops += 2 * n_reg - reports.len() as u64;
             let mut q = ServerQuery::new(*spec, &world.object(spec.focal));
-            self.cfg.establish(&mut q, &mut reports, 0, outbox, ops);
+            self.cfg.establish(&mut q, &reports, 0, outbox, ops);
             self.queries.push(q);
         }
     }
@@ -157,7 +154,7 @@ impl ServerHalf {
     pub fn answer(&self, query: QueryId) -> &[ObjectId] {
         self.queries
             .get(query.index())
-            .map_or(&self.empty, |q| q.answer.as_slice())
+            .map_or(&[], |q| q.answer.as_slice())
     }
 
     /// The effective query center the current answer refers to.
@@ -388,7 +385,7 @@ impl ServerHalf {
                 q.needs_refresh = true;
             }
             if q.needs_refresh {
-                cfg.refresh(q, now, probe, outbox, ops);
+                cfg.refresh(q, now, probe, &mut self.replies, outbox, ops);
             } else if now.saturating_sub(q.last_broadcast) >= cfg.params.heartbeat {
                 // Heartbeat: re-send the *identical* version; only the
                 // geocast zone is re-centered on the predicted position.
@@ -454,23 +451,28 @@ impl ServerCfg {
     /// reports, or k + b extended over distance ties at the edge when
     /// buffered — places the threshold, broadcasts the region, and bands
     /// every entry (the bands go out unless the mode is `Set`).
+    ///
+    /// `reports` come ranked, ascending `(distance², id)` from the query
+    /// position: a registration kNN around the focal, or a probe centred
+    /// on `q_pos` ([`ProbeService::probe`]).
     fn establish(
         &self,
         q: &mut ServerQuery,
-        reports: &mut [ObjReport],
+        reports: &[ObjReport],
         now: Tick,
         outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
         let c = q.q_pos;
+        debug_assert!(
+            reports.is_sorted_by(|a, b| {
+                let by_dist = a.pos.dist_sq(c).total_cmp(&b.pos.dist_sq(c));
+                by_dist.then(a.id.cmp(&b.id)).is_lt()
+            }),
+            "reports not ranked by (distance², id) from the query position"
+        );
         ops.server_ops += reports.len() as u64;
-        reports.sort_unstable_by(|a, b| {
-            let da = a.pos.dist_sq(c);
-            let db = b.pos.dist_sq(c);
-            // total_cmp: report positions come off the wire, so a NaN (however
-            // unlikely) must order deterministically rather than panic mid-sort.
-            da.total_cmp(&db).then(a.id.cmp(&b.id))
-        });
+        let dist = |i: usize| reports[i].pos.dist(c);
         let mut kept = reports.len().min(self.target(q.spec.k));
         // Region containment is `d <= t`, so every report tied (in distance)
         // with the last buffered candidate must be banded too: grid-like
@@ -478,13 +480,12 @@ impl ServerCfg {
         // d_next == d_last, which would leave the tied objects inside the
         // region with no band — free to move without ever reporting.
         if self.buffer().is_some() && kept > 0 {
-            let d_edge = reports[kept - 1].pos.dist(c);
-            while kept < reports.len() && reports[kept].pos.dist(c) <= d_edge + TIE {
+            let d_edge = dist(kept - 1);
+            while kept < reports.len() && dist(kept) <= d_edge + TIE {
                 kept += 1;
             }
         }
-        let dists: Vec<f64> = reports[..kept].iter().map(|r| r.pos.dist(c)).collect();
-        let d_last = dists.last().copied().unwrap_or(0.0);
+        let d_last = kept.checked_sub(1).map_or(0.0, dist);
         let t = match reports.get(kept) {
             Some(next) => d_last + self.params.alpha * (next.pos.dist(c) - d_last),
             // Nothing lies beyond the list: any threshold past d_last is sound.
@@ -505,23 +506,20 @@ impl ServerCfg {
         // Band intervals partition (0, t]: boundaries at midpoints between
         // consecutive member distances.
         q.members.clear();
-        for i in 0..kept {
-            let inner = if i == 0 {
-                0.0
-            } else {
-                (dists[i - 1] + dists[i]) * 0.5
-            };
+        let mut inner = 0.0;
+        for (i, r) in reports[..kept].iter().enumerate() {
             let outer = if i + 1 == kept {
                 t
             } else {
-                (dists[i] + dists[i + 1]) * 0.5
+                (dist(i) + dist(i + 1)) * 0.5
             };
             let m = Member {
-                id: reports[i].id,
+                id: r.id,
                 inner,
                 outer,
                 heard: now,
             };
+            inner = outer;
             q.members.push(m);
             if self.mode != Mode::Set {
                 q.send_band(m, outbox);
@@ -531,12 +529,14 @@ impl ServerCfg {
     }
 
     /// Full refresh: an expanding probe until it finds more devices than
-    /// the list holds, re-selection, new version broadcast.
+    /// the list holds, re-selection, new version broadcast. The probes'
+    /// replies land in `replies`.
     fn refresh(
         &self,
         q: &mut ServerQuery,
         now: Tick,
         probe: &mut dyn ProbeService,
+        replies: &mut Vec<ObjReport>,
         outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
@@ -545,15 +545,15 @@ impl ServerCfg {
         let drift = c.dist(q.ver.pred_center(now));
         let slack = 2.0 * (self.params.v_max_obj + self.params.v_max_q);
         let mut r = (q.ver.t + drift + slack).clamp(slack.max(1.0), self.space_diag);
-        let mut reports = loop {
-            let reports = probe.probe(q.spec.id, Circle::new(c, r), q.spec.focal);
-            ops.server_ops += reports.len() as u64 + 1;
-            if reports.len() > need || r >= self.space_diag {
-                break reports;
+        loop {
+            probe.probe(q.spec.id, Circle::new(c, r), q.spec.focal, replies);
+            ops.server_ops += replies.len() as u64 + 1;
+            if replies.len() > need || r >= self.space_diag {
+                break;
             }
             r = (r * self.params.expand_factor).min(self.space_diag);
-        };
-        self.establish(q, &mut reports, now, outbox, ops);
+        }
+        self.establish(q, replies, now, outbox, ops);
         q.refreshes += 1;
     }
 }
@@ -615,12 +615,9 @@ impl ServerQuery {
     }
 
     fn rebuild_answer(&mut self) {
-        self.answer = self
-            .members
-            .iter()
-            .take(self.spec.k)
-            .map(|m| m.id)
-            .collect();
+        self.answer.clear();
+        let listed = self.members.iter().take(self.spec.k);
+        self.answer.extend(listed.map(|m| m.id));
     }
 
     /// Counts one event against this tick's escalation valve; `false` once
@@ -826,23 +823,29 @@ mod tests {
     use mknn_net::MsgKind;
     use mknn_util::Rng;
 
-    /// A probe service over a fixed position table.
+    /// A probe service over a fixed position table, replying in the
+    /// contract's rank order.
     struct TableProbe {
         positions: Vec<Point>,
     }
 
     impl ProbeService for TableProbe {
-        fn probe(&mut self, _q: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport> {
-            self.positions
-                .iter()
-                .enumerate()
-                .filter(|&(i, p)| ObjectId(i as u32) != exclude && zone.contains(*p))
-                .map(|(i, p)| ObjReport {
-                    id: ObjectId(i as u32),
-                    pos: *p,
-                    vel: Vector::ZERO,
-                })
-                .collect()
+        fn probe(
+            &mut self,
+            _q: QueryId,
+            zone: Circle,
+            exclude: ObjectId,
+            out: &mut Vec<ObjReport>,
+        ) {
+            out.clear();
+            for (i, &pos) in self.positions.iter().enumerate() {
+                let id = ObjectId(i as u32);
+                if id != exclude && zone.contains(pos) {
+                    let vel = Vector::ZERO;
+                    out.push(ObjReport { id, pos, vel });
+                }
+            }
+            out.sort_by_key(|r| (r.pos.dist_sq(zone.center).to_bits(), r.id));
         }
 
         fn poll(&mut self, _q: QueryId, id: ObjectId) -> Option<ObjReport> {
@@ -878,25 +881,29 @@ mod tests {
         }
     }
 
-    /// `objects` registered over a 10 km square, `nearest` by brute force.
-    struct Registered(World);
+    /// `objects` registered over a 10 km square, `nearest` by brute force;
+    /// the flag is what [`Registration::lossy`] answers.
+    struct Registered(World, bool);
 
     impl Registered {
         fn new(objects: &[MovingObject]) -> Self {
             let (model, rng) = (Box::new(Stationary), Rng::seed_from_u64(0));
-            Registered(World::new(
-                Rect::square(10_000.0),
-                objects.to_vec(),
-                model,
-                0.0,
-                rng,
-            ))
+            let bounds = Rect::square(10_000.0);
+            Registered(World::new(bounds, objects.to_vec(), model, 0.0, rng), false)
+        }
+
+        fn lossy(objects: &[MovingObject]) -> Self {
+            Registered(Self::new(objects).0, true)
         }
     }
 
     impl Registration for Registered {
         fn world(&self) -> &World {
             &self.0
+        }
+
+        fn lossy(&self) -> bool {
+            self.1
         }
 
         fn nearest(&self, center: Point, k: usize) -> Vec<ObjReport> {
@@ -915,6 +922,10 @@ mod tests {
     }
 
     fn setup_on(world: &[MovingObject], k: usize, mode: Mode) -> (ServerHalf, Outbox, OpCounters) {
+        register(&Registered::new(world), k, mode)
+    }
+
+    fn register(reg: &Registered, k: usize, mode: Mode) -> (ServerHalf, Outbox, OpCounters) {
         let mut s = ServerHalf::new(DknnParams::default(), mode);
         let mut outbox = Outbox::new();
         let mut ops = OpCounters::default();
@@ -923,7 +934,7 @@ mod tests {
             focal: ObjectId(0),
             k,
         }];
-        s.init(&Registered::new(world), &queries, &mut outbox, &mut ops);
+        s.init(reg, &queries, &mut outbox, &mut ops);
         (s, outbox, ops)
     }
 
@@ -975,8 +986,8 @@ mod tests {
         assert_eq!(s.answer(QueryId(0)).len(), 3);
     }
 
-    /// The reference registration: every non-focal device's report, sorted
-    /// whole by `establish`.
+    /// The reference registration: every non-focal device's report, ranked
+    /// whole.
     fn whole_population_registration(
         world: &[MovingObject],
         k: usize,
@@ -1001,13 +1012,15 @@ mod tests {
                 vel: o.vel,
             })
             .collect();
+        let c = world[0].pos;
+        reports.sort_by_key(|r| (r.pos.dist_sq(c).to_bits(), r.id));
         let mut ops = OpCounters {
             server_ops: reports.len() as u64,
             ..OpCounters::default()
         };
         let mut outbox = Outbox::new();
         let mut q = ServerQuery::new(spec, &world[0]);
-        cfg.establish(&mut q, &mut reports, 0, &mut outbox, &mut ops);
+        cfg.establish(&mut q, &reports, 0, &mut outbox, &mut ops);
         (q, outbox, ops.server_ops)
     }
 
@@ -1280,6 +1293,40 @@ mod tests {
         assert_eq!(s.total_refreshes(), 1);
     }
 
+    /// A probe fake that breaks the contract: farthest reply first.
+    struct Unranked(TableProbe);
+
+    impl ProbeService for Unranked {
+        fn probe(&mut self, q: QueryId, zone: Circle, exclude: ObjectId, out: &mut Vec<ObjReport>) {
+            self.0.probe(q, zone, exclude, out);
+            out.reverse();
+        }
+
+        fn poll(&mut self, q: QueryId, id: ObjectId) -> Option<ObjReport> {
+            self.0.poll(q, id)
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not ranked by (distance², id)")]
+    fn establish_rejects_unranked_probe_replies() {
+        let (mut s, _, mut ops) = setup(3, Mode::Set);
+        let mut probe = Unranked(positions(&world()));
+        // A focal jump beyond query_drift forces a refresh.
+        let mut up = Uplinks::new();
+        let (pos, vel) = (Point::new(85.0, 0.0), Vector::ZERO);
+        up.send(
+            ObjectId(0),
+            UplinkMsg::QueryMove {
+                query: QueryId(0),
+                pos,
+                vel,
+            },
+        );
+        s.tick(2, HOMED, &up, &mut probe, &mut Outbox::new(), &mut ops);
+    }
+
     #[test]
     fn k_larger_than_population() {
         let (s, _, _) = setup(20, Mode::Set);
@@ -1290,8 +1337,7 @@ mod tests {
     #[test]
     fn lossy_duplicate_enter_from_member_is_acked_not_refreshed() {
         for mode in MODES {
-            let (mut s, _, mut ops) = setup(3, mode);
-            s.set_lossy(true);
+            let (mut s, _, mut ops) = register(&Registered::lossy(&world()), 3, mode);
             let mut probe = positions(&world());
             // Member 1 re-announces itself (a retransmission the original
             // of which the server already processed at init).
@@ -1331,8 +1377,7 @@ mod tests {
     fn lossy_lease_polls_silent_member_and_recovers_a_lost_leave() {
         let p = DknnParams::default();
         for mode in MODES {
-            let (mut s, _, mut ops) = setup(3, mode);
-            s.set_lossy(true);
+            let (mut s, _, mut ops) = register(&Registered::lossy(&world()), 3, mode);
             // Member 1 fled to x = 500 but its Leave never arrived (and the
             // device stays unreachable for events). The lease must notice.
             let mut probe = TableProbe {

@@ -64,12 +64,6 @@ impl GridIndex {
         self.bounds
     }
 
-    /// Grid resolution as `(cols, rows)`.
-    #[inline]
-    pub fn resolution(&self) -> (u32, u32) {
-        (self.cols, self.rows)
-    }
-
     /// Number of objects currently indexed.
     #[inline]
     pub fn len(&self) -> usize {

@@ -101,12 +101,6 @@ impl World {
         &self.vel
     }
 
-    /// Per-object speed caps.
-    #[inline]
-    pub fn max_speeds(&self) -> &[f64] {
-        &self.max_speed
-    }
-
     /// Indices of objects whose position changed in the most recent
     /// [`World::step`], ascending. Empty before the first step. The
     /// engine's per-tick index maintenance walks exactly this list: an
@@ -278,7 +272,6 @@ mod tests {
             assert_eq!(o.id, ObjectId(i as u32));
             assert_eq!(o.pos, w.positions()[i]);
             assert_eq!(o.vel, w.velocities()[i]);
-            assert_eq!(o.max_speed, w.max_speeds()[i]);
             assert_eq!(*o, w.object(o.id));
         }
     }

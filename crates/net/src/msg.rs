@@ -177,7 +177,7 @@ pub enum DownlinkMsg {
     },
     /// Acknowledges a critical uplink (`Enter`/`Leave`) so the device can
     /// stop retransmitting it. Only sent in lossy mode (see
-    /// [`crate::Protocol::set_lossy`]); a perfect link never carries acks.
+    /// [`crate::Registration::lossy`]); a perfect link never carries acks.
     Ack {
         /// The query the acknowledged event belonged to.
         query: QueryId,

@@ -8,9 +8,9 @@
 //! follow and which the message-conservation tests check:
 //!
 //! * the per-device body of [`Protocol::client_phase`] may read only the
-//!   device's own ground-truth state ([`mknn_mobility::MovingObject`]),
-//!   that device's protocol state, and the downlinks addressed to it; it
-//!   communicates exclusively through [`Uplinks`].
+//!   device's own ground truth (its [`ObjReport`]: id, position,
+//!   velocity), that device's protocol state, and the downlinks addressed
+//!   to it; it communicates exclusively through [`Uplinks`].
 //! * the per-shard body of [`Protocol::server_phase`] may read only that
 //!   shard's server state and the uplinks routed to it; it communicates
 //!   exclusively through the task's [`Outbox`] and synchronous
@@ -28,7 +28,7 @@
 
 use crate::{DownlinkMsg, FaultyLink, QuerySpec, Recipient, UplinkMsg};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Tick, Vector};
-use mknn_mobility::{MovingObject, World};
+use mknn_mobility::World;
 use mknn_util::Pool;
 use std::time::Instant;
 
@@ -36,9 +36,9 @@ use std::time::Instant;
 ///
 /// The engine hands the whole device population to
 /// [`Protocol::client_phase`] as parallel slices (position, velocity,
-/// speed cap, per-device inbox) plus the device link, which says who is
-/// offline; [`run_client_phase`] chunks the index space `0..len()` over
-/// the pool. Device ids are dense: index `i` *is* `ObjectId(i)`.
+/// per-device inbox) plus the device link, which says who is offline;
+/// [`run_client_phase`] chunks the index space `0..len()` over the pool.
+/// Device ids are dense: index `i` *is* `ObjectId(i)`.
 pub struct ClientCtx<'a> {
     /// The tick being processed (the world has already moved).
     pub tick: Tick,
@@ -46,8 +46,6 @@ pub struct ClientCtx<'a> {
     pub pos: &'a [Point],
     /// Per-device velocities this tick.
     pub vel: &'a [Vector],
-    /// Per-device speed caps.
-    pub max_speed: &'a [f64],
     /// Per-device downlinks from the previous server tick. An offline
     /// device's inbox is not for reading: it is lost, and the engine drops
     /// and counts it after the phase.
@@ -76,25 +74,25 @@ impl ClientCtx<'_> {
         self.link.is_offline(i)
     }
 
-    /// Materializes device `i`'s ground-truth state.
-    pub fn object(&self, i: usize) -> MovingObject {
-        MovingObject {
+    /// Device `i`'s own ground truth: what its client body reads.
+    pub fn object(&self, i: usize) -> ObjReport {
+        ObjReport {
             id: ObjectId(i as u32),
             pos: self.pos[i],
             vel: self.vel[i],
-            max_speed: self.max_speed[i],
         }
     }
 }
 
-/// A device's reply to a probe, as collected by the harness.
+/// A device's id, position and velocity: its reply to a probe, and all of
+/// its own ground truth that its client body reads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjReport {
-    /// The replying device.
+    /// The device.
     pub id: ObjectId,
-    /// Its position at the probe tick.
+    /// Its position at the reporting tick.
     pub pos: Point,
-    /// Its velocity at the probe tick.
+    /// Its velocity at the reporting tick.
     pub vel: Vector,
 }
 
@@ -197,6 +195,14 @@ pub trait Registration {
     /// tick-0 state.
     fn world(&self) -> &World;
 
+    /// Whether the episode's traffic rides a lossy transport (a non-empty
+    /// [`crate::FaultPlan`]). Hardened methods then switch on their
+    /// recovery machinery — acks, retransmission, leases, resync — which
+    /// costs extra traffic and therefore stays off on a perfect link, where
+    /// it would change the byte-exact message counts for no benefit. An
+    /// unhardened method ignores it and simply degrades.
+    fn lossy(&self) -> bool;
+
     /// The `k` registered devices nearest `center` (all of them when
     /// `k` exceeds the population), in canonical order: ascending
     /// `(distance², id)`.
@@ -211,10 +217,13 @@ pub trait Registration {
 /// every reply to [`crate::NetStats`] before returning, so probes are never
 /// free.
 pub trait ProbeService {
-    /// Geocasts a probe over `zone` on behalf of `query` and returns the
-    /// replies of every device inside it (excluding `exclude`, the focal
-    /// object, which does not answer its own query's probes).
-    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport>;
+    /// Geocasts a probe over `zone` on behalf of `query` and fills `out`
+    /// (cleared first) with the replies of every device inside it,
+    /// excluding `exclude`, the focal object, which does not answer its own
+    /// query's probes. The replies are ranked: ascending
+    /// `(distance² from zone.center, id)`, so a caller selecting the
+    /// nearest reads a prefix and sorts nothing.
+    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId, out: &mut Vec<ObjReport>);
 
     /// Unicast position request to one device (charged as one downlink
     /// probe plus one uplink reply). Returns `None` for unknown devices.
@@ -408,17 +417,6 @@ pub trait Protocol {
         true
     }
 
-    /// Informs the method that its traffic rides a lossy transport (the
-    /// harness calls this once, before [`Protocol::init`], when a non-empty
-    /// [`crate::FaultPlan`] is configured). Hardened methods switch on their
-    /// recovery machinery — acks, retransmission, leases, resync — which
-    /// costs extra traffic and therefore stays off on a perfect link, where
-    /// it would change the byte-exact message counts for no benefit. The
-    /// default is a no-op: an unhardened method simply degrades.
-    fn set_lossy(&mut self, lossy: bool) {
-        let _ = lossy;
-    }
-
     /// Server shard `shard`, covering `block`, crashed: all server-side
     /// state the failed node held is gone. `queries` lists the queries that
     /// were homed there (their per-query member/candidate/lease state is
@@ -468,7 +466,7 @@ pub fn run_client_phase<S, F>(
     f: F,
 ) where
     S: Send,
-    F: Fn(&mut S, &MovingObject, &[DownlinkMsg], &mut Uplinks, &mut crate::OpCounters) + Sync,
+    F: Fn(&mut S, &ObjReport, &[DownlinkMsg], &mut Uplinks, &mut crate::OpCounters) + Sync,
 {
     let n = ctx.len();
     debug_assert_eq!(states.len(), n, "one state per device");
@@ -550,8 +548,8 @@ mod tests {
 
     struct NoProbe;
     impl ProbeService for NoProbe {
-        fn probe(&mut self, _q: QueryId, _z: Circle, _e: ObjectId) -> Vec<ObjReport> {
-            Vec::new()
+        fn probe(&mut self, _q: QueryId, _z: Circle, _e: ObjectId, out: &mut Vec<ObjReport>) {
+            out.clear();
         }
         fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {
             None

@@ -183,11 +183,13 @@ impl Downlink<'_> {
 }
 
 impl ProbeService for Downlink<'_> {
-    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId) -> Vec<ObjReport> {
+    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId, out: &mut Vec<ObjReport>) {
         // Request legs are priced per interested device when the staged
-        // copies are framed, not per message.
+        // copies are framed, not per message. `page` visits the zone in
+        // `(dist², id)` order, and a lost leg or the excluded focal only
+        // leaves a device out, so the replies come ranked.
         let msg = DownlinkMsg::Probe { query, zone };
-        let mut out = Vec::new();
+        out.clear();
         self.page(zone, &msg, |dl, id| {
             if id != exclude {
                 out.extend(dl.ask(id, msg, false));
@@ -200,7 +202,6 @@ impl ProbeService for Downlink<'_> {
         let replies = out.iter().map(|r| r.pos);
         self.coord
             .gather_replies(query, replies, self.stats, Some(&mut *self.link));
-        out
     }
 
     fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport> {
@@ -218,17 +219,22 @@ impl ProbeService for Downlink<'_> {
     }
 }
 
-/// The registration view lent to [`Protocol::init`]: the tick-0 world, and
-/// kNN over the engine's own grid, which holds exactly the registered
-/// positions at that point.
+/// The registration view lent to [`Protocol::init`]: the tick-0 world, kNN
+/// over the engine's own grid, which holds exactly the registered positions
+/// at that point, and whether the episode's fault plan is real.
 struct GridRegistration<'a> {
     world: &'a World,
     infra: &'a GridIndex,
+    lossy: bool,
 }
 
 impl Registration for GridRegistration<'_> {
     fn world(&self) -> &World {
         self.world
+    }
+
+    fn lossy(&self) -> bool {
+        self.lossy
     }
 
     fn nearest(&self, center: Point, k: usize) -> Vec<ObjReport> {
@@ -306,8 +312,8 @@ impl Simulation {
     /// Builds the world from `config`, registers the queries, and runs the
     /// protocol's init handshake (its traffic is charged like any other).
     ///
-    /// When `config.fault` is a real plan, the protocol is told via
-    /// [`Protocol::set_lossy`] before init, and [`VerifyMode::Assert`] is
+    /// When `config.fault` is a real plan, the registration tells the
+    /// protocol so ([`Registration::lossy`]), and [`VerifyMode::Assert`] is
     /// downgraded to [`VerifyMode::Record`] — under faults even a hardened
     /// exact method is transiently wrong, which is precisely what the
     /// recorded recall/staleness metrics measure. The init handshake itself
@@ -317,9 +323,6 @@ impl Simulation {
         let link = FaultyLink::new(config.fault, config.workload.seed ^ FAULT_SEED_SALT);
         let crashes = link.crash_schedule(config.shards, config.ticks);
         let lossy = !config.fault.is_none();
-        if lossy {
-            proto.set_lossy(true);
-        }
         let verify = if lossy && config.verify == VerifyMode::Assert {
             VerifyMode::Record
         } else {
@@ -394,6 +397,7 @@ impl Simulation {
             &GridRegistration {
                 world: &world,
                 infra: &infra,
+                lossy,
             },
             &specs,
             &mut downlink,
@@ -579,7 +583,6 @@ impl Simulation {
             tick: self.tick,
             pos: self.world.positions(),
             vel: self.world.velocities(),
-            max_speed: self.world.max_speeds(),
             inboxes: &self.inboxes,
             link: &self.link,
             pool: self.pool,
@@ -856,6 +859,7 @@ mod tests {
             let reg = GridRegistration {
                 world: &world,
                 infra: &infra,
+                lossy: false,
             };
             let random = Point::new(rng.gen_range(-10.0..110.0), rng.gen_range(-10.0..110.0));
             let len = world.len();
@@ -891,8 +895,28 @@ mod tests {
     impl Rig {
         fn new(shards: u32) -> Self {
             let cfg = SimConfig::small();
-            let world = cfg.workload.build();
-            let (bounds, cells) = (world.bounds(), cfg.geo_cells);
+            Rig::on(cfg.workload.build(), cfg.geo_cells, shards)
+        }
+
+        /// 10 × 10 still devices 10 m apart, at (5 + 10 i, 5 + 10 j) for
+        /// id 10 j + i, over 25 m cells: every distance from the center
+        /// occurs four or eight times, in cells and blocks that the ids
+        /// cross.
+        fn lattice(shards: u32) -> Self {
+            use mknn_geom::Rect;
+            let at =
+                |i: u32| Point::new(5.0 + 10.0 * (i % 10) as f64, 5.0 + 10.0 * (i / 10) as f64);
+            let objects = (0..100).map(|i| MovingObject::at(ObjectId(i), at(i), 0.0));
+            let (model, rng) = (
+                Box::new(mknn_mobility::Stationary),
+                mknn_util::Rng::seed_from_u64(0),
+            );
+            let world = World::new(Rect::square(100.0), objects.collect(), model, 0.0, rng);
+            Rig::on(world, 4, shards)
+        }
+
+        fn on(world: World, cells: u32, shards: u32) -> Self {
+            let bounds = world.bounds();
             let infra = GridIndex::bulk_load(bounds, cells, cells, world.snapshot());
             let mut stats = NetStats::default();
             let mut coord = ShardCoordinator::new(bounds, shards);
@@ -971,9 +995,9 @@ mod tests {
         coord.crash(1);
         let east = coord.block_of(1).center();
         let loads = coord.loads();
-        let replies = rig
-            .downlink()
-            .probe(QueryId(0), Circle::new(east, 150.0), focal);
+        let mut replies = Vec::new();
+        rig.downlink()
+            .probe(QueryId(0), Circle::new(east, 150.0), focal, &mut replies);
         assert!(!replies.is_empty(), "the zone inside block 1 holds devices");
         assert_eq!(
             rig.stats.shard.merge_msgs, 0,
@@ -1017,54 +1041,76 @@ mod tests {
 
     /// Probes and outbox geocasts page a zone through one primitive: the
     /// same cells, the same fan-out legs, and the same devices staged,
-    /// except the focal device a probe leaves out.
+    /// except the focal device a probe leaves out. The probe's replies are
+    /// the page's visit order as it stands, ranked `(dist², id)` from the
+    /// zone's center, whatever the caller's buffer held before.
     #[test]
     fn a_probe_and_an_outbox_geocast_page_a_zone_alike() {
-        let setup = || {
-            // G = 4, and a zone around the corner the four blocks share.
-            let mut rig = Rig::new(4);
-            let zone = Circle::new(rig.coord.block_of(0).max, 120.0);
-            let focal = rig.infra.knn(zone.center, 1)[0].id;
-            let pos = rig.world.position(focal);
-            rig.coord
-                .track_query(QueryId(0), pos, 4, &mut rig.stats, None);
-            (rig, zone, focal)
-        };
-        let (mut geo, zone, focal) = setup();
-        let mut task = ShardTask::new(0, Uplinks::new());
-        let msg = DownlinkMsg::RemoveRegion { query: QueryId(0) };
-        task.outbox.send(Recipient::Geocast(zone), msg);
-        let mut dl = geo.downlink();
-        dl.route(std::slice::from_ref(&task));
-        dl.builder.flush_frames(dl.stats);
+        for shards in [1, 4] {
+            // The zone sits on the corner the four blocks of G = 4 share.
+            let setup = || {
+                let mut rig = Rig::lattice(shards);
+                let zone = Circle::new(rig.world.bounds().center(), 25.0);
+                let focal = rig.infra.knn(zone.center, 1)[0].id;
+                let pos = rig.world.position(focal);
+                rig.coord
+                    .track_query(QueryId(0), pos, 4, &mut rig.stats, None);
+                (rig, zone, focal)
+            };
+            let (mut geo, zone, focal) = setup();
+            let mut task = ShardTask::new(0, Uplinks::new());
+            let msg = DownlinkMsg::RemoveRegion { query: QueryId(0) };
+            task.outbox.send(Recipient::Geocast(zone), msg);
+            let mut dl = geo.downlink();
+            dl.route(std::slice::from_ref(&task));
+            dl.builder.flush_frames(dl.stats);
 
-        let (mut probed, _, _) = setup();
-        let mut dl = probed.downlink();
-        let replies = dl.probe(QueryId(0), zone, focal);
-        dl.builder.flush_frames(dl.stats);
+            let (mut probed, _, _) = setup();
+            let stale = ObjReport {
+                id: focal,
+                pos: zone.center,
+                vel: mknn_geom::Vector::ZERO,
+            };
+            let mut replies = vec![stale; 3];
+            let mut dl = probed.downlink();
+            dl.probe(QueryId(0), zone, focal, &mut replies);
+            dl.builder.flush_frames(dl.stats);
 
-        let (g, p) = (&geo.stats, &probed.stats);
-        assert!(g.downlink_geocast_msgs > 1, "the zone spans several cells");
-        assert_eq!(g.downlink_geocast_msgs, p.downlink_geocast_msgs);
-        assert_eq!(g.shard.fanout_msgs, 3, "the zone covers all four blocks");
-        assert_eq!(
-            (g.shard.fanout_msgs, g.shard.fanout_bytes),
-            (p.shard.fanout_msgs, p.shard.fanout_bytes)
-        );
-        // On a perfect link every asked device replies, so the replies are
-        // the probe's staged devices.
-        let mut heard: Vec<ObjectId> = (0..geo.inboxes.len())
-            .filter(|&i| !geo.inboxes[i].is_empty())
-            .map(|i| ObjectId(i as u32))
-            .collect();
-        let mut asked: Vec<ObjectId> = replies.iter().map(|r| r.id).collect();
-        asked.sort_unstable();
-        assert!(heard.contains(&focal), "the focal is inside its own zone");
-        heard.retain(|&id| id != focal);
-        assert_eq!(heard, asked);
-        assert_eq!(g.frames, p.frames + 1);
+            let case = format!("G = {shards}");
+            let ranked: Vec<Neighbor> = probed.infra.range(&zone);
+            let tied = ranked.windows(2).any(|w| w[0].dist_sq == w[1].dist_sq);
+            assert!(tied, "the lattice puts distance ties in the zone, {case}");
+            let want: Vec<ObjectId> = ranked
+                .iter()
+                .map(|n| n.id)
+                .filter(|&id| id != focal)
+                .collect();
+            let got: Vec<ObjectId> = replies.iter().map(|r| r.id).collect();
+            assert_eq!(got, want, "replies in page order, {case}");
+
+            let (g, p) = (&geo.stats, &probed.stats);
+            assert!(g.downlink_geocast_msgs > 1, "the zone spans several cells");
+            assert_eq!(g.downlink_geocast_msgs, p.downlink_geocast_msgs);
+            let blocks = if shards == 4 { 3 } else { 0 };
+            assert_eq!(g.shard.fanout_msgs, blocks, "foreign blocks, {case}");
+            assert_eq!(
+                (g.shard.fanout_msgs, g.shard.fanout_bytes),
+                (p.shard.fanout_msgs, p.shard.fanout_bytes)
+            );
+            // On a perfect link every asked device replies, so the replies
+            // are the probe's staged devices.
+            let mut heard: Vec<ObjectId> = (0..geo.inboxes.len())
+                .filter(|&i| !geo.inboxes[i].is_empty())
+                .map(|i| ObjectId(i as u32))
+                .collect();
+            let mut asked = got;
+            asked.sort_unstable();
+            assert!(heard.contains(&focal), "the focal is inside its own zone");
+            heard.retain(|&id| id != focal);
+            assert_eq!(heard, asked);
+            assert_eq!(g.frames, p.frames + 1);
+        }
     }
-
     #[test]
     fn sharded_episode_keeps_answers_and_device_traffic_identical() {
         let cfg = SimConfig::small();

@@ -22,7 +22,6 @@ struct Inspector {
     /// Probe zone to fire at tick 3 (None = never).
     probe_at_3: Option<Circle>,
     probe_replies: Rc<RefCell<usize>>,
-    empty: Vec<ObjectId>,
 }
 
 impl Protocol for Inspector {
@@ -55,14 +54,17 @@ impl Protocol for Inspector {
         (self.script)(phase.tick, &mut task.outbox);
         if phase.tick == 3 {
             if let Some(zone) = self.probe_at_3 {
-                let replies = phase.probe.probe(QueryId(0), zone, ObjectId(u32::MAX));
+                let mut replies = Vec::new();
+                phase
+                    .probe
+                    .probe(QueryId(0), zone, ObjectId(u32::MAX), &mut replies);
                 *self.probe_replies.borrow_mut() = replies.len();
             }
         }
     }
 
     fn answer(&self, _query: QueryId) -> &[ObjectId] {
-        &self.empty
+        &[]
     }
 
     fn guarantees_exact(&self) -> bool {
@@ -102,7 +104,6 @@ fn run_inspector(
         script,
         probe_at_3,
         probe_replies: probe_replies.clone(),
-        empty: Vec::new(),
     };
     let mut sim = Simulation::new(cfg, Box::new(proto));
     for _ in 0..cfg.ticks {
@@ -222,7 +223,6 @@ fn uplinks_are_charged_per_message_with_the_byte_model() {
     // content-dependent, so the expectation is built from the actual
     // positions sent).
     struct Chatty {
-        empty: Vec<ObjectId>,
         expected_bytes: Rc<RefCell<u64>>,
     }
     impl Protocol for Chatty {
@@ -250,7 +250,7 @@ fn uplinks_are_charged_per_message_with_the_byte_model() {
         }
         fn server_phase(&mut self, _phase: &mut ServerPhase<'_>) {}
         fn answer(&self, _q: QueryId) -> &[ObjectId] {
-            &self.empty
+            &[]
         }
         fn guarantees_exact(&self) -> bool {
             false
@@ -261,7 +261,6 @@ fn uplinks_are_charged_per_message_with_the_byte_model() {
     let mut sim = Simulation::new(
         &cfg,
         Box::new(Chatty {
-            empty: Vec::new(),
             expected_bytes: Rc::clone(&expected_bytes),
         }),
     );

@@ -36,7 +36,7 @@ cd "$(dirname "$0")/.."
 TMPDIR_VERIFY="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR_VERIFY"' EXIT
 
-EXPT=(cargo run -q --release --offline -p mknn-bench --bin expt --)
+EXPT=(cargo run -q --release --offline --locked -p mknn-bench --bin expt --)
 GOLDEN=scripts/golden/smoke_seed42.json
 
 # stage | row | expt flags (after --seed 42) | A | B | reference
@@ -166,7 +166,7 @@ stage_recovery() {
     fi
 
     echo "==> reconvergence-bound gate (tests/shard_recovery.rs)"
-    cargo test -q --release --offline --test shard_recovery
+    cargo test -q --release --offline --locked --test shard_recovery
 }
 
 stage_tickbench() {
@@ -183,7 +183,7 @@ stage_tickbench() {
 
 stage_wire() {
     echo "==> wire round-trip gate (mknn-net encode/decode property suite)"
-    cargo test -q --release --offline -p mknn-net
+    cargo test -q --release --offline --locked -p mknn-net
 }
 
 # workload | metrics_digest of its `benchmark/run.sh --quick` run (seed 42),
