@@ -647,15 +647,24 @@ pub fn e16(scale: Scale) -> ExpResult {
     cfg.n_queries = cfg.n_queries.min(20);
     cfg.verify = VerifyMode::Record;
     let seeds = 2;
-    let plan = |b: mknn_net::FaultPlanBuilder| b.build().expect("e16 fault knobs are in range");
+    let loss = |p| FaultPlan {
+        up_loss: p,
+        down_loss: p,
+        ..FaultPlan::none()
+    };
     let faults = [
         ("none", FaultPlan::none()),
-        ("loss5", plan(FaultPlan::builder().loss(0.05))),
-        ("loss10", plan(FaultPlan::builder().loss(0.10))),
-        ("loss20", plan(FaultPlan::builder().loss(0.20))),
+        ("loss5", loss(0.05)),
+        ("loss10", loss(0.10)),
+        ("loss20", loss(0.20)),
         (
             "loss20+churn",
-            plan(FaultPlan::builder().loss(0.20).churn(0.002, 2, 6)),
+            FaultPlan {
+                churn: 0.002,
+                offline_min: 2,
+                offline_max: 6,
+                ..loss(0.20)
+            },
         ),
     ];
     let configs: Vec<(String, SimConfig)> = faults
@@ -900,16 +909,22 @@ pub fn e20(scale: Scale) -> ExpResult {
     let bound = p.heartbeat + p.lease_ttl() + 2;
     let crash = |count: u32, dur: u64, loss: f64| {
         let mut c = cfg.clone();
-        let mut b = FaultPlan::builder().crashes(count, dur, dur);
+        c.fault = FaultPlan {
+            crash_count: count,
+            crash_min: dur,
+            crash_max: dur,
+            ..FaultPlan::none()
+        };
         let mut label = format!("{count}x{dur}");
         if loss > 0.0 {
             // The link degrades for the nominal episode only: the `+ bound`
             // measurement tail runs clean (crash windows are not gated by
             // the horizon), so a rebirth near the end still reconverges.
-            b = b.loss(loss).horizon(cfg.ticks);
+            c.fault.up_loss = loss;
+            c.fault.down_loss = loss;
+            c.fault.horizon = cfg.ticks;
             label = format!("{label}+loss{:.0}", loss * 100.0);
         }
-        c.fault = b.build().expect("e20 crash knobs are in range");
         (label, c)
     };
     let points = [

@@ -80,17 +80,6 @@ impl Dknn {
             server: ServerHalf::new(params, mode),
         }
     }
-
-    /// Number of full refreshes performed so far (diagnostics).
-    pub fn refreshes(&self) -> u64 {
-        self.server.total_refreshes()
-    }
-
-    /// Number of locally patched events — band re-splits, and in buffered
-    /// mode inserts and removals (diagnostics).
-    pub fn local_fixes(&self) -> u64 {
-        self.server.total_local_fixes()
-    }
 }
 
 impl Protocol for Dknn {

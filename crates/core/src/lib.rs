@@ -46,10 +46,10 @@ mod shard;
 
 pub use client::ClientHalf;
 pub use dknn::Dknn;
-pub use params::{DknnParams, DknnParamsBuilder, ParamError};
+pub use params::{DknnParams, ParamError};
 pub use region::RegionVersion;
 pub use server::ServerHalf;
-pub use shard::{ShardCoordinator, ShardGrid};
+pub use shard::ShardCoordinator;
 
 /// Answer semantics maintained by the protocol, and the list it bands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

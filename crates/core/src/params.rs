@@ -5,9 +5,9 @@ use std::fmt;
 /// A rejected [`DknnParams`] construction: which knob was out of range and
 /// the offending value.
 ///
-/// Produced by [`DknnParams::validate`] and [`DknnParamsBuilder::build`],
-/// and the panic message of the `Dknn` constructors, so an invalid knob
-/// fails with a message instead of silently mis-running an episode.
+/// Produced by [`DknnParams::validate`], and the panic message of the
+/// `Dknn` constructors, so an invalid knob fails with a message instead of
+/// silently mis-running an episode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParamError {
     /// `alpha` outside the open interval `(0, 1)`.
@@ -53,9 +53,8 @@ impl std::error::Error for ParamError {}
 /// The defaults are sized for the default workload (10 km × 10 km space,
 /// object speeds ≤ 20 m/tick) and are swept by the ablation experiments.
 ///
-/// Construct validated instances with [`DknnParams::builder`]; the struct
-/// fields stay public for the experiment sweeps that perturb a copy, and
-/// the protocol constructors re-validate at adoption time.
+/// Build one as a struct literal over [`DknnParams::default`]; the
+/// protocol constructors validate it at adoption time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DknnParams {
     /// Threshold placement inside the gap between the k-th and (k+1)-th
@@ -103,13 +102,6 @@ impl Default for DknnParams {
 }
 
 impl DknnParams {
-    /// Starts a validating builder, seeded with the defaults.
-    pub fn builder() -> DknnParamsBuilder {
-        DknnParamsBuilder {
-            params: DknnParams::default(),
-        }
-    }
-
     /// The geocast safety margin added around every region install zone.
     ///
     /// Soundness: a device that does not hear an install is at distance
@@ -162,70 +154,6 @@ impl DknnParams {
     }
 }
 
-/// Builder for [`DknnParams`] whose [`build`](DknnParamsBuilder::build)
-/// rejects out-of-range knobs with a typed [`ParamError`].
-#[derive(Debug, Clone, Copy)]
-pub struct DknnParamsBuilder {
-    params: DknnParams,
-}
-
-impl DknnParamsBuilder {
-    /// Sets the threshold placement α (must end up in `(0, 1)`).
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.params.alpha = alpha;
-        self
-    }
-
-    /// Sets the query-drift threshold δ_q in meters (must be positive).
-    pub fn query_drift(mut self, meters: f64) -> Self {
-        self.params.query_drift = meters;
-        self
-    }
-
-    /// Sets the heartbeat period in ticks (must be ≥ 1).
-    pub fn heartbeat(mut self, ticks: u64) -> Self {
-        self.params.heartbeat = ticks;
-        self
-    }
-
-    /// Sets both global speed bounds to `v` meters/tick.
-    pub fn speed_bounds(mut self, v: f64) -> Self {
-        self.params.v_max_obj = v;
-        self.params.v_max_q = v;
-        self
-    }
-
-    /// Sets the data-object speed bound in meters/tick.
-    pub fn v_max_obj(mut self, v: f64) -> Self {
-        self.params.v_max_obj = v;
-        self
-    }
-
-    /// Sets the query-focal speed bound in meters/tick.
-    pub fn v_max_q(mut self, v: f64) -> Self {
-        self.params.v_max_q = v;
-        self
-    }
-
-    /// Sets the probe-zone growth factor (must exceed 1).
-    pub fn expand_factor(mut self, factor: f64) -> Self {
-        self.params.expand_factor = factor;
-        self
-    }
-
-    /// Sets the ordered-mode band-event escalation threshold.
-    pub fn band_escalation(mut self, events: u32) -> Self {
-        self.params.band_escalation = events;
-        self
-    }
-
-    /// Validates and returns the parameters.
-    pub fn build(self) -> Result<DknnParams, ParamError> {
-        self.params.validate()?;
-        Ok(self.params)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,58 +172,52 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_valid_knobs() {
-        let p = DknnParams::builder()
-            .alpha(0.3)
-            .query_drift(25.0)
-            .heartbeat(7)
-            .speed_bounds(12.0)
-            .expand_factor(1.5)
-            .band_escalation(5)
-            .build()
-            .unwrap();
-        assert_eq!(p.alpha, 0.3);
-        assert_eq!(p.query_drift, 25.0);
-        assert_eq!(p.heartbeat, 7);
-        assert_eq!(p.v_max_obj, 12.0);
-        assert_eq!(p.v_max_q, 12.0);
-        assert_eq!(p.expand_factor, 1.5);
-        assert_eq!(p.band_escalation, 5);
-    }
-
-    #[test]
-    fn builder_rejects_each_bad_knob_with_the_typed_error() {
+    fn validate_rejects_each_bad_knob_with_the_typed_error() {
+        let d = DknnParams::default();
+        let rejects = |p: DknnParams| p.validate().unwrap_err();
         assert_eq!(
-            DknnParams::builder().alpha(0.0).build(),
-            Err(ParamError::AlphaOutOfRange(0.0))
+            rejects(DknnParams { alpha: 0.0, ..d }),
+            ParamError::AlphaOutOfRange(0.0)
         );
         assert_eq!(
-            DknnParams::builder().alpha(1.0).build(),
-            Err(ParamError::AlphaOutOfRange(1.0))
+            rejects(DknnParams { alpha: 1.0, ..d }),
+            ParamError::AlphaOutOfRange(1.0)
         );
         assert_eq!(
-            DknnParams::builder().query_drift(0.0).build(),
-            Err(ParamError::NonPositiveQueryDrift(0.0))
+            rejects(DknnParams {
+                query_drift: 0.0,
+                ..d
+            }),
+            ParamError::NonPositiveQueryDrift(0.0)
         );
         assert_eq!(
-            DknnParams::builder().query_drift(-1.0).build(),
-            Err(ParamError::NonPositiveQueryDrift(-1.0))
+            rejects(DknnParams {
+                query_drift: -1.0,
+                ..d
+            }),
+            ParamError::NonPositiveQueryDrift(-1.0)
         );
         assert_eq!(
-            DknnParams::builder().heartbeat(0).build(),
-            Err(ParamError::ZeroHeartbeat)
+            rejects(DknnParams { heartbeat: 0, ..d }),
+            ParamError::ZeroHeartbeat
         );
         assert_eq!(
-            DknnParams::builder().expand_factor(1.0).build(),
-            Err(ParamError::ExpandFactorTooSmall(1.0))
+            rejects(DknnParams {
+                expand_factor: 1.0,
+                ..d
+            }),
+            ParamError::ExpandFactorTooSmall(1.0)
         );
         assert_eq!(
-            DknnParams::builder().v_max_obj(-4.0).build(),
-            Err(ParamError::NegativeSpeedBound(-4.0))
+            rejects(DknnParams {
+                v_max_obj: -4.0,
+                ..d
+            }),
+            ParamError::NegativeSpeedBound(-4.0)
         );
         assert_eq!(
-            DknnParams::builder().v_max_q(-2.0).build(),
-            Err(ParamError::NegativeSpeedBound(-2.0))
+            rejects(DknnParams { v_max_q: -2.0, ..d }),
+            ParamError::NegativeSpeedBound(-2.0)
         );
     }
 

@@ -99,6 +99,8 @@ pub struct ServerHalf {
     queries: Vec<ServerQuery>,
     /// The refresh probes' replies, one buffer for the episode.
     replies: Vec<ObjReport>,
+    /// Buffered mode's pending insertions, one buffer for the episode.
+    candidates: Vec<(ObjectId, f64)>,
     current_tick: Tick,
 }
 
@@ -114,6 +116,7 @@ impl ServerHalf {
             },
             queries: Vec::new(),
             replies: Vec::new(),
+            candidates: Vec::new(),
             current_tick: 0,
         }
     }
@@ -290,7 +293,14 @@ impl ServerHalf {
                             continue;
                         }
                         let d = pos.dist(q.ver.pred_center(now));
-                        q.insert_candidate(from, d, now, probe, outbox, ops);
+                        q.insert_candidate(
+                            (from, d),
+                            now,
+                            probe,
+                            &mut self.candidates,
+                            outbox,
+                            ops,
+                        );
                         if q.members.len() > q.spec.k + 2 * b {
                             q.needs_refresh = true; // overflow: shrink the region
                         }
@@ -333,7 +343,14 @@ impl ServerHalf {
                         None => heals.push((from, query)),
                         Some(i) => {
                             q.members.remove(i);
-                            q.insert_candidate(from, d, now, probe, outbox, ops);
+                            q.insert_candidate(
+                                (from, d),
+                                now,
+                                probe,
+                                &mut self.candidates,
+                                outbox,
+                                ops,
+                            );
                         }
                     }
                 }
@@ -748,8 +765,9 @@ impl ServerQuery {
         self.rebuild_answer();
     }
 
-    /// Buffered insertion of `id` at distance `d` into the band order
-    /// (Enter handling and band-cross re-insertion).
+    /// Buffered insertion of `candidate`, an id at its distance, into the
+    /// band order (Enter handling and band-cross re-insertion). `queue` is
+    /// the caller's scratch buffer for the pending insertions.
     ///
     /// Insertion may *cascade*: when the polled band owner turns out to have
     /// drifted out of its own band this very tick (its own crossing event is
@@ -760,15 +778,16 @@ impl ServerQuery {
     /// refresh.
     fn insert_candidate(
         &mut self,
-        id: ObjectId,
-        d: f64,
+        candidate: (ObjectId, f64),
         now: Tick,
         probe: &mut dyn ProbeService,
+        queue: &mut Vec<(ObjectId, f64)>,
         outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
         let center = self.ver.pred_center(now);
-        let mut queue: Vec<(ObjectId, f64)> = vec![(id, d)];
+        queue.clear();
+        queue.push(candidate);
         let mut poll_budget = 16u32;
         while let Some((id, d)) = queue.pop() {
             ops.server_ops += 1;

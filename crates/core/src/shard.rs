@@ -49,7 +49,7 @@ use std::sync::Arc;
 /// The spatial partition: the world rectangle cut into a near-square grid
 /// of `rows × cols = G` equal blocks.
 #[derive(Debug, Clone)]
-pub struct ShardGrid {
+struct ShardGrid {
     bounds: Rect,
     rows: u32,
     cols: u32,
@@ -81,11 +81,6 @@ impl ShardGrid {
     /// Number of shards in the partition.
     pub fn count(&self) -> u32 {
         self.rows * self.cols
-    }
-
-    /// Grid shape as `(rows, cols)`.
-    pub fn shape(&self) -> (u32, u32) {
-        (self.rows, self.cols)
     }
 
     /// The shard owning `p`. Positions outside the world rectangle clamp to
@@ -558,7 +553,7 @@ mod tests {
         ];
         for (g, shape) in cases {
             let grid = ShardGrid::new(world(), g);
-            assert_eq!(grid.shape(), shape, "G={g}");
+            assert_eq!((grid.rows, grid.cols), shape, "G={g}");
             assert_eq!(grid.count(), g);
         }
         assert_eq!(ShardGrid::new(world(), 0).count(), 1, "0 clamps to 1");
@@ -737,7 +732,11 @@ mod tests {
     #[test]
     fn query_agnostic_uplinks_charge_nothing_whatever_their_size() {
         use mknn_net::FaultPlan;
-        let plan = FaultPlan::builder().loss(1.0).build().unwrap();
+        let plan = FaultPlan {
+            up_loss: 1.0,
+            down_loss: 1.0,
+            ..FaultPlan::none()
+        };
         let route = |payload_bytes| {
             let mut coord = ShardCoordinator::new(world(), 4);
             let mut stats = NetStats::default();
@@ -761,7 +760,11 @@ mod tests {
         use mknn_net::FaultPlan;
         let mut coord = ShardCoordinator::new(world(), 4);
         let mut stats = NetStats::default();
-        let plan = FaultPlan::builder().loss(1.0).build().unwrap();
+        let plan = FaultPlan {
+            up_loss: 1.0,
+            down_loss: 1.0,
+            ..FaultPlan::none()
+        };
         let mut link = FaultyLink::new(plan, 42);
         link.begin_tick(1, 0);
         coord.track_query(

@@ -293,14 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_through_json() {
-        let spec = WorkloadSpec::default();
-        let json = mknn_util::to_string(&spec);
-        let back: WorkloadSpec = mknn_util::from_str(&json).unwrap();
-        assert_eq!(spec, back);
-    }
-
-    #[test]
     fn speed_overrides_apply_before_model_init() {
         let spec = WorkloadSpec {
             n_objects: 10,

