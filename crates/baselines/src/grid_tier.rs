@@ -9,10 +9,9 @@
 //! queries over the now-complete index.
 
 use mknn_geom::{ObjectId, Point, QueryId, Rect};
-use mknn_index::GridIndex;
+use mknn_index::{GridIndex, Neighbor};
 use mknn_mobility::World;
-use mknn_net::{ObjReport, OpCounters, QuerySpec, ServerPhase, UplinkMsg};
-use std::collections::BTreeMap;
+use mknn_net::{FocalTable, ObjReport, OpCounters, QuerySpec, ServerPhase, UplinkMsg};
 
 /// Per-query server record (identical for both baselines).
 #[derive(Debug, Clone)]
@@ -30,9 +29,11 @@ pub(crate) struct GridTier {
     index: GridIndex,
     /// Query records, indexed by query id.
     queries: Vec<QState>,
-    /// Query ids keyed by focal object id (a focal `Position` report also
-    /// recenters those queries).
-    focal_queries: BTreeMap<u32, Vec<u32>>,
+    /// The queries each device is the focal of (a focal `Position` report
+    /// also recenters those queries).
+    focal: FocalTable,
+    /// The kNN searches' results, one buffer for the episode.
+    nn: Vec<Neighbor>,
 }
 
 impl GridTier {
@@ -41,7 +42,8 @@ impl GridTier {
             grid_res,
             index: GridIndex::new(Rect::square(1.0), 1, 1),
             queries: Vec::new(),
-            focal_queries: BTreeMap::new(),
+            focal: FocalTable::default(),
+            nn: Vec::new(),
         }
     }
 
@@ -50,13 +52,7 @@ impl GridTier {
         let res = self.grid_res;
         self.index = GridIndex::bulk_load(world.bounds(), res, res, world.snapshot());
         ops.server_ops += world.len() as u64;
-        self.focal_queries.clear();
-        for spec in queries {
-            self.focal_queries
-                .entry(spec.focal.0)
-                .or_default()
-                .push(spec.id.0);
-        }
+        self.focal = FocalTable::new(world.len(), queries);
         self.queries = queries
             .iter()
             .map(|spec| QState {
@@ -73,9 +69,8 @@ impl GridTier {
         for q in homed {
             let qs = &mut self.queries[q];
             // k+1 then drop the focal object if it shows up.
-            let (nn, work) = self.index.knn_counted(qs.q_pos, qs.spec.k + 1);
-            ops.server_ops += work;
-            let others = nn.iter().filter(|n| n.id != qs.spec.focal);
+            ops.server_ops += self.index.knn_into(qs.q_pos, qs.spec.k + 1, &mut self.nn);
+            let others = self.nn.iter().filter(|n| n.id != qs.spec.focal);
             qs.answer.clear();
             qs.answer.extend(others.take(qs.spec.k).map(|n| n.id));
         }
@@ -92,8 +87,8 @@ impl GridTier {
                 if let UplinkMsg::Position { pos, .. } = msg {
                     self.index.upsert(from, *pos);
                     task.ops.server_ops += 1;
-                    for &qi in self.focal_queries.get(&from.0).into_iter().flatten() {
-                        self.queries[qi as usize].q_pos = *pos;
+                    for q in self.focal.of(from) {
+                        self.queries[q.index()].q_pos = *pos;
                     }
                 }
             }

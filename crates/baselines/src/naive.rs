@@ -2,7 +2,7 @@
 
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Vector};
 use mknn_net::{
-    run_client_phase, ObjReport, OpCounters, Outbox, ProbeService, Protocol, QuerySpec,
+    run_client_phase, FocalTable, ObjReport, OpCounters, Outbox, ProbeService, Protocol, QuerySpec,
     Registration, ServerPhase, UplinkMsg, Uplinks,
 };
 
@@ -29,9 +29,8 @@ struct NState {
 pub struct NaiveProbe {
     /// Zone radius multiplier applied to the last k-th distance.
     headroom: f64,
-    /// Client side: per device, the queries it is the focal object of, in
-    /// registration order (ascending query id).
-    focal_of: Vec<Vec<QueryId>>,
+    /// Client side: the queries each device is the focal object of.
+    focal: FocalTable,
     /// Query records, indexed by query id.
     queries: Vec<NState>,
     space_diag: f64,
@@ -46,7 +45,7 @@ impl NaiveProbe {
         assert!(headroom > 1.0);
         NaiveProbe {
             headroom,
-            focal_of: Vec::new(),
+            focal: FocalTable::default(),
             queries: Vec::new(),
             space_diag: 1.0,
             replies: Vec::new(),
@@ -115,10 +114,7 @@ impl Protocol for NaiveProbe {
         let world = reg.world();
         let bounds = world.bounds();
         self.space_diag = bounds.min.dist(bounds.max);
-        self.focal_of = vec![Vec::new(); world.len()];
-        for spec in queries {
-            self.focal_of[spec.focal.index()].push(spec.id);
-        }
+        self.focal = FocalTable::new(world.len(), queries);
         self.queries = queries
             .iter()
             .map(|spec| NState {
@@ -135,15 +131,16 @@ impl Protocol for NaiveProbe {
         // Only focal devices speak unprompted (probe replies are handled by
         // the harness's synchronous channel); the uplink is the server's
         // only source for the query position.
+        let focal = &self.focal;
         run_client_phase(
             ctx,
-            &mut self.focal_of,
+            &mut vec![(); ctx.len()],
             up,
             ops,
-            |focal_of, me, _, up, _| {
+            |(), me, _, up, _| {
                 let (pos, vel) = (me.pos, me.vel);
                 if vel != Vector::ZERO {
-                    for &query in focal_of.iter() {
+                    for &query in focal.of(me.id) {
                         up.send(me.id, UplinkMsg::QueryMove { query, pos, vel });
                     }
                 }

@@ -330,7 +330,7 @@ pub fn e7(scale: Scale) -> ExpResult {
     cfg.workload.n_objects = cfg.workload.n_objects.min(4_000);
     cfg.n_queries = cfg.n_queries.min(20);
     cfg.verify = VerifyMode::Record;
-    let v = cfg.workload.speeds.max_speed();
+    let v = cfg.workload.max_speed();
     let mut grid = Vec::new();
     for drift_mult in [0.5, 1.0, 2.0, 4.0, 8.0] {
         for heartbeat in [5u64, 10, 20] {

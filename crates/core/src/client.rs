@@ -19,24 +19,48 @@
 //! byte-identical to the unhardened protocol.
 
 use crate::{DknnParams, RegionVersion};
-use mknn_geom::{LinearMotion, Point, QueryId, ThresholdCrossing, Tick, Vector};
-use mknn_net::{DownlinkMsg, MsgKind, ObjReport, OpCounters, UplinkMsg, Uplinks};
+use mknn_geom::{LinearMotion, QueryId, ThresholdCrossing, Tick, Vector};
+use mknn_net::{DownlinkMsg, FocalTable, MsgKind, ObjReport, OpCounters, UplinkMsg, Uplinks};
 
 /// Resend timer start: one round trip is two ticks (uplink consumed this
 /// tick, ack routed at tick end, read next tick).
-const RESEND_AFTER: Tick = 2;
+const RESEND_AFTER: u8 = 2;
 /// Backoff cap in ticks: keeps worst-case repair latency bounded while a
 /// persistently unlucky event stops hammering the uplink.
-const RESEND_CAP: Tick = 8;
+const RESEND_CAP: u8 = 8;
 
-/// A critical event awaiting its server ack (lossy mode only).
+/// A critical event awaiting its server ack (lossy mode only). It rides the
+/// region it was emitted for, so a region holds at most one — a newer
+/// crossing supersedes the older, since the server only needs the device's
+/// latest side — and an evicted, removed or superseded region takes its
+/// retransmission with it.
 #[derive(Debug, Clone, Copy)]
-struct PendingEvent {
-    query: QueryId,
-    /// [`MsgKind::Enter`] or [`MsgKind::Leave`].
+struct Pending {
+    /// [`MsgKind::Enter`] or [`MsgKind::Leave`]; always the side the region
+    /// last evaluated to.
     kind: MsgKind,
-    next_resend: Tick,
-    backoff: Tick,
+    /// The current resend interval, doubled up to [`RESEND_CAP`] at each
+    /// resend.
+    backoff: u8,
+    /// Tick of the next resend. A `u32` keeps the slot within the region's
+    /// padding; past tick 2³² it saturates and the event resends every tick.
+    next_resend: u32,
+}
+
+impl Pending {
+    /// A freshly emitted event, first resent [`RESEND_AFTER`] ticks on.
+    fn new(kind: MsgKind, now: Tick) -> Self {
+        Pending {
+            kind,
+            backoff: RESEND_AFTER,
+            next_resend: tick_u32(now + Tick::from(RESEND_AFTER)),
+        }
+    }
+}
+
+/// `t` as a [`Pending::next_resend`], saturating.
+fn tick_u32(t: Tick) -> u32 {
+    u32::try_from(t).unwrap_or(u32::MAX)
 }
 
 /// One monitored region as a device sees it.
@@ -69,75 +93,66 @@ struct ClientRegion {
     /// about, the server may have lost the original `Enter`, so it is sent
     /// again — the server treats member re-`Enter`s idempotently.
     announce: bool,
+    /// Lossy mode: the critical event not yet acked by the server.
+    pending: Option<Pending>,
+}
+
+impl ClientRegion {
+    /// A freshly adopted version of `query`'s region, heard at `now`.
+    fn adopt(query: QueryId, ver: RegionVersion, now: Tick, announce: bool) -> Self {
+        ClientRegion {
+            query,
+            ver,
+            last_heard: now,
+            inside: None,
+            band: None,
+            safe_until: 0,
+            safe_vel: Vector::ZERO,
+            announce,
+            pending: None,
+        }
+    }
 }
 
 /// Per-device protocol state.
 #[derive(Debug, Clone, Default)]
 pub struct ClientState {
     regions: Vec<ClientRegion>,
-    /// Queries this device is the focal object of (it reports its movement
-    /// for them and ignores their region installs).
-    focal_of: Vec<QueryId>,
-    /// Critical events not yet acked by the server (lossy mode only; empty
-    /// otherwise).
-    pending: Vec<PendingEvent>,
     /// Last tick this device ran. A gap bigger than one tick means the
     /// device was offline; its cached crossing state is then suspect.
     last_seen: Tick,
 }
 
-/// The client half: per-device states plus the shared static parameters.
+/// The client half: per-device states plus what every device shares — the
+/// eviction age, the lossy switch and the focal table.
 #[derive(Debug)]
 pub struct ClientHalf {
-    params: DknnParams,
+    shared: Shared,
     states: Vec<ClientState>,
+}
+
+/// What a device's tick reads besides its own state.
+#[derive(Debug)]
+struct Shared {
+    evict_after: Tick,
     lossy: bool,
+    focal: FocalTable,
 }
 
 impl ClientHalf {
-    /// Creates client state for `n` devices; `lossy` switches on the
+    /// Creates client state for `devices` devices, `focal` naming the
+    /// queries each is the focal object of; `lossy` switches on the
     /// recovery machinery (retransmits, announcements, gap resync, per-tick
     /// focal reports).
-    pub fn new(params: DknnParams, n: usize, lossy: bool) -> Self {
+    pub fn new(params: DknnParams, devices: usize, focal: FocalTable, lossy: bool) -> Self {
         ClientHalf {
-            params,
-            states: vec![ClientState::default(); n],
-            lossy,
+            shared: Shared {
+                evict_after: params.evict_after(),
+                lossy,
+                focal,
+            },
+            states: vec![ClientState::default(); devices],
         }
-    }
-
-    /// Registers `device` as the focal object of `query` (done at query
-    /// registration time, before the first tick).
-    pub fn set_focal(&mut self, device: usize, query: QueryId) {
-        push_exact(&mut self.states[device].focal_of, query);
-    }
-
-    /// Number of regions device `idx` currently has installed (diagnostics
-    /// and tests).
-    pub fn installed_regions(&self, idx: usize) -> usize {
-        self.states[idx].regions.len()
-    }
-
-    /// Runs one device's tick: ingest downlinks, do focal duties, evaluate
-    /// regions and bands, emit uplinks.
-    pub fn tick(
-        &mut self,
-        now: Tick,
-        me: &ObjReport,
-        inbox: &[DownlinkMsg],
-        up: &mut Uplinks,
-        ops: &mut OpCounters,
-    ) {
-        tick_device(
-            &self.params,
-            self.lossy,
-            &mut self.states[me.id.index()],
-            now,
-            me,
-            inbox,
-            up,
-            ops,
-        );
     }
 
     /// Runs the whole population's client ticks for one engine tick on the
@@ -150,22 +165,19 @@ impl ClientHalf {
         up: &mut Uplinks,
         ops: &mut OpCounters,
     ) {
-        let (params, lossy, now) = (self.params, self.lossy, ctx.tick);
+        let (shared, now) = (&self.shared, ctx.tick);
         mknn_net::run_client_phase(ctx, &mut self.states, up, ops, |st, me, inbox, up, ops| {
-            tick_device(&params, lossy, st, now, me, inbox, up, ops)
+            tick_device(shared, st, now, me, inbox, up, ops)
         });
     }
 }
 
-/// One device's tick body, shared by [`ClientHalf::tick`] (single device)
-/// and [`ClientHalf::tick_batch`] (whole population, possibly chunked
-/// across threads). It reads only the device's own ground truth, its own
-/// [`ClientState`], and its inbox, which is what makes the batch version's
-/// per-chunk independence sound.
-#[allow(clippy::too_many_arguments)]
+/// One device's tick: ingest downlinks, do focal duties, evaluate regions
+/// and bands, emit uplinks. It reads only the device's own ground truth,
+/// its own [`ClientState`], and its inbox, which is what makes
+/// [`ClientHalf::tick_batch`]'s per-chunk independence sound.
 fn tick_device(
-    params: &DknnParams,
-    lossy: bool,
+    shared: &Shared,
     st: &mut ClientState,
     now: Tick,
     me: &ObjReport,
@@ -173,6 +185,8 @@ fn tick_device(
     up: &mut Uplinks,
     ops: &mut OpCounters,
 ) {
+    let lossy = shared.lossy;
+    let focal_of = shared.focal.of(me.id);
     let prev_pos = me.pos - me.vel;
 
     // 0. Offline-gap resync (lossy mode): if this device skipped ticks,
@@ -189,8 +203,8 @@ fn tick_device(
             r.band = None;
             r.safe_until = 0;
             r.announce = true;
+            r.pending = None;
         }
-        st.pending.clear();
     }
     st.last_seen = now;
 
@@ -205,7 +219,7 @@ fn tick_device(
                 vel,
                 r_out,
             } => {
-                if st.focal_of.contains(&query) {
+                if focal_of.contains(&query) {
                     continue; // my own query; I am excluded from it
                 }
                 let fresh = RegionVersion {
@@ -217,45 +231,23 @@ fn tick_device(
                 match st.regions.iter_mut().find(|r| r.query == query) {
                     Some(r) if r.ver.ver == ver => r.last_heard = now, // heartbeat
                     Some(r) if r.ver.ver > ver => {}                   // out-of-date copy; ignore
-                    Some(r) => {
-                        *r = ClientRegion {
-                            query,
-                            ver: fresh,
-                            last_heard: now,
-                            inside: None,
-                            band: None,
-                            safe_until: 0,
-                            safe_vel: Vector::ZERO,
-                            // A newer version means the server just
-                            // re-established membership from a full
-                            // probe snapshot: nothing to announce, and
-                            // retransmissions of events issued under
-                            // the old version are obsolete.
-                            announce: false,
-                        };
-                        st.pending.retain(|p| p.query != query);
-                    }
+                    // A newer version means the server just
+                    // re-established membership from a full probe
+                    // snapshot: nothing to announce, and a
+                    // retransmission of an event issued under the old
+                    // version is obsolete.
+                    Some(r) => *r = ClientRegion::adopt(query, fresh, now, false),
+                    // Fresh adoption (first install, or reinstall after
+                    // eviction/offline): if already inside, the server
+                    // may never have heard the Enter.
                     None => push_exact(
                         &mut st.regions,
-                        ClientRegion {
-                            query,
-                            ver: fresh,
-                            last_heard: now,
-                            inside: None,
-                            band: None,
-                            safe_until: 0,
-                            safe_vel: Vector::ZERO,
-                            // Fresh adoption (first install, or reinstall
-                            // after eviction/offline): if already inside,
-                            // the server may never have heard the Enter.
-                            announce: lossy,
-                        },
+                        ClientRegion::adopt(query, fresh, now, lossy),
                     ),
                 }
             }
             DownlinkMsg::RemoveRegion { query } => {
                 st.regions.retain(|r| r.query != query);
-                st.pending.retain(|p| p.query != query);
             }
             DownlinkMsg::SetBand {
                 query,
@@ -283,10 +275,14 @@ fn tick_device(
             DownlinkMsg::Probe { .. } => {}
             DownlinkMsg::Ack { query, kind, .. } => {
                 // The server heard the event: stop retransmitting it.
-                // (Matching on query + kind suffices: at most one
-                // critical event per query is ever pending, and a
-                // version change drops the pending entry anyway.)
-                st.pending.retain(|p| !(p.query == query && p.kind == kind));
+                // (Matching on query + kind suffices: a region holds at
+                // most one pending event, and a version change drops
+                // it anyway.)
+                if let Some(r) = st.regions.iter_mut().find(|r| r.query == query) {
+                    if r.pending.is_some_and(|p| p.kind == kind) {
+                        r.pending = None;
+                    }
+                }
             }
         }
     }
@@ -297,8 +293,8 @@ fn tick_device(
     //    each lost copy then ages the server's focal estimate by one
     //    tick at most, instead of indefinitely when the single "I
     //    stopped here" report dies in flight.
-    for &q in &st.focal_of {
-        if lossy || me.vel != mknn_geom::Vector::ZERO {
+    for &q in focal_of {
+        if lossy || me.vel != Vector::ZERO {
             up.send(
                 me.id,
                 UplinkMsg::QueryMove {
@@ -311,10 +307,9 @@ fn tick_device(
     }
 
     // 3. Evaluate every installed region. In lossy mode each critical
-    //    event is registered for retransmission as it is emitted, in
-    //    region order.
-    let evict_after = params.evict_after();
-    let pending = &mut st.pending;
+    //    event is held on its region for retransmission as it is
+    //    emitted.
+    let evict_after = shared.evict_after;
     st.regions.retain_mut(|r| {
         if now.saturating_sub(r.last_heard) > evict_after {
             return false; // long unheard-of: provably far away, drop it
@@ -354,7 +349,7 @@ fn tick_device(
                     },
                 );
                 if lossy {
-                    register(pending, r.query, MsgKind::Enter, now);
+                    r.pending = Some(Pending::new(MsgKind::Enter, now));
                 }
             } else {
                 up.send(
@@ -367,7 +362,7 @@ fn tick_device(
                 );
                 r.band = None;
                 if lossy {
-                    register(pending, r.query, MsgKind::Leave, now);
+                    r.pending = Some(Pending::new(MsgKind::Leave, now));
                 }
             }
         } else if inside_now && r.announce {
@@ -383,7 +378,7 @@ fn tick_device(
                     vel: me.vel,
                 },
             );
-            register(pending, r.query, MsgKind::Enter, now);
+            r.pending = Some(Pending::new(MsgKind::Enter, now));
         } else if inside_now {
             if let Some((inner, outer)) = r.band {
                 let d = d_sq.sqrt();
@@ -427,34 +422,23 @@ fn tick_device(
 
     if lossy {
         // 4. Retransmit overdue unacked events, rebuilt from *current*
-        //    state (current position and region version — the server
-        //    wants the present truth, not a replay). An entry whose
-        //    region vanished, or whose recorded side no longer matches
-        //    the region's, is obsolete: the region's own event flow has
-        //    taken over.
-        let regions = &st.regions;
-        st.pending.retain_mut(|p| {
-            let Some(r) = regions.iter().find(|r| r.query == p.query) else {
-                return false;
-            };
-            let consistent = match p.kind {
-                MsgKind::Enter => r.inside == Some(true),
-                MsgKind::Leave => r.inside == Some(false),
-                _ => false,
-            };
-            if !consistent {
-                return false;
-            }
-            if now >= p.next_resend {
+        //    state — current position and region version: the server
+        //    wants the present truth, not a replay. Every side change
+        //    emits a fresh event that replaces the held one, so a held
+        //    event always matches its region's side.
+        for r in &mut st.regions {
+            let Some(p) = &mut r.pending else { continue };
+            debug_assert_eq!(r.inside, Some(p.kind == MsgKind::Enter));
+            if now >= Tick::from(p.next_resend) {
                 let msg = match p.kind {
                     MsgKind::Enter => UplinkMsg::Enter {
-                        query: p.query,
+                        query: r.query,
                         ver: r.ver.ver,
                         pos: me.pos,
                         vel: me.vel,
                     },
                     _ => UplinkMsg::Leave {
-                        query: p.query,
+                        query: r.query,
                         ver: r.ver.ver,
                         pos: me.pos,
                     },
@@ -462,34 +446,17 @@ fn tick_device(
                 up.send(me.id, msg);
                 ops.retransmits += 1;
                 p.backoff = (p.backoff * 2).min(RESEND_CAP);
-                p.next_resend = now + p.backoff;
+                p.next_resend = tick_u32(now + Tick::from(p.backoff));
             }
-            true
-        });
+        }
     }
     release_if_empty(&mut st.regions);
-    release_if_empty(&mut st.pending);
-}
-
-/// Registers a critical event for retransmission. It replaces whatever was
-/// pending for its query: the newer crossing supersedes the older one (the
-/// server only needs the device's latest side).
-fn register(pending: &mut Vec<PendingEvent>, query: QueryId, kind: MsgKind, now: Tick) {
-    pending.retain(|p| p.query != query);
-    push_exact(
-        pending,
-        PendingEvent {
-            query,
-            kind,
-            next_resend: now + RESEND_AFTER,
-            backoff: RESEND_AFTER,
-        },
-    );
 }
 
 /// Appends `x`, growing `v` by exactly one slot when it is full: a
-/// device's lists hold what it monitors now, not `Vec`'s spare capacity,
-/// which summed over a million devices outweighs the live entries.
+/// device's region list holds what it monitors now, not `Vec`'s spare
+/// capacity, which summed over a million devices outweighs the live
+/// entries.
 fn push_exact<T>(v: &mut Vec<T>, x: T) {
     v.reserve_exact(1);
     v.push(x);
@@ -500,17 +467,6 @@ fn push_exact<T>(v: &mut Vec<T>, x: T) {
 fn release_if_empty<T>(v: &mut Vec<T>) {
     if v.is_empty() {
         *v = Vec::new();
-    }
-}
-
-impl ClientHalf {
-    /// Test/diagnostic access: the region a device holds for `query`.
-    pub fn region_of(&self, device: usize, query: QueryId) -> Option<(Tick, Point, f64)> {
-        self.states[device]
-            .regions
-            .iter()
-            .find(|r| r.query == query)
-            .map(|r| (r.ver.ver, r.ver.center, r.ver.t))
     }
 }
 
@@ -528,7 +484,28 @@ fn crossing_ticks(c: ThresholdCrossing) -> Tick {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mknn_geom::ObjectId;
+    use mknn_geom::{ObjectId, Point};
+    use mknn_net::QuerySpec;
+
+    /// One device, no focal duties.
+    fn half(lossy: bool) -> ClientHalf {
+        ClientHalf::new(DknnParams::default(), 1, FocalTable::default(), lossy)
+    }
+
+    impl ClientHalf {
+        /// Runs one device's tick outside the batch harness.
+        fn tick(
+            &mut self,
+            now: Tick,
+            me: &ObjReport,
+            inbox: &[DownlinkMsg],
+            up: &mut Uplinks,
+            ops: &mut OpCounters,
+        ) {
+            let st = &mut self.states[me.id.index()];
+            tick_device(&self.shared, st, now, me, inbox, up, ops);
+        }
+    }
 
     fn device(id: u32, x: f64, y: f64, vx: f64, vy: f64) -> ObjReport {
         ObjReport {
@@ -550,7 +527,7 @@ mod tests {
 
     #[test]
     fn silent_while_inside_without_band() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
+        let mut c = half(false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         // Install at tick 1, device well inside and stays inside.
@@ -564,7 +541,7 @@ mod tests {
 
     #[test]
     fn reports_leave_on_exit_and_enter_on_return() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
+        let mut c = half(false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 99.0, 0.0, 0.0, 0.0);
@@ -604,7 +581,7 @@ mod tests {
     fn adoption_lag_crossing_is_still_reported() {
         // Device was outside at install tick, crossed in during the
         // delivery-lag tick: the first evaluation must emit Enter.
-        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
+        let mut c = half(false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         // prev_pos = pos − vel = (103,0) − (−5,0) … = (108, 0): outside 100.
@@ -616,7 +593,7 @@ mod tests {
 
     #[test]
     fn moving_region_center_is_predicted() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
+        let mut c = half(false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let msg = DownlinkMsg::InstallRegion {
@@ -639,7 +616,7 @@ mod tests {
 
     #[test]
     fn band_violation_reports_and_clears() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
+        let mut c = half(false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let band = DownlinkMsg::SetBand {
@@ -674,7 +651,7 @@ mod tests {
 
     #[test]
     fn band_under_stale_version_is_ignored() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
+        let mut c = half(false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let stale_band = DownlinkMsg::SetBand {
@@ -699,7 +676,7 @@ mod tests {
 
     #[test]
     fn newer_version_replaces_older_and_resets_band() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
+        let mut c = half(false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 30.0, 0.0, 0.0, 0.0);
@@ -718,7 +695,7 @@ mod tests {
         );
         // New version arrives; old band must not survive.
         c.tick(2, &me, &[install(0, 2, 0.0, 0.0, 90.0)], &mut up, &mut ops);
-        assert_eq!(c.region_of(0, QueryId(0)).unwrap().0, 2);
+        assert_eq!(c.states[0].regions[0].ver.ver, 2);
         // Move out of the *old* band's range: silent, since the band died
         // with its version.
         let me = device(0, 50.0, 0.0, 20.0, 0.0);
@@ -729,7 +706,7 @@ mod tests {
     #[test]
     fn heartbeat_refreshes_last_heard_without_reset() {
         let p = DknnParams::default();
-        let mut c = ClientHalf::new(p, 1, false);
+        let mut c = half(false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 30.0, 0.0, 0.0, 0.0);
@@ -743,14 +720,14 @@ mod tests {
             };
             c.tick(tk, &me, &inbox, &mut up, &mut ops);
         }
-        assert_eq!(c.installed_regions(0), 1);
+        assert_eq!(c.states[0].regions.len(), 1);
         assert!(up.is_empty());
     }
 
     #[test]
     fn unheard_region_is_evicted() {
         let p = DknnParams::default();
-        let mut c = ClientHalf::new(p, 1, false);
+        let mut c = half(false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 30.0, 0.0, 0.0, 0.0);
@@ -758,13 +735,13 @@ mod tests {
         for tk in 2..(2 + p.evict_after() + 2) {
             c.tick(tk, &me, &[], &mut up, &mut ops);
         }
-        assert_eq!(c.installed_regions(0), 0);
+        assert_eq!(c.states[0].regions.len(), 0);
         assert_eq!(c.states[0].regions.capacity(), 0, "allocation released");
     }
 
     #[test]
     fn region_list_grows_one_slot_per_adoption() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
+        let mut c = half(false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 30.0, 0.0, 0.0, 0.0);
@@ -775,47 +752,83 @@ mod tests {
             install(1, 0, 0.0, 0.0, 50.0),
         ];
         c.tick(2, &me, &second, &mut up, &mut ops);
-        assert_eq!(c.installed_regions(0), 2);
+        assert_eq!(c.states[0].regions.len(), 2);
         assert_eq!(c.states[0].regions.capacity(), 2);
     }
 
     #[test]
-    fn removing_the_last_region_releases_the_lists() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
-        let mut up = Uplinks::new();
-        let mut ops = OpCounters::default();
-        // Inside on adoption: the lossy announcement goes pending.
-        let me = device(0, 10.0, 0.0, 0.0, 0.0);
-        c.tick(1, &me, &[install(0, 0, 0.0, 0.0, 100.0)], &mut up, &mut ops);
-        assert_eq!(c.states[0].pending.len(), 1);
-        let remove = DownlinkMsg::RemoveRegion { query: QueryId(0) };
-        c.tick(2, &me, &[remove], &mut up, &mut ops);
-        assert_eq!(c.installed_regions(0), 0);
-        assert_eq!(c.states[0].regions.capacity(), 0);
-        assert_eq!(c.states[0].pending.capacity(), 0);
+    fn device_state_is_the_region_list_and_a_tick() {
+        assert!(std::mem::size_of::<ClientState>() <= 32);
+        assert!(std::mem::size_of::<ClientRegion>() <= 120);
     }
 
     #[test]
-    fn acking_the_last_pending_event_releases_its_list() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
+    fn removing_the_last_region_releases_the_list() {
+        let mut c = half(true);
+        let mut up = Uplinks::new();
+        let mut ops = OpCounters::default();
+        // Inside on adoption: the lossy announcement is held on the region.
+        let me = device(0, 10.0, 0.0, 0.0, 0.0);
+        c.tick(1, &me, &[install(0, 0, 0.0, 0.0, 100.0)], &mut up, &mut ops);
+        assert!(c.states[0].regions[0].pending.is_some());
+        let remove = DownlinkMsg::RemoveRegion { query: QueryId(0) };
+        c.tick(2, &me, &[remove], &mut up, &mut ops);
+        assert_eq!(c.states[0].regions.len(), 0);
+        assert_eq!(c.states[0].regions.capacity(), 0);
+    }
+
+    #[test]
+    fn acking_the_pending_event_empties_its_slot() {
+        let mut c = half(true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 10.0, 0.0, 0.0, 0.0);
         c.tick(1, &me, &[install(0, 0, 0.0, 0.0, 100.0)], &mut up, &mut ops);
-        assert_eq!(c.states[0].pending.capacity(), 1);
-        let ack = DownlinkMsg::Ack {
+        assert_eq!(
+            c.states[0].regions[0].pending.map(|p| p.kind),
+            Some(MsgKind::Enter)
+        );
+        // An ack of the other kind leaves it held.
+        let ack = |kind| DownlinkMsg::Ack {
             query: QueryId(0),
             ver: 0,
-            kind: MsgKind::Enter,
+            kind,
         };
-        c.tick(2, &me, &[ack], &mut up, &mut ops);
-        assert_eq!(c.installed_regions(0), 1);
-        assert_eq!(c.states[0].pending.capacity(), 0);
+        c.tick(2, &me, &[ack(MsgKind::Leave)], &mut up, &mut ops);
+        assert!(c.states[0].regions[0].pending.is_some());
+        c.tick(3, &me, &[ack(MsgKind::Enter)], &mut up, &mut ops);
+        assert_eq!(c.states[0].regions.len(), 1);
+        assert!(c.states[0].regions[0].pending.is_none());
+    }
+
+    #[test]
+    fn an_evicted_regions_pending_event_is_never_retransmitted() {
+        let mut c = half(true);
+        let mut up = Uplinks::new();
+        let mut ops = OpCounters::default();
+        // The announcement goes unacked and no heartbeat follows: resends
+        // fall due at ticks 3, 7 and 15, but the region is evicted at
+        // tick 1 + evict_after + 1 = 9 and takes the event with it.
+        let me = device(0, 10.0, 0.0, 0.0, 0.0);
+        c.tick(1, &me, &[install(0, 0, 0.0, 0.0, 100.0)], &mut up, &mut ops);
+        up.clear();
+        let mut sent_at = Vec::new();
+        for tk in 2..=30 {
+            c.tick(tk, &me, &[], &mut up, &mut ops);
+            if !up.is_empty() {
+                sent_at.push(tk);
+                up.clear();
+            }
+        }
+        assert_eq!(DknnParams::default().evict_after(), 7);
+        assert_eq!(sent_at, vec![3, 7]);
+        assert_eq!(ops.retransmits, 2);
+        assert_eq!(c.states[0].regions.len(), 0);
     }
 
     #[test]
     fn lossy_enter_is_retransmitted_with_backoff_until_acked() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
+        let mut c = half(true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         // Adopt the region while outside, then cross in at tick 2.
@@ -862,7 +875,7 @@ mod tests {
     fn lossy_fresh_adoption_announces_membership() {
         // A device already inside a region it just learned about declares
         // itself: the original Enter (if any) may have died in flight.
-        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
+        let mut c = half(true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 10.0, 0.0, 0.0, 0.0);
@@ -876,7 +889,7 @@ mod tests {
 
     #[test]
     fn lossy_offline_gap_resyncs_and_reannounces() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
+        let mut c = half(true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 10.0, 0.0, 0.0, 0.0);
@@ -901,7 +914,7 @@ mod tests {
 
     #[test]
     fn lossy_newer_version_drops_pending_retransmissions() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, true);
+        let mut c = half(true);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 10.0, 0.0, 0.0, 0.0);
@@ -931,8 +944,12 @@ mod tests {
 
     #[test]
     fn focal_reports_movement_and_ignores_own_region() {
-        let mut c = ClientHalf::new(DknnParams::default(), 1, false);
-        c.set_focal(0, QueryId(0));
+        let spec = QuerySpec {
+            id: QueryId(0),
+            focal: ObjectId(0),
+            k: 1,
+        };
+        let mut c = ClientHalf::new(DknnParams::default(), 1, FocalTable::new(1, &[spec]), false);
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 10.0, 0.0, 5.0, 0.0);
@@ -954,7 +971,7 @@ mod tests {
             ),
             "{msgs:?}"
         );
-        assert_eq!(c.installed_regions(0), 0, "must not monitor own query");
+        assert_eq!(c.states[0].regions.len(), 0, "must not monitor own query");
         up.clear();
         // Not moving → no report.
         let me = device(0, 10.0, 0.0, 0.0, 0.0);

@@ -3,7 +3,8 @@
 use crate::{ClientHalf, DknnParams, Mode, ParamError, ServerHalf};
 use mknn_geom::{ObjectId, Point, QueryId, Rect};
 use mknn_net::{
-    OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Registration, ServerPhase, Uplinks,
+    FocalTable, OpCounters, Outbox, ProbeService, Protocol, QuerySpec, Registration, ServerPhase,
+    Uplinks,
 };
 
 /// Distributed processing of moving k-nearest-neighbor queries — the
@@ -76,7 +77,7 @@ impl Dknn {
         Dknn {
             params,
             mode,
-            client: ClientHalf::new(params, 0, false),
+            client: ClientHalf::new(params, 0, FocalTable::default(), false),
             server: ServerHalf::new(params, mode),
         }
     }
@@ -99,10 +100,9 @@ impl Protocol for Dknn {
         outbox: &mut Outbox,
         ops: &mut OpCounters,
     ) {
-        self.client = ClientHalf::new(self.params, reg.world().len(), reg.lossy());
-        for spec in queries {
-            self.client.set_focal(spec.focal.index(), spec.id);
-        }
+        let devices = reg.world().len();
+        let focal = FocalTable::new(devices, queries);
+        self.client = ClientHalf::new(self.params, devices, focal, reg.lossy());
         self.server.init(reg, queries, outbox, ops);
     }
 

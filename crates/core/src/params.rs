@@ -18,10 +18,7 @@ pub enum ParamError {
     /// `heartbeat` was 0 ticks: devices approaching from afar would never
     /// learn the region and soundness collapses.
     ZeroHeartbeat,
-    /// `expand_factor` did not exceed 1, so expansion probes could loop
-    /// without growing.
-    ExpandFactorTooSmall(f64),
-    /// A negative global speed bound (`v_max_obj` or `v_max_q`).
+    /// A negative global speed bound `v_max`.
     NegativeSpeedBound(f64),
     /// A dknn-buffer candidate buffer below 2 spare candidates.
     BufferTooSmall(usize),
@@ -35,11 +32,8 @@ impl fmt::Display for ParamError {
                 write!(f, "query_drift must be positive, got {v}")
             }
             ParamError::ZeroHeartbeat => write!(f, "heartbeat must be at least 1 tick"),
-            ParamError::ExpandFactorTooSmall(v) => {
-                write!(f, "expand_factor must exceed 1, got {v}")
-            }
             ParamError::NegativeSpeedBound(v) => {
-                write!(f, "speed bounds must be non-negative, got {v}")
+                write!(f, "v_max must be non-negative, got {v}")
             }
             ParamError::BufferTooSmall(b) => write!(f, "buffer must be at least 2, got {b}"),
         }
@@ -73,18 +67,10 @@ pub struct DknnParams {
     /// before they can possibly enter. Part of the protocol's soundness
     /// margin.
     pub heartbeat: u64,
-    /// Known global bound on data-object speed, meters/tick (protocol
-    /// soundness input, not a tuning knob).
-    pub v_max_obj: f64,
-    /// Known global bound on query focal speed, meters/tick.
-    pub v_max_q: f64,
-    /// Growth factor for region-expansion probes when a probe zone yields
-    /// fewer than k+1 devices.
-    pub expand_factor: f64,
-    /// The number of band events for one query in one tick above which the
-    /// server stops patching locally and performs a full refresh instead
-    /// (buffered mode adds k + 2b, and counts Enter events too).
-    pub band_escalation: u32,
+    /// Known global bound on device speed, meters/tick — data objects and
+    /// query focals alike, since a focal is a data object of every other
+    /// query (protocol soundness input, not a tuning knob).
+    pub v_max: f64,
 }
 
 impl Default for DknnParams {
@@ -93,10 +79,7 @@ impl Default for DknnParams {
             alpha: 0.5,
             query_drift: 40.0,
             heartbeat: 5,
-            v_max_obj: 20.0,
-            v_max_q: 20.0,
-            expand_factor: 2.0,
-            band_escalation: 3,
+            v_max: 20.0,
         }
     }
 }
@@ -108,11 +91,11 @@ impl DknnParams {
     /// > `t + margin` from the broadcast center; within the next `H + 1`
     /// > ticks (heartbeat period plus one tick of delivery lag) the relative
     /// > displacement between the device and the predicted center is at most
-    /// > `(H + 1)(v_max_obj + v_max_q)`, so the device remains at distance
+    /// > `(H + 1) · 2 v_max`, so the device remains at distance
     /// > `t + query_drift` — strictly outside the region — until a heartbeat
     /// > reaches it.
     pub fn margin(&self) -> f64 {
-        self.query_drift + (self.heartbeat as f64 + 1.0) * (self.v_max_obj + self.v_max_q)
+        self.query_drift + (self.heartbeat as f64 + 1.0) * (2.0 * self.v_max)
     }
 
     /// Ticks after which a device drops a region it has not heard about.
@@ -141,14 +124,8 @@ impl DknnParams {
         if self.heartbeat == 0 {
             return Err(ParamError::ZeroHeartbeat);
         }
-        if self.expand_factor <= 1.0 {
-            return Err(ParamError::ExpandFactorTooSmall(self.expand_factor));
-        }
-        if self.v_max_obj < 0.0 {
-            return Err(ParamError::NegativeSpeedBound(self.v_max_obj));
-        }
-        if self.v_max_q < 0.0 {
-            return Err(ParamError::NegativeSpeedBound(self.v_max_q));
+        if self.v_max < 0.0 {
+            return Err(ParamError::NegativeSpeedBound(self.v_max));
         }
         Ok(())
     }
@@ -166,7 +143,7 @@ mod tests {
     #[test]
     fn margin_covers_heartbeat_travel() {
         let p = DknnParams::default();
-        assert!(p.margin() >= (p.heartbeat + 1) as f64 * (p.v_max_obj + p.v_max_q));
+        assert!(p.margin() >= (p.heartbeat + 1) as f64 * 2.0 * p.v_max);
         assert!(p.evict_after() > p.heartbeat);
         assert!(p.lease_ttl() > p.evict_after());
     }
@@ -202,22 +179,8 @@ mod tests {
             ParamError::ZeroHeartbeat
         );
         assert_eq!(
-            rejects(DknnParams {
-                expand_factor: 1.0,
-                ..d
-            }),
-            ParamError::ExpandFactorTooSmall(1.0)
-        );
-        assert_eq!(
-            rejects(DknnParams {
-                v_max_obj: -4.0,
-                ..d
-            }),
+            rejects(DknnParams { v_max: -4.0, ..d }),
             ParamError::NegativeSpeedBound(-4.0)
-        );
-        assert_eq!(
-            rejects(DknnParams { v_max_q: -2.0, ..d }),
-            ParamError::NegativeSpeedBound(-2.0)
         );
     }
 

@@ -29,6 +29,12 @@ use mknn_net::{
 /// over them, and no band boundary can separate them.
 const TIE: f64 = 1e-9;
 
+/// Growth factor of a refresh's expanding probe.
+const EXPAND_FACTOR: f64 = 2.0;
+/// Band events per query per tick above which the server refreshes instead
+/// of patching locally (buffered lists add k + 2b).
+const BAND_ESCALATION: usize = 3;
+
 /// One banded entry of a query's list: an answer member or, in buffered
 /// mode, a spare candidate beyond k.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -437,7 +443,7 @@ impl ServerCfg {
     /// refreshes. Buffered lists scale it with their length: several events
     /// per tick are normal there.
     fn event_limit(&self, k: usize) -> usize {
-        self.params.band_escalation as usize + self.buffer().map_or(0, |b| k + 2 * b)
+        BAND_ESCALATION + self.buffer().map_or(0, |b| k + 2 * b)
     }
 
     /// The registration reports `establish` reads for `spec`: the shortest
@@ -560,7 +566,7 @@ impl ServerCfg {
         let c = q.q_pos;
         let need = self.target(q.spec.k);
         let drift = c.dist(q.ver.pred_center(now));
-        let slack = 2.0 * (self.params.v_max_obj + self.params.v_max_q);
+        let slack = 2.0 * (2.0 * self.params.v_max);
         let mut r = (q.ver.t + drift + slack).clamp(slack.max(1.0), self.space_diag);
         loop {
             probe.probe(q.spec.id, Circle::new(c, r), q.spec.focal, replies);
@@ -568,7 +574,7 @@ impl ServerCfg {
             if replies.len() > need || r >= self.space_diag {
                 break;
             }
-            r = (r * self.params.expand_factor).min(self.space_diag);
+            r = (r * EXPAND_FACTOR).min(self.space_diag);
         }
         self.establish(q, replies, now, outbox, ops);
         q.refreshes += 1;

@@ -271,18 +271,23 @@ impl GridIndex {
     /// distance. Exact for any query point, including points outside the
     /// grid bounds.
     pub fn knn(&self, q: Point, k: usize) -> Vec<Neighbor> {
-        self.knn_counted(q, k).0
+        let mut out = Vec::with_capacity(k.min(self.len));
+        self.knn_into(q, k, &mut out);
+        out
     }
 
-    /// Like [`GridIndex::knn`], additionally returning the work performed
-    /// (cells visited plus distance computations) — the hardware-independent
-    /// server-load proxy used by the experiments.
-    pub fn knn_counted(&self, q: Point, k: usize) -> (Vec<Neighbor>, u64) {
-        let mut ops = 0u64;
-        let mut coll = KnnCollector::new(k);
+    /// [`GridIndex::knn`] into a caller-kept buffer: `out` is overwritten
+    /// with exactly what `knn` would return, so a caller searching many
+    /// times a tick reuses one allocation. Returns the work performed
+    /// (cells visited plus distance computations) — the
+    /// hardware-independent server-load proxy used by the experiments.
+    pub fn knn_into(&self, q: Point, k: usize, out: &mut Vec<Neighbor>) -> u64 {
+        out.clear();
         if self.len == 0 || k == 0 {
-            return (coll.into_sorted(), ops);
+            return 0;
         }
+        let mut ops = 0u64;
+        let mut coll = KnnCollector::reusing(k, std::mem::take(out));
         let (qc, qr) = self.cell_coords(q);
         let min_dim = self.cell_w.min(self.cell_h);
         // Rings beyond this cover no cells.
@@ -309,7 +314,8 @@ impl GridIndex {
                 break;
             }
         }
-        (coll.into_sorted(), ops)
+        *out = coll.into_sorted();
+        ops
     }
 
     /// All indexed objects within `range` (boundary inclusive), in canonical
@@ -514,6 +520,16 @@ mod tests {
         }
         for k in 0..=8 {
             assert!(g.verify_knn(Point::new(45.0, 50.0), k), "k = {k}");
+        }
+        // One buffer across searches: each overwrites what the last left.
+        let mut out = vec![Neighbor {
+            dist_sq: 0.0,
+            id: ObjectId(99),
+        }];
+        for k in [3, 1, 8, 0, 5] {
+            let work = g.knn_into(Point::new(45.0, 50.0), k, &mut out);
+            assert_eq!(out, g.knn(Point::new(45.0, 50.0), k), "k = {k}");
+            assert_eq!(work > 0, k > 0, "k = {k}");
         }
     }
 

@@ -2,7 +2,6 @@
 
 use crate::OrdF64;
 use mknn_geom::ObjectId;
-use std::collections::BinaryHeap;
 
 /// One kNN result: an object and its squared distance from the query point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,36 +23,47 @@ impl Neighbor {
 /// Collects the k nearest candidates seen so far, with deterministic
 /// tie-breaking on `(distance², id)`.
 ///
-/// Internally a bounded max-heap: `offer` is `O(log k)` and the current k-th
-/// distance (the pruning bound for index traversals) is `O(1)`.
+/// Internally a list of the best candidates kept in canonical order: a
+/// candidate that cannot make the cut costs one comparison against the
+/// current k-th distance (the pruning bound for index traversals, `O(1)`),
+/// one that can is inserted in `O(k)`.
 #[derive(Debug, Clone)]
 pub struct KnnCollector {
     k: usize,
-    heap: BinaryHeap<(OrdF64, ObjectId)>,
+    /// Ascending `(distance², id)`; at most `k` entries.
+    best: Vec<Neighbor>,
+}
+
+fn rank(n: &Neighbor) -> (OrdF64, ObjectId) {
+    (OrdF64(n.dist_sq), n.id)
 }
 
 impl KnnCollector {
     /// Creates a collector for the `k` nearest. `k = 0` collects nothing.
     pub fn new(k: usize) -> Self {
-        KnnCollector {
-            k,
-            heap: BinaryHeap::with_capacity(k + 1),
-        }
+        Self::reusing(k, Vec::with_capacity(k))
+    }
+
+    /// A collector for the `k` nearest that keeps them in `buf`'s
+    /// allocation (its contents are discarded), so a caller running many
+    /// searches reuses one buffer through [`KnnCollector::into_sorted`].
+    pub fn reusing(k: usize, mut buf: Vec<Neighbor>) -> Self {
+        buf.clear();
+        KnnCollector { k, best: buf }
     }
 
     /// Offers a candidate; keeps it only if it is among the best k seen.
     #[inline]
     pub fn offer(&mut self, dist_sq: f64, id: ObjectId) {
-        if self.k == 0 {
-            return;
+        let n = Neighbor { dist_sq, id };
+        if self.is_full() {
+            match self.best.last() {
+                Some(worst) if rank(&n) < rank(worst) => self.best.pop(),
+                _ => return,
+            };
         }
-        let key = (OrdF64(dist_sq), id);
-        if self.heap.len() < self.k {
-            self.heap.push(key);
-        } else if key < *self.heap.peek().expect("non-empty at capacity") {
-            self.heap.pop();
-            self.heap.push(key);
-        }
+        let at = self.best.partition_point(|b| rank(b) < rank(&n));
+        self.best.insert(at, n);
     }
 
     /// Squared distance of the current k-th best candidate, or
@@ -64,45 +74,34 @@ impl KnnCollector {
     /// *not* prunable because the id tie-break may still admit them.
     #[inline]
     pub fn prune_bound_sq(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.heap
-                .peek()
-                .map(|(d, _)| d.get())
-                .unwrap_or(f64::INFINITY)
+        match self.best.last() {
+            Some(worst) if self.is_full() => worst.dist_sq,
+            _ => f64::INFINITY,
         }
     }
 
     /// Number of candidates currently held (≤ k).
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.best.len()
     }
 
     /// Returns `true` when no candidate has been kept.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.best.is_empty()
     }
 
     /// Returns `true` when k candidates have been collected.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.heap.len() == self.k
+        self.best.len() == self.k
     }
 
     /// Consumes the collector, returning neighbors in canonical order
     /// (ascending `(distance², id)`).
     pub fn into_sorted(self) -> Vec<Neighbor> {
-        let mut v: Vec<_> = self.heap.into_vec();
-        v.sort_unstable();
-        v.into_iter()
-            .map(|(d, id)| Neighbor {
-                dist_sq: d.get(),
-                id,
-            })
-            .collect()
+        self.best
     }
 }
 

@@ -67,8 +67,8 @@ impl SpeedDist {
         }
     }
 
-    /// Upper bound of the distribution — the protocols size their slack off
-    /// this value.
+    /// Upper bound of the distribution (see [`WorkloadSpec::max_speed`] for
+    /// the workload's, overrides included).
     pub fn max_speed(&self) -> f64 {
         match *self {
             SpeedDist::Fixed(v) => v,
@@ -147,6 +147,12 @@ impl WorkloadSpec {
     /// The space rectangle.
     pub fn bounds(&self) -> Rect {
         Rect::square(self.space_side)
+    }
+
+    /// Upper bound of every object's maximum speed, overrides included.
+    pub fn max_speed(&self) -> f64 {
+        let overrides = self.speed_overrides.iter().map(|&(_, v)| v);
+        overrides.fold(self.speeds.max_speed(), f64::max)
     }
 
     /// Materializes the world: draws initial positions and speeds, builds
@@ -303,6 +309,12 @@ mod tests {
         let w = spec.build();
         assert_eq!(w.objects()[3].max_speed, 50.0);
         assert_eq!(w.objects()[0].max_speed, 5.0);
+        assert_eq!(spec.max_speed(), 50.0, "an override above the distribution");
+        let slow = WorkloadSpec {
+            speed_overrides: vec![(3, 1.0)],
+            ..spec
+        };
+        assert_eq!(slow.max_speed(), 5.0, "an override below it");
     }
 
     #[test]

@@ -16,6 +16,40 @@ pub struct QuerySpec {
     pub k: usize,
 }
 
+/// Which queries each device is the focal object of, built once from the
+/// registered [`QuerySpec`]s: the focal device reports its movement for
+/// them, and a server tier recentres them on its position reports.
+#[derive(Debug, Clone, Default)]
+pub struct FocalTable {
+    /// Device `i`'s queries are `queries[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    /// Every query, grouped by focal device, ascending id within a group.
+    queries: Vec<QueryId>,
+}
+
+impl FocalTable {
+    /// The table for devices `0..devices`.
+    pub fn new(devices: usize, specs: &[QuerySpec]) -> Self {
+        let mut pairs: Vec<_> = specs.iter().map(|s| (s.focal, s.id)).collect();
+        pairs.sort_unstable();
+        let start = |i| pairs.partition_point(|(focal, _)| focal.index() < i) as u32;
+        FocalTable {
+            starts: (0..=devices).map(start).collect(),
+            queries: pairs.iter().map(|&(_, q)| q).collect(),
+        }
+    }
+
+    /// The queries `device` is the focal object of, in ascending id; empty
+    /// for a device that is no query's focal.
+    pub fn of(&self, device: ObjectId) -> &[QueryId] {
+        let i = device.index();
+        match self.starts.get(i..i + 2) {
+            Some(&[lo, hi]) => &self.queries[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
 /// Bytes on the wire for one *unframed* transmission of `wire_bits` payload
 /// bits: modeled link-layer overhead plus the bit-packed body, rounded up to
 /// whole bytes. Per-tick frames pay the link overhead once per frame instead
@@ -398,6 +432,26 @@ impl MsgKind {
 mod tests {
     use super::*;
     use mknn_geom::Point;
+
+    #[test]
+    fn focal_table_lists_each_devices_queries_in_ascending_id() {
+        let spec = |id, focal| QuerySpec {
+            id: QueryId(id),
+            focal: ObjectId(focal),
+            k: 3,
+        };
+        // Device 2 is the focal of queries 4, 0 and 3, registered out of
+        // order; device 5 of query 1; devices 0, 1, 3, 4 and 6 of none.
+        let specs = [spec(4, 2), spec(1, 5), spec(0, 2), spec(3, 2)];
+        let table = FocalTable::new(7, &specs);
+        assert_eq!(table.of(ObjectId(2)), [QueryId(0), QueryId(3), QueryId(4)]);
+        assert_eq!(table.of(ObjectId(5)), [QueryId(1)]);
+        for quiet in [0, 1, 3, 4, 6] {
+            assert!(table.of(ObjectId(quiet)).is_empty(), "device {quiet}");
+        }
+        assert!(table.of(ObjectId(7)).is_empty(), "beyond the population");
+        assert!(FocalTable::default().of(ObjectId(0)).is_empty());
+    }
 
     #[test]
     fn sizes_are_measured_wire_bits_plus_link_overhead() {

@@ -152,15 +152,16 @@ impl SimConfig {
         Ok(())
     }
 
-    /// DKNN parameters sized for this workload's speed bounds (the
-    /// protocol's soundness inputs come from the registration contract, so
-    /// experiments derive them from the workload spec).
+    /// DKNN parameters sized for this workload's fastest device, speed
+    /// overrides included (the protocol's soundness inputs come from the
+    /// registration contract, so experiments derive them from the workload
+    /// spec).
     ///
     /// A frozen workload (max speed 0) falls back to the default drift
     /// threshold, so the derived parameters pass [`DknnParams::validate`]
     /// whenever the workload's speeds are non-negative.
     pub fn dknn_params(&self) -> DknnParams {
-        let v = self.workload.speeds.max_speed();
+        let v = self.workload.max_speed();
         let defaults = DknnParams::default();
         DknnParams {
             query_drift: if v > 0.0 {
@@ -168,8 +169,7 @@ impl SimConfig {
             } else {
                 defaults.query_drift
             },
-            v_max_obj: v,
-            v_max_q: v,
+            v_max: v,
             ..defaults
         }
     }

@@ -792,11 +792,7 @@ mod tests {
     #[test]
     fn dknn_set_is_exact_and_cheaper() {
         let cfg = SimConfig::small();
-        let params = DknnParams {
-            v_max_obj: 20.0,
-            v_max_q: 20.0,
-            ..DknnParams::default()
-        };
+        let params = DknnParams::default();
         let m = Simulation::new(&cfg, Box::new(Dknn::set(params))).run();
         assert_eq!(m.exactness(), 1.0, "set protocol must be exact: {m:?}");
         let c = Simulation::new(&cfg, Box::new(Centralized::new(16))).run();

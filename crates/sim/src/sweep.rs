@@ -321,8 +321,7 @@ mod tests {
         let mut cfg = SimConfig::small();
         cfg.workload.speeds = SpeedDist::Fixed(7.0);
         let p = cfg.dknn_params();
-        assert_eq!(p.v_max_obj, 7.0);
-        assert_eq!(p.v_max_q, 7.0);
+        assert_eq!(p.v_max, 7.0);
         assert_eq!(p.query_drift, 14.0);
     }
 

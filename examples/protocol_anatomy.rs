@@ -54,8 +54,7 @@ fn main() {
     // Stationary world: drive the simulation normally; all cost after init
     // should be zero — the protocol is fully quiescent.
     let params = DknnParams {
-        v_max_obj: 8.0,
-        v_max_q: 8.0,
+        v_max: 8.0,
         ..DknnParams::default()
     };
     let mut sim = Simulation::new(&config, Box::new(Dknn::set(params)));

@@ -24,6 +24,7 @@
 #                and prints its T=1 vs T=8 scaling table (informational)
 #     wire       every message and frame item round-trips (mknn-net
 #                property suite)
+#   examples     every examples/*.rs runs to a zero exit
 #   benchmark    the benchmark/ crate (a workspace of its own, compiled
 #                against this workspace's public API) builds, passes its
 #                tests, and completes a --quick run of every workload whose
@@ -186,6 +187,16 @@ stage_wire() {
     cargo test -q --release --offline --locked -p mknn-net
 }
 
+stage_examples() {
+    local ex name
+    for ex in examples/*.rs; do
+        name=$(basename "$ex" .rs)
+        echo "==> cargo run --release --example $name"
+        cargo run -q --release --offline --locked --example "$name" > "$TMPDIR_VERIFY/example" \
+            || fail "example $name exited non-zero"
+    done
+}
+
 # workload | metrics_digest of its `benchmark/run.sh --quick` run (seed 42),
 # timed and traced alike. Two of these configurations no GATES row covers:
 # dknn-order at Q = 500 verified every tick (`Record`), and the two-thread
@@ -238,7 +249,8 @@ stage_speedup() {
                         seq, cores, par, seq / par }'
 }
 
-ALL_STAGES=(build clippy test fmt doc determinism golden shards chaos recovery tickbench wire benchmark speedup)
+ALL_STAGES=(build clippy test fmt doc determinism golden shards chaos recovery tickbench wire examples benchmark
+    speedup)
 
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then

@@ -167,20 +167,34 @@ fn exact_with_fast_queries_slow_objects() {
     let mut cfg = base();
     cfg.workload.speeds = SpeedDist::Fixed(4.0);
     cfg.workload.speed_overrides = cfg.focal_ids().iter().map(|&id| (id, 40.0)).collect();
-    // The protocol's soundness inputs must cover the fastest device.
-    let mut p = cfg.dknn_params();
-    p.v_max_q = 40.0;
-    p.v_max_obj = 40.0;
-    for method in [
-        Method::DknnSet(p),
-        Method::DknnOrder(p),
-        Method::DknnBuffer {
-            params: p,
-            buffer: 4,
-        },
-    ] {
-        let m = Sweep::episode(&cfg, method);
-        assert_eq!(m.exactness(), 1.0, "{}", method.name());
+    // `dknn_params` sizes the soundness inputs off the fastest device: a
+    // focal is a data object of every other query.
+    assert_eq!(cfg.dknn_params().v_max, 40.0);
+    assert_all_exact(&cfg);
+}
+
+/// Experiment E5's shape at `SimConfig::small` scale: objects fixed at
+/// 10 m/tick, focals overridden faster. Parameters sized off the object
+/// speed alone leave the geocast margin short of a fast focal's region
+/// movement, and devices it never reached miss their crossings.
+#[test]
+fn exact_when_focals_outrun_the_objects_as_in_e5() {
+    for v in [40.0, 80.0] {
+        let mut cfg = SimConfig::small();
+        cfg.workload.speeds = SpeedDist::Fixed(10.0);
+        cfg.workload.speed_overrides = cfg.focal_ids().iter().map(|&id| (id, v)).collect();
+        let p = cfg.dknn_params();
+        for method in [
+            Method::DknnSet(p),
+            Method::DknnOrder(p),
+            Method::DknnBuffer {
+                params: p,
+                buffer: 3,
+            },
+        ] {
+            let m = Sweep::episode(&cfg, method);
+            assert_eq!(m.exactness(), 1.0, "{} at v_q = {v}", method.name());
+        }
     }
 }
 

@@ -73,9 +73,7 @@ fn config_of(s: &Scenario) -> (SimConfig, DknnParams) {
         alpha: s.alpha,
         heartbeat: s.heartbeat,
         query_drift: s.drift_mult * s.v_max,
-        v_max_obj: s.v_max,
-        v_max_q: s.v_max,
-        ..DknnParams::default()
+        v_max: s.v_max,
     };
     (cfg, params)
 }
