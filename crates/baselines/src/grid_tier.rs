@@ -68,11 +68,12 @@ impl GridTier {
     fn evaluate(&mut self, homed: impl Iterator<Item = usize>, ops: &mut OpCounters) {
         for q in homed {
             let qs = &mut self.queries[q];
-            // k+1 then drop the focal object if it shows up.
-            ops.server_ops += self.index.knn_into(qs.q_pos, qs.spec.k + 1, &mut self.nn);
-            let others = self.nn.iter().filter(|n| n.id != qs.spec.focal);
+            let QuerySpec { focal, k, .. } = qs.spec;
+            ops.server_ops += self
+                .index
+                .knn_excluding_into(qs.q_pos, k, focal, &mut self.nn);
             qs.answer.clear();
-            qs.answer.extend(others.take(qs.spec.k).map(|n| n.id));
+            qs.answer.extend(self.nn.iter().map(|n| n.id));
         }
     }
 

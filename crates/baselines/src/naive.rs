@@ -213,7 +213,10 @@ mod tests {
                     out.push(ObjReport { id, pos, vel });
                 }
             }
-            out.sort_by_key(|r| (r.pos.dist_sq(zone.center).to_bits(), r.id));
+            out.sort_by_key(|r| {
+                let dist_sq = r.pos.dist_sq(zone.center);
+                mknn_index::Neighbor { dist_sq, id: r.id }.key()
+            });
         }
         fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {
             None

@@ -278,41 +278,6 @@ pub fn e5(scale: Scale) -> ExpResult {
     }
 }
 
-/// E6 — server load vs. N (ops proxy and wall time).
-pub fn e6(scale: Scale) -> ExpResult {
-    let mut rows = vec![vec![
-        "N".into(),
-        "method".into(),
-        "srv-ops/tick".into(),
-        "us/tick".into(),
-        "msgs/tick".into(),
-    ]];
-    let configs = scale.n_sweep().into_iter().map(|n| {
-        let mut cfg = base_config(scale);
-        cfg.workload.n_objects = n;
-        (n.to_string(), cfg)
-    });
-    let mut busy = 0.0;
-    let runs = Sweep::over(configs).run();
-    for run in &runs {
-        let m = &run.metrics;
-        rows.push(vec![
-            run.label.clone(),
-            m.method.clone(),
-            fmt(m.server_ops_per_tick()),
-            fmt(m.proto_us_per_tick()),
-            fmt(m.msgs_per_tick()),
-        ]);
-        busy += run.wall_seconds;
-    }
-    ExpResult {
-        id: "e6",
-        title: "Fig E6: server load vs. N",
-        rows,
-        episode_seconds: busy,
-    }
-}
-
 /// E7 — slack ablation: query-drift threshold δ_q and heartbeat H.
 pub fn e7(scale: Scale) -> ExpResult {
     let mut rows = vec![vec![
@@ -387,42 +352,6 @@ pub fn e8(scale: Scale) -> ExpResult {
         title: "Fig E8: scalability vs. #queries",
         rows,
         episode_seconds,
-    }
-}
-
-/// E9 — client-side load per object per tick (safe-period-reduced region
-/// evaluations for the distributed methods; one report decision per tick
-/// for centralized).
-pub fn e9(scale: Scale) -> ExpResult {
-    let mut rows = vec![vec!["N".into(), "method".into(), "cli-ops/obj/tick".into()]];
-    let configs = scale.n_sweep().into_iter().map(|n| {
-        let mut cfg = base_config(scale);
-        cfg.workload.n_objects = n;
-        (n.to_string(), cfg)
-    });
-    let runs = Sweep::over(configs)
-        .methods_for(|cfg| {
-            vec![
-                Method::DknnSet(cfg.dknn_params()),
-                Method::DknnOrder(cfg.dknn_params()),
-                Method::Centralized { res: 64 },
-            ]
-        })
-        .run();
-    let mut busy = 0.0;
-    for run in &runs {
-        rows.push(vec![
-            run.label.clone(),
-            run.metrics.method.clone(),
-            fmt(run.metrics.client_ops_per_object_tick()),
-        ]);
-        busy += run.wall_seconds;
-    }
-    ExpResult {
-        id: "e9",
-        title: "Fig E9: client load",
-        rows,
-        episode_seconds: busy,
     }
 }
 
@@ -1033,9 +962,9 @@ pub fn e20(scale: Scale) -> ExpResult {
 }
 
 /// All experiment ids in order.
-pub const ALL: [&str; 19] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e20",
+pub const ALL: [&str; 17] = [
+    "e1", "e2", "e3", "e4", "e5", "e7", "e8", "e10", "e11", "e12", "e13", "e14", "e15", "e16",
+    "e17", "e18", "e20",
 ];
 
 /// Runs one experiment by id.
@@ -1046,10 +975,8 @@ pub fn run(id: &str, scale: Scale) -> Option<ExpResult> {
         "e3" => e3(scale),
         "e4" => e4(scale),
         "e5" => e5(scale),
-        "e6" => e6(scale),
         "e7" => e7(scale),
         "e8" => e8(scale),
-        "e9" => e9(scale),
         "e10" => e10(scale),
         "e11" => e11(scale),
         "e12" => e12(scale),

@@ -19,6 +19,7 @@
 
 use crate::{DknnParams, Mode, RegionVersion};
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick, Vector};
+use mknn_index::Neighbor;
 use mknn_mobility::MovingObject;
 use mknn_net::{
     DownlinkMsg, ObjReport, OpCounters, Outbox, ProbeService, QuerySpec, Recipient, Registration,
@@ -34,6 +35,15 @@ const EXPAND_FACTOR: f64 = 2.0;
 /// Band events per query per tick above which the server refreshes instead
 /// of patching locally (buffered lists add k + 2b).
 const BAND_ESCALATION: usize = 3;
+
+/// `r`'s key in the canonical order from `c` ([`Neighbor::key`]).
+fn rank(r: &ObjReport, c: Point) -> (u64, ObjectId) {
+    Neighbor {
+        dist_sq: r.pos.dist_sq(c),
+        id: r.id,
+    }
+    .key()
+}
 
 /// One banded entry of a query's list: an answer member or, in buffered
 /// mode, a spare candidate beyond k.
@@ -488,10 +498,7 @@ impl ServerCfg {
     ) {
         let c = q.q_pos;
         debug_assert!(
-            reports.is_sorted_by(|a, b| {
-                let by_dist = a.pos.dist_sq(c).total_cmp(&b.pos.dist_sq(c));
-                by_dist.then(a.id.cmp(&b.id)).is_lt()
-            }),
+            reports.is_sorted_by_key(|r| rank(r, c)),
             "reports not ranked by (distance², id) from the query position"
         );
         ops.server_ops += reports.len() as u64;
@@ -870,7 +877,7 @@ mod tests {
                     out.push(ObjReport { id, pos, vel });
                 }
             }
-            out.sort_by_key(|r| (r.pos.dist_sq(zone.center).to_bits(), r.id));
+            out.sort_by_key(|r| rank(r, zone.center));
         }
 
         fn poll(&mut self, _q: QueryId, id: ObjectId) -> Option<ObjReport> {
@@ -1038,7 +1045,7 @@ mod tests {
             })
             .collect();
         let c = world[0].pos;
-        reports.sort_by_key(|r| (r.pos.dist_sq(c).to_bits(), r.id));
+        reports.sort_by_key(|r| rank(r, c));
         let mut ops = OpCounters {
             server_ops: reports.len() as u64,
             ..OpCounters::default()

@@ -13,11 +13,12 @@ pub fn knn<I>(points: I, q: Point, k: usize) -> Vec<Neighbor>
 where
     I: IntoIterator<Item = (ObjectId, Point)>,
 {
-    let mut c = KnnCollector::new(k);
+    let mut out = Vec::with_capacity(k);
+    let mut c = KnnCollector::new(k, &mut out);
     for (id, p) in points {
         c.offer(p.dist_sq(q), id);
     }
-    c.into_sorted()
+    out
 }
 
 /// All of `points` within `range` (boundary inclusive), in canonical order.
@@ -33,9 +34,7 @@ where
             (d2 <= r2).then_some(Neighbor { dist_sq: d2, id })
         })
         .collect();
-    out.sort_unstable_by(|a, b| {
-        (crate::OrdF64(a.dist_sq), a.id).cmp(&(crate::OrdF64(b.dist_sq), b.id))
-    });
+    out.sort_unstable_by_key(Neighbor::key);
     out
 }
 

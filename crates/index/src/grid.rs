@@ -6,7 +6,7 @@
 //! query cell, and cell population counts provide the statistics used to
 //! size region-expansion probes.
 
-use crate::{bruteforce, KnnCollector, Neighbor};
+use crate::{KnnCollector, Neighbor};
 use mknn_geom::{Circle, ObjectId, Point, Rect};
 
 #[derive(Debug, Clone, Copy)]
@@ -276,18 +276,35 @@ impl GridIndex {
         out
     }
 
-    /// [`GridIndex::knn`] into a caller-kept buffer: `out` is overwritten
-    /// with exactly what `knn` would return, so a caller searching many
-    /// times a tick reuses one allocation. Returns the work performed
-    /// (cells visited plus distance computations) — the
-    /// hardware-independent server-load proxy used by the experiments.
-    pub fn knn_into(&self, q: Point, k: usize, out: &mut Vec<Neighbor>) -> u64 {
-        out.clear();
+    /// The `k` nearest indexed objects to `q` other than `exclude` (a
+    /// query's focal, never its own neighbor), in canonical order, into a
+    /// caller-kept buffer whose contents are discarded. Returns the work
+    /// performed (cells visited plus distance computations), the
+    /// hardware-independent server-load proxy the experiments charge.
+    ///
+    /// Over-fetching `k + 1` and filtering is exactly brute force over the
+    /// filtered population: the `k + 1` nearest overall contain the `k`
+    /// nearest others whether or not `exclude` is among them.
+    pub fn knn_excluding_into(
+        &self,
+        q: Point,
+        k: usize,
+        exclude: ObjectId,
+        out: &mut Vec<Neighbor>,
+    ) -> u64 {
+        let work = self.knn_into(q, k.saturating_add(1), out);
+        out.retain(|n| n.id != exclude);
+        out.truncate(k);
+        work
+    }
+
+    /// [`GridIndex::knn`] into `out`, returning the work performed.
+    fn knn_into(&self, q: Point, k: usize, out: &mut Vec<Neighbor>) -> u64 {
+        let mut coll = KnnCollector::new(k, out);
         if self.len == 0 || k == 0 {
             return 0;
         }
         let mut ops = 0u64;
-        let mut coll = KnnCollector::reusing(k, std::mem::take(out));
         let (qc, qr) = self.cell_coords(q);
         let min_dim = self.cell_w.min(self.cell_h);
         // Rings beyond this cover no cells.
@@ -314,7 +331,6 @@ impl GridIndex {
                 break;
             }
         }
-        *out = coll.into_sorted();
         ops
     }
 
@@ -341,11 +357,7 @@ impl GridIndex {
                 }
             }
         });
-        // A squared distance is never negative, -0.0 or NaN (NaN fails the
-        // `<=` above), and for such floats the IEEE bit pattern orders
-        // exactly as the value does: this is the `(distance², id)` order on
-        // an integer key.
-        out.sort_unstable_by_key(|n| (n.dist_sq.to_bits(), n.id));
+        out.sort_unstable_by_key(Neighbor::key);
     }
 
     /// Visits every cell whose rectangle intersects `circle`.
@@ -398,23 +410,12 @@ impl GridIndex {
         }
         self.bounds.min.dist(self.bounds.max)
     }
-
-    /// Cross-checks this grid's kNN against the brute-force oracle.
-    /// Intended for tests and debug assertions.
-    pub fn verify_knn(&self, q: Point, k: usize) -> bool {
-        let got = self.knn(q, k);
-        let want = bruteforce::knn(self.iter(), q, k);
-        got.len() == want.len()
-            && got
-                .iter()
-                .zip(&want)
-                .all(|(a, b)| a.id == b.id && a.dist_sq == b.dist_sq)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bruteforce;
 
     fn grid() -> GridIndex {
         GridIndex::new(Rect::square(100.0), 10, 10)
@@ -489,7 +490,8 @@ mod tests {
         assert_eq!(g.position(ObjectId(1)), Some(Point::new(2.0, 2.0)));
         assert_eq!(g.position(ObjectId(2)), Some(Point::new(99.0, 99.0)));
         assert_eq!(g.len(), 2);
-        assert!(g.verify_knn(Point::new(0.0, 0.0), 2));
+        let q = Point::new(0.0, 0.0);
+        assert_eq!(g.knn(q, 2), bruteforce::knn(g.iter(), q, 2));
     }
 
     #[test]
@@ -500,7 +502,8 @@ mod tests {
         g.upsert(ObjectId(2), Point::new(50.0, 50.0));
         let nn = g.knn(Point::new(-40.0, -40.0), 3);
         assert_eq!(nn[0].id, ObjectId(0));
-        assert!(g.verify_knn(Point::new(200.0, 200.0), 2));
+        let q = Point::new(200.0, 200.0);
+        assert_eq!(g.knn(q, 2), bruteforce::knn(g.iter(), q, 2));
     }
 
     #[test]
@@ -518,18 +521,21 @@ mod tests {
         for (id, x, y) in pts {
             g.upsert(ObjectId(id), Point::new(x, y));
         }
+        let q = Point::new(45.0, 50.0);
         for k in 0..=8 {
-            assert!(g.verify_knn(Point::new(45.0, 50.0), k), "k = {k}");
+            assert_eq!(g.knn(q, k), bruteforce::knn(g.iter(), q, k), "k = {k}");
         }
-        // One buffer across searches: each overwrites what the last left.
+        // One buffer across searches: each overwrites what the last left,
+        // and the focal-excluding search charges the `k + 1` search's work.
         let mut out = vec![Neighbor {
             dist_sq: 0.0,
             id: ObjectId(99),
         }];
         for k in [3, 1, 8, 0, 5] {
-            let work = g.knn_into(Point::new(45.0, 50.0), k, &mut out);
-            assert_eq!(out, g.knn(Point::new(45.0, 50.0), k), "k = {k}");
-            assert_eq!(work > 0, k > 0, "k = {k}");
+            let work = g.knn_excluding_into(q, k, ObjectId(4), &mut out);
+            let others = g.iter().filter(|&(id, _)| id != ObjectId(4));
+            assert_eq!(out, bruteforce::knn(others, q, k), "k = {k}");
+            assert_eq!(work, g.knn_into(q, k + 1, &mut Vec::new()), "k = {k}");
         }
     }
 
@@ -542,10 +548,7 @@ mod tests {
             g.upsert(ObjectId(i), Point::new(x, y));
         }
         let c = Circle::new(Point::new(50.0, 50.0), 23.0);
-        let got = g.range(&c);
-        let want = bruteforce::range(g.iter(), &c);
-        assert_eq!(got.len(), want.len());
-        assert!(got.iter().zip(&want).all(|(a, b)| a.id == b.id));
+        assert_eq!(g.range(&c), bruteforce::range(g.iter(), &c));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! registration included. It stays as an independently-implemented kNN to
 //! cross-check the grid against, and as a benchmark replay.
 
-use crate::{bruteforce, KnnCollector, Neighbor, OrdF64};
+use crate::{KnnCollector, Neighbor};
 use mknn_geom::{Circle, ObjectId, Point};
 
 #[derive(Debug, Clone, Copy)]
@@ -51,11 +51,12 @@ impl KdTree {
     /// The k nearest points to `q`, in canonical order (ascending
     /// `(distance², id)`).
     pub fn knn(&self, q: Point, k: usize) -> Vec<Neighbor> {
-        let mut coll = KnnCollector::new(k);
+        let mut out = Vec::with_capacity(k.min(self.len()));
+        let mut coll = KnnCollector::new(k, &mut out);
         if k > 0 && !self.items.is_empty() {
             knn_rec(&self.items, 0, q, &mut coll);
         }
-        coll.into_sorted()
+        out
     }
 
     /// All points within `range` (boundary inclusive), in canonical order.
@@ -64,19 +65,8 @@ impl KdTree {
         if !self.items.is_empty() {
             range_rec(&self.items, 0, range, range.radius * range.radius, &mut out);
         }
-        out.sort_unstable_by_key(|a| (OrdF64(a.dist_sq), a.id));
+        out.sort_unstable_by_key(Neighbor::key);
         out
-    }
-
-    /// Cross-checks against the brute-force oracle (tests).
-    pub fn verify_knn(&self, q: Point, k: usize) -> bool {
-        let got = self.knn(q, k);
-        let want = bruteforce::knn(self.items.iter().map(|i| (i.id, i.pos)), q, k);
-        got.len() == want.len()
-            && got
-                .iter()
-                .zip(&want)
-                .all(|(a, b)| a.id == b.id && a.dist_sq == b.dist_sq)
     }
 }
 
@@ -95,17 +85,17 @@ fn build_rec(items: &mut [Item], depth: usize) {
     }
     let axis = depth % 2;
     let mid = items.len() / 2;
+    // Coordinates may be negative, so this is not the `Neighbor::key` order.
     items.select_nth_unstable_by(mid, |a, b| {
-        OrdF64(axis_key(a.pos, axis))
-            .cmp(&OrdF64(axis_key(b.pos, axis)))
-            .then(a.id.cmp(&b.id))
+        let by_coord = axis_key(a.pos, axis).total_cmp(&axis_key(b.pos, axis));
+        by_coord.then(a.id.cmp(&b.id))
     });
     let (left, rest) = items.split_at_mut(mid);
     build_rec(left, depth + 1);
     build_rec(&mut rest[1..], depth + 1);
 }
 
-fn knn_rec(items: &[Item], depth: usize, q: Point, coll: &mut KnnCollector) {
+fn knn_rec(items: &[Item], depth: usize, q: Point, coll: &mut KnnCollector<'_>) {
     if items.is_empty() {
         return;
     }
@@ -153,6 +143,7 @@ fn range_rec(items: &[Item], depth: usize, range: &Circle, r2: f64, out: &mut Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bruteforce;
 
     fn cloud(n: u32) -> Vec<(ObjectId, Point)> {
         let mut state = 0xDEADBEEFu64;
@@ -169,13 +160,13 @@ mod tests {
 
     #[test]
     fn knn_matches_oracle() {
-        let t = KdTree::build(cloud(500));
+        let pts = cloud(500);
+        let t = KdTree::build(pts.clone());
         for k in [1, 5, 17, 100] {
-            assert!(t.verify_knn(Point::new(500.0, 500.0), k), "k = {k}");
-            assert!(
-                t.verify_knn(Point::new(-50.0, 1200.0), k),
-                "outside, k = {k}"
-            );
+            for q in [Point::new(500.0, 500.0), Point::new(-50.0, 1200.0)] {
+                let want = bruteforce::knn(pts.iter().copied(), q, k);
+                assert_eq!(t.knn(q, k), want, "{q:?}, k = {k}");
+            }
         }
     }
 
@@ -184,10 +175,7 @@ mod tests {
         let pts = cloud(400);
         let t = KdTree::build(pts.clone());
         let c = Circle::new(Point::new(300.0, 700.0), 180.0);
-        let got = t.range(&c);
-        let want = bruteforce::range(pts, &c);
-        assert_eq!(got.len(), want.len());
-        assert!(got.iter().zip(&want).all(|(a, b)| a.id == b.id));
+        assert_eq!(t.range(&c), bruteforce::range(pts, &c));
     }
 
     #[test]
@@ -216,7 +204,8 @@ mod tests {
         let pts: Vec<_> = (0..100)
             .map(|i| (ObjectId(i), Point::new(i as f64, 0.0)))
             .collect();
-        let t = KdTree::build(pts);
-        assert!(t.verify_knn(Point::new(37.4, 0.0), 7));
+        let t = KdTree::build(pts.clone());
+        let q = Point::new(37.4, 0.0);
+        assert_eq!(t.knn(q, 7), bruteforce::knn(pts, q, 7));
     }
 }

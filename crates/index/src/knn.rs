@@ -1,6 +1,5 @@
-//! A bounded best-k collector.
+//! The canonical kNN order and a bounded best-k collector.
 
-use crate::OrdF64;
 use mknn_geom::ObjectId;
 
 /// One kNN result: an object and its squared distance from the query point.
@@ -18,38 +17,39 @@ impl Neighbor {
     pub fn dist(&self) -> f64 {
         self.dist_sq.sqrt()
     }
-}
 
-/// Collects the k nearest candidates seen so far, with deterministic
-/// tie-breaking on `(distance², id)`.
-///
-/// Internally a list of the best candidates kept in canonical order: a
-/// candidate that cannot make the cut costs one comparison against the
-/// current k-th distance (the pruning bound for index traversals, `O(1)`),
-/// one that can is inserted in `O(k)`.
-#[derive(Debug, Clone)]
-pub struct KnnCollector {
-    k: usize,
-    /// Ascending `(distance², id)`; at most `k` entries.
-    best: Vec<Neighbor>,
-}
-
-fn rank(n: &Neighbor) -> (OrdF64, ObjectId) {
-    (OrdF64(n.dist_sq), n.id)
-}
-
-impl KnnCollector {
-    /// Creates a collector for the `k` nearest. `k = 0` collects nothing.
-    pub fn new(k: usize) -> Self {
-        Self::reusing(k, Vec::with_capacity(k))
+    /// The key of the canonical order, ascending `(distance², id)`: every
+    /// ranked list in the workspace sorts by it, so independently computed
+    /// answers compare element by element.
+    ///
+    /// A squared distance is never negative, −0.0 or NaN, and for such
+    /// floats the IEEE bit pattern orders exactly as the value does.
+    #[inline]
+    pub fn key(&self) -> (u64, ObjectId) {
+        debug_assert!(self.dist_sq >= 0.0, "not a squared distance");
+        (self.dist_sq.to_bits(), self.id)
     }
+}
 
-    /// A collector for the `k` nearest that keeps them in `buf`'s
-    /// allocation (its contents are discarded), so a caller running many
-    /// searches reuses one buffer through [`KnnCollector::into_sorted`].
-    pub fn reusing(k: usize, mut buf: Vec<Neighbor>) -> Self {
-        buf.clear();
-        KnnCollector { k, best: buf }
+/// Collects the k nearest candidates seen so far into a caller's buffer,
+/// kept in canonical order.
+///
+/// A candidate that cannot make the cut costs one comparison against the
+/// current k-th (the pruning bound for index traversals, `O(1)`); one that
+/// can is inserted in `O(k)`.
+#[derive(Debug)]
+pub(crate) struct KnnCollector<'a> {
+    k: usize,
+    /// In canonical order; at most `k` entries.
+    best: &'a mut Vec<Neighbor>,
+}
+
+impl<'a> KnnCollector<'a> {
+    /// A collector for the `k` nearest that fills `out`, discarding what it
+    /// held. `k = 0` collects nothing.
+    pub fn new(k: usize, out: &'a mut Vec<Neighbor>) -> Self {
+        out.clear();
+        KnnCollector { k, best: out }
     }
 
     /// Offers a candidate; keeps it only if it is among the best k seen.
@@ -58,11 +58,11 @@ impl KnnCollector {
         let n = Neighbor { dist_sq, id };
         if self.is_full() {
             match self.best.last() {
-                Some(worst) if rank(&n) < rank(worst) => self.best.pop(),
+                Some(worst) if n.key() < worst.key() => self.best.pop(),
                 _ => return,
             };
         }
-        let at = self.best.partition_point(|b| rank(b) < rank(&n));
+        let at = self.best.partition_point(|b| b.key() < n.key());
         self.best.insert(at, n);
     }
 
@@ -80,28 +80,10 @@ impl KnnCollector {
         }
     }
 
-    /// Number of candidates currently held (≤ k).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.best.len()
-    }
-
-    /// Returns `true` when no candidate has been kept.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.best.is_empty()
-    }
-
     /// Returns `true` when k candidates have been collected.
     #[inline]
     pub fn is_full(&self) -> bool {
         self.best.len() == self.k
-    }
-
-    /// Consumes the collector, returning neighbors in canonical order
-    /// (ascending `(distance², id)`).
-    pub fn into_sorted(self) -> Vec<Neighbor> {
-        self.best
     }
 }
 
@@ -109,25 +91,28 @@ impl KnnCollector {
 mod tests {
     use super::*;
 
-    fn ids(v: &[Neighbor]) -> Vec<u32> {
-        v.iter().map(|n| n.id.0).collect()
+    /// The ids `offer`ing `dists` (id = position) to a `k`-collector keeps.
+    fn collect(k: usize, dists: &[f64]) -> Vec<u32> {
+        let mut out = vec![Neighbor {
+            dist_sq: 0.0,
+            id: ObjectId(99),
+        }];
+        let mut c = KnnCollector::new(k, &mut out);
+        for (i, &d) in dists.iter().enumerate() {
+            c.offer(d, ObjectId(i as u32));
+        }
+        out.iter().map(|n| n.id.0).collect()
     }
 
     #[test]
-    fn keeps_k_smallest() {
-        let mut c = KnnCollector::new(3);
-        for (i, d) in [5.0, 1.0, 9.0, 3.0, 7.0, 2.0].iter().enumerate() {
-            c.offer(*d, ObjectId(i as u32));
-        }
-        let out = c.into_sorted();
-        assert_eq!(ids(&out), vec![1, 5, 3]);
-        assert_eq!(out[0].dist_sq, 1.0);
-        assert_eq!(out[2].dist_sq, 3.0);
+    fn keeps_k_smallest_in_a_dirty_buffer() {
+        assert_eq!(collect(3, &[5.0, 1.0, 9.0, 3.0, 7.0, 2.0]), vec![1, 5, 3]);
     }
 
     #[test]
     fn prune_bound_tracks_kth() {
-        let mut c = KnnCollector::new(2);
+        let mut out = Vec::new();
+        let mut c = KnnCollector::new(2, &mut out);
         assert_eq!(c.prune_bound_sq(), f64::INFINITY);
         c.offer(4.0, ObjectId(0));
         assert_eq!(c.prune_bound_sq(), f64::INFINITY); // not yet full
@@ -139,29 +124,18 @@ mod tests {
 
     #[test]
     fn ties_break_by_smaller_id() {
-        let mut c = KnnCollector::new(1);
-        c.offer(5.0, ObjectId(9));
-        c.offer(5.0, ObjectId(2));
-        let out = c.into_sorted();
-        assert_eq!(ids(&out), vec![2]);
+        assert_eq!(collect(1, &[5.0, 5.0]), vec![0]);
+        assert_eq!(collect(2, &[7.0, 5.0, 5.0]), vec![1, 2]);
     }
 
     #[test]
     fn zero_k_collects_nothing() {
-        let mut c = KnnCollector::new(0);
-        c.offer(1.0, ObjectId(0));
-        assert!(c.is_empty());
-        assert!(c.into_sorted().is_empty());
+        assert!(collect(0, &[1.0]).is_empty());
     }
 
     #[test]
     fn fewer_candidates_than_k() {
-        let mut c = KnnCollector::new(5);
-        c.offer(2.0, ObjectId(0));
-        c.offer(1.0, ObjectId(1));
-        assert!(!c.is_full());
-        let out = c.into_sorted();
-        assert_eq!(ids(&out), vec![1, 0]);
+        assert_eq!(collect(5, &[2.0, 1.0]), vec![1, 0]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! (mknn-util `check` harness).
 
 use mknn_geom::{Circle, ObjectId, Point, Rect};
-use mknn_index::{bruteforce, GridIndex, KdTree};
+use mknn_index::{bruteforce, GridIndex, KdTree, Neighbor};
 use mknn_util::check::forall;
 use mknn_util::Rng;
 
@@ -20,7 +20,7 @@ fn world(rng: &mut Rng, max: usize) -> Vec<(ObjectId, Point)> {
     (0..n).map(|i| (ObjectId(i as u32), pt(rng))).collect()
 }
 
-fn ids(nn: &[mknn_index::Neighbor]) -> Vec<u32> {
+fn ids(nn: &[Neighbor]) -> Vec<u32> {
     nn.iter().map(|n| n.id.0).collect()
 }
 
@@ -110,7 +110,7 @@ fn lattice_world(rng: &mut Rng, max: usize) -> Vec<(ObjectId, Point)> {
 
 /// Full-precision comparison (ids *and* distances): the byte-identity
 /// contract the snapshot oracle relies on, stricter than id equality.
-fn assert_same(got: &[mknn_index::Neighbor], want: &[mknn_index::Neighbor], ctx: &str) {
+fn assert_same(got: &[Neighbor], want: &[Neighbor], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: length");
     for (a, b) in got.iter().zip(want) {
         assert_eq!(a.id, b.id, "{ctx}: id");
@@ -145,9 +145,8 @@ fn knn_tie_semantics_survive_duplicate_positions() {
     });
 }
 
-/// Grid `range` sorts on the distance's bit pattern, brute force on its
-/// value: under heavy exact ties (lattice centers, radii at lattice
-/// distances) both give the same ids in the same order.
+/// Grid `range` and brute force agree under heavy exact ties (lattice
+/// centers, radii at lattice distances): the same ids in the same order.
 #[test]
 fn range_tie_order_survives_duplicate_positions() {
     forall(CASES, |rng| {
@@ -213,9 +212,9 @@ fn knn_with_k_at_least_population_returns_everyone() {
 }
 
 /// Focal exclusion by over-fetching: querying `k + 1` and filtering one id
-/// equals brute force over the filtered population — the identity the
-/// snapshot oracle and `ServerHalf::init` both rely on. Exercised with
-/// duplicate positions so the focal can tie exactly with real candidates.
+/// equals brute force over the filtered population, for the kd-tree by hand
+/// and for the grid's `knn_excluding_into`. Exercised with duplicate
+/// positions so the focal can tie exactly with real candidates.
 #[test]
 fn focal_exclusion_by_overfetch_equals_filtered_bruteforce() {
     forall(CASES, |rng| {
@@ -240,10 +239,9 @@ fn focal_exclusion_by_overfetch_equals_filtered_bruteforce() {
         for &(id, p) in &w {
             g.upsert(id, p);
         }
-        let mut got = g.knn(q, k + 1);
-        got.retain(|n| n.id != focal);
-        got.truncate(k);
-        assert_same(&got, &want, "grid overfetch");
+        let mut got = Vec::new();
+        g.knn_excluding_into(q, k, focal, &mut got);
+        assert_same(&got, &want, "grid knn_excluding_into");
     });
 }
 
@@ -291,6 +289,40 @@ fn grid_estimate_radius_covers_k() {
         let kth = bruteforce::kth_dist(w.clone(), q, k);
         if kth.is_finite() {
             assert!(r >= kth, "estimate {r} < true k-th distance {kth}");
+        }
+    });
+}
+
+/// `Neighbor::key` orders pairs exactly as `(dist².total_cmp, id)` over
+/// non-negative finite squared distances: zero, subnormals, exact ties
+/// (few ids, a handful of special values) and `f64::MAX` included.
+#[test]
+fn neighbor_key_orders_as_distance_then_id() {
+    let special = [
+        0.0,
+        f64::from_bits(1),
+        1e-310,
+        f64::MIN_POSITIVE,
+        1.0,
+        f64::MAX,
+    ];
+    forall(CASES, |rng| {
+        let nbs: Vec<Neighbor> = (0..24)
+            .map(|_| {
+                let dist_sq = match rng.gen_range(0u32..3) {
+                    0 => special[rng.gen_range(0usize..special.len())],
+                    1 => rng.gen_range(0.0..SIDE * SIDE),
+                    _ => f64::from_bits(rng.gen_range(0..=f64::MAX.to_bits())),
+                };
+                let id = ObjectId(rng.gen_range(0u32..4));
+                Neighbor { dist_sq, id }
+            })
+            .collect();
+        for a in &nbs {
+            for b in &nbs {
+                let want = a.dist_sq.total_cmp(&b.dist_sq).then(a.id.cmp(&b.id));
+                assert_eq!(a.key().cmp(&b.key()), want, "{a:?} vs {b:?}");
+            }
         }
     });
 }

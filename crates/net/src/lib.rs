@@ -38,9 +38,7 @@ pub use downlink::{
     frame_header_bits, AnswerUpdate, Delivery, DownlinkBuilder, FrameItem, ReplStore,
 };
 pub use fault::{CrashWindow, FaultError, FaultPlan, FaultyLink};
-pub use msg::{
-    DownlinkMsg, FocalTable, MsgKind, QuerySpec, Recipient, ShardMsg, ShardMsgKind, UplinkMsg,
-};
+pub use msg::{DownlinkMsg, FocalTable, MsgKind, QuerySpec, Recipient, ShardMsg, UplinkMsg};
 pub use proto::{
     run_client_phase, single_server_phase, ClientCtx, ObjReport, Outbox, ProbeService, Protocol,
     Registration, ServerPhase, ShardTask, Uplinks, PAR_MIN_DEVICES,

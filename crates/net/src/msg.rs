@@ -332,30 +332,6 @@ impl ShardMsg {
     pub fn size_bytes(&self) -> usize {
         unframed_bytes(crate::Wire::wire_bits(self))
     }
-
-    /// Stable label for the per-category [`crate::ShardStats`] tallies.
-    pub fn kind(&self) -> ShardMsgKind {
-        match self {
-            ShardMsg::Fanout { .. } => ShardMsgKind::Fanout,
-            ShardMsg::PartialAnswer { .. } => ShardMsgKind::PartialAnswer,
-            ShardMsg::Handoff { .. } => ShardMsgKind::Handoff,
-            ShardMsg::Forward { .. } => ShardMsgKind::Forward,
-            ShardMsg::Migrate { .. } => ShardMsgKind::Migrate,
-            ShardMsg::Recover { .. } => ShardMsgKind::Recover,
-        }
-    }
-}
-
-/// Category labels for the inter-shard legs (one per [`ShardMsg`] variant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)]
-pub enum ShardMsgKind {
-    Fanout,
-    PartialAnswer,
-    Handoff,
-    Forward,
-    Migrate,
-    Recover,
 }
 
 /// Who a downlink is addressed to.
@@ -592,7 +568,16 @@ mod tests {
             query: QueryId(0),
             zone: Circle::new(Point::ORIGIN, 9.0),
         };
-        assert_eq!(fanout.kind(), ShardMsgKind::Fanout);
+        // Each leg lands in its own category's tally, bytes included.
+        let lands = |m: &ShardMsg| {
+            let mut tally = crate::ShardStats::default();
+            tally.count(m);
+            tally
+        };
+        let tally = lands(&fanout);
+        let bytes = fanout.size_bytes() as u64;
+        assert_eq!((tally.fanout_msgs, tally.fanout_bytes), (1, bytes));
+        assert_eq!((tally.total_msgs(), tally.total_bytes()), (1, bytes));
         let empty = ShardMsg::PartialAnswer {
             query: QueryId(0),
             count: 0,
@@ -637,7 +622,10 @@ mod tests {
         );
         // Recovery replay legs scale by the modeled object entry, too.
         let dry = ShardMsg::Recover { shard: 2, count: 0 };
-        assert_eq!(dry.kind(), ShardMsgKind::Recover);
+        let tally = lands(&dry);
+        let bytes = dry.size_bytes() as u64;
+        assert_eq!((tally.recover_msgs, tally.recover_bytes), (1, bytes));
+        assert_eq!((tally.total_msgs(), tally.total_bytes()), (1, bytes));
         let sweep = ShardMsg::Recover { shard: 2, count: 8 };
         assert_eq!(
             sweep.size_bytes(),

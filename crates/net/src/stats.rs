@@ -1,6 +1,6 @@
 //! Metric counters: the quantities every experiment reports.
 
-use crate::{MsgKind, ShardMsg, ShardMsgKind};
+use crate::{MsgKind, ShardMsg};
 use std::collections::BTreeMap;
 use std::ops::AddAssign;
 
@@ -79,33 +79,16 @@ impl ShardStats {
 
     /// Records one inter-shard leg under its category.
     pub fn count(&mut self, msg: &ShardMsg) {
-        let bytes = msg.size_bytes() as u64;
-        match msg.kind() {
-            ShardMsgKind::Fanout => {
-                self.fanout_msgs += 1;
-                self.fanout_bytes += bytes;
-            }
-            ShardMsgKind::PartialAnswer => {
-                self.merge_msgs += 1;
-                self.merge_bytes += bytes;
-            }
-            ShardMsgKind::Handoff => {
-                self.handoff_msgs += 1;
-                self.handoff_bytes += bytes;
-            }
-            ShardMsgKind::Forward => {
-                self.forward_msgs += 1;
-                self.forward_bytes += bytes;
-            }
-            ShardMsgKind::Migrate => {
-                self.migrate_msgs += 1;
-                self.migrate_bytes += bytes;
-            }
-            ShardMsgKind::Recover => {
-                self.recover_msgs += 1;
-                self.recover_bytes += bytes;
-            }
-        }
+        let (msgs, bytes) = match msg {
+            ShardMsg::Fanout { .. } => (&mut self.fanout_msgs, &mut self.fanout_bytes),
+            ShardMsg::PartialAnswer { .. } => (&mut self.merge_msgs, &mut self.merge_bytes),
+            ShardMsg::Handoff { .. } => (&mut self.handoff_msgs, &mut self.handoff_bytes),
+            ShardMsg::Forward { .. } => (&mut self.forward_msgs, &mut self.forward_bytes),
+            ShardMsg::Migrate { .. } => (&mut self.migrate_msgs, &mut self.migrate_bytes),
+            ShardMsg::Recover { .. } => (&mut self.recover_msgs, &mut self.recover_bytes),
+        };
+        *msgs += 1;
+        *bytes += msg.size_bytes() as u64;
     }
 
     /// Records `n` retransmissions of a leg of `bytes` each.

@@ -1,6 +1,6 @@
 //! The simulation engine: world + infrastructure + protocol driver.
 
-use crate::{check_answer, knn_excluding, AnswerCheck, EpisodeMetrics, SimConfig, VerifyMode};
+use crate::{AnswerCheck, Claim, EpisodeMetrics, Oracle, SimConfig, VerifyMode};
 use mknn_core::ShardCoordinator;
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick};
 use mknn_index::{GridIndex, Neighbor};
@@ -272,6 +272,8 @@ pub struct Simulation {
     /// Per query: how many consecutive oracle checks have been inexact
     /// (feeds the staleness metrics).
     stale_streak: Vec<u64>,
+    /// The answer checks' search buffers, kept for the episode.
+    oracle: Oracle,
     /// The sharded server tier's routing overlay (DESIGN.md §9). Always
     /// present — at `shards = 1` every leg is intra-shard, so the overlay
     /// never charges and the episode is byte-identical to the pre-shard
@@ -433,6 +435,7 @@ impl Simulation {
             link,
             coord,
             stale_streak: vec![0; n_queries],
+            oracle: Oracle::default(),
             pool: match config.client_threads {
                 Some(t) => mknn_util::Pool::new(t),
                 None => mknn_util::Pool::from_env(),
@@ -701,20 +704,24 @@ impl Simulation {
 
     /// Checks a query's maintained answer against `infra`; also returns the
     /// effective center it was checked at.
-    fn check_query(&self, QuerySpec { id, focal, k }: QuerySpec) -> (AnswerCheck, Point) {
-        let pos = self.world.position(focal);
-        let effective = self.proto.effective_center(id).unwrap_or(pos);
+    fn check_query(&self, oracle: &mut Oracle, spec: QuerySpec) -> (AnswerCheck, Point) {
+        let QuerySpec { id, focal, k } = spec;
+        let true_center = self.world.position(focal);
+        let effective = self.proto.effective_center(id).unwrap_or(true_center);
         let (answer, ordered) = (self.proto.answer(id), self.proto.ordered_answers());
-        let ck = check_answer(&self.infra, focal, k, answer, effective, pos, ordered);
-        (ck, effective)
+        #[rustfmt::skip]
+        let claim = Claim { focal, k, answer, effective, true_center, ordered };
+        (oracle.check(&self.infra, &claim), effective)
     }
 
     fn verify_answers(&mut self) {
         let t0 = Instant::now();
         self.assert_infra_is_truth();
+        // Taken out for the loop, which borrows the whole engine.
+        let mut oracle = std::mem::take(&mut self.oracle);
         for qi in 0..self.specs.len() {
             let spec = self.specs[qi];
-            let (ck, effective) = self.check_query(spec);
+            let (ck, effective) = self.check_query(&mut oracle, spec);
             self.metrics.exact_checks += 1;
             self.metrics.exact_ok += u64::from(ck.exact);
             self.metrics.recall_sum += ck.recall_vs_true;
@@ -734,10 +741,10 @@ impl Simulation {
                 }
             }
             if self.verify == VerifyMode::Assert && self.proto.guarantees_exact() && !ck.exact {
-                let truth: Vec<_> = knn_excluding(&self.infra, effective, spec.k, spec.focal)
-                    .iter()
-                    .map(|n| (n.id, n.dist()))
-                    .collect();
+                let mut nn = Vec::new();
+                self.infra
+                    .knn_excluding_into(effective, spec.k, spec.focal, &mut nn);
+                let truth: Vec<_> = nn.iter().map(|n| (n.id, n.dist())).collect();
                 panic!(
                     "{}: inexact answer for {} at tick {}: got {:?}, oracle {:?} (effective {:?})",
                     self.proto.name(),
@@ -749,6 +756,7 @@ impl Simulation {
                 );
             }
         }
+        self.oracle = oracle;
         self.metrics.oracle_seconds += t0.elapsed().as_secs_f64();
     }
 
@@ -757,9 +765,10 @@ impl Simulation {
     /// the chaos suite to assert reconvergence after a fault burst.
     pub fn inexact_queries(&self) -> usize {
         self.assert_infra_is_truth();
+        let mut oracle = Oracle::default();
         self.specs
             .iter()
-            .filter(|&&spec| !self.check_query(spec).0.exact)
+            .filter(|&&spec| !self.check_query(&mut oracle, spec).0.exact)
             .count()
     }
 

@@ -23,7 +23,7 @@ pub use config::{ConfigError, SimConfig, VerifyMode};
 pub use engine::Simulation;
 pub use method::Method;
 pub use metrics::EpisodeMetrics;
-pub use oracle::{check_answer, knn_excluding, AnswerCheck, SnapshotOracle, DIST_ERROR_MAX};
+pub use oracle::{AnswerCheck, Claim, Oracle, SnapshotOracle, DIST_ERROR_MAX};
 pub use stats::{percentile, MetricsSummary, Summary};
 pub use sweep::{EpisodeRun, PlannedEpisode, Sweep};
 pub use table::{render_table, write_csv};

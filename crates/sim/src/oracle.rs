@@ -22,24 +22,6 @@ const TIE_EPS: f64 = 1e-9;
 /// must look maximally bad, not distance-perfect.
 pub const DIST_ERROR_MAX: f64 = 1.0;
 
-/// The k nearest objects of `grid` to `center`, excluding `exclude` (the
-/// focal object, which is never its own neighbor), in canonical order.
-///
-/// Over-fetching `k + 1` and filtering is exactly brute force over the
-/// filtered population: the `k + 1` nearest overall contain the `k`
-/// nearest non-focal ones whether or not the focal is among them.
-pub fn knn_excluding(
-    grid: &GridIndex,
-    center: Point,
-    k: usize,
-    exclude: ObjectId,
-) -> Vec<Neighbor> {
-    let mut nn = grid.knn(center, k.saturating_add(1));
-    nn.retain(|n| n.id != exclude);
-    nn.truncate(k);
-    nn
-}
-
 /// A kNN oracle over a frozen world snapshot, kept only for the benchmark's
 /// oracle replay: the engine checks against its own grid.
 pub struct SnapshotOracle(GridIndex);
@@ -53,9 +35,12 @@ impl SnapshotOracle {
         SnapshotOracle(grid)
     }
 
-    /// [`knn_excluding`] over the snapshot.
+    /// The k nearest objects to `center` other than `exclude`, in
+    /// canonical order ([`GridIndex::knn_excluding_into`]).
     pub fn knn_excluding(&self, center: Point, k: usize, exclude: ObjectId) -> Vec<Neighbor> {
-        knn_excluding(&self.0, center, k, exclude)
+        let mut out = Vec::with_capacity(k.saturating_add(1).min(self.0.len()));
+        self.0.knn_excluding_into(center, k, exclude, &mut out);
+        out
     }
 }
 
@@ -75,81 +60,109 @@ pub struct AnswerCheck {
     pub dist_error: f64,
 }
 
-/// Verifies `answer` for a query with focal `focal` and parameter `k`
-/// against `grid`, a grid holding every object at its true position.
-///
-/// `effective` is the query point the method claims exactness for;
-/// `true_center` is the focal object's true position. `ordered` selects
-/// sequence (vs. set) comparison.
-///
-/// # Panics
-/// When `answer` names an object `grid` does not hold.
-pub fn check_answer(
-    grid: &GridIndex,
-    focal: ObjectId,
-    k: usize,
-    answer: &[ObjectId],
-    effective: Point,
-    true_center: Point,
-    ordered: bool,
-) -> AnswerCheck {
-    let pos = |id: ObjectId| grid.position(id).expect("answer member is indexed");
+/// One maintained answer to check, with what it claims.
+#[derive(Debug, Clone, Copy)]
+pub struct Claim<'a> {
+    /// The query's focal object, never its own neighbor.
+    pub focal: ObjectId,
+    /// The query's `k`.
+    pub k: usize,
+    /// The maintained answer.
+    pub answer: &'a [ObjectId],
+    /// The query point the method claims exactness for.
+    pub effective: Point,
+    /// The focal object's true position.
+    pub true_center: Point,
+    /// Whether the answer's order counts (sequence vs. set comparison).
+    pub ordered: bool,
+}
 
-    // --- exactness at the effective center -------------------------------
-    let truth_eff = knn_excluding(grid, effective, k, focal);
-    let exact = if answer.len() != truth_eff.len() {
-        false
-    } else {
-        let d_of = |id: ObjectId| pos(id).dist(effective);
-        let d_k = truth_eff.last().map_or(0.0, |n| n.dist());
-        // Every answered member must be at least as close as the k-th oracle
-        // distance (ties allowed)…
-        let members_ok = answer.iter().all(|&id| d_of(id) <= d_k + TIE_EPS);
-        // …and in ordered mode the reported sequence must be non-decreasing.
-        let order_ok = !ordered
-            || answer
-                .windows(2)
-                .all(|w| d_of(w[0]) <= d_of(w[1]) + TIE_EPS);
-        // Distance multisets must agree (catches wrong members hiding
-        // behind an equal count); the oracle's come in ascending order.
-        let mut a_d: Vec<f64> = answer.iter().map(|&id| d_of(id)).collect();
-        a_d.sort_unstable_by(f64::total_cmp);
-        let dists_ok = a_d
+/// Checks answers against a grid holding every object at its true
+/// position, searching into buffers it keeps across checks, so a verified
+/// tick allocates nothing.
+#[derive(Debug, Default)]
+pub struct Oracle {
+    /// The true kNN at the center being checked.
+    truth: Vec<Neighbor>,
+    /// The answered members' distances, sorted.
+    dists: Vec<f64>,
+}
+
+impl Oracle {
+    /// Verifies `claim` against `grid`.
+    ///
+    /// # Panics
+    /// When the answer names an object `grid` does not hold.
+    pub fn check(&mut self, grid: &GridIndex, claim: &Claim<'_>) -> AnswerCheck {
+        let Claim {
+            focal,
+            k,
+            answer,
+            effective,
+            true_center,
+            ordered,
+        } = *claim;
+        let pos = |id: ObjectId| grid.position(id).expect("answer member is indexed");
+
+        // --- exactness at the effective center -----------------------------
+        grid.knn_excluding_into(effective, k, focal, &mut self.truth);
+        let exact = if answer.len() != self.truth.len() {
+            false
+        } else {
+            let d_of = |id: ObjectId| pos(id).dist(effective);
+            let d_k = self.truth.last().map_or(0.0, |n| n.dist());
+            // Every answered member must be at least as close as the k-th oracle
+            // distance (ties allowed)…
+            let members_ok = answer.iter().all(|&id| d_of(id) <= d_k + TIE_EPS);
+            // …and in ordered mode the reported sequence must be non-decreasing.
+            let order_ok = !ordered
+                || answer
+                    .windows(2)
+                    .all(|w| d_of(w[0]) <= d_of(w[1]) + TIE_EPS);
+            // Distance multisets must agree (catches wrong members hiding
+            // behind an equal count); the oracle's come in ascending order.
+            self.dists.clear();
+            self.dists.extend(answer.iter().map(|&id| d_of(id)));
+            self.dists.sort_unstable_by(f64::total_cmp);
+            let dists_ok = self
+                .dists
+                .iter()
+                .zip(&self.truth)
+                .all(|(a, o)| (a - o.dist()).abs() <= TIE_EPS);
+            members_ok && order_ok && dists_ok
+        };
+
+        // --- accuracy at the true center ------------------------------------
+        grid.knn_excluding_into(true_center, k, focal, &mut self.truth);
+        let truth = &self.truth;
+        let hit = answer
             .iter()
-            .zip(&truth_eff)
-            .all(|(a, o)| (a - o.dist()).abs() <= TIE_EPS);
-        members_ok && order_ok && dists_ok
-    };
+            .filter(|&&id| truth.iter().any(|n| n.id == id))
+            .count();
+        let recall_vs_true = if truth.is_empty() {
+            1.0
+        } else {
+            hit as f64 / truth.len() as f64
+        };
+        let sum_true: f64 = truth.iter().map(|n| n.dist()).sum();
+        let sum_answer: f64 = answer.iter().map(|&id| pos(id).dist(true_center)).sum();
+        let dist_error = if truth.is_empty() {
+            0.0
+        } else if answer.len() < truth.len() {
+            // Missing members: the user has *no* neighbor in those slots, which
+            // no finite distance sum can express — charge the max clamp.
+            DIST_ERROR_MAX
+        } else if sum_true > 0.0 {
+            (sum_answer / sum_true - 1.0).clamp(0.0, DIST_ERROR_MAX)
+        } else {
+            0.0
+        };
 
-    // --- accuracy at the true center --------------------------------------
-    let truth = knn_excluding(grid, true_center, k, focal);
-    let hit = answer
-        .iter()
-        .filter(|&&id| truth.iter().any(|n| n.id == id))
-        .count();
-    let recall_vs_true = if truth.is_empty() {
-        1.0
-    } else {
-        hit as f64 / truth.len() as f64
-    };
-    let sum_true: f64 = truth.iter().map(|n| n.dist()).sum();
-    let sum_answer: f64 = answer.iter().map(|&id| pos(id).dist(true_center)).sum();
-    let dist_error = if truth.is_empty() {
-        0.0
-    } else if answer.len() < truth.len() {
-        // Missing members: the user has *no* neighbor in those slots, which
-        // no finite distance sum can express — charge the max clamp.
-        DIST_ERROR_MAX
-    } else if sum_true > 0.0 {
-        (sum_answer / sum_true - 1.0).clamp(0.0, DIST_ERROR_MAX)
-    } else {
-        0.0
-    };
-
-    AnswerCheck {
-        exact,
-        recall_vs_true,
-        dist_error,
+        AnswerCheck {
+            exact,
+            recall_vs_true,
+            dist_error,
+        }
     }
 }
 
@@ -171,9 +184,11 @@ mod tests {
         true_center: Point,
         ordered: bool,
     ) -> AnswerCheck {
+        #[rustfmt::skip]
+        let claim = Claim { focal, k, answer, effective, true_center, ordered };
         let [coarse, fine] = [1, 4].map(|side| {
             let grid = GridIndex::bulk_load(world.bounds(), side, side, world.snapshot());
-            check_answer(&grid, focal, k, answer, effective, true_center, ordered)
+            Oracle::default().check(&grid, &claim)
         });
         assert_eq!(coarse, fine, "grid resolutions must agree");
         coarse

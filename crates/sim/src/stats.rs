@@ -3,8 +3,8 @@
 //! Single-seed numbers are fine for shapes, but publication-grade tables
 //! average several seeded repetitions and report dispersion. This module
 //! provides the (tiny) statistics toolkit the experiment harness uses:
-//! mean, sample standard deviation, min/max, and percentiles, plus a
-//! convenience aggregator over [`EpisodeMetrics`].
+//! mean, sample standard deviation and percentiles, plus an aggregator
+//! over [`EpisodeMetrics`] carrying what E15 prints.
 
 use crate::EpisodeMetrics;
 
@@ -17,10 +17,6 @@ pub struct Summary {
     pub mean: f64,
     /// Sample standard deviation (`n − 1` denominator; 0 for n ≤ 1).
     pub std_dev: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
 }
 
 impl Summary {
@@ -33,8 +29,6 @@ impl Summary {
                 n: 0,
                 mean: f64::NAN,
                 std_dev: f64::NAN,
-                min: f64::NAN,
-                max: f64::NAN,
             };
         }
         let mean = clean.iter().sum::<f64>() / n as f64;
@@ -43,14 +37,10 @@ impl Summary {
         } else {
             0.0
         };
-        let min = clean.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = clean.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         Summary {
             n,
             mean,
             std_dev: var.sqrt(),
-            min,
-            max,
         }
     }
 
@@ -119,16 +109,10 @@ pub struct MetricsSummary {
     pub msgs_per_tick: Summary,
     /// Uplink messages per tick.
     pub uplink_per_tick: Summary,
-    /// Downlink transmissions per tick.
-    pub downlink_per_tick: Summary,
     /// Bytes per tick.
     pub bytes_per_tick: Summary,
     /// Server ops per tick.
     pub server_ops_per_tick: Summary,
-    /// Client ops per object per tick.
-    pub client_ops: Summary,
-    /// Oracle exactness (NaN when verification was off).
-    pub exactness: Summary,
 }
 
 impl MetricsSummary {
@@ -146,11 +130,8 @@ impl MetricsSummary {
             method: runs[0].method.clone(),
             msgs_per_tick: pull(&|m| m.msgs_per_tick()),
             uplink_per_tick: pull(&|m| m.uplink_per_tick()),
-            downlink_per_tick: pull(&|m| m.downlink_per_tick()),
             bytes_per_tick: pull(&|m| m.bytes_per_tick()),
             server_ops_per_tick: pull(&|m| m.server_ops_per_tick()),
-            client_ops: pull(&|m| m.client_ops_per_object_tick()),
-            exactness: pull(&|m| m.exactness()),
         }
     }
 }
@@ -165,8 +146,6 @@ mod tests {
         assert_eq!(s.n, 8);
         assert!((s.mean - 5.0).abs() < 1e-12);
         assert!((s.std_dev - 2.138089935299395).abs() < 1e-9);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Property tests for the oracle: a grid's kNN must agree with the
-//! brute-force reference on every query, `check_answer` must not depend on
-//! the grid's resolution, and a grid kept current by upserts must check
-//! exactly like one bulk-loaded afresh — under random populations, random
-//! moves, duplicate positions, out-of-bounds points, focal exclusion and
-//! `k ≥ population`.
+//! Property tests for the oracle: a grid's focal-excluding kNN must agree
+//! with the brute-force reference on every query, an [`Oracle`] check must
+//! not depend on the grid's resolution, and a grid kept current by upserts
+//! must check exactly like one bulk-loaded afresh — under random
+//! populations, random moves, duplicate positions, out-of-bounds points,
+//! focal exclusion and `k ≥ population`.
 
 use mknn_geom::{ObjectId, Point, Rect};
-use mknn_index::{bruteforce, GridIndex};
-use mknn_sim::{check_answer, knn_excluding};
+use mknn_index::{bruteforce, GridIndex, Neighbor};
+use mknn_sim::{Claim, Oracle};
 use mknn_util::check::forall;
 use mknn_util::Rng;
 
@@ -75,20 +75,25 @@ fn grid_truth_equals_filtered_bruteforce() {
             k,
         );
         let truth: Vec<ObjectId> = want.iter().map(|nb| nb.id).collect();
+        let mut got = Vec::new();
         for side in [1, 8, 64, population_scaled(n)] {
             let g = grid(&pop, side);
-            assert_eq!(knn_excluding(&g, center, k, focal), want, "{side}×{side}");
-            let c = check_answer(&g, focal, k, &truth, center, center, true);
+            g.knn_excluding_into(center, k, focal, &mut got);
+            assert_eq!(got, want, "{side}×{side}");
+            let (effective, true_center, ordered) = (center, center, true);
+            #[rustfmt::skip]
+            let claim = Claim { focal, k, answer: &truth, effective, true_center, ordered };
+            let c = Oracle::default().check(&g, &claim);
             assert_eq!((c.exact, c.recall_vs_true, c.dist_error), (true, 1.0, 0.0));
         }
     });
 }
 
-/// `check_answer` gives an identical `AnswerCheck` at every grid
+/// An [`Oracle`] gives an identical `AnswerCheck` at every grid
 /// resolution, for arbitrary (including wrong, short, and shuffled)
 /// answers and effective centers away from the focal.
 #[test]
-fn check_answer_is_resolution_independent() {
+fn answer_checks_are_resolution_independent() {
     forall(CASES, |rng| {
         let n = rng.gen_range(1usize..100);
         let lattice = rng.gen_bool(0.5);
@@ -101,12 +106,13 @@ fn check_answer_is_resolution_independent() {
         } else {
             random_point(rng, false)
         };
-        let answer = random_answer(rng, n, k);
+        let answer = &random_answer(rng, n, k);
         let ordered = rng.gen_bool(0.5);
-        let checks = [1, 8, 64, population_scaled(n)].map(|side| {
-            let g = grid(&pop, side);
-            check_answer(&g, focal, k, &answer, effective, true_center, ordered)
-        });
+        #[rustfmt::skip]
+        let claim = Claim { focal, k, answer, effective, true_center, ordered };
+        let mut oracle = Oracle::default();
+        let checks =
+            [1, 8, 64, population_scaled(n)].map(|side| oracle.check(&grid(&pop, side), &claim));
         assert!(
             checks.windows(2).all(|w| w[0] == w[1]),
             "resolutions disagree: {checks:?}"
@@ -138,11 +144,41 @@ fn upserted_grid_checks_like_a_fresh_bulk_load() {
                 let k = rng.gen_range(0usize..(n + 4)); // sometimes k ≥ population
                 let true_center = pop[focal.index()].1;
                 let effective = random_point(rng, false);
-                let answer = random_answer(rng, n, k);
+                let answer = &random_answer(rng, n, k);
                 let ordered = rng.gen_bool(0.5);
-                let [a, b] = [&maintained, &fresh]
-                    .map(|g| check_answer(g, focal, k, &answer, effective, true_center, ordered));
+                #[rustfmt::skip]
+                let claim = Claim { focal, k, answer, effective, true_center, ordered };
+                let [a, b] = [&maintained, &fresh].map(|g| Oracle::default().check(g, &claim));
                 assert_eq!(a, b, "{side}×{side}: maintained and fresh grids disagree");
+            }
+        }
+    });
+}
+
+/// The focal-excluding search, run again and again into one reused buffer
+/// that starts dirty, equals filtered brute force with the focal at every
+/// rank of the full ranking and with the focal absent, at `k` below, at and
+/// above the population.
+#[test]
+fn focal_excluding_search_into_a_reused_buffer_equals_filtered_bruteforce() {
+    forall(CASES, |rng| {
+        let n = rng.gen_range(1usize..40);
+        let lattice = rng.gen_bool(0.5);
+        let pop = population(rng, n, lattice);
+        let center = random_point(rng, lattice);
+        let g = grid(&pop, [1, 8, population_scaled(n)][rng.gen_range(0usize..3)]);
+        let ranking = bruteforce::knn(pop.iter().copied(), center, n);
+        let absent = ObjectId(n as u32);
+        let junk = Neighbor {
+            dist_sq: 0.0,
+            id: absent,
+        };
+        let mut out = vec![junk; n + 2];
+        for focal in ranking.iter().map(|nb| nb.id).chain([absent]) {
+            for k in [rng.gen_range(0usize..n), n, n + 3] {
+                let others = pop.iter().copied().filter(|&(id, _)| id != focal);
+                g.knn_excluding_into(center, k, focal, &mut out);
+                assert_eq!(out, bruteforce::knn(others, center, k), "{focal}, k = {k}");
             }
         }
     });
