@@ -185,8 +185,14 @@ pub fn e1(scale: Scale) -> ExpResult {
         ],
         vec!["threshold placement α".into(), p.alpha.to_string()],
         vec!["query drift δ_q".into(), format!("{} m", p.query_drift)],
-        vec!["heartbeat H".into(), format!("{} ticks", p.heartbeat)],
-        vec!["geocast margin".into(), format!("{} m", p.margin())],
+        vec![
+            "longest heartbeat period H".into(),
+            format!("{} ticks", p.heartbeat),
+        ],
+        vec![
+            "geocast margin (heartbeat period 1–H)".into(),
+            format!("{}–{} m", p.margin(1), p.margin(p.heartbeat)),
+        ],
         vec!["seed".into(), cfg.workload.seed.to_string()],
     ];
     ExpResult {
@@ -278,11 +284,12 @@ pub fn e5(scale: Scale) -> ExpResult {
     }
 }
 
-/// E7 — slack ablation: query-drift threshold δ_q and heartbeat H.
+/// E7 — slack ablation: query-drift threshold δ_q and the longest heartbeat
+/// period H (each install promises a period in `1..=H`).
 pub fn e7(scale: Scale) -> ExpResult {
     let mut rows = vec![vec![
         "delta_q/v".into(),
-        "H".into(),
+        "H (longest period)".into(),
         "method".into(),
         "msgs/tick".into(),
         "up/tick".into(),
@@ -298,7 +305,7 @@ pub fn e7(scale: Scale) -> ExpResult {
     let v = cfg.workload.max_speed();
     let mut grid = Vec::new();
     for drift_mult in [0.5, 1.0, 2.0, 4.0, 8.0] {
-        for heartbeat in [5u64, 10, 20] {
+        for heartbeat in [1u64, 2, 5, 10, 20] {
             let mut p = cfg.dknn_params();
             p.query_drift = drift_mult * v;
             p.heartbeat = heartbeat;

@@ -18,9 +18,10 @@
 //!
 //! * **Versioned regions** ([`RegionVersion`]): server and devices evaluate
 //!   membership against the identical predicted center, so decisions agree.
-//! * **Geocast margin + heartbeat** ([`DknnParams::margin`]): devices that
-//!   missed an install are provably too far away to enter the region before
-//!   the next heartbeat reaches them.
+//! * **Geocast margin + heartbeat period** ([`DknnParams::margin`]): each
+//!   install promises the query's next broadcast within its own period
+//!   `h ≤ H` and is sized by it, so devices that missed it are provably too
+//!   far away to enter the region before that broadcast reaches them.
 //! * **Adoption-lag initialization**: a device adopting a new version
 //!   derives its previous side of the boundary from its previous position,
 //!   so the one-tick delivery lag cannot hide a crossing.

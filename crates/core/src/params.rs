@@ -62,10 +62,14 @@ pub struct DknnParams {
     /// values keep the *effective* query point closer to the true one at
     /// the cost of more frequent region refreshes.
     pub query_drift: f64,
-    /// Heartbeat period H, in ticks: the server re-geocasts the (unchanged)
-    /// region every H ticks so that devices approaching from afar learn it
-    /// before they can possibly enter. Part of the protocol's soundness
-    /// margin.
+    /// Longest heartbeat period H, in ticks. Each region install promises
+    /// its own period `h ≤ H` (the query's last refresh interval, doubling
+    /// at each heartbeat): the server re-geocasts the region within `h`
+    /// ticks, by a refresh or else by a heartbeat of the (unchanged)
+    /// version, and sizes that install's zone by [`Self::margin`]`(h)`, so
+    /// devices approaching from afar learn the region before they can
+    /// possibly enter. Device eviction and the lossy member lease read H,
+    /// so they hold for every promised period.
     pub heartbeat: u64,
     /// Known global bound on device speed, meters/tick — data objects and
     /// query focals alike, since a focal is a data object of every other
@@ -85,30 +89,37 @@ impl Default for DknnParams {
 }
 
 impl DknnParams {
-    /// The geocast safety margin added around every region install zone.
+    /// The geocast safety margin of an install that promises the next
+    /// broadcast of its query within `period` ticks (`1 ≤ period ≤ H`).
     ///
-    /// Soundness: a device that does not hear an install is at distance
-    /// > `t + margin` from the broadcast center; within the next `H + 1`
-    /// > ticks (heartbeat period plus one tick of delivery lag) the relative
-    /// > displacement between the device and the predicted center is at most
-    /// > `(H + 1) · 2 v_max`, so the device remains at distance
-    /// > `t + query_drift` — strictly outside the region — until a heartbeat
-    /// > reaches it.
-    pub fn margin(&self) -> f64 {
-        self.query_drift + (self.heartbeat as f64 + 1.0) * (2.0 * self.v_max)
+    /// Soundness: a device that does not hear the install is farther than
+    /// `t + margin(period)` from the broadcast center. Within the next
+    /// `period + 1` ticks (the promised period plus one tick of delivery
+    /// lag) the relative displacement between the device and the predicted
+    /// center is at most `(period + 1) · 2 v_max`, so the device stays
+    /// farther than `t + query_drift` — strictly outside the region — until
+    /// the next broadcast (a refresh or a heartbeat) reaches it.
+    pub fn margin(&self, period: u64) -> f64 {
+        debug_assert!(
+            (1..=self.heartbeat).contains(&period),
+            "a heartbeat period lies in 1..=H"
+        );
+        self.query_drift + (period as f64 + 1.0) * (2.0 * self.v_max)
     }
 
     /// Ticks after which a device drops a region it has not heard about.
-    /// Must exceed the heartbeat period plus delivery lag.
+    /// Must exceed the longest heartbeat period H plus delivery lag, so it
+    /// exceeds every promised period too.
     pub fn evict_after(&self) -> u64 {
         self.heartbeat + 2
     }
 
     /// Lossy-mode member lease: ticks of silence after which the server
     /// actively polls a member to check it is still alive and in band.
-    /// Two full heartbeat periods plus slack, so a member that merely has
-    /// nothing to say is never suspected before a retransmitting event or a
-    /// heartbeat-triggered announcement could have reached the server.
+    /// Two longest heartbeat periods (2H) plus slack, so a member that
+    /// merely has nothing to say is never suspected before a retransmitting
+    /// event or a heartbeat-triggered announcement could have reached the
+    /// server.
     pub fn lease_ttl(&self) -> u64 {
         2 * self.heartbeat + 3
     }
@@ -143,7 +154,10 @@ mod tests {
     #[test]
     fn margin_covers_heartbeat_travel() {
         let p = DknnParams::default();
-        assert!(p.margin() >= (p.heartbeat + 1) as f64 * 2.0 * p.v_max);
+        for h in 1..=p.heartbeat {
+            assert!(p.margin(h) >= (h + 1) as f64 * 2.0 * p.v_max);
+        }
+        assert!(p.margin(1) < p.margin(p.heartbeat));
         assert!(p.evict_after() > p.heartbeat);
         assert!(p.lease_ttl() > p.evict_after());
     }

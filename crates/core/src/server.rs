@@ -83,6 +83,10 @@ struct ServerQuery {
     /// Cached answer ids in member order.
     answer: Vec<ObjectId>,
     last_broadcast: Tick,
+    /// The heartbeat period the last broadcast promised (`1..=H`): the
+    /// next one goes out within this many ticks, and that broadcast's zone
+    /// was sized by [`DknnParams::margin`] of it.
+    period: Tick,
     needs_refresh: bool,
     /// Events counted against this tick's escalation valve.
     events_tick: u32,
@@ -419,10 +423,13 @@ impl ServerHalf {
             }
             if q.needs_refresh {
                 cfg.refresh(q, now, probe, &mut self.replies, outbox, ops);
-            } else if now.saturating_sub(q.last_broadcast) >= cfg.params.heartbeat {
+            } else if now.saturating_sub(q.last_broadcast) >= q.period {
                 // Heartbeat: re-send the *identical* version; only the
-                // geocast zone is re-centered on the predicted position.
-                let zone = Circle::new(q.ver.pred_center(now), q.ver.t + cfg.params.margin());
+                // geocast zone is re-centered on the predicted position. A
+                // quiet query promises twice as long each time, up to H.
+                q.period = (2 * q.period).min(cfg.params.heartbeat);
+                let margin = cfg.params.margin(q.period);
+                let zone = Circle::new(q.ver.pred_center(now), q.ver.t + margin);
                 outbox.send(Recipient::Geocast(zone), q.install());
                 q.last_broadcast = now;
             }
@@ -521,6 +528,14 @@ impl ServerCfg {
             // Nothing lies beyond the list: any threshold past d_last is sound.
             None => d_last + (0.1 * d_last).max(1.0),
         };
+        // Registration promises the longest period, so the init handshake is
+        // the same for every query. A refresh predicts the next one from the
+        // interval since the last.
+        let h = self.params.heartbeat;
+        q.period = match now {
+            0 => h,
+            _ => now.saturating_sub(q.ver.ver).clamp(1, h),
+        };
         q.ver = RegionVersion {
             ver: now,
             center: c,
@@ -530,7 +545,7 @@ impl ServerCfg {
         q.last_broadcast = now;
         q.needs_refresh = false;
         outbox.send(
-            Recipient::Geocast(Circle::new(c, t + self.params.margin())),
+            Recipient::Geocast(Circle::new(c, t + self.params.margin(q.period))),
             q.install(),
         );
         // Band intervals partition (0, t]: boundaries at midpoints between
@@ -603,6 +618,7 @@ impl ServerQuery {
             members: Vec::new(),
             answer: Vec::new(),
             last_broadcast: 0,
+            period: 0,
             needs_refresh: false,
             events_tick: 0,
             refreshes: 0,
@@ -954,11 +970,16 @@ mod tests {
     }
 
     fn setup_on(world: &[MovingObject], k: usize, mode: Mode) -> (ServerHalf, Outbox, OpCounters) {
-        register(&Registered::new(world), k, mode)
+        register(&Registered::new(world), DknnParams::default(), k, mode)
     }
 
-    fn register(reg: &Registered, k: usize, mode: Mode) -> (ServerHalf, Outbox, OpCounters) {
-        let mut s = ServerHalf::new(DknnParams::default(), mode);
+    fn register(
+        reg: &Registered,
+        params: DknnParams,
+        k: usize,
+        mode: Mode,
+    ) -> (ServerHalf, Outbox, OpCounters) {
+        let mut s = ServerHalf::new(params, mode);
         let mut outbox = Outbox::new();
         let mut ops = OpCounters::default();
         let queries = [QuerySpec {
@@ -1270,6 +1291,84 @@ mod tests {
         assert_eq!(s.total_refreshes(), 0);
     }
 
+    /// One server tick of the set-mode query over the tests' world; the
+    /// focal reports `focal_x` on the x axis when given. Returns each
+    /// geocast install as `(version, zone radius)` and the threshold.
+    fn tick_focal(s: &mut ServerHalf, now: Tick, focal_x: Option<f64>) -> (Vec<(Tick, f64)>, f64) {
+        let mut up = Uplinks::new();
+        if let Some(x) = focal_x {
+            let (query, pos, vel) = (QueryId(0), Point::new(x, 0.0), Vector::ZERO);
+            up.send(ObjectId(0), UplinkMsg::QueryMove { query, pos, vel });
+        }
+        let (mut outbox, mut ops) = (Outbox::new(), OpCounters::default());
+        let mut probe = positions(&world());
+        s.tick(now, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        let geocasts = outbox
+            .iter()
+            .filter_map(|(r, m)| match (r, m) {
+                (Recipient::Geocast(zone), DownlinkMsg::InstallRegion { ver, .. }) => {
+                    Some((*ver, zone.radius))
+                }
+                _ => None,
+            })
+            .collect();
+        (geocasts, s.queries[0].ver.t)
+    }
+
+    #[test]
+    fn back_to_back_refreshes_page_the_one_tick_margin() {
+        let p = DknnParams::default();
+        let h = p.heartbeat;
+        let (mut s, _, _) = register(&Registered::new(&world()), p, 3, Mode::Set);
+        // The first refresh comes H ticks after registration: it promises H.
+        // Each drift (85 m) exceeds query_drift (40 m).
+        let (geocasts, t) = tick_focal(&mut s, h, Some(85.0));
+        assert_eq!(geocasts, vec![(h, t + p.margin(h))]);
+        for (now, x) in [(h + 1, 0.0), (h + 2, 85.0)] {
+            let (geocasts, t) = tick_focal(&mut s, now, Some(x));
+            assert_eq!(geocasts, vec![(now, t + p.margin(1))], "refresh at {now}");
+        }
+        assert_eq!(s.total_refreshes(), 3);
+    }
+
+    #[test]
+    fn quiet_query_heartbeats_at_h_and_a_refresh_doubles_its_period_up_to_h() {
+        let p = DknnParams {
+            heartbeat: 10,
+            ..DknnParams::default()
+        };
+        let h = p.heartbeat;
+        let (mut s, _, _) = register(&Registered::new(&world()), p, 3, Mode::Set);
+        // Registered and never refreshed: a heartbeat every H ticks.
+        let t = s.queries[0].ver.t;
+        let mut beats = Vec::new();
+        for now in 1..=2 * h {
+            let (geocasts, _) = tick_focal(&mut s, now, None);
+            beats.extend(geocasts.iter().map(|&(ver, zone)| (now, ver, zone)));
+        }
+        let quiet = vec![(h, 0, t + p.margin(h)), (2 * h, 0, t + p.margin(h))];
+        assert_eq!(beats, quiet);
+
+        // Two back-to-back refreshes promise a period of 1; left quiet, the
+        // query heartbeats at +1, +3, +7, +15, +25 as the period doubles to
+        // H, each zone sized by the period it promises.
+        let r = 2 * h + 2;
+        tick_focal(&mut s, r - 1, Some(85.0));
+        let (geocasts, t) = tick_focal(&mut s, r, Some(0.0));
+        assert_eq!(geocasts, vec![(r, t + p.margin(1))]);
+        beats.clear();
+        for now in r + 1..=r + 25 {
+            let (geocasts, _) = tick_focal(&mut s, now, None);
+            beats.extend(geocasts.iter().map(|&(ver, zone)| (now - r, ver, zone)));
+        }
+        let doubling: Vec<_> = [(1, 2), (3, 4), (7, 8), (15, h), (25, h)]
+            .into_iter()
+            .map(|(after, period)| (after, r, t + p.margin(period)))
+            .collect();
+        assert_eq!(beats, doubling);
+        assert_eq!(s.total_refreshes(), 2);
+    }
+
     #[test]
     fn band_cross_is_patched_locally() {
         let (mut s, _, mut ops) = setup(3, Mode::Ordered);
@@ -1369,7 +1468,8 @@ mod tests {
     #[test]
     fn lossy_duplicate_enter_from_member_is_acked_not_refreshed() {
         for mode in MODES {
-            let (mut s, _, mut ops) = register(&Registered::lossy(&world()), 3, mode);
+            let (mut s, _, mut ops) =
+                register(&Registered::lossy(&world()), DknnParams::default(), 3, mode);
             let mut probe = positions(&world());
             // Member 1 re-announces itself (a retransmission the original
             // of which the server already processed at init).
@@ -1409,7 +1509,8 @@ mod tests {
     fn lossy_lease_polls_silent_member_and_recovers_a_lost_leave() {
         let p = DknnParams::default();
         for mode in MODES {
-            let (mut s, _, mut ops) = register(&Registered::lossy(&world()), 3, mode);
+            let (mut s, _, mut ops) =
+                register(&Registered::lossy(&world()), DknnParams::default(), 3, mode);
             // Member 1 fled to x = 500 but its Leave never arrived (and the
             // device stays unreachable for events). The lease must notice.
             let mut probe = TableProbe {

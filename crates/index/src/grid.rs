@@ -327,7 +327,9 @@ impl GridIndex {
                     seen += 1;
                 }
             });
-            if seen == self.len && coll.is_full() {
+            // Every object has been offered: nothing is left to find, even
+            // when `k` exceeds the population.
+            if seen == self.len {
                 break;
             }
         }

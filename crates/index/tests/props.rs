@@ -211,6 +211,45 @@ fn knn_with_k_at_least_population_returns_everyone() {
     });
 }
 
+/// Once `k` reaches the rest of the population, the focal-excluding search
+/// stops where it has seen everyone: its work is the same for every
+/// `k ≥ N − 1`, and it still returns everyone but the focal in canonical
+/// order. On a 64 × 64 grid of 5 objects that work is 6 (the focal's cell
+/// and its 5 objects), not a walk of all 4,096 cells.
+#[test]
+fn focal_excluding_search_stops_once_everyone_is_seen() {
+    let mut g = GridIndex::new(Rect::square(SIDE), 64, 64);
+    for i in 0..5 {
+        g.upsert(ObjectId(i), Point::new(500.0 + i as f64, 500.0));
+    }
+    let mut out = Vec::new();
+    let q = Point::new(500.0, 500.0);
+    assert_eq!(g.knn_excluding_into(q, 5, ObjectId(0), &mut out), 6);
+    assert_eq!(out.len(), 4);
+
+    forall(CASES, |rng| {
+        let w = world(rng, 30);
+        if w.is_empty() {
+            return;
+        }
+        let side = rng.gen_range(1u32..24);
+        let mut g = GridIndex::new(Rect::square(SIDE), side, side);
+        for &(id, p) in &w {
+            g.upsert(id, p);
+        }
+        let q = pt(rng);
+        let focal = w[rng.gen_range(0usize..w.len())].0;
+        let want = bruteforce::knn(w.iter().copied().filter(|&(id, _)| id != focal), q, w.len());
+        let mut out = Vec::new();
+        let work = g.knn_excluding_into(q, w.len() - 1, focal, &mut out);
+        for k in w.len() - 1..w.len() + 4 {
+            let ctx = format!("k = {k} of {}", w.len());
+            assert_eq!(g.knn_excluding_into(q, k, focal, &mut out), work, "{ctx}");
+            assert_same(&out, &want, &ctx);
+        }
+    });
+}
+
 /// Focal exclusion by over-fetching: querying `k + 1` and filtering one id
 /// equals brute force over the filtered population, for the kd-tree by hand
 /// and for the grid's `knn_excluding_into`. Exercised with duplicate

@@ -203,10 +203,10 @@ stage_examples() {
 # timed and traced alike. Two of these configurations no GATES row covers:
 # dknn-order at Q = 500 verified every tick (`Record`), and the two-thread
 # dknn-buffer run under chaos plus shard crashes.
-BENCH_DIGESTS='dist-scale 98d28fc847cb3314
+BENCH_DIGESTS='dist-scale 1fdcba0b22e76953
 central-firehose a126b7e6c2d76ef8
-sharded-chaos 14e6b85cbc151cc2
-query-dense bf68d7fea14dc8b7'
+sharded-chaos 4166b0f57e59abed
+query-dense 823801db4a803e58'
 
 stage_benchmark() {
     echo "==> benchmark crate (build + test + benchmark/run.sh --quick)"
@@ -240,6 +240,8 @@ stage_speedup() {
     # not gated. The suite is the only run of every experiment, so one that
     # panics exits non-zero and fails the stage (`set -e`).
     echo "==> parallel speedup (expt --exp all, MKNN_THREADS=1 vs default)"
+    # Build first, so a stale `expt` is not compiled inside the stopwatch.
+    cargo build -q --release --offline --locked -p mknn-bench --bin expt
     local start seq_end par_end
     start=$(date +%s.%N)
     MKNN_THREADS=1 "${EXPT[@]}" --exp all > /dev/null

@@ -20,8 +20,9 @@ use moving_knn::prelude::*;
 const BURST: u64 = 15;
 
 /// Clean ticks after the burst. Must cover the longest offline window that
-/// may straddle the horizon, plus a lease timeout (2·heartbeat + 3) and a
-/// recovery refresh round-trip.
+/// may straddle the horizon, plus a lease timeout (`lease_ttl = 2H + 3`, H
+/// the longest heartbeat period, which bounds every install's promised
+/// period) and a recovery refresh round-trip.
 const CLEAN_TAIL: u64 = 40;
 
 /// A random fault plan inside the hardening envelope the protocols are

@@ -228,6 +228,34 @@ fn exact_under_loose_heartbeat() {
     }
 }
 
+/// Churn refreshes most queries every tick, so most installs promise a
+/// heartbeat period of 1 and page a zone `19 · 2·v_max` narrower than
+/// H = 20 needs; with half the devices still each tick, quieter queries
+/// also heartbeat on a doubling period between refreshes.
+#[test]
+fn exact_when_churn_shortens_the_heartbeat_period() {
+    let mut cfg = base();
+    cfg.workload.speeds = SpeedDist::Uniform {
+        min: 20.0,
+        max: 40.0,
+    };
+    cfg.workload.move_prob = 0.5;
+    cfg.ticks = 60;
+    let mut p = cfg.dknn_params();
+    p.heartbeat = 20;
+    for method in [
+        Method::DknnSet(p),
+        Method::DknnOrder(p),
+        Method::DknnBuffer {
+            params: p,
+            buffer: 4,
+        },
+    ] {
+        let m = Sweep::episode(&cfg, method);
+        assert_eq!(m.exactness(), 1.0, "{}", method.name());
+    }
+}
+
 #[test]
 fn exact_with_extreme_alpha_placements() {
     let cfg = base();

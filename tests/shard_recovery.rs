@@ -7,8 +7,8 @@
 //! robustness claims of the failure domain:
 //!
 //! * **bounded reconvergence** — every method that claims exact answers is
-//!   exact again within `O(heartbeat + lease_ttl)` ticks of the last
-//!   rebirth, at any shard count;
+//!   exact again within `O(H + lease_ttl)` ticks of the last rebirth (H the
+//!   longest heartbeat period), at any shard count;
 //! * **determinism** — a crash episode is byte-identical across reruns and
 //!   across client thread counts (the schedule is a pure function of the
 //!   plan, seed, shard count, and tick budget);
@@ -21,12 +21,13 @@ use mknn_util::Rng;
 use moving_knn::prelude::*;
 
 /// Clean ticks granted after the last rebirth before exactness is
-/// asserted: the reconvergence bound. One refresh round-trip re-establishes
-/// a wiped query the tick it is detected; a heartbeat re-announces regions
-/// to devices that missed one; a lease timeout (2·heartbeat + 3) flushes
-/// any member the wipe orphaned. The default heartbeat is 10, so this is
-/// `heartbeat + lease_ttl + 2` = 35 ticks — O(heartbeat + lease_ttl), far
-/// below the episode length.
+/// asserted: the reconvergence bound `H + lease_ttl + 2 = 3H + 5`, with H
+/// the longest heartbeat period. One refresh round-trip re-establishes a
+/// wiped query the tick it is detected; a heartbeat re-announces regions
+/// to devices that missed one within the period the last install promised,
+/// and every promised period is at most H; a lease timeout
+/// (`lease_ttl = 2H + 3`) flushes any member the wipe orphaned. The default
+/// H is 5, so this is 20 ticks — O(H), far below the episode length.
 fn reconvergence_bound(cfg: &SimConfig) -> u64 {
     let p = cfg.dknn_params();
     p.heartbeat + p.lease_ttl() + 2
