@@ -110,7 +110,7 @@ mod tests {
 
     struct NoProbe;
     impl ProbeService for NoProbe {
-        fn probe(&mut self, _q: QueryId, _z: Circle, _e: ObjectId, _out: &mut Vec<ObjReport>) {
+        fn probe(&mut self, _q: QueryId, _z: Circle, _out: &mut Vec<ObjReport>) {
             panic!("centralized must not probe")
         }
         fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {

@@ -27,7 +27,7 @@ pub use periodic::Periodic;
 /// The registration view the unit tests hand to `init`.
 #[cfg(test)]
 mod testing {
-    use mknn_geom::{Point, Rect};
+    use mknn_geom::{ObjectId, Rect};
     use mknn_mobility::{MovingObject, Stationary, World};
     use mknn_net::{ObjReport, Registration};
     use mknn_util::Rng;
@@ -58,7 +58,7 @@ mod testing {
             false
         }
 
-        fn nearest(&self, _center: Point, _k: usize) -> Vec<ObjReport> {
+        fn nearest(&self, _focal: ObjectId, _k: usize) -> Vec<ObjReport> {
             unreachable!("the baselines register without a kNN")
         }
     }

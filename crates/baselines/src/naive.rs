@@ -66,12 +66,7 @@ impl NaiveProbe {
             let center = state.q_pos;
             let mut r = state.radius.clamp(1.0, space_diag);
             loop {
-                probe.probe(
-                    state.spec.id,
-                    Circle::new(center, r),
-                    state.spec.focal,
-                    replies,
-                );
+                probe.probe(state.spec.id, Circle::new(center, r), replies);
                 ops.server_ops += replies.len() as u64 + 1;
                 if replies.len() >= state.spec.k || r >= space_diag {
                     break;
@@ -191,24 +186,21 @@ mod tests {
     use mknn_mobility::MovingObject;
     use mknn_net::{single_server_phase, MsgKind};
 
+    /// A probe service over a fixed position table, counting its probes.
+    /// A query's probes leave out its focal, `focals[query]`.
     struct TableProbe {
         positions: Vec<Point>,
+        focals: Vec<ObjectId>,
         probes: u32,
     }
 
     impl ProbeService for TableProbe {
-        fn probe(
-            &mut self,
-            _q: QueryId,
-            zone: Circle,
-            exclude: ObjectId,
-            out: &mut Vec<ObjReport>,
-        ) {
+        fn probe(&mut self, q: QueryId, zone: Circle, out: &mut Vec<ObjReport>) {
             self.probes += 1;
             out.clear();
             for (i, &pos) in self.positions.iter().enumerate() {
                 let id = ObjectId(i as u32);
-                if id != exclude && zone.contains(pos) {
+                if id != self.focals[q.index()] && zone.contains(pos) {
                     let vel = Vector::ZERO;
                     out.push(ObjReport { id, pos, vel });
                 }
@@ -239,6 +231,7 @@ mod tests {
         }];
         let mut probe = TableProbe {
             positions: objs().iter().map(|o| o.pos).collect(),
+            focals: queries.iter().map(|q| q.focal).collect(),
             probes: 0,
         };
         n.init(
@@ -281,6 +274,7 @@ mod tests {
         });
         let mut probe = TableProbe {
             positions: objs().iter().map(|o| o.pos).collect(),
+            focals: queries.iter().map(|q| q.focal).collect(),
             probes: 0,
         };
         n.init(

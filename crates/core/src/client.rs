@@ -219,9 +219,6 @@ fn tick_device(
                 vel,
                 r_out,
             } => {
-                if focal_of.contains(&query) {
-                    continue; // my own query; I am excluded from it
-                }
                 let fresh = RegionVersion {
                     ver,
                     center,
@@ -943,7 +940,7 @@ mod tests {
     }
 
     #[test]
-    fn focal_reports_movement_and_ignores_own_region() {
+    fn focal_reports_movement() {
         let spec = QuerySpec {
             id: QueryId(0),
             focal: ObjectId(0),
@@ -953,13 +950,7 @@ mod tests {
         let mut up = Uplinks::new();
         let mut ops = OpCounters::default();
         let me = device(0, 10.0, 0.0, 5.0, 0.0);
-        c.tick(
-            1,
-            &me,
-            &[install(0, 0, 10.0, 0.0, 100.0)],
-            &mut up,
-            &mut ops,
-        );
+        c.tick(1, &me, &[], &mut up, &mut ops);
         let msgs: Vec<_> = up.iter().map(|(_, m)| *m).collect();
         assert!(
             matches!(
@@ -971,7 +962,6 @@ mod tests {
             ),
             "{msgs:?}"
         );
-        assert_eq!(c.states[0].regions.len(), 0, "must not monitor own query");
         up.clear();
         // Not moving → no report.
         let me = device(0, 10.0, 0.0, 0.0, 0.0);

@@ -464,23 +464,22 @@ impl ServerCfg {
     }
 
     /// The registration reports `establish` reads for `spec`: the shortest
-    /// prefix of the population in `(distance², id)` order that holds the
+    /// prefix of the other devices in `(distance², id)` order that holds the
     /// list plus the next report (threshold placement). A buffered list
     /// extends its edge over distance ties, so the over-fetch doubles while
     /// its last report still ties the edge.
     fn registration_reports(&self, reg: &dyn Registration, spec: &QuerySpec) -> Vec<ObjReport> {
         let c = reg.world().position(spec.focal);
         let target = self.target(spec.k);
-        let mut fetch = target.saturating_add(2);
+        let mut fetch = target.saturating_add(1);
         loop {
-            let mut reports = reg.nearest(c, fetch);
-            reports.retain(|r| r.id != spec.focal);
+            let reports = reg.nearest(spec.focal, fetch);
             let edge = target.checked_sub(1).and_then(|i| reports.get(i));
             let edge_tied = self.buffer().is_some()
                 && edge
                     .zip(reports.last())
                     .is_some_and(|(e, last)| last.pos.dist(c) <= e.pos.dist(c) + TIE);
-            if !edge_tied || fetch >= reg.world().len() {
+            if !edge_tied || reports.len() < fetch {
                 return reports;
             }
             fetch = fetch.saturating_mul(2);
@@ -591,7 +590,7 @@ impl ServerCfg {
         let slack = 2.0 * (2.0 * self.params.v_max);
         let mut r = (q.ver.t + drift + slack).clamp(slack.max(1.0), self.space_diag);
         loop {
-            probe.probe(q.spec.id, Circle::new(c, r), q.spec.focal, replies);
+            probe.probe(q.spec.id, Circle::new(c, r), replies);
             ops.server_ops += replies.len() as u64 + 1;
             if replies.len() > need || r >= self.space_diag {
                 break;
@@ -872,23 +871,18 @@ mod tests {
     use mknn_util::Rng;
 
     /// A probe service over a fixed position table, replying in the
-    /// contract's rank order.
+    /// contract's rank order. Every test's query `q` rides device `q`, which
+    /// its probes leave out.
     struct TableProbe {
         positions: Vec<Point>,
     }
 
     impl ProbeService for TableProbe {
-        fn probe(
-            &mut self,
-            _q: QueryId,
-            zone: Circle,
-            exclude: ObjectId,
-            out: &mut Vec<ObjReport>,
-        ) {
+        fn probe(&mut self, q: QueryId, zone: Circle, out: &mut Vec<ObjReport>) {
             out.clear();
             for (i, &pos) in self.positions.iter().enumerate() {
                 let id = ObjectId(i as u32);
-                if id != exclude && zone.contains(pos) {
+                if id != ObjectId(q.0) && zone.contains(pos) {
                     let vel = Vector::ZERO;
                     out.push(ObjReport { id, pos, vel });
                 }
@@ -929,8 +923,9 @@ mod tests {
         }
     }
 
-    /// `objects` registered over a 10 km square, `nearest` by brute force;
-    /// the flag is what [`Registration::lossy`] answers.
+    /// `objects` registered over a 10 km square, `nearest` by brute force
+    /// with the focal filtered out; the flag is what
+    /// [`Registration::lossy`] answers.
     struct Registered(World, bool);
 
     impl Registered {
@@ -954,9 +949,12 @@ mod tests {
             self.1
         }
 
-        fn nearest(&self, center: Point, k: usize) -> Vec<ObjReport> {
-            bruteforce::knn(self.0.snapshot(), center, k)
+        fn nearest(&self, focal: ObjectId, k: usize) -> Vec<ObjReport> {
+            let center = self.0.position(focal);
+            bruteforce::knn(self.0.snapshot(), center, self.0.len())
                 .into_iter()
+                .filter(|n| n.id != focal)
+                .take(k)
                 .map(|n| {
                     let o = self.0.object(n.id);
                     ObjReport {
@@ -1129,7 +1127,7 @@ mod tests {
     #[test]
     fn a_tied_buffered_edge_refetches_and_keeps_the_whole_tie() {
         // k + b = 5: the edge is the first of the four 10·√2 devices, and so
-        // is the last of the first fetch (k + b + 2 less the focal).
+        // is the last of the first fetch (k + b + 1 others).
         let (k, buffer) = (3, 2);
         let world = square_lattice();
         let reg = Registered::new(&world);
@@ -1424,24 +1422,24 @@ mod tests {
         assert_eq!(s.total_refreshes(), 1);
     }
 
-    /// A probe fake that breaks the contract: farthest reply first.
-    struct Unranked(TableProbe);
-
-    impl ProbeService for Unranked {
-        fn probe(&mut self, q: QueryId, zone: Circle, exclude: ObjectId, out: &mut Vec<ObjReport>) {
-            self.0.probe(q, zone, exclude, out);
-            out.reverse();
-        }
-
-        fn poll(&mut self, q: QueryId, id: ObjectId) -> Option<ObjReport> {
-            self.0.poll(q, id)
-        }
-    }
-
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "not ranked by (distance², id)")]
     fn establish_rejects_unranked_probe_replies() {
+        /// A probe fake that breaks the contract: farthest reply first.
+        struct Unranked(TableProbe);
+
+        impl ProbeService for Unranked {
+            fn probe(&mut self, q: QueryId, zone: Circle, out: &mut Vec<ObjReport>) {
+                self.0.probe(q, zone, out);
+                out.reverse();
+            }
+
+            fn poll(&mut self, q: QueryId, id: ObjectId) -> Option<ObjReport> {
+                self.0.poll(q, id)
+            }
+        }
+
         let (mut s, _, mut ops) = setup(3, Mode::Set);
         let mut probe = Unranked(positions(&world()));
         // A focal jump beyond query_drift forces a refresh.

@@ -195,8 +195,8 @@ impl ShardCoordinator {
     }
 
     /// Per-shard load counters, indexed by shard id.
-    pub fn loads(&self) -> Vec<u64> {
-        self.load.clone()
+    pub fn loads(&self) -> &[u64] {
+        &self.load
     }
 
     /// The rectangular block owned by shard `id` (the failure domain a
@@ -676,7 +676,7 @@ mod tests {
 
         // A geocast loads the home and each foreign covering shard once.
         let mut geocast = |zone| {
-            let (before, fanouts) = (coord.loads(), stats.shard.fanout_msgs);
+            let (before, fanouts) = (coord.loads().to_vec(), stats.shard.fanout_msgs);
             coord.route_geocast(QueryId(0), &zone, &mut stats, None);
             let after = coord.loads();
             let delta: Vec<u64> = (0..4).map(|s| after[s] - before[s]).collect();
@@ -745,7 +745,7 @@ mod tests {
             coord.track_query(QueryId(0), Point::new(100.0, 100.0), 4, &mut stats, None);
             let sender = Point::new(900.0, 900.0);
             let dest = coord.route_uplink(None, sender, payload_bytes, &mut stats, Some(&mut link));
-            (dest, coord.loads(), stats)
+            (dest, coord.loads().to_vec(), stats)
         };
         let (dest, loads, stats) = route(0);
         assert_eq!(dest, 3, "a report terminates at its sender's shard");

@@ -354,7 +354,8 @@ pub struct CrashWindow {
     pub until: Tick,
 }
 
-/// The lazily-instantiated per-query fate generators of one episode.
+/// The lazily-instantiated per-query fate generators of one episode, one
+/// slot per query id (ids are dense).
 ///
 /// Query `q`'s stream is seeded `base ^ mix(q)` the first time it is used,
 /// so which queries ever draw — and in what global interleaving — cannot
@@ -363,7 +364,7 @@ pub struct CrashWindow {
 #[derive(Debug)]
 struct QueryStreams {
     base: u64,
-    rngs: std::collections::BTreeMap<u32, Rng>,
+    rngs: Vec<Option<Rng>>,
 }
 
 /// SplitMix64-style finalizer decorrelating per-query seeds.
@@ -378,16 +379,17 @@ impl QueryStreams {
     fn new(base: u64) -> Self {
         QueryStreams {
             base,
-            rngs: std::collections::BTreeMap::new(),
+            rngs: Vec::new(),
         }
     }
 
     /// The fate generator of query `q`, created on first use.
     fn rng(&mut self, q: QueryId) -> &mut Rng {
+        if q.index() >= self.rngs.len() {
+            self.rngs.resize_with(q.index() + 1, || None);
+        }
         let base = self.base;
-        self.rngs
-            .entry(q.0)
-            .or_insert_with(|| Rng::seed_from_u64(base ^ mix(q.0)))
+        self.rngs[q.index()].get_or_insert_with(|| Rng::seed_from_u64(base ^ mix(q.0)))
     }
 }
 

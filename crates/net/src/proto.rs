@@ -203,10 +203,11 @@ pub trait Registration {
     /// unhardened method ignores it and simply degrades.
     fn lossy(&self) -> bool;
 
-    /// The `k` registered devices nearest `center` (all of them when
-    /// `k` exceeds the population), in canonical order: ascending
-    /// `(distance², id)`.
-    fn nearest(&self, center: Point, k: usize) -> Vec<ObjReport>;
+    /// The `k` registered devices nearest device `focal`, other than the
+    /// focal itself (all of them when `k` exceeds the rest of the
+    /// population), in canonical order: ascending `(distance², id)` from
+    /// the focal's position.
+    fn nearest(&self, focal: ObjectId, k: usize) -> Vec<ObjReport>;
 }
 
 /// Synchronous probe channel provided by the harness.
@@ -218,12 +219,12 @@ pub trait Registration {
 /// free.
 pub trait ProbeService {
     /// Geocasts a probe over `zone` on behalf of `query` and fills `out`
-    /// (cleared first) with the replies of every device inside it,
-    /// excluding `exclude`, the focal object, which does not answer its own
-    /// query's probes. The replies are ranked: ascending
-    /// `(distance² from zone.center, id)`, so a caller selecting the
-    /// nearest reads a prefix and sorts nothing.
-    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId, out: &mut Vec<ObjReport>);
+    /// (cleared first) with the replies of every device inside it other
+    /// than the query's focal, which no page of its own query reaches (a
+    /// query never counts its focal among its neighbours). The replies are
+    /// ranked: ascending `(distance² from zone.center, id)`, so a caller
+    /// selecting the nearest reads a prefix and sorts nothing.
+    fn probe(&mut self, query: QueryId, zone: Circle, out: &mut Vec<ObjReport>);
 
     /// Unicast position request to one device (charged as one downlink
     /// probe plus one uplink reply). Returns `None` for unknown devices.
@@ -548,7 +549,7 @@ mod tests {
 
     struct NoProbe;
     impl ProbeService for NoProbe {
-        fn probe(&mut self, _q: QueryId, _z: Circle, _e: ObjectId, out: &mut Vec<ObjReport>) {
+        fn probe(&mut self, _q: QueryId, _z: Circle, out: &mut Vec<ObjReport>) {
             out.clear();
         }
         fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {

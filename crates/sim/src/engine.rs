@@ -19,6 +19,9 @@ use std::time::Instant;
 /// [`Self::address`] one device, [`Self::deliver`] a copy, [`Self::ask`] a
 /// device. [`Self::finish`] then flushes one frame per staged device.
 ///
+/// It holds the one focal rule (DESIGN.md §1): no page of a query, be it
+/// an install, a heartbeat or a probe, reaches that query's focal device.
+///
 /// As the [`ProbeService`] every shard task shares, it answers from true
 /// positions and charges each leg at the point of issue. A probe round
 /// trip is one synchronous RPC, so the fault layer only applies **loss and
@@ -29,6 +32,8 @@ use std::time::Instant;
 /// query's own stream, so they do not depend on which shard issued the
 /// probe or in what order.
 struct Downlink<'a> {
+    /// The registered queries, indexed by id.
+    specs: &'a [QuerySpec],
     infra: &'a GridIndex,
     world: &'a World,
     coord: &'a mut ShardCoordinator,
@@ -38,13 +43,16 @@ struct Downlink<'a> {
     inboxes: &'a mut [Vec<DownlinkMsg>],
     /// The zone members [`Self::page`] found, one buffer for the episode.
     hits: &'a mut Vec<Neighbor>,
+    /// The answer [`Self::push_answers`] compares, one buffer for the
+    /// episode.
+    members: &'a mut Vec<ObjectId>,
 }
 
 impl Downlink<'_> {
     /// Pages `msg` over `zone`: one geocast transmission per overlapped
     /// paging cell and one `Fanout` per foreign covering shard. Then visits
-    /// the devices interested in it, which are exactly the zone's members,
-    /// in `(dist², id)` order.
+    /// the devices interested in it, which are exactly the zone's members
+    /// other than the focal of `msg`'s query, in `(dist², id)` order.
     fn page(&mut self, zone: Circle, msg: &DownlinkMsg, mut each: impl FnMut(&mut Self, ObjectId)) {
         let cells = self.infra.cells_overlapping(&zone);
         self.stats.count_geocast(msg.kind(), cells);
@@ -53,7 +61,8 @@ impl Downlink<'_> {
         // Taken out for the visit, which borrows the whole `Downlink`.
         let mut hits = std::mem::take(&mut *self.hits);
         self.infra.range_into(&zone, &mut hits);
-        for n in &hits {
+        let focal = self.specs[msg.query().index()].focal;
+        for n in hits.iter().filter(|n| n.id != focal) {
             each(self, n.id);
         }
         *self.hits = hits;
@@ -137,21 +146,16 @@ impl Downlink<'_> {
     /// frame as a delta against the focal's acked copy. The delivery
     /// outcome feeding the ack machine is churn-only (an offline focal
     /// gaps).
-    fn push_answers(
-        &mut self,
-        proto: &dyn Protocol,
-        specs: &[QuerySpec],
-        last_sent: &mut [Vec<ObjectId>],
-    ) {
+    fn push_answers(&mut self, proto: &dyn Protocol, last_sent: &mut [Vec<ObjectId>]) {
         let ordered = proto.ordered_answers();
-        let mut members = Vec::new();
-        for (qi, spec) in specs.iter().enumerate() {
+        let members = &mut *self.members;
+        for (qi, spec) in self.specs.iter().enumerate() {
             members.clear();
             members.extend_from_slice(proto.answer(spec.id));
             if !ordered {
                 members.sort_unstable_by_key(|m| m.0);
             }
-            if members == last_sent[qi] {
+            if *members == last_sent[qi] {
                 continue;
             }
             self.stats.count_unicast(MsgKind::AnswerPush);
@@ -161,8 +165,8 @@ impl Downlink<'_> {
                 Delivery::Delivered
             };
             self.builder
-                .stage_answer(spec.focal, spec.id, &members, ordered, delivery);
-            last_sent[qi].clone_from(&members);
+                .stage_answer(spec.focal, spec.id, members, ordered, delivery);
+            last_sent[qi].clone_from(members);
         }
     }
 
@@ -173,28 +177,23 @@ impl Downlink<'_> {
         mut self,
         tasks: &[ShardTask],
         proto: &dyn Protocol,
-        specs: &[QuerySpec],
         last_sent: &mut [Vec<ObjectId>],
     ) {
         self.route(tasks);
-        self.push_answers(proto, specs, last_sent);
+        self.push_answers(proto, last_sent);
         self.builder.flush_frames(self.stats);
     }
 }
 
 impl ProbeService for Downlink<'_> {
-    fn probe(&mut self, query: QueryId, zone: Circle, exclude: ObjectId, out: &mut Vec<ObjReport>) {
+    fn probe(&mut self, query: QueryId, zone: Circle, out: &mut Vec<ObjReport>) {
         // Request legs are priced per interested device when the staged
         // copies are framed, not per message. `page` visits the zone in
-        // `(dist², id)` order, and a lost leg or the excluded focal only
-        // leaves a device out, so the replies come ranked.
+        // `(dist², id)` order, and a lost leg only leaves a device out, so
+        // the replies come ranked.
         let msg = DownlinkMsg::Probe { query, zone };
         out.clear();
-        self.page(zone, &msg, |dl, id| {
-            if id != exclude {
-                out.extend(dl.ask(id, msg, false));
-            }
-        });
+        self.page(zone, &msg, |dl, id| out.extend(dl.ask(id, msg, false)));
         // Gather: delivered replies surface at the shard serving the
         // sender's block (its fallback while the owner is down); foreign
         // shards ship their candidates home as one partial answer each,
@@ -237,11 +236,11 @@ impl Registration for GridRegistration<'_> {
         self.lossy
     }
 
-    fn nearest(&self, center: Point, k: usize) -> Vec<ObjReport> {
-        let k = k.min(self.world.len());
-        self.infra
-            .knn(center, k)
-            .into_iter()
+    fn nearest(&self, focal: ObjectId, k: usize) -> Vec<ObjReport> {
+        let mut nn = Vec::new();
+        let center = self.world.position(focal);
+        self.infra.knn_excluding_into(center, k, focal, &mut nn);
+        nn.iter()
             .map(|n| {
                 let MovingObject { id, pos, vel, .. } = self.world.object(n.id);
                 ObjReport { id, pos, vel }
@@ -260,8 +259,10 @@ pub struct Simulation {
     /// and is the ground truth answers are checked against.
     infra: GridIndex,
     inboxes: Vec<Vec<DownlinkMsg>>,
-    /// Geocast recipients, lent to every tick's [`Downlink`].
+    /// Geocast recipients and the answer under comparison, lent to every
+    /// tick's [`Downlink`].
     hits: Vec<Neighbor>,
+    members: Vec<ObjectId>,
     verify: VerifyMode,
     metrics: EpisodeMetrics,
     tick: Tick,
@@ -355,7 +356,7 @@ impl Simulation {
             ..EpisodeMetrics::default()
         };
         let mut inboxes: Vec<Vec<DownlinkMsg>> = vec![Vec::new(); world.len()];
-        let mut hits = Vec::new();
+        let (mut hits, mut members) = (Vec::new(), Vec::new());
 
         // Shard tier: seed every ownership before any traffic flows (a
         // first sighting is registration, not a boundary crossing, so
@@ -386,6 +387,7 @@ impl Simulation {
         let mut repl = ReplStore::new();
         let mut last_sent = vec![Vec::new(); specs.len()];
         let mut downlink = Downlink {
+            specs: &specs,
             infra: &infra,
             world: &world,
             coord: &mut coord,
@@ -394,6 +396,7 @@ impl Simulation {
             builder: repl.begin_tick(0),
             inboxes: &mut inboxes,
             hits: &mut hits,
+            members: &mut members,
         };
         proto.init(
             &GridRegistration {
@@ -413,11 +416,11 @@ impl Simulation {
         metrics.server_seconds += init_secs;
         metrics.ops += init_task.ops;
         let t_route = Instant::now();
-        downlink.finish(&tasks, proto.as_ref(), &specs, &mut last_sent);
+        downlink.finish(&tasks, proto.as_ref(), &mut last_sent);
         let route_secs = t_route.elapsed().as_secs_f64();
         metrics.route_seconds += route_secs;
         metrics.proto_seconds += init_secs + route_secs;
-        metrics.shard_load = coord.loads();
+        metrics.shard_load = coord.loads().to_vec();
         metrics.shard_seconds = vec![0.0; tasks.len()];
 
         let n_queries = specs.len();
@@ -428,6 +431,7 @@ impl Simulation {
             infra,
             inboxes,
             hits,
+            members,
             verify,
             metrics,
             tick: 0,
@@ -644,6 +648,7 @@ impl Simulation {
         let t_server = Instant::now();
         let homes = self.coord.query_homes();
         let mut downlink = Downlink {
+            specs: &self.specs,
             infra: &self.infra,
             world: &self.world,
             coord: &mut self.coord,
@@ -652,6 +657,7 @@ impl Simulation {
             builder: self.repl.begin_tick(self.tick),
             inboxes: &mut self.inboxes,
             hits: &mut self.hits,
+            members: &mut self.members,
         };
         self.proto.server_phase(&mut ServerPhase {
             tick: self.tick,
@@ -669,18 +675,13 @@ impl Simulation {
 
         // Route phase, downlink side.
         let t_route = Instant::now();
-        downlink.finish(
-            &self.tasks,
-            self.proto.as_ref(),
-            &self.specs,
-            &mut self.last_sent,
-        );
+        downlink.finish(&self.tasks, self.proto.as_ref(), &mut self.last_sent);
         route_secs += t_route.elapsed().as_secs_f64();
         self.metrics.client_seconds += client_secs;
         self.metrics.server_seconds += server_secs;
         self.metrics.route_seconds += route_secs;
         self.metrics.proto_seconds += client_secs + server_secs + route_secs;
-        self.metrics.shard_load = self.coord.loads();
+        self.metrics.shard_load.copy_from_slice(self.coord.loads());
 
         if self.verify != VerifyMode::Off {
             self.verify_answers();
@@ -844,7 +845,7 @@ mod tests {
         use mknn_util::{check::forall, Rng};
         forall(64, |rng| {
             // A 6 × 6 lattice with 20 m spacing: exact distance ties and
-            // shared positions everywhere.
+            // shared positions everywhere, the focal's own included.
             let lattice = |rng: &mut Rng| {
                 let mut c = || rng.gen_range(0u32..6) as f64 * 20.0;
                 Point::new(c(), c())
@@ -866,13 +867,19 @@ mod tests {
                 infra: &infra,
                 lossy: false,
             };
-            let random = Point::new(rng.gen_range(-10.0..110.0), rng.gen_range(-10.0..110.0));
             let len = world.len();
-            for c in [lattice(rng), random] {
-                for k in [0, 1, rng.gen_range(0..len), len, len + 3] {
-                    let got = reg.nearest(c, k);
-                    let want = bruteforce::knn(world.snapshot(), c, k);
-                    let ids: Vec<_> = want.iter().map(|n| n.id).collect();
+            for focal in [ObjectId(0), ObjectId(rng.gen_range(0..n)), ObjectId(n - 1)] {
+                let c = world.position(focal);
+                for k in [0, 1, rng.gen_range(0..len), len - 1, len, len + 3] {
+                    let got = reg.nearest(focal, k);
+                    // Brute force over everyone, the focal filtered out.
+                    let want = bruteforce::knn(world.snapshot(), c, len);
+                    let ids: Vec<_> = want
+                        .iter()
+                        .map(|n| n.id)
+                        .filter(|&id| id != focal)
+                        .take(k)
+                        .collect();
                     assert_eq!(got.iter().map(|r| r.id).collect::<Vec<_>>(), ids, "k = {k}");
                     for r in &got {
                         let o = world.object(r.id);
@@ -885,8 +892,10 @@ mod tests {
 
     /// What a test [`Downlink`] borrows: the tick-0 world of
     /// `SimConfig::small()`, its grid, a `shards`-way coordinator that has
-    /// seen every device, and a perfect link.
+    /// seen every device, a perfect link, and the queries
+    /// [`Rig::register`] added.
     struct Rig {
+        specs: Vec<QuerySpec>,
         world: World,
         infra: GridIndex,
         coord: ShardCoordinator,
@@ -895,6 +904,7 @@ mod tests {
         repl: ReplStore,
         inboxes: Vec<Vec<DownlinkMsg>>,
         hits: Vec<Neighbor>,
+        members: Vec<ObjectId>,
     }
 
     impl Rig {
@@ -930,6 +940,7 @@ mod tests {
                 coord.track_object(ObjectId(i as u32), p, v, &mut stats, None);
             }
             Rig {
+                specs: Vec::new(),
                 inboxes: vec![Vec::new(); world.len()],
                 world,
                 infra,
@@ -938,11 +949,23 @@ mod tests {
                 stats,
                 repl: ReplStore::new(),
                 hits: Vec::new(),
+                members: Vec::new(),
             }
+        }
+
+        /// Registers the next query, riding device `focal`, with the
+        /// coordinator and the specs.
+        fn register(&mut self, focal: ObjectId, k: usize) -> QueryId {
+            let id = QueryId(self.specs.len() as u32);
+            self.specs.push(QuerySpec { id, focal, k });
+            let pos = self.world.position(focal);
+            self.coord.track_query(id, pos, k, &mut self.stats, None);
+            id
         }
 
         fn downlink(&mut self) -> Downlink<'_> {
             Downlink {
+                specs: &self.specs,
                 infra: &self.infra,
                 world: &self.world,
                 coord: &mut self.coord,
@@ -951,6 +974,7 @@ mod tests {
                 builder: self.repl.begin_tick(1),
                 inboxes: &mut self.inboxes,
                 hits: &mut self.hits,
+                members: &mut self.members,
             }
         }
     }
@@ -989,20 +1013,19 @@ mod tests {
     fn probe_gathers_from_a_crashed_block_are_charged_to_its_fallback() {
         // G = 2: shard 0 owns the west half, shard 1 the east half.
         let mut rig = Rig::new(2);
-        let (world, coord) = (&rig.world, &mut rig.coord);
-        let focal = (0..world.len() as u32)
+        let focal = (0..rig.world.len() as u32)
             .map(ObjectId)
-            .find(|&id| coord.shard_of(world.position(id)) == 0)
+            .find(|&id| rig.coord.shard_of(rig.world.position(id)) == 0)
             .expect("a device in the west half");
-        let k = SimConfig::small().k;
-        coord.track_query(QueryId(0), world.position(focal), k, &mut rig.stats, None);
+        let query = rig.register(focal, SimConfig::small().k);
         // Shard 1 is down, and its fallback is the query's home.
+        let coord = &mut rig.coord;
         coord.crash(1);
         let east = coord.block_of(1).center();
-        let loads = coord.loads();
+        let loads = coord.loads().to_vec();
         let mut replies = Vec::new();
         rig.downlink()
-            .probe(QueryId(0), Circle::new(east, 150.0), focal, &mut replies);
+            .probe(query, Circle::new(east, 150.0), &mut replies);
         assert!(!replies.is_empty(), "the zone inside block 1 holds devices");
         assert_eq!(
             rig.stats.shard.merge_msgs, 0,
@@ -1025,7 +1048,9 @@ mod tests {
         // unicast arm skipped it silently while the geocast arm panicked.
         rig.infra.upsert(ObjectId(9), Point::new(12.0, 12.0));
         rig.inboxes = vec![Vec::new(); 2];
-        let msg = DownlinkMsg::RemoveRegion { query: QueryId(0) };
+        // The query rides device 1, which is not in the grid.
+        let query = rig.register(ObjectId(1), 4);
+        let msg = DownlinkMsg::RemoveRegion { query };
         let mut task = ShardTask::new(0, Uplinks::new());
         task.outbox.send(Recipient::One(ObjectId(9)), msg);
         task.outbox.send(
@@ -1046,9 +1071,9 @@ mod tests {
 
     /// Probes and outbox geocasts page a zone through one primitive: the
     /// same cells, the same fan-out legs, and the same devices staged,
-    /// except the focal device a probe leaves out. The probe's replies are
-    /// the page's visit order as it stands, ranked `(dist², id)` from the
-    /// zone's center, whatever the caller's buffer held before.
+    /// none of them the query's focal. The probe's replies are the page's
+    /// visit order as it stands, ranked `(dist², id)` from the zone's
+    /// center, whatever the caller's buffer held before.
     #[test]
     fn a_probe_and_an_outbox_geocast_page_a_zone_alike() {
         for shards in [1, 4] {
@@ -1057,20 +1082,18 @@ mod tests {
                 let mut rig = Rig::lattice(shards);
                 let zone = Circle::new(rig.world.bounds().center(), 25.0);
                 let focal = rig.infra.knn(zone.center, 1)[0].id;
-                let pos = rig.world.position(focal);
-                rig.coord
-                    .track_query(QueryId(0), pos, 4, &mut rig.stats, None);
-                (rig, zone, focal)
+                let query = rig.register(focal, 4);
+                (rig, zone, focal, query)
             };
-            let (mut geo, zone, focal) = setup();
+            let (mut geo, zone, focal, query) = setup();
             let mut task = ShardTask::new(0, Uplinks::new());
-            let msg = DownlinkMsg::RemoveRegion { query: QueryId(0) };
+            let msg = DownlinkMsg::RemoveRegion { query };
             task.outbox.send(Recipient::Geocast(zone), msg);
             let mut dl = geo.downlink();
             dl.route(std::slice::from_ref(&task));
             dl.builder.flush_frames(dl.stats);
 
-            let (mut probed, _, _) = setup();
+            let (mut probed, ..) = setup();
             let stale = ObjReport {
                 id: focal,
                 pos: zone.center,
@@ -1078,7 +1101,7 @@ mod tests {
             };
             let mut replies = vec![stale; 3];
             let mut dl = probed.downlink();
-            dl.probe(QueryId(0), zone, focal, &mut replies);
+            dl.probe(query, zone, &mut replies);
             dl.builder.flush_frames(dl.stats);
 
             let case = format!("G = {shards}");
@@ -1103,17 +1126,49 @@ mod tests {
                 (p.shard.fanout_msgs, p.shard.fanout_bytes)
             );
             // On a perfect link every asked device replies, so the replies
-            // are the probe's staged devices.
-            let mut heard: Vec<ObjectId> = (0..geo.inboxes.len())
+            // are the probe's staged devices: the geocast's, frame for frame.
+            let heard: Vec<ObjectId> = (0..geo.inboxes.len())
                 .filter(|&i| !geo.inboxes[i].is_empty())
                 .map(|i| ObjectId(i as u32))
                 .collect();
             let mut asked = got;
             asked.sort_unstable();
-            assert!(heard.contains(&focal), "the focal is inside its own zone");
-            heard.retain(|&id| id != focal);
-            assert_eq!(heard, asked);
-            assert_eq!(g.frames, p.frames + 1);
+            assert!(zone.contains(geo.world.position(focal)), "{case}");
+            assert_eq!(heard, asked, "{case}");
+            assert_eq!(g.frames, p.frames, "{case}");
+        }
+    }
+
+    /// The focal rule is per query: a page skips its own query's focal
+    /// only, so a focal hears every other query whose zone covers it.
+    #[test]
+    fn a_focal_hears_other_queries_installs_but_not_its_own() {
+        let mut rig = Rig::lattice(1);
+        let zone = Circle::new(rig.world.bounds().center(), 25.0);
+        let near = rig.infra.knn(zone.center, 2);
+        let (a, b) = (near[0].id, near[1].id);
+        let (qa, qb) = (rig.register(a, 4), rig.register(b, 4));
+        let mut task = ShardTask::new(0, Uplinks::new());
+        for query in [qa, qb] {
+            let install = DownlinkMsg::InstallRegion {
+                query,
+                ver: 0,
+                center: zone.center,
+                vel: mknn_geom::Vector::ZERO,
+                r_out: 10.0,
+            };
+            task.outbox.send(Recipient::Geocast(zone), install);
+        }
+        rig.downlink().route(std::slice::from_ref(&task));
+        let heard = |id: ObjectId| -> Vec<QueryId> {
+            rig.inboxes[id.index()].iter().map(|m| m.query()).collect()
+        };
+        assert_eq!(heard(a), [qb], "A's focal hears B's install only");
+        assert_eq!(heard(b), [qa], "B's focal hears A's install only");
+        let members = rig.infra.range(&zone);
+        assert!(members.len() > 2, "the zone holds more than the focals");
+        for n in members.iter().filter(|n| n.id != a && n.id != b) {
+            assert_eq!(heard(n.id), [qa, qb], "{}", n.id);
         }
     }
     #[test]

@@ -6,7 +6,7 @@
 #   scripts/verify.sh golden shards  # run only the named stages
 #
 # Stages, in default order:
-#   build        release build of the whole workspace
+#   build        release build of every workspace target; a warning fails it
 #   clippy       cargo clippy --workspace --all-targets with warnings denied
 #   test         the full test suite (unit + property + integration + doc)
 #   fmt          rustfmt conformance, of the workspace and of benchmark/
@@ -130,8 +130,16 @@ run_gates() {
 }
 
 stage_build() {
-    echo "==> cargo build --release --offline --locked --workspace"
-    cargo build --release --offline --locked --workspace
+    # Every target, so a warning only a release build sees (code that only
+    # a debug-assertion test uses, say) fails here: clippy and the test
+    # stage build in debug. Cargo replays a cached unit's warnings, so the
+    # check holds on a warm cache too.
+    echo "==> cargo build --release --offline --locked --workspace --all-targets (no warnings)"
+    local log="$TMPDIR_VERIFY/build"
+    cargo build --release --offline --locked --workspace --all-targets 2>&1 | tee "$log"
+    if grep -q '^warning' "$log"; then
+        fail "the release build printed warnings (above)"
+    fi
 }
 
 stage_clippy() {
@@ -203,10 +211,10 @@ stage_examples() {
 # timed and traced alike. Two of these configurations no GATES row covers:
 # dknn-order at Q = 500 verified every tick (`Record`), and the two-thread
 # dknn-buffer run under chaos plus shard crashes.
-BENCH_DIGESTS='dist-scale 1fdcba0b22e76953
+BENCH_DIGESTS='dist-scale 5bc8fd9ce7b6ea7f
 central-firehose a126b7e6c2d76ef8
-sharded-chaos 4166b0f57e59abed
-query-dense 823801db4a803e58'
+sharded-chaos 05a563e7598e0696
+query-dense e481947c29dfa295'
 
 stage_benchmark() {
     echo "==> benchmark crate (build + test + benchmark/run.sh --quick)"
