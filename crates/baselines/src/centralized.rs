@@ -102,21 +102,11 @@ impl Protocol for Centralized {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::Registered;
-    use mknn_geom::{Circle, Point, Vector};
+    use crate::testing::{NoProbe, Registered};
+    use mknn_geom::{Point, Vector};
     use mknn_mobility::MovingObject;
-    use mknn_net::{single_server_phase, ClientCtx, FaultPlan, FaultyLink, ObjReport};
+    use mknn_net::{single_server_phase, ClientCtx, FaultPlan, FaultyLink};
     use mknn_util::Pool;
-
-    struct NoProbe;
-    impl ProbeService for NoProbe {
-        fn probe(&mut self, _q: QueryId, _z: Circle, _out: &mut Vec<ObjReport>) {
-            panic!("centralized must not probe")
-        }
-        fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {
-            panic!("centralized must not poll")
-        }
-    }
 
     fn objs() -> Vec<MovingObject> {
         (0..6u32)

@@ -24,13 +24,26 @@ pub use centralized::Centralized;
 pub use naive::NaiveProbe;
 pub use periodic::Periodic;
 
-/// The registration view the unit tests hand to `init`.
+/// The registration view and the probe service the unit tests hand in.
 #[cfg(test)]
 mod testing {
-    use mknn_geom::{ObjectId, Rect};
+    use mknn_geom::{Circle, ObjectId, QueryId, Rect};
     use mknn_mobility::{MovingObject, Stationary, World};
-    use mknn_net::{ObjReport, Registration};
+    use mknn_net::{ObjReport, ProbeService, Registration};
     use mknn_util::Rng;
+
+    /// A probe service that panics when asked anything.
+    pub(crate) struct NoProbe;
+
+    impl ProbeService for NoProbe {
+        fn probe(&mut self, _q: QueryId, _z: Circle, _m: usize, _o: &mut Vec<ObjReport>) -> u64 {
+            panic!("this method must not probe")
+        }
+
+        fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {
+            panic!("this method must not poll")
+        }
+    }
 
     /// `objects` registered over `bounds`. No baseline selects by kNN at
     /// registration, so `nearest` is never asked.

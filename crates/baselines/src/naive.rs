@@ -33,7 +33,9 @@ pub struct NaiveProbe {
     focal: FocalTable,
     /// Query records, indexed by query id.
     queries: Vec<NState>,
-    space_diag: f64,
+    /// A query's first zone radius, and its radius again after a crash:
+    /// 2 % of the world's diagonal.
+    start_radius: f64,
     /// The probes' replies, one buffer for the episode.
     replies: Vec<ObjReport>,
 }
@@ -47,32 +49,24 @@ impl NaiveProbe {
             headroom,
             focal: FocalTable::default(),
             queries: Vec::new(),
-            space_diag: 1.0,
+            start_radius: 1.0,
             replies: Vec::new(),
         }
     }
 
-    /// The probe-until-k loop over the `homed` queries, ascending id.
+    /// The probe-until-k search over the `homed` queries, ascending id.
     fn evaluate(
         &mut self,
         homed: impl Iterator<Item = usize>,
         probe: &mut dyn ProbeService,
         ops: &mut OpCounters,
     ) {
-        let (space_diag, headroom) = (self.space_diag, self.headroom);
-        let replies = &mut self.replies;
+        let (headroom, replies) = (self.headroom, &mut self.replies);
         for q in homed {
             let state = &mut self.queries[q];
             let center = state.q_pos;
-            let mut r = state.radius.clamp(1.0, space_diag);
-            loop {
-                probe.probe(state.spec.id, Circle::new(center, r), replies);
-                ops.server_ops += replies.len() as u64 + 1;
-                if replies.len() >= state.spec.k || r >= space_diag {
-                    break;
-                }
-                r = (r * 2.0).min(space_diag);
-            }
+            let zone = Circle::new(center, state.radius);
+            ops.server_ops += probe.probe(state.spec.id, zone, state.spec.k, replies);
             // The replies come ranked around `center`: the answer is their
             // prefix.
             state.answer.clear();
@@ -108,14 +102,14 @@ impl Protocol for NaiveProbe {
     ) {
         let world = reg.world();
         let bounds = world.bounds();
-        self.space_diag = bounds.min.dist(bounds.max);
+        self.start_radius = bounds.min.dist(bounds.max) * 0.02;
         self.focal = FocalTable::new(world.len(), queries);
         self.queries = queries
             .iter()
             .map(|spec| NState {
                 spec: *spec,
                 q_pos: world.position(spec.focal),
-                radius: self.space_diag * 0.02,
+                radius: self.start_radius,
                 answer: Vec::new(),
             })
             .collect();
@@ -167,7 +161,7 @@ impl Protocol for NaiveProbe {
         for &q in queries {
             if let Some(state) = self.queries.get_mut(q.index()) {
                 state.answer.clear();
-                state.radius = self.space_diag * 0.02;
+                state.radius = self.start_radius;
             }
         }
     }
@@ -186,29 +180,40 @@ mod tests {
     use mknn_mobility::MovingObject;
     use mknn_net::{single_server_phase, MsgKind};
 
-    /// A probe service over a fixed position table, counting its probes.
-    /// A query's probes leave out its focal, `focals[query]`.
+    /// A probe service over a fixed position table, replying in the
+    /// contract's rank order. A query's probes leave out its focal,
+    /// `focals[query]`. The table is the whole world, so the search ends in
+    /// one step: at `zone` (floored at 1 m), or else at the disk just
+    /// reaching the `min`-th nearest device.
     struct TableProbe {
         positions: Vec<Point>,
         focals: Vec<ObjectId>,
-        probes: u32,
     }
 
     impl ProbeService for TableProbe {
-        fn probe(&mut self, q: QueryId, zone: Circle, out: &mut Vec<ObjReport>) {
-            self.probes += 1;
+        fn probe(&mut self, q: QueryId, zone: Circle, min: usize, out: &mut Vec<ObjReport>) -> u64 {
+            let c = zone.center;
             out.clear();
             for (i, &pos) in self.positions.iter().enumerate() {
                 let id = ObjectId(i as u32);
-                if id != self.focals[q.index()] && zone.contains(pos) {
-                    let vel = Vector::ZERO;
-                    out.push(ObjReport { id, pos, vel });
+                if id != self.focals[q.index()] {
+                    out.push(ObjReport {
+                        id,
+                        pos,
+                        vel: Vector::ZERO,
+                    });
                 }
             }
             out.sort_by_key(|r| {
-                let dist_sq = r.pos.dist_sq(zone.center);
+                let dist_sq = r.pos.dist_sq(c);
                 mknn_index::Neighbor { dist_sq, id: r.id }.key()
             });
+            let nth = min.checked_sub(1).map_or(0.0, |i| {
+                out.get(i).map_or(f64::INFINITY, |r| r.pos.dist_sq(c))
+            });
+            let reach = nth.max(zone.radius.max(1.0).powi(2));
+            out.retain(|r| r.pos.dist_sq(c) <= reach);
+            out.len() as u64 + 1
         }
         fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {
             None
@@ -232,7 +237,6 @@ mod tests {
         let mut probe = TableProbe {
             positions: objs().iter().map(|o| o.pos).collect(),
             focals: queries.iter().map(|q| q.focal).collect(),
-            probes: 0,
         };
         n.init(
             &Registered::new(Rect::square(10_000.0), objs()),
@@ -275,7 +279,6 @@ mod tests {
         let mut probe = TableProbe {
             positions: objs().iter().map(|o| o.pos).collect(),
             focals: queries.iter().map(|q| q.focal).collect(),
-            probes: 0,
         };
         n.init(
             &Registered::new(Rect::square(10_000.0), objs()),
@@ -302,12 +305,7 @@ mod tests {
             n.answer(QueryId(0)),
             &[ObjectId(1), ObjectId(2), ObjectId(3)]
         );
-        assert!(probe.probes >= 1);
-
-        // Every subsequent tick probes again even with zero movement.
-        let before = probe.probes;
         server_phase(&mut n, &mut probe, Uplinks::new());
-        assert!(probe.probes > before);
         assert_eq!(
             n.answer(QueryId(0)),
             &[ObjectId(1), ObjectId(2), ObjectId(3)]

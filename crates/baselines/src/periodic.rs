@@ -122,10 +122,10 @@ impl Protocol for Periodic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::Registered;
-    use mknn_geom::{Circle, Vector};
+    use crate::testing::{NoProbe, Registered};
+    use mknn_geom::Vector;
     use mknn_mobility::MovingObject;
-    use mknn_net::{single_server_phase, ClientCtx, FaultPlan, FaultyLink, ObjReport};
+    use mknn_net::{single_server_phase, ClientCtx, FaultPlan, FaultyLink};
     use mknn_util::Pool;
 
     /// A perfect-link, one-thread client context over `pos` (nobody has
@@ -142,16 +142,6 @@ mod tests {
         };
         p.client_phase(&ctx, &mut up, &mut OpCounters::default());
         up
-    }
-
-    struct NoProbe;
-    impl ProbeService for NoProbe {
-        fn probe(&mut self, _q: QueryId, _z: Circle, _out: &mut Vec<ObjReport>) {
-            panic!("periodic must not probe")
-        }
-        fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {
-            panic!("periodic must not poll")
-        }
     }
 
     #[test]

@@ -36,3 +36,36 @@ fn absent_crash_keys_read_as_zero() {
     assert!(!without.stdout.is_empty());
     assert_eq!(without.stdout, with.stdout);
 }
+
+/// A world smaller than a refresh's first probe zone, or than 1 m across:
+/// every probe is capped at the world's diagonal, so every method runs to
+/// the end, and the exact ones stay exact.
+#[test]
+fn small_worlds_run_every_method_to_the_end() {
+    use mknn_util::json::Json;
+    for space in ["50", "0.5"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_expt"))
+            .args([
+                "--seed", "42", "--space", space, "--n", "400", "--ticks", "20",
+            ])
+            .output()
+            .expect("expt runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--space {space}: {err}");
+        let doc = Json::parse(&String::from_utf8_lossy(&out.stdout)).expect("JSON");
+        let episodes = doc
+            .field("episodes")
+            .and_then(Json::as_arr)
+            .expect("episodes");
+        assert_eq!(episodes.len(), 6, "--space {space}");
+        for ep in episodes {
+            let method = ep.field("method").and_then(Json::as_str).expect("method");
+            let checks: u64 = ep.parse_field("exact_checks").expect("exact_checks");
+            let ok: u64 = ep.parse_field("exact_ok").expect("exact_ok");
+            assert!(checks > 0, "--space {space}, {method}");
+            if method != "periodic" {
+                assert_eq!(ok, checks, "--space {space}, {method} is exact");
+            }
+        }
+    }
+}

@@ -30,8 +30,6 @@ use mknn_net::{
 /// over them, and no band boundary can separate them.
 const TIE: f64 = 1e-9;
 
-/// Growth factor of a refresh's expanding probe.
-const EXPAND_FACTOR: f64 = 2.0;
 /// Band events per query per tick above which the server refreshes instead
 /// of patching locally (buffered lists add k + 2b).
 const BAND_ESCALATION: usize = 3;
@@ -100,7 +98,6 @@ struct ServerQuery {
 struct ServerCfg {
     params: DknnParams,
     mode: Mode,
-    space_diag: f64,
     /// Lossy-transport hardening switch, read from the registration: acks
     /// for critical events, idempotent duplicate handling, and member
     /// leases. Off on a perfect link, so its message trace stays
@@ -131,7 +128,6 @@ impl ServerHalf {
             cfg: ServerCfg {
                 params,
                 mode,
-                space_diag: 1.0,
                 lossy: false,
             },
             queries: Vec::new(),
@@ -154,8 +150,6 @@ impl ServerHalf {
         ops: &mut OpCounters,
     ) {
         let world = reg.world();
-        let bounds = world.bounds();
-        self.cfg.space_diag = bounds.min.dist(bounds.max);
         self.cfg.lossy = reg.lossy();
         self.queries.clear();
         for (i, spec) in queries.iter().enumerate() {
@@ -572,9 +566,9 @@ impl ServerCfg {
         q.rebuild_answer();
     }
 
-    /// Full refresh: an expanding probe until it finds more devices than
-    /// the list holds, re-selection, new version broadcast. The probes'
-    /// replies land in `replies`.
+    /// Full refresh: an expanding probe from the old region until more
+    /// devices reply than the list holds, re-selection, new version
+    /// broadcast. The probe's replies land in `replies`.
     fn refresh(
         &self,
         q: &mut ServerQuery,
@@ -588,15 +582,8 @@ impl ServerCfg {
         let need = self.target(q.spec.k);
         let drift = c.dist(q.ver.pred_center(now));
         let slack = 2.0 * (2.0 * self.params.v_max);
-        let mut r = (q.ver.t + drift + slack).clamp(slack.max(1.0), self.space_diag);
-        loop {
-            probe.probe(q.spec.id, Circle::new(c, r), replies);
-            ops.server_ops += replies.len() as u64 + 1;
-            if replies.len() > need || r >= self.space_diag {
-                break;
-            }
-            r = (r * EXPAND_FACTOR).min(self.space_diag);
-        }
+        let zone = Circle::new(c, q.ver.t + drift + slack);
+        ops.server_ops += probe.probe(q.spec.id, zone, need + 1, replies);
         self.establish(q, replies, now, outbox, ops);
         q.refreshes += 1;
     }
@@ -872,22 +859,34 @@ mod tests {
 
     /// A probe service over a fixed position table, replying in the
     /// contract's rank order. Every test's query `q` rides device `q`, which
-    /// its probes leave out.
+    /// its probes leave out. The table is the whole world, so the search
+    /// ends in one step: at `zone` (floored at 1 m), or else at the disk
+    /// just reaching the `min`-th nearest device, charged as one round.
     struct TableProbe {
         positions: Vec<Point>,
     }
 
     impl ProbeService for TableProbe {
-        fn probe(&mut self, q: QueryId, zone: Circle, out: &mut Vec<ObjReport>) {
+        fn probe(&mut self, q: QueryId, zone: Circle, min: usize, out: &mut Vec<ObjReport>) -> u64 {
+            let c = zone.center;
             out.clear();
             for (i, &pos) in self.positions.iter().enumerate() {
                 let id = ObjectId(i as u32);
-                if id != ObjectId(q.0) && zone.contains(pos) {
-                    let vel = Vector::ZERO;
-                    out.push(ObjReport { id, pos, vel });
+                if id != ObjectId(q.0) {
+                    out.push(ObjReport {
+                        id,
+                        pos,
+                        vel: Vector::ZERO,
+                    });
                 }
             }
-            out.sort_by_key(|r| rank(r, zone.center));
+            out.sort_by_key(|r| rank(r, c));
+            let nth = min.checked_sub(1).map_or(0.0, |i| {
+                out.get(i).map_or(f64::INFINITY, |r| r.pos.dist_sq(c))
+            });
+            let reach = nth.max(zone.radius.max(1.0).powi(2));
+            out.retain(|r| r.pos.dist_sq(c) <= reach);
+            out.len() as u64 + 1
         }
 
         fn poll(&mut self, _q: QueryId, id: ObjectId) -> Option<ObjReport> {
@@ -1047,7 +1046,6 @@ mod tests {
         let cfg = ServerCfg {
             params: DknnParams::default(),
             mode,
-            space_diag: 1.0, // establish never probes
             lossy: false,
         };
         let spec = QuerySpec {
@@ -1430,9 +1428,16 @@ mod tests {
         struct Unranked(TableProbe);
 
         impl ProbeService for Unranked {
-            fn probe(&mut self, q: QueryId, zone: Circle, out: &mut Vec<ObjReport>) {
-                self.0.probe(q, zone, out);
+            fn probe(
+                &mut self,
+                q: QueryId,
+                zone: Circle,
+                min: usize,
+                out: &mut Vec<ObjReport>,
+            ) -> u64 {
+                let work = self.0.probe(q, zone, min, out);
                 out.reverse();
+                work
             }
 
             fn poll(&mut self, q: QueryId, id: ObjectId) -> Option<ObjReport> {

@@ -388,10 +388,9 @@ impl GridIndex {
     /// A conservative radius around `center` expected to contain at least
     /// `k` objects, derived from cell population counts.
     ///
-    /// Used by the server to size region-expansion probes; exactness is not
-    /// required (the probe responses restore it), only that the estimate
-    /// errs large. Returns the bounds diagonal when the grid holds fewer
-    /// than `k` objects.
+    /// Exactness is not required, only that the estimate errs large.
+    /// Returns the bounds diagonal when the grid holds fewer than `k`
+    /// objects.
     pub fn estimate_knn_radius(&self, center: Point, k: usize) -> f64 {
         if self.len < k.max(1) {
             return self.bounds.min.dist(self.bounds.max);

@@ -212,19 +212,21 @@ pub trait Registration {
 
 /// Synchronous probe channel provided by the harness.
 ///
-/// A probe models the geocast-request / unicast-reply round trip the server
-/// performs when it must (re)discover the population of a zone — initial
-/// evaluation and region expansion. The harness charges the geocast and
-/// every reply to [`crate::NetStats`] before returning, so probes are never
-/// free.
+/// A probe models the geocast-request / unicast-reply round trips of the
+/// server's expanding search around a query. The harness charges every
+/// geocast and reply to [`crate::NetStats`] before returning, so probes
+/// are never free.
 pub trait ProbeService {
-    /// Geocasts a probe over `zone` on behalf of `query` and fills `out`
-    /// (cleared first) with the replies of every device inside it other
-    /// than the query's focal, which no page of its own query reaches (a
-    /// query never counts its focal among its neighbours). The replies are
-    /// ranked: ascending `(distance² from zone.center, id)`, so a caller
-    /// selecting the nearest reads a prefix and sorts nothing.
-    fn probe(&mut self, query: QueryId, zone: Circle, out: &mut Vec<ObjReport>);
+    /// Pages `zone` for `query`, its radius floored at 1 m and capped at the
+    /// world's diagonal, and pages again at double the radius (still
+    /// capped) while fewer than `min` devices reply and the radius is below
+    /// the diagonal; `min = 0` pages once. `out` (cleared first) ends
+    /// holding the last round's replies: the devices inside its zone other
+    /// than the query's focal (a query never counts its focal among its
+    /// neighbours), ranked ascending `(distance² from zone.center, id)`, so
+    /// a caller selecting the nearest reads a prefix and sorts nothing.
+    /// Returns the server work: the replies received plus one, per round.
+    fn probe(&mut self, query: QueryId, zone: Circle, min: usize, out: &mut Vec<ObjReport>) -> u64;
 
     /// Unicast position request to one device (charged as one downlink
     /// probe plus one uplink reply). Returns `None` for unknown devices.
@@ -549,8 +551,9 @@ mod tests {
 
     struct NoProbe;
     impl ProbeService for NoProbe {
-        fn probe(&mut self, _q: QueryId, _z: Circle, out: &mut Vec<ObjReport>) {
+        fn probe(&mut self, _q: QueryId, _z: Circle, _m: usize, out: &mut Vec<ObjReport>) -> u64 {
             out.clear();
+            1
         }
         fn poll(&mut self, _q: QueryId, _id: ObjectId) -> Option<ObjReport> {
             None

@@ -186,21 +186,30 @@ impl Downlink<'_> {
 }
 
 impl ProbeService for Downlink<'_> {
-    fn probe(&mut self, query: QueryId, zone: Circle, out: &mut Vec<ObjReport>) {
-        // Request legs are priced per interested device when the staged
-        // copies are framed, not per message. `page` visits the zone in
-        // `(dist², id)` order, and a lost leg only leaves a device out, so
-        // the replies come ranked.
-        let msg = DownlinkMsg::Probe { query, zone };
-        out.clear();
-        self.page(zone, &msg, |dl, id| out.extend(dl.ask(id, msg, false)));
-        // Gather: delivered replies surface at the shard serving the
-        // sender's block (its fallback while the owner is down); foreign
-        // shards ship their candidates home as one partial answer each,
-        // merged in ascending shard order.
-        let replies = out.iter().map(|r| r.pos);
-        self.coord
-            .gather_replies(query, replies, self.stats, Some(&mut *self.link));
+    fn probe(&mut self, query: QueryId, zone: Circle, min: usize, out: &mut Vec<ObjReport>) -> u64 {
+        let bounds = self.world.bounds();
+        let diag = bounds.min.dist(bounds.max);
+        let mut zone = Circle::new(zone.center, zone.radius.max(1.0).min(diag));
+        let mut work = 0;
+        loop {
+            // Request legs are priced per device when the staged copies are
+            // framed. `page` visits the zone in `(dist², id)` order, and a
+            // lost leg only leaves a device out, so the replies come ranked.
+            let msg = DownlinkMsg::Probe { query, zone };
+            out.clear();
+            self.page(zone, &msg, |dl, id| out.extend(dl.ask(id, msg, false)));
+            // Gather: replies surface at the shard serving the sender's
+            // block (its fallback while the owner is down); foreign shards
+            // ship theirs home as one partial answer each, in shard order.
+            let replies = out.iter().map(|r| r.pos);
+            self.coord
+                .gather_replies(query, replies, self.stats, Some(&mut *self.link));
+            work += out.len() as u64 + 1;
+            if out.len() >= min || zone.radius >= diag {
+                return work;
+            }
+            zone.radius = (zone.radius * 2.0).min(diag);
+        }
     }
 
     fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport> {
@@ -1025,7 +1034,7 @@ mod tests {
         let loads = coord.loads().to_vec();
         let mut replies = Vec::new();
         rig.downlink()
-            .probe(query, Circle::new(east, 150.0), &mut replies);
+            .probe(query, Circle::new(east, 150.0), 0, &mut replies);
         assert!(!replies.is_empty(), "the zone inside block 1 holds devices");
         assert_eq!(
             rig.stats.shard.merge_msgs, 0,
@@ -1101,7 +1110,7 @@ mod tests {
             };
             let mut replies = vec![stale; 3];
             let mut dl = probed.downlink();
-            dl.probe(query, zone, &mut replies);
+            dl.probe(query, zone, 0, &mut replies);
             dl.builder.flush_frames(dl.stats);
 
             let case = format!("G = {shards}");
@@ -1171,6 +1180,58 @@ mod tests {
             assert_eq!(heard(n.id), [qa, qb], "{}", n.id);
         }
     }
+    /// The engine grows every probe zone: floored at 1 m, doubled until
+    /// `min` devices other than the focal reply, capped at the world's
+    /// diagonal. The work returned is Σ(replies + 1) over the rounds. On a
+    /// perfect link every reply is received and charged, so the rounds are
+    /// the work less the `ProbeReply` uplinks.
+    #[test]
+    fn a_probe_doubles_its_zone_until_min_devices_reply() {
+        // Around the lattice's center lie 4 devices at 7.1 m (the focal
+        // among them), 8 more at 15.8 m, 32 within 32 m and all 100 within
+        // 64 m; the diagonal is 141.4 m.
+        let run = |radius: f64, min: usize| {
+            let mut rig = Rig::lattice(1);
+            let center = rig.world.bounds().center();
+            let focal = rig.infra.knn(center, 1)[0].id;
+            let query = rig.register(focal, 4);
+            let mut out = Vec::new();
+            let work = rig
+                .downlink()
+                .probe(query, Circle::new(center, radius), min, &mut out);
+            let replies = rig.stats.by_kind.get(&MsgKind::ProbeReply);
+            let rounds = work - replies.copied().unwrap_or(0);
+            let got: Vec<ObjectId> = out.iter().map(|r| r.id).collect();
+            (rig, center, focal, got, work, rounds)
+        };
+
+        // From 1 m: 1, 2 and 4 m hear nobody, 8 m three devices, 16 m
+        // eleven, the first round with at least k = 4.
+        let (rig, center, focal, got, work, rounds) = run(0.0, 4);
+        assert_eq!((work, rounds), (1 + 1 + 1 + 4 + 12, 5));
+        let want: Vec<ObjectId> = rig
+            .infra
+            .range(&Circle::new(center, 16.0))
+            .iter()
+            .map(|n| n.id)
+            .filter(|&id| id != focal)
+            .collect();
+        assert_eq!(got, want, "the last round's members, ranked");
+
+        // `min = 0` pages the floored zone once.
+        let (.., got, work, rounds) = run(0.0, 0);
+        assert_eq!((got.len(), work, rounds), (0, 1, 1));
+
+        // More than the population: 1 … 128 m, then the diagonal, and stop.
+        let (.., got, work, rounds) = run(0.0, 1_000);
+        assert_eq!(got.len(), 99);
+        assert_eq!((work, rounds), (1 + 1 + 1 + 4 + 12 + 32 + 100 * 3, 9));
+
+        // A first zone wider than the world is paged once, at the diagonal.
+        let (.., got, work, rounds) = run(1_000.0, 1_000);
+        assert_eq!((got.len(), work, rounds), (99, 100, 1));
+    }
+
     #[test]
     fn sharded_episode_keeps_answers_and_device_traffic_identical() {
         let cfg = SimConfig::small();

@@ -55,7 +55,7 @@ impl Protocol for Inspector {
         if phase.tick == 3 {
             if let Some(zone) = self.probe_at_3 {
                 let mut replies = Vec::new();
-                phase.probe.probe(QueryId(0), zone, &mut replies);
+                phase.probe.probe(QueryId(0), zone, 0, &mut replies);
                 *self.probe_replies.borrow_mut() = replies.len();
             }
         }
