@@ -80,7 +80,7 @@ impl Protocol for Centralized {
         self.tier.server_phase(phase);
     }
 
-    fn server_crash(&mut self, _shard: u32, block: Rect, queries: &[QueryId]) {
+    fn server_crash(&mut self, block: Rect, queries: &[QueryId]) {
         // The crashed shard's slice of the position index is lost. Moving
         // devices re-teach their entries through the per-tick report
         // firehose; stationary ones stay dark until the reconstruction
@@ -88,7 +88,7 @@ impl Protocol for Centralized {
         self.tier.crash(block, queries);
     }
 
-    fn server_recover(&mut self, _shard: u32, _block: Rect, replay: &[mknn_net::ObjReport]) {
+    fn server_recover(&mut self, replay: &[mknn_net::ObjReport]) {
         // The counted `Recover` sweep re-announces every object inside the
         // reborn block; the index is whole again from this tick on.
         self.tier.recover(replay);
@@ -142,7 +142,7 @@ mod tests {
                 vel: Vector::ZERO,
             },
         );
-        single_server_phase(&mut c, 1, up, &mut NoProbe, &mut outbox, &mut ops);
+        single_server_phase(&mut c, 1, up, &queries, &mut NoProbe, &mut outbox, &mut ops);
         assert_eq!(c.answer(QueryId(0)), &[ObjectId(5), ObjectId(1)]);
     }
 
@@ -171,7 +171,7 @@ mod tests {
                 vel: Vector::ZERO,
             },
         );
-        single_server_phase(&mut c, 1, up, &mut NoProbe, &mut outbox, &mut ops);
+        single_server_phase(&mut c, 1, up, &queries, &mut NoProbe, &mut outbox, &mut ops);
         assert_eq!(c.answer(QueryId(0)), &[ObjectId(5), ObjectId(4)]);
     }
 

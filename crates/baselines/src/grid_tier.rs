@@ -79,15 +79,14 @@ impl GridTier {
 
     /// The per-tick phase. See the module docs for its two loops.
     pub fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
-        let n = self.queries.len();
         // (A) All reports from one device arrive at one shard (routing is
         // by sender position), so each object's last upsert is its latest
         // report, as in one global batch.
-        phase.run_shards(n, |task, _, _| {
-            for (from, msg) in task.uplinks.iter() {
+        phase.run_shards(|s| {
+            for (from, msg) in s.uplinks.iter() {
                 if let UplinkMsg::Position { pos, .. } = msg {
                     self.index.upsert(from, *pos);
-                    task.ops.server_ops += 1;
+                    s.ops.server_ops += 1;
                     for q in self.focal.of(from) {
                         self.queries[q.index()].q_pos = *pos;
                     }
@@ -95,9 +94,7 @@ impl GridTier {
             }
         });
         // (B) Every shard evaluates its homed queries.
-        phase.run_shards(n, |task, homed, _| {
-            self.evaluate(homed.iter().map(|q| q.index()), &mut task.ops);
-        });
+        phase.run_shards(|s| self.evaluate(s.homed.iter().map(|q| q.index()), s.ops));
     }
 
     /// A crash wipes the dead shard's block from the index (including

@@ -25,10 +25,8 @@ struct NState {
 ///
 /// The strawman's server state is purely per-query: under a sharded
 /// deployment each shard probes for the queries homed there.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct NaiveProbe {
-    /// Zone radius multiplier applied to the last k-th distance.
-    headroom: f64,
     /// Client side: the queries each device is the focal object of.
     focal: FocalTable,
     /// Query records, indexed by query id.
@@ -40,20 +38,12 @@ pub struct NaiveProbe {
     replies: Vec<ObjReport>,
 }
 
-impl NaiveProbe {
-    /// Creates the baseline; `headroom > 1` is the zone over-size factor
-    /// that absorbs movement between ticks.
-    pub fn new(headroom: f64) -> Self {
-        assert!(headroom > 1.0);
-        NaiveProbe {
-            headroom,
-            focal: FocalTable::default(),
-            queries: Vec::new(),
-            start_radius: 1.0,
-            replies: Vec::new(),
-        }
-    }
+/// A query's next first zone radius over its current k-th distance: the
+/// over-size that absorbs movement between ticks. The probe grows the zone
+/// further whenever fewer than k devices reply.
+const HEADROOM: f64 = 1.5;
 
+impl NaiveProbe {
     /// The probe-until-k search over the `homed` queries, ascending id.
     fn evaluate(
         &mut self,
@@ -61,7 +51,7 @@ impl NaiveProbe {
         probe: &mut dyn ProbeService,
         ops: &mut OpCounters,
     ) {
-        let (headroom, replies) = (self.headroom, &mut self.replies);
+        let replies = &mut self.replies;
         for q in homed {
             let state = &mut self.queries[q];
             let center = state.q_pos;
@@ -75,15 +65,9 @@ impl NaiveProbe {
                 .extend(replies.iter().take(state.spec.k).map(|o| o.id));
             // Next tick's zone: the current k-th distance plus headroom.
             if let Some(kth) = replies.get(state.spec.k.saturating_sub(1)) {
-                state.radius = kth.pos.dist_sq(center).sqrt() * headroom;
+                state.radius = kth.pos.dist_sq(center).sqrt() * HEADROOM;
             }
         }
-    }
-}
-
-impl Default for NaiveProbe {
-    fn default() -> Self {
-        NaiveProbe::new(1.5)
     }
 }
 
@@ -140,8 +124,8 @@ impl Protocol for NaiveProbe {
     fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
         // Each shard ingests its homed QueryMoves and probes for its homed
         // queries.
-        phase.run_shards(self.queries.len(), |task, homed, probe| {
-            for (from, msg) in task.uplinks.iter() {
+        phase.run_shards(|s| {
+            for (from, msg) in s.uplinks.iter() {
                 if let UplinkMsg::QueryMove { query, pos, .. } = msg {
                     if let Some(q) = self.queries.get_mut(query.index()) {
                         if q.spec.focal == from {
@@ -150,11 +134,11 @@ impl Protocol for NaiveProbe {
                     }
                 }
             }
-            self.evaluate(homed.iter().map(|q| q.index()), probe, &mut task.ops);
+            self.evaluate(s.homed.iter().map(|q| q.index()), s.probe, s.ops);
         });
     }
 
-    fn server_crash(&mut self, _shard: u32, _block: Rect, queries: &[QueryId]) {
+    fn server_crash(&mut self, _block: Rect, queries: &[QueryId]) {
         // The strawman keeps only the cached answer and the adaptive zone
         // radius per query; both are rebuilt by next tick's probe, so a
         // crash costs one tick of answer loss plus the re-grown zone.
@@ -250,7 +234,8 @@ mod tests {
 
     fn server_phase(n: &mut NaiveProbe, probe: &mut TableProbe, up: Uplinks) {
         let (mut outbox, mut ops) = (Outbox::new(), OpCounters::default());
-        single_server_phase(n, 1, up, probe, &mut outbox, &mut ops);
+        let queries = [n.queries[0].spec];
+        single_server_phase(n, 1, up, &queries, probe, &mut outbox, &mut ops);
     }
 
     /// One client tick at tick 1 over a perfect link.

@@ -93,7 +93,7 @@ impl Protocol for Periodic {
         self.tier.server_phase(phase);
     }
 
-    fn server_crash(&mut self, _shard: u32, block: Rect, queries: &[QueryId]) {
+    fn server_crash(&mut self, block: Rect, queries: &[QueryId]) {
         // The crashed shard's slice of the (already stale) index is lost.
         // Devices only re-teach their entries on their staggered reporting
         // schedule — and skip it entirely while parked — so the crash hole
@@ -102,7 +102,7 @@ impl Protocol for Periodic {
         self.tier.crash(block, queries);
     }
 
-    fn server_recover(&mut self, _shard: u32, _block: Rect, replay: &[mknn_net::ObjReport]) {
+    fn server_recover(&mut self, replay: &[mknn_net::ObjReport]) {
         self.tier.recover(replay);
     }
 
@@ -221,7 +221,7 @@ mod tests {
         // Object 3 silently became closest; without a report the answer
         // must still be the stale one.
         let up = Uplinks::new();
-        single_server_phase(&mut p, 1, up, &mut NoProbe, &mut outbox, &mut ops);
+        single_server_phase(&mut p, 1, up, &queries, &mut NoProbe, &mut outbox, &mut ops);
         assert_eq!(p.answer(QueryId(0)), &[ObjectId(1)]);
         assert!(!p.guarantees_exact());
     }

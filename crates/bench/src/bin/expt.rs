@@ -153,7 +153,7 @@ fn main() {
             }
             "--full" => full = true,
             "--list" => list = true,
-            "--seed" | "--smoke" => {
+            "--seed" => {
                 i += 1;
                 smoke_seed = Some(args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--seed requires an integer");

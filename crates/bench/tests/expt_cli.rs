@@ -1,5 +1,5 @@
-//! The `expt` binary's reading of `--fault <JSON>`, the one document the
-//! program reads.
+//! The `expt` binary's reading of its arguments: `--fault <JSON>`, the one
+//! document the program reads, and the flags it refuses.
 
 use std::process::{Command, Output};
 
@@ -68,4 +68,18 @@ fn small_worlds_run_every_method_to_the_end() {
             }
         }
     }
+}
+
+/// `--seed` has one spelling: `--smoke` is refused like any other unknown
+/// flag.
+#[test]
+fn the_smoke_alias_is_an_unknown_argument() {
+    let out = Command::new(env!("CARGO_BIN_EXE_expt"))
+        .args(["--smoke", "42"])
+        .output()
+        .expect("expt runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown argument: --smoke"), "stderr: {err}");
+    assert!(out.stdout.is_empty());
 }

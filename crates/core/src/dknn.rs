@@ -112,12 +112,10 @@ impl Protocol for Dknn {
 
     fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
         let (tick, server) = (phase.tick, &mut self.server);
-        phase.run_shards(server.query_count(), |t, homed, probe| {
-            server.tick(tick, homed, &t.uplinks, probe, &mut t.outbox, &mut t.ops);
-        });
+        phase.run_shards(|s| server.tick(tick, s.homed, s.uplinks, s.probe, s.outbox, s.ops));
     }
 
-    fn server_crash(&mut self, _shard: u32, _block: Rect, queries: &[QueryId]) {
+    fn server_crash(&mut self, _block: Rect, queries: &[QueryId]) {
         // The crashed shard's member/band/answer state is gone; the focal
         // registry survives (durable coordinator metadata). Recovery rides
         // the ordinary refresh machinery: the next server tick probes and

@@ -181,11 +181,6 @@ impl ServerHalf {
             .map(|q| q.ver.pred_center(self.current_tick))
     }
 
-    /// Number of registered queries.
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
-    }
-
     /// Total refreshes across queries (experiments/diagnostics).
     pub fn total_refreshes(&self) -> u64 {
         self.queries.iter().map(|q| q.refreshes).sum()

@@ -44,7 +44,6 @@
 use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Vector};
 use mknn_net::{FaultyLink, NetStats, ObjReport, ShardMsg};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// The spatial partition: the world rectangle cut into a near-square grid
 /// of `rows × cols = G` equal blocks.
@@ -127,9 +126,8 @@ pub struct ShardCoordinator {
     /// object per tick, and the north-star population is 10⁶ objects.
     object_home: Vec<u32>,
     /// Home per query, indexed by `q.index()` (`UNTRACKED` until tracked,
-    /// and again after its home crashes). Shared, because the server phase
-    /// reads it ([`Self::query_homes`]) while its probes route through here.
-    query_home: Arc<Vec<u32>>,
+    /// and again after its home crashes).
+    query_home: Vec<u32>,
     /// Crash state per shard: `true` while inside a planned crash window.
     down: Vec<bool>,
     /// Covering shard per shard: self while up; while down, the nearest up
@@ -159,7 +157,7 @@ impl ShardCoordinator {
             grid,
             load: vec![0; count as usize],
             object_home: Vec::new(),
-            query_home: Arc::default(),
+            query_home: Vec::new(),
             down: vec![false; count as usize],
             fallback: (0..count).collect(),
             queued: Vec::new(),
@@ -186,12 +184,14 @@ impl ShardCoordinator {
         }
     }
 
-    /// The home table itself, lent to the server phase as
-    /// [`mknn_net::ServerPhase::homes`]. `track_query` stores only fixed
-    /// points of failover and `crash` clears the dead shard's entries, so
-    /// after a pass over every query each entry is the shard serving it.
-    pub fn query_homes(&self) -> Arc<Vec<u32>> {
-        Arc::clone(&self.query_home)
+    /// The home table itself, indexed by query id, from which the engine
+    /// splits each tick's queries by shard
+    /// ([`mknn_net::ServerPhase::homed`]). `track_query` stores only fixed
+    /// points of failover and `crash` clears the dead shard's entries (to
+    /// `u32::MAX`), so after a pass over every query each entry is the
+    /// shard serving it.
+    pub fn query_homes(&self) -> &[u32] {
+        &self.query_home
     }
 
     /// Per-shard load counters, indexed by shard id.
@@ -261,7 +261,7 @@ impl ShardCoordinator {
             }
         }
         let mut wiped = Vec::new();
-        for (q, h) in Arc::make_mut(&mut self.query_home).iter_mut().enumerate() {
+        for (q, h) in self.query_home.iter_mut().enumerate() {
             if *h == shard {
                 *h = UNTRACKED;
                 wiped.push(QueryId(q as u32));
@@ -396,7 +396,7 @@ impl ShardCoordinator {
     ) {
         let geo = self.grid.shard_of(focal_pos);
         let now = self.effective(geo);
-        let homes = Arc::make_mut(&mut self.query_home);
+        let homes = &mut self.query_home;
         if q.index() >= homes.len() {
             homes.resize(q.index() + 1, UNTRACKED);
         }
@@ -416,7 +416,7 @@ impl ShardCoordinator {
     /// If it belongs to a query homed elsewhere it is forwarded over the
     /// backbone ([`ShardMsg::Forward`]). Returns the shard the uplink
     /// terminates at — the query's home for query-scoped traffic, the
-    /// local shard for position reports — whose server task consumes the
+    /// local shard for position reports — whose server pass consumes the
     /// message.
     pub fn route_uplink(
         &mut self,
@@ -784,7 +784,7 @@ mod tests {
         );
     }
 
-    /// The premise of lending `query_homes` to the server phase as is:
+    /// The premise of splitting the queries by `query_homes` as is:
     /// after a tracking pass over every query, each entry is tracked and a
     /// fixed point of failover, whatever crash/recover edges came before —
     /// including every shard down at once, and rebirths that move other

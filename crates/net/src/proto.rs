@@ -13,7 +13,7 @@
 //!   to it; it communicates exclusively through [`Uplinks`].
 //! * the per-shard body of [`Protocol::server_phase`] may read only that
 //!   shard's server state and the uplinks routed to it; it communicates
-//!   exclusively through the task's [`Outbox`] and synchronous
+//!   exclusively through the tick's [`Outbox`] and synchronous
 //!   [`ProbeService`] (which itself charges messages for every probe and
 //!   reply).
 //!
@@ -22,7 +22,7 @@
 //! entry point carries that view.
 //!
 //! The engine drives a method through exactly these two entry points every
-//! tick. A single server is a one-task phase; [`run_client_phase`] and
+//! tick. A single server is a one-shard phase; [`run_client_phase`] and
 //! [`ServerPhase::run_shards`] are the shared harnesses the methods build
 //! their phases from.
 
@@ -178,12 +178,6 @@ impl Outbox {
     pub fn clear(&mut self) {
         self.items.clear();
     }
-
-    /// Moves every downlink of `other` onto the end of this outbox,
-    /// preserving send order.
-    pub fn append(&mut self, other: &mut Outbox) {
-        self.items.append(&mut other.items);
-    }
 }
 
 /// What [`Protocol::init`] reads at registration (tick 0): every device
@@ -233,122 +227,91 @@ pub trait ProbeService {
     fn poll(&mut self, query: QueryId, id: ObjectId) -> Option<ObjReport>;
 }
 
-/// One shard's slice of a server tick.
-///
-/// The engine keeps one task per server shard for the episode and resets it
-/// every tick: the uplinks routed to that shard (query-scoped traffic goes
-/// to the query's home shard, `Position` reports to the shard covering the
-/// reported position) and empty per-shard accumulators. The protocol
-/// consumes the task inside [`Protocol::server_phase`]; the engine then
-/// reads outboxes and ops in ascending shard-id order.
-pub struct ShardTask {
-    /// The shard this task belongs to (its index in `ServerPhase::tasks`).
-    pub shard: u32,
-    /// The uplinks routed to this shard this tick, in global arrival order
-    /// filtered to the shard.
-    pub uplinks: Uplinks,
-    /// Downlinks this shard emits this tick.
-    pub outbox: Outbox,
-    /// Computation charged by this shard this tick.
-    pub ops: crate::OpCounters,
-    /// Wall-clock seconds this shard's server work took (stamped by
-    /// [`ServerPhase::run_shards`], accumulated into the episode's
-    /// per-shard timing breakdown).
-    pub seconds: f64,
-}
-
-impl ShardTask {
-    /// A task for `shard` with empty accumulators.
-    pub fn new(shard: u32, uplinks: Uplinks) -> Self {
-        ShardTask {
-            shard,
-            uplinks,
-            outbox: Outbox::new(),
-            ops: crate::OpCounters::default(),
-            seconds: 0.0,
-        }
-    }
-
-    /// Empties the uplinks and accumulators for the next tick, keeping
-    /// their buffers.
-    pub fn reset(&mut self) {
-        self.uplinks.clear();
-        self.outbox.clear();
-        self.ops = crate::OpCounters::default();
-        self.seconds = 0.0;
-    }
-}
-
 /// Everything a [`Protocol`] needs to run one server tick.
+///
+/// The engine splits the tick by shard before the phase runs: each shard's
+/// uplinks (query-scoped traffic goes to the query's home shard,
+/// `Position` reports to the shard covering the reported position) and the
+/// queries it homes. Every shard's pass then appends to one outbox and one
+/// op tally, in ascending shard order.
 pub struct ServerPhase<'e> {
     /// The tick being processed.
     pub tick: Tick,
-    /// Home shard per query id (dense, indexed by `QueryId::index`): the
-    /// coordinator's own table, lent for the phase. Focal migrations and
-    /// crash failover are applied before the phase runs, so every entry is
-    /// the shard actually serving its query. Empty for a single server.
-    pub homes: &'e [u32],
-    /// One task per shard, ascending shard id.
-    pub tasks: &'e mut [ShardTask],
+    /// The uplinks routed to each shard this tick, indexed by shard id, in
+    /// global arrival order filtered to the shard.
+    pub uplinks: &'e [Uplinks],
+    /// The queries homed at each shard, indexed by shard id, each list
+    /// ascending. Focal migrations and crash failover are applied before
+    /// the phase runs, so each query is listed at the shard serving it.
+    pub homed: &'e [Vec<QueryId>],
+    /// Wall-clock seconds per shard, summed over the episode: each pass
+    /// [`ServerPhase::run_shards`] runs is added to its shard's entry.
+    pub seconds: &'e mut [f64],
+    /// The downlinks every shard emits this tick, in shard order.
+    pub outbox: &'e mut Outbox,
+    /// The computation every shard charges this tick.
+    pub ops: &'e mut crate::OpCounters,
     /// The probe channel, shared by every shard in turn: it charges each
     /// probe and reply at the point of issue.
     pub probe: &'e mut dyn ProbeService,
 }
 
-impl ServerPhase<'_> {
-    /// The shard hosting query `q`: its entry in [`ServerPhase::homes`],
-    /// shard 0 past the end (a single-server phase lends no table).
-    pub fn home(&self, q: QueryId) -> u32 {
-        self.homes.get(q.index()).copied().unwrap_or(0)
-    }
+/// One shard's share of a server tick, lent to the body of
+/// [`ServerPhase::run_shards`].
+pub struct ShardView<'s> {
+    /// The uplinks routed to this shard this tick.
+    pub uplinks: &'s Uplinks,
+    /// The queries homed at this shard, ascending.
+    pub homed: &'s [QueryId],
+    /// The tick's probe channel.
+    pub probe: &'s mut dyn ProbeService,
+    /// The tick's one outbox.
+    pub outbox: &'s mut Outbox,
+    /// The tick's one op tally.
+    pub ops: &'s mut crate::OpCounters,
+}
 
+impl ServerPhase<'_> {
     /// The server phase as a loop: `f` runs once per shard in ascending
-    /// shard id, with that shard's task, the ids in `0..n_queries` homed
-    /// there (ascending), and the shared probe channel. Each call's wall
-    /// time is stamped on its task.
-    pub fn run_shards(
-        &mut self,
-        n_queries: usize,
-        mut f: impl FnMut(&mut ShardTask, &[QueryId], &mut dyn ProbeService),
-    ) {
-        let mut homed = Vec::new();
-        for ti in 0..self.tasks.len() {
-            let shard = self.tasks[ti].shard;
-            homed.clear();
-            homed.extend(
-                (0..n_queries as u32)
-                    .map(QueryId)
-                    .filter(|&q| self.home(q) == shard),
-            );
-            let task = &mut self.tasks[ti];
+    /// shard id, with that shard's view of the tick. Each call's wall time
+    /// is added to its shard's clock.
+    pub fn run_shards(&mut self, mut f: impl FnMut(ShardView<'_>)) {
+        for (shard, (uplinks, homed)) in self.uplinks.iter().zip(self.homed).enumerate() {
             let t0 = Instant::now();
-            f(task, &homed, &mut *self.probe);
-            task.seconds += t0.elapsed().as_secs_f64();
+            f(ShardView {
+                uplinks,
+                homed,
+                probe: &mut *self.probe,
+                outbox: &mut *self.outbox,
+                ops: &mut *self.ops,
+            });
+            self.seconds[shard] += t0.elapsed().as_secs_f64();
         }
     }
 }
 
 /// Drives `proto` through one server phase of a single-server deployment:
-/// one task carrying `uplinks`, with `probe` as its channel. The task's
-/// downlinks and op charges are appended to `outbox` and `ops`.
+/// one shard carrying `uplinks` and serving `queries` (as registered at
+/// init), with `probe` as its channel. Its downlinks and op charges are
+/// appended to `outbox` and `ops`.
 pub fn single_server_phase(
     proto: &mut (impl Protocol + ?Sized),
     tick: Tick,
     uplinks: Uplinks,
+    queries: &[QuerySpec],
     probe: &mut dyn ProbeService,
     outbox: &mut Outbox,
     ops: &mut crate::OpCounters,
 ) {
-    let mut tasks = [ShardTask::new(0, uplinks)];
     proto.server_phase(&mut ServerPhase {
         tick,
-        homes: &[],
-        tasks: &mut tasks,
+        uplinks: &[uplinks],
+        homed: &[queries.iter().map(|q| q.id).collect()],
+        seconds: &mut [0.0],
+        outbox,
+        ops,
         probe,
     });
-    let [mut task] = tasks;
-    outbox.append(&mut task.outbox);
-    *ops += task.ops;
 }
 
 /// A continuous moving-kNN monitoring method (client + server halves).
@@ -379,8 +342,9 @@ pub trait Protocol {
     /// byte-identical at any `MKNN_THREADS`.
     fn client_phase(&mut self, ctx: &ClientCtx, up: &mut Uplinks, ops: &mut crate::OpCounters);
 
-    /// Server logic for one tick: one task per shard of the server tier,
-    /// each holding the uplinks routed to it (a single server is one task).
+    /// Server logic for one tick: one pass per shard of the server tier,
+    /// each over the uplinks routed to it and the queries it homes (a
+    /// single server is one shard).
     ///
     /// Methods hold one server state and run their per-shard passes
     /// through [`ServerPhase::run_shards`]; the contract is that answers,
@@ -420,8 +384,8 @@ pub trait Protocol {
         true
     }
 
-    /// Server shard `shard`, covering `block`, crashed: all server-side
-    /// state the failed node held is gone. `queries` lists the queries that
+    /// The server shard covering `block` crashed: all server-side state the
+    /// failed node held is gone. `queries` lists the queries that
     /// were homed there (their per-query member/candidate/lease state is
     /// wiped); any object bookkeeping tied to positions inside `block` is
     /// lost too.
@@ -432,19 +396,19 @@ pub trait Protocol {
     /// which is exactly the failover cost the experiments measure. The
     /// default is a no-op: a method with no per-query server state (or one
     /// that rebuilds from scratch every tick) loses nothing.
-    fn server_crash(&mut self, shard: u32, block: Rect, queries: &[QueryId]) {
-        let _ = (shard, block, queries);
+    fn server_crash(&mut self, block: Rect, queries: &[QueryId]) {
+        let _ = (block, queries);
     }
 
-    /// Crashed shard `shard`, covering `block`, is back: the coordinator's
-    /// state-reconstruction sweep replays the boundary objects the surviving
-    /// shards covered for the dead block (`replay`, one entry per object
-    /// currently inside `block`). Index-based methods re-learn the replayed
+    /// A crashed shard is back: the coordinator's state-reconstruction
+    /// sweep replays the boundary objects the surviving shards covered for
+    /// the dead block (`replay`, one entry per object currently inside the
+    /// block). Index-based methods re-learn the replayed
     /// positions into their index; the default is a no-op
     /// for methods whose recovery rides the device-side machinery instead
     /// (announce-on-adopt, lease polls, ack-gated retransmits).
-    fn server_recover(&mut self, shard: u32, block: Rect, replay: &[ObjReport]) {
-        let _ = (shard, block, replay);
+    fn server_recover(&mut self, replay: &[ObjReport]) {
+        let _ = replay;
     }
 }
 
@@ -560,33 +524,50 @@ mod tests {
         }
     }
 
-    /// The (shard, homed query ids) pairs one `width`-shard phase visits.
-    fn visits(width: u32, homes: &[u32], n_queries: usize) -> Vec<(u32, Vec<u32>)> {
-        let mut tasks: Vec<ShardTask> = (0..width)
-            .map(|s| ShardTask::new(s, Uplinks::new()))
-            .collect();
-        let mut seen = Vec::new();
+    /// What one phase over `homed` (one list per shard) does: the homed
+    /// query ids of its passes in call order, the recipients of the outbox
+    /// it ends with (the n-th pass unicasts to device n once per homed
+    /// query), and whether every shard's clock was stamped.
+    fn visits(homed: &[Vec<QueryId>]) -> (Vec<Vec<u32>>, Vec<Recipient>, bool) {
+        let uplinks: Vec<Uplinks> = homed.iter().map(|_| Uplinks::new()).collect();
+        let mut seconds = vec![0.0; homed.len()];
+        let (mut outbox, mut seen, mut shard) = (Outbox::new(), Vec::new(), 0);
         ServerPhase {
             tick: 1,
-            homes,
-            tasks: &mut tasks,
+            uplinks: &uplinks,
+            homed,
+            seconds: &mut seconds,
+            outbox: &mut outbox,
+            ops: &mut crate::OpCounters::default(),
             probe: &mut NoProbe,
         }
-        .run_shards(n_queries, |task, homed, _| {
-            seen.push((task.shard, homed.iter().map(|q| q.0).collect()));
+        .run_shards(|s| {
+            for &query in s.homed {
+                let to = Recipient::One(ObjectId(shard));
+                s.outbox.send(to, DownlinkMsg::ClearBand { query });
+            }
+            seen.push(s.homed.iter().map(|q| q.0).collect());
+            shard += 1;
+            // Each pass lasts long enough to show on its clock.
+            let t0 = Instant::now();
+            while t0.elapsed().is_zero() {}
         });
-        seen
+        let sent = outbox.iter().map(|(to, _)| *to).collect();
+        (seen, sent, seconds.iter().all(|&s| s > 0.0))
     }
 
     #[test]
     fn run_shards_visits_every_shard_with_its_homed_queries_ascending() {
-        assert_eq!(
-            visits(3, &[2, 0, 2, 1], 4),
-            [(0, vec![1]), (1, vec![3]), (2, vec![0, 2])]
-        );
+        let ids = |qs: &[u32]| qs.iter().map(|&q| QueryId(q)).collect::<Vec<_>>();
+        let (seen, sent, stamped) = visits(&[ids(&[1]), ids(&[3]), ids(&[0, 2])]);
+        assert_eq!(seen, [vec![1], vec![3], vec![0, 2]]);
+        // One outbox, filled in ascending shard order.
+        assert_eq!(sent, [0, 1, 2, 2].map(|s| Recipient::One(ObjectId(s))));
+        assert!(stamped, "every shard's clock is stamped");
         // A shard homing nothing still runs (its uplinks, its clock).
-        assert_eq!(visits(2, &[1, 1], 2), [(0, vec![]), (1, vec![0, 1])]);
-        // A single server lends no table: everything is homed at shard 0.
-        assert_eq!(visits(1, &[], 3), [(0, vec![0, 1, 2])]);
+        let (seen, sent, stamped) = visits(&[ids(&[]), ids(&[0, 1])]);
+        assert_eq!(seen, [vec![], vec![0, 1]]);
+        assert_eq!(sent, [1, 1].map(|s| Recipient::One(ObjectId(s))));
+        assert!(stamped, "an idle shard's clock is stamped too");
     }
 }

@@ -7,8 +7,8 @@ use mknn_index::{GridIndex, Neighbor};
 use mknn_mobility::{MovingObject, World};
 use mknn_net::{
     CrashWindow, Delivery, DownlinkBuilder, DownlinkMsg, FaultPlan, FaultyLink, MsgKind, NetStats,
-    ObjReport, OpCounters, ProbeService, Protocol, QuerySpec, Recipient, Registration, ReplStore,
-    ServerPhase, ShardTask, UplinkMsg, Uplinks,
+    ObjReport, Outbox, ProbeService, Protocol, QuerySpec, Recipient, Registration, ReplStore,
+    ServerPhase, UplinkMsg, Uplinks,
 };
 use std::time::Instant;
 
@@ -22,7 +22,7 @@ use std::time::Instant;
 /// It holds the one focal rule (DESIGN.md §1): no page of a query, be it
 /// an install, a heartbeat or a probe, reaches that query's focal device.
 ///
-/// As the [`ProbeService`] every shard task shares, it answers from true
+/// As the [`ProbeService`] every shard's pass shares, it answers from true
 /// positions and charges each leg at the point of issue. A probe round
 /// trip is one synchronous RPC, so the fault layer only applies **loss and
 /// churn** to it (a duplicated or delayed reply is indistinguishable from a
@@ -119,13 +119,12 @@ impl Downlink<'_> {
         Some(ObjReport { id, pos, vel })
     }
 
-    /// Routes the tasks' outboxes in ascending shard order. Due delayed
-    /// downlinks are delivered first; then every copy (one per geocast
-    /// receiver) makes its own fault draws, in deterministic recipient
-    /// order.
-    fn route(&mut self, tasks: &[ShardTask]) {
+    /// Routes the outbox in send order. Due delayed downlinks are
+    /// delivered first; then every copy (one per geocast receiver) makes
+    /// its own fault draws, in deterministic recipient order.
+    fn route(&mut self, outbox: &Outbox) {
         self.link.drain_due_down(self.inboxes, self.stats);
-        for (recipient, &msg) in tasks.iter().flat_map(|t| t.outbox.iter()) {
+        for (recipient, &msg) in outbox.iter() {
             match *recipient {
                 Recipient::One(id) => {
                     self.address(id, &msg);
@@ -171,15 +170,10 @@ impl Downlink<'_> {
     }
 
     /// The downlink side of the route phase, shared by the init handshake
-    /// and every tick: routes the outboxes, lets answer replication ride
-    /// the same tick's frames, then flushes one frame per staged device.
-    fn finish(
-        mut self,
-        tasks: &[ShardTask],
-        proto: &dyn Protocol,
-        last_sent: &mut [Vec<ObjectId>],
-    ) {
-        self.route(tasks);
+    /// and every tick: routes the outbox, lets answer replication ride the
+    /// same tick's frames, then flushes one frame per staged device.
+    fn finish(mut self, outbox: &Outbox, proto: &dyn Protocol, last_sent: &mut [Vec<ObjectId>]) {
+        self.route(outbox);
         self.push_answers(proto, last_sent);
         self.builder.flush_frames(self.stats);
     }
@@ -309,9 +303,11 @@ pub struct Simulation {
     /// The client batch of the last tick, emptied and reused: a fresh
     /// Θ(N) uplink buffer each tick is page-fault time.
     uplink_buf: Uplinks,
-    /// One task per shard, ascending shard id, reset every tick: its
-    /// routed uplinks in, its outbox, ops and wall time out.
-    tasks: Vec<ShardTask>,
+    /// The server phase's inputs split by shard (indexed by shard id: the
+    /// uplinks routed there, the queries homed there) and its one outbox.
+    uplinks: Vec<Uplinks>,
+    homed: Vec<Vec<QueryId>>,
+    outbox: Outbox,
 }
 
 /// Salt for the fault layer's RNG stream: the link must not replay the
@@ -386,12 +382,9 @@ impl Simulation {
         }
 
         // Init handshake at tick 0, over an inert link of its own; its
-        // downlinks leave through shard 0's task like any tick's.
+        // downlinks leave through the server tier's outbox like any tick's.
         let mut handshake = FaultyLink::new(FaultPlan::none(), 0);
-        let mut tasks: Vec<ShardTask> = (0..coord.count())
-            .map(|shard| ShardTask::new(shard, Uplinks::new()))
-            .collect();
-        let init_task = &mut tasks[0];
+        let mut outbox = Outbox::new();
         let t0 = Instant::now();
         let mut repl = ReplStore::new();
         let mut last_sent = vec![Vec::new(); specs.len()];
@@ -415,24 +408,23 @@ impl Simulation {
             },
             &specs,
             &mut downlink,
-            &mut init_task.outbox,
-            &mut init_task.ops,
+            &mut outbox,
+            &mut metrics.ops,
         );
         // The init handshake is server-side setup work; the routing that
         // delivers its outbox is charged to the route split below. Both
         // feed `proto_seconds`, composed the same way as a stepped tick.
         let init_secs = t0.elapsed().as_secs_f64();
         metrics.server_seconds += init_secs;
-        metrics.ops += init_task.ops;
         let t_route = Instant::now();
-        downlink.finish(&tasks, proto.as_ref(), &mut last_sent);
+        downlink.finish(&outbox, proto.as_ref(), &mut last_sent);
         let route_secs = t_route.elapsed().as_secs_f64();
         metrics.route_seconds += route_secs;
         metrics.proto_seconds += init_secs + route_secs;
         metrics.shard_load = coord.loads().to_vec();
-        metrics.shard_seconds = vec![0.0; tasks.len()];
+        let shards = coord.count() as usize;
+        metrics.shard_seconds = vec![0.0; shards];
 
-        let n_queries = specs.len();
         Simulation {
             world,
             proto,
@@ -447,7 +439,7 @@ impl Simulation {
             planned_ticks: config.ticks,
             link,
             coord,
-            stale_streak: vec![0; n_queries],
+            stale_streak: vec![0; config.n_queries],
             oracle: Oracle::default(),
             pool: match config.client_threads {
                 Some(t) => mknn_util::Pool::new(t),
@@ -457,7 +449,9 @@ impl Simulation {
             last_sent,
             crashes,
             uplink_buf: Uplinks::new(),
-            tasks,
+            uplinks: (0..shards).map(|_| Uplinks::new()).collect(),
+            homed: vec![Vec::new(); shards],
+            outbox,
         }
     }
 
@@ -502,7 +496,7 @@ impl Simulation {
             let link = Some(&mut self.link);
             self.coord
                 .recover(w.shard, &replay, &mut self.metrics.net, link);
-            self.proto.server_recover(w.shard, block, &replay);
+            self.proto.server_recover(&replay);
         }
         for wi in 0..self.crashes.len() {
             let w = self.crashes[wi];
@@ -512,7 +506,7 @@ impl Simulation {
             let wiped = self.coord.crash(w.shard);
             self.metrics.shard_crashes += 1;
             self.proto
-                .server_crash(w.shard, self.coord.block_of(w.shard), &wiped);
+                .server_crash(self.coord.block_of(w.shard), &wiped);
         }
         let down_now = self
             .crashes
@@ -588,9 +582,7 @@ impl Simulation {
             self.coord
                 .track_query(spec.id, focal, k, &mut self.metrics.net, Some(&mut *link));
         }
-
-        let mut ops = OpCounters::default();
-        let mut uplinks = std::mem::take(&mut self.uplink_buf);
+        split_homes(self.tick, self.coord.query_homes(), &mut self.homed);
 
         // Client phase: each device acts on its own state + inbox; an offline
         // device neither processes nor sends (the harness asks the link).
@@ -603,7 +595,8 @@ impl Simulation {
             link: &self.link,
             pool: self.pool,
         };
-        self.proto.client_phase(&ctx, &mut uplinks, &mut ops);
+        self.proto
+            .client_phase(&ctx, &mut self.uplink_buf, &mut self.metrics.ops);
         // Every inbox was consumed this tick, or is lost with its offline
         // device (delivered while it was still reachable); the downlink
         // refills them below for the next one.
@@ -618,21 +611,20 @@ impl Simulation {
         // Route phase, uplink side.
         let t_route = Instant::now();
         // Every transmission is charged to the sender, delivered or not.
-        for (_, msg) in uplinks.iter() {
+        for (_, msg) in self.uplink_buf.iter() {
             self.metrics.net.count_uplink(msg.kind(), msg.size_bytes());
         }
         // Uplink leg of the link: delayed messages from earlier ticks arrive
         // first (already charged when sent), then this tick's batch runs the
         // loss/duplication/delay gauntlet.
-        self.link.pass_up(&mut uplinks, &mut self.metrics.net);
+        self.link
+            .pass_up(&mut self.uplink_buf, &mut self.metrics.net);
         // Every *delivered* uplink terminates at the shard owning the
         // sender's block and is forwarded when its query is homed elsewhere.
-        // The terminal shard's task consumes the message (each shard sees
+        // The terminal shard's pass consumes the message (each shard sees
         // its slice of the global stream in arrival order).
-        for task in &mut self.tasks {
-            task.reset();
-        }
-        for (from, msg) in uplinks.iter() {
+        self.uplinks.iter_mut().for_each(Uplinks::clear);
+        for (from, msg) in self.uplink_buf.iter() {
             // The size is read only to charge a `Forward` leg, which a
             // query-agnostic report never takes: size only the others.
             let query = msg.query();
@@ -643,19 +635,16 @@ impl Simulation {
                 &mut self.metrics.net,
                 Some(&mut self.link),
             );
-            self.tasks[dest as usize].uplinks.send(from, *msg);
+            self.uplinks[dest as usize].send(from, *msg);
         }
-        uplinks.clear();
-        self.uplink_buf = uplinks;
+        self.uplink_buf.clear();
         let mut route_secs = t_route.elapsed().as_secs_f64();
 
-        // Server phase: one task per shard, run in ascending shard id, each
-        // over the queries homed at its shard. The homes are the
-        // coordinator's own table, current after the tracking pass above;
-        // the tick's one [`Downlink`] is the probe the tasks share, and it
-        // charges and stages every probe as it is issued.
+        // Server phase: one pass per shard in ascending id, over the queries
+        // it homes. The tick's one [`Downlink`] is the probe the passes
+        // share; it charges and stages every probe as it is issued.
         let t_server = Instant::now();
-        let homes = self.coord.query_homes();
+        self.outbox.clear();
         let mut downlink = Downlink {
             specs: &self.specs,
             infra: &self.infra,
@@ -670,21 +659,18 @@ impl Simulation {
         };
         self.proto.server_phase(&mut ServerPhase {
             tick: self.tick,
-            homes: &homes,
-            tasks: &mut self.tasks,
+            uplinks: &self.uplinks,
+            homed: &self.homed,
+            seconds: &mut self.metrics.shard_seconds,
+            outbox: &mut self.outbox,
+            ops: &mut self.metrics.ops,
             probe: &mut downlink,
         });
-        // Op totals and the per-shard wall-time breakdown.
-        for task in &self.tasks {
-            ops += task.ops;
-            self.metrics.shard_seconds[task.shard as usize] += task.seconds;
-        }
         let server_secs = t_server.elapsed().as_secs_f64();
-        self.metrics.ops += ops;
 
         // Route phase, downlink side.
         let t_route = Instant::now();
-        downlink.finish(&self.tasks, self.proto.as_ref(), &mut self.last_sent);
+        downlink.finish(&self.outbox, self.proto.as_ref(), &mut self.last_sent);
         route_secs += t_route.elapsed().as_secs_f64();
         self.metrics.client_seconds += client_secs;
         self.metrics.server_seconds += server_secs;
@@ -788,6 +774,20 @@ impl Simulation {
             self.step();
         }
         self.metrics
+    }
+}
+
+/// Refills `homed[s]` with the queries `homes` (indexed by query id) places
+/// at shard `s`, ascending. Panics, naming `tick` and the query, at an
+/// untracked home (not below `homed.len()`): that query gets no server pass.
+fn split_homes(tick: Tick, homes: &[u32], homed: &mut [Vec<QueryId>]) {
+    homed.iter_mut().for_each(Vec::clear);
+    for (q, &home) in homes.iter().enumerate() {
+        let q = QueryId(q as u32);
+        let Some(shard) = homed.get_mut(home as usize) else {
+            panic!("tick {tick}: {q} has no tracked home");
+        };
+        shard.push(q);
     }
 }
 
@@ -1048,6 +1048,20 @@ mod tests {
     }
 
     #[test]
+    fn split_homes_lists_each_shards_queries_ascending() {
+        let mut homed = vec![vec![QueryId(9)]; 3];
+        split_homes(1, &[2, 0, 2, 1], &mut homed);
+        let ids = |qs: &[u32]| qs.iter().map(|&q| QueryId(q)).collect::<Vec<_>>();
+        assert_eq!(homed, [ids(&[1]), ids(&[3]), ids(&[0, 2])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tick 7: q1 has no tracked home")]
+    fn split_homes_rejects_an_untracked_query() {
+        split_homes(7, &[0, u32::MAX, 1], &mut vec![Vec::new(); 2]);
+    }
+
+    #[test]
     fn route_skips_unknown_recipients_in_every_arm() {
         use mknn_geom::Rect;
         let mut rig = Rig::new(1);
@@ -1060,14 +1074,14 @@ mod tests {
         // The query rides device 1, which is not in the grid.
         let query = rig.register(ObjectId(1), 4);
         let msg = DownlinkMsg::RemoveRegion { query };
-        let mut task = ShardTask::new(0, Uplinks::new());
-        task.outbox.send(Recipient::One(ObjectId(9)), msg);
-        task.outbox.send(
+        let mut outbox = Outbox::new();
+        outbox.send(Recipient::One(ObjectId(9)), msg);
+        outbox.send(
             Recipient::Geocast(Circle::new(Point::new(11.0, 11.0), 50.0)),
             msg,
         );
         let mut dl = rig.downlink();
-        dl.route(std::slice::from_ref(&task));
+        dl.route(&outbox);
         dl.builder.flush_frames(dl.stats);
         // The unicast to id 9 is charged but reaches no inbox. Device 0
         // hears the geocast; device 1 is not in the grid and hears nothing.
@@ -1095,11 +1109,11 @@ mod tests {
                 (rig, zone, focal, query)
             };
             let (mut geo, zone, focal, query) = setup();
-            let mut task = ShardTask::new(0, Uplinks::new());
+            let mut outbox = Outbox::new();
             let msg = DownlinkMsg::RemoveRegion { query };
-            task.outbox.send(Recipient::Geocast(zone), msg);
+            outbox.send(Recipient::Geocast(zone), msg);
             let mut dl = geo.downlink();
-            dl.route(std::slice::from_ref(&task));
+            dl.route(&outbox);
             dl.builder.flush_frames(dl.stats);
 
             let (mut probed, ..) = setup();
@@ -1157,7 +1171,7 @@ mod tests {
         let near = rig.infra.knn(zone.center, 2);
         let (a, b) = (near[0].id, near[1].id);
         let (qa, qb) = (rig.register(a, 4), rig.register(b, 4));
-        let mut task = ShardTask::new(0, Uplinks::new());
+        let mut outbox = Outbox::new();
         for query in [qa, qb] {
             let install = DownlinkMsg::InstallRegion {
                 query,
@@ -1166,9 +1180,9 @@ mod tests {
                 vel: mknn_geom::Vector::ZERO,
                 r_out: 10.0,
             };
-            task.outbox.send(Recipient::Geocast(zone), install);
+            outbox.send(Recipient::Geocast(zone), install);
         }
-        rig.downlink().route(std::slice::from_ref(&task));
+        rig.downlink().route(&outbox);
         let heard = |id: ObjectId| -> Vec<QueryId> {
             rig.inboxes[id.index()].iter().map(|m| m.query()).collect()
         };

@@ -34,10 +34,7 @@ pub enum Method {
         res: u32,
     },
     /// Per-tick adaptive probing strawman.
-    Naive {
-        /// Zone over-size factor.
-        headroom: f64,
-    },
+    Naive,
 }
 
 impl Method {
@@ -52,7 +49,7 @@ impl Method {
                 period: 10,
                 res: 64,
             },
-            Method::Naive { headroom: 1.5 },
+            Method::Naive,
         ]
     }
 
@@ -64,7 +61,7 @@ impl Method {
             Method::DknnBuffer { params, buffer } => Box::new(Dknn::buffered(params, buffer)),
             Method::Centralized { res } => Box::new(Centralized::new(res)),
             Method::Periodic { period, res } => Box::new(Periodic::new(period, res)),
-            Method::Naive { headroom } => Box::new(NaiveProbe::new(headroom)),
+            Method::Naive => Box::new(NaiveProbe::default()),
         }
     }
 
@@ -79,7 +76,7 @@ impl Method {
     ///
     /// The inverse of [`Method::name`] over [`Method::standard_suite`]:
     /// shape knobs that are not [`DknnParams`] (buffer size, grid
-    /// resolution, period, headroom) take the standard-suite defaults.
+    /// resolution, period) take the standard-suite defaults.
     /// Returns `None` for unknown names — callers (CLI flags, JSON configs)
     /// turn that into their own error.
     pub fn parse(name: &str, params: DknnParams) -> Option<Method> {

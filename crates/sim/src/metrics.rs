@@ -40,16 +40,15 @@ pub struct EpisodeMetrics {
     /// Wall-clock seconds of the client phase: per-device protocol logic
     /// plus the offline-mask/inbox bookkeeping that feeds it.
     pub client_seconds: f64,
-    /// Wall-clock seconds of the server phase: building the per-shard
-    /// tasks, the protocols' per-shard server passes run shard by shard
-    /// (probe charges included), and the outbox concatenation — plus the
-    /// init handshake, which no shard clock covers.
+    /// Wall-clock seconds of the server phase: the protocols' per-shard
+    /// server passes run shard by shard (probe charges included) — plus
+    /// the init handshake, which no shard clock covers.
     pub server_seconds: f64,
     /// Wall-clock seconds of routing: uplink charging and per-shard
     /// splitting before the server phase, downlink delivery and answer
     /// replication after it.
     pub route_seconds: f64,
-    /// Wall-clock seconds each server shard's task spent inside protocol
+    /// Wall-clock seconds each server shard's pass spent inside protocol
     /// code, indexed by shard id and summed over the episode. The shards
     /// run one after another inside the server phase, so
     /// `sum(shard_seconds) <= server_seconds`; the largest entry is the

@@ -235,10 +235,7 @@ mod tests {
     #[test]
     fn plan_order_is_points_methods_seeds() {
         let sweep = Sweep::over([("a", tiny()), ("b", tiny())])
-            .methods([
-                Method::Centralized { res: 8 },
-                Method::Naive { headroom: 1.5 },
-            ])
+            .methods([Method::Centralized { res: 8 }, Method::Naive])
             .seeds(2);
         let plan = sweep.plan();
         let coords: Vec<(String, &'static str, u64)> = plan

@@ -50,8 +50,7 @@ impl Protocol for Inspector {
     }
 
     fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
-        let task = &mut phase.tasks[0];
-        (self.script)(phase.tick, &mut task.outbox);
+        (self.script)(phase.tick, phase.outbox);
         if phase.tick == 3 {
             if let Some(zone) = self.probe_at_3 {
                 let mut replies = Vec::new();

@@ -33,7 +33,7 @@ fn exact_methods(cfg: &SimConfig) -> Vec<Method> {
             buffer: 4,
         },
         Method::Centralized { res: 16 },
-        Method::Naive { headroom: 1.5 },
+        Method::Naive,
     ]
 }
 

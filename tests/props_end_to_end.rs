@@ -116,10 +116,7 @@ fn dknn_buffered_exact_on_random_worlds() {
 fn centralized_and_naive_exact_on_random_worlds() {
     forall(CASES, |rng| {
         let (cfg, _) = config_of(&scenario(rng));
-        for method in [
-            Method::Centralized { res: 8 },
-            Method::Naive { headroom: 1.3 },
-        ] {
+        for method in [Method::Centralized { res: 8 }, Method::Naive] {
             let m = Sweep::episode(&cfg, method);
             assert_eq!(m.exactness(), 1.0, "{}", method.name());
         }

@@ -96,7 +96,7 @@ fn exact_methods_reconverge_within_the_bound_at_any_shard_count() {
                 buffer: 3,
             },
             Method::Centralized { res: 16 },
-            Method::Naive { headroom: 1.5 },
+            Method::Naive,
         ] {
             let mut sim = Simulation::new(&cfg, method.build());
             assert!(
