@@ -564,6 +564,14 @@ impl ServerCfg {
     /// Full refresh: an expanding probe from the old region until more
     /// devices reply than the list holds, re-selection, new version
     /// broadcast. The probe's replies land in `replies`.
+    ///
+    /// The first zone is `t + drift + min(now − ver, 4)·v_max`: the old
+    /// threshold, widened by how far the focal strayed from the version's
+    /// predicted center and by how far a listed member could have moved
+    /// since the version was installed, capped at four ticks. The radius
+    /// only prices the probe: the engine grows the zone until more than
+    /// `need` devices reply, and a device outside the last zone is farther
+    /// than every reply, so the answer is the same from any first radius.
     fn refresh(
         &self,
         q: &mut ServerQuery,
@@ -576,7 +584,8 @@ impl ServerCfg {
         let c = q.q_pos;
         let need = self.target(q.spec.k);
         let drift = c.dist(q.ver.pred_center(now));
-        let slack = 2.0 * (2.0 * self.params.v_max);
+        let age = now.saturating_sub(q.ver.ver).min(4);
+        let slack = age as f64 * self.params.v_max;
         let zone = Circle::new(c, q.ver.t + drift + slack);
         ops.server_ops += probe.probe(q.spec.id, zone, need + 1, replies);
         self.establish(q, replies, now, outbox, ops);
@@ -1320,6 +1329,71 @@ mod tests {
             assert_eq!(geocasts, vec![(now, t + p.margin(1))], "refresh at {now}");
         }
         assert_eq!(s.total_refreshes(), 3);
+    }
+
+    /// A refresh opens its probe at `t + drift + min(now − ver, 4)·v_max`:
+    /// the motion a listed member can have made since the version was
+    /// installed, capped at four ticks. A heartbeat keeps the version, so
+    /// it does not reset the age.
+    #[test]
+    fn a_refresh_sizes_its_first_probe_by_the_versions_age() {
+        /// The table probe, recording the zone each probe opens at.
+        struct FirstZones(TableProbe, Vec<Circle>);
+
+        impl ProbeService for FirstZones {
+            fn probe(
+                &mut self,
+                q: QueryId,
+                zone: Circle,
+                min: usize,
+                out: &mut Vec<ObjReport>,
+            ) -> u64 {
+                self.1.push(zone);
+                self.0.probe(q, zone, min, out)
+            }
+
+            fn poll(&mut self, q: QueryId, id: ObjectId) -> Option<ObjReport> {
+                self.0.poll(q, id)
+            }
+        }
+
+        let p = DknnParams::default();
+        let (mut s, _, mut ops) = setup(3, Mode::Set);
+        let mut probe = FirstZones(positions(&world()), Vec::new());
+        // Each refresh is forced by an 85 m focal jump (query_drift is
+        // 40 m); the version's center stays put, so the drift is 85 m.
+        let mut at = 0.0;
+        let mut last = 0;
+        // (refresh tick, ticks of motion the first zone covers)
+        for (now, age) in [(1, 1.0), (3, 2.0), (7, 4.0), (12, 4.0), (19, 4.0)] {
+            let mut outbox = Outbox::new();
+            // Quiet ticks first. A refresh promises the interval since the
+            // one before, so every gap of quiet ticks holds a heartbeat.
+            for quiet in last + 1..now {
+                let up = Uplinks::new();
+                s.tick(quiet, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+            }
+            assert_eq!(s.queries[0].ver.ver, last, "tick {now}");
+            let heartbeats = outbox
+                .iter()
+                .filter(|(_, m)| matches!(m, DownlinkMsg::InstallRegion { .. }))
+                .count();
+            assert_eq!(heartbeats > 0, now > last + 1, "tick {now}");
+            at = 85.0 - at;
+            let mut up = Uplinks::new();
+            let (query, pos, vel) = (QueryId(0), Point::new(at, 0.0), Vector::ZERO);
+            up.send(ObjectId(0), UplinkMsg::QueryMove { query, pos, vel });
+            let t = s.queries[0].ver.t;
+            probe.1.clear();
+            s.tick(now, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+            assert_eq!(
+                probe.1,
+                [Circle::new(pos, t + 85.0 + age * p.v_max)],
+                "tick {now}"
+            );
+            last = now;
+        }
+        assert_eq!(s.total_refreshes(), 5);
     }
 
     #[test]

@@ -1246,6 +1246,63 @@ mod tests {
         assert_eq!((got.len(), work, rounds), (99, 100, 1));
     }
 
+    /// The first radius only prices a probe: from a zero, a random or a
+    /// world-wide first zone, the first `min` replies (all N − 1 when
+    /// fewer devices exist) are the `(dist², id)` ranking of every device
+    /// but the focal around the zone's center.
+    #[test]
+    fn a_probes_first_radius_never_changes_its_nearest_replies() {
+        use mknn_geom::{Rect, Vector};
+        use mknn_index::bruteforce;
+        use mknn_mobility::Stationary;
+        use mknn_util::{check::forall, Rng};
+        forall(48, |rng| {
+            // Half the worlds sit on a 20 m lattice, where distances tie.
+            let lattice = rng.gen_bool(0.5);
+            let coord = |rng: &mut Rng| match lattice {
+                true => rng.gen_range(0u32..6) as f64 * 20.0,
+                false => rng.gen_range(0.0..=100.0),
+            };
+            let n = rng.gen_range(1u32..60);
+            let objects = (0..n)
+                .map(|i| MovingObject {
+                    id: ObjectId(i),
+                    pos: Point::new(coord(rng), coord(rng)),
+                    vel: Vector::ZERO,
+                    max_speed: 0.0,
+                })
+                .collect();
+            let (model, seed) = (Box::new(Stationary), Rng::seed_from_u64(0));
+            let world = World::new(Rect::square(100.0), objects, model, 0.0, seed);
+            let (cells, shards) = (rng.gen_range(1u32..9), rng.gen_range(1u32..5));
+            let mut rig = Rig::on(world, cells, shards);
+            let focal = ObjectId(rng.gen_range(0..n));
+            let query = rig.register(focal, 1);
+            let center = Point::new(coord(rng), coord(rng));
+            let ranked: Vec<ObjectId> = bruteforce::knn(rig.world.snapshot(), center, n as usize)
+                .iter()
+                .map(|nb| nb.id)
+                .filter(|&id| id != focal)
+                .collect();
+            let bounds = rig.world.bounds();
+            let diag = bounds.min.dist(bounds.max);
+            for radius in [
+                0.0,
+                rng.gen_range(0.0..diag),
+                diag * rng.gen_range(1.0..3.0),
+            ] {
+                for min in 0..=n as usize + 2 {
+                    let mut out = Vec::new();
+                    let zone = Circle::new(center, radius);
+                    rig.downlink().probe(query, zone, min, &mut out);
+                    let nearest = min.min(ranked.len());
+                    let got: Vec<ObjectId> = out.iter().take(nearest).map(|r| r.id).collect();
+                    assert_eq!(got, ranked[..nearest], "radius {radius}, min {min}");
+                }
+            }
+        });
+    }
+
     #[test]
     fn sharded_episode_keeps_answers_and_device_traffic_identical() {
         let cfg = SimConfig::small();

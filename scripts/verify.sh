@@ -211,10 +211,12 @@ stage_examples() {
 # timed and traced alike. Two of these configurations no GATES row covers:
 # dknn-order at Q = 500 verified every tick (`Record`), and the two-thread
 # dknn-buffer run under chaos plus shard crashes.
-BENCH_DIGESTS='dist-scale 5bc8fd9ce7b6ea7f
+BENCH_DIGESTS='dist-scale 1340f61c0f15e75b
 central-firehose a126b7e6c2d76ef8
-sharded-chaos 05a563e7598e0696
-query-dense e481947c29dfa295'
+sharded-chaos ae49254245d3df22
+query-dense 610bb767b6830d3b'
+# Prints one "workload digest" line per timed and per traced run.
+DIGEST_AWK='/"workload":/ {w = $4} /"metrics_digest":/ {print w, $4}'
 
 stage_benchmark() {
     echo "==> benchmark crate (build + test + benchmark/run.sh --quick)"
@@ -222,8 +224,7 @@ stage_benchmark() {
     (cd benchmark && cargo test -q --offline --locked)
     local out="$TMPDIR_VERIFY/benchmark_quick" got name digest
     bash benchmark/run.sh --quick > "$out"
-    # One "workload digest" line per timed and per traced run.
-    got=$(awk -F'"' '/"workload":/ {w = $4} /"metrics_digest":/ {print w, $4}' "$out")
+    got=$(awk -F'"' "$DIGEST_AWK" "$out")
     echo "==> benchmark quick digests"
     [ "$(wc -l <<< "$got")" -eq $((2 * $(wc -l <<< "$BENCH_DIGESTS"))) ] \
         || fail "benchmark --quick: expected a timed and a traced digest per workload, got:" \
@@ -231,7 +232,9 @@ stage_benchmark() {
     while read -r name digest; do
         [ "$(grep -cx "$name $digest" <<< "$got")" -eq 2 ] \
             || fail "benchmark --quick: $name metrics_digest is not $digest (timed and" \
-                "traced); got: $(grep "^$name " <<< "$got" | tr '\n' ' ')"
+                "traced); got: $(grep "^$name " <<< "$got" | tr '\n' ' ')(if the bytes changed" \
+                "on purpose, print the new BENCH_DIGESTS rows: bash benchmark/run.sh --quick" \
+                "| awk -F'\"' '$DIGEST_AWK' | uniq)"
     done <<< "$BENCH_DIGESTS"
     # Informational, not gated: a --quick run is too short to hold memory to
     # a bound, but a jump in it next to an unchanged digest is worth a look.

@@ -256,6 +256,32 @@ fn exact_when_churn_shortens_the_heartbeat_period() {
     }
 }
 
+/// A sparse world: 40 devices about 1.5 km apart, moving 5 m/tick. A
+/// refresh's first zone widens the old threshold by the focal's drift and
+/// at most 4 · 5 m of member motion, which often falls short of the next
+/// device out, so the engine's zone growth finishes the search.
+#[test]
+fn exact_when_the_first_probe_round_falls_short() {
+    let mut cfg = base();
+    cfg.workload.n_objects = 40;
+    cfg.workload.space_side = 10_000.0;
+    cfg.workload.speeds = SpeedDist::Fixed(5.0);
+    cfg.n_queries = 8;
+    cfg.ticks = 100;
+    let p = cfg.dknn_params();
+    for method in [
+        Method::DknnSet(p),
+        Method::DknnOrder(p),
+        Method::DknnBuffer {
+            params: p,
+            buffer: 4,
+        },
+    ] {
+        let m = Sweep::episode(&cfg, method);
+        assert_eq!(m.exactness(), 1.0, "{}", method.name());
+    }
+}
+
 #[test]
 fn exact_with_extreme_alpha_placements() {
     let cfg = base();
