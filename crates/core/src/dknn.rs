@@ -112,7 +112,8 @@ impl Protocol for Dknn {
 
     fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
         let (tick, server) = (phase.tick, &mut self.server);
-        phase.run_shards(|s| server.tick(tick, s.homed, s.uplinks, s.probe, s.outbox, s.ops));
+        phase
+            .run_shards(|s| server.tick(tick, s.homed, s.uplinks.iter(), s.probe, s.outbox, s.ops));
     }
 
     fn server_crash(&mut self, _block: Rect, queries: &[QueryId]) {

@@ -23,7 +23,7 @@ use mknn_index::Neighbor;
 use mknn_mobility::MovingObject;
 use mknn_net::{
     DownlinkMsg, ObjReport, OpCounters, Outbox, ProbeService, QuerySpec, Recipient, Registration,
-    UplinkMsg, Uplinks,
+    UplinkMsg,
 };
 
 /// Two distances closer than this count as tied: the list edge extends
@@ -211,13 +211,13 @@ impl ServerHalf {
     }
 
     /// One shard's server tick over the queries in `homed` (ascending ids;
-    /// `uplinks` carries only their events): ingest events, patch or
-    /// refresh answers, heartbeat.
-    pub fn tick(
+    /// `uplinks` carries only their events, in arrival order): ingest
+    /// events, patch or refresh answers, heartbeat.
+    pub fn tick<'u>(
         &mut self,
         now: Tick,
         homed: &[QueryId],
-        uplinks: &Uplinks,
+        uplinks: impl Iterator<Item = (ObjectId, &'u UplinkMsg)>,
         probe: &mut dyn ProbeService,
         outbox: &mut Outbox,
         ops: &mut OpCounters,
@@ -230,7 +230,7 @@ impl ServerHalf {
         let buffer = cfg.buffer();
         let mut heals: Vec<(ObjectId, QueryId)> = Vec::new();
 
-        for (from, msg) in uplinks.iter() {
+        for (from, msg) in uplinks {
             let (query, ver) = match *msg {
                 UplinkMsg::QueryMove { query, pos, vel } => {
                     if let Some(q) = self.queries.get_mut(query.index()) {
@@ -858,7 +858,7 @@ mod tests {
     use mknn_geom::Rect;
     use mknn_index::bruteforce;
     use mknn_mobility::{Stationary, World};
-    use mknn_net::MsgKind;
+    use mknn_net::{MsgKind, Uplinks};
     use mknn_util::Rng;
 
     /// A probe service over a fixed position table, replying in the
@@ -1182,7 +1182,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(5, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(5, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
         assert_eq!(
             s.answer(QueryId(0)),
             &[ObjectId(2), ObjectId(3), ObjectId(4)]
@@ -1211,7 +1211,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(3, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(3, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
         assert_eq!(
             s.answer(QueryId(0)),
             &[ObjectId(10), ObjectId(1), ObjectId(2)]
@@ -1232,7 +1232,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(4, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(4, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
         assert_eq!(s.total_refreshes(), 0);
         let heals: Vec<_> = outbox
             .iter()
@@ -1259,7 +1259,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(2, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(2, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
         assert_eq!(s.total_refreshes(), 1);
         // New nearest from x = 85: objects at 80, 90, 70.
         assert_eq!(
@@ -1278,7 +1278,7 @@ mod tests {
         let mut saw_heartbeat = false;
         for now in 1..=(p.heartbeat + 1) {
             let mut outbox = Outbox::new();
-            s.tick(now, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+            s.tick(now, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
             for (r, m) in outbox.iter() {
                 if let DownlinkMsg::InstallRegion { ver, .. } = m {
                     assert_eq!(*ver, 0, "heartbeat must not mint a new version");
@@ -1302,7 +1302,7 @@ mod tests {
         }
         let (mut outbox, mut ops) = (Outbox::new(), OpCounters::default());
         let mut probe = positions(&world());
-        s.tick(now, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(now, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
         let geocasts = outbox
             .iter()
             .filter_map(|(r, m)| match (r, m) {
@@ -1371,7 +1371,7 @@ mod tests {
             // one before, so every gap of quiet ticks holds a heartbeat.
             for quiet in last + 1..now {
                 let up = Uplinks::new();
-                s.tick(quiet, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+                s.tick(quiet, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
             }
             assert_eq!(s.queries[0].ver.ver, last, "tick {now}");
             let heartbeats = outbox
@@ -1385,7 +1385,7 @@ mod tests {
             up.send(ObjectId(0), UplinkMsg::QueryMove { query, pos, vel });
             let t = s.queries[0].ver.t;
             probe.1.clear();
-            s.tick(now, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+            s.tick(now, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
             assert_eq!(
                 probe.1,
                 [Circle::new(pos, t + 85.0 + age * p.v_max)],
@@ -1451,7 +1451,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(2, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(2, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
         assert_eq!(s.total_refreshes(), 0, "local patch expected");
         assert_eq!(s.total_local_fixes(), 1);
         // New order: 1 (d=10), 3 (d=12), 2 (d=20).
@@ -1485,7 +1485,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(2, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(2, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
         assert_eq!(s.total_refreshes(), 1);
     }
 
@@ -1527,7 +1527,14 @@ mod tests {
                 vel,
             },
         );
-        s.tick(2, HOMED, &up, &mut probe, &mut Outbox::new(), &mut ops);
+        s.tick(
+            2,
+            HOMED,
+            up.iter(),
+            &mut probe,
+            &mut Outbox::new(),
+            &mut ops,
+        );
     }
 
     #[test]
@@ -1556,7 +1563,7 @@ mod tests {
                 },
             );
             let mut outbox = Outbox::new();
-            s.tick(1, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+            s.tick(1, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
             assert_eq!(s.total_refreshes(), 0, "duplicate must be idempotent");
             let acks: Vec<_> = outbox
                 .iter()
@@ -1599,7 +1606,7 @@ mod tests {
             let up = Uplinks::new();
             for now in 1..=(p.lease_ttl() + 1) {
                 let mut outbox = Outbox::new();
-                s.tick(now, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+                s.tick(now, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
             }
             assert_eq!(s.total_refreshes(), 1, "one lease-triggered refresh");
             assert_eq!(
@@ -1642,7 +1649,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(1, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(1, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
         // Candidate 4 slides into the answer; no refresh, no probe traffic.
         assert_eq!(
             s.answer(QueryId(0)),
@@ -1674,7 +1681,7 @@ mod tests {
             },
         );
         let mut outbox = Outbox::new();
-        s.tick(1, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(1, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
         assert_eq!(
             s.answer(QueryId(0)),
             &[ObjectId(1), ObjectId(12), ObjectId(2)]
@@ -1699,7 +1706,7 @@ mod tests {
                 },
             );
             let mut outbox = Outbox::new();
-            s.tick(*tick, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+            s.tick(*tick, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
             assert_eq!(s.answer(QueryId(0)).len(), 3, "answer must stay full");
         }
         // Losing three of five candidates dips below k once → one refresh.
@@ -1728,7 +1735,7 @@ mod tests {
             );
         }
         let mut outbox = Outbox::new();
-        s.tick(1, HOMED, &up, &mut probe, &mut outbox, &mut ops);
+        s.tick(1, HOMED, up.iter(), &mut probe, &mut outbox, &mut ops);
         // 5 + 3 = 8 > 7 → shrink refresh (or escalation refresh; either way
         // the structure must be re-established and the answer exact).
         assert!(s.total_refreshes() >= 1);

@@ -9,6 +9,8 @@
 use crate::{KnnCollector, Neighbor};
 use mknn_geom::{Circle, ObjectId, Point, Rect};
 
+/// One id's entry in the slot table; `cell == u32::MAX` marks the id
+/// vacant, so the table holds no separate tag.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     pos: Point,
@@ -16,6 +18,20 @@ struct Slot {
     /// Index of this object inside its cell's member vector, maintained
     /// under swap-removal so that updates never scan a cell.
     idx: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 24);
+
+impl Slot {
+    const VACANT: Slot = Slot {
+        pos: Point::ORIGIN,
+        cell: u32::MAX,
+        idx: 0,
+    };
+    #[inline]
+    fn occupied(self) -> Option<Slot> {
+        (self.cell != u32::MAX).then_some(self)
+    }
 }
 
 /// A uniform grid over a bounded rectangle of space.
@@ -31,7 +47,7 @@ pub struct GridIndex {
     cell_w: f64,
     cell_h: f64,
     cells: Vec<Vec<ObjectId>>,
-    slots: Vec<Option<Slot>>,
+    slots: Vec<Slot>,
     len: usize,
 }
 
@@ -113,21 +129,18 @@ impl GridIndex {
     /// Current position of `id`, if indexed.
     #[inline]
     pub fn position(&self, id: ObjectId) -> Option<Point> {
-        self.slots.get(id.index()).and_then(|s| s.map(|s| s.pos))
+        self.slots.get(id.index())?.occupied().map(|s| s.pos)
     }
 
     /// Inserts `id` at `pos`, or moves it when already present.
     pub fn upsert(&mut self, id: ObjectId, pos: Point) {
         debug_assert!(pos.is_finite(), "position must be finite");
         if id.index() >= self.slots.len() {
-            self.slots.resize(id.index() + 1, None);
+            self.slots.resize(id.index() + 1, Slot::VACANT);
         }
         let cell = self.cell_of(pos);
-        match self.slots[id.index()] {
-            Some(mut slot) if slot.cell == cell => {
-                slot.pos = pos;
-                self.slots[id.index()] = Some(slot);
-            }
+        match self.slots[id.index()].occupied() {
+            Some(slot) if slot.cell == cell => self.slots[id.index()].pos = pos,
             Some(slot) => {
                 self.detach(id, slot);
                 self.attach(id, pos, cell);
@@ -173,10 +186,10 @@ impl GridIndex {
         for (cell, &count) in counts.iter().enumerate() {
             grid.cells[cell].reserve_exact(count as usize);
         }
-        grid.slots.resize(max_index + 1, None);
+        grid.slots.resize(max_index + 1, Slot::VACANT);
         for (id, pos) in items {
             debug_assert!(
-                grid.slots[id.index()].is_none(),
+                grid.slots[id.index()].occupied().is_none(),
                 "bulk_load ids must be unique"
             );
             let cell = grid.cell_of(pos);
@@ -198,7 +211,9 @@ impl GridIndex {
 
     /// Removes `id`, returning its last indexed position.
     pub fn remove(&mut self, id: ObjectId) -> Option<Point> {
-        let slot = self.slots.get_mut(id.index())?.take()?;
+        let entry = self.slots.get_mut(id.index())?;
+        let slot = entry.occupied()?;
+        *entry = Slot::VACANT;
         self.detach(id, slot);
         self.len -= 1;
         Some(slot.pos)
@@ -207,11 +222,11 @@ impl GridIndex {
     fn attach(&mut self, id: ObjectId, pos: Point, cell: u32) {
         let members = &mut self.cells[cell as usize];
         members.push(id);
-        self.slots[id.index()] = Some(Slot {
+        self.slots[id.index()] = Slot {
             pos,
             cell,
             idx: (members.len() - 1) as u32,
-        });
+        };
     }
 
     fn detach(&mut self, id: ObjectId, slot: Slot) {
@@ -219,9 +234,7 @@ impl GridIndex {
         debug_assert_eq!(members[slot.idx as usize], id);
         members.swap_remove(slot.idx as usize);
         if let Some(&moved) = members.get(slot.idx as usize) {
-            if let Some(ms) = self.slots[moved.index()].as_mut() {
-                ms.idx = slot.idx;
-            }
+            self.slots[moved.index()].idx = slot.idx;
         }
     }
 
@@ -230,7 +243,7 @@ impl GridIndex {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.map(|s| (ObjectId(i as u32), s.pos)))
+            .filter_map(|(i, s)| s.occupied().map(|s| (ObjectId(i as u32), s.pos)))
     }
 
     /// Visits the cells of the Chebyshev ring at distance `ring` around
@@ -321,7 +334,7 @@ impl GridIndex {
             self.for_ring_cells(qc, qr, ring, |cell| {
                 ops += 1;
                 for &id in &self.cells[cell as usize] {
-                    let pos = self.slots[id.index()].expect("member has slot").pos;
+                    let pos = self.slots[id.index()].pos;
                     coll.offer(pos.dist_sq(q), id);
                     ops += 1;
                     seen += 1;
@@ -352,7 +365,7 @@ impl GridIndex {
         let r2 = range.radius * range.radius;
         self.for_cells_overlapping(range, |cell| {
             for &id in &self.cells[cell as usize] {
-                let pos = self.slots[id.index()].expect("member has slot").pos;
+                let pos = self.slots[id.index()].pos;
                 let d2 = pos.dist_sq(range.center);
                 if d2 <= r2 {
                     out.push(Neighbor { dist_sq: d2, id });

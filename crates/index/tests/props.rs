@@ -5,6 +5,7 @@ use mknn_geom::{Circle, ObjectId, Point, Rect};
 use mknn_index::{bruteforce, GridIndex, KdTree, Neighbor};
 use mknn_util::check::forall;
 use mknn_util::Rng;
+use std::collections::BTreeMap;
 
 /// Cases per property (matches the former proptest config of 64).
 const CASES: u64 = 64;
@@ -311,6 +312,84 @@ fn grid_survives_random_moves() {
             ids(&g.knn(q, k)),
             ids(&bruteforce::knn(truth.clone(), q, k))
         );
+    });
+}
+
+/// Every read of `g` agrees with `model` (id → position): `position` on
+/// each id up to past the model's largest, `len`, `iter`, `knn` and
+/// `range_into` around `q`, and `first_difference` against the model laid
+/// out densely (a gap holding an arbitrary point) and against that layout
+/// with one held position moved.
+fn assert_matches_model(g: &GridIndex, model: &BTreeMap<u32, Point>, rng: &mut Rng) {
+    let end = model.keys().last().map_or(0, |&i| i + 1);
+    for i in 0..end + 8 {
+        assert_eq!(
+            g.position(ObjectId(i)),
+            model.get(&i).copied(),
+            "position of {i}"
+        );
+    }
+    let world: Vec<(ObjectId, Point)> = model.iter().map(|(&i, &p)| (ObjectId(i), p)).collect();
+    assert_eq!(g.len(), world.len());
+    let mut held: Vec<(ObjectId, Point)> = g.iter().collect();
+    held.sort_by_key(|&(id, _)| id);
+    assert_eq!(held, world);
+    let (q, k) = (pt(rng), rng.gen_range(0usize..12));
+    assert_eq!(
+        ids(&g.knn(q, k)),
+        ids(&bruteforce::knn(world.clone(), q, k))
+    );
+    let zone = Circle::new(q, rng.gen_range(0.0..SIDE / 2.0));
+    let mut out = vec![Neighbor {
+        dist_sq: 1.0,
+        id: ObjectId(999),
+    }];
+    g.range_into(&zone, &mut out);
+    assert_eq!(ids(&out), ids(&bruteforce::range(world.clone(), &zone)));
+    let mut dense: Vec<Point> = (0..end)
+        .map(|i| model.get(&i).copied().unwrap_or(Point::ORIGIN))
+        .collect();
+    let first_gap = (0..end).find(|i| !model.contains_key(i));
+    assert_eq!(g.first_difference(&dense), first_gap.map(ObjectId));
+    if let Some(&(moved, p)) = world.get(rng.gen_range(0..world.len().max(1))) {
+        dense[moved.index()] = Point::new(p.x + 1.0, p.y);
+        let want = first_gap.map_or(moved.0, |gap| gap.min(moved.0));
+        assert_eq!(g.first_difference(&dense), Some(ObjectId(want)));
+    }
+}
+
+#[test]
+fn grid_matches_a_map_model_under_random_removals() {
+    forall(CASES, |rng| {
+        let mut g = GridIndex::new(Rect::square(SIDE), 8, 8);
+        let mut model = BTreeMap::new();
+        let held = |g: &GridIndex| {
+            let mut v: Vec<(ObjectId, Point)> = g.iter().collect();
+            v.sort_by_key(|&(id, _)| id);
+            (g.len(), v)
+        };
+        for _ in 0..rng.gen_range(0usize..120) {
+            // Every third id: gaps between ids, and upserts and removals
+            // past the slot table's end.
+            let id = 3 * rng.gen_range(0u32..40);
+            if rng.gen_bool(0.4) {
+                let before = held(&g);
+                let got = g.remove(ObjectId(id));
+                assert_eq!(got, model.remove(&id), "remove {id}");
+                if got.is_none() {
+                    assert_eq!(held(&g), before, "removing vacant {id} changed the grid");
+                }
+            } else {
+                let p = pt(rng);
+                g.upsert(ObjectId(id), p);
+                model.insert(id, p);
+            }
+            assert_matches_model(&g, &model, rng);
+        }
+        let before = held(&g);
+        assert_eq!(g.remove(ObjectId(1_000_000)), None, "an unknown id");
+        assert_eq!(held(&g), before);
+        assert_matches_model(&g, &model, rng);
     });
 }
 

@@ -41,7 +41,7 @@ pub use fault::{CrashWindow, FaultError, FaultPlan, FaultyLink};
 pub use msg::{DownlinkMsg, FocalTable, MsgKind, QuerySpec, Recipient, ShardMsg, UplinkMsg};
 pub use proto::{
     run_client_phase, single_server_phase, ClientCtx, ObjReport, Outbox, ProbeService, Protocol,
-    Registration, ServerPhase, ShardView, Uplinks, PAR_MIN_DEVICES,
+    Registration, ServerPhase, ShardUplinks, ShardView, Uplinks, PAR_MIN_DEVICES,
 };
 pub use stats::{NetStats, OpCounters, ShardStats};
 pub use wire::{

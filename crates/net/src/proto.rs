@@ -229,17 +229,21 @@ pub trait ProbeService {
 
 /// Everything a [`Protocol`] needs to run one server tick.
 ///
-/// The engine splits the tick by shard before the phase runs: each shard's
-/// uplinks (query-scoped traffic goes to the query's home shard,
-/// `Position` reports to the shard covering the reported position) and the
-/// queries it homes. Every shard's pass then appends to one outbox and one
-/// op tally, in ascending shard order.
+/// The engine routes the tick by shard before the phase runs: each
+/// delivered uplink's index in the one stream is listed at its terminal
+/// shard (query-scoped traffic goes to the query's home shard, `Position`
+/// reports to the shard covering the reported position), and each shard
+/// has the queries it homes. Every shard's pass then appends to one outbox
+/// and one op tally, in ascending shard order.
 pub struct ServerPhase<'e> {
     /// The tick being processed.
     pub tick: Tick,
-    /// The uplinks routed to each shard this tick, indexed by shard id, in
-    /// global arrival order filtered to the shard.
-    pub uplinks: &'e [Uplinks],
+    /// The tick's delivered uplinks, in arrival order: one stream for
+    /// every shard, never copied per shard.
+    pub uplinks: &'e Uplinks,
+    /// Indexed by shard id: the ascending indices into `uplinks` of the
+    /// messages routed to that shard; each index is at exactly one shard.
+    pub routes: &'e [Vec<u32>],
     /// The queries homed at each shard, indexed by shard id, each list
     /// ascending. Focal migrations and crash failover are applied before
     /// the phase runs, so each query is listed at the shard serving it.
@@ -256,11 +260,28 @@ pub struct ServerPhase<'e> {
     pub probe: &'e mut dyn ProbeService,
 }
 
+/// One shard's slice of the tick's uplink stream, read in place: the
+/// stream and the shard's ascending indices into it.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardUplinks<'s>(&'s Uplinks, &'s [u32]);
+
+impl<'s> ShardUplinks<'s> {
+    /// The shard's messages, in arrival order.
+    pub fn iter(self) -> impl Iterator<Item = (ObjectId, &'s UplinkMsg)> {
+        let ShardUplinks(stream, picks) = self;
+        picks.iter().map(move |&i| {
+            let (from, msg) = &stream.items[i as usize];
+            (*from, msg)
+        })
+    }
+}
+
 /// One shard's share of a server tick, lent to the body of
 /// [`ServerPhase::run_shards`].
 pub struct ShardView<'s> {
-    /// The uplinks routed to this shard this tick.
-    pub uplinks: &'s Uplinks,
+    /// The uplinks routed to this shard this tick: a view of the tick's
+    /// one stream filtered to the shard's routes.
+    pub uplinks: ShardUplinks<'s>,
     /// The queries homed at this shard, ascending.
     pub homed: &'s [QueryId],
     /// The tick's probe channel.
@@ -276,10 +297,10 @@ impl ServerPhase<'_> {
     /// shard id, with that shard's view of the tick. Each call's wall time
     /// is added to its shard's clock.
     pub fn run_shards(&mut self, mut f: impl FnMut(ShardView<'_>)) {
-        for (shard, (uplinks, homed)) in self.uplinks.iter().zip(self.homed).enumerate() {
+        for (shard, (picks, homed)) in self.routes.iter().zip(self.homed).enumerate() {
             let t0 = Instant::now();
             f(ShardView {
-                uplinks,
+                uplinks: ShardUplinks(self.uplinks, picks),
                 homed,
                 probe: &mut *self.probe,
                 outbox: &mut *self.outbox,
@@ -305,7 +326,8 @@ pub fn single_server_phase(
 ) {
     proto.server_phase(&mut ServerPhase {
         tick,
-        uplinks: &[uplinks],
+        uplinks: &uplinks,
+        routes: &[(0..uplinks.len() as u32).collect()],
         homed: &[queries.iter().map(|q| q.id).collect()],
         seconds: &mut [0.0],
         outbox,
@@ -524,17 +546,47 @@ mod tests {
         }
     }
 
-    /// What one phase over `homed` (one list per shard) does: the homed
-    /// query ids of its passes in call order, the recipients of the outbox
-    /// it ends with (the n-th pass unicasts to device n once per homed
-    /// query), and whether every shard's clock was stamped.
-    fn visits(homed: &[Vec<QueryId>]) -> (Vec<Vec<u32>>, Vec<Recipient>, bool) {
-        let uplinks: Vec<Uplinks> = homed.iter().map(|_| Uplinks::new()).collect();
+    /// A stream of `n` distinct uplinks: message `i` is device `i`'s report
+    /// from `(i, 0)`.
+    fn stream(n: u32) -> Uplinks {
+        let mut up = Uplinks::new();
+        for i in 0..n {
+            let pos = Point::new(f64::from(i), 0.0);
+            up.send(
+                ObjectId(i),
+                UplinkMsg::Position {
+                    pos,
+                    vel: Vector::ZERO,
+                },
+            );
+        }
+        up
+    }
+
+    /// Uplinks as owned pairs, in order.
+    type Seen = Vec<(ObjectId, UplinkMsg)>;
+
+    /// What a pass reads through its view.
+    fn read(uplinks: ShardUplinks<'_>) -> Seen {
+        uplinks.iter().map(|(from, msg)| (from, *msg)).collect()
+    }
+
+    /// What one phase over `homed` and `routes` (one list per shard, into
+    /// `up`) does: per pass, the homed query ids and the uplinks it read,
+    /// in call order; the recipients of the outbox it ends with (the n-th
+    /// pass unicasts to device n once per homed query); and whether every
+    /// shard's clock was stamped.
+    fn visits(
+        up: &Uplinks,
+        routes: &[Vec<u32>],
+        homed: &[Vec<QueryId>],
+    ) -> (Vec<Vec<u32>>, Vec<Seen>, Vec<Recipient>, bool) {
         let mut seconds = vec![0.0; homed.len()];
-        let (mut outbox, mut seen, mut shard) = (Outbox::new(), Vec::new(), 0);
+        let (mut outbox, mut seen, mut reads, mut shard) = (Outbox::new(), vec![], vec![], 0);
         ServerPhase {
             tick: 1,
-            uplinks: &uplinks,
+            uplinks: up,
+            routes,
             homed,
             seconds: &mut seconds,
             outbox: &mut outbox,
@@ -547,27 +599,81 @@ mod tests {
                 s.outbox.send(to, DownlinkMsg::ClearBand { query });
             }
             seen.push(s.homed.iter().map(|q| q.0).collect());
+            reads.push(read(s.uplinks));
             shard += 1;
             // Each pass lasts long enough to show on its clock.
             let t0 = Instant::now();
             while t0.elapsed().is_zero() {}
         });
         let sent = outbox.iter().map(|(to, _)| *to).collect();
-        (seen, sent, seconds.iter().all(|&s| s > 0.0))
+        (seen, reads, sent, seconds.iter().all(|&s| s > 0.0))
     }
 
     #[test]
     fn run_shards_visits_every_shard_with_its_homed_queries_ascending() {
         let ids = |qs: &[u32]| qs.iter().map(|&q| QueryId(q)).collect::<Vec<_>>();
-        let (seen, sent, stamped) = visits(&[ids(&[1]), ids(&[3]), ids(&[0, 2])]);
+        let none = || vec![Vec::new(); 3];
+        let up = Uplinks::new();
+        let (seen, _, sent, stamped) = visits(&up, &none(), &[ids(&[1]), ids(&[3]), ids(&[0, 2])]);
         assert_eq!(seen, [vec![1], vec![3], vec![0, 2]]);
         // One outbox, filled in ascending shard order.
         assert_eq!(sent, [0, 1, 2, 2].map(|s| Recipient::One(ObjectId(s))));
         assert!(stamped, "every shard's clock is stamped");
         // A shard homing nothing still runs (its uplinks, its clock).
-        let (seen, sent, stamped) = visits(&[ids(&[]), ids(&[0, 1])]);
+        let (seen, _, sent, stamped) = visits(&up, &none()[..2], &[ids(&[]), ids(&[0, 1])]);
         assert_eq!(seen, [vec![], vec![0, 1]]);
         assert_eq!(sent, [1, 1].map(|s| Recipient::One(ObjectId(s))));
         assert!(stamped, "an idle shard's clock is stamped too");
+    }
+
+    #[test]
+    fn each_shard_reads_exactly_its_routes_in_arrival_order() {
+        // Picks interleave across shards 0, 1 and 3; shard 2 has none.
+        let up = stream(9);
+        let routes = [vec![0, 3, 4, 8], vec![1, 6], vec![], vec![2, 5, 7]];
+        let (_, reads, _, _) = visits(&up, &routes, &vec![vec![]; 4]);
+        // Expected: the stream filtered to each shard's picks, read directly.
+        let want: Vec<Seen> = routes
+            .iter()
+            .map(|r| r.iter().map(|&i| up.items[i as usize]).collect())
+            .collect();
+        assert_eq!(reads, want);
+        assert_eq!(reads.iter().map(Vec::len).sum::<usize>(), up.len());
+
+        // A single server is one shard routed the whole stream.
+        struct Reader(Vec<Seen>);
+        impl Protocol for Reader {
+            fn name(&self) -> &'static str {
+                "reader"
+            }
+            fn init(
+                &mut self,
+                _: &dyn Registration,
+                _: &[QuerySpec],
+                _: &mut dyn ProbeService,
+                _: &mut Outbox,
+                _: &mut crate::OpCounters,
+            ) {
+            }
+            fn client_phase(&mut self, _: &ClientCtx, _: &mut Uplinks, _: &mut crate::OpCounters) {}
+            fn server_phase(&mut self, phase: &mut ServerPhase<'_>) {
+                phase.run_shards(|s| self.0.push(read(s.uplinks)));
+            }
+            fn answer(&self, _: QueryId) -> &[ObjectId] {
+                &[]
+            }
+        }
+        let mut reader = Reader(Vec::new());
+        let (mut outbox, mut ops) = (Outbox::new(), crate::OpCounters::default());
+        single_server_phase(
+            &mut reader,
+            1,
+            stream(9),
+            &[],
+            &mut NoProbe,
+            &mut outbox,
+            &mut ops,
+        );
+        assert_eq!(reader.0, [up.items]);
     }
 }

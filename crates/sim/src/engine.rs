@@ -300,12 +300,12 @@ pub struct Simulation {
     /// `(plan, seed, shards, ticks)`, so reruns and thread counts agree.
     /// Empty under a crash-free plan.
     crashes: Vec<CrashWindow>,
-    /// The client batch of the last tick, emptied and reused: a fresh
-    /// Θ(N) uplink buffer each tick is page-fault time.
+    /// The tick's uplink stream, read in place by every shard's pass and
+    /// emptied before the next client phase (a fresh Θ(N) one is page-fault time).
     uplink_buf: Uplinks,
-    /// The server phase's inputs split by shard (indexed by shard id: the
-    /// uplinks routed there, the queries homed there) and its one outbox.
-    uplinks: Vec<Uplinks>,
+    /// The server phase's inputs by shard id (the ascending `uplink_buf`
+    /// indices routed there, the queries homed there) and its one outbox.
+    routes: Vec<Vec<u32>>,
     homed: Vec<Vec<QueryId>>,
     outbox: Outbox,
 }
@@ -449,7 +449,7 @@ impl Simulation {
             last_sent,
             crashes,
             uplink_buf: Uplinks::new(),
-            uplinks: (0..shards).map(|_| Uplinks::new()).collect(),
+            routes: vec![Vec::new(); shards],
             homed: vec![Vec::new(); shards],
             outbox,
         }
@@ -595,6 +595,7 @@ impl Simulation {
             link: &self.link,
             pool: self.pool,
         };
+        self.uplink_buf.clear();
         self.proto
             .client_phase(&ctx, &mut self.uplink_buf, &mut self.metrics.ops);
         // Every inbox was consumed this tick, or is lost with its offline
@@ -620,11 +621,10 @@ impl Simulation {
         self.link
             .pass_up(&mut self.uplink_buf, &mut self.metrics.net);
         // Every *delivered* uplink terminates at the shard owning the
-        // sender's block and is forwarded when its query is homed elsewhere.
-        // The terminal shard's pass consumes the message (each shard sees
-        // its slice of the global stream in arrival order).
-        self.uplinks.iter_mut().for_each(Uplinks::clear);
-        for (from, msg) in self.uplink_buf.iter() {
+        // sender's block and is forwarded when its query is homed elsewhere;
+        // that shard's pass reads it in place, in arrival order.
+        self.routes.iter_mut().for_each(Vec::clear);
+        for (i, (from, msg)) in self.uplink_buf.iter().enumerate() {
             // The size is read only to charge a `Forward` leg, which a
             // query-agnostic report never takes: size only the others.
             let query = msg.query();
@@ -635,9 +635,8 @@ impl Simulation {
                 &mut self.metrics.net,
                 Some(&mut self.link),
             );
-            self.uplinks[dest as usize].send(from, *msg);
+            self.routes[dest as usize].push(i as u32);
         }
-        self.uplink_buf.clear();
         let mut route_secs = t_route.elapsed().as_secs_f64();
 
         // Server phase: one pass per shard in ascending id, over the queries
@@ -659,7 +658,8 @@ impl Simulation {
         };
         self.proto.server_phase(&mut ServerPhase {
             tick: self.tick,
-            uplinks: &self.uplinks,
+            uplinks: &self.uplink_buf,
+            routes: &self.routes,
             homed: &self.homed,
             seconds: &mut self.metrics.shard_seconds,
             outbox: &mut self.outbox,
