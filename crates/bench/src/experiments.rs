@@ -181,7 +181,11 @@ pub fn e1(scale: Scale) -> ExpResult {
         vec!["ticks".into(), cfg.ticks.to_string()],
         vec![
             "geocast paging grid".into(),
-            format!("{0} × {0}", cfg.geo_cells),
+            format!(
+                "{0} × {0} ({1} m cells)",
+                cfg.geo_cells,
+                cfg.workload.space_side / cfg.geo_cells as f64
+            ),
         ],
         vec!["threshold placement α".into(), p.alpha.to_string()],
         vec!["query drift δ_q".into(), format!("{} m", p.query_drift)],

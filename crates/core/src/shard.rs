@@ -41,75 +41,21 @@
 //! re-homed to the reborn owner (the sweep *is* the handoff, so the next
 //! tracking pass charges nothing extra).
 
-use mknn_geom::{Circle, ObjectId, Point, QueryId, Rect, Vector};
+use mknn_geom::{Circle, Lattice, ObjectId, Point, QueryId, Rect, Vector};
 use mknn_net::{FaultyLink, NetStats, ObjReport, ShardMsg};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The spatial partition: the world rectangle cut into a near-square grid
-/// of `rows × cols = G` equal blocks.
-#[derive(Debug, Clone)]
-struct ShardGrid {
-    bounds: Rect,
-    rows: u32,
-    cols: u32,
-}
-
-impl ShardGrid {
-    /// Partition `bounds` into `shards` blocks. The factorization keeps the
-    /// blocks as square as possible: `rows` is the largest divisor of
-    /// `shards` that is at most `√shards` (so 2 → 1×2, 8 → 2×4, 16 → 4×4;
-    /// primes degrade to a 1×G strip).
-    pub fn new(bounds: Rect, shards: u32) -> Self {
-        let g = shards.max(1);
-        let mut rows = 1;
-        let mut d = (g as f64).sqrt().floor() as u32;
-        while d >= 1 {
-            if g.is_multiple_of(d) {
-                rows = d;
-                break;
-            }
-            d -= 1;
-        }
-        ShardGrid {
-            bounds,
-            rows,
-            cols: g / rows,
-        }
-    }
-
-    /// Number of shards in the partition.
-    pub fn count(&self) -> u32 {
-        self.rows * self.cols
-    }
-
-    /// The shard owning `p`. Positions outside the world rectangle clamp to
-    /// the nearest block, so every point has exactly one owner.
-    pub fn shard_of(&self, p: Point) -> u32 {
-        let fx = (p.x - self.bounds.min.x) / self.bounds.width() * self.cols as f64;
-        let fy = (p.y - self.bounds.min.y) / self.bounds.height() * self.rows as f64;
-        let col = (fx.floor() as i64).clamp(0, self.cols as i64 - 1) as u32;
-        let row = (fy.floor() as i64).clamp(0, self.rows as i64 - 1) as u32;
-        row * self.cols + col
-    }
-
-    /// The rectangular block owned by shard `id`.
-    pub fn rect_of(&self, id: u32) -> Rect {
-        let row = id / self.cols;
-        let col = id % self.cols;
-        let w = self.bounds.width() / self.cols as f64;
-        let h = self.bounds.height() / self.rows as f64;
-        Rect::from_coords(
-            self.bounds.min.x + col as f64 * w,
-            self.bounds.min.y + row as f64 * h,
-            self.bounds.min.x + (col + 1) as f64 * w,
-            self.bounds.min.y + (row + 1) as f64 * h,
-        )
-    }
-
-    /// Whether shard `id`'s block intersects `zone`.
-    pub fn overlaps(&self, id: u32, zone: &Circle) -> bool {
-        self.rect_of(id).intersects_circle(zone)
-    }
+/// The spatial partition: `bounds` cut into a near-square lattice of
+/// `rows × cols = G` equal blocks, block `s` owned by shard `s`. `rows` is
+/// the largest divisor of `shards` that is at most `√shards` (so 2 → 1×2,
+/// 8 → 2×4, 16 → 4×4; primes degrade to a 1×G strip), and 0 counts as 1.
+fn blocks(bounds: Rect, shards: u32) -> Lattice {
+    let g = shards.max(1);
+    let rows = (1..=(g as f64).sqrt() as u32)
+        .rev()
+        .find(|d| g.is_multiple_of(*d))
+        .unwrap_or(1);
+    Lattice::new(bounds, g / rows, rows)
 }
 
 /// The thin routing tier in front of the shards: tracks ownership, detects
@@ -117,7 +63,8 @@ impl ShardGrid {
 /// [`NetStats::shard`] (and through the [`FaultyLink`] when one is active).
 #[derive(Debug)]
 pub struct ShardCoordinator {
-    grid: ShardGrid,
+    /// Shard `s` owns block `s`.
+    blocks: Lattice,
     /// Messages each shard has processed, indexed by shard id: device
     /// traffic it terminated plus backbone legs it sent or received.
     load: Vec<u64>,
@@ -137,9 +84,11 @@ pub struct ShardCoordinator {
     /// `Handoff`/`Migrate` legs whose geometric target was down when they
     /// arose, held until that shard's rebirth.
     queued: Vec<(u32, ShardMsg)>,
-    /// Per-shard reply tally of the probe being gathered
-    /// ([`Self::gather_replies`]), kept across probes and left zeroed.
-    gather: Vec<usize>,
+    /// Per-shard scratch tally, left zeroed between calls: the replies of
+    /// the probe being gathered ([`Self::gather_replies`]), or whether a
+    /// shard has heard the geocast being fanned out
+    /// ([`Self::route_geocast`]).
+    tally: Vec<usize>,
 }
 
 /// Sentinel home for objects and queries not (or no longer) tracked
@@ -151,29 +100,29 @@ impl ShardCoordinator {
     /// degenerates to the single-server deployment: every routing method
     /// becomes a no-op charge-wise, so the overlay stays empty.
     pub fn new(bounds: Rect, shards: u32) -> Self {
-        let grid = ShardGrid::new(bounds, shards);
-        let count = grid.count();
+        let blocks = blocks(bounds, shards);
+        let count = blocks.count();
         ShardCoordinator {
-            grid,
+            blocks,
             load: vec![0; count as usize],
             object_home: Vec::new(),
             query_home: Vec::new(),
             down: vec![false; count as usize],
             fallback: (0..count).collect(),
             queued: Vec::new(),
-            gather: vec![0; count as usize],
+            tally: vec![0; count as usize],
         }
     }
 
     /// Number of shards.
     pub fn count(&self) -> u32 {
-        self.grid.count()
+        self.blocks.count()
     }
 
     /// The shard serving position `p`: its block's owner while up, the
     /// owner's fallback while down.
     pub fn shard_of(&self, p: Point) -> u32 {
-        self.effective(self.grid.shard_of(p))
+        self.effective(self.blocks.cell_of(p))
     }
 
     /// The home shard of query `q` (0 until first tracked).
@@ -202,7 +151,7 @@ impl ShardCoordinator {
     /// The rectangular block owned by shard `id` (the failure domain a
     /// crash wipes and a recovery sweep replays).
     pub fn block_of(&self, id: u32) -> Rect {
-        self.grid.rect_of(id)
+        self.blocks.cell_rect(id)
     }
 
     /// True while `id` is inside a planned crash window.
@@ -220,7 +169,7 @@ impl ShardCoordinator {
     /// crash/recover transition — O(G²) on a tier of at most a few dozen
     /// shards, and only at window edges.
     fn recompute_fallbacks(&mut self) {
-        for s in 0..self.grid.count() {
+        for s in 0..self.count() {
             self.fallback[s as usize] = if self.down[s as usize] {
                 self.nearest_up(s)
             } else {
@@ -232,12 +181,12 @@ impl ShardCoordinator {
     /// The nearest up shard to `s` by block-center distance, ties to the
     /// lowest id; `s` itself when no shard is up.
     fn nearest_up(&self, s: u32) -> u32 {
-        let c = self.grid.rect_of(s).center();
+        let c = self.block_of(s).center();
         let mut best = s;
         let mut best_d = f64::INFINITY;
-        for t in 0..self.grid.count() {
+        for t in 0..self.count() {
             if t != s && !self.down[t as usize] {
-                let d = self.grid.rect_of(t).center().dist(c);
+                let d = self.block_of(t).center().dist(c);
                 if d < best_d {
                     best_d = d;
                     best = t;
@@ -307,7 +256,7 @@ impl ShardCoordinator {
                         self.load[from as usize] += 1;
                     }
                     self.load[shard as usize] += 1;
-                    self.charge(msg, stats, &mut fault);
+                    charge(msg, stats, &mut fault);
                 }
             }
         }
@@ -324,7 +273,7 @@ impl ShardCoordinator {
         let mut legs = 0;
         for (&src, &count) in &by_source {
             if src != shard {
-                self.charge(ShardMsg::Recover { shard, count }, stats, &mut fault);
+                charge(ShardMsg::Recover { shard, count }, stats, &mut fault);
                 self.load[src as usize] += 1;
                 self.load[shard as usize] += 1;
                 legs += 1;
@@ -340,13 +289,6 @@ impl ShardCoordinator {
         legs
     }
 
-    fn charge(&mut self, msg: ShardMsg, stats: &mut NetStats, fault: &mut Option<&mut FaultyLink>) {
-        stats.shard.count(&msg);
-        if let Some(link) = fault.as_deref_mut() {
-            link.shard_leg(msg.size_bytes(), stats);
-        }
-    }
-
     /// Observe object `id` at `pos` this tick. A block crossing charges a
     /// [`ShardMsg::Handoff`] from the old owner to the new one. While the
     /// geometric owner is down the fallback shard adopts the object, and
@@ -359,7 +301,7 @@ impl ShardCoordinator {
         stats: &mut NetStats,
         mut fault: Option<&mut FaultyLink>,
     ) {
-        let geo = self.grid.shard_of(pos);
+        let geo = self.blocks.cell_of(pos);
         let now = self.effective(geo);
         let idx = id.index();
         if idx >= self.object_home.len() {
@@ -375,7 +317,7 @@ impl ShardCoordinator {
             if geo != now {
                 self.queued.push((geo, msg));
             }
-            self.charge(msg, stats, &mut fault);
+            charge(msg, stats, &mut fault);
             self.load[prev as usize] += 1;
             self.load[now as usize] += 1;
         }
@@ -394,7 +336,7 @@ impl ShardCoordinator {
         stats: &mut NetStats,
         mut fault: Option<&mut FaultyLink>,
     ) {
-        let geo = self.grid.shard_of(focal_pos);
+        let geo = self.blocks.cell_of(focal_pos);
         let now = self.effective(geo);
         let homes = &mut self.query_home;
         if q.index() >= homes.len() {
@@ -406,7 +348,7 @@ impl ShardCoordinator {
             if geo != now {
                 self.queued.push((geo, msg));
             }
-            self.charge(msg, stats, &mut fault);
+            charge(msg, stats, &mut fault);
             self.load[prev as usize] += 1;
             self.load[now as usize] += 1;
         }
@@ -426,12 +368,12 @@ impl ShardCoordinator {
         stats: &mut NetStats,
         mut fault: Option<&mut FaultyLink>,
     ) -> u32 {
-        let local = self.effective(self.grid.shard_of(sender_pos));
+        let local = self.shard_of(sender_pos);
         self.load[local as usize] += 1;
         if let Some(q) = q {
             let home = self.effective(self.query_home(q));
             if home != local {
-                self.charge(
+                charge(
                     ShardMsg::Forward {
                         query: q,
                         payload_bytes,
@@ -459,9 +401,9 @@ impl ShardCoordinator {
     ) {
         let home = self.effective(self.query_home(q));
         self.load[home as usize] += 1;
-        let local = self.effective(self.grid.shard_of(recipient_pos));
+        let local = self.shard_of(recipient_pos);
         if local != home {
-            self.charge(
+            charge(
                 ShardMsg::Forward {
                     query: q,
                     payload_bytes,
@@ -486,21 +428,21 @@ impl ShardCoordinator {
     ) {
         let home = self.effective(self.query_home(q));
         self.load[home as usize] += 1;
-        // Whether block `s` intersects the zone and is served by `to`.
-        let serves = |c: &Self, s: u32, to: u32| c.effective(s) == to && c.grid.overlaps(s, zone);
-        for s in 0..self.grid.count() {
-            // A covering shard hears the task once, at the first block of
-            // the zone it serves.
-            let to = self.effective(s);
-            if to != home && serves(self, s, to) && !(0..s).any(|t| serves(self, t, to)) {
+        // The zone's blocks come in ascending id; a covering shard hears
+        // the task once, at the first block of the zone it serves.
+        self.blocks.for_cells_overlapping(zone, |s| {
+            let to = self.fallback[s as usize] as usize;
+            if to != home as usize && self.tally[to] == 0 {
+                self.tally[to] = 1;
                 let msg = ShardMsg::Fanout {
                     query: q,
                     zone: *zone,
                 };
-                self.charge(msg, stats, &mut fault);
-                self.load[to as usize] += 1;
+                charge(msg, stats, &mut fault);
+                self.load[to] += 1;
             }
-        }
+        });
+        self.tally.fill(0);
     }
 
     /// Gathers one probe's delivered replies for `q`: each surfaces at the
@@ -516,18 +458,26 @@ impl ShardCoordinator {
     ) {
         for pos in replies {
             let shard = self.shard_of(pos);
-            self.gather[shard as usize] += 1;
+            self.tally[shard as usize] += 1;
         }
         let home = self.effective(self.query_home(q));
         for shard in 0..self.count() {
-            let count = std::mem::take(&mut self.gather[shard as usize]);
+            let count = std::mem::take(&mut self.tally[shard as usize]);
             if count > 0 && shard != home {
                 let msg = ShardMsg::PartialAnswer { query: q, count };
-                self.charge(msg, stats, &mut fault);
+                charge(msg, stats, &mut fault);
                 self.load[shard as usize] += 1;
                 self.load[home as usize] += 1;
             }
         }
+    }
+}
+
+/// Tallies one backbone leg, and through the link when one is active.
+fn charge(msg: ShardMsg, stats: &mut NetStats, fault: &mut Option<&mut FaultyLink>) {
+    stats.shard.count(&msg);
+    if let Some(link) = fault.as_deref_mut() {
+        link.shard_leg(msg.size_bytes(), stats);
     }
 }
 
@@ -542,51 +492,45 @@ mod tests {
     #[test]
     fn factorization_is_near_square() {
         let cases = [
-            (1, (1, 1)),
-            (2, (1, 2)),
-            (4, (2, 2)),
-            (6, (2, 3)),
-            (7, (1, 7)),
-            (8, (2, 4)),
-            (12, (3, 4)),
-            (16, (4, 4)),
+            (1, (1.0, 1.0)),
+            (2, (1.0, 2.0)),
+            (4, (2.0, 2.0)),
+            (6, (2.0, 3.0)),
+            (7, (1.0, 7.0)),
+            (8, (2.0, 4.0)),
+            (12, (3.0, 4.0)),
+            (16, (4.0, 4.0)),
         ];
         for (g, shape) in cases {
-            let grid = ShardGrid::new(world(), g);
-            assert_eq!((grid.rows, grid.cols), shape, "G={g}");
-            assert_eq!(grid.count(), g);
+            let (w, h) = blocks(world(), g).cell_size();
+            assert_eq!(((1000.0 / h).round(), (1000.0 / w).round()), shape, "G={g}");
         }
-        assert_eq!(ShardGrid::new(world(), 0).count(), 1, "0 clamps to 1");
+        assert_eq!(blocks(world(), 0).count(), 1, "0 clamps to 1");
+        // 2 rows × 4 cols: out-of-bounds positions clamp to a border block.
+        let coord = ShardCoordinator::new(world(), 8);
+        assert_eq!(coord.shard_of(Point::new(-50.0, -50.0)), 0);
+        assert_eq!(coord.shard_of(Point::new(2000.0, 2000.0)), 7);
+        assert_eq!(coord.shard_of(Point::new(990.0, 10.0)), 3);
+        assert_eq!(coord.shard_of(Point::new(10.0, 990.0)), 4);
     }
 
+    /// Every in-bounds point lies in the block of the shard that owns it,
+    /// at every shard count up to 16.
     #[test]
-    fn shard_of_clamps_and_blocks_tile_the_world() {
-        let grid = ShardGrid::new(world(), 8); // 2 rows × 4 cols
-        assert_eq!(grid.shard_of(Point::new(-50.0, -50.0)), 0);
-        assert_eq!(grid.shard_of(Point::new(2000.0, 2000.0)), 7);
-        assert_eq!(grid.shard_of(Point::new(10.0, 10.0)), 0);
-        assert_eq!(grid.shard_of(Point::new(990.0, 10.0)), 3);
-        assert_eq!(grid.shard_of(Point::new(10.0, 990.0)), 4);
-        // Every block center maps back to its own shard.
-        for s in 0..grid.count() {
-            assert_eq!(grid.shard_of(grid.rect_of(s).center()), s);
-        }
-    }
-
-    #[test]
-    fn overlaps_is_tight() {
-        let grid = ShardGrid::new(world(), 4); // 2×2, blocks of 500
-        let covering = |zone| {
-            (0..4)
-                .filter(|&s| grid.overlaps(s, &zone))
-                .collect::<Vec<_>>()
-        };
-        let inside = Circle::new(Point::new(250.0, 250.0), 100.0);
-        assert_eq!(covering(inside), vec![0]);
-        let spanning = Circle::new(Point::new(500.0, 250.0), 60.0);
-        assert_eq!(covering(spanning), vec![0, 1]);
-        let everywhere = Circle::new(Point::new(500.0, 500.0), 800.0);
-        assert_eq!(covering(everywhere), vec![0, 1, 2, 3]);
+    fn a_point_lies_in_its_own_block() {
+        use mknn_util::check::forall;
+        forall(64, |rng| {
+            let bounds = Rect::from_coords(-300.0, 40.0, rng.gen_range(1.0..2000.0), 1040.0);
+            for g in 1..=16 {
+                let coord = ShardCoordinator::new(bounds, g);
+                for _ in 0..8 {
+                    let x = rng.gen_range(bounds.min.x..=bounds.max.x);
+                    let p = Point::new(x, rng.gen_range(40.0..=1040.0));
+                    let s = coord.shard_of(p);
+                    assert!(coord.block_of(s).contains(p), "G={g}: {p:?} in {s}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -29,13 +29,6 @@ impl Circle {
         self.center.dist_sq(p) <= self.radius * self.radius
     }
 
-    /// Returns `true` when the two disks share at least one point.
-    #[inline]
-    pub fn intersects(&self, other: &Circle) -> bool {
-        let reach = self.radius + other.radius;
-        self.center.dist_sq(other.center) <= reach * reach
-    }
-
     /// The tight axis-aligned bounding rectangle of the disk.
     #[inline]
     pub fn bounding_rect(&self) -> Rect {
@@ -58,15 +51,6 @@ mod tests {
         assert!(c.contains(Point::new(3.0, 4.0)));
         assert!(c.contains(Point::new(5.0, 0.0)));
         assert!(!c.contains(Point::new(3.0, 4.1)));
-    }
-
-    #[test]
-    fn intersects_cases() {
-        let a = Circle::new(Point::new(0.0, 0.0), 1.0);
-        let b = Circle::new(Point::new(2.0, 0.0), 1.0); // tangent
-        let c = Circle::new(Point::new(2.1, 0.0), 1.0);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
     }
 
     #[test]

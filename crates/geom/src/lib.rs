@@ -7,6 +7,8 @@
 //! * [`Point`] / [`Vector`] — positions and displacements in the plane,
 //! * [`Rect`] — axis-aligned rectangles (index cells, space bounds),
 //! * [`Circle`] — monitoring regions and search ranges,
+//! * [`Lattice`] — a rectangle cut into equal cells (index cells, paging
+//!   cells, shard blocks),
 //! * [`LinearMotion`] — a position moving with constant velocity, together
 //!   with the first time the distance between two motions crosses a
 //!   threshold, which the distributed protocols use to reason about *when*
@@ -19,12 +21,14 @@
 
 mod circle;
 mod id;
+mod lattice;
 mod motion;
 mod point;
 mod rect;
 
 pub use circle::Circle;
 pub use id::{ObjectId, QueryId, Tick};
+pub use lattice::Lattice;
 pub use motion::{LinearMotion, ThresholdCrossing};
 pub use point::{Point, Vector};
 pub use rect::Rect;

@@ -60,15 +60,6 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Returns `true` when the two rectangles share at least one point.
-    #[inline]
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-    }
-
     /// The point of this rectangle closest to `p` (equal to `p` when `p` is
     /// inside).
     #[inline]
@@ -107,22 +98,6 @@ mod tests {
         assert!(unit().contains(Point::new(1.0, 1.0)));
         assert!(unit().contains(Point::new(0.5, 1.0)));
         assert!(!unit().contains(Point::new(1.0 + 1e-9, 0.5)));
-    }
-
-    #[test]
-    fn intersection_is_symmetric() {
-        let a = Rect::from_coords(0.0, 0.0, 2.0, 2.0);
-        let b = Rect::from_coords(1.0, 1.0, 3.0, 3.0);
-        let c = Rect::from_coords(5.0, 5.0, 6.0, 6.0);
-        assert!(a.intersects(&b) && b.intersects(&a));
-        assert!(!a.intersects(&c) && !c.intersects(&a));
-    }
-
-    #[test]
-    fn touching_rects_intersect() {
-        let a = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
-        let b = Rect::from_coords(1.0, 0.0, 2.0, 1.0);
-        assert!(a.intersects(&b));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! size region-expansion probes.
 
 use crate::{KnnCollector, Neighbor};
-use mknn_geom::{Circle, ObjectId, Point, Rect};
+use mknn_geom::{Circle, Lattice, ObjectId, Point, Rect};
 
 /// One id's entry in the slot table; `cell == u32::MAX` marks the id
 /// vacant, so the table holds no separate tag.
@@ -34,18 +34,15 @@ impl Slot {
     }
 }
 
-/// A uniform grid over a bounded rectangle of space.
+/// A uniform grid over a bounded rectangle of space: cell membership and
+/// search over a [`Lattice`], which owns the cell geometry.
 ///
 /// Objects outside the bounds are tolerated: they are clamped into the
 /// nearest boundary cell, and all distance computations use true positions,
 /// so results remain exact.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
-    bounds: Rect,
-    cols: u32,
-    rows: u32,
-    cell_w: f64,
-    cell_h: f64,
+    lattice: Lattice,
     cells: Vec<Vec<ObjectId>>,
     slots: Vec<Slot>,
     len: usize,
@@ -57,27 +54,13 @@ impl GridIndex {
     /// # Panics
     /// Panics when `cols` or `rows` is zero or `bounds` is degenerate.
     pub fn new(bounds: Rect, cols: u32, rows: u32) -> Self {
-        assert!(cols > 0 && rows > 0, "grid must have at least one cell");
-        assert!(
-            bounds.width() > 0.0 && bounds.height() > 0.0,
-            "bounds must have area"
-        );
+        let lattice = Lattice::new(bounds, cols, rows);
         GridIndex {
-            bounds,
-            cols,
-            rows,
-            cell_w: bounds.width() / cols as f64,
-            cell_h: bounds.height() / rows as f64,
-            cells: vec![Vec::new(); (cols * rows) as usize],
+            lattice,
+            cells: vec![Vec::new(); lattice.count() as usize],
             slots: Vec::new(),
             len: 0,
         }
-    }
-
-    /// The space bounds this grid covers.
-    #[inline]
-    pub fn bounds(&self) -> Rect {
-        self.bounds
     }
 
     /// Number of objects currently indexed.
@@ -92,40 +75,6 @@ impl GridIndex {
         self.len == 0
     }
 
-    /// Column/row of the cell containing `p` (clamped into the grid).
-    #[inline]
-    fn cell_coords(&self, p: Point) -> (u32, u32) {
-        let cx = ((p.x - self.bounds.min.x) / self.cell_w).floor();
-        let cy = ((p.y - self.bounds.min.y) / self.cell_h).floor();
-        let cx = (cx.max(0.0) as u32).min(self.cols - 1);
-        let cy = (cy.max(0.0) as u32).min(self.rows - 1);
-        (cx, cy)
-    }
-
-    #[inline]
-    fn cell_index(&self, cx: u32, cy: u32) -> u32 {
-        cy * self.cols + cx
-    }
-
-    /// Identifier of the cell containing `p`; stable for the grid's lifetime.
-    #[inline]
-    pub fn cell_of(&self, p: Point) -> u32 {
-        let (cx, cy) = self.cell_coords(p);
-        self.cell_index(cx, cy)
-    }
-
-    /// The rectangle of cell `cell`.
-    pub fn cell_rect(&self, cell: u32) -> Rect {
-        let cx = (cell % self.cols) as f64;
-        let cy = (cell / self.cols) as f64;
-        Rect::from_coords(
-            self.bounds.min.x + cx * self.cell_w,
-            self.bounds.min.y + cy * self.cell_h,
-            self.bounds.min.x + (cx + 1.0) * self.cell_w,
-            self.bounds.min.y + (cy + 1.0) * self.cell_h,
-        )
-    }
-
     /// Current position of `id`, if indexed.
     #[inline]
     pub fn position(&self, id: ObjectId) -> Option<Point> {
@@ -138,7 +87,7 @@ impl GridIndex {
         if id.index() >= self.slots.len() {
             self.slots.resize(id.index() + 1, Slot::VACANT);
         }
-        let cell = self.cell_of(pos);
+        let cell = self.lattice.cell_of(pos);
         match self.slots[id.index()].occupied() {
             Some(slot) if slot.cell == cell => self.slots[id.index()].pos = pos,
             Some(slot) => {
@@ -171,12 +120,12 @@ impl GridIndex {
         I: IntoIterator<Item = (ObjectId, Point)> + Clone,
     {
         let mut grid = GridIndex::new(bounds, cols, rows);
-        let mut counts = vec![0u32; (cols * rows) as usize];
+        let mut counts = vec![0u32; grid.cells.len()];
         let mut max_index = 0usize;
         let mut n = 0usize;
         for (id, pos) in items.clone() {
             debug_assert!(pos.is_finite(), "position must be finite");
-            counts[grid.cell_of(pos) as usize] += 1;
+            counts[grid.lattice.cell_of(pos) as usize] += 1;
             max_index = max_index.max(id.index());
             n += 1;
         }
@@ -192,7 +141,7 @@ impl GridIndex {
                 grid.slots[id.index()].occupied().is_none(),
                 "bulk_load ids must be unique"
             );
-            let cell = grid.cell_of(pos);
+            let cell = grid.lattice.cell_of(pos);
             grid.attach(id, pos, cell);
         }
         grid.len = n;
@@ -246,37 +195,6 @@ impl GridIndex {
             .filter_map(|(i, s)| s.occupied().map(|s| (ObjectId(i as u32), s.pos)))
     }
 
-    /// Visits the cells of the Chebyshev ring at distance `ring` around
-    /// `(cx, cy)`, clipped to the grid.
-    fn for_ring_cells(&self, cx: u32, cy: u32, ring: i64, mut f: impl FnMut(u32)) {
-        let (cx, cy) = (cx as i64, cy as i64);
-        if ring == 0 {
-            f(self.cell_index(cx as u32, cy as u32));
-            return;
-        }
-        let (cols, rows) = (self.cols as i64, self.rows as i64);
-        let x0 = cx - ring;
-        let x1 = cx + ring;
-        let y0 = cy - ring;
-        let y1 = cy + ring;
-        // Top and bottom rows of the ring.
-        for y in [y0, y1] {
-            if (0..rows).contains(&y) {
-                for x in x0.max(0)..=x1.min(cols - 1) {
-                    f(self.cell_index(x as u32, y as u32));
-                }
-            }
-        }
-        // Left and right columns, excluding the corners already visited.
-        for x in [x0, x1] {
-            if (0..cols).contains(&x) {
-                for y in (y0 + 1).max(0)..=(y1 - 1).min(rows - 1) {
-                    f(self.cell_index(x as u32, y as u32));
-                }
-            }
-        }
-    }
-
     /// The k nearest indexed objects to `q`, in canonical order.
     ///
     /// Expands square rings of cells outward from the query cell and stops as
@@ -318,20 +236,18 @@ impl GridIndex {
             return 0;
         }
         let mut ops = 0u64;
-        let (qc, qr) = self.cell_coords(q);
-        let min_dim = self.cell_w.min(self.cell_h);
-        // Rings beyond this cover no cells.
-        let max_ring = (self.cols.max(self.rows)) as i64;
+        let home = self.lattice.cell_of(q);
+        let (w, h) = self.lattice.cell_size();
         let mut seen = 0usize;
-        for ring in 0..=max_ring {
+        for ring in 0..=self.lattice.max_ring() {
             // Any cell in this ring is at least (ring − 1) whole cells away
             // along some axis (the query point may sit anywhere in its own
             // cell, hence the −1).
-            let lb = ((ring - 1).max(0)) as f64 * min_dim;
+            let lb = ring.saturating_sub(1) as f64 * w.min(h);
             if coll.is_full() && lb * lb > coll.prune_bound_sq() {
                 break;
             }
-            self.for_ring_cells(qc, qr, ring, |cell| {
+            self.lattice.for_ring(home, ring, |cell| {
                 ops += 1;
                 for &id in &self.cells[cell as usize] {
                     let pos = self.slots[id.index()].pos;
@@ -363,7 +279,7 @@ impl GridIndex {
     pub fn range_into(&self, range: &Circle, out: &mut Vec<Neighbor>) {
         out.clear();
         let r2 = range.radius * range.radius;
-        self.for_cells_overlapping(range, |cell| {
+        self.lattice.for_cells_overlapping(range, |cell| {
             for &id in &self.cells[cell as usize] {
                 let pos = self.slots[id.index()].pos;
                 let d2 = pos.dist_sq(range.center);
@@ -375,29 +291,6 @@ impl GridIndex {
         out.sort_unstable_by_key(Neighbor::key);
     }
 
-    /// Visits every cell whose rectangle intersects `circle`.
-    pub fn for_cells_overlapping(&self, circle: &Circle, mut f: impl FnMut(u32)) {
-        let bb = circle.bounding_rect();
-        let (x0, y0) = self.cell_coords(bb.min);
-        let (x1, y1) = self.cell_coords(bb.max);
-        for cy in y0..=y1 {
-            for cx in x0..=x1 {
-                let cell = self.cell_index(cx, cy);
-                if self.cell_rect(cell).intersects_circle(circle) {
-                    f(cell);
-                }
-            }
-        }
-    }
-
-    /// Number of grid cells whose rectangle intersects `circle` — the
-    /// geocast fan-out of installing a monitoring region of that extent.
-    pub fn cells_overlapping(&self, circle: &Circle) -> usize {
-        let mut n = 0;
-        self.for_cells_overlapping(circle, |_| n += 1);
-        n
-    }
-
     /// A conservative radius around `center` expected to contain at least
     /// `k` objects, derived from cell population counts.
     ///
@@ -405,24 +298,24 @@ impl GridIndex {
     /// Returns the bounds diagonal when the grid holds fewer than `k`
     /// objects.
     pub fn estimate_knn_radius(&self, center: Point, k: usize) -> f64 {
+        let bounds = self.lattice.bounds();
         if self.len < k.max(1) {
-            return self.bounds.min.dist(self.bounds.max);
+            return bounds.min.dist(bounds.max);
         }
-        let (qc, qr) = self.cell_coords(center);
-        let max_dim = self.cell_w.max(self.cell_h);
-        let max_ring = (self.cols.max(self.rows)) as i64;
+        let home = self.lattice.cell_of(center);
+        let (w, h) = self.lattice.cell_size();
         let mut cum = 0usize;
-        for ring in 0..=max_ring {
-            self.for_ring_cells(qc, qr, ring, |cell| {
+        for ring in 0..=self.lattice.max_ring() {
+            self.lattice.for_ring(home, ring, |cell| {
                 cum += self.cells[cell as usize].len();
             });
             if cum >= k {
                 // Everything counted so far lies within (ring + 1) cells of
                 // the center along both axes.
-                return (ring as f64 + 1.0) * max_dim * std::f64::consts::SQRT_2;
+                return (ring as f64 + 1.0) * w.max(h) * std::f64::consts::SQRT_2;
             }
         }
-        self.bounds.min.dist(self.bounds.max)
+        bounds.min.dist(bounds.max)
     }
 }
 
@@ -563,21 +456,6 @@ mod tests {
         }
         let c = Circle::new(Point::new(50.0, 50.0), 23.0);
         assert_eq!(g.range(&c), bruteforce::range(g.iter(), &c));
-    }
-
-    #[test]
-    fn cells_overlapping_counts_fanout() {
-        let g = grid();
-        // A circle inside one cell.
-        assert_eq!(
-            g.cells_overlapping(&Circle::new(Point::new(5.0, 5.0), 2.0)),
-            1
-        );
-        // A circle covering everything.
-        assert_eq!(
-            g.cells_overlapping(&Circle::new(Point::new(50.0, 50.0), 500.0)),
-            100
-        );
     }
 
     #[test]

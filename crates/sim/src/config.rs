@@ -30,8 +30,10 @@ pub struct SimConfig {
     pub k: usize,
     /// Episode length in ticks.
     pub ticks: u64,
-    /// Infrastructure paging grid (geocast fan-out accounting): a geocast
-    /// is charged once per grid cell its zone overlaps.
+    /// Cells per side of the infrastructure's paging lattice: a geocast is
+    /// charged once per paging cell its zone overlaps. Until the index sizes
+    /// itself from the population (ROADMAP item 26), it also sets the
+    /// resolution of the engine's search grid.
     pub geo_cells: u32,
     /// Oracle verification mode.
     pub verify: VerifyMode,

@@ -2,7 +2,7 @@
 
 use crate::{AnswerCheck, Claim, EpisodeMetrics, Oracle, SimConfig, VerifyMode};
 use mknn_core::ShardCoordinator;
-use mknn_geom::{Circle, ObjectId, Point, QueryId, Tick};
+use mknn_geom::{Circle, Lattice, ObjectId, Point, QueryId, Tick};
 use mknn_index::{GridIndex, Neighbor};
 use mknn_mobility::{MovingObject, World};
 use mknn_net::{
@@ -34,6 +34,8 @@ use std::time::Instant;
 struct Downlink<'a> {
     /// The registered queries, indexed by id.
     specs: &'a [QuerySpec],
+    /// The paging cells a geocast is charged against.
+    paging: Lattice,
     infra: &'a GridIndex,
     world: &'a World,
     coord: &'a mut ShardCoordinator,
@@ -54,7 +56,7 @@ impl Downlink<'_> {
     /// the devices interested in it, which are exactly the zone's members
     /// other than the focal of `msg`'s query, in `(dist², id)` order.
     fn page(&mut self, zone: Circle, msg: &DownlinkMsg, mut each: impl FnMut(&mut Self, ObjectId)) {
-        let cells = self.infra.cells_overlapping(&zone);
+        let cells = self.paging.cells_overlapping(&zone);
         self.stats.count_geocast(msg.kind(), cells);
         self.coord
             .route_geocast(msg.query(), &zone, self.stats, Some(&mut *self.link));
@@ -261,6 +263,8 @@ pub struct Simulation {
     /// Every device at its true position: scopes geocasts, answers probes,
     /// and is the ground truth answers are checked against.
     infra: GridIndex,
+    /// The infrastructure's paging cells, one geocast transmission each.
+    paging: Lattice,
     inboxes: Vec<Vec<DownlinkMsg>>,
     /// Geocast recipients and the answer under comparison, lent to every
     /// tick's [`Downlink`].
@@ -350,6 +354,7 @@ impl Simulation {
             .collect();
         // One bulk load instead of N upserts: identical structure (same
         // per-cell member order), no per-object reallocation churn.
+        let paging = Lattice::new(bounds, config.geo_cells, config.geo_cells);
         let infra =
             GridIndex::bulk_load(bounds, config.geo_cells, config.geo_cells, world.snapshot());
         let mut metrics = EpisodeMetrics {
@@ -390,6 +395,7 @@ impl Simulation {
         let mut last_sent = vec![Vec::new(); specs.len()];
         let mut downlink = Downlink {
             specs: &specs,
+            paging,
             infra: &infra,
             world: &world,
             coord: &mut coord,
@@ -430,6 +436,7 @@ impl Simulation {
             proto,
             specs,
             infra,
+            paging,
             inboxes,
             hits,
             members,
@@ -541,15 +548,6 @@ impl Simulation {
         self.tick += 1;
         self.metrics.ticks = self.tick;
         self.world.step();
-        // Dirty-only index maintenance: an unmoved object's upsert was a
-        // same-cell no-op anyway, so touching only `world.moved()` leaves
-        // the grid byte-identical while skipping the (1 - move_prob)·N
-        // redundant hash-and-compare passes per tick.
-        for &i in self.world.moved() {
-            self.infra
-                .upsert(ObjectId(i), self.world.positions()[i as usize]);
-        }
-
         self.link.begin_tick(self.tick, self.world.len());
 
         // Crash-window edges before any tracking: a shard reborn this tick
@@ -559,22 +557,20 @@ impl Simulation {
             self.apply_crash_transitions();
         }
 
-        // Shard tier: movement first. Block crossings hand the object off
-        // to its new owner; a focal crossing migrates the query's state to
-        // its new home shard (members = k entries). Unmoved objects are
-        // skipped: same position ⇒ same block ⇒ `track_object` is a pure
-        // no-op (velocity only matters in a Handoff, which needs a
-        // crossing).
+        // Movement, in one walk over the movers: each is re-filed in the
+        // grid, and a block crossing hands it off to its new owner. An
+        // unmoved object would be a no-op for both (same cell, same block;
+        // velocity only matters in a Handoff), so it is skipped.
         let link = &mut self.link;
         for &i in self.world.moved() {
-            self.coord.track_object(
-                ObjectId(i),
-                self.world.positions()[i as usize],
-                self.world.velocities()[i as usize],
-                &mut self.metrics.net,
-                Some(&mut *link),
-            );
+            let (id, pos) = (ObjectId(i), self.world.positions()[i as usize]);
+            self.infra.upsert(id, pos);
+            let (vel, stats) = (self.world.velocities()[i as usize], &mut self.metrics.net);
+            self.coord
+                .track_object(id, pos, vel, stats, Some(&mut *link));
         }
+        // A focal crossing migrates the query's state to its new home
+        // shard (members = k entries).
         let k = self.metrics.k;
         for qi in 0..self.specs.len() {
             let spec = self.specs[qi];
@@ -646,6 +642,7 @@ impl Simulation {
         self.outbox.clear();
         let mut downlink = Downlink {
             specs: &self.specs,
+            paging: self.paging,
             infra: &self.infra,
             world: &self.world,
             coord: &mut self.coord,
@@ -907,6 +904,7 @@ mod tests {
         specs: Vec<QuerySpec>,
         world: World,
         infra: GridIndex,
+        paging: Lattice,
         coord: ShardCoordinator,
         link: FaultyLink,
         stats: NetStats,
@@ -953,6 +951,7 @@ mod tests {
                 inboxes: vec![Vec::new(); world.len()],
                 world,
                 infra,
+                paging: Lattice::new(bounds, cells, cells),
                 coord,
                 link: FaultyLink::new(FaultPlan::none(), 0),
                 stats,
@@ -975,6 +974,7 @@ mod tests {
         fn downlink(&mut self) -> Downlink<'_> {
             Downlink {
                 specs: &self.specs,
+                paging: self.paging,
                 infra: &self.infra,
                 world: &self.world,
                 coord: &mut self.coord,
@@ -1299,6 +1299,58 @@ mod tests {
                     let got: Vec<ObjectId> = out.iter().take(nearest).map(|r| r.id).collect();
                     assert_eq!(got, ranked[..nearest], "radius {radius}, min {min}");
                 }
+            }
+        });
+    }
+
+    /// The search grid only finds a zone's members; the paging lattice
+    /// prices them. At any search resolution from 1² to 128² cells, a page
+    /// and a probe reach the same devices, return the same replies and
+    /// charge the same `NetStats` and shard loads as at the paging
+    /// lattice's own resolution.
+    #[test]
+    fn the_search_grid_resolution_never_changes_a_page_or_a_probe() {
+        use mknn_geom::Rect;
+        use mknn_mobility::Stationary;
+        use mknn_util::{check::forall, Rng};
+        forall(32, |rng| {
+            let n = rng.gen_range(1u32..80);
+            let mut coord = || rng.gen_range(-5.0..=105.0);
+            let at: Vec<Point> = (0..n).map(|_| Point::new(coord(), coord())).collect();
+            let center = Point::new(coord(), coord());
+            let zone = Circle::new(center, rng.gen_range(0.0..80.0));
+            let (paging, shards) = (rng.gen_range(1u32..17), [1, 4][rng.gen_range(0usize..2)]);
+            let (focal, min) = (
+                ObjectId(rng.gen_range(0..n)),
+                rng.gen_range(0..n as usize + 2),
+            );
+            let run = |search: u32| {
+                let objects = (0..n).map(|i| MovingObject::at(ObjectId(i), at[i as usize], 0.0));
+                let (model, seed) = (Box::new(Stationary), Rng::seed_from_u64(0));
+                let world = World::new(Rect::square(100.0), objects.collect(), model, 0.0, seed);
+                let mut rig = Rig::on(world, paging, shards);
+                let bounds = rig.world.bounds();
+                rig.infra = GridIndex::bulk_load(bounds, search, search, rig.world.snapshot());
+                let query = rig.register(focal, 4);
+                let msg = DownlinkMsg::RemoveRegion { query };
+                let (mut paged, mut replies) = (Vec::new(), Vec::new());
+                let mut dl = rig.downlink();
+                dl.page(zone, &msg, |dl, id| {
+                    paged.push(id);
+                    dl.deliver(id, msg);
+                });
+                dl.probe(query, zone, min, &mut replies);
+                dl.builder.flush_frames(dl.stats);
+                let loads = rig.coord.loads().to_vec();
+                (paged, replies, rig.inboxes, rig.stats, loads)
+            };
+            let want = run(paging);
+            for search in [1, rng.gen_range(1u32..=128), 128] {
+                assert_eq!(
+                    run(search),
+                    want,
+                    "search {search}², paging {paging}², G={shards}"
+                );
             }
         });
     }

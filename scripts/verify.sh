@@ -59,6 +59,7 @@ shards|G=1 is the single server|--shards 1|-|.|golden
 shards|G=4, two runs, charges shard traffic|--shards 4|-|-|!=--shards 1
 shards|G=4, MKNN_THREADS 1 vs 4|--shards 4|MKNN_THREADS=1|MKNN_THREADS=4|-
 shards|G=4 under chaos, two runs|--shards 4 --fault chaos|-|-|-
+shards|G=6 under chaos, two runs|--shards 6 --fault chaos|-|-|-
 shards|G=16 under chaos, the committed reference|--shards 16 --fault chaos|-|.|golden=scripts/golden/chaos_g16_seed42.json
 chaos|two runs, chaos has an effect|--fault chaos|-|-|!=
 chaos|MKNN_THREADS 1 vs 4|--fault chaos|MKNN_THREADS=1|MKNN_THREADS=4|-
